@@ -46,6 +46,12 @@
 // are merged periodically (once per second) into rate gauges for the
 // status endpoint and merged on demand by Stats.
 //
+// A shard's store is an index map from object id to a dense slab of entries:
+// a refresh resolves its id once and then works on the slot (overwritten in
+// place), batches reach the shards as index lists over the one decoded slice,
+// and pending held-version acks are sets of slab indexes whose payload is
+// read when they are sent — the steady-state apply path allocates nothing.
+//
 // # Back-pressure
 //
 // Every stage is bounded: transport batch channel → dispatcher (gated by
@@ -62,6 +68,7 @@ package runtime
 import (
 	"hash/maphash"
 	"math"
+	"math/bits"
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -119,8 +126,10 @@ type CacheConfig struct {
 	// excluded), outside the shard lock. Refreshes for the same object are
 	// delivered in apply order (they always land on the same shard);
 	// different objects may be reported concurrently from different
-	// workers. This is the re-export hook a Relay uses to turn applied
-	// refreshes into updates for its own downstream tier.
+	// workers. The slice is the worker's own buffer, valid only for the
+	// duration of the call (as OnForward's arguments are). This is the
+	// re-export hook a Relay uses to turn applied refreshes into updates for
+	// its own downstream tier.
 	OnApply func([]wire.Refresh)
 	// OnForward, when non-nil, replaces OnApply for batches that arrive
 	// with a retained wire frame (transport.InboundBatch.Frame): once every
@@ -219,45 +228,47 @@ type shardStats struct {
 	divergence float64
 }
 
-// applyTask is one unit of work on a shard queue: either a plain refresh
-// slice (the classic path) or a framed batch's slice of indices into the
-// shared batchRef (the splice-forwarding path, where the keep mask must stay
-// aligned with the retained frame).
+// applyTask is one unit of work on a shard queue: the indices into the shared
+// batchRef's refreshes that this shard owns. Plain and framed batches take the
+// same shape; no refresh is copied on the way to a shard.
 type applyTask struct {
-	rs   []wire.Refresh // plain path; nil when ref is set
-	ref  *batchRef      // framed path: shared per-batch state
-	idxs []int          // framed path: indices into ref.rs owned by this shard
+	ref  *batchRef
+	idxs []int32
 }
 
-// batchRef is the shared state of one framed batch in flight across shard
-// workers. The last worker to finish (pending hits zero) fires OnForward,
-// handing over the frame reference. Refs are pooled: the keep mask and the
-// per-shard index buckets are reused across batches, so OnForward's rs/keep
-// arguments are valid only for the duration of the call (the hook decodes
-// or copies what it needs before returning — n.onForward does).
+// batchRef is the shared state of one batch in flight across shard workers.
+// The last worker to finish (pending hits zero) recycles it and, for a framed
+// batch (frame != nil), first fires OnForward, handing over the frame
+// reference. Refs are pooled: the keep mask and the per-shard index buckets
+// are reused across batches, so OnForward's rs/keep arguments are valid only
+// for the duration of the call (the hook decodes or copies what it needs
+// before returning — n.onForward does).
 type batchRef struct {
 	c       *Cache
 	rs      []wire.Refresh
 	frame   *codec.Frame
-	keep    []bool
-	parts   [][]int
+	keep    []bool // framed batches only: aligned with rs and the frame's items
+	parts   [][]int32
 	pending atomic.Int32
 }
 
 var batchRefPool = sync.Pool{New: func() any { return new(batchRef) }}
 
-// grabBatchRef readies a pooled ref for a framed batch: keep mask zeroed to
-// length len(rs), one (emptied) index bucket per shard.
+// grabBatchRef readies a pooled ref for a batch: one (emptied) index bucket
+// per shard and, for a framed batch, the keep mask zeroed to length len(rs).
 func (c *Cache) grabBatchRef(rs []wire.Refresh, frame *codec.Frame) *batchRef {
 	b := batchRefPool.Get().(*batchRef)
 	b.c, b.rs, b.frame = c, rs, frame
-	if cap(b.keep) < len(rs) {
-		b.keep = make([]bool, len(rs))
+	b.keep = b.keep[:0]
+	if frame != nil {
+		if cap(b.keep) < len(rs) {
+			b.keep = make([]bool, len(rs))
+		}
+		b.keep = b.keep[:len(rs)]
+		clear(b.keep)
 	}
-	b.keep = b.keep[:len(rs)]
-	clear(b.keep)
 	if cap(b.parts) < len(c.shards) {
-		b.parts = make([][]int, len(c.shards))
+		b.parts = make([][]int32, len(c.shards))
 	}
 	b.parts = b.parts[:len(c.shards)]
 	for i := range b.parts {
@@ -268,7 +279,9 @@ func (c *Cache) grabBatchRef(rs []wire.Refresh, frame *codec.Frame) *batchRef {
 
 func (b *batchRef) done() {
 	if b.pending.Add(-1) == 0 {
-		b.c.cfg.OnForward(b.rs, b.frame, b.keep)
+		if b.frame != nil {
+			b.c.cfg.OnForward(b.rs, b.frame, b.keep)
+		}
 		b.recycle()
 	}
 }
@@ -278,19 +291,76 @@ func (b *batchRef) recycle() {
 	batchRefPool.Put(b)
 }
 
-// shard is one independent slice of the cache store.
+// slabChunk is the number of slots per slab chunk. Chunks are allocated whole
+// and never move, so growing the store copies nothing and a slot pointer
+// stays valid for as long as the shard lock is held.
+const (
+	slabShift = 6
+	slabChunk = 1 << slabShift
+)
+
+// slot is one slab element: a cached entry and the object id it belongs to.
+type slot struct {
+	id string
+	e  Entry
+}
+
+// ackSet is the pending held-version acknowledgements toward one sender: the
+// set of slab indexes whose entry the sender should hear about, as a bitset
+// drained round-robin from cursor. Only the index is recorded; the payload is
+// read from the entry when the ack is drained.
+type ackSet struct {
+	sender string
+	bits   []uint64
+	n      int // set bits
+	cursor int // word the next drain starts at
+}
+
+// shard is one independent slice of the cache store: an index map from object
+// id to a dense slab of entries that are mutated in place, so a refresh for a
+// known object costs one map probe.
 type shard struct {
 	mu    sync.Mutex
-	store map[string]Entry
+	index map[string]int32
+	slab  []*[slabChunk]slot
+	n     int32 // slots in use
 	stats shardStats
 	queue chan applyTask
-	// acks buffers held-version acknowledgements per sender — the origin
-	// axis of entries this shard applied from relayed refreshes, or held
-	// on to while dropping a sender's stale re-send. The dispatcher's
-	// surplus-feedback pass drains them onto outgoing wire.Feedback.Held
-	// (bounded per message), so senders learn what this cache already
-	// holds and skip the rest. Lazily allocated; nil until the first ack.
-	acks map[string]map[string]wire.HeldVersion
+	// owed holds the pending held-version acknowledgements per sender — for
+	// entries this shard applied from relayed refreshes, or held on to while
+	// dropping a sender's stale re-send. The dispatcher's surplus-feedback
+	// pass drains them onto outgoing wire.Feedback.Held (bounded per
+	// message), so senders learn what this cache already holds and skip the
+	// rest. A cache hears from few senders and a batch comes from one, so the
+	// list is scanned, most recent sender first (lastOwed).
+	owed     []ackSet
+	lastOwed int
+}
+
+// at returns the slot at slab index i.
+func (sh *shard) at(i int32) *slot {
+	return &sh.slab[i>>slabShift][i&(slabChunk-1)]
+}
+
+// lookup returns the slot holding objectID, or nil. Caller holds sh.mu.
+func (sh *shard) lookup(objectID string) *slot {
+	if i, ok := sh.index[objectID]; ok {
+		return sh.at(i)
+	}
+	return nil
+}
+
+// insert adds a slot for a new object id and returns its slab index. Caller
+// holds sh.mu.
+func (sh *shard) insert(objectID string) int32 {
+	i := sh.n
+	if int(i>>slabShift) == len(sh.slab) {
+		sh.slab = append(sh.slab, new([slabChunk]slot))
+	}
+	sh.n++
+	sh.index[objectID] = i
+	sh.at(i).id = objectID
+	return i
 }
 
 // Cache is a live cache node.
@@ -372,7 +442,7 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			store: map[string]Entry{},
+			index: map[string]int32{},
 			queue: make(chan applyTask, cfg.ShardQueue),
 		}
 		c.wg.Add(1)
@@ -407,8 +477,10 @@ func (c *Cache) Get(objectID string) (Entry, bool) {
 	sh := c.shardFor(objectID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.store[objectID]
-	return e, ok
+	if sl := sh.lookup(objectID); sl != nil {
+		return sl.e, true
+	}
+	return Entry{}, false
 }
 
 // Len returns the number of cached objects.
@@ -416,7 +488,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += len(sh.store)
+		n += int(sh.n)
 		sh.mu.Unlock()
 	}
 	return n
@@ -617,9 +689,15 @@ func (c *Cache) loop() {
 // (back-pressure) but abort on shutdown.
 func (c *Cache) dispatch(b transport.InboundBatch) {
 	c.mu.Lock()
+	sender, idx := "", -1
 	for i := range b.Refreshes {
 		r := &b.Refreshes[i]
-		c.tracker.ObserveThreshold(c.sourceIndex(r.SourceID), r.Threshold)
+		if idx < 0 || r.SourceID != sender {
+			// A batch comes from one sender: resolve its id once, not per
+			// refresh.
+			sender, idx = r.SourceID, c.sourceIndex(r.SourceID)
+		}
+		c.tracker.ObserveThreshold(idx, r.Threshold)
 		if r.CacheID != "" && r.CacheID != c.cfg.ID {
 			// Advisory destination mismatch: still applied (the connection
 			// is authoritative) but counted for operators debugging fan-out
@@ -628,98 +706,14 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 		}
 	}
 	c.mu.Unlock()
-	if b.Frame != nil && c.cfg.OnForward != nil {
-		c.dispatchFramed(b)
-		return
-	}
-	if b.Frame != nil {
+	frame := b.Frame
+	if frame != nil && c.cfg.OnForward == nil {
 		// Nobody downstream wants the bytes; drop the reference now rather
-		// than thread it through the plain path.
-		b.Frame.Release()
+		// than thread it through the apply path.
+		frame.Release()
+		frame = nil
 	}
-	if c.cfg.Reject != nil {
-		kept := b.Refreshes[:0]
-		for _, r := range b.Refreshes {
-			if !c.cfg.Reject(r) {
-				kept = append(kept, r)
-			}
-		}
-		if dropped := len(b.Refreshes) - len(kept); dropped > 0 {
-			c.mu.Lock()
-			c.rejected += dropped
-			c.mu.Unlock()
-		}
-		b.Refreshes = kept
-		if len(b.Refreshes) == 0 {
-			return
-		}
-	}
-	c.fanout(b.Refreshes)
-}
-
-// dispatchFramed routes a framed batch to the shards without compacting the
-// refresh slice: the keep mask (not slice surgery) records Reject hits and
-// stale drops, so index i of the mask, the refreshes, and the retained
-// frame's encoded items always line up. The last shard worker to finish
-// fires OnForward exactly once.
-func (c *Cache) dispatchFramed(b transport.InboundBatch) {
-	rs := b.Refreshes
-	ref := c.grabBatchRef(rs, b.Frame)
-	keep := ref.keep
-	rejected := 0
-	live := 0
-	for i := range rs {
-		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
-			rejected++
-			continue
-		}
-		keep[i] = true
-		live++
-	}
-	if rejected > 0 {
-		c.mu.Lock()
-		c.rejected += rejected
-		c.mu.Unlock()
-	}
-	if live == 0 {
-		b.Frame.Release()
-		ref.recycle()
-		return
-	}
-	if len(c.shards) == 1 {
-		idxs := ref.parts[0]
-		for i := range rs {
-			if keep[i] {
-				idxs = append(idxs, i)
-			}
-		}
-		ref.parts[0] = idxs
-		ref.pending.Store(1)
-		c.outstanding.Add(int64(live))
-		c.enqueue(c.shards[0], applyTask{ref: ref, idxs: idxs})
-		return
-	}
-	parts := ref.parts
-	for i := range rs {
-		if !keep[i] {
-			continue
-		}
-		si := c.shardIndex(rs[i].ObjectID)
-		parts[si] = append(parts[si], i)
-	}
-	n := int32(0)
-	for _, p := range parts {
-		if len(p) > 0 {
-			n++
-		}
-	}
-	ref.pending.Store(n)
-	c.outstanding.Add(int64(live))
-	for si, p := range parts {
-		if len(p) > 0 {
-			c.enqueue(c.shards[si], applyTask{ref: ref, idxs: p})
-		}
-	}
+	c.route(b.Refreshes, frame)
 }
 
 // installPolled is the poll scheduler's entry into the apply path: the
@@ -732,43 +726,58 @@ func (c *Cache) dispatchFramed(b transport.InboundBatch) {
 // and installing it would re-circulate the cycle the intake guard exists
 // to break.
 func (c *Cache) installPolled(rs []wire.Refresh) {
-	if c.cfg.Reject != nil {
-		kept := rs[:0]
-		for _, r := range rs {
-			if !c.cfg.Reject(r) {
-				kept = append(kept, r)
-			}
-		}
-		if dropped := len(rs) - len(kept); dropped > 0 {
-			c.mu.Lock()
-			c.rejected += dropped
-			c.mu.Unlock()
-		}
-		rs = kept
-		if len(rs) == 0 {
-			return
-		}
-	}
-	c.fanout(rs)
+	c.route(rs, nil)
 }
 
-// fanout routes refreshes to their owning shards' apply queues, tracking
-// them as outstanding until the workers drain them. Shard-queue sends block
-// when a worker is behind (back-pressure) but abort on shutdown.
-func (c *Cache) fanout(rs []wire.Refresh) {
-	c.outstanding.Add(int64(len(rs)))
-	if len(c.shards) == 1 {
-		c.enqueue(c.shards[0], applyTask{rs: rs})
+// route hands a batch's refreshes to their owning shards' apply queues as
+// index lists over the one shared slice — nothing is copied or compacted, so
+// for a framed batch (frame != nil) index i of the keep mask, the refreshes
+// and the retained frame's encoded items always line up: the mask, not slice
+// surgery, records Reject hits here and stale drops in the workers, and the
+// last worker to finish fires OnForward exactly once. Refreshes count as
+// outstanding until the workers drain them. Shard-queue sends block when a
+// worker is behind (back-pressure) but abort on shutdown.
+func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
+	ref := c.grabBatchRef(rs, frame)
+	parts := ref.parts
+	live := 0
+	for i := range rs {
+		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
+			continue
+		}
+		si := c.shardIndex(rs[i].ObjectID)
+		parts[si] = append(parts[si], int32(i))
+		if frame != nil {
+			ref.keep[i] = true
+		}
+		live++
+	}
+	if rejected := len(rs) - live; rejected > 0 {
+		c.mu.Lock()
+		c.rejected += rejected
+		c.mu.Unlock()
+	}
+	tasks := int32(0)
+	for _, p := range parts {
+		if len(p) > 0 {
+			tasks++
+		}
+	}
+	if tasks == 0 {
+		if frame != nil {
+			frame.Release()
+		}
+		ref.recycle()
 		return
 	}
-	parts := make([][]wire.Refresh, len(c.shards))
-	for _, r := range rs {
-		i := c.shardIndex(r.ObjectID)
-		parts[i] = append(parts[i], r)
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			c.enqueue(c.shards[i], applyTask{rs: p})
+	ref.pending.Store(tasks)
+	c.outstanding.Add(int64(live))
+	// The ref (and parts with it) may be recycled the moment its last task is
+	// queued, so the loop must not look at parts again after that.
+	for si := 0; tasks > 0; si++ {
+		if p := parts[si]; len(p) > 0 {
+			tasks--
+			c.enqueue(c.shards[si], applyTask{ref: ref, idxs: p})
 		}
 	}
 }
@@ -777,52 +786,54 @@ func (c *Cache) enqueue(sh *shard, t applyTask) {
 	select {
 	case sh.queue <- t:
 	case <-c.stop:
-		// Shutdown abort: a framed batch's OnForward never fires (pending
-		// never drains), stranding the frame's pool object — harmless, the
-		// process is winding down.
+		// Shutdown abort: the batch's countdown never drains, so a framed
+		// batch's OnForward never fires, stranding the frame's pool object —
+		// harmless, the process is winding down.
 	}
 }
 
 // worker drains one shard's queue, applying refreshes under the shard lock
-// and reporting the applied ones to the OnApply hook (plain tasks) or, via
-// the batch countdown, the OnForward hook (framed tasks) outside it.
+// and reporting the applied ones outside it: a plain task's to the OnApply
+// hook, a framed task's through the keep mask and the batch countdown to the
+// OnForward hook.
 func (c *Cache) worker(sh *shard) {
 	defer c.wg.Done()
+	// applied is the worker's own buffer, reused from task to task.
+	var applied []wire.Refresh
 	for t := range sh.queue {
 		now := c.cfg.Now()
-		if t.ref != nil {
-			ref := t.ref
-			sh.mu.Lock()
-			for _, i := range t.idxs {
-				if !c.applyLocked(sh, ref.rs[i], now) {
-					ref.keep[i] = false
-				}
-			}
-			sh.mu.Unlock()
-			c.outstanding.Add(-int64(len(t.idxs)))
-			ref.done()
-			continue
-		}
-		rs := t.rs
-		var applied []wire.Refresh
+		ref := t.ref
+		framed := ref.frame != nil
+		report := !framed && c.cfg.OnApply != nil
 		sh.mu.Lock()
-		for _, r := range rs {
-			if c.applyLocked(sh, r, now) && c.cfg.OnApply != nil {
-				applied = append(applied, r)
+		for _, i := range t.idxs {
+			ok := c.applyLocked(sh, &ref.rs[i], now)
+			switch {
+			case ok && report:
+				applied = append(applied, ref.rs[i])
+			case !ok && framed:
+				ref.keep[i] = false
 			}
 		}
 		sh.mu.Unlock()
 		if len(applied) > 0 {
 			c.cfg.OnApply(applied)
+			applied = applied[:0]
 		}
-		c.outstanding.Add(-int64(len(rs)))
+		c.outstanding.Add(-int64(len(t.idxs)))
+		ref.done()
 	}
 }
 
 // applyLocked installs one refresh into the shard store, reporting whether
-// it was applied (false = dropped as stale). Caller holds sh.mu.
-func (c *Cache) applyLocked(sh *shard, r wire.Refresh, now time.Time) bool {
-	cur, ok := sh.store[r.ObjectID]
+// it was applied (false = dropped as stale). The object id is resolved once;
+// an existing entry is overwritten in place. Caller holds sh.mu.
+func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, now time.Time) bool {
+	i, ok := sh.index[r.ObjectID]
+	if !ok {
+		i = sh.insert(r.ObjectID)
+	}
+	cur := &sh.at(i).e
 	// The (epoch, version) staleness guard is per sender: epochs from
 	// different nodes are incomparable wall-clock starts, so comparing
 	// them across senders would let one upstream's restart permanently
@@ -837,12 +848,12 @@ func (c *Cache) applyLocked(sh *shard, r wire.Refresh, now time.Time) bool {
 			// and, at a relay, re-broadcast it to every child. Reconnect
 			// re-sends from a peer that never restarted land here.
 			sh.stats.stale++
-			c.recordAckLocked(sh, r.SourceID, r.ObjectID, cur)
+			c.recordAckLocked(sh, r.SourceID, i)
 			return false
 		}
 		if r.Epoch < cur.Epoch {
 			sh.stats.stale++ // message from a superseded incarnation
-			c.recordAckLocked(sh, r.SourceID, r.ObjectID, cur)
+			c.recordAckLocked(sh, r.SourceID, i)
 			return false
 		}
 	}
@@ -859,7 +870,7 @@ func (c *Cache) applyLocked(sh *shard, r wire.Refresh, now time.Time) bool {
 		ce, cv := cur.OriginAxis()
 		if re < ce || (re == ce && rv <= cv) {
 			sh.stats.stale++
-			c.recordAckLocked(sh, r.SourceID, r.ObjectID, cur)
+			c.recordAckLocked(sh, r.SourceID, i)
 			return false
 		}
 	}
@@ -870,7 +881,7 @@ func (c *Cache) applyLocked(sh *shard, r wire.Refresh, now time.Time) bool {
 		}
 		sh.stats.divergence += d
 	}
-	entry := Entry{
+	*cur = Entry{
 		Value:     r.Value,
 		Version:   r.Version,
 		Epoch:     r.Epoch,
@@ -880,63 +891,106 @@ func (c *Cache) applyLocked(sh *shard, r wire.Refresh, now time.Time) bool {
 		Refreshed: now,
 	}
 	if r.Origin != "" && r.Origin != r.SourceID {
-		entry.Origin = r.Origin
-		entry.OriginEpoch = r.OriginEpoch
-		entry.OriginVersion = r.OriginVersion
+		cur.Origin = r.Origin
+		cur.OriginEpoch = r.OriginEpoch
+		cur.OriginVersion = r.OriginVersion
 		sh.stats.peerServed++
 		// Applied relayed copies are acknowledged too: the ack lets the
 		// relay skip re-sending them after ITS restart (direct senders
 		// need no apply-path ack — their re-sends fall into the stale
 		// branches above, which ack on the spot — so the single-tier hot
-		// path stays map-free).
-		c.recordAckLocked(sh, r.SourceID, r.ObjectID, entry)
+		// path records nothing).
+		c.recordAckLocked(sh, r.SourceID, i)
 	}
-	sh.store[r.ObjectID] = entry
 	sh.stats.refreshes++
 	return true
 }
 
-// recordAckLocked buffers a held-version acknowledgement toward sender:
-// "for this object I hold held's origin-axis version". No-op under
+// recordAckLocked marks slab index i as owing sender a held-version
+// acknowledgement: "for this object I hold this origin-axis version". Only
+// the index is recorded — the version is read from the entry when the ack is
+// drained (takeAcks), which reports what the cache holds THEN: at or ahead of
+// what it held now, so still truthful. Each sender has its own set, so two
+// senders owed an ack for one object both get theirs. No-op under
 // cache-driven policies — they send no feedback to carry the acks. Caller
 // holds sh.mu.
-func (c *Cache) recordAckLocked(sh *shard, sender, objectID string, held Entry) {
+func (c *Cache) recordAckLocked(sh *shard, sender string, i int32) {
 	if c.cfg.Policy.CacheDriven() {
 		return
 	}
-	e, v := held.OriginAxis()
-	if sh.acks == nil {
-		sh.acks = map[string]map[string]wire.HeldVersion{}
+	a := sh.owedTo(sender)
+	if a == nil {
+		sh.owed = append(sh.owed, ackSet{sender: sender})
+		a = &sh.owed[len(sh.owed)-1]
 	}
-	m := sh.acks[sender]
-	if m == nil {
-		m = map[string]wire.HeldVersion{}
-		sh.acks[sender] = m
+	w := int(i >> 6)
+	if w >= len(a.bits) {
+		a.bits = append(a.bits, make([]uint64, w+1-len(a.bits))...)
 	}
-	m[objectID] = wire.HeldVersion{ObjectID: objectID, Epoch: e, Version: v}
+	if bit := uint64(1) << (i & 63); a.bits[w]&bit == 0 {
+		a.bits[w] |= bit
+		a.n++
+	}
+}
+
+// owedTo returns the pending-ack set of sender, or nil when it is owed
+// nothing yet. Caller holds sh.mu.
+func (sh *shard) owedTo(sender string) *ackSet {
+	if k := sh.lastOwed; k < len(sh.owed) && sh.owed[k].sender == sender {
+		return &sh.owed[k]
+	}
+	for k := range sh.owed {
+		if sh.owed[k].sender == sender {
+			sh.lastOwed = k
+			return &sh.owed[k]
+		}
+	}
+	return nil
 }
 
 // maxHeldPerFeedback bounds the held-version acks piggybacked on one
-// feedback message; the excess stays buffered for the next one.
+// feedback message; the excess stays pending for the next one.
 const maxHeldPerFeedback = 256
 
-// takeAcks drains up to maxHeldPerFeedback buffered acks toward sourceID.
+// takeAcks drains up to maxHeldPerFeedback pending acks toward sourceID,
+// reading each one's origin-axis version from the entry as it stands now.
 func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 	var out []wire.HeldVersion
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if m := sh.acks[sourceID]; m != nil {
-			for obj, h := range m {
-				if len(out) >= maxHeldPerFeedback {
-					break
-				}
-				out = append(out, h)
-				delete(m, obj)
-			}
+		if a := sh.owedTo(sourceID); a != nil {
+			out = sh.drainAcksLocked(a, out)
 		}
 		sh.mu.Unlock()
 		if len(out) >= maxHeldPerFeedback {
 			break
+		}
+	}
+	return out
+}
+
+// drainAcksLocked moves pending acks of a onto out until a is empty or out
+// holds maxHeldPerFeedback, scanning the bitset round-robin from where the
+// previous drain stopped. Caller holds sh.mu.
+func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldVersion {
+	if a.n == 0 {
+		return out
+	}
+	if out == nil {
+		out = make([]wire.HeldVersion, 0, min(a.n, maxHeldPerFeedback))
+	}
+	for scanned := 0; scanned < len(a.bits) && a.n > 0 && len(out) < maxHeldPerFeedback; scanned++ {
+		w := a.cursor
+		for a.bits[w] != 0 && len(out) < maxHeldPerFeedback {
+			b := bits.TrailingZeros64(a.bits[w])
+			a.bits[w] &^= 1 << b
+			a.n--
+			sl := sh.at(int32(w<<6 | b))
+			e, v := sl.e.OriginAxis()
+			out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
+		}
+		if a.bits[w] == 0 {
+			a.cursor = (w + 1) % len(a.bits)
 		}
 	}
 	return out

@@ -102,7 +102,8 @@ const groupConsumerID = "(group)"
 // groupObj is the group's shared view of one object: the value/version last
 // scheduled for broadcast and the divergence accumulated against it — the
 // cohort-wide analogue of sessObj. Per-member divergence (held acks, split
-// horizon) stays on the members and is applied per batch.
+// horizon) stays on the members and is applied per batch. Kept by value in a
+// slice parallel to Source.order.
 type groupObj struct {
 	sentVal float64
 	sentVer uint64
@@ -184,7 +185,7 @@ type SessionGroup struct {
 
 	// Guarded by src.mu.
 	eng       *core.Source
-	objs      []*groupObj // parallel to src.ids
+	objs      []groupObj // parallel to src.order
 	members   []*syncSession
 	rate      float64 // per-member share, msgs/s (aggregate / members)
 	demand    float64 // Σ tracker.Current() (rebalancer signal)
@@ -208,8 +209,14 @@ type SessionGroup struct {
 	splicedRefreshes int
 	next             int                 // round-robin worker assignment cursor
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
-	planBuf          []memberPlan        // per-batch plan scratch (reused)
-	overrunBuf       []*syncSession      // per-batch overrun scratch (reused)
+	// The flusher's per-batch scratch (reused): the scheduled objects' queue
+	// keys and outgoing provenance, one member's exclusion mask, the delivery
+	// plan and the overrun list.
+	keyBuf     []int
+	provBuf    []Provenance
+	dropBuf    []bool
+	planBuf    []memberPlan
+	overrunBuf []*syncSession
 
 	// Atomics shared with the sender workers.
 	delivered  atomic.Int64
@@ -249,27 +256,19 @@ func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
 
 // attachLocked adds a fully synchronized member to the group. Its per-object
 // session state collapses to the shared group state — the O(members ×
-// objects) memory the group exists to avoid — keeping only the small
-// per-member exclusion set: held acks ahead of the canonical axis. Caller
+// objects) memory the group exists to avoid — keeping only the acks it has
+// heard (syncSession.held; nothing at all for a member never acked). Caller
 // holds src.mu and reallocates after.
 func (g *SessionGroup) attachLocked(m *syncSession) {
-	s := g.src
-	if m.memberHeld == nil {
-		m.memberHeld = map[string]wire.HeldVersion{}
-	}
-	for k, so := range m.objs {
-		if so.heldEpoch != 0 {
-			id := s.ids[k]
-			m.memberHeld[id] = wire.HeldVersion{ObjectID: id, Epoch: so.heldEpoch, Version: so.heldVer}
+	m.held = nil
+	for k := range m.objs {
+		if h := m.objs[k].held; h.epoch != 0 {
+			if m.held == nil {
+				m.held = make([]heldAxis, len(m.objs))
+			}
+			m.held[k] = h
 		}
 	}
-	for id, h := range m.heldPending {
-		if cur, ok := m.memberHeld[id]; !ok || h.Epoch > cur.Epoch ||
-			(h.Epoch == cur.Epoch && h.Version > cur.Version) {
-			m.memberHeld[id] = h
-		}
-	}
-	m.heldPending = map[string]wire.HeldVersion{}
 	m.objs = nil
 	m.demand = 0
 	m.grouped = true
@@ -306,26 +305,20 @@ func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
 	g.detaches++
 	close(m.detached)
 	m.groupConn, m.groupFS = nil, nil
+	held := m.held
+	m.held = nil
 	if !resync {
 		return
 	}
 	s := g.src
 	now := s.now()
-	m.objs = make([]*sessObj, len(s.ids))
-	for k := range m.objs {
-		m.objs[k] = &sessObj{}
+	m.objs = make([]sessObj, len(s.order))
+	for k, h := range held {
+		m.objs[k].held = h
 	}
-	for id, h := range m.memberHeld {
-		if key, ok := s.idx[id]; ok {
-			m.objs[key].heldEpoch, m.objs[key].heldVer = h.Epoch, h.Version
-		} else if len(m.heldPending) < maxHeldPending {
-			m.heldPending[id] = h
-		}
-	}
-	clear(m.memberHeld)
 	m.demand = 0
-	for k, id := range s.ids {
-		m.observeLocked(s.objs[id], k, now)
+	for _, o := range s.order {
+		m.observeLocked(o, now)
 	}
 }
 
@@ -335,8 +328,8 @@ func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
 // member. Allocation-free in steady state (tracker update + heap upsert).
 // Per-member exclusions (held acks, split horizon) are applied per batch at
 // broadcast time, not here. Caller holds src.mu.
-func (g *SessionGroup) observeLocked(o *objState, key int, now float64) {
-	gobj := g.objs[key]
+func (g *SessionGroup) observeLocked(o *objState, now float64) {
+	gobj := &g.objs[o.key]
 	d := metric.Divergence(g.src.cfg.Metric, g.src.cfg.Delta,
 		int(o.version-gobj.sentVer), o.value, gobj.sentVal)
 	if gobj.sentVer == 0 && d == 0 {
@@ -345,13 +338,14 @@ func (g *SessionGroup) observeLocked(o *objState, key int, now float64) {
 	}
 	g.demand += d - gobj.tracker.Current()
 	gobj.tracker.Update(now, d)
-	g.requeueLocked(o, key, now)
+	g.requeueLocked(o, now)
 }
 
 // requeueLocked recomputes an object's broadcast priority. Caller holds
 // src.mu.
-func (g *SessionGroup) requeueLocked(o *objState, key int, now float64) {
+func (g *SessionGroup) requeueLocked(o *objState, now float64) {
 	s := g.src
+	key := o.key
 	w := 1.0
 	if s.cfg.Weight != nil {
 		w = s.cfg.Weight(o.id)
@@ -360,7 +354,7 @@ func (g *SessionGroup) requeueLocked(o *objState, key int, now float64) {
 	if span := now - o.firstAt; span > 0 && o.updates > 1 {
 		lambda = float64(o.updates) / span
 	}
-	gobj := g.objs[key]
+	gobj := &g.objs[key]
 	p := priority.Compute(s.cfg.PriorityFn, priority.Inputs{
 		Now:         now,
 		LastRefresh: gobj.tracker.LastReset(),
@@ -429,22 +423,22 @@ func (g *SessionGroup) accrueLocked(now float64) {
 // always had.
 func (g *SessionGroup) broadcastOnce() bool {
 	s := g.src
-	now := s.now()
 	b := groupBatchPool.Get().(*groupBatch)
 	b.g = g
 	b.refs.Store(1) // the flusher's own reference, dropped after enqueueing
 
 	s.mu.Lock()
+	now, sentUnix := s.clock()
 	g.accrueLocked(now)
-	sentUnix := s.cfg.Now().UnixNano()
 	epoch := s.started.UnixNano()
+	keys, provs := g.keyBuf[:0], g.provBuf[:0]
 	for g.budget >= 1 && len(b.rs) < g.cfg.MaxBatch {
 		key, _, ok := g.eng.ShouldSend()
 		if !ok {
 			g.eng.SetLimited(false)
 			break
 		}
-		o := s.objs[s.ids[key]]
+		o := s.order[key]
 		b.rs = append(b.rs, wire.Refresh{
 			SourceID: s.cfg.ID,
 			ObjectID: o.id,
@@ -463,7 +457,10 @@ func (g *SessionGroup) broadcastOnce() bool {
 			Threshold:     g.eng.Threshold(),
 			SentUnix:      sentUnix,
 		})
-		gobj := g.objs[key]
+		prov := o.prov
+		prov.Epoch, prov.Version = s.originAxisLocked(o)
+		keys, provs = append(keys, key), append(provs, prov)
+		gobj := &g.objs[key]
 		g.demand -= gobj.tracker.Current()
 		gobj.sentVal, gobj.sentVer = o.value, o.version
 		gobj.tracker.Reset(now, 0)
@@ -473,6 +470,7 @@ func (g *SessionGroup) broadcastOnce() bool {
 		g.scheduled++
 		g.budget--
 	}
+	g.keyBuf, g.provBuf = keys, provs
 	if len(b.rs) == 0 {
 		s.mu.Unlock()
 		b.g = nil
@@ -483,20 +481,7 @@ func (g *SessionGroup) broadcastOnce() bool {
 	g.eng.SetLimited(want)
 	g.batches++
 
-	// Split-horizon pre-pass: the identities on the batch's provenance
-	// paths. Empty whenever every value is locally produced (the common
-	// case at an origin), making the per-member check below a two-flag
-	// test.
-	clear(g.restricted)
-	for i := range b.rs {
-		r := &b.rs[i]
-		if r.Origin != "" {
-			g.restricted[r.Origin] = struct{}{}
-		}
-		for _, v := range r.Via {
-			g.restricted[v] = struct{}{}
-		}
-	}
+	g.restrictLocked(provs)
 
 	// Plan each member's delivery under the lock; execute outside it.
 	plan := g.planBuf[:0]
@@ -509,17 +494,18 @@ func (g *SessionGroup) broadcastOnce() bool {
 			overrun = append(overrun, m)
 			continue
 		}
-		mrs, shared := g.memberRefreshesLocked(m, b.rs)
-		if !shared && len(mrs) == 0 {
+		var mrs []wire.Refresh
+		dropped := g.memberDropsLocked(m, keys, provs)
+		if dropped == len(b.rs) {
 			continue // everything in this batch is excluded for the member
 		}
-		if shared && m.groupFS != nil {
+		if dropped > 0 {
+			mrs = memberCopy(b.rs, g.dropBuf, dropped, m.remoteID)
+			g.fallbacks++
+		} else if m.groupFS != nil {
 			needFrame = true
 		}
-		if !shared {
-			g.fallbacks++
-		}
-		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: shared, rs: mrs})
+		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
 	}
 	s.mu.Unlock()
 
@@ -577,62 +563,80 @@ func (g *SessionGroup) broadcastOnce() bool {
 	return true
 }
 
-// memberRefreshesLocked decides a member's view of a batch: (nil, true)
-// means the member takes the shared batch unfiltered — the fast path —
-// while (slice, false) is a member-specific copy with held-acked and
-// split-horizoned objects removed (possibly empty: nothing to send). Stale
-// held acks (at-or-behind the canonical origin axis, so they can never
-// exclude a future send either) are pruned on the way, returning the member
-// to the fast path. Caller holds src.mu.
-func (g *SessionGroup) memberRefreshesLocked(m *syncSession, rs []wire.Refresh) ([]wire.Refresh, bool) {
+// restrictLocked rebuilds the split-horizon identity set for a batch: every
+// id on its items' outgoing provenance (origin and relay path). Empty
+// whenever every value is locally produced (the common case at an origin),
+// which makes the per-member check in memberDropsLocked a two-flag test.
+// Items of one batch mostly share one origin and one path (the same slice,
+// see viaMemo), so a repeat of the previous item's is skipped without
+// touching the set. Caller holds src.mu.
+func (g *SessionGroup) restrictLocked(provs []Provenance) {
+	clear(g.restricted)
+	var last *Provenance
+	for i := range provs {
+		p := &provs[i]
+		if p.Origin != "" && (last == nil || p.Origin != last.Origin) {
+			g.restricted[p.Origin] = struct{}{}
+		}
+		if len(p.Via) > 0 && (last == nil || len(last.Via) != len(p.Via) || &last.Via[0] != &p.Via[0]) {
+			for _, v := range p.Via {
+				g.restricted[v] = struct{}{}
+			}
+		}
+		last = p
+	}
+}
+
+// memberDropsLocked decides a member's view of a batch from what the caller
+// already has in hand — the items' queue keys and outgoing provenance —
+// without looking at any refresh. It returns how many items must be withheld
+// from the member and marks them in g.dropBuf (aligned with keys/provs; valid
+// until the next call): split horizon (the member produced or already relayed
+// the value, its loop guard would reject the send anyway) and held-skips (the
+// member acknowledged holding this origin version or newer; a send would be
+// dropped as stale there). Zero means the member takes the shared batch
+// unfiltered — the fast path, and the only one a member whose acks all sit at
+// or behind the canonical axis ever takes. Caller holds src.mu.
+func (g *SessionGroup) memberDropsLocked(m *syncSession, keys []int, provs []Provenance) int {
 	restricted := false
 	if m.remoteID != "" {
 		_, restricted = g.restricted[m.remoteID]
 	}
-	if !restricted && len(m.memberHeld) == 0 {
-		return nil, true
+	if !restricted && m.held == nil {
+		return 0
 	}
-	excluded := 0
-	var out []wire.Refresh
-	for i := range rs {
-		r := &rs[i]
-		drop := restricted && (r.Origin == m.remoteID || slices.Contains(r.Via, m.remoteID))
-		// drop==true is the split horizon: the member produced or already
-		// relayed this value; its loop guard would reject the send anyway.
-		if !drop {
-			if h, ok := m.memberHeld[r.ObjectID]; ok {
-				if oe, ov := r.OriginAxis(); heldAtOrAhead(h.Epoch, h.Version, oe, ov) {
-					// Held-skip: the member acknowledged holding this origin
-					// version or newer; a send would be dropped as stale
-					// there.
-					m.heldSkips++
-					drop = true
-				} else {
-					delete(m.memberHeld, r.ObjectID)
-				}
-			}
-		}
-		if drop {
-			// Materialize the member copy on the first exclusion; the kept
-			// prefix is exactly rs[:i].
-			if out == nil {
-				out = append(make([]wire.Refresh, 0, len(rs)-1), rs[:i]...)
-			}
-			excluded++
+	if cap(g.dropBuf) < len(provs) {
+		g.dropBuf = make([]bool, len(provs))
+	}
+	drops := g.dropBuf[:len(provs)]
+	dropped := 0
+	for i := range provs {
+		drops[i] = false
+		p := &provs[i]
+		switch {
+		case restricted && (p.Origin == m.remoteID || slices.Contains(p.Via, m.remoteID)):
+		case keys[i] < len(m.held) && m.held[keys[i]].covers(p.Epoch, p.Version):
+			m.heldSkips++
+		default:
 			continue
 		}
-		if out != nil {
-			out = append(out, *r)
+		drops[i] = true
+		dropped++
+	}
+	return dropped
+}
+
+// memberCopy builds the member-specific copy of a batch: rs without the
+// dropped items (drops is aligned with rs), addressed to the member.
+func memberCopy(rs []wire.Refresh, drops []bool, dropped int, remoteID string) []wire.Refresh {
+	out := make([]wire.Refresh, 0, len(rs)-dropped)
+	for i := range rs {
+		if !drops[i] {
+			out = append(out, rs[i])
+			out[len(out)-1].CacheID = remoteID
 		}
 	}
-	if excluded == 0 {
-		return nil, true
-	}
-	// Member-specific copies can be addressed to the member.
-	for i := range out {
-		out[i].CacheID = m.remoteID
-	}
-	return out, false
+	return out
 }
 
 // process executes one member send on a worker. A failed send means the

@@ -7,11 +7,14 @@ package runtime
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
 	"bestsync/internal/metric"
 	"bestsync/internal/transport"
+	"bestsync/internal/wire"
+	"bestsync/internal/wire/codec"
 )
 
 // TestGroupUpdateSteadyStateAllocs pins the tentpole's hot-path property:
@@ -53,5 +56,87 @@ func TestGroupUpdateSteadyStateAllocs(t *testing.T) {
 	perUpdate := avg / objects
 	if perUpdate > 0.0625 { // tolerate a stray background allocation
 		t.Fatalf("steady-state group Update allocates %.3f allocs/update, want 0", perUpdate)
+	}
+}
+
+// TestCacheReapplySteadyStateAllocs: refreshing objects the cache already
+// holds allocates nothing — the batch is routed to the shards as index lists
+// over the one refresh slice, and an entry is overwritten in place. (With an
+// OnApply hook the only addition is the worker's reused report buffer.)
+func TestCacheReapplySteadyStateAllocs(t *testing.T) {
+	const objects, batch = 1024, 64
+	for _, hook := range []bool{false, true} {
+		applied := 0
+		var onApply func([]wire.Refresh)
+		if hook {
+			onApply = func(rs []wire.Refresh) { applied += len(rs) }
+		}
+		c := quietCache(2, onApply)
+		batches := make([][]wire.Refresh, objects/batch)
+		for b := range batches {
+			batches[b] = make([]wire.Refresh, batch)
+			for i := range batches[b] {
+				batches[b][i] = relayed("relay", fmt.Sprintf("root/o%04d", b*batch+i), 0, 0)
+			}
+		}
+		round := func() {
+			for _, rs := range batches {
+				for i := range rs {
+					rs[i].Version++
+					rs[i].OriginVersion++
+				}
+				c.dispatch(transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}})
+			}
+			for c.outstanding.Load() != 0 {
+				stdruntime.Gosched()
+			}
+		}
+		round() // inserts
+		round() // sizes the pooled batch state and the ack sets
+		before := c.Stats().Refreshes
+		allocs := testing.AllocsPerRun(10, round)
+		if got := c.Stats().Refreshes - before; got != 11*objects {
+			t.Errorf("hook=%v: %d refreshes applied during the measurement, want %d", hook, got, 11*objects)
+		}
+		if hook && applied != 13*objects {
+			t.Errorf("OnApply saw %d refreshes, want %d", applied, 13*objects)
+		}
+		if allocs > 0 {
+			t.Errorf("hook=%v: re-applying %d refreshes allocated %.0f times, want 0", hook, objects, allocs)
+		}
+		c.Close()
+	}
+}
+
+// nullFrameConn is a group member that accepts every frame and does nothing,
+// so an allocation count sees only the sender's side.
+type nullFrameConn struct{ fb chan wire.Feedback }
+
+func (nullFrameConn) SendRefresh(wire.Refresh) error   { return nil }
+func (nullFrameConn) SendBatch([]wire.Refresh) error   { return nil }
+func (nullFrameConn) SendFrame(*codec.Frame) error     { return nil }
+func (nullFrameConn) FramesEnabled() bool              { return true }
+func (c nullFrameConn) Feedback() <-chan wire.Feedback { return c.fb }
+func (nullFrameConn) Close() error                     { return nil }
+
+// TestSpliceAtAxisAcksAllocateNothing: a relay whose children acknowledge
+// every relayed apply (so each member holds an ack AT the canonical axis for
+// every object) splices batch after batch without materializing the decoded
+// patch — the whole forward is allocation-free, which codec.PatchForward
+// (one slice and one path copy per item) could not be.
+func TestSpliceAtAxisAcksAllocateNothing(t *testing.T) {
+	f := newSpliceFixture(t, nullFrameConn{fb: make(chan wire.Feedback)}, nullFrameConn{fb: make(chan wire.Feedback)})
+	defer f.src.Close()
+	f.forward(t)
+	f.ackAll()
+	allocs := testing.AllocsPerRun(50, func() {
+		f.forward(t)
+		f.ackAll()
+	})
+	if allocs > 0 {
+		t.Errorf("splice forward with at-the-axis acks allocated %.1f times per batch, want 0", allocs)
+	}
+	if st := f.src.Stats(); st.Group.Fallbacks != 0 || st.Group.SplicedBatches != 52 {
+		t.Errorf("fallbacks=%d spliced batches=%d, want 0 and 52", st.Group.Fallbacks, st.Group.SplicedBatches)
 	}
 }

@@ -201,16 +201,16 @@ func (hc *hybridController) migrate(now float64) (promoted, demoted []int) {
 const pollRoundTrip = 2
 
 // pushSet returns the ids of the objects currently in the push set, in
-// intern order; ids is the source's intern table. The slice is freshly
-// allocated — it is handed to the wire layer as PollReply.Pushed.
-func (hc *hybridController) pushSet(ids []string) []string {
+// queue-key order; order is the source's key → object table. The slice is
+// freshly allocated — it is handed to the wire layer as PollReply.Pushed.
+func (hc *hybridController) pushSet(order []*objState) []string {
 	if hc.pushCount == 0 {
 		return nil
 	}
 	out := make([]string, 0, hc.pushCount)
 	for key, ho := range hc.objs {
-		if ho.pushed && key < len(ids) {
-			out = append(out, ids[key])
+		if ho.pushed && key < len(order) {
+			out = append(out, order[key].id)
 		}
 	}
 	return out

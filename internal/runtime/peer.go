@@ -471,11 +471,13 @@ func (n *Node) reexport(applied []wire.Refresh) {
 func (n *Node) ReexportStore() {
 	for _, sh := range n.cache.shards {
 		sh.mu.Lock()
-		batch := make([]wire.Refresh, 0, len(sh.store))
-		for id, e := range sh.store {
+		batch := make([]wire.Refresh, 0, sh.n)
+		for i := int32(0); i < sh.n; i++ {
+			sl := sh.at(i)
+			e := &sl.e
 			batch = append(batch, wire.Refresh{
 				SourceID:      e.Source,
-				ObjectID:      id,
+				ObjectID:      sl.id,
 				Origin:        e.Origin,
 				Hops:          e.Hops,
 				Via:           e.Via,

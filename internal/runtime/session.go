@@ -72,16 +72,34 @@ type SessionStats struct {
 // successfully sent to THIS session's cache and the divergence accumulated
 // against it. The canonical object state (current value, version, update
 // counts) lives in Source.objState; sessions only track what their cache
-// is missing. heldEpoch/heldVer record the newest origin-axis version the
-// cache has ACKNOWLEDGED holding (wire.Feedback.Held); zero epoch = no ack
-// yet. A scheduled send whose origin axis is at-or-behind the ack is
-// skipped — the cache provably already has it.
+// is missing. held records the newest origin-axis version the cache has
+// ACKNOWLEDGED holding (wire.Feedback.Held). A scheduled send whose origin
+// axis is at-or-behind the ack is skipped — the cache provably already has
+// it. Sessions keep these records by value in a slice parallel to
+// Source.order: no heap object per (session, object).
 type sessObj struct {
-	sentVal   float64
-	sentVer   uint64
-	heldEpoch int64
-	heldVer   uint64
-	tracker   metric.Tracker
+	sentVal float64
+	sentVer uint64
+	held    heldAxis
+	tracker metric.Tracker
+}
+
+// heldAxis is an acknowledged origin-axis version; the zero value (epoch 0)
+// means no ack yet.
+type heldAxis struct {
+	epoch int64
+	ver   uint64
+}
+
+// covers reports whether the ack covers the origin-axis version (oe, ov) a
+// send would carry.
+func (h heldAxis) covers(oe int64, ov uint64) bool {
+	return heldAtOrAhead(h.epoch, h.ver, oe, ov)
+}
+
+// before reports whether n is a newer ack than h.
+func (h heldAxis) before(n heldAxis) bool {
+	return n.epoch > h.epoch || (n.epoch == h.epoch && n.ver > h.ver)
 }
 
 // syncSession drives the Section 5 protocol toward one downstream cache:
@@ -102,8 +120,8 @@ type syncSession struct {
 	dest Destination
 	eng  *core.Source
 
-	// Guarded by src.mu. objs is parallel to src.ids (the intern table):
-	// entry k is this session's view of object src.ids[k]. dest.Conn is
+	// Guarded by src.mu. objs is parallel to src.order: entry k is this
+	// session's view of the object with queue key k. dest.Conn is
 	// also guarded by src.mu: a redial swaps it while flush and Close read
 	// it. rate and weight are re-assigned by reallocateLocked whenever the
 	// topology or the rebalancer moves shares; the loop re-reads rate each
@@ -113,7 +131,7 @@ type syncSession struct {
 	ended           bool    // loop exited permanently (no redial)
 	redialing       bool    // connection down, redial loop running
 	demand          float64 // running Σ tracker.Current() over objs (rebalancer signal)
-	objs            []*sessObj
+	objs            []sessObj
 	refreshes       int
 	feedbacks       int
 	windowFeedbacks int // feedbacks already folded into the rebalancer
@@ -125,27 +143,32 @@ type syncSession struct {
 	remoteID        string
 	// heldPending buffers held-version acks for objects the source has not
 	// produced yet (a cache can ack ahead of a relay's snapshot re-export);
-	// observeLocked folds them into the sessObj when the object appears.
+	// Source.newObjLocked folds them in when the object appears, so the map
+	// only ever holds ids that are not in src.objs.
 	heldPending map[string]wire.HeldVersion
 	// hyb is the per-object migration controller under PolicyHybrid (nil
 	// otherwise): it decides which objects this session pushes and which
 	// it leaves to the cache's poll schedule. Guarded by src.mu.
 	hyb *hybridController
 
-	// Group-delivery state. grouped/wantGroup/memberHeld/workerIdx/
-	// groupConn/groupFS/detached are guarded by src.mu; the atomics are
-	// shared with the group's sender workers. While grouped, objs is nil —
-	// the shared groupObj state replaces it — and memberHeld carries the
-	// only per-member scheduling state left: held acks AHEAD of the
-	// canonical origin axis (anything at-or-behind is pruned, it can never
-	// exclude a send).
-	grouped    bool
-	wantGroup  bool // group-eligible: re-attach when fully synced
-	workerIdx  int
-	memberHeld map[string]wire.HeldVersion
-	groupConn  transport.SourceConn
-	groupFS    transport.FrameSender
-	detached   chan struct{} // closed by the group on detach
+	// Group-delivery state. grouped/wantGroup/held/workerIdx/groupConn/
+	// groupFS/detached are guarded by src.mu; the atomics are shared with
+	// the group's sender workers. While grouped, objs is nil — the shared
+	// groupObj state replaces it — and held carries the only per-member
+	// per-object state left: the newest ack per queue key, AT or ahead of
+	// the canonical origin axis when it was recorded. An ack ahead of the
+	// axis excludes the member from broadcasts of that object; one that has
+	// fallen behind excludes nothing, and all of them survive a detach so
+	// the re-sync skips what the cache proved it holds. nil until the first
+	// ack arrives, so a member that is never acked (every child of an
+	// origin) pays nothing.
+	grouped   bool
+	wantGroup bool // group-eligible: re-attach when fully synced
+	workerIdx int
+	held      []heldAxis
+	groupConn transport.SourceConn
+	groupFS   transport.FrameSender
+	detached  chan struct{} // closed by the group on detach
 
 	inflight        atomic.Int32 // group batches queued, not yet sent
 	groupSent       atomic.Int64 // refreshes delivered via group sends
@@ -179,22 +202,24 @@ func heldAtOrAhead(he int64, hv uint64, oe int64, ov uint64) bool {
 	return oe < he || (oe == he && ov <= hv)
 }
 
-// markDeliveredLocked commits object key as already-at-the-cache without a
+// markDeliveredLocked commits object o as already-at-the-cache without a
 // send: sent-state snaps to the canonical value, accumulated divergence is
 // released from the rebalancer demand, and the object leaves the queue.
 // Caller holds src.mu.
-func (ss *syncSession) markDeliveredLocked(o *objState, key int, now float64) {
-	so := ss.objs[key]
+func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
+	so := &ss.objs[o.key]
 	ss.demand -= so.tracker.Current()
 	so.sentVal, so.sentVer = o.value, o.version
 	so.tracker.Reset(now, 0)
-	ss.eng.Queue.Remove(key)
+	ss.eng.Queue.Remove(o.key)
 	ss.heldSkips++
 }
 
-// observeLocked folds a canonical-state change for object key into this
+// observeLocked folds a canonical-state change for object o into this
 // session's divergence tracker and priority queue. Caller holds src.mu.
-func (ss *syncSession) observeLocked(o *objState, key int, now float64) {
+func (ss *syncSession) observeLocked(o *objState, now float64) {
+	key := o.key
+	so := &ss.objs[key]
 	if ss.remoteID != "" &&
 		(o.prov.Origin == ss.remoteID || slices.Contains(o.prov.Via, ss.remoteID)) {
 		// Split horizon: the peer produced or already relayed this value,
@@ -205,26 +230,16 @@ func (ss *syncSession) observeLocked(o *objState, key int, now float64) {
 		// tracker too: divergence toward an object this session will never
 		// send must not linger as rebalancer demand, where it would earn
 		// share the session cannot spend.
-		so := ss.objs[key]
 		ss.demand -= so.tracker.Current()
 		so.tracker.Reset(now, 0)
 		ss.eng.Queue.Remove(key)
 		return
 	}
-	so := ss.objs[key]
-	if h, ok := ss.heldPending[o.id]; ok {
-		// An ack that arrived before the object existed here (a cache
-		// acking ahead of a relay's snapshot re-export) applies now.
-		delete(ss.heldPending, o.id)
-		if h.Epoch > so.heldEpoch || (h.Epoch == so.heldEpoch && h.Version > so.heldVer) {
-			so.heldEpoch, so.heldVer = h.Epoch, h.Version
-		}
-	}
-	if oe, ov := ss.src.originAxisLocked(o); heldAtOrAhead(so.heldEpoch, so.heldVer, oe, ov) {
+	if oe, ov := ss.src.originAxisLocked(o); so.held.covers(oe, ov) {
 		// Held-skip: the cache acknowledged holding this origin version (or
 		// newer), so a send is guaranteed to be dropped as stale there —
 		// don't spend share on it, don't let it linger as demand.
-		ss.markDeliveredLocked(o, key, now)
+		ss.markDeliveredLocked(o, now)
 		return
 	}
 	d := metric.Divergence(ss.src.cfg.Metric, ss.src.cfg.Delta,
@@ -240,17 +255,18 @@ func (ss *syncSession) observeLocked(o *objState, key int, now float64) {
 	}
 	ss.demand += d - so.tracker.Current()
 	so.tracker.Update(now, d)
-	ss.requeueLocked(o, key, now)
+	ss.requeueLocked(o, now)
 }
 
-// requeueLocked recomputes object key's refresh priority for this session
+// requeueLocked recomputes object o's refresh priority for this session
 // and syncs the engine queue. Under the hybrid policy only push-set
 // objects are queued: a poll-set object stays fully tracked — divergence
 // and demand keep accumulating, which is what a later promotion ranks it
 // by — but the cache's poll schedule owns its freshness, so queueing it
 // here would double-spend the shared budget. Caller holds src.mu.
-func (ss *syncSession) requeueLocked(o *objState, key int, now float64) {
+func (ss *syncSession) requeueLocked(o *objState, now float64) {
 	s := ss.src
+	key := o.key
 	if ss.hyb != nil && !ss.hyb.pushed(key) {
 		ss.eng.Queue.Remove(key)
 		return
@@ -263,7 +279,7 @@ func (ss *syncSession) requeueLocked(o *objState, key int, now float64) {
 	if span := now - o.firstAt; span > 0 && o.updates > 1 {
 		lambda = float64(o.updates) / span
 	}
-	so := ss.objs[key]
+	so := &ss.objs[key]
 	p := priority.Compute(s.cfg.PriorityFn, priority.Inputs{
 		Now:         now,
 		LastRefresh: so.tracker.LastReset(),
@@ -322,51 +338,24 @@ func (ss *syncSession) statsLocked() SessionStats {
 func (ss *syncSession) onFeedback(f wire.Feedback) {
 	s := ss.src
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
 	if f.CacheID != "" {
 		ss.remoteID = f.CacheID
 	}
+	ss.feedbacks++
 	if ss.grouped {
-		g := s.group
-		g.eng.OnFeedback(s.now())
-		g.feedbacks++
-		ss.feedbacks++
-		for _, h := range f.Held {
-			ss.recordHeldGroupedLocked(h)
-		}
-		s.mu.Unlock()
+		s.group.eng.OnFeedback(now)
+		s.group.feedbacks++
+	} else {
+		ss.eng.OnFeedback(now)
+	}
+	if ss.ended || s.cfg.Policy.CacheDriven() {
 		return
 	}
-	ss.eng.OnFeedback(s.now())
-	ss.feedbacks++
-	if len(f.Held) > 0 && !ss.ended && !s.cfg.Policy.CacheDriven() {
-		now := s.now()
-		for _, h := range f.Held {
-			ss.recordHeldLocked(h, now)
-		}
+	for i := range f.Held {
+		ss.recordHeldLocked(&f.Held[i], now)
 	}
-	s.mu.Unlock()
-}
-
-// recordHeldGroupedLocked folds one held-version ack into a grouped
-// member's exclusion set. Only acks AHEAD of the canonical origin axis are
-// kept — an at-or-behind ack can never exclude a future send (the axis only
-// moves forward), so the set stays proportional to how far the cache ran
-// ahead, not to the store. Caller holds src.mu.
-func (ss *syncSession) recordHeldGroupedLocked(h wire.HeldVersion) {
-	s := ss.src
-	if cur, ok := ss.memberHeld[h.ObjectID]; ok &&
-		(h.Epoch < cur.Epoch || (h.Epoch == cur.Epoch && h.Version <= cur.Version)) {
-		return // older than what we already know the cache holds
-	}
-	if o, ok := s.objs[h.ObjectID]; ok {
-		if oe, ov := s.originAxisLocked(o); !heldAtOrAhead(h.Epoch, h.Version, oe, ov) {
-			delete(ss.memberHeld, h.ObjectID)
-			return
-		}
-	} else if len(ss.memberHeld) >= maxHeldPending {
-		return // parked unknown-object acks are an optimization, bounded
-	}
-	ss.memberHeld[h.ObjectID] = h
 }
 
 // maxHeldPending bounds the parked acks for objects this source has not
@@ -374,34 +363,66 @@ func (ss *syncSession) recordHeldGroupedLocked(h wire.HeldVersion) {
 // optimization, not a correctness channel).
 const maxHeldPending = 4096
 
-// recordHeldLocked folds one held-version ack into the session: the newest
-// ack per object is kept, and an object whose scheduled send the ack now
-// covers is cancelled on the spot — this is what lets a relay restored from
-// a stale snapshot stop re-exporting to a child that is already ahead.
+// raiseHeldLocked records ack h for the object with queue key key unless an
+// at-least-as-new one is already recorded, and reports whether it did. An
+// individual session keeps the ack in its sessObj, a grouped member in its
+// held slice (allocated on first use). Caller holds src.mu.
+func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
+	var cur *heldAxis
+	if ss.grouped {
+		if key >= len(ss.held) {
+			ss.held = append(ss.held, make([]heldAxis, len(ss.src.order)-len(ss.held))...)
+		}
+		cur = &ss.held[key]
+	} else if key < len(ss.objs) {
+		cur = &ss.objs[key].held
+	} else {
+		return false // the session keeps no per-object state (any more)
+	}
+	if !cur.before(h) {
+		return false
+	}
+	*cur = h
+	return true
+}
+
+// recordHeldLocked folds one held-version ack into the session; the object
+// id is resolved once. The newest ack per object is kept. On an individual
+// session an object whose scheduled send the ack now covers is cancelled on
+// the spot — this is what lets a relay restored from a stale snapshot stop
+// re-exporting to a child that is already ahead. A grouped member only
+// records it (exclusions are applied per batch), and only when it is at or
+// ahead of the canonical origin axis: the axis only moves forward, so an ack
+// already behind it can exclude nothing and cancel nothing after a detach.
 // Caller holds src.mu.
-func (ss *syncSession) recordHeldLocked(h wire.HeldVersion, now float64) {
+func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	s := ss.src
-	key, ok := s.idx[h.ObjectID]
+	o, ok := s.objs[h.ObjectID]
 	if !ok {
 		if len(ss.heldPending) < maxHeldPending {
 			if p, dup := ss.heldPending[h.ObjectID]; !dup ||
-				h.Epoch > p.Epoch || (h.Epoch == p.Epoch && h.Version > p.Version) {
-				ss.heldPending[h.ObjectID] = h
+				(heldAxis{p.Epoch, p.Version}).before(heldAxis{h.Epoch, h.Version}) {
+				ss.heldPending[h.ObjectID] = *h
 			}
 		}
 		return
 	}
-	so := ss.objs[key]
-	if h.Epoch < so.heldEpoch || (h.Epoch == so.heldEpoch && h.Version <= so.heldVer) {
+	ack := heldAxis{h.Epoch, h.Version}
+	oe, ov := s.originAxisLocked(o)
+	if ss.grouped {
+		if ack.covers(oe, ov) {
+			ss.raiseHeldLocked(o.key, ack)
+		}
+		return
+	}
+	if !ss.raiseHeldLocked(o.key, ack) {
 		return // older than what we already know the cache holds
 	}
-	so.heldEpoch, so.heldVer = h.Epoch, h.Version
-	o := s.objs[h.ObjectID]
-	if so.sentVer == o.version && so.sentVal == o.value {
+	if so := &ss.objs[o.key]; so.sentVer == o.version && so.sentVal == o.value {
 		return // nothing pending toward this cache anyway
 	}
-	if oe, ov := s.originAxisLocked(o); heldAtOrAhead(so.heldEpoch, so.heldVer, oe, ov) {
-		ss.markDeliveredLocked(o, key, now)
+	if ack.covers(oe, ov) {
+		ss.markDeliveredLocked(o, now)
 	}
 }
 
@@ -739,18 +760,18 @@ func (ss *syncSession) hybridLoop() {
 // object and the session applies the regime moves to its priority queue.
 func (ss *syncSession) migrateOnce() {
 	s := ss.src
-	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ss.ended || ss.objs == nil {
 		return
 	}
+	now := s.now()
 	promoted, demoted := ss.hyb.migrate(now)
 	for _, key := range promoted {
 		if key < len(ss.objs) {
 			// The tracker kept accumulating while the object was polled,
 			// so the promotion ranks it by its real outstanding divergence.
-			ss.requeueLocked(s.objs[s.ids[key]], key, now)
+			ss.requeueLocked(s.order[key], now)
 		}
 	}
 	for _, key := range demoted {
@@ -793,9 +814,8 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: s.cfg.Now().UnixNano()}
 	if len(p.ObjectIDs) == 0 {
 		reply.All = true
-		reply.Items = make([]wire.PollItem, 0, len(s.ids))
-		for _, id := range s.ids {
-			o := s.objs[id]
+		reply.Items = make([]wire.PollItem, 0, len(s.order))
+		for _, o := range s.order {
 			if !ss.servableLocked(o, known) {
 				continue
 			}
@@ -815,7 +835,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		}
 	}
 	if ss.hyb != nil {
-		reply.Pushed = ss.hyb.pushSet(s.ids)
+		reply.Pushed = ss.hyb.pushSet(s.order)
 	}
 	s.mu.Unlock()
 
@@ -831,8 +851,8 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	if reply.All {
 		cost = 1 // metadata listing, not value transfers
 	}
-	now := s.now()
 	s.mu.Lock()
+	now := s.now()
 	ss.pollsAnswered++
 	if !reply.All {
 		ss.refreshes += len(reply.Items)
@@ -854,16 +874,15 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 // the tracker. Caller holds src.mu.
 func (ss *syncSession) commitPolledLocked(it wire.PollItem, now float64) {
 	s := ss.src
-	key, ok := s.idx[it.ObjectID]
-	if !ok || key >= len(ss.objs) {
+	o, ok := s.objs[it.ObjectID]
+	if !ok || o.key >= len(ss.objs) {
 		return
 	}
-	ss.hyb.charge(key, pollRoundTrip)
+	ss.hyb.charge(o.key, pollRoundTrip)
 	if !it.Exists {
 		return
 	}
-	o := s.objs[it.ObjectID]
-	so := ss.objs[key]
+	so := &ss.objs[o.key]
 	if it.Version <= so.sentVer {
 		return // a push already delivered something at-or-ahead
 	}
@@ -872,7 +891,7 @@ func (ss *syncSession) commitPolledLocked(it wire.PollItem, now float64) {
 		int(o.version-so.sentVer), o.value, so.sentVal)
 	ss.demand += d - so.tracker.Current()
 	so.tracker.Reset(now, d)
-	ss.requeueLocked(o, key, now)
+	ss.requeueLocked(o, now)
 }
 
 // servableLocked reports whether object o belongs in a reply to this
@@ -988,7 +1007,6 @@ func (ss *syncSession) redial() bool {
 			}
 			continue
 		}
-		now := s.now()
 		s.mu.Lock()
 		select {
 		case <-s.stop:
@@ -1021,9 +1039,10 @@ func (ss *syncSession) redial() bool {
 		// instance may hold nothing, and a stale ack would wrongly skip its
 		// re-sync (the zeroed sessObjs below drop per-object acks too).
 		ss.heldPending = map[string]wire.HeldVersion{}
+		now := s.now()
 		for key := range ss.objs {
-			*ss.objs[key] = sessObj{}
-			ss.observeLocked(s.objs[s.ids[key]], key, now)
+			ss.objs[key] = sessObj{}
+			ss.observeLocked(s.order[key], now)
 		}
 		s.mu.Unlock()
 		return true
@@ -1046,9 +1065,8 @@ func (ss *syncSession) flush(budget float64) float64 {
 		// Observe work deferred by the within-threshold suppression replays
 		// here, before sendability is consulted — the deferral only ever
 		// moves bookkeeping to this point, never past a send decision.
-		now := s.now()
 		s.mu.Lock()
-		s.replayDeferredLocked(now)
+		s.replayDeferredLocked(s.now())
 		s.mu.Unlock()
 	}
 	for budget >= 1 {
@@ -1059,7 +1077,7 @@ func (ss *syncSession) flush(budget float64) float64 {
 			s.mu.Unlock()
 			return budget
 		}
-		o := s.objs[s.ids[key]]
+		o := s.order[key]
 		msg := wire.Refresh{
 			SourceID: s.cfg.ID,
 			ObjectID: o.id,
@@ -1098,9 +1116,9 @@ func (ss *syncSession) flush(budget float64) float64 {
 			return budget
 		}
 
-		now := s.now()
 		s.mu.Lock()
-		so := ss.objs[key]
+		now := s.now()
+		so := &ss.objs[key]
 		so.sentVal = msg.Value
 		so.sentVer = msg.Version
 		// Residual divergence: updates that landed while the send was in
@@ -1115,7 +1133,7 @@ func (ss *syncSession) flush(budget float64) float64 {
 			int(o.version-so.sentVer), o.value, so.sentVal)
 		ss.demand += d - so.tracker.Current()
 		so.tracker.Reset(now, d)
-		ss.requeueLocked(o, key, now)
+		ss.requeueLocked(o, now)
 		ss.eng.OnRefreshSent(now)
 		ss.eng.ClampThreshold()
 		ss.refreshes++

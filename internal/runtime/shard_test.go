@@ -106,7 +106,7 @@ func TestShardStatsMerge(t *testing.T) {
 	populated := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if len(sh.store) > 0 {
+		if sh.n > 0 {
 			populated++
 		}
 		sh.mu.Unlock()

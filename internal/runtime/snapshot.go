@@ -25,8 +25,9 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 	snap := snapshot{Version: snapshotVersion, Store: map[string]Entry{}}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for id, e := range sh.store {
-			snap.Store[id] = e
+		for i := int32(0); i < sh.n; i++ {
+			sl := sh.at(i)
+			snap.Store[sl.id] = sl.e
 		}
 		sh.mu.Unlock()
 	}
@@ -53,10 +54,13 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 	for id, e := range snap.Store {
 		sh := c.shardFor(id)
 		sh.mu.Lock()
-		cur, ok := sh.store[id]
-		if !ok || (cur.Source == e.Source &&
-			(cur.Epoch < e.Epoch || (cur.Epoch == e.Epoch && cur.Version < e.Version))) {
-			sh.store[id] = e
+		sl := sh.lookup(id)
+		if sl == nil {
+			sl = sh.at(sh.insert(id))
+			sl.e = e
+		} else if cur := &sl.e; cur.Source == e.Source &&
+			(cur.Epoch < e.Epoch || (cur.Epoch == e.Epoch && cur.Version < e.Version)) {
+			sl.e = e
 		}
 		sh.mu.Unlock()
 	}

@@ -18,7 +18,7 @@ func cacheWithEntries(t *testing.T, entries map[string]Entry) *Cache {
 	for id, e := range entries {
 		sh := c.shardFor(id)
 		sh.mu.Lock()
-		sh.store[id] = e
+		sh.at(sh.insert(id)).e = e
 		sh.mu.Unlock()
 	}
 	return c

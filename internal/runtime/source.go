@@ -140,7 +140,11 @@ type SourceStats struct {
 // downstream cache has been sent — and therefore how far it has diverged —
 // is per-session state (sessObj in session.go).
 type objState struct {
-	id      string
+	id string
+	// key is the object's queue key: its index in Source.order and in every
+	// per-session/group state slice. Resolving an id through Source.objs
+	// yields it with the state, so nothing looks an object up twice.
+	key     int
 	value   float64
 	version uint64
 	// prov carries multi-tier provenance (wire.Refresh.Origin/Hops/Via):
@@ -201,8 +205,7 @@ type Source struct {
 	reb     *alloc.Rebalancer
 	seq     int // next default CacheID ordinal (never reused)
 	objs    map[string]*objState
-	ids     []string // intern table: queue key → object id
-	idx     map[string]int
+	order   []*objState // queue key → object, in first-update order
 	updates int
 	// suppressedObserves and deferredKeys implement
 	// SourceConfig.SuppressWithinThreshold: queue keys of objects whose
@@ -271,7 +274,6 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 	s := &Source{
 		cfg:       cfg,
 		objs:      map[string]*objState{},
-		idx:       map[string]int{},
 		seq:       len(dests),
 		bandwidth: cfg.Bandwidth,
 		started:   cfg.Now().Add(-time.Millisecond),
@@ -347,17 +349,14 @@ func (s *Source) AddDestination(d Destination) error {
 	}
 	ss := newSyncSession(s, d)
 	if !s.cfg.Policy.CacheDriven() {
-		if s.group != nil && d.Weight == 1 && len(s.ids) == 0 {
+		if s.group != nil && d.Weight == 1 && len(s.order) == 0 {
 			// Empty store: nothing to re-sync, join the group directly.
 			s.group.attachLocked(ss)
 		} else {
 			now := s.now()
-			ss.objs = make([]*sessObj, len(s.ids))
-			for k := range ss.objs {
-				ss.objs[k] = &sessObj{}
-			}
-			for k, id := range s.ids {
-				ss.observeLocked(s.objs[id], k, now)
+			ss.objs = make([]sessObj, len(s.order))
+			for _, o := range s.order {
+				ss.observeLocked(o, now)
 			}
 			// With a non-empty store the member starts on the individual
 			// path — the full from-scratch sync — and attaches to the group
@@ -598,8 +597,20 @@ func (s *Source) rebalanceOnce() {
 }
 
 // now returns seconds since the source started (the protocol time base).
+//
+// Protocol time that feeds a divergence tracker must be read while holding
+// s.mu: the trackers require time not to run backwards, and a reading taken
+// before waiting for the lock can be older than one a competing goroutine
+// took — and committed to the same object — while this one waited.
 func (s *Source) now() float64 {
 	return s.cfg.Now().Sub(s.started).Seconds()
+}
+
+// clock is now plus the same instant as wall-clock nanoseconds (the
+// last-modified and SentUnix stamps), from a single clock read.
+func (s *Source) clock() (now float64, unix int64) {
+	t := s.cfg.Now()
+	return t.Sub(s.started).Seconds(), t.UnixNano()
 }
 
 // originAxisLocked returns the origin-axis (epoch, version) an outgoing
@@ -630,10 +641,10 @@ func (s *Source) Update(objectID string, value float64) {
 // locally produced value. Relays use this to re-export applied refreshes so
 // downstream tiers can attribute them and detect loops.
 func (s *Source) UpdateFrom(objectID string, value float64, prov Provenance) {
-	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.updateLocked(objectID, value, prov, now)
+	now, unix := s.clock()
+	s.updateLocked(objectID, value, prov, now, unix)
 }
 
 // RelayedUpdate is one element of an UpdateFromAll batch.
@@ -652,45 +663,64 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 	if len(updates) == 0 {
 		return
 	}
-	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, u := range updates {
-		s.updateLocked(u.ObjectID, u.Value, u.Prov, now)
+	now, unix := s.clock()
+	for i := range updates {
+		u := &updates[i]
+		s.updateLocked(u.ObjectID, u.Value, u.Prov, now, unix)
 	}
 }
 
-// updateLocked is the shared body of Update/UpdateFrom/UpdateFromAll.
-// Caller holds s.mu.
-func (s *Source) updateLocked(objectID string, value float64, prov Provenance, now float64) {
+// newObjLocked registers a first-seen object: its canonical state, its queue
+// key, and a zeroed per-object record in the group and in every session that
+// schedules. Held-version acks that arrived before the object existed here (a
+// cache acking ahead of a relay's snapshot re-export) are folded in now, so
+// the observe that follows already sees them. Caller holds s.mu.
+func (s *Source) newObjLocked(objectID string, now float64) *objState {
+	o := &objState{id: objectID, key: len(s.order), firstAt: now}
+	s.objs[objectID] = o
+	s.order = append(s.order, o)
+	if s.cfg.Policy.CacheDriven() {
+		return o
+	}
+	if s.group != nil {
+		s.group.objs = append(s.group.objs, groupObj{})
+	}
+	for _, ss := range s.sessions {
+		// Ended sessions never observe or flush again; growing their
+		// (released) per-object state with every new object would leak in a
+		// long-running source with dead destinations. Grouped sessions keep
+		// no scheduling state at all — that is the group's memory win.
+		if ss.ended {
+			continue
+		}
+		if !ss.grouped {
+			ss.objs = append(ss.objs, sessObj{})
+		}
+		if len(ss.heldPending) > 0 {
+			if h, ok := ss.heldPending[objectID]; ok {
+				delete(ss.heldPending, objectID)
+				ss.raiseHeldLocked(o.key, heldAxis{h.Epoch, h.Version})
+			}
+		}
+	}
+	return o
+}
+
+// updateLocked is the shared body of Update/UpdateFrom/UpdateFromAll; now and
+// unix are one reading of the clock, taken under the lock. Caller holds s.mu.
+func (s *Source) updateLocked(objectID string, value float64, prov Provenance, now float64, unix int64) {
 	cacheDriven := s.cfg.Policy.CacheDriven()
 	o, ok := s.objs[objectID]
 	if !ok {
-		o = &objState{id: objectID, firstAt: now}
-		s.objs[objectID] = o
-		s.idx[objectID] = len(s.ids)
-		s.ids = append(s.ids, objectID)
-		if !cacheDriven {
-			if s.group != nil {
-				s.group.objs = append(s.group.objs, &groupObj{})
-			}
-			for _, ss := range s.sessions {
-				// Ended sessions never observe or flush again; growing their
-				// (released) per-object state with every new object would leak
-				// in a long-running source with dead destinations. Grouped
-				// sessions keep no per-object state at all — that is the
-				// group's memory win.
-				if !ss.ended && !ss.grouped {
-					ss.objs = append(ss.objs, &sessObj{})
-				}
-			}
-		}
+		o = s.newObjLocked(objectID, now)
 	}
 	o.value = value
 	o.version++
 	o.updates++
 	o.prov = prov
-	o.lastUnix = s.cfg.Now().UnixNano()
+	o.lastUnix = unix
 	s.updates++
 	if cacheDriven {
 		// Poll-answering sessions keep no per-object scheduling state: the
@@ -698,7 +728,6 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 		// observe or rank here.
 		return
 	}
-	key := s.idx[objectID]
 	if s.cfg.SuppressWithinThreshold && ok && s.group == nil && s.withinAllThresholdsLocked(o) {
 		// Every live session is provably within its threshold for this
 		// value: skip the whole scheduling fan-out. The canonical state
@@ -708,7 +737,7 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 		// most such updates have been superseded or still need no send.
 		if !o.deferred {
 			o.deferred = true
-			s.deferredKeys = append(s.deferredKeys, key)
+			s.deferredKeys = append(s.deferredKeys, o.key)
 		}
 		s.suppressedObserves++
 		return
@@ -723,11 +752,11 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 	// dispatch that replaces the per-session loop below for grouped
 	// members. Both paths are allocation-free in steady state.
 	if s.group != nil {
-		s.group.observeLocked(o, key, now)
+		s.group.observeLocked(o, now)
 	}
 	for _, ss := range s.sessions {
 		if !ss.ended && !ss.grouped {
-			ss.observeLocked(o, key, now)
+			ss.observeLocked(o, now)
 		}
 	}
 }
@@ -744,7 +773,7 @@ func (s *Source) withinAllThresholdsLocked(o *objState) bool {
 	if s.cfg.Metric != metric.ValueDeviation || s.cfg.Delta != nil {
 		return false
 	}
-	key := s.idx[o.id]
+	key := o.key
 	for _, ss := range s.sessions {
 		if ss.ended {
 			continue
@@ -752,7 +781,7 @@ func (s *Source) withinAllThresholdsLocked(o *objState) bool {
 		if ss.redialing || ss.grouped || ss.hyb != nil || key >= len(ss.objs) {
 			return false
 		}
-		so := ss.objs[key]
+		so := &ss.objs[key]
 		if so.sentVer == 0 {
 			return false
 		}
@@ -777,14 +806,14 @@ func (s *Source) replayDeferredLocked(now float64) {
 		return
 	}
 	for _, key := range s.deferredKeys {
-		o := s.objs[s.ids[key]]
+		o := s.order[key]
 		if !o.deferred {
 			continue // superseded by an over-threshold update already observed
 		}
 		o.deferred = false
 		for _, ss := range s.sessions {
 			if !ss.ended && !ss.grouped {
-				ss.observeLocked(o, key, now)
+				ss.observeLocked(o, now)
 			}
 		}
 	}
@@ -794,12 +823,11 @@ func (s *Source) replayDeferredLocked(now float64) {
 // Stats returns a snapshot of protocol counters, aggregated and per
 // session.
 func (s *Source) Stats() SourceStats {
-	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Deferred observes would otherwise under-report Pending until the next
 	// flush tick; replaying here keeps the snapshot truthful.
-	s.replayDeferredLocked(now)
+	s.replayDeferredLocked(s.now())
 	st := SourceStats{
 		Policy:             s.cfg.Policy.String(),
 		Updates:            s.updates,

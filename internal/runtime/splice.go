@@ -43,6 +43,7 @@ type spliceScratch struct {
 	memo     viaMemo
 	provs    []Provenance
 	versions []uint64
+	keys     []int
 	plan     []memberPlan
 	overrun  []*syncSession
 	buckets  [][]sendItem
@@ -52,9 +53,15 @@ var spliceScratchPool = sync.Pool{New: func() any { return new(spliceScratch) }}
 
 // grab readies a pooled scratch for a batch of n refreshes.
 func (sc *spliceScratch) grab(id string, n int) {
-	sc.memo.id = id
-	sc.memo.in = sc.memo.in[:0]
-	sc.memo.out = sc.memo.out[:0]
+	// The memo outlives the batch: forwarded paths are immutable, so the next
+	// batch over the same route (nearly every batch) reuses the path built
+	// for this one. It restarts only for another node or after a run of
+	// distinct routes, which keeps its linear scan short.
+	if sc.memo.id != id || len(sc.memo.in) > 8 {
+		sc.memo.id = id
+		sc.memo.in = sc.memo.in[:0]
+		sc.memo.out = sc.memo.out[:0]
+	}
 	if cap(sc.provs) < n {
 		sc.provs = make([]Provenance, n)
 	}
@@ -63,13 +70,16 @@ func (sc *spliceScratch) grab(id string, n int) {
 		sc.versions = make([]uint64, n)
 	}
 	sc.versions = sc.versions[:n]
+	if cap(sc.keys) < n {
+		sc.keys = make([]int, 0, n)
+	}
 }
 
 // viaMemo builds the forwarded Via path (inbound path + self) once per
-// distinct inbound path in a batch: every refresh of an apply batch that
-// took the same route shares one backing array instead of allocating its
-// own copy per refresh. Provenance paths are never mutated downstream
-// (every consumer copies on append), so the sharing is safe.
+// distinct inbound path: every refresh that took the same route shares one
+// backing array instead of allocating its own copy per refresh. Provenance
+// paths are never mutated downstream (every consumer copies on append — the
+// contract stated on wire.Refresh.Via), so the sharing is safe.
 type viaMemo struct {
 	id  string
 	in  [][]string
@@ -200,8 +210,6 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 	if view.Len() != len(rs) {
 		return 0, false // frame/batch drift; the transport contract makes this unreachable
 	}
-	now := s.now()
-	nowUnix := s.cfg.Now().UnixNano()
 	provs, versions := sc.provs, sc.versions
 
 	s.mu.Lock()
@@ -209,24 +217,20 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		s.mu.Unlock()
 		return 0, false
 	}
+	now, nowUnix := s.clock()
 	g.accrueLocked(now)
 	threshold := g.eng.Threshold()
+	// sent and keys collect, in batch order, the outgoing provenance and the
+	// queue key of every item that boards the spliced frame; sent compacts
+	// provs in place (it never overtakes the read index).
+	sent, keys := provs[:0], sc.keys[:0]
 	for i := range rs {
 		if !keep[i] {
 			continue
 		}
 		o, ok := s.objs[rs[i].ObjectID]
 		if !ok {
-			o = &objState{id: rs[i].ObjectID, firstAt: now}
-			s.objs[o.id] = o
-			s.idx[o.id] = len(s.ids)
-			s.ids = append(s.ids, o.id)
-			g.objs = append(g.objs, &groupObj{})
-			for _, ss := range s.sessions {
-				if !ss.ended && !ss.grouped {
-					ss.objs = append(ss.objs, &sessObj{})
-				}
-			}
+			o = s.newObjLocked(rs[i].ObjectID, now)
 		} else if o.prov.Epoch != 0 && o.prov.Origin == provs[i].Origin &&
 			(provs[i].Epoch < o.prov.Epoch ||
 				(provs[i].Epoch == o.prov.Epoch && provs[i].Version <= o.prov.Version)) {
@@ -243,18 +247,15 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		o.updates++
 		o.prov = provs[i]
 		o.lastUnix = nowUnix
+		o.deferred = false
 		s.updates++
-		key := s.idx[o.id]
-		if o.deferred {
-			o.deferred = false
-		}
 		// Individual (non-grouped) sessions keep the classic observe path.
 		for _, ss := range s.sessions {
 			if !ss.ended && !ss.grouped {
-				ss.observeLocked(o, key, now)
+				ss.observeLocked(o, now)
 			}
 		}
-		gobj := g.objs[key]
+		gobj := &g.objs[o.key]
 		send := gobj.sentVer == 0 // never broadcast: members hold no copy
 		if !send {
 			d := o.value - gobj.sentVal
@@ -266,7 +267,7 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		if !send || g.budget < 1 {
 			// Within threshold or out of budget: the normal scheduling
 			// machinery picks the object up at the next flush tick.
-			g.observeLocked(o, key, now)
+			g.observeLocked(o, now)
 			keep[i] = false
 			continue
 		}
@@ -274,13 +275,15 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		g.demand -= gobj.tracker.Current()
 		gobj.sentVal, gobj.sentVer = o.value, o.version
 		gobj.tracker.Reset(now, 0)
-		g.eng.Queue.Remove(key)
+		g.eng.Queue.Remove(o.key)
 		g.eng.OnRefreshSent(now)
 		g.eng.ClampThreshold()
 		g.scheduled++
-		scheduled++
 		versions[i] = o.version
+		sent, keys = append(sent, provs[i]), append(keys, o.key)
 	}
+	sc.keys = keys
+	scheduled = len(sent)
 	if scheduled == 0 {
 		// Everything deferred to the classic scheduler — still handled: the
 		// canonical state advanced and every observe ran.
@@ -299,23 +302,15 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		Threshold: g.eng.Threshold(),
 		SentUnix:  nowUnix,
 	}
-	// Split-horizon pre-pass over the OUTGOING provenance (origin + via,
-	// which already ends with this node's id — no member carries it).
-	clear(g.restricted)
-	for i := range rs {
-		if !keep[i] {
-			continue
-		}
-		g.restricted[provs[i].Origin] = struct{}{}
-		for _, v := range provs[i].Via {
-			g.restricted[v] = struct{}{}
-		}
-	}
+	// Split horizon works on the OUTGOING provenance (origin + via, which
+	// already ends with this node's id — no member carries it).
+	g.restrictLocked(sent)
 	// The decoded reference patch, materialized only when some member
-	// cannot take the spliced bytes (gob conn, held ack, split horizon).
-	// codec.PatchForward is the same reference implementation the splice
-	// differential fuzz pins SpliceForward against, so both representations
-	// of the batch are interchangeable by construction.
+	// cannot take the spliced bytes: a gob conn, or an exclusion (held ack
+	// ahead of the axis, split horizon) that actually fires for an item of
+	// this batch. codec.PatchForward is the same reference implementation
+	// the splice differential fuzz pins SpliceForward against, so both
+	// representations of the batch are interchangeable by construction.
 	var patched []wire.Refresh
 	patchedFor := func() []wire.Refresh {
 		if patched == nil {
@@ -336,24 +331,17 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 			continue
 		}
 		var mrs []wire.Refresh
-		shared := true
-		needsFilter := len(m.memberHeld) > 0
-		if !needsFilter && m.remoteID != "" {
-			_, needsFilter = g.restricted[m.remoteID]
+		dropped := g.memberDropsLocked(m, keys, sent)
+		if dropped == scheduled {
+			continue
 		}
-		if needsFilter {
-			mrs, shared = g.memberRefreshesLocked(m, patchedFor())
-			if !shared && len(mrs) == 0 {
-				continue
-			}
-			if !shared {
-				g.fallbacks++
-			}
-		}
-		if shared && m.groupFS != nil {
+		if dropped > 0 {
+			mrs = memberCopy(patchedFor(), g.dropBuf, dropped, m.remoteID)
+			g.fallbacks++
+		} else if m.groupFS != nil {
 			needFrame = true
 		}
-		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: shared, rs: mrs})
+		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
 	}
 	s.mu.Unlock()
 

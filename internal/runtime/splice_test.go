@@ -3,11 +3,14 @@ package runtime
 import (
 	"fmt"
 	"net"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
 	"bestsync/internal/metric"
 	"bestsync/internal/transport"
+	"bestsync/internal/wire"
+	"bestsync/internal/wire/codec"
 )
 
 func TestViaMemo(t *testing.T) {
@@ -357,4 +360,140 @@ func TestSpliceRespectsThreshold(t *testing.T) {
 		e, ok := leaf.Get("root/x")
 		return ok && e.Value == 200
 	}, "over-threshold move to broadcast")
+}
+
+// spliceFixture drives Source.forwardSpliced directly — the call
+// Node.onForward makes — on a relay-shaped source whose group members are
+// the given connections: one inbound batch from "root" over the same objects
+// again and again, each round one origin version further.
+type spliceFixture struct {
+	src     *Source
+	rs      []wire.Refresh
+	keep    []bool
+	via     []string
+	held    []wire.HeldVersion
+	version uint64
+}
+
+func newSpliceFixture(t *testing.T, conns ...transport.SourceConn) *spliceFixture {
+	t.Helper()
+	const objects = 32
+	dests := make([]Destination, len(conns))
+	for i, c := range conns {
+		dests[i] = Destination{CacheID: fmt.Sprintf("leaf-%d", i), Conn: c}
+	}
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 1e9, Tick: time.Hour,
+		Params: pinnedParams(1e-6),
+		Group:  GroupConfig{Enabled: true},
+	}, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &spliceFixture{src: src, keep: make([]bool, objects), via: []string{"relay"}}
+	for i := 0; i < objects; i++ {
+		id := fmt.Sprintf("root/o%02d", i)
+		f.rs = append(f.rs, wire.Refresh{SourceID: "root", ObjectID: id, Epoch: 50})
+		f.held = append(f.held, wire.HeldVersion{ObjectID: id, Epoch: 50})
+	}
+	return f
+}
+
+// forward re-exports the next version of every object and waits for the
+// member sends to finish.
+func (f *spliceFixture) forward(t *testing.T) {
+	t.Helper()
+	f.version++
+	sc := spliceScratchPool.Get().(*spliceScratch)
+	sc.grab("relay", len(f.rs))
+	for i := range f.rs {
+		f.rs[i].Version, f.rs[i].Value = f.version, float64(f.version)
+		f.keep[i] = true
+		sc.provs[i] = Provenance{Origin: "root", Hops: 1, Via: f.via, Epoch: 50, Version: f.version}
+	}
+	frame := codec.NewBatchFrame(f.rs, 1)
+	scheduled, handled := f.src.forwardSpliced(f.rs, frame, f.keep, sc)
+	frame.Release()
+	spliceScratchPool.Put(sc)
+	if !handled || scheduled != len(f.rs) {
+		t.Fatalf("forwardSpliced scheduled %d of %d (handled=%v)", scheduled, len(f.rs), handled)
+	}
+	for _, ss := range f.src.sessions {
+		for ss.inflight.Load() != 0 {
+			stdruntime.Gosched()
+		}
+	}
+}
+
+// ackAll has every member acknowledge every object at the version just
+// forwarded — what a leaf does for each relayed apply.
+func (f *spliceFixture) ackAll() {
+	for i := range f.held {
+		f.held[i].Version = f.version
+	}
+	for _, ss := range f.src.sessions {
+		ss.onFeedback(wire.Feedback{CacheID: ss.dest.CacheID, Held: f.held})
+	}
+}
+
+// TestSpliceAtAxisAcksTakeSharedFrame: acks that sit AT the canonical origin
+// axis — all a healthy child ever sends — exclude nothing, so every member
+// keeps taking the one spliced frame; an ack AHEAD of the axis excludes that
+// object for that member only.
+func TestSpliceAtAxisAcksTakeSharedFrame(t *testing.T) {
+	a, b := newFrameConn("leaf-0"), newFrameConn("leaf-1")
+	f := newSpliceFixture(t, a, b)
+	defer f.src.Close()
+	const rounds = 5
+	for r := 0; r < rounds; r++ {
+		f.forward(t)
+		f.ackAll()
+	}
+	st := f.src.Stats()
+	if st.Group.Fallbacks != 0 || st.Group.SplicedBatches != rounds {
+		t.Errorf("fallbacks=%d spliced batches=%d, want 0 and %d", st.Group.Fallbacks, st.Group.SplicedBatches, rounds)
+	}
+	for i, c := range []*frameConn{a, b} {
+		if got := c.frameCount(); got != rounds {
+			t.Errorf("member %d took %d shared frames, want %d", i, got, rounds)
+		}
+		if skips := st.Sessions[i].HeldSkips; skips != 0 {
+			t.Errorf("member %d: %d held skips from at-the-axis acks", i, skips)
+		}
+	}
+	f.src.mu.Lock()
+	for i, ss := range f.src.sessions {
+		recorded := 0
+		for _, h := range ss.held {
+			if h == (heldAxis{50, f.version}) {
+				recorded++
+			}
+		}
+		if recorded != len(f.rs) {
+			t.Errorf("member %d holds %d of %d acks (they must survive for a detach→resync)", i, recorded, len(f.rs))
+		}
+	}
+	f.src.mu.Unlock()
+
+	// Member 0 runs ahead on one object: it alone gets a filtered copy.
+	f.src.sessions[0].onFeedback(wire.Feedback{CacheID: "leaf-0", Held: []wire.HeldVersion{
+		{ObjectID: f.rs[3].ObjectID, Epoch: 50, Version: f.version + 1},
+	}})
+	f.forward(t)
+	st = f.src.Stats()
+	if st.Group.Fallbacks != 1 || st.Sessions[0].HeldSkips != 1 || st.Sessions[1].HeldSkips != 0 {
+		t.Errorf("fallbacks=%d held skips=%d/%d, want 1 and 1/0", st.Group.Fallbacks, st.Sessions[0].HeldSkips, st.Sessions[1].HeldSkips)
+	}
+	if got := a.frameCount(); got != rounds {
+		t.Errorf("excluded member took the shared frame anyway (%d frames)", got)
+	}
+	if got := b.frameCount(); got != rounds+1 {
+		t.Errorf("other member took %d shared frames, want %d", got, rounds+1)
+	}
+	last := a.sentMsgs()[len(a.sentMsgs())-(len(f.rs)-1):]
+	for _, r := range last {
+		if r.ObjectID == f.rs[3].ObjectID || r.Version != f.version || r.CacheID != "leaf-0" {
+			t.Errorf("filtered copy carried %+v", r)
+		}
+	}
 }

@@ -71,9 +71,11 @@ func (c *Cache) Status(sample int) Status {
 	var objs []StatusObject
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for id, e := range sh.store {
+		for i := int32(0); i < sh.n; i++ {
+			sl := sh.at(i)
+			e := &sl.e
 			objs = append(objs, StatusObject{
-				ID:        id,
+				ID:        sl.id,
 				Value:     e.Value,
 				Version:   e.Version,
 				Source:    e.Source,

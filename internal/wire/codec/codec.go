@@ -44,6 +44,27 @@
 // rather than trusting the declared count. Every error is one of ErrBadFrame,
 // ErrFrameTooLarge or an underlying read error; a transport must treat any of
 // them as fatal for the stream (framing is lost) and close the connection.
+//
+// # Decoded strings and paths
+//
+// A Decoder interns the short identifiers it decodes (≤ 64 bytes): a stream
+// repeats its source id on every refresh and the object ids of its working
+// set lap after lap, so a repeat costs a byte comparison, not an allocation.
+// The table is sized by the stream, not by an option: it starts at 256 slots
+// and doubles — re-placing what it holds, so a cold sync does not miss twice
+// — whenever more than 2·len lookups miss within 64·len lookups (more than
+// one in 32), i.e. while the working set does not fit; it settles at about
+// twice the working set and never exceeds 65 536 slots, so a peer that never
+// repeats an id pins at most that many short strings per connection. Lookups probe 8 adjacent
+// slots, indexed by the TOP bits of the hash (the only ones that depend on
+// the trailing digits of sequential ids).
+//
+// The relay path of a refresh (Via) is decoded once per change, not once per
+// refresh: a path equal to the previous one on the stream is returned as the
+// same slice. That rests on the contract stated on wire.Refresh.Via — a path
+// is immutable once set; whoever extends one copies it first — and the
+// decoder hands out paths without spare capacity, so an append can never
+// write into a shared one.
 package codec
 
 import (
@@ -51,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Stream negotiation bytes. The prologue {Magic, Version} opens every binary
@@ -101,9 +123,9 @@ func badFrame(format string, args ...any) error {
 
 // payload is a bounds-checked cursor over one frame's payload bytes. All
 // reads return ErrBadFrame-wrapped errors instead of panicking; nothing here
-// allocates except str(), whose length is validated against the remaining
-// bytes first (and usually resolved from the decoder's intern table instead
-// of allocating at all).
+// allocates except str() and via(), whose lengths are validated against the
+// remaining bytes first (and which are usually resolved from the decoder's
+// intern table instead of allocating at all).
 type payload struct {
 	b   []byte
 	off int
@@ -152,17 +174,26 @@ func (p *payload) varintSlow() (int64, error) {
 	return v, nil
 }
 
-func (p *payload) str() (string, error) {
+// raw reads one length-prefixed string's bytes without materializing it.
+func (p *payload) raw() ([]byte, error) {
 	n, err := p.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(p.remaining()) {
+		return nil, badFrame("string length %d exceeds %d remaining payload bytes", n, p.remaining())
+	}
+	b := p.b[p.off : p.off+int(n)]
+	p.off += int(n)
+	return b, nil
+}
+
+func (p *payload) str() (string, error) {
+	raw, err := p.raw()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(p.remaining()) {
-		return "", badFrame("string length %d exceeds %d remaining payload bytes", n, p.remaining())
-	}
-	raw := p.b[p.off : p.off+int(n)]
-	p.off += int(n)
-	if p.in != nil && n > 0 && n <= internLimit {
+	if n := len(raw); n > 0 && n <= internLimit {
 		return p.in.intern(raw), nil
 	}
 	return string(raw), nil
@@ -171,19 +202,61 @@ func (p *payload) str() (string, error) {
 // strSlot is str for fields that are constant per stream (source/cache ids,
 // origin): the dedicated slot hits without hashing.
 func (p *payload) strSlot(slot *string) (string, error) {
-	n, err := p.uvarint()
+	raw, err := p.raw()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(p.remaining()) {
-		return "", badFrame("string length %d exceeds %d remaining payload bytes", n, p.remaining())
-	}
-	raw := p.b[p.off : p.off+int(n)]
-	p.off += int(n)
-	if p.in != nil && n > 0 && n <= internLimit {
+	if n := len(raw); n > 0 && n <= internLimit {
 		return p.in.slot(slot, raw), nil
 	}
 	return string(raw), nil
+}
+
+// maxSharedVia bounds the relay paths the decoder remembers for sharing;
+// longer ones (no legal topology produces them) are decoded afresh each time.
+const maxSharedVia = 16
+
+// via decodes a relay path: an element count, then that many ids. Every
+// refresh of a stream normally arrived over the same route, so a path equal
+// to the previous one decoded on this stream is returned as that SAME slice
+// instead of a fresh copy per refresh. This rests on the immutability
+// contract of wire.Refresh.Via: consumers never write to or append in place
+// onto a path they were handed (the returned slices have no spare capacity,
+// so an append always copies).
+func (p *payload) via() ([]string, error) {
+	n, err := p.count(1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if last := p.in.via; len(last) == n {
+		start, same := p.off, true
+		for i := 0; i < n && same; i++ {
+			raw, err := p.raw()
+			if err != nil {
+				return nil, err
+			}
+			same = last[i] == string(raw)
+		}
+		if same {
+			return last, nil
+		}
+		p.off = start
+	}
+	via := make([]string, 0, sliceCap(n, 64))
+	share := n <= maxSharedVia
+	for i := 0; i < n; i++ {
+		v, err := p.str()
+		if err != nil {
+			return nil, err
+		}
+		share = share && len(v) <= internLimit
+		via = append(via, v)
+	}
+	via = slices.Clip(via)
+	if share {
+		p.in.via = via
+	}
+	return via, nil
 }
 
 // internLimit bounds the string length eligible for interning; identifiers
@@ -191,20 +264,43 @@ func (p *payload) strSlot(slot *string) (string, error) {
 // stream, long strings are rare enough that copying is fine.
 const internLimit = 64
 
-// internTable is a per-decoder direct-mapped cache of recently decoded
-// strings. Protocol streams repeat the same identifiers frame after frame —
-// the source id on every refresh, the object ids of the live working set —
-// so resolving them from the table turns the dominant decode allocation
-// (one string copy per id) into a byte comparison. A miss just overwrites
-// the slot: the table is an optimization, never a correctness dependency,
-// and its memory is bounded by len(entries)·internLimit per connection.
+// Intern table sizing: the table starts at internMinSlots and doubles, up to
+// internMaxSlots, while the stream's working set does not fit (see
+// internTable.miss). A lookup probes a window of internWays adjacent slots.
+const (
+	internMinBits  = 8
+	internMinSlots = 1 << internMinBits
+	internMaxSlots = 1 << 16
+	internWays     = 8
+)
+
+// internTable is a per-decoder cache of recently decoded strings. Protocol
+// streams repeat the same identifiers frame after frame — the source id on
+// every refresh, the object ids of the live working set — so resolving them
+// from the table turns the dominant decode allocation (one string copy per
+// id) into a byte comparison. The table is an optimization, never a
+// correctness dependency: a string that finds no free slot in its window
+// overwrites the window's first one.
+//
+// The table grows with the stream's working set: every object id of a
+// round-robin stream over more objects than slots would otherwise miss on
+// every frame. Growth re-places the strings already interned (a cold sync
+// does not miss twice) and stops at internMaxSlots, so whatever a peer sends
+// the table holds at most internMaxSlots strings of at most internLimit
+// bytes per connection.
 //
 // Fields that are constant for a stream's lifetime (a refresh's source id,
 // cache id and origin) additionally get dedicated single-entry slots, which
-// hit without hashing at all.
+// hit without hashing at all, and the relay path of the previous refresh is
+// kept whole (see payload.via).
 type internTable struct {
-	entries            [256]string
+	entries []string // power-of-two length; nil until the first lookup
+	shift   uint     // 64 − log2(len(entries)): the hash's TOP bits index the table
+	// misses and lookups since the table last grew or the window was
+	// restarted; together they are the miss rate that decides growth.
+	misses, lookups    int
 	src, cache, origin string
+	via                []string
 }
 
 // slot resolves b against a dedicated single-entry cache, falling back to
@@ -219,12 +315,12 @@ func (t *internTable) slot(s *string, b []byte) string {
 	return v
 }
 
-func (t *internTable) intern(b []byte) string {
-	// Hash the length, the first byte and the LAST eight bytes: sequential
-	// id sets like "src-7/obj-1234" differ only in trailing digits, so the
-	// tail carries the entropy; a single word load beats hashing every
-	// byte. Collisions only cost the allocation we would have done anyway;
-	// the comparison string(b) == s does not allocate.
+// internHash hashes the length, the first byte and the LAST eight bytes:
+// sequential id sets like "src-7/obj-1234" differ only in trailing digits,
+// so the tail carries the entropy; a single word load beats hashing every
+// byte. After the final multiply only the product's top bits depend on those
+// trailing digits, so the table is indexed with the top bits.
+func internHash(b []byte) uint64 {
 	n := len(b)
 	h := uint64(n)*0x9E3779B97F4A7C15 ^ uint64(b[0])
 	switch {
@@ -238,14 +334,67 @@ func (t *internTable) intern(b []byte) string {
 			h = (h ^ uint64(c)) * 16777619
 		}
 	}
-	h *= 0x9E3779B97F4A7C15
-	i := (h >> 56) % uint64(len(t.entries))
-	if s := t.entries[i]; s == string(b) {
-		return s
+	return h * 0x9E3779B97F4A7C15
+}
+
+func (t *internTable) intern(b []byte) string {
+	if t.entries == nil {
+		t.entries = make([]string, internMinSlots)
+		t.shift = 64 - internMinBits
+	}
+	t.lookups++
+	mask := uint64(len(t.entries) - 1)
+	i := internHash(b) >> t.shift
+	for k := uint64(0); k < internWays; k++ {
+		// Collisions only cost the allocation we would have done anyway; the
+		// comparison s == string(b) does not allocate.
+		if s := t.entries[(i+k)&mask]; s == string(b) {
+			return s
+		}
 	}
 	s := string(b)
-	t.entries[i] = s
+	t.place(i, s)
+	t.miss()
 	return s
+}
+
+// place stores s in the first free slot of the window starting at i, or over
+// the window's first slot when it is full.
+func (t *internTable) place(i uint64, s string) {
+	mask := uint64(len(t.entries) - 1)
+	for k := uint64(0); k < internWays; k++ {
+		if j := (i + k) & mask; t.entries[j] == "" {
+			t.entries[j] = s
+			return
+		}
+	}
+	t.entries[i] = s
+}
+
+// miss counts one miss and doubles the table when the working set has
+// outgrown it: more than 2·len misses, arriving faster than one lookup in 32.
+// The rate test keeps a table that already holds its working set from
+// creeping to the cap on the occasional new or evicted id.
+func (t *internTable) miss() {
+	t.misses++
+	n := len(t.entries)
+	if t.misses <= 2*n {
+		return
+	}
+	grow := n < internMaxSlots && t.lookups < 64*n
+	t.misses, t.lookups = 0, 0
+	if !grow {
+		return
+	}
+	old := t.entries
+	t.entries = make([]string, 2*n)
+	t.shift--
+	var buf [internLimit]byte
+	for _, s := range old {
+		if s != "" {
+			t.place(internHash(buf[:copy(buf[:], s)])>>t.shift, s)
+		}
+	}
 }
 
 func (p *payload) f64() (float64, error) {

@@ -268,19 +268,8 @@ func decodeRefresh(p *payload, r *wire.Refresh) error {
 		return err
 	}
 	r.Hops = int(hops)
-	nVia, err := p.count(1)
-	if err != nil {
+	if r.Via, err = p.via(); err != nil {
 		return err
-	}
-	if nVia > 0 {
-		r.Via = make([]string, 0, sliceCap(nVia, 64))
-		for i := 0; i < nVia; i++ {
-			v, err := p.str()
-			if err != nil {
-				return err
-			}
-			r.Via = append(r.Via, v)
-		}
 	}
 	if r.OriginEpoch, err = p.varint(); err != nil {
 		return err
@@ -398,19 +387,8 @@ func decodeReply(p *payload) (*wire.PollReply, error) {
 				return nil, err
 			}
 			it.Hops = int(hops)
-			nVia, err := p.count(1)
-			if err != nil {
+			if it.Via, err = p.via(); err != nil {
 				return nil, err
-			}
-			if nVia > 0 {
-				it.Via = make([]string, 0, sliceCap(nVia, 64))
-				for j := 0; j < nVia; j++ {
-					v, err := p.str()
-					if err != nil {
-						return nil, err
-					}
-					it.Via = append(it.Via, v)
-				}
 			}
 			if it.OriginEpoch, err = p.varint(); err != nil {
 				return nil, err

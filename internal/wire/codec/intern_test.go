@@ -1,0 +1,171 @@
+package codec
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"bestsync/internal/wire"
+)
+
+// loopReader replays one byte stream for ever, so a single Decoder (and its
+// intern table) can be fed lap after lap of the same frames.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	if r.off == len(r.data) {
+		r.off = 0
+	}
+	n := copy(p, r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// roundRobinStream encodes objects distinct ids, batch refreshes to a frame,
+// every refresh relayed over the same one-element path.
+func roundRobinStream(objects, batch int) (stream []byte, frames int) {
+	var enc Encoder
+	via := []string{"relay"}
+	for first := 0; first < objects; first += batch {
+		rs := make([]wire.Refresh, batch)
+		for i := range rs {
+			rs[i] = wire.Refresh{
+				SourceID: "relay", ObjectID: fmt.Sprintf("src-0/o%05d", first+i),
+				Origin: "src-0", Hops: 1, Via: via, OriginEpoch: 7, OriginVersion: 1,
+				Value: 1, Version: 1, Epoch: 9,
+			}
+		}
+		stream = enc.AppendBatch(stream, wire.RefreshBatch{Refreshes: rs, SentUnix: 1})
+		frames++
+	}
+	return stream, frames
+}
+
+// TestDecoderInternGrowsWithWorkingSet: a round-robin stream over far more
+// object ids than the table's initial size — the firehose shape, where a
+// fixed 256-slot table missed on every id of every lap — decodes without
+// allocating per refresh once the table has grown to hold the working set.
+// What is left is the batch itself (two allocations per 64-refresh frame).
+func TestDecoderInternGrowsWithWorkingSet(t *testing.T) {
+	const objects, batch = 16384, 64
+	stream, frames := roundRobinStream(objects, batch)
+	d := NewDecoder(&loopReader{data: stream})
+	lap := func() {
+		for f := 0; f < frames; f++ {
+			cb, err := d.ReadCacheBound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cb.Batch.Refreshes) != batch {
+				t.Fatalf("decoded %d refreshes, want %d", len(cb.Batch.Refreshes), batch)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		lap() // warm-up: the table grows to the working set
+	}
+	if n := len(d.intern.entries); n < objects || n > internMaxSlots {
+		t.Errorf("table has %d slots for a %d-id working set (cap %d)", n, objects, internMaxSlots)
+	}
+	if raceEnabled {
+		return // AllocsPerRun counts race-detector instrumentation
+	}
+	perRefresh := testing.AllocsPerRun(3, lap) / objects
+	if perRefresh > 0.05 {
+		t.Errorf("steady-state decode allocated %.3f times per refresh, want ≤ 0.05", perRefresh)
+	}
+}
+
+// TestDecoderInternBounded: a peer that never repeats an id cannot grow the
+// table past its cap, and every id still decodes correctly.
+func TestDecoderInternBounded(t *testing.T) {
+	const batch, frames = 64, 4 * internMaxSlots / 64
+	var enc Encoder
+	var stream []byte
+	for f := 0; f < frames; f++ {
+		rs := make([]wire.Refresh, batch)
+		for i := range rs {
+			rs[i] = wire.Refresh{SourceID: "s", ObjectID: fmt.Sprintf("flood-%d-%d", f, i), Version: 1}
+		}
+		stream = enc.AppendBatch(stream, wire.RefreshBatch{Refreshes: rs})
+	}
+	d := NewDecoder(&loopReader{data: stream})
+	for f := 0; f < frames; f++ {
+		cb, err := d.ReadCacheBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range cb.Batch.Refreshes {
+			if want := fmt.Sprintf("flood-%d-%d", f, i); r.ObjectID != want {
+				t.Fatalf("frame %d item %d decoded %q, want %q", f, i, r.ObjectID, want)
+			}
+		}
+	}
+	if n := len(d.intern.entries); n != internMaxSlots {
+		t.Errorf("table has %d slots after a flood of %d distinct ids, want the cap %d", n, frames*batch, internMaxSlots)
+	}
+}
+
+// TestDecoderInternStaysSmall: a stream whose working set fits the initial
+// table never grows it, however long it runs.
+func TestDecoderInternStaysSmall(t *testing.T) {
+	stream, frames := roundRobinStream(128, 64)
+	d := NewDecoder(&loopReader{data: stream})
+	for i := 0; i < 200*frames; i++ {
+		if _, err := d.ReadCacheBound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(d.intern.entries); n != internMinSlots {
+		t.Errorf("table grew to %d slots for a 128-id working set", n)
+	}
+}
+
+// TestDecoderSharesUnchangedVia: consecutive refreshes that took the same
+// relay path share one decoded slice (with no spare capacity, so an append
+// can never write into it); a different path gets its own.
+func TestDecoderSharesUnchangedVia(t *testing.T) {
+	var enc Encoder
+	rs := []wire.Refresh{
+		{SourceID: "r2", ObjectID: "a", Origin: "s", Via: []string{"r1", "r2"}},
+		{SourceID: "r2", ObjectID: "b", Origin: "s", Via: []string{"r1", "r2"}},
+		{SourceID: "r2", ObjectID: "c", Origin: "s", Via: []string{"r9", "r2"}},
+		{SourceID: "r2", ObjectID: "d", Origin: "s"},
+		{SourceID: "r2", ObjectID: "e", Origin: "s", Via: []string{"r9", "r2"}},
+	}
+	stream := enc.AppendBatch(nil, wire.RefreshBatch{Refreshes: rs})
+	stream = enc.AppendBatch(stream, wire.RefreshBatch{Refreshes: rs[4:]})
+	d := NewDecoder(&loopReader{data: stream})
+	cb, err := d.ReadCacheBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cb.Batch.Refreshes
+	for i := range rs {
+		if !slices.Equal(got[i].Via, rs[i].Via) || (rs[i].Via == nil) != (got[i].Via == nil) {
+			t.Fatalf("item %d decoded Via %v, want %v", i, got[i].Via, rs[i].Via)
+		}
+		if cap(got[i].Via) != len(got[i].Via) {
+			t.Errorf("item %d: decoded Via has spare capacity %d", i, cap(got[i].Via)-len(got[i].Via))
+		}
+	}
+	if &got[0].Via[0] != &got[1].Via[0] {
+		t.Error("equal consecutive paths were decoded into separate slices")
+	}
+	if &got[2].Via[0] == &got[1].Via[0] {
+		t.Error("a different path shares the previous one's slice")
+	}
+	if &got[4].Via[0] != &got[2].Via[0] {
+		t.Error("a direct refresh in between broke the sharing of the path around it")
+	}
+	next, err := d.ReadCacheBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next.Batch.Refreshes[0].Via[0] != &got[4].Via[0] {
+		t.Error("the path is not shared across frames of one stream")
+	}
+}

@@ -114,6 +114,11 @@ func (h Hello) Validate() error {
 // incarnation, so only the origin axis stays comparable across a relay
 // restart; the cache's staleness guard and held-version feedback both use it
 // (OriginAxis).
+//
+// Via is immutable once set: a path slice is shared between the refreshes of
+// a batch, the cache entries and provenance records built from them, and (by
+// the binary decoder) consecutive refreshes of a stream. Whoever extends a
+// path copies it first (copy-on-append); nothing writes to one in place.
 type Refresh struct {
 	SourceID      string
 	ObjectID      string
@@ -300,7 +305,7 @@ type PollItem struct {
 	LastModifiedUnix int64    // nanoseconds; 0 = never updated
 	Origin           string   // originating node for relayed copies; empty = answerer
 	Hops             int      // relay tiers traversed to reach the answerer
-	Via              []string // relay path to the answerer, oldest first
+	Via              []string // relay path to the answerer, oldest first; immutable, as Refresh.Via
 	OriginEpoch      int64    // origin-axis epoch (0 = direct; use Epoch)
 	OriginVersion    uint64   // origin-axis version (with OriginEpoch 0: use Version)
 }
