@@ -1,19 +1,13 @@
 package bestsync_test
 
 import (
-	"fmt"
-	"net"
 	"testing"
-	"time"
 
 	"bestsync/internal/bandwidth"
 	"bestsync/internal/cgm"
 	"bestsync/internal/engine"
 	"bestsync/internal/experiments"
 	"bestsync/internal/metric"
-	"bestsync/internal/runtime"
-	"bestsync/internal/transport"
-	"bestsync/internal/wire"
 	"bestsync/internal/workload"
 
 	"math/rand"
@@ -55,145 +49,6 @@ func BenchmarkE10CostAware(b *testing.B)         { benchExperiment(b, "e10") }
 func BenchmarkE11DeltaEncoding(b *testing.B)     { benchExperiment(b, "e11") }
 func BenchmarkE12Batching(b *testing.B)          { benchExperiment(b, "e12") }
 func BenchmarkE13MutualConsistency(b *testing.B) { benchExperiment(b, "e13") }
-
-// Live-runtime benchmarks: the sharded refresh-apply path and the batched
-// TCP framing, measured end to end through the public transport/runtime
-// APIs. See `syncbench -throughput` for the combined comparison.
-
-// benchShardedApply pushes b.N refreshes (in wire batches of 64) through a
-// Local transport into a cache with the given shard count and waits for all
-// of them to be applied.
-func benchShardedApply(b *testing.B, shards int) {
-	net := transport.NewLocal(256)
-	defer net.Close()
-	cache := runtime.NewCache(runtime.CacheConfig{
-		Bandwidth: 1e9,
-		Tick:      time.Millisecond,
-		Shards:    shards,
-	}, net)
-	defer cache.Close()
-	conn, err := net.Dial("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-
-	const objects = 512
-	ids := make([]string, objects)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("bench/obj-%d", i)
-	}
-	const batch = 64
-	rs := make([]wire.Refresh, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var version uint64
-	sent := 0
-	for sent < b.N {
-		n := batch
-		if rem := b.N - sent; rem < n {
-			n = rem
-		}
-		for i := 0; i < n; i++ {
-			version++
-			rs[i] = wire.Refresh{
-				SourceID: "bench",
-				ObjectID: ids[int(version)%objects],
-				Version:  version,
-				Value:    float64(version),
-			}
-		}
-		if err := conn.SendBatch(rs[:n]); err != nil {
-			b.Fatal(err)
-		}
-		sent += n
-	}
-	for cache.Stats().Refreshes < b.N {
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-func BenchmarkShardedApply(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedApply(b, shards)
-		})
-	}
-}
-
-// benchBatchedTCP streams b.N refreshes over a loopback TCP connection in
-// wire batches of the given size and waits until the server has received
-// them all, isolating the framing/syscall cost from the apply path. The
-// codec preference picks the framing under test: the binary codec against
-// the legacy gob stream.
-func benchBatchedTCP(b *testing.B, batch int, pref transport.Codec) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := transport.Serve(ln, 256)
-	defer srv.Close()
-	received := make(chan int)
-	go func() {
-		n := 0
-		for batch := range srv.Batches() {
-			n += len(batch.Refreshes)
-			if n >= b.N {
-				break
-			}
-		}
-		received <- n
-	}()
-	conn, err := transport.DialCodec(ln.Addr().String(), "bench", pref)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-
-	rs := make([]wire.Refresh, batch)
-	for i := range rs {
-		rs[i] = wire.Refresh{SourceID: "bench", ObjectID: "bench/obj"}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var version uint64
-	sent := 0
-	for sent < b.N {
-		n := batch
-		if rem := b.N - sent; rem < n {
-			n = rem
-		}
-		for i := 0; i < n; i++ {
-			version++
-			rs[i].Version = version
-			rs[i].Value = float64(version)
-		}
-		if err := conn.SendBatch(rs[:n]); err != nil {
-			b.Fatal(err)
-		}
-		sent += n
-	}
-	if got := <-received; got < b.N {
-		b.Fatalf("received %d of %d refreshes", got, b.N)
-	}
-}
-
-func BenchmarkBatchedTCP(b *testing.B) {
-	codecs := []struct {
-		name string
-		pref transport.Codec
-	}{
-		{"binary", transport.CodecBinary},
-		{"gob", transport.CodecGob},
-	}
-	for _, c := range codecs {
-		for _, batch := range []int{1, 16, 64, 256} {
-			b.Run(fmt.Sprintf("codec=%s/batch=%d", c.name, batch), func(b *testing.B) {
-				benchBatchedTCP(b, batch, c.pref)
-			})
-		}
-	}
-}
 
 // Component benchmarks: per-run cost of the simulation engines themselves,
 // useful for estimating full-grid runtimes.

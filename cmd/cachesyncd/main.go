@@ -160,11 +160,11 @@ func main() {
 	}
 	ep := transport.Serve(ln, 256)
 
-	// In relay mode the cache is owned by a Relay that re-exports applied
+	// In relay mode the cache is owned by a Node that re-exports applied
 	// refreshes toward the children; otherwise it is a plain leaf cache.
 	var (
 		cache *runtime.Cache
-		relay *runtime.Relay
+		node  *runtime.Node
 	)
 	// Child connections are batched with the transport defaults and
 	// redialed with backoff so a restarted child rejoins the tier; a
@@ -206,7 +206,7 @@ func main() {
 			log.Printf("cachesyncd: peer %s unreachable, will keep redialing", addr)
 		}
 		// With a shared face budget, face budgets not explicitly set on
-		// the command line default to half the total each (the relay's
+		// the command line default to half the total each (the node's
 		// own defaulting) instead of the flags' standalone defaults.
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -223,29 +223,29 @@ func main() {
 		if policy.Polls() {
 			upCfg.Poll = runtime.PollConfig{ReSolveEvery: *resolveEvery}
 		}
-		relay, err = runtime.NewRelay(runtime.RelayConfig{
+		node, err = runtime.NewNode(runtime.NodeConfig{
 			ID:             *id,
-			Cache:          upCfg,
-			ChildBandwidth: childBand,
+			Intake:         upCfg,
+			PeerBandwidth:  childBand,
 			TotalBandwidth: *totalBW,
 			Rebalance:      *rebalance,
 			Metric:         metric.ValueDeviation,
 			MaxHops:        *maxHops,
-			ChildPolicy:    childPolicy,
+			PeerPolicy:     childPolicy,
 			Group:          runtime.GroupConfig{Enabled: *group},
 			SpliceForward:  *group && *splice,
 		}, ep, dests)
 		if err != nil {
 			log.Fatalf("cachesyncd: %v", err)
 		}
-		cache = relay.Cache()
-		rst := relay.Stats()
+		cache = node.Cache()
+		nst := node.Stats()
 		face := "children"
 		if *peers != "" {
 			face = "peer links"
 		}
 		log.Printf("cachesyncd %s: node on %s, bandwidth %.1f msgs/s intake / %.1f msgs/s out to %d %s, shards=%d",
-			relay.ID(), ln.Addr(), rst.UpBandwidth, rst.DownBandwidth, len(dests), face, cache.Shards())
+			node.ID(), ln.Addr(), nst.IntakeBandwidth, nst.PeerBandwidth, len(dests), face, cache.Shards())
 	} else {
 		pollCfg := runtime.PollConfig{ReSolveEvery: *resolveEvery}
 		if *pollRate > 0 {
@@ -268,10 +268,10 @@ func main() {
 			log.Fatalf("cachesyncd: loading snapshot: %v", err)
 		}
 		log.Printf("cachesyncd: restored %d objects from %s", cache.Len(), *snapshotPath)
-		if relay != nil && cache.Len() > 0 {
+		if node != nil && cache.Len() > 0 {
 			// Snapshot loading bypasses the apply hook; seed the child
 			// sessions so restored objects reach the tier below too.
-			relay.ReexportStore()
+			node.ReexportStore()
 			log.Printf("cachesyncd: re-exporting %d restored objects to children", cache.Len())
 		}
 		go func() {
@@ -288,11 +288,10 @@ func main() {
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/status", cache.StatusHandler(100))
-		if relay != nil {
-			mux.HandleFunc("/children/add", adminhttp.AddHandler(relay.AddChild, *id, wrap))
-			mux.HandleFunc("/children/remove", adminhttp.RemoveHandler(relay.RemoveChild))
-			// The mesh-vocabulary aliases manage the same symmetric face.
-			node := relay.Node()
+		if node != nil {
+			// Tree and mesh vocabulary manage the same symmetric face.
+			mux.HandleFunc("/children/add", adminhttp.AddHandler(node.AddPeer, *id, wrap))
+			mux.HandleFunc("/children/remove", adminhttp.RemoveHandler(node.RemovePeer))
 			mux.HandleFunc("/peers/add", adminhttp.AddHandler(node.AddPeer, *id, wrap))
 			mux.HandleFunc("/peers/remove", adminhttp.RemoveHandler(node.RemovePeer))
 		}
@@ -326,8 +325,8 @@ func main() {
 					log.Printf("cachesyncd: final snapshot: %v", err)
 				}
 			}
-			if relay != nil {
-				relay.Close()
+			if node != nil {
+				node.Close()
 			} else {
 				cache.Close()
 			}
@@ -347,25 +346,25 @@ func main() {
 				fmt.Printf("objects=%d sources=%d refreshes=%d feedback=%d stale=%d rate=%.1f/s\n",
 					cache.Len(), st.Sources, st.Refreshes, st.Feedbacks, st.Stale, cache.ApplyRate())
 			}
-			if relay != nil {
-				rst := relay.Stats()
+			if node != nil {
+				nst := node.Stats()
 				fmt.Printf("  node forwarded=%d looped=%d hop_limited=%d suppressed=%d peer_served=%d out_refreshes=%d up=%.3g/s down=%.3g/s rebalances=%d\n",
-					rst.Forwarded, rst.Looped, rst.HopLimited, rst.ThresholdSuppressed,
-					rst.Upstream.PeerServed, rst.Downstream.Refreshes,
-					rst.UpBandwidth, rst.DownBandwidth, rst.FaceRebalances)
-				if h := rst.Downstream.Hybrid; h != nil {
+					nst.Forwarded, nst.Looped, nst.HopLimited, nst.ThresholdSuppressed,
+					nst.Intake.PeerServed, nst.Peers.Refreshes,
+					nst.IntakeBandwidth, nst.PeerBandwidth, nst.FaceRebalances)
+				if h := nst.Peers.Hybrid; h != nil {
 					fmt.Printf("  hybrid push_objects=%d poll_objects=%d promotions=%d demotions=%d polls_answered=%d polled_items=%d\n",
-						h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, rst.Downstream.PollsAnswered, h.PolledItems)
+						h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, nst.Peers.PollsAnswered, h.PolledItems)
 				}
-				if g := rst.Downstream.Group; g != nil {
+				if g := nst.Peers.Group; g != nil {
 					fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d detaches=%d rejoins=%d overruns=%d share=%.3g/s\n",
 						g.Members, g.Batches, g.Delivered, g.Fallbacks, g.Detaches, g.Rejoins, g.QueueOverruns, g.MemberShare)
 				}
-				if rst.SplicedBatches > 0 || rst.SpliceFallbacks > 0 {
+				if nst.SplicedBatches > 0 || nst.SpliceFallbacks > 0 {
 					fmt.Printf("  splice batches=%d refreshes=%d fallbacks=%d\n",
-						rst.SplicedBatches, rst.SplicedRefreshes, rst.SpliceFallbacks)
+						nst.SplicedBatches, nst.SplicedRefreshes, nst.SpliceFallbacks)
 				}
-				for _, sess := range rst.Downstream.Sessions {
+				for _, sess := range nst.Peers.Sessions {
 					ended := ""
 					if sess.Ended {
 						ended = " ENDED"

@@ -6,7 +6,7 @@ import (
 )
 
 // writeBenchJSON writes a machine-readable benchmark result file
-// (BENCH_fanout.json, BENCH_throughput.json) so future changes have a perf
+// (BENCH_policy.json, BENCH_topology.json) so future changes have a
 // trajectory to compare against.
 func writeBenchJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")

@@ -23,42 +23,14 @@
 // The profiling flags work in every mode (experiments and benchmarks alike);
 // inspect the output with `go tool pprof`.
 //
-// With -throughput the experiments are skipped and syncbench instead
-// benchmarks the live runtime (internal/runtime) end to end: N producer
-// goroutines stream refreshes into a cache node, once with the single-lock
-// message-at-a-time baseline and once with the sharded store and batched
-// framing, printing the apply throughput and speedup. The -sources,
-// -objects, -shards, -batch, -flush and -duration flags tune that mode.
-// Results are also written to BENCH_throughput.json.
-//
-// With -fanout syncbench measures the fan-out topology instead: one live
-// source driving N caches (N = 1..-caches) over both the in-process and
-// the loopback-TCP transport, reporting aggregate refreshes/s and
-// per-cache divergence/threshold/feedback as N grows. The -caches,
-// -objects, -rate, -bandwidth and -duration flags tune that mode. Results
-// are also written to BENCH_fanout.json.
-//
-// With -hierarchy syncbench compares the cache→cache hierarchy against
-// flat fan-out: a 3-tier tree (source sends at B/2; the relay's intake and
-// child sends share one adaptively rebalanced budget B) versus the flat
-// 1 → leaves+1 topology spending B on direct sessions, on both transports,
-// reporting per-node applied refreshes and final mean divergence. Results
-// are also written to BENCH_hierarchy.json.
-//
-// With -topology syncbench compares the peer-face topology shapes over the
+// With -topology the experiments are skipped and syncbench instead compares
+// the live runtime's (internal/runtime) peer-face topology shapes over the
 // same N cache nodes at the same total send budget: the direct tree (the
 // origin spends the whole budget on per-node sessions) versus a ring and a
 // full mesh where the origin holds half the budget toward one node and the
 // nodes' peer faces share the other half, serving each other laterally. The
 // -nodes, -objects, -rate, -bandwidth and -duration flags tune that mode.
 // Results are also written to BENCH_topology.json.
-//
-// With -dynamic syncbench compares static equal shares against live share
-// re-allocation (SourceConfig.Rebalance) on two workloads: skewed
-// destination capacities (one cache absorbs a tenth of the others') and
-// destination churn (a cache leaves mid-run, a fresh one joins and is
-// re-synchronized). The -caches, -objects, -rate, -bandwidth and -duration
-// flags tune it. Results are also written to BENCH_dynamic.json.
 //
 // With -policy syncbench runs the live analogue of Figure 6 (§6.3): one
 // source and one cache synchronize the same workload under each sync
@@ -70,6 +42,9 @@
 // migration controller concentrates the push budget on the hot objects. The
 // -objects, -rate, -bandwidth, -duration, -resolve-every and -zipf flags
 // tune it. Results are also written to BENCH_policy.json.
+//
+// Pipeline performance (throughput, fan-out, relay forwarding cost) is the
+// repo benchmark's job: bash benchmark/run.sh.
 package main
 
 import (
@@ -122,23 +97,6 @@ func startProfiles(cpu, mem string) (func(), error) {
 	}, nil
 }
 
-// parseScale parses the -scale flag: comma-separated positive destination
-// counts for the delivery-cost scenarios. An empty string means skip them.
-func parseScale(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var scale []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q is not a positive destination count", part)
-		}
-		scale = append(scale, n)
-	}
-	return scale, nil
-}
-
 // parseZipf parses the -zipf flag: comma-separated Zipf exponents, each
 // strictly greater than 1 (rand.NewZipf's domain). Empty means no skewed
 // sweep points.
@@ -162,26 +120,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	csvDir := flag.String("csv", "", "directory to write CSV tables into")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	throughput := flag.Bool("throughput", false, "benchmark live-runtime refresh-apply throughput instead of experiments")
-	tpSources := flag.Int("sources", 8, "throughput mode: concurrent producer sources")
-	tpObjects := flag.Int("objects", 128, "throughput mode: objects per source")
-	tpShards := flag.Int("shards", 0, "throughput mode: shard count for the tuned config (0 = GOMAXPROCS)")
-	tpBatch := flag.Int("batch", 64, "throughput mode: wire batch size for the tuned config")
-	tpFlush := flag.Duration("flush", 2*time.Millisecond, "throughput mode: partial-batch flush interval")
-	tpDur := flag.Duration("duration", 3*time.Second, "throughput/fanout mode: measurement window per config")
-	fanout := flag.Bool("fanout", false, "benchmark the 1-source -> N-cache fan-out topology instead of experiments")
-	fanCaches := flag.Int("caches", 4, "fanout mode: maximum cache count in the sweep")
-	fanScale := flag.String("scale", "1000,10000", "fanout mode: comma-separated destination counts for the delivery-cost scenarios (group vs per-session; empty = skip)")
-	fanDestBW := flag.Float64("dest-bandwidth", 50, "fanout mode: per-destination send budget (messages/second) in the delivery-cost scenarios")
-	fanRate := flag.Float64("rate", 500, "fanout/hierarchy mode: source update rate (updates/second)")
-	fanBW := flag.Float64("bandwidth", 200, "fanout/hierarchy mode: total send budget (messages/second)")
-	hierarchy := flag.Bool("hierarchy", false, "benchmark the source -> relay -> N leaves tree vs flat 1 -> N+1 fan-out instead of experiments")
-	hierLeaves := flag.Int("leaves", 3, "hierarchy/relaycost mode: leaf cache count below the relay")
-	relaycost := flag.Bool("relaycost", false, "run only the relay-hop delivery-cost scenario (splice vs classic forwarding; also part of -hierarchy)")
-	relayBatches := flag.Int("relay-batches", 2048, "relaycost mode: measured batches per scenario")
+	objects := flag.Int("objects", 128, "policy/topology mode: objects in the workload")
+	duration := flag.Duration("duration", 3*time.Second, "policy/topology mode: measurement window per config")
+	rate := flag.Float64("rate", 500, "policy/topology mode: source update rate (updates/second)")
+	bandwidth := flag.Float64("bandwidth", 200, "policy/topology mode: total send budget (messages/second)")
 	topology := flag.Bool("topology", false, "benchmark the peer-face topology shapes (direct tree vs ring vs mesh at equal total budget) instead of experiments")
 	topoNodes := flag.Int("nodes", 6, "topology mode: cache node count per shape")
-	dynamic := flag.Bool("dynamic", false, "benchmark static vs adaptive share allocation under skewed and churning destinations instead of experiments")
 	policy := flag.Bool("policy", false, "benchmark the sync policies (push vs hybrid vs ideal/CGM1/CGM2 cache-driven polling) at equal message budget instead of experiments")
 	resolveEvery := flag.Duration("resolve-every", 500*time.Millisecond, "policy mode: poll re-estimation/re-allocation epoch")
 	zipfFlag := flag.String("zipf", "", "policy mode: comma-separated Zipf exponents (each > 1) adding skewed-workload sweep points (empty = uniform workload only)")
@@ -202,43 +146,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "syncbench: -zipf: %v\n", err)
 			os.Exit(2)
 		}
-		runPolicyMode(*tpObjects, *fanRate, *fanBW, *tpDur, *resolveEvery, zipf)
+		runPolicyMode(*objects, *rate, *bandwidth, *duration, *resolveEvery, zipf)
 		return
 	}
 	if *topology {
-		runTopologyMode(*topoNodes, *tpObjects, *fanRate, *fanBW, *tpDur)
+		runTopologyMode(*topoNodes, *objects, *rate, *bandwidth, *duration)
 		return
 	}
-	if *dynamic {
-		runDynamicMode(*fanCaches, *tpObjects, *fanRate, *fanBW, *tpDur)
-		return
-	}
-	if *relaycost {
-		runRelayCost(*hierLeaves, *tpBatch, *relayBatches)
-		return
-	}
-	if *hierarchy {
-		runHierarchyMode(*hierLeaves, *tpObjects, *fanRate, *fanBW, *tpDur)
-		return
-	}
-	if *fanout {
-		scale, err := parseScale(*fanScale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "syncbench: -scale: %v\n", err)
-			os.Exit(2)
-		}
-		runFanoutMode(*fanCaches, *tpObjects, *fanRate, *fanBW, *tpDur, scale, *fanDestBW)
-		return
-	}
-	if *throughput {
-		shards := *tpShards
-		if shards <= 0 {
-			shards = stdruntime.GOMAXPROCS(0)
-		}
-		runThroughputMode(*tpSources, *tpObjects, shards, *tpBatch, *tpFlush, *tpDur)
-		return
-	}
-
 	reg := experiments.Registry()
 	if *list {
 		for _, id := range experiments.Order() {

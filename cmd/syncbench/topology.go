@@ -48,9 +48,9 @@ type topologyResult struct {
 // and mesh give the origin only B/2 toward node 0 and let the nodes' peer
 // faces — each holding (B/2)/N — push applied values laterally, so most
 // nodes are served by a neighbor instead of the origin. Results go to
-// stdout and BENCH_topology.json. (The deep tree with a shared relay budget
-// is covered by -hierarchy; here the tree is the depth-1 baseline the
-// cooperative shapes are judged against.)
+// stdout and BENCH_topology.json. (The deep tree with a relay tier is the
+// repo benchmark's tree_firehose workload; here the tree is the depth-1
+// baseline the cooperative shapes are judged against.)
 func runTopologyMode(nodes, objects int, rate, bandwidth float64, duration time.Duration) {
 	fmt.Printf("# topology shapes: tree vs ring vs mesh over %d nodes, %d objects, %.0f updates/s, %.0f msgs/s total budget, %s per shape\n\n",
 		nodes, objects, rate, bandwidth, duration)
@@ -111,7 +111,7 @@ func measureTopology(shape string, nodes, objects int, rate, bandwidth float64, 
 	// Every node gets its own intake endpoint; lateral peers and the origin
 	// both deliver through it. Processing budget mirrors the total network
 	// budget so the bottleneck under test is the send path, not the apply
-	// path (same convention as the hierarchy benchmark).
+	// path.
 	eps := make([]*transport.Local, nodes)
 	for i := range eps {
 		eps[i] = transport.NewLocal(64)

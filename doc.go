@@ -19,14 +19,16 @@
 // Runnable entry points:
 //
 //   - cmd/syncbench — regenerate the paper's tables and figures, or (with
-//     -throughput) benchmark the live runtime's refresh-apply path
+//     -policy / -topology) compare sync policies and topology shapes on
+//     the live runtime
 //   - cmd/syncsim   — run one simulation with custom parameters
 //   - cmd/cachesyncd, cmd/sourceagent — live TCP cache and source daemons
 //   - examples/*    — library usage walkthroughs
 //
 // The benchmarks in bench_test.go map one-to-one onto the experiment
-// registry of internal/experiments, plus BenchmarkShardedApply and
-// BenchmarkBatchedTCP for the live hot path.
+// registry of internal/experiments, plus the simulation engines' per-run
+// cost; the live hot path is measured by the benchmark/ module
+// (BENCHMARK.json, bash benchmark/run.sh).
 //
 // Documentation lives under docs/: docs/README.md is the index,
 // docs/architecture.md maps the packages and the data flow,

@@ -25,7 +25,7 @@
 //
 // # Hierarchy
 //
-// A Relay composes both nodes into a middle tier: a Cache facing its
+// A Node composes both into a middle tier: a Cache facing its
 // upstream whose applied refreshes are re-exported (via the OnApply hook
 // and Source.UpdateFrom) as updates to a fan-out Source facing its
 // children, with provenance (wire.Refresh.Origin/Hops), loop-avoidance and
@@ -128,7 +128,7 @@ type CacheConfig struct {
 	// different objects may be reported concurrently from different
 	// workers. The slice is the worker's own buffer, valid only for the
 	// duration of the call (as OnForward's arguments are). This is the
-	// re-export hook a Relay uses to turn applied refreshes into updates for
+	// re-export hook a Node uses to turn applied refreshes into updates for
 	// its own downstream tier.
 	OnApply func([]wire.Refresh)
 	// OnForward, when non-nil, replaces OnApply for batches that arrive
@@ -141,14 +141,14 @@ type CacheConfig struct {
 	// OnApply it runs outside any shard lock but also outside apply order
 	// across batches — consumers needing per-object ordering must re-check
 	// against their own state. Frameless batches are unaffected and keep
-	// the OnApply contract. This is the splice-forwarding entry: a Relay
+	// the OnApply contract. This is the splice-forwarding entry: a Node
 	// uses it to re-export the inbound bytes without re-encoding.
 	OnForward func(rs []wire.Refresh, frame *codec.Frame, keep []bool)
 	// Reject, when non-nil, is consulted by the dispatcher for every
 	// incoming refresh before it reaches the apply path; returning true
 	// drops it (counted in CacheStats.Rejected). The piggybacked threshold
 	// is still observed — rejection is about the payload, not the
-	// protocol. A Relay uses this to drop refreshes that crossed a
+	// protocol. A Node uses this to drop refreshes that crossed a
 	// topology cycle: applying one would let the cycle peer's re-issued
 	// epoch capture the entry and shadow direct refreshes.
 	Reject func(wire.Refresh) bool

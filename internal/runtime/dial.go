@@ -32,7 +32,7 @@ func (c *deadConn) SendReply(wire.PollReply) error { return transport.ErrClosed 
 func (c *deadConn) Close() error                   { return nil }
 
 // DialDestinations dials every address and builds the fan-out destinations
-// a daemon passes to NewFanoutSource or NewRelay: each connection is
+// a daemon passes to NewFanoutSource or NewNode: each connection is
 // wrapped via wrap (nil = use as-is, e.g. pass a transport.Batcher
 // constructor for batched framing) and gets a Redial closure that re-dials
 // and re-wraps the same way, so sessions survive peer restarts. weights[i]

@@ -249,10 +249,10 @@ func TestRelayTotalBandwidthNormalizesFaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := NewRelay(RelayConfig{
+			r, err := NewNode(NodeConfig{
 				ID:             "r",
-				Cache:          CacheConfig{Bandwidth: tc.cacheBW},
-				ChildBandwidth: tc.child,
+				Intake:         CacheConfig{Bandwidth: tc.cacheBW},
+				PeerBandwidth:  tc.child,
 				TotalBandwidth: 120,
 			}, local, []Destination{{Conn: conn}})
 			if err != nil {
@@ -264,9 +264,9 @@ func TestRelayTotalBandwidthNormalizesFaces(t *testing.T) {
 				child.Close()
 			}()
 			st := r.Stats()
-			if math.Abs(st.UpBandwidth-tc.wantUp) > 1e-9 || math.Abs(st.DownBandwidth-tc.wantDn) > 1e-9 {
+			if math.Abs(st.IntakeBandwidth-tc.wantUp) > 1e-9 || math.Abs(st.PeerBandwidth-tc.wantDn) > 1e-9 {
 				t.Errorf("faces = %.1f/%.1f, want %.1f/%.1f (sum must be the 120 total)",
-					st.UpBandwidth, st.DownBandwidth, tc.wantUp, tc.wantDn)
+					st.IntakeBandwidth, st.PeerBandwidth, tc.wantUp, tc.wantDn)
 			}
 		})
 	}

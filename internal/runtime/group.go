@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -614,7 +613,7 @@ func (g *SessionGroup) memberDropsLocked(m *syncSession, keys []int, provs []Pro
 		drops[i] = false
 		p := &provs[i]
 		switch {
-		case restricted && (p.Origin == m.remoteID || slices.Contains(p.Via, m.remoteID)):
+		case restricted && p.passedThrough(m.remoteID):
 		case keys[i] < len(m.held) && m.held[keys[i]].covers(p.Epoch, p.Version):
 			m.heldSkips++
 		default:

@@ -129,18 +129,18 @@ func TestReexportStoreSkipsAheadChild(t *testing.T) {
 	leaf := NewCache(CacheConfig{ID: "leaf", Bandwidth: 10000, Tick: 5 * time.Millisecond}, leafNet)
 	defer leaf.Close()
 
-	newRelay := func() (*Relay, transport.SourceConn) {
+	newRelay := func() (*Node, transport.SourceConn) {
 		childConn, err := leafNet.Dial("relay-r")
 		if err != nil {
 			t.Fatal(err)
 		}
 		upNet := transport.NewLocal(16)
-		relay, err := NewRelay(RelayConfig{
-			ID:             "relay-r",
-			Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-			ChildBandwidth: 10000,
-			Metric:         metric.ValueDeviation,
-			Tick:           5 * time.Millisecond,
+		relay, err := NewNode(NodeConfig{
+			ID:            "relay-r",
+			Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+			PeerBandwidth: 10000,
+			Metric:        metric.ValueDeviation,
+			Tick:          5 * time.Millisecond,
 		}, upNet, []Destination{{CacheID: "leaf", Conn: childConn}})
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +194,7 @@ func TestReexportStoreSkipsAheadChild(t *testing.T) {
 	// the child — one of the two must fire, and the child must keep 30.
 	waitFor(t, 2*time.Second, func() bool {
 		heldSkips := 0
-		for _, sess := range relay2.Stats().Downstream.Sessions {
+		for _, sess := range relay2.Stats().Peers.Sessions {
 			heldSkips += sess.HeldSkips
 		}
 		return heldSkips > 0 || leaf.Stats().Stale > 0

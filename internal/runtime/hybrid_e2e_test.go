@@ -97,14 +97,14 @@ func testHybridThreeTier(t *testing.T, tcp bool) {
 		upDial = func() (transport.SourceConn, error) { return upLocal.Dial("hyb-root") }
 	}
 	defer upEp.Close()
-	relay, err := NewRelay(RelayConfig{
-		ID:             "hyb-relay",
-		Cache:          CacheConfig{Bandwidth: 4000, Tick: 5 * time.Millisecond, Policy: PolicyHybrid, Poll: PollConfig{ReSolveEvery: 150 * time.Millisecond, Seed: 2}},
-		ChildBandwidth: 4000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
-		ChildPolicy:    PolicyHybrid,
-		Hybrid:         fastMigration,
+	relay, err := NewNode(NodeConfig{
+		ID:            "hyb-relay",
+		Intake:        CacheConfig{Bandwidth: 4000, Tick: 5 * time.Millisecond, Policy: PolicyHybrid, Poll: PollConfig{ReSolveEvery: 150 * time.Millisecond, Seed: 2}},
+		PeerBandwidth: 4000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
+		PeerPolicy:    PolicyHybrid,
+		Hybrid:        fastMigration,
 	}, upEp, children)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func testHybridThreeTier(t *testing.T, tcp bool) {
 	// must redial and resynchronize rather than end.
 	closeLeaf0Conn()
 	waitFor(t, 5*time.Second, func() bool {
-		for _, sess := range relay.Stats().Downstream.Sessions {
+		for _, sess := range relay.Stats().Peers.Sessions {
 			if sess.CacheID == "hyb-leaf-0" && sess.Reconnects >= 1 {
 				return true
 			}
@@ -194,7 +194,7 @@ func testHybridThreeTier(t *testing.T, tcp bool) {
 	if st.Hybrid == nil || st.Hybrid.Promotions == 0 || st.Hybrid.PushObjects == 0 {
 		t.Errorf("root hybrid stats missing or idle: %+v", st.Hybrid)
 	}
-	rh := relay.Stats().Downstream.Hybrid
+	rh := relay.Stats().Peers.Hybrid
 	if rh == nil {
 		t.Fatal("relay child face reports no hybrid stats")
 	}

@@ -82,7 +82,7 @@ func TestSourceSuppressWithinThreshold(t *testing.T) {
 // TestRelayThresholdSuppressed pins the satellite counter end to end: a
 // relay tier whose child session is provably within its (frozen) threshold
 // defers the re-export fan-out and reports it as
-// RelayStats.ThresholdSuppressed, while the child keeps the last
+// NodeStats.ThresholdSuppressed, while the child keeps the last
 // over-threshold value.
 func TestRelayThresholdSuppressed(t *testing.T) {
 	childNet := transport.NewLocal(64)
@@ -93,9 +93,9 @@ func TestRelayThresholdSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	upNet := transport.NewLocal(64)
-	relay, err := NewRelay(RelayConfig{
+	relay, err := NewNode(NodeConfig{
 		ID:     "relay-1",
-		Cache:  CacheConfig{Bandwidth: 4000, Tick: 5 * time.Millisecond},
+		Intake: CacheConfig{Bandwidth: 4000, Tick: 5 * time.Millisecond},
 		Metric: metric.ValueDeviation,
 		Tick:   5 * time.Millisecond,
 		Params: pinnedParams(5),

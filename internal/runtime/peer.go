@@ -1,10 +1,9 @@
 // Peer faces: the symmetric node abstraction behind both the classic
 // relay tree and the cooperative cache mesh.
 //
-// Historically the runtime had two asymmetric faces — a Cache toward the
-// upstream and a fan-out Source toward children — glued together by Relay.
-// Node keeps the same two engines but treats every link as a PEER LINK: the
-// intake face accepts refreshes and poll replies from anyone (upstream,
+// A node is two engines — a Cache toward whoever sends to it and a fan-out
+// Source toward whoever it sends to — and treats every link as a PEER LINK:
+// the intake face accepts refreshes and poll replies from anyone (upstream,
 // lateral neighbor), and the peer face pushes applied values to — and
 // answers polls from — every attached peer out of the same local sharded
 // store. Freshness is decided by the origin-axis guard (wire.Refresh
@@ -45,7 +44,11 @@ type NodeConfig struct {
 	// allocation). Default 1000 (with TotalBandwidth set: half the total).
 	PeerBandwidth float64
 	// TotalBandwidth, when positive, puts the node's two faces under one
-	// shared budget; see RelayConfig.TotalBandwidth (identical semantics).
+	// shared budget: Intake.Bandwidth (intake processing) and PeerBandwidth
+	// (peer sends) become the initial split — defaulting to half each — and
+	// the periodic rebalance pass shifts budget between the faces from
+	// observed backlog. Zero keeps the faces on their independent static
+	// budgets.
 	TotalBandwidth float64
 	// Rebalance enables the periodic re-allocation passes on both the
 	// peer-session shares and (with TotalBandwidth) the face split.
@@ -104,11 +107,17 @@ type NodeStats struct {
 	// Forwarded counts applied refreshes re-exported as peer updates.
 	Forwarded int
 	// SuppressedBatches counts apply batches whose re-export was skipped
-	// because the node had no live peers.
+	// because the node had no live peers — the source-mutex round trip is
+	// not paid when nothing downstream would receive the updates. The first
+	// peer to (re)attach is seeded from the store instead.
 	SuppressedBatches int
 	// ThresholdSuppressed counts updates whose per-peer scheduling fan-out
 	// was deferred because every live peer session was provably within its
-	// threshold (SourceStats.SuppressedObserves on the peer face).
+	// threshold (SourceStats.SuppressedObserves on the peer face) — the
+	// re-export reached the store and the source's object state, but no
+	// per-session observe work was spent until the next flush tick (by
+	// which point most such updates have been superseded or still need no
+	// send).
 	ThresholdSuppressed int
 	// Looped counts refreshes rejected at intake because this node was
 	// already on their path (Via) or was their origin. Mirrored in
@@ -126,7 +135,10 @@ type NodeStats struct {
 	SplicedBatches   int
 	SplicedRefreshes int
 	SpliceFallbacks  int
-	// IntakeBandwidth and PeerBandwidth are the current face budgets.
+	// IntakeBandwidth and PeerBandwidth are the current face budgets: the
+	// cache face's processing rate and the peer face's send rate. With
+	// TotalBandwidth set they move on every face rebalance pass; otherwise
+	// they are the static configured values.
 	IntakeBandwidth float64
 	PeerBandwidth   float64
 	// FaceRebalances counts completed face re-allocation passes.
@@ -138,8 +150,8 @@ type NodeStats struct {
 // refreshes arrive on its intake endpoint, and toward its attached peers it
 // is a fan-out Source whose updates are the refreshes it just applied and
 // whose poll answers come from the same store, stamped with the stored
-// provenance (lateral serving). Relay is the tree-shaped compatibility
-// wrapper over Node.
+// provenance (lateral serving). A relay tier in a cache→cache tree is a Node
+// whose peers are its children.
 //
 // Provenance and loop-avoidance: re-exported refreshes keep the origin
 // source id (wire.Refresh.Origin) and carry an incremented hop count and
@@ -458,10 +470,15 @@ func (n *Node) reexport(applied []wire.Refresh) {
 
 // ReexportStore re-exports every locally cached entry to the peers as if it
 // had just been applied. This is the warm-up path for a node restarted from
-// a snapshot, and the catch-up path for the first peer attached after a
-// suppressed stretch; see Relay.ReexportStore for the full
-// snapshot-age-protection contract (held-version feedback keeps peers from
-// regressing).
+// a snapshot (loading one bypasses the apply hook), and the catch-up path
+// for the first peer attached after a suppressed stretch.
+//
+// Snapshot-age protection: a re-export carries this incarnation's sender
+// epoch but preserves the ORIGIN's version axis, so a peer holding a newer
+// value drops the stale re-export at intake and acknowledges its held
+// version on feedback (wire.Feedback.Held), which cancels the remaining
+// queued re-sends for objects the peer is already at-or-ahead of
+// (SessionStats.HeldSkips). The peer never regresses.
 //
 // The re-export happens under each shard's lock: a live apply for the same
 // object is thereby serialized against the snapshot read, so a racing

@@ -36,12 +36,12 @@ func TestRelayThreeTierLocal(t *testing.T) {
 	}
 
 	upNet := transport.NewLocal(64)
-	relay, err := NewRelay(RelayConfig{
-		ID:             "relay-1",
-		Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-		ChildBandwidth: 10000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay-1",
+		Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 10000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
 	}, upNet, children)
 	if err != nil {
 		t.Fatal(err)
@@ -105,13 +105,13 @@ func TestRelayThreeTierLocal(t *testing.T) {
 	if st.Looped != 0 || st.HopLimited != 0 {
 		t.Errorf("unexpected drops: looped=%d hopLimited=%d", st.Looped, st.HopLimited)
 	}
-	if st.Upstream.Refreshes < 2 {
-		t.Errorf("relay upstream applied %d refreshes, want ≥ 2", st.Upstream.Refreshes)
+	if st.Intake.Refreshes < 2 {
+		t.Errorf("relay upstream applied %d refreshes, want ≥ 2", st.Intake.Refreshes)
 	}
-	if len(st.Downstream.Sessions) != leaves {
-		t.Fatalf("relay runs %d child sessions, want %d", len(st.Downstream.Sessions), leaves)
+	if len(st.Peers.Sessions) != leaves {
+		t.Fatalf("relay runs %d child sessions, want %d", len(st.Peers.Sessions), leaves)
 	}
-	for i, sess := range st.Downstream.Sessions {
+	for i, sess := range st.Peers.Sessions {
 		if sess.Refreshes < 2 {
 			t.Errorf("child session %d sent %d refreshes, want ≥ 2", i, sess.Refreshes)
 		}
@@ -154,12 +154,12 @@ func TestRelayThreeTierTCP(t *testing.T) {
 	}
 	upEp := transport.Serve(upLn, 64)
 	defer upEp.Close()
-	relay, err := NewRelay(RelayConfig{
-		ID:             "tcp-relay",
-		Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-		ChildBandwidth: 10000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
+	relay, err := NewNode(NodeConfig{
+		ID:            "tcp-relay",
+		Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 10000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
 	}, upEp, children)
 	if err != nil {
 		t.Fatal(err)
@@ -206,13 +206,13 @@ func TestRelayThreeTierTCP(t *testing.T) {
 	// relay's child sessions, and the relay's surplus feeds the source.
 	waitFor(t, 5*time.Second, func() bool {
 		rst := relay.Stats()
-		if rst.Downstream.Feedbacks == 0 || rst.Upstream.Feedbacks == 0 {
+		if rst.Peers.Feedbacks == 0 || rst.Intake.Feedbacks == 0 {
 			return false
 		}
 		return src.Stats().Feedbacks > 0
 	}, "feedback on both tiers")
 	rst := relay.Stats()
-	for i, sess := range rst.Downstream.Sessions {
+	for i, sess := range rst.Peers.Sessions {
 		if sess.RemoteID != fmt.Sprintf("tcp-leaf-%d", i) && sess.Feedbacks > 0 {
 			t.Errorf("child session %d learned remote id %q, want tcp-leaf-%d", i, sess.RemoteID, i)
 		}
@@ -236,12 +236,12 @@ func TestRelayLoopAvoidance(t *testing.T) {
 	}
 
 	upNet := transport.NewLocal(16)
-	relay, err := NewRelay(RelayConfig{
-		ID:             "relay-x",
-		Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-		ChildBandwidth: 10000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay-x",
+		Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 10000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
 	}, upNet, []Destination{{CacheID: "leaf", Conn: childConn}})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRelayLoopAvoidance(t *testing.T) {
 	if _, ok := relay.Get("root/cycled-obj"); ok {
 		t.Error("path-cycled refresh was applied to the relay store")
 	}
-	if got := relay.Stats().Upstream.Rejected; got != 2 {
+	if got := relay.Stats().Intake.Rejected; got != 2 {
 		t.Errorf("upstream rejected = %d, want 2", got)
 	}
 	// Only the non-looped object ever reaches the leaf, carrying the
@@ -327,13 +327,13 @@ func TestRelayCycleTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id string, up transport.CacheEndpoint, child transport.SourceConn, childID string) *Relay {
-		relay, err := NewRelay(RelayConfig{
-			ID:             id,
-			Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-			ChildBandwidth: 10000,
-			Metric:         metric.ValueDeviation,
-			Tick:           5 * time.Millisecond,
+	mk := func(id string, up transport.CacheEndpoint, child transport.SourceConn, childID string) *Node {
+		relay, err := NewNode(NodeConfig{
+			ID:            id,
+			Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+			PeerBandwidth: 10000,
+			Metric:        metric.ValueDeviation,
+			Tick:          5 * time.Millisecond,
 		}, up, []Destination{{CacheID: childID, Conn: child}})
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +378,7 @@ func TestRelayCycleTerminates(t *testing.T) {
 	// even the guaranteed-rejected sends: further updates circulate
 	// exactly once and generate no new loop traffic at all.
 	waitFor(t, 5*time.Second, func() bool {
-		sess := relayB.Stats().Downstream.Sessions
+		sess := relayB.Stats().Peers.Sessions
 		return len(sess) == 1 && sess[0].RemoteID == "relay-a"
 	}, "relay B to learn relay A's identity")
 	loopedBefore := relayA.Stats().Looped
@@ -413,13 +413,13 @@ func TestRelayHopLimit(t *testing.T) {
 	}
 
 	upNet := transport.NewLocal(16)
-	relay, err := NewRelay(RelayConfig{
-		ID:             "relay-h",
-		Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-		ChildBandwidth: 10000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
-		MaxHops:        2,
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay-h",
+		Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 10000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
+		MaxHops:       2,
 	}, upNet, []Destination{{CacheID: "leaf", Conn: childConn}})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +466,7 @@ func TestRelayHopLimit(t *testing.T) {
 // ReexportStore pushes every restored entry through the normal re-export
 // path, guards included.
 func TestRelayReexportStore(t *testing.T) {
-	newRelayWithLeaf := func(id string) (*Relay, *Cache, transport.SourceConn) {
+	newRelayWithLeaf := func(id string) (*Node, *Cache, transport.SourceConn) {
 		leafNet := transport.NewLocal(16)
 		leaf := NewCache(CacheConfig{ID: id + "-leaf", Bandwidth: 10000, Tick: 5 * time.Millisecond}, leafNet)
 		t.Cleanup(func() { leaf.Close() })
@@ -475,12 +475,12 @@ func TestRelayReexportStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		upNet := transport.NewLocal(16)
-		relay, err := NewRelay(RelayConfig{
-			ID:             id,
-			Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-			ChildBandwidth: 10000,
-			Metric:         metric.ValueDeviation,
-			Tick:           5 * time.Millisecond,
+		relay, err := NewNode(NodeConfig{
+			ID:            id,
+			Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+			PeerBandwidth: 10000,
+			Metric:        metric.ValueDeviation,
+			Tick:          5 * time.Millisecond,
 		}, upNet, []Destination{{CacheID: id + "-leaf", Conn: childConn}})
 		if err != nil {
 			t.Fatal(err)
@@ -547,12 +547,12 @@ func TestRelaySuppressesReexportWithoutChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	upNet := transport.NewLocal(16)
-	relay, err := NewRelay(RelayConfig{
-		ID:             "relay-s",
-		Cache:          CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
-		ChildBandwidth: 10000,
-		Metric:         metric.ValueDeviation,
-		Tick:           5 * time.Millisecond,
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay-s",
+		Intake:        CacheConfig{Bandwidth: 10000, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 10000,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
 	}, upNet, []Destination{{CacheID: "leaf-a", Conn: childConn}})
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +581,7 @@ func TestRelaySuppressesReexportWithoutChildren(t *testing.T) {
 	}
 
 	// Child leaves: subsequent applies must be suppressed, not forwarded.
-	if err := relay.RemoveChild("leaf-a"); err != nil {
+	if err := relay.RemovePeer("leaf-a"); err != nil {
 		t.Fatal(err)
 	}
 	forwardedBefore := relay.Stats().Forwarded
@@ -607,7 +607,7 @@ func TestRelaySuppressesReexportWithoutChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := relay.AddChild(Destination{CacheID: "leaf-b", Conn: connB}); err != nil {
+	if err := relay.AddPeer(Destination{CacheID: "leaf-b", Conn: connB}); err != nil {
 		t.Fatal(err)
 	}
 	for obj, want := range map[string]float64{"root/a": 2, "root/b": 7} {
@@ -619,7 +619,8 @@ func TestRelaySuppressesReexportWithoutChildren(t *testing.T) {
 	}
 }
 
-// TestRelayConfigValidation: the relay owns the cache's identity and hooks.
+// TestRelayConfigValidation: the node owns the intake cache's identity and
+// hooks (NodeConfig.Intake.ID must stay zero), and a relay needs a child.
 func TestRelayConfigValidation(t *testing.T) {
 	upNet := transport.NewLocal(1)
 	leafNet := transport.NewLocal(1)
@@ -628,12 +629,12 @@ func TestRelayConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := NewRelay(RelayConfig{
-		Cache: CacheConfig{ID: "already-set"},
+	if _, err := NewNode(NodeConfig{
+		Intake: CacheConfig{ID: "already-set"},
 	}, upNet, []Destination{{Conn: conn}}); err == nil {
-		t.Error("RelayConfig with Cache.ID set was accepted")
+		t.Error("NodeConfig with Intake.ID set was accepted")
 	}
-	if _, err := NewRelay(RelayConfig{}, upNet, nil); err == nil {
+	if _, err := NewNode(NodeConfig{}, upNet, nil); err == nil {
 		t.Error("relay with no children was accepted")
 	}
 }

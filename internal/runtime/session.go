@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -208,11 +207,21 @@ func heldAtOrAhead(he int64, hv uint64, oe int64, ov uint64) bool {
 // Caller holds src.mu.
 func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
 	so := &ss.objs[o.key]
-	ss.demand -= so.tracker.Current()
 	so.sentVal, so.sentVer = o.value, o.version
-	so.tracker.Reset(now, 0)
-	ss.eng.Queue.Remove(o.key)
+	ss.unscheduleLocked(o.key, now)
 	ss.heldSkips++
+}
+
+// unscheduleLocked takes the object with queue key key out of this
+// session's schedule without a send. The tracker is zeroed too: divergence
+// toward an object this session will not send must not linger as rebalancer
+// demand, where it would earn share the session cannot spend. Caller holds
+// src.mu.
+func (ss *syncSession) unscheduleLocked(key int, now float64) {
+	so := &ss.objs[key]
+	ss.demand -= so.tracker.Current()
+	so.tracker.Reset(now, 0)
+	ss.eng.Queue.Remove(key)
 }
 
 // observeLocked folds a canonical-state change for object o into this
@@ -220,19 +229,13 @@ func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
 func (ss *syncSession) observeLocked(o *objState, now float64) {
 	key := o.key
 	so := &ss.objs[key]
-	if ss.remoteID != "" &&
-		(o.prov.Origin == ss.remoteID || slices.Contains(o.prov.Via, ss.remoteID)) {
+	if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
 		// Split horizon: the peer produced or already relayed this value,
 		// so its loop guard is guaranteed to reject a send — don't burn
-		// this session's bandwidth share advertising it back. (Until the
-		// peer's identity is learned from feedback the send happens and is
-		// rejected remotely — same outcome, one wasted message.) Zero the
-		// tracker too: divergence toward an object this session will never
-		// send must not linger as rebalancer demand, where it would earn
-		// share the session cannot spend.
-		ss.demand -= so.tracker.Current()
-		so.tracker.Reset(now, 0)
-		ss.eng.Queue.Remove(key)
+		// this session's bandwidth share advertising it back. (An object
+		// queued before feedback reveals the peer's identity is caught by
+		// the same check at send time; see flush.)
+		ss.unscheduleLocked(key, now)
 		return
 	}
 	if oe, ov := ss.src.originAxisLocked(o); so.held.covers(oe, ov) {
@@ -904,8 +907,7 @@ func (ss *syncSession) commitPolledLocked(it wire.PollItem, now float64) {
 // from different origins are incomparable. Caller holds src.mu.
 func (ss *syncSession) servableLocked(o *objState, known map[string]wire.KnownVersion) bool {
 	s := ss.src
-	if ss.remoteID != "" &&
-		(o.prov.Origin == ss.remoteID || slices.Contains(o.prov.Via, ss.remoteID)) {
+	if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
 		ss.pollOmits++
 		return false
 	}
@@ -1078,6 +1080,15 @@ func (ss *syncSession) flush(budget float64) float64 {
 			return budget
 		}
 		o := s.order[key]
+		if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
+			// Split horizon binds at send time: this object was queued
+			// before feedback revealed the peer's identity, so
+			// observeLocked could not exclude it. Drop it now, unsent and
+			// uncharged, as the group path does per batch.
+			ss.unscheduleLocked(key, s.now())
+			s.mu.Unlock()
+			continue
+		}
 		msg := wire.Refresh{
 			SourceID: s.cfg.ID,
 			ObjectID: o.id,

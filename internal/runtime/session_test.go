@@ -195,6 +195,63 @@ func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 	}
 }
 
+// TestSplitHorizonBindsAtSendTime is the regression test for the loop
+// rejections TestRelayCycleTerminates saw once in ten runs: split horizon
+// was checked only when an update was observed, so a relayed value queued
+// BEFORE feedback revealed the peer's identity was still sent (and rejected
+// by the peer's loop guard, a wasted message). The exclusion must bind at
+// send time: the flush drops the object unsent, keeps its budget and leaves
+// no demand behind.
+func TestSplitHorizonBindsAtSendTime(t *testing.T) {
+	local := transport.NewLocal(8)
+	defer local.Close()
+	conn, err := local.Dial("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := newFakeClock()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "s1", Metric: metric.ValueDeviation, Bandwidth: 1000,
+		Tick: time.Hour, Now: clock.Now, // the test drives flush by hand
+	}, []Destination{{CacheID: "c1", Conn: conn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	ss := src.sessions[0]
+
+	clock.advance(time.Second)
+	src.UpdateFromAll([]RelayedUpdate{{ObjectID: "x", Value: 42,
+		Prov: Provenance{Origin: "root", Hops: 2, Via: []string{"peer", "mid"}, Epoch: 1, Version: 1}}})
+	if p := src.Stats().Pending; p != 1 {
+		t.Fatalf("pending = %d, want 1 (the peer is still anonymous, so x must queue)", p)
+	}
+	if err := local.SendFeedback("s1", wire.Feedback{CacheID: "peer"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return src.Stats().Sessions[0].RemoteID == "peer"
+	}, "feedback to reveal the peer's identity")
+
+	clock.advance(time.Second)
+	if left := ss.flush(1); left != 1 {
+		t.Errorf("flush left budget %v, want 1 (an excluded object is not charged)", left)
+	}
+	if n := len(local.Batches()); n != 0 {
+		t.Errorf("%d batches sent to a peer already on the value's path, want 0", n)
+	}
+	st := src.Stats()
+	if st.Refreshes != 0 || st.Pending != 0 {
+		t.Errorf("refreshes=%d pending=%d, want 0/0", st.Refreshes, st.Pending)
+	}
+	src.mu.Lock()
+	demand := ss.demand
+	src.mu.Unlock()
+	if demand != 0 {
+		t.Errorf("session demand = %v, want 0 (an unsendable object must not earn share)", demand)
+	}
+}
+
 // TestSessionThresholdInterplay drives OnFeedback/OnRefreshSent through a
 // session and checks the Section 5 feedback loop end to end: the threshold
 // rises by α per refresh sent, falls by ω on feedback — and holds still

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -182,6 +183,13 @@ type Provenance struct {
 	Via     []string
 	Epoch   int64
 	Version uint64
+}
+
+// passedThrough reports whether node id produced this value or already
+// relayed it — the one test behind split horizon on every delivery path: a
+// send to such a peer is guaranteed to be rejected by its intake loop guard.
+func (p *Provenance) passedThrough(id string) bool {
+	return p.Origin == id || slices.Contains(p.Via, id)
 }
 
 // Source is a live source node. Applications call Update whenever a local

@@ -8,7 +8,7 @@
 // messages carry no payload of their own — receiving one *is* the signal to
 // decrease the local threshold — but may piggyback held-version
 // acknowledgements (Feedback.Held) so senders can skip re-sends the cache
-// already holds. For multi-tier topologies (runtime.Relay) a refresh also
+// already holds. For multi-tier topologies (runtime.Node) a refresh also
 // carries its originating source and a relay hop count, so loop-avoidance
 // and per-tier attribution work across cache→cache re-exports.
 //
@@ -97,7 +97,7 @@ func (h Hello) Validate() error {
 // their Misrouted statistic, which flags miswired fan-out (e.g. a proxy
 // routing a session to the wrong cache). Empty means the session has not
 // yet heard the cache identify itself.
-// In a cache→cache hierarchy (runtime.Relay) a refresh may have crossed
+// In a cache→cache hierarchy (runtime.Node) a refresh may have crossed
 // one or more relay tiers before reaching this hop. Origin names the node
 // the value was first produced on — relays preserve it while stamping their
 // own id as SourceID — Hops counts the relay tiers already traversed (the
