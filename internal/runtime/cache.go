@@ -619,9 +619,7 @@ const mergeInterval = time.Second
 // floor matters — with capacity below 1 + rate·tick, the cap truncates the
 // fractional remainder on every accrual cycle, silently taxing any budget
 // of 0.5–1 messages per tick down to one send every two ticks instead of
-// its allocated rate. Shared by the cache dispatcher and the sync-session
-// send loops, which both re-read their (possibly re-allocated) rate each
-// tick.
+// its allocated rate.
 func tokenBurst(rate float64, tick time.Duration) float64 {
 	b := rate * tick.Seconds() * 2
 	if b < 2 {
@@ -630,18 +628,37 @@ func tokenBurst(rate float64, tick time.Duration) float64 {
 	return b
 }
 
+// tokenBucket is the message allowance every paced loop of this package
+// spends from: the cache dispatcher, the poll scheduler, each sync session
+// and the session group. Spending is plain arithmetic on tokens — an
+// over-spend may push it negative, which simply delays the next spend until
+// amortized.
+type tokenBucket struct{ tokens float64 }
+
+// accrue adds dt seconds of allowance at rate msgs/second, capped at
+// tokenBurst. Callers pass their LIVE rate on every call — shares and
+// bandwidths move at runtime — so the cap follows it: an increase raises the
+// burst on the next accrual and a decrease caps tokens already accrued at the
+// old, higher rate.
+func (b *tokenBucket) accrue(rate, dt float64, tick time.Duration) {
+	b.tokens += rate * dt
+	if burst := tokenBurst(rate, tick); b.tokens > burst {
+		b.tokens = burst
+	}
+}
+
 func (c *Cache) loop() {
 	defer close(c.done)
 	ticker := time.NewTicker(c.cfg.Tick)
 	defer ticker.Stop()
-	budget := 0.0
+	var budget tokenBucket
 	batches := c.ep.Batches()
 	for {
 		// Gate the intake on the token bucket: with no budget left the
 		// dispatcher stops reading, the transport channel fills, and
 		// sources feel back-pressure.
 		in := batches
-		if budget < 1 {
+		if budget.tokens < 1 {
 			in = nil
 		}
 		select {
@@ -650,12 +667,7 @@ func (c *Cache) loop() {
 		case <-ticker.C:
 			// Re-read the budget each tick: SetBandwidth may have moved it
 			// (a relay re-splitting its face budgets).
-			bw := c.Bandwidth()
-			burst := tokenBurst(bw, c.cfg.Tick)
-			budget += bw * c.cfg.Tick.Seconds()
-			if budget > burst {
-				budget = burst
-			}
+			budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
 			// Surplus → positive feedback to highest-threshold sources,
 			// but only when truly drained: nothing waiting at the intake
 			// and nothing still queued for the shard workers. A backlogged
@@ -665,8 +677,8 @@ func (c *Cache) loop() {
 			// would skew equal-budget policy comparisons (the poll
 			// scheduler owns the whole message budget there).
 			if !c.cfg.Policy.CacheDriven() &&
-				len(batches) == 0 && c.outstanding.Load() == 0 && budget >= 1 {
-				budget -= float64(c.sendFeedback(int(budget)))
+				len(batches) == 0 && c.outstanding.Load() == 0 && budget.tokens >= 1 {
+				budget.tokens -= float64(c.sendFeedback(int(budget.tokens)))
 			}
 			c.maybeMergeStats()
 		case b, ok := <-in:
@@ -678,7 +690,7 @@ func (c *Cache) loop() {
 			// may push the bucket negative, which simply delays the next
 			// intake — the same accounting a message-at-a-time drain
 			// converges to.
-			budget -= float64(len(b.Refreshes))
+			budget.tokens -= float64(len(b.Refreshes))
 			c.dispatch(b)
 		}
 	}

@@ -5,9 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bestsync/internal/core"
-	"bestsync/internal/metric"
-	"bestsync/internal/priority"
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
 	"bestsync/internal/wire/codec"
@@ -98,17 +95,6 @@ type GroupStats struct {
 // count, so grouped and individual destinations keep comparable shares.
 const groupConsumerID = "(group)"
 
-// groupObj is the group's shared view of one object: the value/version last
-// scheduled for broadcast and the divergence accumulated against it — the
-// cohort-wide analogue of sessObj. Per-member divergence (held acks, split
-// horizon) stays on the members and is applied per batch. Kept by value in a
-// slice parallel to Source.order.
-type groupObj struct {
-	sentVal float64
-	sentVer uint64
-	tracker metric.Tracker
-}
-
 // groupBatch is one broadcast's shared payload: the refresh slice every
 // member send references and, when any member speaks the binary framing,
 // the one pre-encoded frame. It is reference-counted so the pooled buffers
@@ -172,22 +158,34 @@ type memberPlan struct {
 	rs     []wire.Refresh // fallback slice when !shared
 }
 
+// fanScratch is the working set of one fanoutLocked call, reused across
+// batches so steady-state fan-out allocates nothing: the delivery plan, the
+// overrun list and the per-worker enqueue buckets. Caller-supplied because
+// fan-outs run concurrently — the flusher uses the group's own, a splice
+// call (on a cache shard worker) a pooled one.
+type fanScratch struct {
+	plan    []memberPlan
+	overrun []*syncSession
+	buckets [][]sendItem
+}
+
 // SessionGroup coalesces the compatible members of a fan-out into one
-// scheduling pass, one encode, and one flush ticker. Scheduling state
-// (engine, objs, members, counters other than the atomics) is guarded by
-// src.mu; the flusher goroutine plans each broadcast under the lock and
-// hands the shared batch to the sender workers outside it, so a slow
-// member's TCP back-pressure never holds the scheduler.
+// scheduling pass, one encode, and one flush ticker: ONE scheduler (sched)
+// for the whole cohort, fed once per update instead of once per member.
+// Per-member divergence (held acks, split horizon) stays on the members and
+// is applied per batch. Scheduling state (sched, members, counters other
+// than the atomics) is guarded by src.mu; the flusher goroutine plans each
+// broadcast under the lock and hands the shared batch to the sender workers
+// outside it, so a slow member's TCP back-pressure never holds the
+// scheduler.
 type SessionGroup struct {
 	src *Source
 	cfg GroupConfig
 
 	// Guarded by src.mu.
-	eng       *core.Source
-	objs      []groupObj // parallel to src.order
+	sched
 	members   []*syncSession
 	rate      float64 // per-member share, msgs/s (aggregate / members)
-	demand    float64 // Σ tracker.Current() (rebalancer signal)
 	feedbacks int     // member feedback heard while grouped
 	windowFb  int     // feedbacks already folded into the rebalancer
 	batches   int
@@ -201,7 +199,7 @@ type SessionGroup struct {
 	// refresh by both the flush ticker (broadcastOnce) and the splice
 	// fast path (Source.forwardSpliced) — one bucket, so splicing never
 	// overspends the share the rebalancer granted the group.
-	budget     float64
+	budget     tokenBucket
 	lastAccrue float64 // protocol time of the last budget accrual
 	// splicedBatches/splicedRefreshes count forwardSpliced broadcasts.
 	splicedBatches   int
@@ -209,13 +207,13 @@ type SessionGroup struct {
 	next             int                 // round-robin worker assignment cursor
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
 	// The flusher's per-batch scratch (reused): the scheduled objects' queue
-	// keys and outgoing provenance, one member's exclusion mask, the delivery
-	// plan and the overrun list.
-	keyBuf     []int
-	provBuf    []Provenance
-	dropBuf    []bool
-	planBuf    []memberPlan
-	overrunBuf []*syncSession
+	// keys and outgoing provenance, and its fan-out working set. dropBuf is
+	// one member's exclusion mask, valid between memberDropsLocked and the
+	// next call, so it is shared by every fan-out under the lock.
+	keyBuf  []int
+	provBuf []Provenance
+	dropBuf []bool
+	fan     fanScratch
 
 	// Atomics shared with the sender workers.
 	delivered  atomic.Int64
@@ -226,9 +224,8 @@ type SessionGroup struct {
 	// detaches and close.
 	framesLive atomic.Int64
 
-	workers   []*groupWorker
-	workerBuf [][]sendItem // per-worker enqueue scratch (reused)
-	done      chan struct{}
+	workers []*groupWorker
+	done    chan struct{}
 }
 
 func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
@@ -236,13 +233,12 @@ func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
 	g := &SessionGroup{
 		src:        s,
 		cfg:        cfg,
-		eng:        core.NewSource(0, s.cfg.Params, core.PositiveFeedback),
+		sched:      newSched(&s.cfg),
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
 		done:       make(chan struct{}),
 	}
 	g.workers = make([]*groupWorker, cfg.Workers)
-	g.workerBuf = make([][]sendItem, cfg.Workers)
 	for i := range g.workers {
 		w := &groupWorker{g: g, done: make(chan struct{})}
 		w.cond = sync.NewCond(&w.mu)
@@ -253,23 +249,13 @@ func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
 	return g
 }
 
-// attachLocked adds a fully synchronized member to the group. Its per-object
-// session state collapses to the shared group state — the O(members ×
-// objects) memory the group exists to avoid — keeping only the acks it has
-// heard (syncSession.held; nothing at all for a member never acked). Caller
-// holds src.mu and reallocates after.
+// attachLocked adds a fully synchronized member to the group. Its scheduler
+// goes idle — the shared group state replaces the per-object records, the
+// O(members × objects) memory the group exists to avoid — and only the acks
+// it has heard stay with it (syncSession.held; nothing at all for a member
+// never acked). Caller holds src.mu and reallocates after.
 func (g *SessionGroup) attachLocked(m *syncSession) {
-	m.held = nil
-	for k := range m.objs {
-		if h := m.objs[k].held; h.epoch != 0 {
-			if m.held == nil {
-				m.held = make([]heldAxis, len(m.objs))
-			}
-			m.held[k] = h
-		}
-	}
-	m.objs = nil
-	m.demand = 0
+	m.reset(0)
 	m.grouped = true
 	m.wantGroup = true
 	m.detached = make(chan struct{})
@@ -284,12 +270,12 @@ func (g *SessionGroup) attachLocked(m *syncSession) {
 }
 
 // detachLocked drops a member back to its individual session path. With
-// resync the member's per-object state is rebuilt zeroed and every object
-// re-observed — the full re-sync contract redial uses, conservative because
-// the group cannot know which broadcasts the member actually received (its
-// held acks survive, so objects the cache proved it holds are not re-sent).
-// Without resync the member is leaving the topology (removal/shutdown) and
-// keeps no state. Caller holds src.mu and reallocates after.
+// resync every object is re-registered as never-sent and re-observed — the
+// full re-sync contract redial uses, conservative because the group cannot
+// know which broadcasts the member actually received (its held acks survive,
+// so objects the cache proved it holds are not re-sent). Without resync the
+// member is leaving the topology (removal/shutdown) and keeps no state.
+// Caller holds src.mu and reallocates after.
 func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
 	if !m.grouped {
 		return
@@ -304,69 +290,10 @@ func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
 	g.detaches++
 	close(m.detached)
 	m.groupConn, m.groupFS = nil, nil
-	held := m.held
-	m.held = nil
-	if !resync {
-		return
-	}
-	s := g.src
-	now := s.now()
-	m.objs = make([]sessObj, len(s.order))
-	for k, h := range held {
-		m.objs[k].held = h
-	}
-	m.demand = 0
-	for _, o := range s.order {
-		m.observeLocked(o, now)
-	}
-}
-
-// observeLocked folds a canonical-state change into the group's shared
-// tracker and priority queue — the group-delivery analogue of
-// syncSession.observeLocked, run once per update instead of once per
-// member. Allocation-free in steady state (tracker update + heap upsert).
-// Per-member exclusions (held acks, split horizon) are applied per batch at
-// broadcast time, not here. Caller holds src.mu.
-func (g *SessionGroup) observeLocked(o *objState, now float64) {
-	gobj := &g.objs[o.key]
-	d := metric.Divergence(g.src.cfg.Metric, g.src.cfg.Delta,
-		int(o.version-gobj.sentVer), o.value, gobj.sentVal)
-	if gobj.sentVer == 0 && d == 0 {
-		// Never broadcast: members hold no copy, register the object.
-		d = 1
-	}
-	g.demand += d - gobj.tracker.Current()
-	gobj.tracker.Update(now, d)
-	g.requeueLocked(o, now)
-}
-
-// requeueLocked recomputes an object's broadcast priority. Caller holds
-// src.mu.
-func (g *SessionGroup) requeueLocked(o *objState, now float64) {
-	s := g.src
-	key := o.key
-	w := 1.0
-	if s.cfg.Weight != nil {
-		w = s.cfg.Weight(o.id)
-	}
-	lambda := 0.0
-	if span := now - o.firstAt; span > 0 && o.updates > 1 {
-		lambda = float64(o.updates) / span
-	}
-	gobj := &g.objs[key]
-	p := priority.Compute(s.cfg.PriorityFn, priority.Inputs{
-		Now:         now,
-		LastRefresh: gobj.tracker.LastReset(),
-		Divergence:  gobj.tracker.Current(),
-		Integral:    gobj.tracker.Integral(now),
-		Weight:      w,
-		Lambda:      lambda,
-		Updates:     gobj.tracker.UpdatesBehind(),
-	})
-	if p > 0 {
-		g.eng.Queue.Upsert(key, p)
+	if resync {
+		m.resyncLocked(g.src.now())
 	} else {
-		g.eng.Queue.Remove(key)
+		m.held = nil
 	}
 }
 
@@ -398,15 +325,22 @@ func (g *SessionGroup) loop() {
 // tick, so splice broadcasts landing between ticks draw on real elapsed
 // budget instead of a stale snapshot. Caller holds src.mu.
 func (g *SessionGroup) accrueLocked(now float64) {
-	dt := now - g.lastAccrue
-	if dt <= 0 {
-		return
+	if dt := now - g.lastAccrue; dt > 0 {
+		g.lastAccrue = now
+		g.budget.accrue(g.rate, dt, g.src.cfg.Tick)
 	}
-	g.lastAccrue = now
-	g.budget += g.rate * dt
-	if burst := tokenBurst(g.rate, g.src.cfg.Tick); g.budget > burst {
-		g.budget = burst
-	}
+}
+
+// scheduleLocked commits object o as broadcast at now and charges the shared
+// bucket for it. Shared sent-state is committed at schedule time, not delivery
+// time: the group never retries or reschedules for one member. A member that
+// misses a batch — excluded, queue-overrun, send failed, detached mid-flight —
+// is healed by its individual re-sync path, the same contract redial has
+// always had. Caller holds src.mu.
+func (g *SessionGroup) scheduleLocked(o *objState, now float64) {
+	g.commitPush(o, o.value, o.version, now, now)
+	g.scheduled++
+	g.budget.tokens--
 }
 
 // broadcastOnce runs one scheduling pass and fans the resulting batch to
@@ -414,12 +348,6 @@ func (g *SessionGroup) accrueLocked(now float64) {
 // source mutex, the frame is encoded once outside it, and each member's
 // send is queued to its sharded worker. Returns false when nothing was over
 // threshold or the token bucket ran dry.
-//
-// Shared sent-state is committed at schedule time, not delivery time: the
-// group never retries or reschedules for one member. A member that misses a
-// batch — excluded, queue-overrun, send failed, detached mid-flight — is
-// healed by its individual re-sync path, the same contract redial has
-// always had.
 func (g *SessionGroup) broadcastOnce() bool {
 	s := g.src
 	b := groupBatchPool.Get().(*groupBatch)
@@ -431,43 +359,22 @@ func (g *SessionGroup) broadcastOnce() bool {
 	g.accrueLocked(now)
 	epoch := s.started.UnixNano()
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	for g.budget >= 1 && len(b.rs) < g.cfg.MaxBatch {
+	for g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
 		key, _, ok := g.eng.ShouldSend()
 		if !ok {
 			g.eng.SetLimited(false)
 			break
 		}
 		o := s.order[key]
-		b.rs = append(b.rs, wire.Refresh{
-			SourceID: s.cfg.ID,
-			ObjectID: o.id,
-			// No CacheID stamp: the frame is shared by the whole cohort, so
-			// it cannot carry any single member's identity. Caches treat an
-			// empty stamp as unaddressed, never as misrouted; the
-			// member-filtered fallback copies below are stamped normally.
-			Origin:        o.prov.Origin,
-			Hops:          o.prov.Hops,
-			Via:           o.prov.Via,
-			OriginEpoch:   o.prov.Epoch,
-			OriginVersion: o.prov.Version,
-			Value:         o.value,
-			Version:       o.version,
-			Epoch:         epoch,
-			Threshold:     g.eng.Threshold(),
-			SentUnix:      sentUnix,
-		})
+		// No CacheID stamp: the frame is shared by the whole cohort, so it
+		// cannot carry any single member's identity. Caches treat an empty
+		// stamp as unaddressed, never as misrouted; the member-filtered
+		// fallback copies are stamped normally.
+		b.rs = append(b.rs, g.refresh(o, "", epoch, sentUnix))
 		prov := o.prov
 		prov.Epoch, prov.Version = s.originAxisLocked(o)
 		keys, provs = append(keys, key), append(provs, prov)
-		gobj := &g.objs[key]
-		g.demand -= gobj.tracker.Current()
-		gobj.sentVal, gobj.sentVer = o.value, o.version
-		gobj.tracker.Reset(now, 0)
-		g.eng.Queue.Remove(key)
-		g.eng.OnRefreshSent(now)
-		g.eng.ClampThreshold()
-		g.scheduled++
-		g.budget--
+		g.scheduleLocked(o, now)
 	}
 	g.keyBuf, g.provBuf = keys, provs
 	if len(b.rs) == 0 {
@@ -476,16 +383,34 @@ func (g *SessionGroup) broadcastOnce() bool {
 		groupBatchPool.Put(b)
 		return false
 	}
-	_, _, want := g.eng.ShouldSend()
-	g.eng.SetLimited(want)
-	g.batches++
+	g.fanoutLocked(&g.fan, b, keys, provs, nil, func() *codec.Frame {
+		return codec.NewBatchFrame(b.rs, sentUnix)
+	})
+	return true
+}
 
+// fanoutLocked delivers one scheduled batch to every member — the one path
+// from "these objects were committed" to the sender workers, whatever
+// scheduled them. keys and provs are the batch's queue keys and outgoing
+// provenance, in batch order. The two callers differ only in where the bytes
+// come from: encode builds the shared frame (encode-once for the flusher, a
+// splice of the inbound frame for a relay), and decode, when non-nil, builds
+// the decoded form b.rs lazily — the splice path has none until a gob member
+// or an exclusion that actually fires needs it. Caller holds src.mu with the
+// batch scheduled and b holding the caller's one reference; fanoutLocked
+// releases both.
+func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, provs []Provenance,
+	decode func() []wire.Refresh, encode func() *codec.Frame) {
+	s := g.src
+	g.limit()
+	g.batches++
+	// Split horizon works on the OUTGOING provenance (origin + via; on a
+	// relay that already ends with this node's id — no member carries it).
 	g.restrictLocked(provs)
 
 	// Plan each member's delivery under the lock; execute outside it.
-	plan := g.planBuf[:0]
-	overrun := g.overrunBuf[:0]
-	needFrame := false
+	plan, overrun := fs.plan[:0], fs.overrun[:0]
+	needFrame, needDecoded := false, false
 	for _, m := range g.members {
 		if int(m.inflight.Load()) >= g.cfg.Queue {
 			// The member's connection is not draining: detach it below
@@ -495,30 +420,40 @@ func (g *SessionGroup) broadcastOnce() bool {
 		}
 		var mrs []wire.Refresh
 		dropped := g.memberDropsLocked(m, keys, provs)
-		if dropped == len(b.rs) {
+		switch {
+		case dropped == len(keys):
 			continue // everything in this batch is excluded for the member
-		}
-		if dropped > 0 {
+		case dropped > 0:
+			if len(b.rs) == 0 {
+				b.rs = decode()
+			}
 			mrs = memberCopy(b.rs, g.dropBuf, dropped, m.remoteID)
 			g.fallbacks++
-		} else if m.groupFS != nil {
+		case m.groupFS != nil:
 			needFrame = true
+		default:
+			needDecoded = true // gob members need the decoded form
 		}
 		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
 	}
 	s.mu.Unlock()
 
 	if needFrame {
-		b.frame = codec.NewBatchFrame(b.rs, sentUnix)
+		b.frame = encode()
 		g.framesLive.Add(1)
 	}
-	buckets := g.workerBuf
+	if needDecoded && len(b.rs) == 0 {
+		b.rs = decode()
+	}
+	for len(fs.buckets) < len(g.workers) {
+		fs.buckets = append(fs.buckets, nil)
+	}
 	for _, p := range plan {
 		it := sendItem{sess: p.m, conn: p.conn}
 		if p.shared {
 			b.refs.Add(1)
 			it.batch = b
-			it.n = len(b.rs)
+			it.n = len(keys)
 			if p.fs != nil {
 				b.frame.Retain()
 				it.frame = b.frame
@@ -531,9 +466,9 @@ func (g *SessionGroup) broadcastOnce() bool {
 			it.n = len(p.rs)
 		}
 		p.m.inflight.Add(1)
-		buckets[p.m.workerIdx] = append(buckets[p.m.workerIdx], it)
+		fs.buckets[p.m.workerIdx] = append(fs.buckets[p.m.workerIdx], it)
 	}
-	for wi, items := range buckets {
+	for wi, items := range fs.buckets {
 		if len(items) == 0 {
 			continue
 		}
@@ -542,10 +477,9 @@ func (g *SessionGroup) broadcastOnce() bool {
 		w.queue = append(w.queue, items...)
 		w.cond.Signal()
 		w.mu.Unlock()
-		buckets[wi] = items[:0]
+		fs.buckets[wi] = items[:0] // the worker queue copied every item
 	}
 	b.release()
-	g.planBuf = plan[:0]
 
 	if len(overrun) > 0 {
 		s.mu.Lock()
@@ -558,8 +492,9 @@ func (g *SessionGroup) broadcastOnce() bool {
 		s.reallocateLocked()
 		s.mu.Unlock()
 	}
-	g.overrunBuf = overrun[:0]
-	return true
+	// Hand any regrown buffers back to the scratch so their capacity is
+	// reused by the next batch.
+	fs.plan, fs.overrun = plan[:0], overrun[:0]
 }
 
 // restrictLocked rebuilds the split-horizon identity set for a batch: every

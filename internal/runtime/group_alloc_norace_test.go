@@ -8,6 +8,7 @@ package runtime
 import (
 	"fmt"
 	stdruntime "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,10 +67,12 @@ func TestGroupUpdateSteadyStateAllocs(t *testing.T) {
 func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 	const objects, batch = 1024, 64
 	for _, hook := range []bool{false, true} {
-		applied := 0
+		// The hook runs on both shard workers at once, and this file is
+		// never built under the race detector: count atomically.
+		var applied atomic.Int64
 		var onApply func([]wire.Refresh)
 		if hook {
-			onApply = func(rs []wire.Refresh) { applied += len(rs) }
+			onApply = func(rs []wire.Refresh) { applied.Add(int64(len(rs))) }
 		}
 		c := quietCache(2, onApply)
 		batches := make([][]wire.Refresh, objects/batch)
@@ -98,8 +101,8 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 		if got := c.Stats().Refreshes - before; got != 11*objects {
 			t.Errorf("hook=%v: %d refreshes applied during the measurement, want %d", hook, got, 11*objects)
 		}
-		if hook && applied != 13*objects {
-			t.Errorf("OnApply saw %d refreshes, want %d", applied, 13*objects)
+		if got := applied.Load(); hook && got != 13*objects {
+			t.Errorf("OnApply saw %d refreshes, want %d", got, 13*objects)
 		}
 		if allocs > 0 {
 			t.Errorf("hook=%v: re-applying %d refreshes allocated %.0f times, want 0", hook, objects, allocs)

@@ -116,7 +116,7 @@ func newHybridController(cfg HybridConfig) *hybridController {
 }
 
 // ensure grows the per-object table through key (the source's intern
-// index), mirroring how sessObj slices grow with the store.
+// index), mirroring how schedObj slices grow with the store.
 func (hc *hybridController) ensure(key int) *hybridObj {
 	for len(hc.objs) <= key {
 		hc.objs = append(hc.objs, &hybridObj{})

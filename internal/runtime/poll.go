@@ -244,7 +244,7 @@ func (ps *pollScheduler) loop() {
 	defer ticker.Stop()
 	start := c.cfg.Now()
 	now := func() float64 { return c.cfg.Now().Sub(start).Seconds() }
-	budget := 0.0
+	var budget tokenBucket
 	replies := ps.pe.Replies()
 	nextSolve := ps.cfg.ReSolveEvery.Seconds()
 	for {
@@ -256,14 +256,9 @@ func (ps *pollScheduler) loop() {
 				replies = nil
 				continue
 			}
-			budget -= ps.processReply(r, now())
+			budget.tokens -= ps.processReply(r, now())
 		case <-ticker.C:
-			bw := c.Bandwidth()
-			burst := tokenBurst(bw, c.cfg.Tick)
-			budget += bw * c.cfg.Tick.Seconds()
-			if budget > burst {
-				budget = burst
-			}
+			budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
 			if c.cfg.Policy == PolicyHybrid {
 				// One cache-side budget across both regimes: refreshes the
 				// push half landed since the last tick (total applies minus
@@ -273,13 +268,13 @@ func (ps *pollScheduler) loop() {
 				// the source's shared push/answer token bucket.
 				pushed := c.Stats().Refreshes - ps.installs
 				if d := pushed - ps.lastPushed; d > 0 {
-					budget -= float64(d)
+					budget.tokens -= float64(d)
 				}
 				ps.lastPushed = pushed
 			}
 			t := now()
-			budget -= ps.discoverNew(cost)
-			budget -= ps.sendDue(t, cost, budget)
+			budget.tokens -= ps.discoverNew(cost)
+			budget.tokens -= ps.sendDue(t, cost, budget.tokens)
 			if t >= nextSolve {
 				ps.solve(t)
 				nextSolve += ps.cfg.ReSolveEvery.Seconds()

@@ -1,0 +1,224 @@
+package runtime
+
+import (
+	"bestsync/internal/core"
+	"bestsync/internal/metric"
+	"bestsync/internal/priority"
+	"bestsync/internal/wire"
+)
+
+// schedObj is one receiver cohort's view of one object: the value/version
+// the cohort was last sent and the divergence accumulated against it. The
+// canonical object state (current value, version, update counts) lives in
+// Source.objState; a scheduler only tracks what its receivers are missing.
+// Kept by value in a slice parallel to Source.order: no heap object per
+// (cohort, object).
+type schedObj struct {
+	sentVal float64
+	sentVer uint64
+	tracker metric.Tracker
+}
+
+// sched is the paper's §5 source toward one receiver cohort: a priority
+// queue of diverged objects, the adaptive threshold T_j (both inside the
+// core.Source engine) and the per-object divergence records that feed them.
+// A syncSession holds one for its single cache, the SessionGroup one for
+// all of its members — a session is a cohort of one — so every delivery
+// path observes, ranks and commits through the same code. §8.2 (a priority
+// changes only when divergence does) is what keeps it event-driven: observe
+// and commit are the only places a priority is computed.
+//
+// All of it is guarded by the owning Source's mutex. Nothing here allocates
+// in steady state, and nothing may start to: observe and commit run once per
+// update on the hot path.
+type sched struct {
+	scfg *SourceConfig // the owning Source's configuration, immutable after construction
+	eng  *core.Source
+	// objs is parallel to Source.order: entry k is this cohort's record of
+	// the object with queue key k. nil on a scheduler that is not scheduling
+	// (a grouped member, an ended session).
+	objs []schedObj
+	// demand is the running Σ tracker.Current() over objs, the rebalancer's
+	// outstanding-divergence signal, maintained incrementally so a
+	// rebalance pass never walks the objects.
+	demand float64
+	// hyb is the per-object migration controller under PolicyHybrid (nil
+	// otherwise): it decides which objects this scheduler pushes and which
+	// it leaves to the cache's poll schedule.
+	hyb *hybridController
+}
+
+func newSched(cfg *SourceConfig) sched {
+	sc := sched{scfg: cfg, eng: core.NewSource(0, cfg.Params, core.PositiveFeedback)}
+	if cfg.Policy == PolicyHybrid {
+		sc.hyb = newHybridController(cfg.Hybrid)
+	}
+	return sc
+}
+
+// reset forgets everything the cohort was sent: n never-sent records and no
+// demand. The caller re-observes every object, which re-ranks the queue.
+func (sc *sched) reset(n int) {
+	sc.objs, sc.demand = nil, 0
+	if n > 0 {
+		sc.objs = make([]schedObj, n)
+	}
+}
+
+// observe folds a canonical-state change for object o into the cohort's
+// divergence tracker and priority queue.
+func (sc *sched) observe(o *objState, now float64) {
+	so := &sc.objs[o.key]
+	d := metric.Divergence(sc.scfg.Metric, sc.scfg.Delta,
+		int(o.version-so.sentVer), o.value, so.sentVal)
+	if so.sentVer == 0 && d == 0 {
+		// Nothing has ever been sent to this cohort: it holds no copy at
+		// all, so even a value matching the zero baseline must be
+		// propagated to register the object.
+		d = 1
+	}
+	if sc.hyb != nil {
+		sc.hyb.observe(o.key, d-so.tracker.Current(), now)
+	}
+	sc.demand += d - so.tracker.Current()
+	so.tracker.Update(now, d)
+	sc.requeue(o, now)
+}
+
+// requeue recomputes object o's refresh priority and syncs the engine
+// queue. Under the hybrid policy only push-set objects are queued: a
+// poll-set object stays fully tracked — divergence and demand keep
+// accumulating, which is what a later promotion ranks it by — but the
+// cache's poll schedule owns its freshness, so queueing it here would
+// double-spend the shared budget.
+func (sc *sched) requeue(o *objState, now float64) {
+	key := o.key
+	if sc.hyb != nil && !sc.hyb.pushed(key) {
+		sc.eng.Queue.Remove(key)
+		return
+	}
+	w := 1.0
+	if sc.scfg.Weight != nil {
+		w = sc.scfg.Weight(o.id)
+	}
+	lambda := 0.0
+	if span := now - o.firstAt; span > 0 && o.updates > 1 {
+		lambda = float64(o.updates) / span
+	}
+	tr := &sc.objs[key].tracker
+	p := priority.Compute(sc.scfg.PriorityFn, priority.Inputs{
+		Now:         now,
+		LastRefresh: tr.LastReset(),
+		Divergence:  tr.Current(),
+		Integral:    tr.Integral(now),
+		Weight:      w,
+		Lambda:      lambda,
+		Updates:     tr.UpdatesBehind(),
+	})
+	if p > 0 {
+		sc.eng.Queue.Upsert(key, p)
+	} else {
+		sc.eng.Queue.Remove(key)
+	}
+}
+
+// commit records that the cohort holds (value, version) of object o: a
+// refresh built at builtAt and committed at now, a poll answer, or an ack
+// proving the cache already has it. A refresh is a snapshot taken when it
+// was built, so the tracker restarts there with divergence zero, and
+// whatever landed since is re-observed at now against the new sent-state —
+// a priority a racing Update computed against the OLD one must not linger in
+// the heap, where it would overstate the residual and bypass the threshold
+// filter. The residual keeps the area it accrued, (now−builtAt)·D > 0, so it
+// is queued: after any commit, D > 0 ⇒ queued (or, under hybrid, in the poll
+// set), which is what makes the source converge once updates stop and
+// feedback has lowered the threshold. With nothing newer the area restarts at
+// zero and the object leaves the queue until the next update re-ranks it (the
+// §8.2 event-driven discipline).
+//
+// The two owners differ only in WHEN they call this: a session after the send
+// succeeded (a failed send commits nothing and is retried), the group at
+// schedule time under the same lock hold that built the refresh, where
+// builtAt == now and no residual can exist.
+func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now float64) {
+	so := &sc.objs[o.key]
+	sc.demand -= so.tracker.Current()
+	so.sentVal, so.sentVer = value, version
+	so.tracker.Reset(builtAt, 0)
+	if o.version == version {
+		sc.eng.Queue.Remove(o.key)
+		return
+	}
+	d := metric.Divergence(sc.scfg.Metric, sc.scfg.Delta,
+		int(o.version-version), o.value, value)
+	sc.demand += d
+	so.tracker.Update(now, d)
+	sc.requeue(o, now)
+}
+
+// commitPush is commit for a refresh the §5 engine itself scheduled: the
+// send also raises the threshold (T_j ·= α·β).
+func (sc *sched) commitPush(o *objState, value float64, version uint64, builtAt, now float64) {
+	sc.commit(o, value, version, builtAt, now)
+	sc.eng.OnRefreshSent(now)
+	sc.eng.ClampThreshold()
+}
+
+// unschedule takes the object with queue key key out of the schedule without
+// a send and without touching sent-state. The tracker is zeroed too:
+// divergence toward an object this cohort will not be sent must not linger as
+// rebalancer demand, where it would earn share the scheduler cannot spend.
+func (sc *sched) unschedule(key int, now float64) {
+	so := &sc.objs[key]
+	sc.demand -= so.tracker.Current()
+	so.tracker.Reset(now, 0)
+	sc.eng.Queue.Remove(key)
+}
+
+// deviates reports whether object o is worth a refresh at threshold t: the
+// cohort holds no copy at all, or the value differs from the copy it was sent
+// by at least t. Exact only under the value-deviation metric with the default
+// |V1−V2| delta — callers check that shape before trusting it.
+func (sc *sched) deviates(o *objState, t float64) bool {
+	so := &sc.objs[o.key]
+	if so.sentVer == 0 {
+		return true
+	}
+	d := o.value - so.sentVal
+	if d < 0 {
+		d = -d
+	}
+	return d >= t
+}
+
+// refresh builds the message that carries object o's current value to the
+// cohort, piggybacking the scheduler's threshold. cacheID is the receiver's
+// self-reported identity, empty on a frame the whole group shares.
+func (sc *sched) refresh(o *objState, cacheID string, epoch, sentUnix int64) wire.Refresh {
+	return wire.Refresh{
+		SourceID: sc.scfg.ID,
+		ObjectID: o.id,
+		CacheID:  cacheID,
+		// Provenance for multi-tier topologies: a relay re-exports with the
+		// originating source, incremented hop count, relay path and the
+		// origin's preserved version axis; locally produced values carry the
+		// zero provenance (their origin axis IS Epoch/Version).
+		Origin:        o.prov.Origin,
+		Hops:          o.prov.Hops,
+		Via:           o.prov.Via,
+		OriginEpoch:   o.prov.Epoch,
+		OriginVersion: o.prov.Version,
+		Value:         o.value,
+		Version:       o.version,
+		Epoch:         epoch,
+		Threshold:     sc.eng.Threshold(),
+		SentUnix:      sentUnix,
+	}
+}
+
+// limit tells the engine whether the scheduler stopped with sendable work
+// left — a source at full capacity ignores positive feedback (§5).
+func (sc *sched) limit() {
+	_, _, want := sc.eng.ShouldSend()
+	sc.eng.SetLimited(want)
+}

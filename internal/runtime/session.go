@@ -4,9 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bestsync/internal/core"
-	"bestsync/internal/metric"
-	"bestsync/internal/priority"
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
 )
@@ -67,22 +64,6 @@ type SessionStats struct {
 	Hybrid *HybridStats
 }
 
-// sessObj is one session's view of one object: the value/version last
-// successfully sent to THIS session's cache and the divergence accumulated
-// against it. The canonical object state (current value, version, update
-// counts) lives in Source.objState; sessions only track what their cache
-// is missing. held records the newest origin-axis version the cache has
-// ACKNOWLEDGED holding (wire.Feedback.Held). A scheduled send whose origin
-// axis is at-or-behind the ack is skipped — the cache provably already has
-// it. Sessions keep these records by value in a slice parallel to
-// Source.order: no heap object per (session, object).
-type sessObj struct {
-	sentVal float64
-	sentVer uint64
-	held    heldAxis
-	tracker metric.Tracker
-}
-
 // heldAxis is an acknowledged origin-axis version; the zero value (epoch 0)
 // means no ack yet.
 type heldAxis struct {
@@ -102,14 +83,14 @@ func (h heldAxis) before(n heldAxis) bool {
 }
 
 // syncSession drives the Section 5 protocol toward one downstream cache:
-// it owns the per-destination scheduling state — divergence trackers
-// relative to what that cache has been sent, the priority queue, the
-// core.Source threshold engine, the token-bucket send budget — plus the
-// connection and its feedback stream. A Source fans every Update into all
-// of its sessions; each session then converges independently, so a slow or
-// throttled cache never holds back the others.
+// it owns the per-destination scheduler (sched: divergence trackers relative
+// to what that cache has been sent, the priority queue, the core.Source
+// threshold engine), the token-bucket send budget, the connection and its
+// feedback stream. A Source fans every Update into all of its sessions; each
+// session then converges independently, so a slow or throttled cache never
+// holds back the others.
 //
-// Locking: all scheduling state (objs, engine, counters) is guarded by the
+// Locking: all scheduling state (sched, held, counters) is guarded by the
 // owning Source's mutex; only the session's own goroutine (loop/flush)
 // sends on the connection, and sends happen outside the lock so that
 // cache-side back-pressure — the paper's network queueing — stalls just
@@ -117,20 +98,19 @@ func (h heldAxis) before(n heldAxis) bool {
 type syncSession struct {
 	src  *Source
 	dest Destination
-	eng  *core.Source
 
-	// Guarded by src.mu. objs is parallel to src.order: entry k is this
-	// session's view of the object with queue key k. dest.Conn is
-	// also guarded by src.mu: a redial swaps it while flush and Close read
-	// it. rate and weight are re-assigned by reallocateLocked whenever the
-	// topology or the rebalancer moves shares; the loop re-reads rate each
-	// tick rather than freezing it at start.
+	// Guarded by src.mu. The scheduler idles while the session is attached
+	// to the group (objs nil — the group's one shared sched replaces it —
+	// which is the O(members × objects) memory the group exists to avoid).
+	// dest.Conn is also guarded by src.mu: a redial swaps it while flush and
+	// Close read it. rate and weight are re-assigned by reallocateLocked
+	// whenever the topology or the rebalancer moves shares; the loop re-reads
+	// rate each tick rather than freezing it at start.
+	sched
 	rate            float64 // allocated share of the source bandwidth, msgs/s
 	weight          float64 // effective weight behind rate at last allocation
 	ended           bool    // loop exited permanently (no redial)
 	redialing       bool    // connection down, redial loop running
-	demand          float64 // running Σ tracker.Current() over objs (rebalancer signal)
-	objs            []sessObj
 	refreshes       int
 	feedbacks       int
 	windowFeedbacks int // feedbacks already folded into the rebalancer
@@ -140,31 +120,28 @@ type syncSession struct {
 	pollOmits       int
 	heldSkips       int
 	remoteID        string
+	// held records, per queue key, the newest origin-axis version the cache
+	// has ACKNOWLEDGED holding (wire.Feedback.Held), grouped or not. A send
+	// whose origin axis is at-or-behind the ack is skipped — the cache
+	// provably already has it: an individual session cancels it on the spot,
+	// a grouped member is excluded from broadcasts of that object. An ack that
+	// has fallen behind the canonical axis excludes nothing, and all of them
+	// survive attach and detach so a re-sync skips what the cache proved it
+	// holds. nil until the first ack arrives, so a session that is never
+	// acked (every child of an origin) pays nothing.
+	held []heldAxis
 	// heldPending buffers held-version acks for objects the source has not
 	// produced yet (a cache can ack ahead of a relay's snapshot re-export);
 	// Source.newObjLocked folds them in when the object appears, so the map
 	// only ever holds ids that are not in src.objs.
 	heldPending map[string]wire.HeldVersion
-	// hyb is the per-object migration controller under PolicyHybrid (nil
-	// otherwise): it decides which objects this session pushes and which
-	// it leaves to the cache's poll schedule. Guarded by src.mu.
-	hyb *hybridController
 
-	// Group-delivery state. grouped/wantGroup/held/workerIdx/groupConn/
-	// groupFS/detached are guarded by src.mu; the atomics are shared with
-	// the group's sender workers. While grouped, objs is nil — the shared
-	// groupObj state replaces it — and held carries the only per-member
-	// per-object state left: the newest ack per queue key, AT or ahead of
-	// the canonical origin axis when it was recorded. An ack ahead of the
-	// axis excludes the member from broadcasts of that object; one that has
-	// fallen behind excludes nothing, and all of them survive a detach so
-	// the re-sync skips what the cache proved it holds. nil until the first
-	// ack arrives, so a member that is never acked (every child of an
-	// origin) pays nothing.
+	// Group-delivery state. grouped/wantGroup/workerIdx/groupConn/groupFS/
+	// detached are guarded by src.mu; the atomics are shared with the
+	// group's sender workers.
 	grouped   bool
 	wantGroup bool // group-eligible: re-attach when fully synced
 	workerIdx int
-	held      []heldAxis
 	groupConn transport.SourceConn
 	groupFS   transport.FrameSender
 	detached  chan struct{} // closed by the group on detach
@@ -178,18 +155,14 @@ type syncSession struct {
 }
 
 func newSyncSession(src *Source, dest Destination) *syncSession {
-	ss := &syncSession{
+	return &syncSession{
 		src:         src,
 		dest:        dest,
-		eng:         core.NewSource(0, src.cfg.Params, core.PositiveFeedback),
+		sched:       newSched(&src.cfg),
 		heldPending: map[string]wire.HeldVersion{},
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	if src.cfg.Policy == PolicyHybrid {
-		ss.hyb = newHybridController(src.cfg.Hybrid)
-	}
-	return ss
 }
 
 // heldAtOrAhead reports whether an acknowledged held version (he, hv)
@@ -206,96 +179,44 @@ func heldAtOrAhead(he int64, hv uint64, oe int64, ov uint64) bool {
 // released from the rebalancer demand, and the object leaves the queue.
 // Caller holds src.mu.
 func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
-	so := &ss.objs[o.key]
-	so.sentVal, so.sentVer = o.value, o.version
-	ss.unscheduleLocked(o.key, now)
+	ss.commit(o, o.value, o.version, now, now)
 	ss.heldSkips++
 }
 
-// unscheduleLocked takes the object with queue key key out of this
-// session's schedule without a send. The tracker is zeroed too: divergence
-// toward an object this session will not send must not linger as rebalancer
-// demand, where it would earn share the session cannot spend. Caller holds
-// src.mu.
-func (ss *syncSession) unscheduleLocked(key int, now float64) {
-	so := &ss.objs[key]
-	ss.demand -= so.tracker.Current()
-	so.tracker.Reset(now, 0)
-	ss.eng.Queue.Remove(key)
-}
-
 // observeLocked folds a canonical-state change for object o into this
-// session's divergence tracker and priority queue. Caller holds src.mu.
+// session's scheduler, unless the peer provably needs no send. Caller holds
+// src.mu.
 func (ss *syncSession) observeLocked(o *objState, now float64) {
-	key := o.key
-	so := &ss.objs[key]
 	if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
 		// Split horizon: the peer produced or already relayed this value,
 		// so its loop guard is guaranteed to reject a send — don't burn
 		// this session's bandwidth share advertising it back. (An object
 		// queued before feedback reveals the peer's identity is caught by
 		// the same check at send time; see flush.)
-		ss.unscheduleLocked(key, now)
+		ss.unschedule(o.key, now)
 		return
 	}
-	if oe, ov := ss.src.originAxisLocked(o); so.held.covers(oe, ov) {
-		// Held-skip: the cache acknowledged holding this origin version (or
-		// newer), so a send is guaranteed to be dropped as stale there —
-		// don't spend share on it, don't let it linger as demand.
-		ss.markDeliveredLocked(o, now)
-		return
+	if o.key < len(ss.held) {
+		if oe, ov := ss.src.originAxisLocked(o); ss.held[o.key].covers(oe, ov) {
+			// Held-skip: the cache acknowledged holding this origin version
+			// (or newer), so a send is guaranteed to be dropped as stale
+			// there — don't spend share on it, don't let it linger as demand.
+			ss.markDeliveredLocked(o, now)
+			return
+		}
 	}
-	d := metric.Divergence(ss.src.cfg.Metric, ss.src.cfg.Delta,
-		int(o.version-so.sentVer), o.value, so.sentVal)
-	if so.sentVer == 0 && d == 0 {
-		// Nothing has ever been sent to this cache: it holds no copy at
-		// all, so even a value matching the zero baseline must be
-		// propagated to register the object.
-		d = 1
-	}
-	if ss.hyb != nil {
-		ss.hyb.observe(key, d-so.tracker.Current(), now)
-	}
-	ss.demand += d - so.tracker.Current()
-	so.tracker.Update(now, d)
-	ss.requeueLocked(o, now)
+	ss.observe(o, now)
 }
 
-// requeueLocked recomputes object o's refresh priority for this session
-// and syncs the engine queue. Under the hybrid policy only push-set
-// objects are queued: a poll-set object stays fully tracked — divergence
-// and demand keep accumulating, which is what a later promotion ranks it
-// by — but the cache's poll schedule owns its freshness, so queueing it
-// here would double-spend the shared budget. Caller holds src.mu.
-func (ss *syncSession) requeueLocked(o *objState, now float64) {
-	s := ss.src
-	key := o.key
-	if ss.hyb != nil && !ss.hyb.pushed(key) {
-		ss.eng.Queue.Remove(key)
-		return
-	}
-	w := 1.0
-	if s.cfg.Weight != nil {
-		w = s.cfg.Weight(o.id)
-	}
-	lambda := 0.0
-	if span := now - o.firstAt; span > 0 && o.updates > 1 {
-		lambda = float64(o.updates) / span
-	}
-	so := &ss.objs[key]
-	p := priority.Compute(s.cfg.PriorityFn, priority.Inputs{
-		Now:         now,
-		LastRefresh: so.tracker.LastReset(),
-		Divergence:  so.tracker.Current(),
-		Integral:    so.tracker.Integral(now),
-		Weight:      w,
-		Lambda:      lambda,
-		Updates:     so.tracker.UpdatesBehind(),
-	})
-	if p > 0 {
-		ss.eng.Queue.Upsert(key, p)
-	} else {
-		ss.eng.Queue.Remove(key)
+// resyncLocked restarts the session from a cache that may hold nothing:
+// every object is re-registered as never-sent and re-ranked from scratch.
+// The contract a new destination, a redial and a detach from the group
+// share; held acks are the caller's to keep or clear first. Caller holds
+// src.mu.
+func (ss *syncSession) resyncLocked(now float64) {
+	ss.reset(len(ss.src.order))
+	for _, o := range ss.src.order {
+		ss.observeLocked(o, now)
 	}
 }
 
@@ -367,25 +288,16 @@ func (ss *syncSession) onFeedback(f wire.Feedback) {
 const maxHeldPending = 4096
 
 // raiseHeldLocked records ack h for the object with queue key key unless an
-// at-least-as-new one is already recorded, and reports whether it did. An
-// individual session keeps the ack in its sessObj, a grouped member in its
-// held slice (allocated on first use). Caller holds src.mu.
+// at-least-as-new one is already recorded, and reports whether it did. The
+// held slice is allocated on first use. Caller holds src.mu.
 func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
-	var cur *heldAxis
-	if ss.grouped {
-		if key >= len(ss.held) {
-			ss.held = append(ss.held, make([]heldAxis, len(ss.src.order)-len(ss.held))...)
-		}
-		cur = &ss.held[key]
-	} else if key < len(ss.objs) {
-		cur = &ss.objs[key].held
-	} else {
-		return false // the session keeps no per-object state (any more)
-	}
-	if !cur.before(h) {
+	if key < len(ss.held) && !ss.held[key].before(h) {
 		return false
 	}
-	*cur = h
+	if key >= len(ss.held) {
+		ss.held = append(ss.held, make([]heldAxis, len(ss.src.order)-len(ss.held))...)
+	}
+	ss.held[key] = h
 	return true
 }
 
@@ -429,85 +341,149 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	}
 }
 
-// loop is the session's send loop: it accrues budget at the session's
-// allocated rate, flushes over-threshold objects, and folds in feedback
-// from its cache. One loop goroutine runs per session, so N caches drain
-// concurrently and one blocked connection stalls only its own session.
+// loop is the session's one goroutine: it accrues budget at the session's
+// allocated rate, flushes over-threshold objects, answers the cache's polls
+// and folds in its feedback. One loop runs per session, so N caches drain
+// concurrently and one blocked connection stalls only its own session. What
+// the session does is a matter of which select cases are live, and that
+// follows from state it already has — a nil channel never fires:
 //
-// The allocated rate is re-read under src.mu on every tick — never frozen
-// at loop start — because shares move at runtime: AddDestination and
-// RemoveDestination re-divide the budget, SetBandwidth replaces it, and
-// the periodic re-allocation pass re-weights sessions. The burst ceiling
-// is recomputed from the same read, so a share increase raises the
-// session's burst on the next tick and a decrease caps any budget already
-// accrued at the old, higher rate.
+//   - The flush tick runs unless the session is attached to the group (the
+//     group's one flush ticker schedules for the whole cohort; the member only
+//     relays feedback). Under a cache-driven policy the tick only accrues:
+//     there are no priorities, thresholds or pushes.
+//   - Polls are read under every polling policy and only while the bucket
+//     covers an answer, so an answer the source cannot afford stays in the
+//     channel, where transport back-pressure drops the cache's best-effort
+//     polls until it can (the cache re-polls on its period). Replies and
+//     refreshes spend the SAME bucket. Under the hybrid policy that is the
+//     equal-budget invariant the policy comparison rests on, and intake is
+//     gated and charged at the poll round trip, the conservative bound
+//     Policy.MessageCost reports; the pure polling policies count the reply
+//     alone.
+//   - The migration tick closes the hybrid controller's scoring window.
+//
+// The allocated rate is re-read under src.mu on every tick — never frozen at
+// loop start — because shares move at runtime: AddDestination and
+// RemoveDestination re-divide the budget, SetBandwidth replaces it, and the
+// periodic re-allocation pass re-weights sessions.
+//
+// The feedback channel closing is the one disconnect signal under every
+// policy. A grouped member first leaves the group, so the broadcast stops
+// feeding a dead pipe, and rebuilds its individual state — a redialing member
+// receives no group sends. Then redial (when configured) re-establishes the
+// connection under the standard full-resync contract, and a session without a
+// redial hook ends. A polling cache is re-sent nothing it did not ask for.
 func (ss *syncSession) loop() {
 	defer close(ss.done)
 	s := ss.src
-	if s.cfg.Policy == PolicyHybrid {
-		ss.hybridLoop()
-		return
+	ticker := time.NewTicker(s.cfg.Tick)
+	defer ticker.Stop()
+	var migrate <-chan time.Time
+	pollCost := 1.0
+	if ss.hyb != nil {
+		t := time.NewTicker(ss.hyb.cfg.MigrateEvery)
+		defer t.Stop()
+		migrate, pollCost = t.C, pollRoundTrip
 	}
-	if s.cfg.Policy.CacheDriven() {
-		ss.pollLoop()
-		return
-	}
-	// A group-eligible session alternates between two bodies: while
-	// attached it only relays feedback (no ticker — the group's one flush
-	// ticker schedules for the whole cohort), and after a detach it runs
-	// the full individual push body until maybeRejoin re-attaches it.
-	for {
+	var (
+		budget   tokenBucket
+		fb       <-chan wire.Feedback
+		pc       transport.PollConn
+		polls    <-chan wire.Poll
+		detached <-chan struct{} // non-nil exactly while attached to the group
+	)
+	// link re-reads what the loop selects on whenever it may have changed:
+	// at start, after a redial, on attach and on detach.
+	link := func() bool {
 		s.mu.Lock()
-		grouped := ss.grouped
-		s.mu.Unlock()
-		var again bool
-		if grouped {
-			again = ss.groupLoop()
-		} else {
-			again = ss.pushLoop()
+		conn := ss.dest.Conn
+		detached = nil
+		if ss.grouped {
+			detached = ss.detached
 		}
-		if !again {
-			return
-		}
-	}
-}
-
-// groupLoop is the session body while attached to the group: no ticker, no
-// flushes — just feedback relay into the shared engine and the member's
-// exclusion set. Returns true when the session should continue on the
-// individual path (detached, or connection lost), false on shutdown or
-// removal.
-func (ss *syncSession) groupLoop() bool {
-	s := ss.src
-	s.mu.Lock()
-	if !ss.grouped {
 		s.mu.Unlock()
+		fb = conn.Feedback()
+		if s.cfg.Policy.Polls() {
+			var ok bool
+			if pc, ok = conn.(transport.PollConn); !ok {
+				// Construction and AddDestination validate this; a redial
+				// hook returning a poll-less connection is the only way
+				// here. Treat it as a dead connection: end, surrendering
+				// the share.
+				ss.end()
+				return false
+			}
+			polls = pc.Polls()
+		}
 		return true
 	}
-	fb := ss.dest.Conn.Feedback()
-	detached := ss.detached
-	s.mu.Unlock()
+	if !link() {
+		return
+	}
 	for {
+		tick, in := ticker.C, polls
+		if detached != nil {
+			tick = nil
+		}
+		if budget.tokens < pollCost {
+			in = nil
+		}
 		select {
 		case <-s.stop:
-			return false
+			return
 		case <-ss.stop:
-			return false // removed from the fan-out; the remover closes the conn
+			return // removed from the fan-out; the remover closes the conn
 		case <-detached:
-			return true // the group dropped us (overrun/removal); go individual
+			// The group dropped us (overrun/removal): go individual. Only
+			// push sessions group, so there is no poll side to re-validate.
+			link()
 		case f, ok := <-fb:
-			if !ok {
-				// Connection gone. Leave the group so the broadcast stops
-				// feeding a dead pipe, rebuild individual state, and let the
-				// push body redial (or end) under the standard full-resync
-				// contract — a redialing member receives no group sends.
+			if ok {
+				// The CGM baseline has no feedback, but a cache may still
+				// identify itself; onFeedback records that under every policy.
+				ss.onFeedback(f)
+				continue
+			}
+			if detached != nil {
 				s.mu.Lock()
 				s.group.detachLocked(ss, true)
 				s.reallocateLocked()
 				s.mu.Unlock()
-				return true
 			}
-			ss.onFeedback(f)
+			if ss.dest.Redial == nil {
+				ss.end() // connection gone for good; survivors inherit the share
+				return
+			}
+			if !ss.redial() {
+				return // shutdown or removal won the race against the redial
+			}
+			if !link() {
+				return
+			}
+		case p, ok := <-in:
+			if !ok {
+				polls = nil // the feedback close drives the redial
+				continue
+			}
+			budget.tokens -= pollCost * float64(ss.answerPoll(pc, p))
+		case <-tick:
+			s.mu.Lock()
+			rate := ss.rate
+			s.mu.Unlock()
+			budget.accrue(rate, s.cfg.Tick.Seconds(), s.cfg.Tick)
+			if !s.cfg.Policy.Pushes() {
+				continue
+			}
+			budget.tokens = ss.flush(budget.tokens)
+			if ss.maybeRejoin() {
+				// Tokens accrued at the individual share are not the
+				// group's to inherit, nor this session's after a detach.
+				budget = tokenBucket{}
+				link()
+			}
+		case <-migrate:
+			ss.migrateOnce()
 		}
 	}
 }
@@ -517,7 +493,7 @@ func (ss *syncSession) groupLoop() bool {
 // holds only below-threshold residuals — divergence the engine tolerates by
 // definition, so waiting for an empty queue would park a member on the
 // individual path forever under sustained load), no outstanding group
-// sends, connection up. Called from the push body after each flush.
+// sends, connection up. Called after each flush.
 func (ss *syncSession) maybeRejoin() bool {
 	s := ss.src
 	if s.group == nil || !ss.wantGroup {
@@ -540,225 +516,6 @@ func (ss *syncSession) maybeRejoin() bool {
 	return true
 }
 
-// pushLoop is the individual-session push body. Returns true when the
-// session re-attached to the group (continue in groupLoop), false on
-// shutdown, removal, or permanent end.
-func (ss *syncSession) pushLoop() bool {
-	s := ss.src
-	ticker := time.NewTicker(s.cfg.Tick)
-	defer ticker.Stop()
-	budget := 0.0
-	s.mu.Lock()
-	fb := ss.dest.Conn.Feedback()
-	s.mu.Unlock()
-	for {
-		select {
-		case <-s.stop:
-			return false
-		case <-ss.stop:
-			return false // removed from the fan-out; the remover closes the conn
-		case f, ok := <-fb:
-			if !ok {
-				if ss.dest.Redial == nil {
-					ss.end() // connection gone for good; survivors inherit the share
-					return false
-				}
-				if !ss.redial() {
-					return false // shutdown or removal won the race against the redial
-				}
-				s.mu.Lock()
-				fb = ss.dest.Conn.Feedback()
-				s.mu.Unlock()
-				continue
-			}
-			ss.onFeedback(f)
-		case <-ticker.C:
-			s.mu.Lock()
-			rate := ss.rate
-			s.mu.Unlock()
-			burst := tokenBurst(rate, s.cfg.Tick)
-			budget += rate * s.cfg.Tick.Seconds()
-			if budget > burst {
-				budget = burst
-			}
-			budget = ss.flush(budget)
-			if ss.maybeRejoin() {
-				return true
-			}
-		}
-	}
-}
-
-// pollLoop is the session's body under a cache-driven policy: instead of
-// pushing over-threshold refreshes, it answers the cache's polls from the
-// source's canonical store. Replies are paced by the session's allocated
-// token-bucket share exactly like push refreshes — a reply's items spend
-// budget, and when the bucket is empty the loop stops reading polls, so the
-// poll channel backs up and the cache's best-effort polls are dropped until
-// the source can afford to answer (the cache re-polls on its period).
-//
-// Disconnect handling is identical to the push loop: the feedback channel
-// closing is the signal, redial (when configured) re-establishes the
-// connection, and a session without a redial hook ends. Nothing is re-sent
-// on reconnect — a polling cache re-asks for what it wants.
-func (ss *syncSession) pollLoop() {
-	s := ss.src
-	ticker := time.NewTicker(s.cfg.Tick)
-	defer ticker.Stop()
-	budget := 0.0
-	s.mu.Lock()
-	conn := ss.dest.Conn
-	s.mu.Unlock()
-	pc, ok := conn.(transport.PollConn)
-	if !ok {
-		// Construction and AddDestination validate this; a redial hook
-		// returning a poll-less connection is the only way here. Treat it
-		// as a dead connection: end, surrendering the share.
-		ss.end()
-		return
-	}
-	fb := conn.Feedback()
-	polls := pc.Polls()
-	for {
-		in := polls
-		if budget < 1 {
-			in = nil
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-ss.stop:
-			return // removed from the fan-out; the remover closes the conn
-		case f, fbOK := <-fb:
-			if !fbOK {
-				if ss.dest.Redial == nil {
-					ss.end()
-					return
-				}
-				if !ss.redial() {
-					return // shutdown or removal won the race
-				}
-				s.mu.Lock()
-				conn = ss.dest.Conn
-				s.mu.Unlock()
-				if pc, ok = conn.(transport.PollConn); !ok {
-					ss.end()
-					return
-				}
-				fb = conn.Feedback()
-				polls = pc.Polls()
-				continue
-			}
-			// The CGM baseline has no feedback, but a cache may still
-			// identify itself; record it like the push path does.
-			ss.onFeedback(f)
-		case p, pOK := <-in:
-			if !pOK {
-				polls = nil // the feedback close drives the redial
-				continue
-			}
-			budget -= float64(ss.answerPoll(pc, p))
-		case <-ticker.C:
-			s.mu.Lock()
-			rate := ss.rate
-			s.mu.Unlock()
-			burst := tokenBurst(rate, s.cfg.Tick)
-			budget += rate * s.cfg.Tick.Seconds()
-			if budget > burst {
-				budget = burst
-			}
-		}
-	}
-}
-
-// hybridLoop is the session's body under the hybrid policy: the push
-// loop's flush ticker and the poll loop's answer path fused over ONE
-// token bucket, so the hot head's refreshes and the cold tail's poll
-// replies spend the same allocated share — the equal-budget invariant the
-// policy comparison rests on. Poll intake is gated at the poll round-trip
-// cost (an answer the bucket cannot cover is left in the channel, where
-// transport back-pressure drops best-effort polls until the source can
-// afford them); each answered reply is charged the full round trip, the
-// conservative bound Policy.MessageCost reports. A separate migration
-// ticker closes the controller's scoring window: promoted objects enter
-// the priority queue carrying the divergence their trackers accumulated
-// while polled, demoted ones leave it and fall back to the cache's poll
-// schedule. Disconnect handling is the poll loop's: the feedback channel
-// closing drives the redial, and the standard full-resync on reconnect
-// re-observes every object — through the poll-set gate, so only push-set
-// objects re-queue.
-func (ss *syncSession) hybridLoop() {
-	s := ss.src
-	ticker := time.NewTicker(s.cfg.Tick)
-	defer ticker.Stop()
-	migrate := time.NewTicker(s.cfg.Hybrid.withDefaults().MigrateEvery)
-	defer migrate.Stop()
-	budget := 0.0
-	s.mu.Lock()
-	conn := ss.dest.Conn
-	s.mu.Unlock()
-	pc, ok := conn.(transport.PollConn)
-	if !ok {
-		// Construction and AddDestination validate this; a redial hook
-		// returning a poll-less connection is the only way here.
-		ss.end()
-		return
-	}
-	fb := conn.Feedback()
-	polls := pc.Polls()
-	for {
-		in := polls
-		if budget < pollRoundTrip {
-			in = nil
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-ss.stop:
-			return // removed from the fan-out; the remover closes the conn
-		case f, fbOK := <-fb:
-			if !fbOK {
-				if ss.dest.Redial == nil {
-					ss.end()
-					return
-				}
-				if !ss.redial() {
-					return // shutdown or removal won the race
-				}
-				s.mu.Lock()
-				conn = ss.dest.Conn
-				s.mu.Unlock()
-				if pc, ok = conn.(transport.PollConn); !ok {
-					ss.end()
-					return
-				}
-				fb = conn.Feedback()
-				polls = pc.Polls()
-				continue
-			}
-			ss.onFeedback(f)
-		case p, pOK := <-in:
-			if !pOK {
-				polls = nil // the feedback close drives the redial
-				continue
-			}
-			budget -= pollRoundTrip * float64(ss.answerPoll(pc, p))
-		case <-ticker.C:
-			s.mu.Lock()
-			rate := ss.rate
-			s.mu.Unlock()
-			burst := tokenBurst(rate, s.cfg.Tick)
-			budget += rate * s.cfg.Tick.Seconds()
-			if budget > burst {
-				budget = burst
-			}
-			budget = ss.flush(budget)
-		case <-migrate.C:
-			ss.migrateOnce()
-		}
-	}
-}
-
 // migrateOnce runs one migration pass: the controller re-scores every
 // object and the session applies the regime moves to its priority queue.
 func (ss *syncSession) migrateOnce() {
@@ -774,7 +531,7 @@ func (ss *syncSession) migrateOnce() {
 		if key < len(ss.objs) {
 			// The tracker kept accumulating while the object was polled,
 			// so the promotion ranks it by its real outstanding divergence.
-			ss.requeueLocked(s.order[key], now)
+			ss.requeue(s.order[key], now)
 		}
 	}
 	for _, key := range demoted {
@@ -814,7 +571,8 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		}
 	}
 	epoch := s.started.UnixNano()
-	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: s.cfg.Now().UnixNano()}
+	builtAt, sentUnix := s.clock()
+	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: sentUnix}
 	if len(p.ObjectIDs) == 0 {
 		reply.All = true
 		reply.Items = make([]wire.PollItem, 0, len(s.order))
@@ -862,7 +620,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		if ss.hyb != nil && !ss.ended {
 			ss.hyb.polled += len(reply.Items)
 			for _, it := range reply.Items {
-				ss.commitPolledLocked(it, now)
+				ss.commitPolledLocked(it, builtAt, now)
 			}
 		}
 	}
@@ -872,29 +630,19 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 
 // commitPolledLocked records one answered targeted poll item with the
 // hybrid migration controller and advances the session's sent-state to
-// the replied value — the flush commit's twin for the poll regime, with
-// the residual (updates that landed after the reply was built) left on
-// the tracker. Caller holds src.mu.
-func (ss *syncSession) commitPolledLocked(it wire.PollItem, now float64) {
-	s := ss.src
-	o, ok := s.objs[it.ObjectID]
+// the replied value — the same commit a pushed refresh gets, built when the
+// reply was (builtAt), with updates that landed since left as its residual.
+// Caller holds src.mu.
+func (ss *syncSession) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
+	o, ok := ss.src.objs[it.ObjectID]
 	if !ok || o.key >= len(ss.objs) {
 		return
 	}
 	ss.hyb.charge(o.key, pollRoundTrip)
-	if !it.Exists {
-		return
+	if !it.Exists || it.Version <= ss.objs[o.key].sentVer {
+		return // nothing replied, or a push already delivered something at-or-ahead
 	}
-	so := &ss.objs[o.key]
-	if it.Version <= so.sentVer {
-		return // a push already delivered something at-or-ahead
-	}
-	so.sentVal, so.sentVer = it.Value, it.Version
-	d := metric.Divergence(s.cfg.Metric, s.cfg.Delta,
-		int(o.version-so.sentVer), o.value, so.sentVal)
-	ss.demand += d - so.tracker.Current()
-	so.tracker.Reset(now, d)
-	ss.requeueLocked(o, now)
+	ss.commit(o, it.Value, it.Version, builtAt, now)
 }
 
 // servableLocked reports whether object o belongs in a reply to this
@@ -958,8 +706,8 @@ func (ss *syncSession) end() {
 	s.mu.Lock()
 	ss.ended = true
 	ss.wantGroup = false
-	ss.objs = nil
-	ss.demand = 0
+	ss.reset(0)
+	ss.held = nil
 	s.reallocateLocked()
 	s.mu.Unlock()
 }
@@ -1036,15 +784,15 @@ func (ss *syncSession) redial() bool {
 		// CacheID stamp (which the new peer would count as misrouted)
 		// until its own feedback reveals who it is.
 		ss.remoteID = ""
-		ss.demand = 0 // rebuilt by the observe loop over the zeroed trackers
 		// Forget held acks with the rest of the peer state: the replacement
 		// instance may hold nothing, and a stale ack would wrongly skip its
-		// re-sync (the zeroed sessObjs below drop per-object acks too).
+		// re-sync.
+		ss.held = nil
 		ss.heldPending = map[string]wire.HeldVersion{}
-		now := s.now()
-		for key := range ss.objs {
-			ss.objs[key] = sessObj{}
-			ss.observeLocked(s.order[key], now)
+		if !s.cfg.Policy.CacheDriven() {
+			// Under the hybrid policy the re-observe passes the poll-set
+			// gate, so only push-set objects re-queue.
+			ss.resyncLocked(s.now())
 		}
 		s.mu.Unlock()
 		return true
@@ -1057,10 +805,8 @@ func (ss *syncSession) redial() bool {
 // Sent-state is committed only AFTER a successful send: on error the
 // tracker, queue entry and threshold are left untouched, so the refresh is
 // retried on the next flush instead of being silently dropped (a failed
-// send must not look like a delivered one). If updates raced in while the
-// send was in flight, the tracker restarts at the residual divergence
-// between the canonical value and what was actually sent and the object is
-// re-ranked from that residual.
+// send must not look like a delivered one). Updates that raced in while the
+// send was in flight are the commit's residual (see sched.commit).
 func (ss *syncSession) flush(budget float64) float64 {
 	s := ss.src
 	if s.cfg.SuppressWithinThreshold {
@@ -1080,39 +826,21 @@ func (ss *syncSession) flush(budget float64) float64 {
 			return budget
 		}
 		o := s.order[key]
+		builtAt, sentUnix := s.clock()
 		if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
 			// Split horizon binds at send time: this object was queued
 			// before feedback revealed the peer's identity, so
 			// observeLocked could not exclude it. Drop it now, unsent and
 			// uncharged, as the group path does per batch.
-			ss.unscheduleLocked(key, s.now())
+			ss.unschedule(key, builtAt)
 			s.mu.Unlock()
 			continue
 		}
-		msg := wire.Refresh{
-			SourceID: s.cfg.ID,
-			ObjectID: o.id,
-			// Stamp the cache identity learned from feedback (not the
-			// local label): the advisory mismatch counter on the cache
-			// then only fires on genuine miswiring, never on operators
-			// labeling destinations differently than caches name
-			// themselves.
-			CacheID: ss.remoteID,
-			// Provenance for multi-tier topologies: a relay re-exports with
-			// the originating source, incremented hop count, relay path and
-			// the origin's preserved version axis; locally produced values
-			// carry the zero provenance (their origin axis IS Epoch/Version).
-			Origin:        o.prov.Origin,
-			Hops:          o.prov.Hops,
-			Via:           o.prov.Via,
-			OriginEpoch:   o.prov.Epoch,
-			OriginVersion: o.prov.Version,
-			Value:         o.value,
-			Version:       o.version,
-			Epoch:         s.started.UnixNano(),
-			Threshold:     ss.eng.Threshold(),
-			SentUnix:      s.cfg.Now().UnixNano(),
-		}
+		// Stamped with the cache identity learned from feedback (not the
+		// local label): the advisory mismatch counter on the cache then only
+		// fires on genuine miswiring, never on operators labeling
+		// destinations differently than caches name themselves.
+		msg := ss.refresh(o, ss.remoteID, s.started.UnixNano(), sentUnix)
 		conn := ss.dest.Conn
 		s.mu.Unlock()
 
@@ -1128,35 +856,16 @@ func (ss *syncSession) flush(budget float64) float64 {
 		}
 
 		s.mu.Lock()
-		now := s.now()
-		so := &ss.objs[key]
-		so.sentVal = msg.Value
-		so.sentVer = msg.Version
-		// Residual divergence: updates that landed while the send was in
-		// flight. The tracker restarts at the residual and the object is
-		// re-ranked from it — a priority a racing Update computed against
-		// the OLD sent-state must not linger in the heap, where it would
-		// overstate the residual and bypass the threshold filter. At the
-		// commit instant the area priority restarts at zero, so the object
-		// leaves the queue until the next update re-ranks it (the §8.2
-		// event-driven discipline; same as a zero-residual send).
-		d := metric.Divergence(s.cfg.Metric, s.cfg.Delta,
-			int(o.version-so.sentVer), o.value, so.sentVal)
-		ss.demand += d - so.tracker.Current()
-		so.tracker.Reset(now, d)
-		ss.requeueLocked(o, now)
-		ss.eng.OnRefreshSent(now)
-		ss.eng.ClampThreshold()
-		ss.refreshes++
+		ss.commitPush(o, msg.Value, msg.Version, builtAt, s.now())
 		if ss.hyb != nil {
 			ss.hyb.charge(key, 1)
 		}
+		ss.refreshes++
 		s.mu.Unlock()
 		budget--
 	}
 	s.mu.Lock()
-	_, _, want := ss.eng.ShouldSend()
-	ss.eng.SetLimited(want)
+	ss.limit()
 	s.mu.Unlock()
 	return budget
 }

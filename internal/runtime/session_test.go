@@ -99,7 +99,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // newTestSession builds a single-destination source whose session is driven
 // manually: the huge tick keeps the background loop from ever flushing, and
 // beta is disabled so threshold arithmetic is exactly α and ω.
-func newTestSession(t *testing.T, conn *fakeConn, clock *fakeClock) (*Source, *syncSession) {
+func newTestSession(t *testing.T, conn transport.SourceConn, clock *fakeClock) (*Source, *syncSession) {
 	t.Helper()
 	params := core.DefaultParams(1, 1000)
 	params.DisableBeta = true
@@ -173,11 +173,14 @@ func TestFlushRetriesAfterSendError(t *testing.T) {
 
 // TestFlushCommitsResidualOnRacingUpdate: an update landing between message
 // construction and the send commit leaves a residual divergence, and the
-// object stays scheduled so the newer value is sent too.
+// object stays scheduled so the newer value is sent too. The residual used
+// to be committed with zero area — priority 0, so it left the queue and the
+// cache kept the old value however long the source stayed quiet.
 func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 	conn := newFakeConn()
+	hooked := &midSendConn{SourceConn: conn}
 	clock := newFakeClock()
-	src, ss := newTestSession(t, conn, clock)
+	src, ss := newTestSession(t, hooked, clock)
 
 	clock.advance(time.Second)
 	src.Update("x", 10)
@@ -192,6 +195,34 @@ func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 	// The session's view now matches the canonical value: nothing pending.
 	if p := src.Stats().Pending; p != 0 {
 		t.Errorf("pending = %d, want 0", p)
+	}
+
+	// The race itself: 101 lands while the refresh carrying 100 is in flight.
+	clock.advance(time.Second)
+	src.Update("x", 100)
+	hooked.hook = func() {
+		clock.advance(10 * time.Millisecond)
+		src.Update("x", 101)
+	}
+	ss.flush(1)
+	if sent = conn.sentMsgs(); len(sent) != 3 || sent[2].Value != 100 {
+		t.Fatalf("sent %+v, want a third refresh carrying the value built before the race", sent)
+	}
+	if p := src.Stats().Pending; p != 1 {
+		t.Fatalf("pending = %d after the racing flush, want 1 (the residual must stay queued)", p)
+	}
+	// No further Update: feedback alone lowers the threshold until the
+	// residual's area clears it, and quiet flushes deliver 101.
+	for i := 0; i < 50 && len(conn.sentMsgs()) == 3; i++ {
+		ss.onFeedback(wire.Feedback{})
+		clock.advance(time.Second)
+		ss.flush(1)
+	}
+	if sent = conn.sentMsgs(); len(sent) != 4 || sent[3].Value != 101 {
+		t.Fatalf("sent %+v, want the racing update delivered with no further Update", sent)
+	}
+	if p := src.Stats().Pending; p != 0 {
+		t.Errorf("pending = %d once the cache holds the canonical value, want 0", p)
 	}
 }
 

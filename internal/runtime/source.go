@@ -139,7 +139,7 @@ type SourceStats struct {
 // objState is the canonical (destination-independent) state of one locally
 // cached object: its current value and update history. What each
 // downstream cache has been sent — and therefore how far it has diverged —
-// is per-session state (sessObj in session.go).
+// is per-cohort state (schedObj in sched.go).
 type objState struct {
 	id string
 	// key is the object's queue key: its index in Source.order and in every
@@ -361,11 +361,7 @@ func (s *Source) AddDestination(d Destination) error {
 			// Empty store: nothing to re-sync, join the group directly.
 			s.group.attachLocked(ss)
 		} else {
-			now := s.now()
-			ss.objs = make([]sessObj, len(s.order))
-			for _, o := range s.order {
-				ss.observeLocked(o, now)
-			}
+			ss.resyncLocked(s.now())
 			// With a non-empty store the member starts on the individual
 			// path — the full from-scratch sync — and attaches to the group
 			// once its queue drains (syncSession.maybeRejoin).
@@ -414,6 +410,9 @@ func (s *Source) RemoveDestination(cacheID string) error {
 		// is leaving the topology, not falling back to individual sends).
 		s.group.detachLocked(victim, false)
 	}
+	// Its loop may get one more flush in before it sees the stop: that must
+	// not re-attach a session the fan-out no longer knows.
+	victim.wantGroup = false
 	s.sessions = append(s.sessions[:idx], s.sessions[idx+1:]...)
 	if s.reb != nil {
 		s.reb.Forget(cacheID)
@@ -693,7 +692,7 @@ func (s *Source) newObjLocked(objectID string, now float64) *objState {
 		return o
 	}
 	if s.group != nil {
-		s.group.objs = append(s.group.objs, groupObj{})
+		s.group.objs = append(s.group.objs, schedObj{})
 	}
 	for _, ss := range s.sessions {
 		// Ended sessions never observe or flush again; growing their
@@ -704,7 +703,7 @@ func (s *Source) newObjLocked(objectID string, now float64) *objState {
 			continue
 		}
 		if !ss.grouped {
-			ss.objs = append(ss.objs, sessObj{})
+			ss.objs = append(ss.objs, schedObj{})
 		}
 		if len(ss.heldPending) > 0 {
 			if h, ok := ss.heldPending[objectID]; ok {
@@ -716,6 +715,18 @@ func (s *Source) newObjLocked(objectID string, now float64) *objState {
 	return o
 }
 
+// advanceLocked moves object o's canonical state to a new value: one more
+// version on this source's own axis, stamped with where the value came from.
+// Caller holds s.mu.
+func (s *Source) advanceLocked(o *objState, value float64, prov Provenance, unix int64) {
+	o.value = value
+	o.version++
+	o.updates++
+	o.prov = prov
+	o.lastUnix = unix
+	s.updates++
+}
+
 // updateLocked is the shared body of Update/UpdateFrom/UpdateFromAll; now and
 // unix are one reading of the clock, taken under the lock. Caller holds s.mu.
 func (s *Source) updateLocked(objectID string, value float64, prov Provenance, now float64, unix int64) {
@@ -724,12 +735,7 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 	if !ok {
 		o = s.newObjLocked(objectID, now)
 	}
-	o.value = value
-	o.version++
-	o.updates++
-	o.prov = prov
-	o.lastUnix = unix
-	s.updates++
+	s.advanceLocked(o, value, prov, unix)
 	if cacheDriven {
 		// Poll-answering sessions keep no per-object scheduling state: the
 		// caches decide what to ask for and when, so there is nothing to
@@ -760,8 +766,14 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 	// dispatch that replaces the per-session loop below for grouped
 	// members. Both paths are allocation-free in steady state.
 	if s.group != nil {
-		s.group.observeLocked(o, now)
+		s.group.observe(o, now)
 	}
+	s.observeSessionsLocked(o, now)
+}
+
+// observeSessionsLocked fans a canonical-state change for object o into
+// every session that schedules for itself. Caller holds s.mu.
+func (s *Source) observeSessionsLocked(o *objState, now float64) {
 	for _, ss := range s.sessions {
 		if !ss.ended && !ss.grouped {
 			ss.observeLocked(o, now)
@@ -789,15 +801,7 @@ func (s *Source) withinAllThresholdsLocked(o *objState) bool {
 		if ss.redialing || ss.grouped || ss.hyb != nil || key >= len(ss.objs) {
 			return false
 		}
-		so := &ss.objs[key]
-		if so.sentVer == 0 {
-			return false
-		}
-		d := o.value - so.sentVal
-		if d < 0 {
-			d = -d
-		}
-		if d >= ss.eng.Threshold() {
+		if ss.deviates(o, ss.eng.Threshold()) {
 			return false
 		}
 	}
@@ -819,11 +823,7 @@ func (s *Source) replayDeferredLocked(now float64) {
 			continue // superseded by an over-threshold update already observed
 		}
 		o.deferred = false
-		for _, ss := range s.sessions {
-			if !ss.ended && !ss.grouped {
-				ss.observeLocked(o, now)
-			}
-		}
+		s.observeSessionsLocked(o, now)
 	}
 	s.deferredKeys = s.deferredKeys[:0]
 }

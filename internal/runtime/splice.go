@@ -33,20 +33,18 @@ import (
 
 // spliceScratch is the per-batch working state of one onForward call,
 // pooled so the hot path allocates nothing per batch once warm. It plays the
-// role the SessionGroup's shared planBuf/overrunBuf/workerBuf scratch plays
-// for the flusher — but the splice path runs on cache shard workers,
-// concurrently with the flusher and with other shards' batches, so the
-// scratch must be call-owned rather than group-owned. Slices are resized,
-// never cleared: every consumer writes before it reads (provs and versions
-// are only read at indices the keep mask selects, which the loop assigned).
+// role the SessionGroup's own keyBuf/provBuf/fan scratch plays for the
+// flusher — but the splice path runs on cache shard workers, concurrently
+// with the flusher and with other shards' batches, so the scratch must be
+// call-owned rather than group-owned. Slices are resized, never cleared:
+// every consumer writes before it reads (provs and versions are only read at
+// indices the keep mask selects, which the loop assigned).
 type spliceScratch struct {
 	memo     viaMemo
 	provs    []Provenance
 	versions []uint64
 	keys     []int
-	plan     []memberPlan
-	overrun  []*syncSession
-	buckets  [][]sendItem
+	fan      fanScratch
 }
 
 var spliceScratchPool = sync.Pool{New: func() any { return new(spliceScratch) }}
@@ -242,43 +240,17 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 			keep[i] = false
 			continue
 		}
-		o.value = rs[i].Value
-		o.version++
-		o.updates++
-		o.prov = provs[i]
-		o.lastUnix = nowUnix
-		o.deferred = false
-		s.updates++
+		s.advanceLocked(o, rs[i].Value, provs[i], nowUnix)
 		// Individual (non-grouped) sessions keep the classic observe path.
-		for _, ss := range s.sessions {
-			if !ss.ended && !ss.grouped {
-				ss.observeLocked(o, now)
-			}
-		}
-		gobj := &g.objs[o.key]
-		send := gobj.sentVer == 0 // never broadcast: members hold no copy
-		if !send {
-			d := o.value - gobj.sentVal
-			if d < 0 {
-				d = -d
-			}
-			send = d >= threshold
-		}
-		if !send || g.budget < 1 {
+		s.observeSessionsLocked(o, now)
+		if !g.deviates(o, threshold) || g.budget.tokens < 1 {
 			// Within threshold or out of budget: the normal scheduling
 			// machinery picks the object up at the next flush tick.
-			g.observeLocked(o, now)
+			g.observe(o, now)
 			keep[i] = false
 			continue
 		}
-		g.budget--
-		g.demand -= gobj.tracker.Current()
-		gobj.sentVal, gobj.sentVer = o.value, o.version
-		gobj.tracker.Reset(now, 0)
-		g.eng.Queue.Remove(o.key)
-		g.eng.OnRefreshSent(now)
-		g.eng.ClampThreshold()
-		g.scheduled++
+		g.scheduleLocked(o, now)
 		versions[i] = o.version
 		sent, keys = append(sent, provs[i]), append(keys, o.key)
 	}
@@ -290,9 +262,6 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		s.mu.Unlock()
 		return 0, true
 	}
-	_, _, want := g.eng.ShouldSend()
-	g.eng.SetLimited(want)
-	g.batches++
 	g.splicedBatches++
 	g.splicedRefreshes += scheduled
 
@@ -302,116 +271,22 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		Threshold: g.eng.Threshold(),
 		SentUnix:  nowUnix,
 	}
-	// Split horizon works on the OUTGOING provenance (origin + via, which
-	// already ends with this node's id — no member carries it).
-	g.restrictLocked(sent)
-	// The decoded reference patch, materialized only when some member
-	// cannot take the spliced bytes: a gob conn, or an exclusion (held ack
-	// ahead of the axis, split horizon) that actually fires for an item of
-	// this batch. codec.PatchForward is the same reference implementation
-	// the splice differential fuzz pins SpliceForward against, so both
-	// representations of the batch are interchangeable by construction.
-	var patched []wire.Refresh
-	patchedFor := func() []wire.Refresh {
-		if patched == nil {
-			patched = codec.PatchForward(rs, keep, versions, fp)
-		}
-		return patched
-	}
-	// Plan member deliveries under the lock, execute outside — the same
-	// two-phase shape as broadcastOnce, but with call-owned plan buffers
-	// (from the pooled scratch): this runs on a cache shard worker,
-	// concurrently with the flusher's own use of the shared group scratch.
-	plan := sc.plan[:0]
-	overrun := sc.overrun[:0]
-	needFrame := false
-	for _, m := range g.members {
-		if int(m.inflight.Load()) >= g.cfg.Queue {
-			overrun = append(overrun, m)
-			continue
-		}
-		var mrs []wire.Refresh
-		dropped := g.memberDropsLocked(m, keys, sent)
-		if dropped == scheduled {
-			continue
-		}
-		if dropped > 0 {
-			mrs = memberCopy(patchedFor(), g.dropBuf, dropped, m.remoteID)
-			g.fallbacks++
-		} else if m.groupFS != nil {
-			needFrame = true
-		}
-		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
-	}
-	s.mu.Unlock()
-
 	b := groupBatchPool.Get().(*groupBatch)
 	b.g = g
 	b.refs.Store(1)
-	if needFrame {
+	// Both forms of the outgoing batch come from the same patch set, and
+	// codec.PatchForward is the reference implementation the splice
+	// differential fuzz pins SpliceForward against, so they are
+	// interchangeable by construction. The decoded one is materialized only
+	// when some member cannot take the spliced bytes: a gob conn, or an
+	// exclusion (held ack ahead of the axis, split horizon) that actually
+	// fires for an item of this batch.
+	g.fanoutLocked(&sc.fan, b, keys, sent, func() []wire.Refresh {
+		return codec.PatchForward(rs, keep, versions, fp)
+	}, func() *codec.Frame {
 		// The splice itself: kept items' bytes verbatim, per-hop fields
 		// patched, skipped items never touched.
-		b.frame = codec.SpliceForward(view, keep, versions, fp)
-		g.framesLive.Add(1)
-	}
-	for _, p := range plan {
-		if p.shared && p.fs == nil {
-			b.rs = patchedFor() // gob members need the decoded form
-			break
-		}
-	}
-	if cap(sc.buckets) < len(g.workers) {
-		sc.buckets = make([][]sendItem, len(g.workers))
-	}
-	buckets := sc.buckets[:len(g.workers)]
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	for _, p := range plan {
-		it := sendItem{sess: p.m, conn: p.conn}
-		if p.shared {
-			b.refs.Add(1)
-			it.batch = b
-			it.n = scheduled
-			if p.fs != nil {
-				b.frame.Retain()
-				it.frame = b.frame
-				it.fs = p.fs
-			} else {
-				it.rs = b.rs
-			}
-		} else {
-			it.rs = p.rs
-			it.n = len(p.rs)
-		}
-		p.m.inflight.Add(1)
-		buckets[p.m.workerIdx] = append(buckets[p.m.workerIdx], it)
-	}
-	for wi, items := range buckets {
-		if len(items) == 0 {
-			continue
-		}
-		w := g.workers[wi]
-		w.mu.Lock()
-		w.queue = append(w.queue, items...)
-		w.cond.Signal()
-		w.mu.Unlock()
-	}
-	b.release()
-
-	if len(overrun) > 0 {
-		s.mu.Lock()
-		for _, m := range overrun {
-			if m.grouped {
-				g.overruns++
-				g.detachLocked(m, true)
-			}
-		}
-		s.reallocateLocked()
-		s.mu.Unlock()
-	}
-	// Hand any regrown buffers back to the scratch so their capacity is
-	// reused by the next batch; the workers copied every enqueued item.
-	sc.plan, sc.overrun = plan[:0], overrun[:0]
+		return codec.SpliceForward(view, keep, versions, fp)
+	})
 	return scheduled, true
 }
