@@ -109,8 +109,7 @@ func newStreamRig(t *testing.T, leg streamLeg) *streamRig {
 func (r *streamRig) flush(dt time.Duration) {
 	r.clock.advance(dt)
 	if r.leg.group {
-		for r.src.group.broadcastOnce() {
-		}
+		r.src.group.pass(0)
 		for r.ss.inflight.Load() != 0 {
 			stdruntime.Gosched()
 		}

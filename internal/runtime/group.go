@@ -81,6 +81,11 @@ type GroupStats struct {
 	// are also folded into Batches/Scheduled).
 	SplicedBatches   int
 	SplicedRefreshes int
+	// EarlyBatches counts batches the flusher cut ahead of its tick because
+	// a full run of frames was queued and paid for (see earlyFrames; also
+	// folded into Batches). Batches − SplicedBatches − EarlyBatches left on
+	// a tick: the ratio says whether the tick or the size trigger delivers.
+	EarlyBatches int
 	// Pending and Threshold describe the shared scheduling engine.
 	Pending   int
 	Threshold float64
@@ -169,8 +174,24 @@ type fanScratch struct {
 	buckets [][]sendItem
 }
 
+// earlyFrames sizes the flusher's size trigger: an early pass needs this many
+// full frames (× GroupConfig.MaxBatch refreshes) queued and paid for. A pass
+// starts a chain of goroutine wake-ups down the tree (flusher → sender
+// worker → remote reader → dispatcher → shard workers → …) whose cost is
+// per pass, not per frame, so the quantum trades CPU for latency: a tick
+// amortises one chain over everything the tick collected, an early pass over
+// earlyFrames frames. Measured on the 100k updates/s tree workload with a
+// 10 ms tick (≈ 16 frames a tick; update→leaf p50 7.2 ms at the tick alone):
+// 1 frame 1.0 ms at ×1.3–1.5 CPU, 4 frames 2.3 ms at ×1.2, 8 frames 3.9 ms
+// at ×1.1, 16 frames never fire. The first extra pass per tick buys half of
+// all the latency there is to win and each further halving costs as much
+// again, hence 8. A count keeps that overhead per update the same at every
+// update rate; it is a constant because there is nothing here an operator
+// could tune without the same table.
+const earlyFrames = 8
+
 // SessionGroup coalesces the compatible members of a fan-out into one
-// scheduling pass, one encode, and one flush ticker: ONE scheduler (sched)
+// scheduling pass, one encode, and one flusher: ONE scheduler (sched)
 // for the whole cohort, fed once per update instead of once per member.
 // Per-member divergence (held acks, split horizon) stays on the members and
 // is applied per batch. Scheduling state (sched, members, counters other
@@ -196,7 +217,7 @@ type SessionGroup struct {
 	overruns  int
 	// budget is the group's shared send-token bucket, accrued at the
 	// per-member rate by accrueLocked and spent one token per scheduled
-	// refresh by both the flush ticker (broadcastOnce) and the splice
+	// refresh by both the flusher (broadcastOnce) and the splice
 	// fast path (Source.forwardSpliced) — one bucket, so splicing never
 	// overspends the share the rebalancer granted the group.
 	budget     tokenBucket
@@ -204,6 +225,12 @@ type SessionGroup struct {
 	// splicedBatches/splicedRefreshes count forwardSpliced broadcasts.
 	splicedBatches   int
 	splicedRefreshes int
+	earlyBatches     int
+	// The size trigger's state (see wakeLocked): waking is set while an
+	// early-pass request is outstanding, disarmed from an early pass that
+	// found the queue long only with under-threshold residuals to the next
+	// tick pass.
+	waking, disarmed bool
 	next             int                 // round-robin worker assignment cursor
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
 	// The flusher's per-batch scratch (reused): the scheduled objects' queue
@@ -225,7 +252,10 @@ type SessionGroup struct {
 	framesLive atomic.Int64
 
 	workers []*groupWorker
-	done    chan struct{}
+	// wake carries the update path's early-pass requests to the flusher; one
+	// slot, because waking admits one request at a time.
+	wake chan struct{}
+	done chan struct{}
 }
 
 func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
@@ -236,6 +266,7 @@ func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
 		sched:      newSched(&s.cfg),
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
+		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
 	g.workers = make([]*groupWorker, cfg.Workers)
@@ -297,12 +328,16 @@ func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
 	}
 }
 
-// loop is the group's one flush ticker — the coalesced replacement for
-// per-session tickers and per-Batcher flush timers. Budget accrues at the
-// PER-MEMBER rate: one scheduled refresh reaches every member, so charging
-// the aggregate rate per broadcast would overspend egress by the member
-// count. The bucket itself lives on the group (g.budget) so the splice
-// fast path spends from the same allowance between ticks.
+// loop is the group's one flusher — the coalesced replacement for
+// per-session tickers and per-Batcher flush timers, and like a Batcher it
+// sends on size or time: a tick pass sends whatever is sendable, so Tick
+// bounds how long a partial frame waits, and an early pass, requested by the
+// update path (wakeLocked), sends a full run of frames as soon as it is
+// ready. Budget accrues at the PER-MEMBER rate: one scheduled refresh reaches
+// every member, so charging the aggregate rate per broadcast would overspend
+// egress by the member count. The bucket itself lives on the group
+// (g.budget) so the splice fast path spends from the same allowance between
+// ticks.
 func (g *SessionGroup) loop() {
 	defer close(g.done)
 	s := g.src
@@ -313,8 +348,48 @@ func (g *SessionGroup) loop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			for g.broadcastOnce() {
-			}
+			g.pass(0)
+		case <-g.wake:
+			g.pass(g.quantum())
+		}
+	}
+}
+
+// quantum is the early pass's size in refreshes.
+func (g *SessionGroup) quantum() int { return earlyFrames * g.cfg.MaxBatch }
+
+// wakeLocked is the size trigger, run by the update path after it has
+// observed its objects: it asks the flusher for an early pass once a whole
+// quantum is queued and the shared bucket can pay for it. The queue length is
+// tested first and nearly always fails, so an update pays one comparison; now
+// is the caller's reading of the clock. A bucket whose burst is under a
+// quantum (a budget-limited group) never passes: there every pass is a tick
+// pass. The flusher re-checks all of it under the lock, with the bucket
+// actually accrued. Caller holds src.mu.
+func (g *SessionGroup) wakeLocked(now float64) {
+	q := g.quantum()
+	if g.eng.Queue.Len() < q || g.waking || g.disarmed {
+		return
+	}
+	need := float64(q)
+	if tokenBurst(g.rate, g.src.cfg.Tick) < need || g.budget.tokens+(now-g.lastAccrue)*g.rate < need {
+		return
+	}
+	g.waking = true
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pass runs one scheduling pass on the flusher goroutine, batch after batch
+// until one comes out short. need is zero on a tick pass. An early pass
+// starts only with a whole quantum queued and paid for and goes on while a
+// full frame is, so what it leaves behind is a partial frame for the tick.
+func (g *SessionGroup) pass(need int) {
+	for g.broadcastOnce(need) {
+		if need > 0 {
+			need = g.cfg.MaxBatch
 		}
 	}
 }
@@ -343,12 +418,15 @@ func (g *SessionGroup) scheduleLocked(o *objState, now float64) {
 	g.budget.tokens--
 }
 
-// broadcastOnce runs one scheduling pass and fans the resulting batch to
-// every member: the shared refresh slice is built and committed under the
-// source mutex, the frame is encoded once outside it, and each member's
-// send is queued to its sharded worker. Returns false when nothing was over
-// threshold or the token bucket ran dry.
-func (g *SessionGroup) broadcastOnce() bool {
+// broadcastOnce cuts one batch of a pass and fans it to every member: the
+// shared refresh slice is built and committed under the source mutex, the
+// frame is encoded once outside it, and each member's send is queued to its
+// sharded worker. need is how many refreshes must be queued and paid for
+// before anything is cut (zero on a tick pass: anything sendable goes). It
+// returns false when the batch came out short of MaxBatch — nothing more was
+// over threshold, the bucket ran dry or need was not met — which ends the
+// pass.
+func (g *SessionGroup) broadcastOnce(need int) bool {
 	s := g.src
 	b := groupBatchPool.Get().(*groupBatch)
 	b.g = g
@@ -359,10 +437,10 @@ func (g *SessionGroup) broadcastOnce() bool {
 	g.accrueLocked(now)
 	epoch := s.started.UnixNano()
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	for g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
+	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need)
+	for ready && g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
 		key, _, ok := g.eng.ShouldSend()
 		if !ok {
-			g.eng.SetLimited(false)
 			break
 		}
 		o := s.order[key]
@@ -377,16 +455,33 @@ func (g *SessionGroup) broadcastOnce() bool {
 		g.scheduleLocked(o, now)
 	}
 	g.keyBuf, g.provBuf = keys, provs
+	full := len(b.rs) == g.cfg.MaxBatch
+	if !full {
+		// The pass ends with this batch. A tick pass re-arms the size trigger.
+		// An early pass that met its need and still came up short was woken by
+		// a queue of under-threshold residuals: it disarms the trigger until
+		// the next tick, so residuals cannot wake the flusher once per update.
+		if need == 0 {
+			g.disarmed = false
+		} else {
+			g.waking = false
+			g.disarmed = ready
+		}
+		g.limit(g.budget.tokens)
+	}
 	if len(b.rs) == 0 {
 		s.mu.Unlock()
 		b.g = nil
 		groupBatchPool.Put(b)
 		return false
 	}
+	if need > 0 {
+		g.earlyBatches++
+	}
 	g.fanoutLocked(&g.fan, b, keys, provs, nil, func() *codec.Frame {
 		return codec.NewBatchFrame(b.rs, sentUnix)
 	})
-	return true
+	return full
 }
 
 // fanoutLocked delivers one scheduled batch to every member — the one path
@@ -402,7 +497,6 @@ func (g *SessionGroup) broadcastOnce() bool {
 func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, provs []Provenance,
 	decode func() []wire.Refresh, encode func() *codec.Frame) {
 	s := g.src
-	g.limit()
 	g.batches++
 	// Split horizon works on the OUTGOING provenance (origin + via; on a
 	// relay that already ends with this node's id — no member carries it).
@@ -657,6 +751,7 @@ func (g *SessionGroup) statsLocked() GroupStats {
 		SendErrors:       g.sendErrors.Load(),
 		SplicedBatches:   g.splicedBatches,
 		SplicedRefreshes: g.splicedRefreshes,
+		EarlyBatches:     g.earlyBatches,
 		Pending:          g.eng.Queue.Len(),
 		Threshold:        g.eng.Threshold(),
 		MemberShare:      g.rate,

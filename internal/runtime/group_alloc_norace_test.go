@@ -60,6 +60,60 @@ func TestGroupUpdateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestGroupEarlyPassSteadyStateAllocs is the sibling that passes the size
+// trigger instead of being rejected by it: every iteration queues a whole
+// quantum against an ample bucket, so it pays for the updates, the wake, the
+// early pass on the flusher goroutine and the fan-out of its frames to two
+// frame-capable members. What that allocates is what cutting the same frames
+// on a tick allocates — nothing once the pooled batches and frames are warm:
+// no closure, timer or channel per pass.
+func TestGroupEarlyPassSteadyStateAllocs(t *testing.T) {
+	clock := newFakeClock()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "al", Metric: metric.ValueDeviation,
+		Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
+		Group: GroupConfig{Enabled: true, Queue: 64},
+	}, []Destination{
+		{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+		{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	g := src.group
+	ids := make([]string, g.quantum())
+	for i := range ids {
+		ids[i] = fmt.Sprintf("al/obj-%d", i)
+	}
+	v, want := 1.0, 0
+	round := func() {
+		clock.advance(time.Millisecond)
+		for _, id := range ids {
+			src.Update(id, v)
+		}
+		v++
+		want += len(ids)
+		for done := false; !done; stdruntime.Gosched() {
+			src.mu.Lock()
+			done = g.scheduled == want && !g.waking
+			src.mu.Unlock()
+		}
+	}
+	round() // inserts
+	round() // sizes the pooled batches, frames and scratch
+	allocs := testing.AllocsPerRun(50, round)
+	src.mu.Lock()
+	early, batches := g.earlyBatches, g.batches
+	src.mu.Unlock()
+	if early != batches || early != 53*earlyFrames {
+		t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*earlyFrames)
+	}
+	if allocs > 0 {
+		t.Errorf("a quantum of updates and its early pass allocated %.1f times, want 0", allocs)
+	}
+}
+
 // TestCacheReapplySteadyStateAllocs: refreshing objects the cache already
 // holds allocates nothing — the batch is routed to the shards as index lists
 // over the one refresh slice, and an entry is overwritten in place. (With an

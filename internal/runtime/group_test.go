@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
+	"bestsync/internal/core"
 	"bestsync/internal/metric"
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
@@ -663,4 +665,327 @@ func TestGroupLateJoinerSyncsBeforeAttach(t *testing.T) {
 		return received(late, "gs/x") && received(late, "gs/y") &&
 			st.Group != nil && st.Group.Members == 2
 	}, "late joiner to re-synchronize and attach")
+}
+
+// earlyRig is a group of two in-process members driven by hand: a stepped
+// clock and a Tick no ticker reaches, so the only thing that can send is the
+// size trigger (or the test calling pass itself). The threshold is pinned by
+// default — every update is over it and neither sends nor feedback move it.
+type earlyRig struct {
+	clock *fakeClock
+	nets  []*transport.Local
+	src   *Source
+	g     *SessionGroup
+}
+
+func newEarlyRig(t *testing.T, bandwidth float64, tick time.Duration, params core.Params) *earlyRig {
+	t.Helper()
+	r := &earlyRig{clock: newFakeClock(), nets: make([]*transport.Local, 2)}
+	dests := make([]Destination, len(r.nets))
+	for i := range r.nets {
+		r.nets[i] = transport.NewLocal(64)
+		conn, err := r.nets[i].Dial("origin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dests[i] = Destination{CacheID: fmt.Sprintf("leaf-%d", i), Conn: conn}
+	}
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "origin", Metric: metric.ValueDeviation, Bandwidth: bandwidth,
+		Tick: tick, Params: params, Now: r.clock.Now,
+		Group: GroupConfig{Enabled: true, Queue: 64},
+	}, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		src.Close()
+		for _, n := range r.nets {
+			n.Close()
+		}
+	})
+	r.src, r.g = src, src.group
+	// Protocol time must be past zero for a never-sent object to have area,
+	// and the bucket accrues over the step.
+	r.clock.advance(time.Second)
+	return r
+}
+
+// trigger reads the size trigger's state.
+func (r *earlyRig) trigger() (waking, disarmed bool, queued int) {
+	r.src.mu.Lock()
+	defer r.src.mu.Unlock()
+	return r.g.waking, r.g.disarmed, len(r.g.wake)
+}
+
+// settle waits for the flusher to finish the early pass it was asked for and
+// for the sender workers to hand everything over.
+func (r *earlyRig) settle(t *testing.T) {
+	t.Helper()
+	waitFor(t, 5*time.Second, func() bool {
+		waking, _, queued := r.trigger()
+		if waking || queued != 0 {
+			return false
+		}
+		for _, ss := range r.src.sessions {
+			if ss.inflight.Load() != 0 {
+				return false
+			}
+		}
+		return true
+	}, "the early pass to finish")
+}
+
+// frames drains what member i received, as frame sizes.
+func (r *earlyRig) frames(i int) []int {
+	var sizes []int
+	for {
+		select {
+		case b := <-r.nets[i].Batches():
+			sizes = append(sizes, len(b.Refreshes))
+		default:
+			return sizes
+		}
+	}
+}
+
+// TestGroupEarlyPass: a full run of frames leaves when it is ready, not at the
+// next tick — and only a full run does.
+func TestGroupEarlyPass(t *testing.T) {
+	feeders := map[string]func(src *Source, from, to int){
+		"Update": func(src *Source, from, to int) {
+			for i := from; i < to; i++ {
+				src.Update(fmt.Sprintf("obj-%04d", i), 1)
+			}
+		},
+		// A relay's classic (non-splice) forward path: one call per applied
+		// batch, the trigger consulted once after the loop.
+		"UpdateFromAll": func(src *Source, from, to int) {
+			ups := make([]RelayedUpdate, 0, to-from)
+			for i := from; i < to; i++ {
+				ups = append(ups, RelayedUpdate{ObjectID: fmt.Sprintf("obj-%04d", i), Value: 1,
+					Prov: Provenance{Origin: "up", Hops: 1, Via: []string{"mid"}, Epoch: 5, Version: uint64(i + 1)}})
+			}
+			src.UpdateFromAll(ups)
+		},
+	}
+	for name, feed := range feeders {
+		t.Run(name, func(t *testing.T) {
+			r := newEarlyRig(t, 2e6, time.Hour, pinnedParams(1e-6))
+			quantum := r.g.quantum()
+			if quantum != earlyFrames*64 {
+				t.Fatalf("quantum = %d, want %d frames of the default 64", quantum, earlyFrames)
+			}
+
+			feed(r.src, 0, quantum-1)
+			if waking, _, queued := r.trigger(); waking || queued != 0 {
+				t.Fatalf("one short of the quantum: waking=%v, %d requests queued, want none", waking, queued)
+			}
+			if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != quantum-1 {
+				t.Fatalf("one short of the quantum: batches=%d pending=%d, want 0 and %d", st.Batches, st.Pending, quantum-1)
+			}
+
+			feed(r.src, quantum-1, quantum+10)
+			r.settle(t)
+			st := r.src.Stats().Group
+			if st.Scheduled != quantum || st.Batches != earlyFrames || st.EarlyBatches != earlyFrames || st.Pending != 10 {
+				t.Fatalf("after the early pass: scheduled=%d batches=%d early=%d pending=%d, want %d, %d, %d and 10",
+					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, quantum, earlyFrames, earlyFrames)
+			}
+			for i := range r.nets {
+				sizes := r.frames(i)
+				if len(sizes) != earlyFrames {
+					t.Fatalf("member %d received %d frames, want %d", i, len(sizes), earlyFrames)
+				}
+				for _, n := range sizes {
+					if n != r.g.cfg.MaxBatch {
+						t.Fatalf("member %d received frames of %v, want every one full", i, sizes)
+					}
+				}
+			}
+
+			// The remainder is the tick's.
+			r.g.pass(0)
+			r.settle(t)
+			st = r.src.Stats().Group
+			if st.Scheduled != quantum+10 || st.Batches != earlyFrames+1 || st.EarlyBatches != earlyFrames || st.Pending != 0 {
+				t.Fatalf("after the tick pass: scheduled=%d batches=%d early=%d pending=%d, want %d, %d, %d and 0",
+					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, quantum+10, earlyFrames+1, earlyFrames)
+			}
+			for i := range r.nets {
+				if sizes := r.frames(i); len(sizes) != 1 || sizes[0] != 10 {
+					t.Fatalf("member %d received %v on the tick, want one frame of 10", i, sizes)
+				}
+			}
+		})
+	}
+}
+
+// TestGroupEarlyPassBudgetLimited: a group whose bucket cannot hold a quantum
+// (1000 msg/s per member at a 10 ms tick: a burst of 20) never passes early
+// however long its queue, and stays inside its budget.
+func TestGroupEarlyPassBudgetLimited(t *testing.T) {
+	r := newEarlyRig(t, 2000, 10*time.Millisecond, pinnedParams(1e-6))
+	start := r.clock.Now()
+	for i := 0; i < 4*r.g.quantum(); i++ {
+		r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
+		if waking, _, queued := r.trigger(); waking || queued != 0 {
+			t.Fatalf("update %d: the trigger fired on a budget-limited group", i)
+		}
+		if i%64 == 0 {
+			r.clock.advance(time.Millisecond)
+			for j := range r.nets {
+				r.frames(j) // keep the members draining
+			}
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Group.Batches > 0 }, "a tick pass")
+	r.src.mu.Lock()
+	elapsed := r.clock.Now().Sub(start).Seconds() + 1 // the rig's opening step accrued too
+	scheduled, early, rate := r.g.scheduled, r.g.earlyBatches, r.g.rate
+	r.src.mu.Unlock()
+	if early != 0 {
+		t.Errorf("%d early batches on a budget-limited group, want 0", early)
+	}
+	if limit := rate*elapsed + tokenBurst(rate, 10*time.Millisecond); float64(scheduled) > limit {
+		t.Errorf("scheduled %d refreshes in %.3f s at %.0f/s, over the budget of %.1f", scheduled, elapsed, rate, limit)
+	}
+}
+
+// TestGroupEarlyPassDisarmsOnResiduals: a queue that is long only because it
+// is full of under-threshold residuals costs one fruitless early pass per
+// tick, not one per update.
+func TestGroupEarlyPassDisarmsOnResiduals(t *testing.T) {
+	r := newEarlyRig(t, 2e6, time.Hour, pinnedParams(1e-6))
+	r.src.mu.Lock()
+	r.g.eng.SetThreshold(1e9) // pinned params: nothing moves it back
+	r.src.mu.Unlock()
+	quantum := r.g.quantum()
+
+	for round := 0; round < 2; round++ {
+		// Crossing the quantum (the first round) or the first update after a
+		// tick (the second) asks for exactly one pass, which finds nothing.
+		for i := 0; i < quantum; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i), float64(round+1))
+		}
+		r.settle(t)
+		if _, disarmed, _ := r.trigger(); !disarmed {
+			t.Fatalf("round %d: the fruitless pass left the trigger armed", round)
+		}
+		// A stream of updates over the same residuals asks for none.
+		for i := 0; i < 200; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i), float64(round+10))
+			if waking, _, queued := r.trigger(); waking || queued != 0 {
+				t.Fatalf("round %d, update %d: a disarmed trigger fired", round, i)
+			}
+		}
+		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != quantum {
+			t.Fatalf("round %d: batches=%d pending=%d, want 0 and %d", round, st.Batches, st.Pending, quantum)
+		}
+		r.g.pass(0) // the tick re-arms it
+		if _, disarmed, _ := r.trigger(); disarmed {
+			t.Fatalf("round %d: the tick pass left the trigger disarmed", round)
+		}
+	}
+}
+
+// TestGroupEarlyPassCloseWithWakePending: shutdown racing an early-pass
+// request neither hangs nor leaks a shared frame, whichever the flusher sees
+// first.
+func TestGroupEarlyPassCloseWithWakePending(t *testing.T) {
+	a, b := newFrameConn("close-a"), newFrameConn("close-b")
+	clock := newFakeClock()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "origin", Metric: metric.ValueDeviation, Bandwidth: 2e6,
+		Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
+		Group: GroupConfig{Enabled: true, Queue: 64},
+	}, []Destination{{CacheID: "a", Conn: a}, {CacheID: "b", Conn: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(time.Second)
+	g := src.group
+
+	// Hold the lock across the updates and the start of Close, so the request
+	// is still outstanding when the stop channel closes.
+	src.mu.Lock()
+	now, unix := src.clock()
+	for i := 0; i < g.quantum(); i++ {
+		src.updateLocked(fmt.Sprintf("obj-%04d", i), 1, Provenance{}, now, unix)
+	}
+	g.wakeLocked(now)
+	if !g.waking {
+		src.mu.Unlock()
+		t.Fatal("a full quantum with an ample bucket did not ask for a pass")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- src.Close() }()
+	for stopped := false; !stopped; {
+		select {
+		case <-src.stop:
+			stopped = true
+		default:
+			stdruntime.Gosched()
+		}
+	}
+	src.mu.Unlock()
+
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung with an early-pass request pending")
+	}
+	if fl := g.framesLive.Load(); fl != 0 {
+		t.Fatalf("framesLive = %d after Close, want 0", fl)
+	}
+}
+
+// TestGroupLimited: the engine is limited — and ignores positive feedback —
+// exactly when sendable work is left and the bucket cannot pay for one more
+// refresh, whatever kind of pass looked last.
+func TestGroupLimited(t *testing.T) {
+	params := core.Params{Alpha: 1, Omega: 2, InitialThreshold: 0.5, DisableBeta: true}
+	feedback := func(r *earlyRig) { r.src.sessions[0].onFeedback(wire.Feedback{CacheID: "leaf-0"}) }
+	state := func(r *earlyRig) (limited bool, threshold float64) {
+		r.src.mu.Lock()
+		defer r.src.mu.Unlock()
+		return r.g.eng.Limited(), r.g.eng.Threshold()
+	}
+
+	t.Run("a starved pass", func(t *testing.T) {
+		r := newEarlyRig(t, 0.002, time.Hour, params)
+		r.src.Update("obj", 100)
+		r.g.pass(0) // cuts nothing: the bucket holds a thousandth of a token
+		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != 1 {
+			t.Fatalf("batches=%d pending=%d, want 0 and 1", st.Batches, st.Pending)
+		}
+		if limited, _ := state(r); !limited {
+			t.Fatal("sendable work and an empty bucket, but the engine is not limited")
+		}
+		feedback(r)
+		if _, th := state(r); th != params.InitialThreshold {
+			t.Fatalf("a limited engine took positive feedback: threshold %v, want %v", th, params.InitialThreshold)
+		}
+	})
+
+	t.Run("an early pass that stops by choice", func(t *testing.T) {
+		r := newEarlyRig(t, 2e6, time.Hour, params)
+		for i := 0; i < r.g.quantum()+10; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i), 100)
+		}
+		r.settle(t)
+		if st := r.src.Stats().Group; st.EarlyBatches != earlyFrames || st.Pending != 10 {
+			t.Fatalf("early=%d pending=%d, want %d and 10", st.EarlyBatches, st.Pending, earlyFrames)
+		}
+		if limited, _ := state(r); limited {
+			t.Fatal("a partial frame left behind with budget in hand, but the engine is limited")
+		}
+		feedback(r)
+		if _, th := state(r); th != params.InitialThreshold/params.Omega {
+			t.Fatalf("threshold %v after positive feedback, want %v", th, params.InitialThreshold/params.Omega)
+		}
+	})
 }

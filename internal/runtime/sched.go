@@ -216,9 +216,15 @@ func (sc *sched) refresh(o *objState, cacheID string, epoch, sentUnix int64) wir
 	}
 }
 
-// limit tells the engine whether the scheduler stopped with sendable work
-// left — a source at full capacity ignores positive feedback (§5).
-func (sc *sched) limit() {
+// limit is the one place a scheduler's engine learns whether it is limited —
+// sending at the full capacity of its share, the state in which §5 has a
+// source ignore positive feedback: sendable work is left AND the bucket, at
+// tokens, cannot pay for one more refresh. Every owner calls it once at the
+// end of a scheduling pass, whether or not the pass cut anything, so the flag
+// always describes the most recent look at the queue. A pass that stops by
+// choice with budget in hand (a group early pass at a frame boundary) is not
+// limited; a pass that never started for lack of budget is.
+func (sc *sched) limit(tokens float64) {
 	_, _, want := sc.eng.ShouldSend()
-	sc.eng.SetLimited(want)
+	sc.eng.SetLimited(want && tokens < 1)
 }

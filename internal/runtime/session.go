@@ -349,7 +349,7 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 // follows from state it already has — a nil channel never fires:
 //
 //   - The flush tick runs unless the session is attached to the group (the
-//     group's one flush ticker schedules for the whole cohort; the member only
+//     group's one flusher schedules for the whole cohort; the member only
 //     relays feedback). Under a cache-driven policy the tick only accrues:
 //     there are no priorities, thresholds or pushes.
 //   - Polls are read under every polling policy and only while the bucket
@@ -865,7 +865,7 @@ func (ss *syncSession) flush(budget float64) float64 {
 		budget--
 	}
 	s.mu.Lock()
-	ss.limit()
+	ss.limit(budget)
 	s.mu.Unlock()
 	return budget
 }

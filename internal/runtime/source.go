@@ -652,6 +652,9 @@ func (s *Source) UpdateFrom(objectID string, value float64, prov Provenance) {
 	defer s.mu.Unlock()
 	now, unix := s.clock()
 	s.updateLocked(objectID, value, prov, now, unix)
+	if s.group != nil {
+		s.group.wakeLocked(now)
+	}
 }
 
 // RelayedUpdate is one element of an UpdateFromAll batch.
@@ -676,6 +679,12 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 	for i := range updates {
 		u := &updates[i]
 		s.updateLocked(u.ObjectID, u.Value, u.Prov, now, unix)
+	}
+	// Once per call, not per element: what the batch queued may have
+	// completed a full run of frames, which the group flusher then sends
+	// without waiting for its tick.
+	if s.group != nil {
+		s.group.wakeLocked(now)
 	}
 }
 

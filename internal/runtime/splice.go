@@ -245,7 +245,7 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		s.observeSessionsLocked(o, now)
 		if !g.deviates(o, threshold) || g.budget.tokens < 1 {
 			// Within threshold or out of budget: the normal scheduling
-			// machinery picks the object up at the next flush tick.
+			// machinery picks the object up at the flusher's next pass.
 			g.observe(o, now)
 			keep[i] = false
 			continue
@@ -256,6 +256,7 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 	}
 	sc.keys = keys
 	scheduled = len(sent)
+	g.limit(g.budget.tokens) // a splice call is a scheduling pass of its own
 	if scheduled == 0 {
 		// Everything deferred to the classic scheduler — still handled: the
 		// canonical state advanced and every observe ran.
