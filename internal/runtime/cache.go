@@ -46,11 +46,13 @@
 // are merged periodically (once per second) into rate gauges for the
 // status endpoint and merged on demand by Stats.
 //
-// A shard's store is an index map from object id to a dense slab of entries:
-// a refresh resolves its id once and then works on the slot (overwritten in
-// place), batches reach the shards as index lists over the one decoded slice,
-// and pending held-version acks are sets of slab indexes whose payload is
-// read when they are sent — the steady-state apply path allocates nothing.
+// A shard's store is an open-addressed id index (idIndex) over a dense slab of
+// entries: the dispatcher hashes a refresh's id once, picking the shard from
+// the hash's low half, and the shard probes its index with the same hash's
+// high half, then works on the slot (overwritten in place). Batches reach the
+// shards as index lists over the one decoded slice, and pending held-version
+// acks are sets of slab indexes whose payload is read when they are sent —
+// the steady-state apply path allocates nothing.
 //
 // # Back-pressure
 //
@@ -66,7 +68,6 @@
 package runtime
 
 import (
-	"hash/maphash"
 	"math"
 	"math/bits"
 	stdruntime "runtime"
@@ -246,6 +247,7 @@ type applyTask struct {
 type batchRef struct {
 	c       *Cache
 	rs      []wire.Refresh
+	hs      []uint64 // hashID of each refresh's object id, aligned with rs
 	frame   *codec.Frame
 	keep    []bool // framed batches only: aligned with rs and the frame's items
 	parts   [][]int32
@@ -254,11 +256,16 @@ type batchRef struct {
 
 var batchRefPool = sync.Pool{New: func() any { return new(batchRef) }}
 
-// grabBatchRef readies a pooled ref for a batch: one (emptied) index bucket
-// per shard and, for a framed batch, the keep mask zeroed to length len(rs).
+// grabBatchRef readies a pooled ref for a batch: room for one hash per
+// refresh, one (emptied) index bucket per shard and, for a framed batch, the
+// keep mask zeroed to length len(rs).
 func (c *Cache) grabBatchRef(rs []wire.Refresh, frame *codec.Frame) *batchRef {
 	b := batchRefPool.Get().(*batchRef)
 	b.c, b.rs, b.frame = c, rs, frame
+	if cap(b.hs) < len(rs) {
+		b.hs = make([]uint64, len(rs))
+	}
+	b.hs = b.hs[:len(rs)]
 	b.keep = b.keep[:0]
 	if frame != nil {
 		if cap(b.keep) < len(rs) {
@@ -316,12 +323,12 @@ type ackSet struct {
 	cursor int // word the next drain starts at
 }
 
-// shard is one independent slice of the cache store: an index map from object
-// id to a dense slab of entries that are mutated in place, so a refresh for a
-// known object costs one map probe.
+// shard is one independent slice of the cache store: an id index over a dense
+// slab of entries that are mutated in place, so a refresh for a known object
+// costs one probe of a table word and one id comparison.
 type shard struct {
 	mu    sync.Mutex
-	index map[string]int32
+	index idIndex // object id → slab index, confirmed against slot.id
 	slab  []*[slabChunk]slot
 	n     int32 // slots in use
 	stats shardStats
@@ -342,23 +349,26 @@ func (sh *shard) at(i int32) *slot {
 	return &sh.slab[i>>slabShift][i&(slabChunk-1)]
 }
 
-// lookup returns the slot holding objectID, or nil. Caller holds sh.mu.
-func (sh *shard) lookup(objectID string) *slot {
-	if i, ok := sh.index[objectID]; ok {
-		return sh.at(i)
+// find returns the slab index of objectID, whose hashID is h, or -1. Caller
+// holds sh.mu.
+func (sh *shard) find(h uint64, objectID string) int32 {
+	p := sh.index.probe(h)
+	for {
+		if i := sh.index.next(&p); i < 0 || sh.at(i).id == objectID {
+			return i
+		}
 	}
-	return nil
 }
 
-// insert adds a slot for a new object id and returns its slab index. Caller
-// holds sh.mu.
-func (sh *shard) insert(objectID string) int32 {
+// insert adds a slot for a new object id whose hashID is h and returns its
+// slab index. Caller holds sh.mu.
+func (sh *shard) insert(h uint64, objectID string) int32 {
 	i := sh.n
 	if int(i>>slabShift) == len(sh.slab) {
 		sh.slab = append(sh.slab, new([slabChunk]slot))
 	}
 	sh.n++
-	sh.index[objectID] = i
+	sh.index.insert(h, i)
 	sh.at(i).id = objectID
 	return i
 }
@@ -369,7 +379,6 @@ type Cache struct {
 	ep     transport.CacheEndpoint
 	ps     *pollScheduler // non-nil for cache-driven policies
 	shards []*shard
-	seed   maphash.Seed
 
 	mu        sync.Mutex // guards tracker, source table, central counters
 	tracker   *core.Cache
@@ -432,7 +441,6 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	c := &Cache{
 		cfg:    cfg,
 		ep:     ep,
-		seed:   maphash.MakeSeed(),
 		srcIdx: map[string]int{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -441,10 +449,7 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	c.bw.Store(math.Float64bits(cfg.Bandwidth))
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			index: map[string]int32{},
-			queue: make(chan applyTask, cfg.ShardQueue),
-		}
+		c.shards[i] = &shard{queue: make(chan applyTask, cfg.ShardQueue)}
 		c.wg.Add(1)
 		go c.worker(c.shards[i])
 	}
@@ -460,25 +465,27 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	return c
 }
 
-// shardIndex routes an object key to its owning shard.
-func (c *Cache) shardIndex(objectID string) int {
-	if len(c.shards) == 1 {
-		return 0
-	}
-	return int(maphash.String(c.seed, objectID) % uint64(len(c.shards)))
+// shardOf routes an object id's hash to its owning shard. It reads the low
+// half of the hash; the shard's idIndex reads the high half, so the shard
+// choice and the slot within it stay independent.
+func (c *Cache) shardOf(h uint64) int {
+	return int(h & idLow * uint64(len(c.shards)) >> 32)
 }
 
-func (c *Cache) shardFor(objectID string) *shard {
-	return c.shards[c.shardIndex(objectID)]
+// locate hashes an object id once and returns its shard and the hash the
+// shard's index is probed with.
+func (c *Cache) locate(objectID string) (*shard, uint64) {
+	h := hashID(objectID)
+	return c.shards[c.shardOf(h)], h
 }
 
 // Get returns the cached copy of an object.
 func (c *Cache) Get(objectID string) (Entry, bool) {
-	sh := c.shardFor(objectID)
+	sh, h := c.locate(objectID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sl := sh.lookup(objectID); sl != nil {
-		return sl.e, true
+	if i := sh.find(h, objectID); i >= 0 {
+		return sh.at(i).e, true
 	}
 	return Entry{}, false
 }
@@ -742,7 +749,8 @@ func (c *Cache) installPolled(rs []wire.Refresh) {
 }
 
 // route hands a batch's refreshes to their owning shards' apply queues as
-// index lists over the one shared slice — nothing is copied or compacted, so
+// index lists over the one shared slice, with each id's hash beside it for
+// the shard's index probe — nothing is copied or compacted, so
 // for a framed batch (frame != nil) index i of the keep mask, the refreshes
 // and the retained frame's encoded items always line up: the mask, not slice
 // surgery, records Reject hits here and stale drops in the workers, and the
@@ -757,7 +765,9 @@ func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
 		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
 			continue
 		}
-		si := c.shardIndex(rs[i].ObjectID)
+		h := hashID(rs[i].ObjectID)
+		ref.hs[i] = h
+		si := c.shardOf(h)
 		parts[si] = append(parts[si], int32(i))
 		if frame != nil {
 			ref.keep[i] = true
@@ -819,7 +829,7 @@ func (c *Cache) worker(sh *shard) {
 		report := !framed && c.cfg.OnApply != nil
 		sh.mu.Lock()
 		for _, i := range t.idxs {
-			ok := c.applyLocked(sh, &ref.rs[i], now)
+			ok := c.applyLocked(sh, &ref.rs[i], ref.hs[i], now)
 			switch {
 			case ok && report:
 				applied = append(applied, ref.rs[i])
@@ -838,12 +848,14 @@ func (c *Cache) worker(sh *shard) {
 }
 
 // applyLocked installs one refresh into the shard store, reporting whether
-// it was applied (false = dropped as stale). The object id is resolved once;
-// an existing entry is overwritten in place. Caller holds sh.mu.
-func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, now time.Time) bool {
-	i, ok := sh.index[r.ObjectID]
+// it was applied (false = dropped as stale). The object id is resolved once,
+// with the hash h the dispatcher routed it by; an existing entry is
+// overwritten in place. Caller holds sh.mu.
+func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now time.Time) bool {
+	i := sh.find(h, r.ObjectID)
+	ok := i >= 0
 	if !ok {
-		i = sh.insert(r.ObjectID)
+		i = sh.insert(h, r.ObjectID)
 	}
 	cur := &sh.at(i).e
 	// The (epoch, version) staleness guard is per sender: epochs from

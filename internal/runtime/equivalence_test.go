@@ -222,7 +222,7 @@ func runStreamScript(t *testing.T, leg streamLeg, race bool) *streamRig {
 	// Held-ack exclusion: the receiver acknowledges a version of obj-05 one
 	// ahead of the canonical axis, so the next update is already there.
 	r.src.mu.Lock()
-	o := r.src.objs[ids[5]]
+	o, _ := r.src.objLocked(ids[5])
 	ahead := wire.HeldVersion{ObjectID: o.id, Epoch: r.src.started.UnixNano(), Version: o.version + 1}
 	r.src.mu.Unlock()
 	r.ss.onFeedback(wire.Feedback{CacheID: "leaf", Held: []wire.HeldVersion{ahead}})

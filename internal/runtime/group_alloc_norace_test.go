@@ -60,6 +60,50 @@ func TestGroupUpdateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSourceUpdateSteadyStateAllocs: on a per-session source, Update over
+// known ids allocates nothing — the id resolves through the source's idIndex
+// and the session's observe/requeue runs in place. First insertion of N ids
+// allocates each object's state once and otherwise only where a table or
+// slice doubles: O(log N), not O(N), so a cold start (setup) stays cheap.
+func TestSourceUpdateSteadyStateAllocs(t *testing.T) {
+	// A starved budget and an hour-long tick keep the session loop idle, so
+	// the measurement sees only the update path.
+	src := NewSource(SourceConfig{
+		ID: "al", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
+	}, nullFrameConn{fb: make(chan wire.Feedback)})
+	defer src.Close()
+
+	const objects = 4096
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("tenant-%04d/obj-1", i)
+	}
+	// AllocsPerRun would insert during its warm-up run; count by hand.
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	for _, id := range ids {
+		src.Update(id, 1)
+	}
+	stdruntime.ReadMemStats(&after)
+	// One objState per object; everything else doubles: the id index, the
+	// queue-key order, the session's per-object state and its priority queue,
+	// a dozen doublings each (log2 4096 = 12).
+	if extra := int(after.Mallocs-before.Mallocs) - objects; extra > 16*12 {
+		t.Errorf("first insertion of %d ids allocated %d times beyond one per object, want O(log N)", objects, extra)
+	}
+
+	v := 2.0
+	avg := testing.AllocsPerRun(20, func() {
+		for _, id := range ids {
+			src.Update(id, v)
+		}
+		v++
+	})
+	if perUpdate := avg / objects; perUpdate > 0 {
+		t.Errorf("steady-state per-session Update allocates %.4f allocs/update, want 0", perUpdate)
+	}
+}
+
 // TestGroupEarlyPassSteadyStateAllocs is the sibling that passes the size
 // trigger instead of being rejected by it: every iteration queues a whole
 // quantum against an ample bucket, so it pays for the updates, the wake, the

@@ -142,7 +142,7 @@ type pollScheduler struct {
 
 	// Loop-local state (no locking needed).
 	objects []*pollObj
-	index   map[string]int // object id → objects index
+	index   idIndex // object id → objects index, confirmed against objects[i].id
 	known   map[string]bool
 	queue   pollQueue
 	// coop reports which connected peers advertised the cooperation
@@ -191,7 +191,6 @@ func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *poll
 		pe:       pe,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
-		index:    map[string]int{},
 		known:    map[string]bool{},
 		pushedBy: map[string]map[string]bool{},
 		done:     make(chan struct{}),
@@ -281,6 +280,24 @@ func (ps *pollScheduler) loop() {
 			}
 		}
 	}
+}
+
+// find returns the objects index of object id, or -1, and the id's hash for
+// an add that follows.
+func (ps *pollScheduler) find(id string) (int, uint64) {
+	h := hashID(id)
+	p := ps.index.probe(h)
+	for {
+		if i := ps.index.next(&p); i < 0 || ps.objects[i].id == id {
+			return int(i), h
+		}
+	}
+}
+
+// add registers a newly discovered object whose id hashes to h.
+func (ps *pollScheduler) add(h uint64, o *pollObj) {
+	ps.index.insert(h, int32(len(ps.objects)))
+	ps.objects = append(ps.objects, o)
 }
 
 // discoverNew sends a discovery poll to every connected source the
@@ -377,11 +394,11 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 			if !it.Exists {
 				continue
 			}
-			if _, ok := ps.index[it.ObjectID]; ok {
+			i, h := ps.find(it.ObjectID)
+			if i >= 0 {
 				continue // known: its targeted polls carry the observations
 			}
-			ps.index[it.ObjectID] = len(ps.objects)
-			ps.objects = append(ps.objects, &pollObj{
+			ps.add(h, &pollObj{
 				id:       it.ObjectID,
 				sourceID: r.SourceID,
 				lastPoll: t,
@@ -403,8 +420,8 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 	var install []wire.Refresh
 	created := 0
 	for _, it := range r.Items {
-		i, ok := ps.index[it.ObjectID]
-		if !ok {
+		i, h := ps.find(it.ObjectID)
+		if i < 0 {
 			if !it.Exists {
 				continue
 			}
@@ -420,8 +437,7 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 				lastPoll: t,
 				period:   math.Inf(1),
 			}
-			ps.index[it.ObjectID] = len(ps.objects)
-			ps.objects = append(ps.objects, o)
+			ps.add(h, o)
 			created++
 			install = append(install, ps.refreshFor(r.SourceID, it))
 			continue
@@ -488,7 +504,7 @@ func (ps *pollScheduler) applyPushed(r wire.PollReply, t float64) {
 	next := make(map[string]bool, len(r.Pushed))
 	for _, id := range r.Pushed {
 		next[id] = true
-		if i, ok := ps.index[id]; ok {
+		if i, _ := ps.find(id); i >= 0 {
 			ps.objects[i].pushed = true
 		}
 	}
@@ -496,8 +512,8 @@ func (ps *pollScheduler) applyPushed(r wire.PollReply, t float64) {
 		if next[id] {
 			continue
 		}
-		i, ok := ps.index[id]
-		if !ok {
+		i, _ := ps.find(id)
+		if i < 0 {
 			continue
 		}
 		o := ps.objects[i]

@@ -312,8 +312,8 @@ func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
 // Caller holds src.mu.
 func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	s := ss.src
-	o, ok := s.objs[h.ObjectID]
-	if !ok {
+	o, _ := s.objLocked(h.ObjectID)
+	if o == nil {
 		if len(ss.heldPending) < maxHeldPending {
 			if p, dup := ss.heldPending[h.ObjectID]; !dup ||
 				(heldAxis{p.Epoch, p.Version}).before(heldAxis{h.Epoch, h.Version}) {
@@ -585,7 +585,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	} else {
 		reply.Items = make([]wire.PollItem, 0, len(p.ObjectIDs))
 		for _, id := range p.ObjectIDs {
-			if o, ok := s.objs[id]; ok {
+			if o, _ := s.objLocked(id); o != nil {
 				if !ss.servableLocked(o, known) {
 					continue
 				}
@@ -634,8 +634,8 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 // reply was (builtAt), with updates that landed since left as its residual.
 // Caller holds src.mu.
 func (ss *syncSession) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
-	o, ok := ss.src.objs[it.ObjectID]
-	if !ok || o.key >= len(ss.objs) {
+	o, _ := ss.src.objLocked(it.ObjectID)
+	if o == nil || o.key >= len(ss.objs) {
 		return
 	}
 	ss.hyb.charge(o.key, pollRoundTrip)

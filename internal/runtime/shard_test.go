@@ -202,3 +202,36 @@ func TestApplyRateGauge(t *testing.T) {
 		t.Errorf("status shards = %d, want 2", st.Shards)
 	}
 }
+
+// TestCacheGetAfterGrowth: objects applied while their shards' id indexes
+// doubled several times are all found by Get afterwards — ids that share a
+// long prefix and suffix included — and ids never applied are not.
+func TestCacheGetAfterGrowth(t *testing.T) {
+	const objects, batch = 5000, 64
+	c := quietCache(3, nil)
+	defer c.Close()
+	id := func(i int, kind string) string { return fmt.Sprintf("sensor-%05d/%s", i, kind) }
+	for first := 0; first < objects; first += batch {
+		rs := make([]wire.Refresh, 0, batch)
+		for i := first; i < min(first+batch, objects); i++ {
+			rs = append(rs, wire.Refresh{SourceID: "s1", ObjectID: id(i, "temperature"), Value: float64(i), Version: 1})
+		}
+		apply(t, c, rs...)
+	}
+	if n := c.Len(); n != objects {
+		t.Fatalf("len = %d, want %d", n, objects)
+	}
+	for i := 0; i < objects; i++ {
+		if e, ok := c.Get(id(i, "temperature")); !ok || e.Value != float64(i) {
+			t.Fatalf("Get(%q) = %+v, %v", id(i, "temperature"), e, ok)
+		}
+		if _, ok := c.Get(id(i, "humidity")); ok {
+			t.Fatalf("Get(%q) found an object that was never applied", id(i, "humidity"))
+		}
+	}
+	for i, sh := range c.shards {
+		if w := len(sh.index.words); int(sh.n) == 0 || 2*int(sh.n) > w || w < 1024 {
+			t.Errorf("shard %d: %d objects in a %d-slot index, want load ≤ ½ after several doublings", i, sh.n, w)
+		}
+	}
+}

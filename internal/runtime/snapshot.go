@@ -52,15 +52,13 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 		return fmt.Errorf("runtime: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	for id, e := range snap.Store {
-		sh := c.shardFor(id)
+		sh, h := c.locate(id)
 		sh.mu.Lock()
-		sl := sh.lookup(id)
-		if sl == nil {
-			sl = sh.at(sh.insert(id))
-			sl.e = e
-		} else if cur := &sl.e; cur.Source == e.Source &&
+		if i := sh.find(h, id); i < 0 {
+			sh.at(sh.insert(h, id)).e = e
+		} else if cur := &sh.at(i).e; cur.Source == e.Source &&
 			(cur.Epoch < e.Epoch || (cur.Epoch == e.Epoch && cur.Version < e.Version)) {
-			sl.e = e
+			*cur = e
 		}
 		sh.mu.Unlock()
 	}

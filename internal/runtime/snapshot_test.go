@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,9 +17,9 @@ func cacheWithEntries(t *testing.T, entries map[string]Entry) *Cache {
 	net := transport.NewLocal(4)
 	c := fastCache(net, 1000)
 	for id, e := range entries {
-		sh := c.shardFor(id)
+		sh, h := c.locate(id)
 		sh.mu.Lock()
-		sh.at(sh.insert(id)).e = e
+		sh.at(sh.insert(h, id)).e = e
 		sh.mu.Unlock()
 	}
 	return c
@@ -174,5 +175,79 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	if err := c.LoadSnapshot(&tampered); err == nil {
 		t.Error("version-mismatched snapshot accepted")
+	}
+}
+
+// TestSnapshotLoadIntoPopulatedStore: loading a snapshot into a store that
+// already holds objects runs lookup-then-insert for every entry while the
+// shard indexes double underneath it. Overlapping ids keep the newer-wins
+// rule, every new id lands once, and a save → load of the result into an
+// empty cache gives the same store.
+func TestSnapshotLoadIntoPopulatedStore(t *testing.T) {
+	const live, snapped, overlap = 300, 2000, 150
+	id := func(i int) string { return fmt.Sprintf("tenant-%04d/obj-1", i) }
+	liveEntries := map[string]Entry{}
+	for i := 0; i < live; i++ {
+		liveEntries[id(i)] = Entry{Value: 1, Version: 5, Epoch: 1, Source: "s1"}
+	}
+	c := cacheWithEntries(t, liveEntries)
+	defer c.Close()
+
+	// The snapshot's first overlap ids overlap the tail of the live store:
+	// odd ones are newer (they win), even ones older (the live copy stays).
+	first := live - overlap
+	snapEntries := map[string]Entry{}
+	for i := first; i < first+snapped; i++ {
+		e := Entry{Value: 2, Version: 1, Epoch: 1, Source: "s1"}
+		if i < live && i%2 == 1 {
+			e.Version = 9
+		}
+		snapEntries[id(i)] = e
+	}
+	snap := cacheWithEntries(t, snapEntries)
+	var buf bytes.Buffer
+	if err := snap.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	if err := c.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, want := c.Len(), first+snapped; n != want {
+		t.Fatalf("len = %d, want %d", n, want)
+	}
+	want := map[string]Entry{}
+	for i := 0; i < first+snapped; i++ {
+		e, ok := c.Get(id(i))
+		if !ok {
+			t.Fatalf("%q missing after the load", id(i))
+		}
+		wantValue := 2.0
+		if i < first || (i < live && i%2 == 0) {
+			wantValue = 1
+		}
+		if e.Value != wantValue {
+			t.Fatalf("%q = %+v, want value %v", id(i), e, wantValue)
+		}
+		want[id(i)] = e
+	}
+
+	buf.Reset()
+	if err := c.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again := cacheWithEntries(t, nil)
+	defer again.Close()
+	if err := again.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != len(want) {
+		t.Fatalf("reloaded %d entries, want %d", again.Len(), len(want))
+	}
+	for k, e := range want {
+		if got, ok := again.Get(k); !ok || got.Value != e.Value || got.Version != e.Version {
+			t.Fatalf("reloaded %q = %+v, want %+v", k, got, e)
+		}
 	}
 }

@@ -211,8 +211,8 @@ type Source struct {
 	// immutable after construction (its member set is what changes).
 	group   *SessionGroup
 	reb     *alloc.Rebalancer
-	seq     int // next default CacheID ordinal (never reused)
-	objs    map[string]*objState
+	seq     int         // next default CacheID ordinal (never reused)
+	objs    idIndex     // object id → queue key, confirmed against order[key].id
 	order   []*objState // queue key → object, in first-update order
 	updates int
 	// suppressedObserves and deferredKeys implement
@@ -281,7 +281,6 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 	}
 	s := &Source{
 		cfg:       cfg,
-		objs:      map[string]*objState{},
 		seq:       len(dests),
 		bandwidth: cfg.Bandwidth,
 		started:   cfg.Now().Add(-time.Millisecond),
@@ -688,14 +687,31 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 	}
 }
 
+// objLocked resolves an object id to its state, or nil when the source has
+// not seen it yet, and returns the id's hash for a newObjLocked that follows.
+// Caller holds s.mu.
+func (s *Source) objLocked(objectID string) (*objState, uint64) {
+	h := hashID(objectID)
+	p := s.objs.probe(h)
+	for {
+		k := s.objs.next(&p)
+		if k < 0 {
+			return nil, h
+		}
+		if o := s.order[k]; o.id == objectID {
+			return o, h
+		}
+	}
+}
+
 // newObjLocked registers a first-seen object: its canonical state, its queue
 // key, and a zeroed per-object record in the group and in every session that
 // schedules. Held-version acks that arrived before the object existed here (a
 // cache acking ahead of a relay's snapshot re-export) are folded in now, so
 // the observe that follows already sees them. Caller holds s.mu.
-func (s *Source) newObjLocked(objectID string, now float64) *objState {
+func (s *Source) newObjLocked(objectID string, h uint64, now float64) *objState {
 	o := &objState{id: objectID, key: len(s.order), firstAt: now}
-	s.objs[objectID] = o
+	s.objs.insert(h, int32(o.key))
 	s.order = append(s.order, o)
 	if s.cfg.Policy.CacheDriven() {
 		return o
@@ -740,9 +756,10 @@ func (s *Source) advanceLocked(o *objState, value float64, prov Provenance, unix
 // unix are one reading of the clock, taken under the lock. Caller holds s.mu.
 func (s *Source) updateLocked(objectID string, value float64, prov Provenance, now float64, unix int64) {
 	cacheDriven := s.cfg.Policy.CacheDriven()
-	o, ok := s.objs[objectID]
+	o, h := s.objLocked(objectID)
+	ok := o != nil
 	if !ok {
-		o = s.newObjLocked(objectID, now)
+		o = s.newObjLocked(objectID, h, now)
 	}
 	s.advanceLocked(o, value, prov, unix)
 	if cacheDriven {

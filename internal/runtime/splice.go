@@ -226,9 +226,9 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		if !keep[i] {
 			continue
 		}
-		o, ok := s.objs[rs[i].ObjectID]
-		if !ok {
-			o = s.newObjLocked(rs[i].ObjectID, now)
+		o, h := s.objLocked(rs[i].ObjectID)
+		if o == nil {
+			o = s.newObjLocked(rs[i].ObjectID, h, now)
 		} else if o.prov.Epoch != 0 && o.prov.Origin == provs[i].Origin &&
 			(provs[i].Epoch < o.prov.Epoch ||
 				(provs[i].Epoch == o.prov.Epoch && provs[i].Version <= o.prov.Version)) {

@@ -51,13 +51,12 @@
 // repeats its source id on every refresh and the object ids of its working
 // set lap after lap, so a repeat costs a byte comparison, not an allocation.
 // The table is sized by the stream, not by an option: it starts at 256 slots
-// and doubles — re-placing what it holds, so a cold sync does not miss twice
-// — whenever more than 2·len lookups miss within 64·len lookups (more than
-// one in 32), i.e. while the working set does not fit; it settles at about
-// twice the working set and never exceeds 65 536 slots, so a peer that never
-// repeats an id pins at most that many short strings per connection. Lookups probe 8 adjacent
-// slots, indexed by the TOP bits of the hash (the only ones that depend on
-// the trailing digits of sequential ids).
+// and grows by half — re-placing what it holds, so a cold sync does not miss
+// twice — whenever a new string would fill it past ¾; it settles at 1⅓ to 2
+// times the working set and never exceeds 65 536 slots, so a peer that never
+// repeats an id pins at most that many short strings per connection. Lookups
+// probe linearly from a seeded hash of every byte and compare a slot's string
+// only when its one-byte tag matches the hash's.
 //
 // The relay path of a refresh (Via) is decoded once per change, not once per
 // refresh: a path equal to the previous one on the stream is returned as the
@@ -71,6 +70,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 )
@@ -264,14 +264,11 @@ func (p *payload) via() ([]string, error) {
 // stream, long strings are rare enough that copying is fine.
 const internLimit = 64
 
-// Intern table sizing: the table starts at internMinSlots and doubles, up to
-// internMaxSlots, while the stream's working set does not fit (see
-// internTable.miss). A lookup probes a window of internWays adjacent slots.
+// Intern table sizing: the table starts at internMinSlots and grows by half,
+// up to internMaxSlots, whenever a new string would fill it past ¾.
 const (
-	internMinBits  = 8
-	internMinSlots = 1 << internMinBits
+	internMinSlots = 1 << 8
 	internMaxSlots = 1 << 16
-	internWays     = 8
 )
 
 // internTable is a per-decoder cache of recently decoded strings. Protocol
@@ -279,8 +276,16 @@ const (
 // every refresh, the object ids of the live working set — so resolving them
 // from the table turns the dominant decode allocation (one string copy per
 // id) into a byte comparison. The table is an optimization, never a
-// correctness dependency: a string that finds no free slot in its window
-// overwrites the window's first one.
+// correctness dependency: at its cap a new string replaces the one at its
+// home slot instead of filling an empty one.
+//
+// A lookup probes linearly from a home slot drawn from the high half of a
+// hash of every byte, seeded per process (internSeed): ids that share a
+// suffix or a prefix spread over the table like any others, and a peer
+// cannot pick ids that collide. Each slot keeps a one-byte tag of its
+// string's hash (0 marks an empty slot), and the probe reads only tags until
+// one matches, so the other strings on the path — same shape, same length,
+// differing only in a digit — cost no byte comparison.
 //
 // The table grows with the stream's working set: every object id of a
 // round-robin stream over more objects than slots would otherwise miss on
@@ -294,11 +299,10 @@ const (
 // hit without hashing at all, and the relay path of the previous refresh is
 // kept whole (see payload.via).
 type internTable struct {
-	entries []string // power-of-two length; nil until the first lookup
-	shift   uint     // 64 − log2(len(entries)): the hash's TOP bits index the table
-	// misses and lookups since the table last grew or the window was
-	// restarted; together they are the miss rate that decides growth.
-	misses, lookups    int
+	entries []string // nil until the first lookup
+	tags    []uint8  // parallel to entries: a hash byte, never 0 where a string is
+	used    int      // filled slots
+
 	src, cache, origin string
 	via                []string
 }
@@ -315,84 +319,78 @@ func (t *internTable) slot(s *string, b []byte) string {
 	return v
 }
 
-// internHash hashes the length, the first byte and the LAST eight bytes:
-// sequential id sets like "src-7/obj-1234" differ only in trailing digits,
-// so the tail carries the entropy; a single word load beats hashing every
-// byte. After the final multiply only the product's top bits depend on those
-// trailing digits, so the table is indexed with the top bits.
-func internHash(b []byte) uint64 {
-	n := len(b)
-	h := uint64(n)*0x9E3779B97F4A7C15 ^ uint64(b[0])
-	switch {
-	case n >= 8:
-		h ^= binary.LittleEndian.Uint64(b[n-8:])
-	case n >= 4:
-		h ^= uint64(binary.LittleEndian.Uint32(b)) |
-			uint64(binary.LittleEndian.Uint32(b[n-4:]))<<32
-	default:
-		for _, c := range b {
-			h = (h ^ uint64(c)) * 16777619
-		}
-	}
-	return h * 0x9E3779B97F4A7C15
+// internSeed keys the intern hash. One seed per process: a peer cannot
+// choose ids that collide.
+var internSeed = maphash.MakeSeed()
+
+// home returns the slot a string with hash h probes from — the high half of
+// h scaled to the table — and its tag, a byte from the low half.
+func (t *internTable) home(h uint64) (int, uint8) {
+	return int(h >> 32 * uint64(len(t.tags)) >> 32), max(uint8(h), 1)
 }
 
 func (t *internTable) intern(b []byte) string {
 	if t.entries == nil {
-		t.entries = make([]string, internMinSlots)
-		t.shift = 64 - internMinBits
+		t.grow()
 	}
-	t.lookups++
-	mask := uint64(len(t.entries) - 1)
-	i := internHash(b) >> t.shift
-	for k := uint64(0); k < internWays; k++ {
-		// Collisions only cost the allocation we would have done anyway; the
-		// comparison s == string(b) does not allocate.
-		if s := t.entries[(i+k)&mask]; s == string(b) {
-			return s
+	h := maphash.Bytes(internSeed, b)
+	i, tag := t.home(h)
+	tags, entries := t.tags, t.entries[:len(t.tags)]
+	j := i
+	for tags[j] != 0 {
+		// A tag collision only costs a comparison; s == string(b) does not
+		// allocate.
+		if tags[j] == tag && entries[j] == string(b) {
+			return entries[j]
+		}
+		if j++; j == len(tags) {
+			j = 0
 		}
 	}
-	s := string(b)
-	t.place(i, s)
-	t.miss()
+	return t.add(h, j, string(b))
+}
+
+// add keeps s, whose hash is h and whose probe missed at the empty slot j,
+// and returns it.
+func (t *internTable) add(h uint64, j int, s string) string {
+	i, tag := t.home(h)
+	switch {
+	case 4*t.used < 3*len(t.tags):
+		t.entries[j], t.tags[j] = s, tag
+		t.used++
+	case len(t.tags) < internMaxSlots:
+		t.grow()
+		t.place(h, s)
+	case t.tags[i] != 0:
+		// At the cap and ¾ full: replace the string at the home slot. Slots
+		// never empty, so every other string stays on its probe path.
+		t.entries[i], t.tags[i] = s, tag
+	}
 	return s
 }
 
-// place stores s in the first free slot of the window starting at i, or over
-// the window's first slot when it is full.
-func (t *internTable) place(i uint64, s string) {
-	mask := uint64(len(t.entries) - 1)
-	for k := uint64(0); k < internWays; k++ {
-		if j := (i + k) & mask; t.entries[j] == "" {
-			t.entries[j] = s
-			return
+// place stores s, whose hash is h, in the first empty slot from its home.
+func (t *internTable) place(h uint64, s string) {
+	j, tag := t.home(h)
+	for t.tags[j] != 0 {
+		if j++; j == len(t.tags) {
+			j = 0
 		}
 	}
-	t.entries[i] = s
+	t.entries[j], t.tags[j] = s, tag
+	t.used++
 }
 
-// miss counts one miss and doubles the table when the working set has
-// outgrown it: more than 2·len misses, arriving faster than one lookup in 32.
-// The rate test keeps a table that already holds its working set from
-// creeping to the cap on the occasional new or evicted id.
-func (t *internTable) miss() {
-	t.misses++
-	n := len(t.entries)
-	if t.misses <= 2*n {
-		return
-	}
-	grow := n < internMaxSlots && t.lookups < 64*n
-	t.misses, t.lookups = 0, 0
-	if !grow {
-		return
-	}
+// grow enlarges the table by half, or makes the first one, re-placing what it
+// holds. Growing by half rather than doubling keeps a table that has just
+// outgrown ¾ at most twice its working set.
+func (t *internTable) grow() {
 	old := t.entries
-	t.entries = make([]string, 2*n)
-	t.shift--
-	var buf [internLimit]byte
+	n := min(max(len(old)+len(old)/2, internMinSlots), internMaxSlots)
+	t.entries, t.tags, t.used = make([]string, n), make([]uint8, n), 0
 	for _, s := range old {
 		if s != "" {
-			t.place(internHash(buf[:copy(buf[:], s)])>>t.shift, s)
+			t.place(maphash.String(internSeed, s), s)
 		}
 	}
 }

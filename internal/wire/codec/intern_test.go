@@ -27,13 +27,18 @@ func (r *loopReader) Read(p []byte) (int, error) {
 // roundRobinStream encodes objects distinct ids, batch refreshes to a frame,
 // every refresh relayed over the same one-element path.
 func roundRobinStream(objects, batch int) (stream []byte, frames int) {
+	return idStream("src-0/o%05d", objects, batch)
+}
+
+// idStream is roundRobinStream with the object ids drawn from format.
+func idStream(format string, objects, batch int) (stream []byte, frames int) {
 	var enc Encoder
 	via := []string{"relay"}
 	for first := 0; first < objects; first += batch {
 		rs := make([]wire.Refresh, batch)
 		for i := range rs {
 			rs[i] = wire.Refresh{
-				SourceID: "relay", ObjectID: fmt.Sprintf("src-0/o%05d", first+i),
+				SourceID: "relay", ObjectID: fmt.Sprintf(format, first+i),
 				Origin: "src-0", Hops: 1, Via: via, OriginEpoch: 7, OriginVersion: 1,
 				Value: 1, Version: 1, Epoch: 9,
 			}
@@ -76,6 +81,38 @@ func TestDecoderInternGrowsWithWorkingSet(t *testing.T) {
 	perRefresh := testing.AllocsPerRun(3, lap) / objects
 	if perRefresh > 0.05 {
 		t.Errorf("steady-state decode allocated %.3f times per refresh, want ≤ 0.05", perRefresh)
+	}
+}
+
+// TestDecoderInternSharedSuffix: ids that differ only in the middle and share
+// a long suffix (or end in the same few bytes) intern as well as ids with
+// distinct tails. A hash of the length, the first byte and the last 8 bytes
+// put every such id into one window, so each lap evicted most of them and
+// the table grew to 32 768 slots without helping.
+func TestDecoderInternSharedSuffix(t *testing.T) {
+	const objects, batch = 4096, 64
+	for _, format := range []string{"sensor-%05d/temperature", "tenant-%04d/obj-1"} {
+		stream, frames := idStream(format, objects, batch)
+		d := NewDecoder(&loopReader{data: stream})
+		lap := func() {
+			for f := 0; f < frames; f++ {
+				if _, err := d.ReadCacheBound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 12; i++ {
+			lap()
+		}
+		if n := len(d.intern.entries); n > 16384 {
+			t.Errorf("%q: table has %d slots for a %d-id working set, want ≤ 16384", format, n, objects)
+		}
+		if raceEnabled {
+			continue
+		}
+		if perRefresh := testing.AllocsPerRun(3, lap) / objects; perRefresh > 0.05 {
+			t.Errorf("%q: steady-state decode allocated %.3f times per refresh, want ≤ 0.05", format, perRefresh)
+		}
 	}
 }
 
