@@ -147,8 +147,8 @@ func (r *streamRig) sent() map[string][2]float64 {
 		objs = r.src.group.objs
 	}
 	out := map[string][2]float64{}
-	for k, o := range r.src.order {
-		out[o.id] = [2]float64{objs[k].sentVal, float64(objs[k].sentVer)}
+	for o := range r.src.order.all() {
+		out[o.id] = [2]float64{objs[o.key].sentVal, float64(objs[o.key].sentVer)}
 	}
 	return out
 }

@@ -443,13 +443,13 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 		if !ok {
 			break
 		}
-		o := s.order[key]
+		o := s.order.at(key)
+		prov := s.order.prov(o.key)
 		// No CacheID stamp: the frame is shared by the whole cohort, so it
 		// cannot carry any single member's identity. Caches treat an empty
 		// stamp as unaddressed, never as misrouted; the member-filtered
 		// fallback copies are stamped normally.
-		b.rs = append(b.rs, g.refresh(o, "", epoch, sentUnix))
-		prov := o.prov
+		b.rs = append(b.rs, g.refresh(o, &prov, "", epoch, sentUnix))
 		prov.Epoch, prov.Version = s.originAxisLocked(o)
 		keys, provs = append(keys, key), append(provs, prov)
 		g.scheduleLocked(o, now)

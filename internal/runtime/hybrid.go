@@ -102,7 +102,7 @@ type hybridObj struct {
 // committing push bandwidth to it.
 type hybridController struct {
 	cfg  HybridConfig
-	objs []*hybridObj
+	objs []hybridObj
 
 	lastMigrate float64 // protocol time of the last migrate pass (window start)
 	pushCount   int
@@ -119,9 +119,9 @@ func newHybridController(cfg HybridConfig) *hybridController {
 // index), mirroring how schedObj slices grow with the store.
 func (hc *hybridController) ensure(key int) *hybridObj {
 	for len(hc.objs) <= key {
-		hc.objs = append(hc.objs, &hybridObj{})
+		hc.objs = append(hc.objs, hybridObj{})
 	}
-	return hc.objs[key]
+	return &hc.objs[key]
 }
 
 // pushed reports object key's current regime.
@@ -158,7 +158,8 @@ func (hc *hybridController) migrate(now float64) (promoted, demoted []int) {
 	if window <= 0 {
 		return nil, nil
 	}
-	for key, ho := range hc.objs {
+	for key := range hc.objs {
+		ho := &hc.objs[key]
 		// The source observes its own update stream, so the controller
 		// feeds the estimator one synthetic "poll" per window: changed if
 		// any update landed, with the true last-modified age — the same
@@ -203,14 +204,14 @@ const pollRoundTrip = 2
 // pushSet returns the ids of the objects currently in the push set, in
 // queue-key order; order is the source's key → object table. The slice is
 // freshly allocated — it is handed to the wire layer as PollReply.Pushed.
-func (hc *hybridController) pushSet(order []*objState) []string {
+func (hc *hybridController) pushSet(order *objSlab) []string {
 	if hc.pushCount == 0 {
 		return nil
 	}
 	out := make([]string, 0, hc.pushCount)
-	for key, ho := range hc.objs {
-		if ho.pushed && key < len(order) {
-			out = append(out, order[key].id)
+	for o := range order.all() {
+		if key := int(o.key); key < len(hc.objs) && hc.objs[key].pushed {
+			out = append(out, o.id)
 		}
 	}
 	return out

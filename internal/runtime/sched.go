@@ -11,8 +11,8 @@ import (
 // the cohort was last sent and the divergence accumulated against it. The
 // canonical object state (current value, version, update counts) lives in
 // Source.objState; a scheduler only tracks what its receivers are missing.
-// Kept by value in a slice parallel to Source.order: no heap object per
-// (cohort, object).
+// Kept by value in a slice indexed by queue key, like Source.order: no heap
+// object per (cohort, object).
 type schedObj struct {
 	sentVal float64
 	sentVer uint64
@@ -34,7 +34,7 @@ type schedObj struct {
 type sched struct {
 	scfg *SourceConfig // the owning Source's configuration, immutable after construction
 	eng  *core.Source
-	// objs is parallel to Source.order: entry k is this cohort's record of
+	// objs is indexed like Source.order: entry k is this cohort's record of
 	// the object with queue key k. nil on a scheduler that is not scheduling
 	// (a grouped member, an ended session).
 	objs []schedObj
@@ -78,7 +78,7 @@ func (sc *sched) observe(o *objState, now float64) {
 		d = 1
 	}
 	if sc.hyb != nil {
-		sc.hyb.observe(o.key, d-so.tracker.Current(), now)
+		sc.hyb.observe(int(o.key), d-so.tracker.Current(), now)
 	}
 	sc.demand += d - so.tracker.Current()
 	so.tracker.Update(now, d)
@@ -92,7 +92,7 @@ func (sc *sched) observe(o *objState, now float64) {
 // cache's poll schedule owns its freshness, so queueing it here would
 // double-spend the shared budget.
 func (sc *sched) requeue(o *objState, now float64) {
-	key := o.key
+	key := int(o.key)
 	if sc.hyb != nil && !sc.hyb.pushed(key) {
 		sc.eng.Queue.Remove(key)
 		return
@@ -146,7 +146,7 @@ func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now
 	so.sentVal, so.sentVer = value, version
 	so.tracker.Reset(builtAt, 0)
 	if o.version == version {
-		sc.eng.Queue.Remove(o.key)
+		sc.eng.Queue.Remove(int(o.key))
 		return
 	}
 	d := metric.Divergence(sc.scfg.Metric, sc.scfg.Delta,
@@ -191,10 +191,11 @@ func (sc *sched) deviates(o *objState, t float64) bool {
 	return d >= t
 }
 
-// refresh builds the message that carries object o's current value to the
-// cohort, piggybacking the scheduler's threshold. cacheID is the receiver's
-// self-reported identity, empty on a frame the whole group shares.
-func (sc *sched) refresh(o *objState, cacheID string, epoch, sentUnix int64) wire.Refresh {
+// refresh builds the message that carries object o's current value, whose
+// provenance is prov, to the cohort, piggybacking the scheduler's threshold.
+// cacheID is the receiver's self-reported identity, empty on a frame the whole
+// group shares.
+func (sc *sched) refresh(o *objState, prov *Provenance, cacheID string, epoch, sentUnix int64) wire.Refresh {
 	return wire.Refresh{
 		SourceID: sc.scfg.ID,
 		ObjectID: o.id,
@@ -203,11 +204,11 @@ func (sc *sched) refresh(o *objState, cacheID string, epoch, sentUnix int64) wir
 		// originating source, incremented hop count, relay path and the
 		// origin's preserved version axis; locally produced values carry the
 		// zero provenance (their origin axis IS Epoch/Version).
-		Origin:        o.prov.Origin,
-		Hops:          o.prov.Hops,
-		Via:           o.prov.Via,
-		OriginEpoch:   o.prov.Epoch,
-		OriginVersion: o.prov.Version,
+		Origin:        prov.Origin,
+		Hops:          prov.Hops,
+		Via:           prov.Via,
+		OriginEpoch:   prov.Epoch,
+		OriginVersion: prov.Version,
 		Value:         o.value,
 		Version:       o.version,
 		Epoch:         epoch,

@@ -187,16 +187,16 @@ func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
 // session's scheduler, unless the peer provably needs no send. Caller holds
 // src.mu.
 func (ss *syncSession) observeLocked(o *objState, now float64) {
-	if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
+	if p := ss.src.order.prov(o.key); ss.remoteID != "" && p.passedThrough(ss.remoteID) {
 		// Split horizon: the peer produced or already relayed this value,
 		// so its loop guard is guaranteed to reject a send — don't burn
 		// this session's bandwidth share advertising it back. (An object
 		// queued before feedback reveals the peer's identity is caught by
 		// the same check at send time; see flush.)
-		ss.unschedule(o.key, now)
+		ss.unschedule(int(o.key), now)
 		return
 	}
-	if o.key < len(ss.held) {
+	if int(o.key) < len(ss.held) {
 		if oe, ov := ss.src.originAxisLocked(o); ss.held[o.key].covers(oe, ov) {
 			// Held-skip: the cache acknowledged holding this origin version
 			// (or newer), so a send is guaranteed to be dropped as stale
@@ -214,8 +214,8 @@ func (ss *syncSession) observeLocked(o *objState, now float64) {
 // share; held acks are the caller's to keep or clear first. Caller holds
 // src.mu.
 func (ss *syncSession) resyncLocked(now float64) {
-	ss.reset(len(ss.src.order))
-	for _, o := range ss.src.order {
+	ss.reset(ss.src.order.n)
+	for o := range ss.src.order.all() {
 		ss.observeLocked(o, now)
 	}
 }
@@ -295,7 +295,7 @@ func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
 		return false
 	}
 	if key >= len(ss.held) {
-		ss.held = append(ss.held, make([]heldAxis, len(ss.src.order)-len(ss.held))...)
+		ss.held = append(ss.held, make([]heldAxis, ss.src.order.n-len(ss.held))...)
 	}
 	ss.held[key] = h
 	return true
@@ -326,11 +326,11 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	oe, ov := s.originAxisLocked(o)
 	if ss.grouped {
 		if ack.covers(oe, ov) {
-			ss.raiseHeldLocked(o.key, ack)
+			ss.raiseHeldLocked(int(o.key), ack)
 		}
 		return
 	}
-	if !ss.raiseHeldLocked(o.key, ack) {
+	if !ss.raiseHeldLocked(int(o.key), ack) {
 		return // older than what we already know the cache holds
 	}
 	if so := &ss.objs[o.key]; so.sentVer == o.version && so.sentVal == o.value {
@@ -531,7 +531,7 @@ func (ss *syncSession) migrateOnce() {
 		if key < len(ss.objs) {
 			// The tracker kept accumulating while the object was polled,
 			// so the promotion ranks it by its real outstanding divergence.
-			ss.requeue(s.order[key], now)
+			ss.requeue(s.order.at(key), now)
 		}
 	}
 	for _, key := range demoted {
@@ -575,28 +575,26 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: sentUnix}
 	if len(p.ObjectIDs) == 0 {
 		reply.All = true
-		reply.Items = make([]wire.PollItem, 0, len(s.order))
-		for _, o := range s.order {
-			if !ss.servableLocked(o, known) {
-				continue
+		reply.Items = make([]wire.PollItem, 0, s.order.n)
+		for o := range s.order.all() {
+			if item, ok := ss.answerLocked(o, known, epoch); ok {
+				reply.Items = append(reply.Items, item)
 			}
-			reply.Items = append(reply.Items, pollItemLocked(o, epoch))
 		}
 	} else {
 		reply.Items = make([]wire.PollItem, 0, len(p.ObjectIDs))
 		for _, id := range p.ObjectIDs {
 			if o, _ := s.objLocked(id); o != nil {
-				if !ss.servableLocked(o, known) {
-					continue
+				if item, ok := ss.answerLocked(o, known, epoch); ok {
+					reply.Items = append(reply.Items, item)
 				}
-				reply.Items = append(reply.Items, pollItemLocked(o, epoch))
 			} else {
 				reply.Items = append(reply.Items, wire.PollItem{ObjectID: id})
 			}
 		}
 	}
 	if ss.hyb != nil {
-		reply.Pushed = ss.hyb.pushSet(s.order)
+		reply.Pushed = ss.hyb.pushSet(&s.order)
 	}
 	s.mu.Unlock()
 
@@ -635,51 +633,49 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 // Caller holds src.mu.
 func (ss *syncSession) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
 	o, _ := ss.src.objLocked(it.ObjectID)
-	if o == nil || o.key >= len(ss.objs) {
+	if o == nil || int(o.key) >= len(ss.objs) {
 		return
 	}
-	ss.hyb.charge(o.key, pollRoundTrip)
+	ss.hyb.charge(int(o.key), pollRoundTrip)
 	if !it.Exists || it.Version <= ss.objs[o.key].sentVer {
 		return // nothing replied, or a push already delivered something at-or-ahead
 	}
 	ss.commit(o, it.Value, it.Version, builtAt, now)
 }
 
-// servableLocked reports whether object o belongs in a reply to this
-// session's poller. Excluded on two grounds, both safe as plain omission (a
-// poll reply is best-effort; the poller's estimator simply sees no change):
-// split horizon — the poller produced or already relayed the value, so its
-// intake loop guard is guaranteed to reject it — and a known-version hint
-// (wire.Poll.Known) proving the poller already at-or-ahead on the SAME
-// origin axis; hints for a different origin are ignored, because epochs
-// from different origins are incomparable. Caller holds src.mu.
-func (ss *syncSession) servableLocked(o *objState, known map[string]wire.KnownVersion) bool {
+// answerLocked returns object o's answer to this session's poller, or false
+// when o does not belong in the reply. Excluded on two grounds, both safe as
+// plain omission (a poll reply is best-effort; the poller's estimator simply
+// sees no change): split horizon — the poller produced or already relayed the
+// value, so its intake loop guard is guaranteed to reject it — and a
+// known-version hint (wire.Poll.Known) proving the poller already
+// at-or-ahead on the SAME origin axis; hints for a different origin are
+// ignored, because epochs from different origins are incomparable.
+//
+// The answer carries the object's provenance so a peer that installs the
+// replied value can re-export it with the loop-avoidance path and origin axis
+// intact — the lateral-serving half of the peer-face protocol. Locally
+// produced values keep the zero provenance (and the legacy frame encoding).
+// Caller holds src.mu.
+func (ss *syncSession) answerLocked(o *objState, known map[string]wire.KnownVersion, epoch int64) (wire.PollItem, bool) {
 	s := ss.src
-	if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
+	p := s.order.prov(o.key)
+	if ss.remoteID != "" && p.passedThrough(ss.remoteID) {
 		ss.pollOmits++
-		return false
+		return wire.PollItem{}, false
 	}
 	if k, ok := known[o.id]; ok {
-		origin := o.prov.Origin
+		origin := p.Origin
 		if origin == "" {
 			origin = s.cfg.ID // locally produced: this source is the origin
 		}
 		if k.Origin == origin {
 			if oe, ov := s.originAxisLocked(o); heldAtOrAhead(k.Epoch, k.Version, oe, ov) {
 				ss.pollOmits++
-				return false
+				return wire.PollItem{}, false
 			}
 		}
 	}
-	return true
-}
-
-// pollItemLocked snapshots one object's poll answer, carrying the object's
-// provenance so a peer that installs the replied value can re-export it
-// with the loop-avoidance path and origin axis intact — the lateral-serving
-// half of the peer-face protocol. Locally produced values keep the zero
-// provenance (and the legacy frame encoding). Caller holds src.mu.
-func pollItemLocked(o *objState, epoch int64) wire.PollItem {
 	return wire.PollItem{
 		ObjectID:         o.id,
 		Exists:           true,
@@ -687,12 +683,12 @@ func pollItemLocked(o *objState, epoch int64) wire.PollItem {
 		Version:          o.version,
 		Epoch:            epoch,
 		LastModifiedUnix: o.lastUnix,
-		Origin:           o.prov.Origin,
-		Hops:             o.prov.Hops,
-		Via:              o.prov.Via,
-		OriginEpoch:      o.prov.Epoch,
-		OriginVersion:    o.prov.Version,
-	}
+		Origin:           p.Origin,
+		Hops:             p.Hops,
+		Via:              p.Via,
+		OriginEpoch:      p.Epoch,
+		OriginVersion:    p.Version,
+	}, true
 }
 
 // end marks the session permanently dead and re-divides its share across
@@ -825,9 +821,10 @@ func (ss *syncSession) flush(budget float64) float64 {
 			s.mu.Unlock()
 			return budget
 		}
-		o := s.order[key]
+		o := s.order.at(key)
+		prov := s.order.prov(o.key)
 		builtAt, sentUnix := s.clock()
-		if ss.remoteID != "" && o.prov.passedThrough(ss.remoteID) {
+		if ss.remoteID != "" && prov.passedThrough(ss.remoteID) {
 			// Split horizon binds at send time: this object was queued
 			// before feedback revealed the peer's identity, so
 			// observeLocked could not exclude it. Drop it now, unsent and
@@ -840,7 +837,7 @@ func (ss *syncSession) flush(budget float64) float64 {
 		// local label): the advisory mismatch counter on the cache then only
 		// fires on genuine miswiring, never on operators labeling
 		// destinations differently than caches name themselves.
-		msg := ss.refresh(o, ss.remoteID, s.started.UnixNano(), sentUnix)
+		msg := ss.refresh(o, &prov, ss.remoteID, s.started.UnixNano(), sentUnix)
 		conn := ss.dest.Conn
 		s.mu.Unlock()
 

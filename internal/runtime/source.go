@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 	"time"
@@ -139,21 +140,21 @@ type SourceStats struct {
 // objState is the canonical (destination-independent) state of one locally
 // cached object: its current value and update history. What each
 // downstream cache has been sent — and therefore how far it has diverged —
-// is per-cohort state (schedObj in sched.go).
+// is per-cohort state (schedObj in sched.go). It is 64 bytes and lives by
+// value in the Source's objSlab; its provenance lives beside it, in the
+// slab's column that only a relay fills.
 type objState struct {
 	id string
 	// key is the object's queue key: its index in Source.order and in every
 	// per-session/group state slice. Resolving an id through Source.objs
 	// yields it with the state, so nothing looks an object up twice.
-	key     int
-	value   float64
-	version uint64
-	// prov carries multi-tier provenance (wire.Refresh.Origin/Hops/Via):
-	// the zero value means the value was produced locally; a relay
-	// re-exporting an applied refresh records the originating source, the
-	// incremented hop count and the relay path so downstream refreshes
-	// stay attributable and loop-avoidable.
-	prov Provenance
+	key int32
+	// deferred marks an object whose per-session observe fan-out was
+	// suppressed (SourceConfig.SuppressWithinThreshold); the next flush
+	// tick replays it from canonical state.
+	deferred bool
+	value    float64
+	version  uint64
 	// Poisson-rate estimate (Section 8.1): total updates over total
 	// observed time.
 	updates int
@@ -162,10 +163,81 @@ type objState struct {
 	// (nanoseconds) — the last-modified metadata a poll reply carries for
 	// the CGM1 estimator.
 	lastUnix int64
-	// deferred marks an object whose per-session observe fan-out was
-	// suppressed (SourceConfig.SuppressWithinThreshold); the next flush
-	// tick replays it from canonical state.
-	deferred bool
+}
+
+// objChunkLen is the number of objects per objSlab chunk. A chunk of 512
+// objStates, and one of 512 Provenances, is 64 B × 512 = 32 KiB exactly. Go
+// prefixes every pointer-holding object between 512 B and 32 KiB with an 8 B
+// type header, so a chunk sized by habit lands one size class up — 64 × 128 B
+// + 8 B is the 9 472 B class — while a 32 KiB one takes the large-object
+// path: whole pages, no header, no byte wasted.
+const (
+	objChunkShift = 9
+	objChunkLen   = 1 << objChunkShift
+)
+
+// objSlab is a Source's object table, indexed by queue key in first-update
+// order: objStates by value in chunks that never move, so growth copies
+// nothing and a *objState stays valid for the Source's lifetime. Provenance
+// is a parallel column whose chunk is allocated only when an update in its
+// key range carries a non-zero one — an origin stores none.
+type objSlab struct {
+	chunks []*[objChunkLen]objState
+	provs  []*[objChunkLen]Provenance // nil or short: that key range has the zero provenance
+	n      int
+}
+
+// at returns the object with queue key k.
+func (t *objSlab) at(k int) *objState {
+	return &t.chunks[k>>objChunkShift][k&(objChunkLen-1)]
+}
+
+// all walks the objects in queue-key order.
+func (t *objSlab) all() iter.Seq[*objState] {
+	return func(yield func(*objState) bool) {
+		for k := 0; k < t.n; k++ {
+			if !yield(t.at(k)) {
+				return
+			}
+		}
+	}
+}
+
+// add appends a first-seen object and returns it.
+func (t *objSlab) add(id string, now float64) *objState {
+	k := t.n
+	if k>>objChunkShift == len(t.chunks) {
+		t.chunks = append(t.chunks, new([objChunkLen]objState))
+	}
+	t.n++
+	o := t.at(k)
+	o.id, o.key, o.firstAt = id, int32(k), now
+	return o
+}
+
+// prov returns the provenance of the object with queue key k. It is a copy:
+// the column is written only by setProv.
+func (t *objSlab) prov(k int32) Provenance {
+	if c := int(k >> objChunkShift); c < len(t.provs) && t.provs[c] != nil {
+		return t.provs[c][k&(objChunkLen-1)]
+	}
+	return Provenance{}
+}
+
+// setProv records the provenance of the object with queue key k. A zero
+// provenance in a key range that has no column chunk is already stored.
+func (t *objSlab) setProv(k int32, p Provenance) {
+	c := int(k >> objChunkShift)
+	if c >= len(t.provs) || t.provs[c] == nil {
+		if p.Origin == "" && p.Hops == 0 && p.Via == nil && p.Epoch == 0 && p.Version == 0 {
+			return
+		}
+		if c >= len(t.provs) {
+			t.provs = append(t.provs, make([]*[objChunkLen]Provenance, c+1-len(t.provs))...)
+		}
+		t.provs[c] = new([objChunkLen]Provenance)
+	}
+	t.provs[c][k&(objChunkLen-1)] = p
 }
 
 // Provenance describes where a re-exported value came from: the producing
@@ -211,9 +283,9 @@ type Source struct {
 	// immutable after construction (its member set is what changes).
 	group   *SessionGroup
 	reb     *alloc.Rebalancer
-	seq     int         // next default CacheID ordinal (never reused)
-	objs    idIndex     // object id → queue key, confirmed against order[key].id
-	order   []*objState // queue key → object, in first-update order
+	seq     int     // next default CacheID ordinal (never reused)
+	objs    idIndex // object id → queue key, confirmed against order.at(key).id
+	order   objSlab // queue key → object and provenance, in first-update order
 	updates int
 	// suppressedObserves and deferredKeys implement
 	// SourceConfig.SuppressWithinThreshold: queue keys of objects whose
@@ -356,7 +428,7 @@ func (s *Source) AddDestination(d Destination) error {
 	}
 	ss := newSyncSession(s, d)
 	if !s.cfg.Policy.CacheDriven() {
-		if s.group != nil && d.Weight == 1 && len(s.order) == 0 {
+		if s.group != nil && d.Weight == 1 && s.order.n == 0 {
 			// Empty store: nothing to re-sync, join the group directly.
 			s.group.attachLocked(ss)
 		} else {
@@ -630,8 +702,8 @@ func (s *Source) clock() (now float64, unix int64) {
 // epoch (a legal UpdateFrom call) compare acks across mismatched axes
 // and permanently held-skip the object. Caller holds s.mu.
 func (s *Source) originAxisLocked(o *objState) (int64, uint64) {
-	if o.prov.Epoch != 0 {
-		return o.prov.Epoch, o.prov.Version
+	if p := s.order.prov(o.key); p.Epoch != 0 {
+		return p.Epoch, p.Version
 	}
 	return s.started.UnixNano(), o.version
 }
@@ -698,7 +770,7 @@ func (s *Source) objLocked(objectID string) (*objState, uint64) {
 		if k < 0 {
 			return nil, h
 		}
-		if o := s.order[k]; o.id == objectID {
+		if o := s.order.at(int(k)); o.id == objectID {
 			return o, h
 		}
 	}
@@ -710,9 +782,8 @@ func (s *Source) objLocked(objectID string) (*objState, uint64) {
 // cache acking ahead of a relay's snapshot re-export) are folded in now, so
 // the observe that follows already sees them. Caller holds s.mu.
 func (s *Source) newObjLocked(objectID string, h uint64, now float64) *objState {
-	o := &objState{id: objectID, key: len(s.order), firstAt: now}
-	s.objs.insert(h, int32(o.key))
-	s.order = append(s.order, o)
+	o := s.order.add(objectID, now)
+	s.objs.insert(h, o.key)
 	if s.cfg.Policy.CacheDriven() {
 		return o
 	}
@@ -733,7 +804,7 @@ func (s *Source) newObjLocked(objectID string, h uint64, now float64) *objState 
 		if len(ss.heldPending) > 0 {
 			if h, ok := ss.heldPending[objectID]; ok {
 				delete(ss.heldPending, objectID)
-				ss.raiseHeldLocked(o.key, heldAxis{h.Epoch, h.Version})
+				ss.raiseHeldLocked(int(o.key), heldAxis{h.Epoch, h.Version})
 			}
 		}
 	}
@@ -747,7 +818,7 @@ func (s *Source) advanceLocked(o *objState, value float64, prov Provenance, unix
 	o.value = value
 	o.version++
 	o.updates++
-	o.prov = prov
+	s.order.setProv(o.key, prov)
 	o.lastUnix = unix
 	s.updates++
 }
@@ -777,7 +848,7 @@ func (s *Source) updateLocked(objectID string, value float64, prov Provenance, n
 		// most such updates have been superseded or still need no send.
 		if !o.deferred {
 			o.deferred = true
-			s.deferredKeys = append(s.deferredKeys, o.key)
+			s.deferredKeys = append(s.deferredKeys, int(o.key))
 		}
 		s.suppressedObserves++
 		return
@@ -819,12 +890,11 @@ func (s *Source) withinAllThresholdsLocked(o *objState) bool {
 	if s.cfg.Metric != metric.ValueDeviation || s.cfg.Delta != nil {
 		return false
 	}
-	key := o.key
 	for _, ss := range s.sessions {
 		if ss.ended {
 			continue
 		}
-		if ss.redialing || ss.grouped || ss.hyb != nil || key >= len(ss.objs) {
+		if ss.redialing || ss.grouped || ss.hyb != nil || int(o.key) >= len(ss.objs) {
 			return false
 		}
 		if ss.deviates(o, ss.eng.Threshold()) {
@@ -844,7 +914,7 @@ func (s *Source) replayDeferredLocked(now float64) {
 		return
 	}
 	for _, key := range s.deferredKeys {
-		o := s.order[key]
+		o := s.order.at(key)
 		if !o.deferred {
 			continue // superseded by an over-threshold update already observed
 		}

@@ -1,0 +1,213 @@
+package runtime
+
+import (
+	"fmt"
+	stdruntime "runtime"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"bestsync/internal/metric"
+	"bestsync/internal/transport"
+	"bestsync/internal/wire"
+)
+
+// TestSourceProvenanceColumn pins the object slab's provenance column on a
+// relay-shaped Source whose keys span two column chunks: local values, relayed
+// values, relayed values whose path names the receiver, and overwrites in both
+// directions. Whatever the column stores — or, for a key range no relayed value
+// reached, does not store — every refresh on the wire carries exactly the
+// provenance of its object's last update, split horizon excludes exactly the
+// values whose path names the peer on both push paths, and the origin axis of
+// a locally produced value is the source's own.
+func TestSourceProvenanceColumn(t *testing.T) {
+	if size := unsafe.Sizeof(objState{}); size > 64 {
+		t.Errorf("objState is %d bytes, want at most 64: a chunk of %d no longer fits 32 KiB", size, objChunkLen)
+	}
+	for _, group := range []bool{false, true} {
+		name := "session"
+		if group {
+			name = "group"
+		}
+		t.Run(name, func(t *testing.T) { provenanceColumnLeg(t, group) })
+	}
+
+	// An origin that only ever saw Update stores no provenance at all.
+	local := transport.NewLocal(1)
+	defer local.Close()
+	conn, err := local.Dial("origin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := NewSource(SourceConfig{ID: "origin", Metric: metric.ValueDeviation, Tick: time.Hour}, conn)
+	defer origin.Close()
+	for k := range 2 * objChunkLen {
+		origin.Update(fmt.Sprintf("origin/o%04d", k), float64(k))
+	}
+	origin.mu.Lock()
+	defer origin.mu.Unlock()
+	if n := len(origin.order.provs); n != 0 {
+		t.Errorf("an origin that only saw Update holds %d provenance chunks, want 0", n)
+	}
+}
+
+func provenanceColumnLeg(t *testing.T, group bool) {
+	const objects = 2 * objChunkLen // keys 0…1023: both sides of a chunk boundary
+	local := transport.NewLocal(4 * objects)
+	defer local.Close()
+	conn, err := local.Dial("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := newFakeClock()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 1e5,
+		Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now, // flushed by hand
+		// A queue deep enough for a whole pass: an overrun would detach the
+		// member mid-pass.
+		Group: GroupConfig{Enabled: group, Queue: 64},
+	}, []Destination{{CacheID: "leaf", Conn: conn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	ss := src.sessions[0]
+	if ss.grouped != group {
+		t.Fatalf("session grouped=%v, want %v", ss.grouped, group)
+	}
+	ss.onFeedback(wire.Feedback{CacheID: "leaf"}) // the peer's identity, for split horizon
+
+	ids := make([]string, objects)
+	for k := range ids {
+		ids[k] = fmt.Sprintf("up/o%04d", k)
+	}
+	relayedVia := func(k int, via ...string) Provenance {
+		return Provenance{Origin: "up", Hops: len(via), Via: via, Epoch: 77, Version: uint64(1000 + k)}
+	}
+	// want is each object's last provenance; excluded marks a path through
+	// the peer.
+	want := make([]Provenance, objects)
+	update := func(k int, v float64, p Provenance) {
+		src.UpdateFrom(ids[k], v, p)
+		want[k] = p
+	}
+	excluded := func(k int) bool { return want[k].passedThrough("leaf") }
+	flush := func() map[string]wire.Refresh {
+		clock.advance(time.Second)
+		if group {
+			src.group.pass(0)
+			for ss.inflight.Load() != 0 {
+				stdruntime.Gosched()
+			}
+			src.mu.Lock()
+			grouped := ss.grouped
+			src.mu.Unlock()
+			if !grouped {
+				t.Fatal("the member left the group: the pass was not delivered by the group path")
+			}
+		} else {
+			ss.flush(1e6)
+		}
+		got := map[string]wire.Refresh{}
+		for {
+			select {
+			case b := <-local.Batches():
+				for _, r := range b.Refreshes {
+					if _, dup := got[r.ObjectID]; dup {
+						t.Errorf("%s refreshed twice in one flush", r.ObjectID)
+					}
+					got[r.ObjectID] = r
+				}
+				continue
+			default:
+			}
+			return got
+		}
+	}
+	check := func(phase string, touched func(k int) bool) {
+		t.Helper()
+		got := flush()
+		for k, id := range ids {
+			r, sent := got[id]
+			switch {
+			case !touched(k):
+				if sent {
+					t.Errorf("%s: %s refreshed without an update", phase, id)
+				}
+			case excluded(k):
+				if sent {
+					t.Errorf("%s: %s sent to the peer on its path %v", phase, id, want[k].Via)
+				}
+			case !sent:
+				t.Errorf("%s: %s not refreshed", phase, id)
+			default:
+				p := want[k]
+				if r.Origin != p.Origin || r.Hops != p.Hops || !slices.Equal(r.Via, p.Via) ||
+					r.OriginEpoch != p.Epoch || r.OriginVersion != p.Version {
+					t.Errorf("%s: %s carries origin=%q hops=%d via=%v axis=(%d,%d), want %+v",
+						phase, id, r.Origin, r.Hops, r.Via, r.OriginEpoch, r.OriginVersion, p)
+				}
+			}
+		}
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		for k, id := range ids {
+			if !touched(k) {
+				continue
+			}
+			o, _ := src.objLocked(id)
+			p := src.order.prov(o.key)
+			if p.Origin != want[k].Origin || p.Hops != want[k].Hops || !slices.Equal(p.Via, want[k].Via) ||
+				p.Epoch != want[k].Epoch || p.Version != want[k].Version {
+				t.Errorf("%s: %s stored provenance %+v, want %+v", phase, id, p, want[k])
+			}
+			e, v := src.originAxisLocked(o)
+			we, wv := want[k].Epoch, want[k].Version
+			if we == 0 {
+				we, wv = src.started.UnixNano(), o.version // a local value is on the source's axis
+			}
+			if e != we || v != wv {
+				t.Errorf("%s: %s origin axis (%d, %d), want (%d, %d)", phase, id, e, v, we, wv)
+			}
+		}
+	}
+
+	// Phase 1: a third each local, relayed, and relayed through the peer,
+	// so both column chunks are allocated and both hold zero entries.
+	for k := range ids {
+		switch k % 3 {
+		case 0:
+			update(k, float64(k), Provenance{})
+		case 1:
+			update(k, float64(k), relayedVia(k, "mid", "relay"))
+		case 2:
+			update(k, float64(k), relayedVia(k, "leaf", "relay"))
+		}
+	}
+	check("first updates", func(int) bool { return true })
+	src.mu.Lock()
+	if n := len(src.order.provs); n != 2 || src.order.provs[0] == nil || src.order.provs[1] == nil {
+		t.Errorf("relay holds provenance chunks %v, want both of 2", src.order.provs)
+	}
+	src.mu.Unlock()
+
+	// Phase 2, on both sides of the boundary: a relayed value overwritten by a
+	// local one (the column must be written with zero, not skipped), a local
+	// value overwritten by a relayed one, a value through the peer overwritten
+	// by a local one (now sendable), and a local one by a value through the
+	// peer (now excluded).
+	overwrites := map[int]Provenance{ // 512 % 3 == 2
+		1: {}, 514: {}, // relayed → local
+		3: relayedVia(3, "mid", "relay"), 513: relayedVia(513, "mid", "relay"), // local → relayed
+		2: {}, 515: {}, // through the peer → local
+		6: relayedVia(6, "leaf", "relay"), 516: relayedVia(516, "leaf", "relay"), // local → through the peer
+	}
+	// The area priority of a change is its divergence × the time since the
+	// last refresh, so the overwrites land a second after it.
+	clock.advance(time.Second)
+	for k, p := range overwrites {
+		update(k, float64(objects+k), p)
+	}
+	check("overwrites", func(k int) bool { _, ok := overwrites[k]; return ok })
+}

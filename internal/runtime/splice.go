@@ -229,9 +229,9 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		o, h := s.objLocked(rs[i].ObjectID)
 		if o == nil {
 			o = s.newObjLocked(rs[i].ObjectID, h, now)
-		} else if o.prov.Epoch != 0 && o.prov.Origin == provs[i].Origin &&
-			(provs[i].Epoch < o.prov.Epoch ||
-				(provs[i].Epoch == o.prov.Epoch && provs[i].Version <= o.prov.Version)) {
+		} else if cur := s.order.prov(o.key); cur.Epoch != 0 && cur.Origin == provs[i].Origin &&
+			(provs[i].Epoch < cur.Epoch ||
+				(provs[i].Epoch == cur.Epoch && provs[i].Version <= cur.Version)) {
 			// Batch-level forwarding completes out of apply order across
 			// batches: a later batch touching the same object may have
 			// advanced the canonical state already. At-or-behind on the
@@ -252,7 +252,7 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 		}
 		g.scheduleLocked(o, now)
 		versions[i] = o.version
-		sent, keys = append(sent, provs[i]), append(keys, o.key)
+		sent, keys = append(sent, provs[i]), append(keys, int(o.key))
 	}
 	sc.keys = keys
 	scheduled = len(sent)
