@@ -47,9 +47,11 @@
 // status endpoint and merged on demand by Stats.
 //
 // A shard's store is an open-addressed id index (idIndex) over a dense slab of
-// entries: the dispatcher hashes a refresh's id once, picking the shard from
-// the hash's low half, and the shard probes its index with the same hash's
-// high half, then works on the slot (overwritten in place). Batches reach the
+// 64-byte slots, whose sender, origin and relay path live in one immutable
+// route record shared by every slot that arrived the same way. The dispatcher
+// hashes a refresh's id once, picking the shard from the hash's low half, and
+// the shard probes its index with the same hash's high half, then works on
+// the slot (overwritten in place). Batches reach the
 // shards as index lists over the one decoded slice, and pending held-version
 // acks are sets of slab indexes whose payload is read when they are sent —
 // the steady-state apply path allocates nothing.
@@ -71,6 +73,7 @@ import (
 	"math"
 	"math/bits"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,6 +170,11 @@ type CacheConfig struct {
 // relayed copies (zero when direct — Epoch/Version then ARE the origin
 // axis); they are what makes a copy comparable to a re-export from a
 // DIFFERENT incarnation of the same relay, which re-issues Epoch/Version.
+//
+// Refreshed is the wall-clock apply time to the nanosecond, with no
+// monotonic reading (the zero Time when unknown). Via is shared with every
+// entry that arrived over the same path and is read-only, as
+// wire.Refresh.Via is.
 type Entry struct {
 	Value         float64
 	Version       uint64
@@ -300,17 +308,90 @@ func (b *batchRef) recycle() {
 
 // slabChunk is the number of slots per slab chunk. Chunks are allocated whole
 // and never move, so growing the store copies nothing and a slot pointer
-// stays valid for as long as the shard lock is held.
+// stays valid for as long as the shard lock is held. 512 slots of 64 B are
+// exactly 32 KiB: the chunk takes the allocator's large-object path (whole
+// pages, no type header), where 64 slots would pay a header and land in the
+// 4 864 B size class.
 const (
-	slabShift = 6
+	slabShift = 9
 	slabChunk = 1 << slabShift
 )
 
-// slot is one slab element: a cached entry and the object id it belongs to.
+// slot is one slab element, 64 B: the object id, the per-value fields of its
+// Entry, and the route it arrived by. Refreshed is kept as Unix nanoseconds,
+// 0 for the zero Time.
 type slot struct {
-	id string
-	e  Entry
+	id            string
+	value         float64
+	version       uint64
+	epoch         int64
+	originVersion uint64
+	refreshed     int64
+	rt            *route
 }
+
+// route is the part of an Entry that depends only on how the value arrived:
+// sender, origin, origin incarnation and relay path. It is never mutated, so
+// every slot that arrived the same way points to one record. Nothing indexes
+// routes: one no slot points to is garbage, so their memory is bounded by the
+// live slots however many distinct paths a sender sprays.
+type route struct {
+	sender      string
+	origin      string // "" when direct
+	originEpoch int64
+	hops        int
+	via         []string
+}
+
+// is reports whether rt is the route (sender, origin, originEpoch, hops, via).
+// Via is compared by content: equal paths rarely share a backing array.
+func (rt *route) is(sender, origin string, originEpoch int64, hops int, via []string) bool {
+	return rt != nil && rt.sender == sender && rt.origin == origin &&
+		rt.originEpoch == originEpoch && rt.hops == hops &&
+		(rt.via == nil) == (via == nil) && slices.Equal(rt.via, via)
+}
+
+// entry reads the slot back into *e, every field overwritten. It writes in
+// place rather than returning an Entry: building the 128 B value and copying
+// it out made Get a fifth slower.
+func (s *slot) entry(e *Entry) {
+	rt := s.rt
+	e.Value, e.Version, e.Epoch = s.value, s.version, s.epoch
+	e.Source, e.Origin, e.OriginEpoch, e.OriginVersion = rt.sender, rt.origin, rt.originEpoch, s.originVersion
+	e.Hops, e.Via = rt.hops, rt.via
+	e.Refreshed = time.Time{}
+	if s.refreshed != 0 {
+		e.Refreshed = time.Unix(0, s.refreshed)
+	}
+}
+
+// originID mirrors Entry.OriginID.
+func (s *slot) originID() string {
+	if s.rt.origin != "" {
+		return s.rt.origin
+	}
+	return s.rt.sender
+}
+
+// originAxis mirrors Entry.OriginAxis.
+func (s *slot) originAxis() (epoch int64, version uint64) {
+	if s.rt.originEpoch != 0 {
+		return s.rt.originEpoch, s.originVersion
+	}
+	return s.epoch, s.version
+}
+
+// unixNano is t as a slot stores it: Unix nanoseconds, 0 for the zero Time
+// (whose UnixNano is undefined).
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+// routeMemo is the number of recently resolved routes a shard remembers.
+const routeMemo = 4
 
 // ackSet is the pending held-version acknowledgements toward one sender: the
 // set of slab indexes whose entry the sender should hear about, as a bitset
@@ -342,11 +423,44 @@ type shard struct {
 	// list is scanned, most recent sender first (lastOwed).
 	owed     []ackSet
 	lastOwed int
+	// routes remembers the most recently resolved routes, so an object that
+	// changed route, or a first insertion, usually finds its record without
+	// allocating. Replaced round-robin from nextRoute.
+	routes    [routeMemo]*route
+	nextRoute int
 }
 
 // at returns the slot at slab index i.
 func (sh *shard) at(i int32) *slot {
 	return &sh.slab[i>>slabShift][i&(slabChunk-1)]
+}
+
+// routeFor returns the shared route (sender, origin, originEpoch, hops, via):
+// cur when it already is that route (an object refreshed the way it was last
+// time), else a match in the shard's memo, else a new record that replaces the
+// memo's oldest. Caller holds sh.mu.
+func (sh *shard) routeFor(cur *route, sender, origin string, originEpoch int64, hops int, via []string) *route {
+	if cur.is(sender, origin, originEpoch, hops, via) {
+		return cur
+	}
+	for _, rt := range sh.routes {
+		if rt.is(sender, origin, originEpoch, hops, via) {
+			return rt
+		}
+	}
+	rt := &route{sender: sender, origin: origin, originEpoch: originEpoch, hops: hops, via: via}
+	sh.routes[sh.nextRoute] = rt
+	sh.nextRoute = (sh.nextRoute + 1) % routeMemo
+	return rt
+}
+
+// setEntry stores e, field for field, in the slot at slab index i. Caller
+// holds sh.mu.
+func (sh *shard) setEntry(i int32, e Entry) {
+	s := sh.at(i)
+	s.value, s.version, s.epoch, s.originVersion = e.Value, e.Version, e.Epoch, e.OriginVersion
+	s.refreshed = unixNano(e.Refreshed)
+	s.rt = sh.routeFor(s.rt, e.Source, e.Origin, e.OriginEpoch, e.Hops, e.Via)
 }
 
 // find returns the slab index of objectID, whose hashID is h, or -1. Caller
@@ -480,14 +594,15 @@ func (c *Cache) locate(objectID string) (*shard, uint64) {
 }
 
 // Get returns the cached copy of an object.
-func (c *Cache) Get(objectID string) (Entry, bool) {
+func (c *Cache) Get(objectID string) (e Entry, ok bool) {
 	sh, h := c.locate(objectID)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if i := sh.find(h, objectID); i >= 0 {
-		return sh.at(i).e, true
+		sh.at(i).entry(&e)
+		ok = true
 	}
-	return Entry{}, false
+	sh.mu.Unlock()
+	return e, ok
 }
 
 // Len returns the number of cached objects.
@@ -823,7 +938,7 @@ func (c *Cache) worker(sh *shard) {
 	// applied is the worker's own buffer, reused from task to task.
 	var applied []wire.Refresh
 	for t := range sh.queue {
-		now := c.cfg.Now()
+		now := unixNano(c.cfg.Now())
 		ref := t.ref
 		framed := ref.frame != nil
 		report := !framed && c.cfg.OnApply != nil
@@ -849,23 +964,24 @@ func (c *Cache) worker(sh *shard) {
 
 // applyLocked installs one refresh into the shard store, reporting whether
 // it was applied (false = dropped as stale). The object id is resolved once,
-// with the hash h the dispatcher routed it by; an existing entry is
-// overwritten in place. Caller holds sh.mu.
-func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now time.Time) bool {
+// with the hash h the dispatcher routed it by; an existing slot is
+// overwritten in place, stamped with now (Unix nanoseconds). Caller holds
+// sh.mu.
+func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now int64) bool {
 	i := sh.find(h, r.ObjectID)
 	ok := i >= 0
 	if !ok {
 		i = sh.insert(h, r.ObjectID)
 	}
-	cur := &sh.at(i).e
+	cur := sh.at(i)
 	// The (epoch, version) staleness guard is per sender: epochs from
 	// different nodes are incomparable wall-clock starts, so comparing
 	// them across senders would let one upstream's restart permanently
 	// shadow a redundant upstream's live feed (a diamond topology). A
 	// refresh from a different sender than the cached copy's is applied —
 	// last writer wins across redundant feeds.
-	if ok && r.SourceID == cur.Source {
-		if r.Epoch == cur.Epoch && r.Version <= cur.Version {
+	if ok && r.SourceID == cur.rt.sender {
+		if r.Epoch == cur.epoch && r.Version <= cur.version {
 			// Stale or duplicate within the same source incarnation: an
 			// equal (epoch, version) carries the identical value by
 			// construction, so re-applying it would only inflate counters —
@@ -875,7 +991,7 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now time.Time)
 			c.recordAckLocked(sh, r.SourceID, i)
 			return false
 		}
-		if r.Epoch < cur.Epoch {
+		if r.Epoch < cur.epoch {
 			sh.stats.stale++ // message from a superseded incarnation
 			c.recordAckLocked(sh, r.SourceID, i)
 			return false
@@ -889,9 +1005,9 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now time.Time)
 	// so for two copies from the SAME origin it is always comparable — an
 	// at-or-behind copy is dropped no matter which sender incarnation
 	// delivered it. Different origins stay last-writer-wins as before.
-	if ok && r.OriginID() == cur.OriginID() {
+	if ok && r.OriginID() == cur.originID() {
 		re, rv := r.OriginAxis()
-		ce, cv := cur.OriginAxis()
+		ce, cv := cur.originAxis()
 		if re < ce || (re == ce && rv <= cv) {
 			sh.stats.stale++
 			c.recordAckLocked(sh, r.SourceID, i)
@@ -899,25 +1015,23 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now time.Time)
 		}
 	}
 	if ok {
-		d := r.Value - cur.Value
+		d := r.Value - cur.value
 		if d < 0 {
 			d = -d
 		}
 		sh.stats.divergence += d
 	}
-	*cur = Entry{
-		Value:     r.Value,
-		Version:   r.Version,
-		Epoch:     r.Epoch,
-		Source:    r.SourceID,
-		Hops:      r.Hops,
-		Via:       r.Via,
-		Refreshed: now,
+	// A copy whose origin is its sender is stored as direct: no origin, and
+	// the sender's own (epoch, version) is the origin axis.
+	relayed := r.Origin != "" && r.Origin != r.SourceID
+	origin, originEpoch, originVersion := "", int64(0), uint64(0)
+	if relayed {
+		origin, originEpoch, originVersion = r.Origin, r.OriginEpoch, r.OriginVersion
 	}
-	if r.Origin != "" && r.Origin != r.SourceID {
-		cur.Origin = r.Origin
-		cur.OriginEpoch = r.OriginEpoch
-		cur.OriginVersion = r.OriginVersion
+	cur.value, cur.version, cur.epoch, cur.originVersion = r.Value, r.Version, r.Epoch, originVersion
+	cur.refreshed = now
+	cur.rt = sh.routeFor(cur.rt, r.SourceID, origin, originEpoch, r.Hops, r.Via)
+	if relayed {
 		sh.stats.peerServed++
 		// Applied relayed copies are acknowledged too: the ack lets the
 		// relay skip re-sending them after ITS restart (direct senders
@@ -1010,7 +1124,7 @@ func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldV
 			a.bits[w] &^= 1 << b
 			a.n--
 			sl := sh.at(int32(w<<6 | b))
-			e, v := sl.e.OriginAxis()
+			e, v := sl.originAxis()
 			out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
 		}
 		if a.bits[w] == 0 {

@@ -238,11 +238,8 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 					rs[i].Version++
 					rs[i].OriginVersion++
 				}
-				c.dispatch(transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}})
 			}
-			for c.outstanding.Load() != 0 {
-				stdruntime.Gosched()
-			}
+			dispatchAll(c, batches)
 		}
 		round() // inserts
 		round() // sizes the pooled batch state and the ack sets
@@ -258,6 +255,116 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 			t.Errorf("hook=%v: re-applying %d refreshes allocated %.0f times, want 0", hook, objects, allocs)
 		}
 		c.Close()
+	}
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() int64 {
+	var ms stdruntime.MemStats
+	stdruntime.GC()
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// dispatchAll pushes batches through the dispatcher and waits for the shard
+// workers to drain them.
+func dispatchAll(c *Cache, batches [][]wire.Refresh) {
+	for _, rs := range batches {
+		c.dispatch(transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}})
+	}
+	for c.outstanding.Load() != 0 {
+		stdruntime.Gosched()
+	}
+}
+
+// TestCacheHeapPerObject bounds the live heap a cache keeps per object: the
+// 64 B slot in its 32 KiB chunk, the id index words and each shard's first
+// chunk, for ids that differ early and for ids that share a long suffix. An
+// extra slot field, a route per object or a chunk one size class too big
+// push it over the bound.
+func TestCacheHeapPerObject(t *testing.T) {
+	const objects, batch = 16384, 64
+	for _, shape := range []string{"src-0/o%05d", "sensor-%05d/temperature"} {
+		batches := make([][]wire.Refresh, objects/batch) // allocated before the baseline: not counted
+		for b := range batches {
+			batches[b] = make([]wire.Refresh, batch)
+			for i := range batches[b] {
+				batches[b][i] = wire.Refresh{SourceID: "src-0", ObjectID: fmt.Sprintf(shape, b*batch+i), Value: 1, Version: 1, Epoch: 1}
+			}
+		}
+		before := liveHeap()
+		c := quietCache(2, nil)
+		dispatchAll(c, batches)
+		perObject := float64(liveHeap()-before) / objects
+		stdruntime.KeepAlive(batches) // the slots share the ids
+		if n := c.Len(); n != objects {
+			t.Fatalf("%s: %d objects cached, want %d", shape, n, objects)
+		}
+		c.Close()
+		t.Logf("%s: cache live heap %.1f B/object over %d objects", shape, perObject, objects)
+		if perObject > 100 {
+			t.Errorf("%s: a cache holds %.1f B of live heap per object, want ≤ 100", shape, perObject)
+		}
+	}
+}
+
+// TestCacheRoutesDoNotAccumulate: a sender that gives every object its own
+// path costs one route per object only while those entries live. Once a
+// one-path sender has overwritten them all, the cache holds what a cache that
+// only ever saw the one path holds, give or take the shards' route memos.
+func TestCacheRoutesDoNotAccumulate(t *testing.T) {
+	const objects, batch = 4096, 64
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("root/o%05d", i)
+	}
+	// round applies version v of every object, over path(i); the refreshes
+	// are garbage once it returns.
+	round := func(c *Cache, v uint64, path func(i int) []string) {
+		batches := make([][]wire.Refresh, objects/batch)
+		for b := range batches {
+			batches[b] = make([]wire.Refresh, batch)
+			for i := range batches[b] {
+				r := relayed("relay", ids[b*batch+i], v, v)
+				r.Via = path(b*batch + i)
+				batches[b][i] = r
+			}
+		}
+		dispatchAll(c, batches)
+	}
+	onePath := func(int) []string { return []string{"relay"} }
+	routes := func(c *Cache) int {
+		seen := map[*route]bool{}
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			for i := int32(0); i < sh.n; i++ {
+				seen[sh.at(i).rt] = true
+			}
+			sh.mu.Unlock()
+		}
+		return len(seen)
+	}
+	heldBy := func(spray bool) int64 {
+		before := liveHeap()
+		c := quietCache(2, nil)
+		defer c.Close()
+		if spray {
+			round(c, 1, func(i int) []string { return []string{fmt.Sprintf("hop-%05d", i)} })
+			if n := routes(c); n != objects {
+				t.Fatalf("a path per object left %d routes, want %d", n, objects)
+			}
+		}
+		round(c, 2, onePath)
+		if n := routes(c); n != len(c.shards) {
+			t.Fatalf("one sender over one path left %d routes, want one per shard", n)
+		}
+		return liveHeap() - before
+	}
+	plain, sprayed := heldBy(false), heldBy(true)
+	t.Logf("one path: %d B; a path per object, then one path: %d B", plain, sprayed)
+	if d := sprayed - plain; d > 4<<10 || d < -4<<10 {
+		t.Errorf("a cache that once held %d routes keeps %d B more than one that never did, want within 4 KiB", objects, d)
 	}
 }
 

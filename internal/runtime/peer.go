@@ -490,8 +490,9 @@ func (n *Node) ReexportStore() {
 		sh.mu.Lock()
 		batch := make([]wire.Refresh, 0, sh.n)
 		for i := int32(0); i < sh.n; i++ {
+			var e Entry
 			sl := sh.at(i)
-			e := &sl.e
+			sl.entry(&e)
 			batch = append(batch, wire.Refresh{
 				SourceID:      e.Source,
 				ObjectID:      sl.id,

@@ -2,9 +2,13 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
@@ -233,5 +237,145 @@ func TestCacheGetAfterGrowth(t *testing.T) {
 		if w := len(sh.index.words); int(sh.n) == 0 || 2*int(sh.n) > w || w < 1024 {
 			t.Errorf("shard %d: %d objects in a %d-slot index, want load ≤ ½ after several doublings", i, sh.n, w)
 		}
+	}
+}
+
+// sameEntry reports whether got is want field for field: Refreshed by Equal
+// (a slot keeps no monotonic reading or location), everything else — Via's
+// nil-ness included — exactly.
+func sameEntry(got, want Entry) bool {
+	if !got.Refreshed.Equal(want.Refreshed) {
+		return false
+	}
+	got.Refreshed, want.Refreshed = time.Time{}, time.Time{}
+	return reflect.DeepEqual(got, want)
+}
+
+// TestCacheSlotRoundTrip: a slot is at most 64 B, yet every Entry shape reads
+// back exactly through Get — direct, relayed, an origin that is its own
+// sender (stored as direct), a snapshot-loaded entry with no refresh time —
+// while objects that arrived the same way share one route, more routes than
+// the shard's memo holds interleave without mixing, and takeAcks reads the
+// origin axis from slot and route. A concurrent Get loop gives the race
+// detector every read path.
+func TestCacheSlotRoundTrip(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 64 {
+		t.Fatalf("slot is %d B, want ≤ 64", size)
+	}
+	clock := newFakeClock()
+	c := NewCache(CacheConfig{
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 1, Now: clock.Now,
+	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
+	defer c.Close()
+	at := clock.Now()
+
+	want := map[string]Entry{}
+	stop, readers := make(chan struct{}), sync.WaitGroup{}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := 0; i < 12; i++ {
+				// A mesh entry's path is its sender: a torn read of slot and
+				// route would show up as a mismatch.
+				if e, ok := c.Get(fmt.Sprintf("mesh/o%02d", i)); ok && (len(e.Via) != 1 || e.Via[0] != e.Source) {
+					t.Errorf("mesh/o%02d read torn: %+v", i, e)
+					return
+				}
+			}
+		}
+	}()
+
+	apply(t, c,
+		wire.Refresh{SourceID: "s1", ObjectID: "s1/a", Value: 1.5, Version: 3, Epoch: 10},
+		relayed("relay", "root/b", 4, 7),
+		wire.Refresh{SourceID: "s2", ObjectID: "s2/c", Origin: "s2", OriginEpoch: 9, OriginVersion: 9, Value: 2, Version: 5, Epoch: 20},
+		relayed("relay", "root/e", 1, 1),
+		relayed("relay", "root/f", 1, 1),
+	)
+	want["s1/a"] = Entry{Value: 1.5, Version: 3, Epoch: 10, Source: "s1", Refreshed: at}
+	want["root/b"] = Entry{Value: 7, Version: 4, Epoch: 1, Source: "relay", Origin: "root",
+		OriginEpoch: 50, OriginVersion: 7, Hops: 1, Via: []string{"relay"}, Refreshed: at}
+	want["s2/c"] = Entry{Value: 2, Version: 5, Epoch: 20, Source: "s2", Refreshed: at}
+	for _, id := range []string{"root/e", "root/f"} {
+		want[id] = Entry{Value: 1, Version: 1, Epoch: 1, Source: "relay", Origin: "root",
+			OriginEpoch: 50, OriginVersion: 1, Hops: 1, Via: []string{"relay"}, Refreshed: at}
+	}
+
+	snapped := Entry{Value: -1, Version: 2, Epoch: 3, Source: "s3", Origin: "root",
+		OriginEpoch: 4, OriginVersion: 6, Hops: 2, Via: []string{"r1", "r2"}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion, Store: map[string]Entry{"snap/d": snapped}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want["snap/d"] = snapped
+
+	// Six senders, each over its own one-hop path, interleaved object by
+	// object and then rotated: more routes than the memo holds, in one shard.
+	mesh := func(round int) {
+		rs := make([]wire.Refresh, 12)
+		for i := range rs {
+			sender := fmt.Sprintf("p%d", (i+round)%6)
+			rs[i] = wire.Refresh{SourceID: sender, ObjectID: fmt.Sprintf("mesh/o%02d", i), Origin: "root",
+				OriginEpoch: 50, OriginVersion: uint64(round + 1), Hops: 1, Via: []string{sender},
+				Value: float64(10*i + round), Version: uint64(round + 1), Epoch: int64(round + 2)}
+			want[rs[i].ObjectID] = Entry{Value: rs[i].Value, Version: rs[i].Version, Epoch: rs[i].Epoch,
+				Source: sender, Origin: "root", OriginEpoch: 50, OriginVersion: rs[i].OriginVersion,
+				Hops: 1, Via: []string{sender}, Refreshed: at}
+		}
+		apply(t, c, rs...)
+	}
+	for round := 0; round < 3; round++ {
+		clock.advance(time.Millisecond)
+		at = clock.Now()
+		mesh(round)
+	}
+	close(stop)
+	readers.Wait()
+
+	for id, w := range want {
+		got, ok := c.Get(id)
+		if !ok || !sameEntry(got, w) {
+			t.Errorf("Get(%q) = %+v (ok=%v), want %+v", id, got, ok, w)
+		}
+	}
+	if e, _ := c.Get("snap/d"); !e.Refreshed.IsZero() {
+		t.Errorf("snapshot entry with no refresh time reads back Refreshed=%v, want the zero Time", e.Refreshed)
+	}
+
+	sh := c.shards[0]
+	sh.mu.Lock()
+	e, f := sh.at(sh.find(hashID("root/e"), "root/e")), sh.at(sh.find(hashID("root/f"), "root/f"))
+	shared := e.rt == f.rt
+	sh.mu.Unlock()
+	if !shared {
+		t.Error("two objects from one sender over one path hold two route records, want one shared")
+	}
+
+	// A direct sender's stale re-send is acked with the slot's own axis; a
+	// relayed apply with the route's origin epoch and the slot's version.
+	apply(t, c, wire.Refresh{SourceID: "s1", ObjectID: "s1/a", Value: 1.5, Version: 3, Epoch: 10})
+	acks := map[string]wire.HeldVersion{}
+	for _, sender := range []string{"s1", "relay"} {
+		for _, h := range c.takeAcks(sender) {
+			acks[h.ObjectID] = h
+		}
+	}
+	wantAcks := map[string]wire.HeldVersion{
+		"s1/a":   {ObjectID: "s1/a", Epoch: 10, Version: 3},
+		"root/b": {ObjectID: "root/b", Epoch: 50, Version: 7},
+		"root/e": {ObjectID: "root/e", Epoch: 50, Version: 1},
+		"root/f": {ObjectID: "root/f", Epoch: 50, Version: 1},
+	}
+	if !reflect.DeepEqual(acks, wantAcks) {
+		t.Errorf("acks = %+v, want %+v", acks, wantAcks)
 	}
 }

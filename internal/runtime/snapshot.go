@@ -26,8 +26,10 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for i := int32(0); i < sh.n; i++ {
+			var e Entry
 			sl := sh.at(i)
-			snap.Store[sl.id] = sl.e
+			sl.entry(&e)
+			snap.Store[sl.id] = e
 		}
 		sh.mu.Unlock()
 	}
@@ -55,10 +57,10 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 		sh, h := c.locate(id)
 		sh.mu.Lock()
 		if i := sh.find(h, id); i < 0 {
-			sh.at(sh.insert(h, id)).e = e
-		} else if cur := &sh.at(i).e; cur.Source == e.Source &&
-			(cur.Epoch < e.Epoch || (cur.Epoch == e.Epoch && cur.Version < e.Version)) {
-			*cur = e
+			sh.setEntry(sh.insert(h, id), e)
+		} else if cur := sh.at(i); cur.rt.sender == e.Source &&
+			(cur.epoch < e.Epoch || (cur.epoch == e.Epoch && cur.version < e.Version)) {
+			sh.setEntry(i, e)
 		}
 		sh.mu.Unlock()
 	}

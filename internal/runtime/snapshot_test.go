@@ -19,7 +19,7 @@ func cacheWithEntries(t *testing.T, entries map[string]Entry) *Cache {
 	for id, e := range entries {
 		sh, h := c.locate(id)
 		sh.mu.Lock()
-		sh.at(sh.insert(h, id)).e = e
+		sh.setEntry(sh.insert(h, id), e)
 		sh.mu.Unlock()
 	}
 	return c

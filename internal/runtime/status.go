@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"cmp"
+	"container/heap"
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -43,7 +46,8 @@ type Status struct {
 }
 
 // Status returns a snapshot including up to sample cached objects (the most
-// recently refreshed first).
+// recently refreshed first, ties by id). It walks the store once and keeps
+// only the sample, so a call allocates O(sample), not O(objects).
 func (c *Cache) Status(sample int) Status {
 	st := c.Stats()
 	out := Status{
@@ -68,36 +72,63 @@ func (c *Cache) Status(sample int) Status {
 		return out
 	}
 	now := c.cfg.Now()
-	var objs []StatusObject
+	// A bounded selection, not a sort of the store: the heap keeps the sample
+	// best slots seen so far, its root the one that ranks last. The copies stay
+	// readable after each shard's lock is released — a route is immutable.
+	top := make(sampleHeap, 0, min(sample, out.Objects))
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for i := int32(0); i < sh.n; i++ {
 			sl := sh.at(i)
-			e := &sl.e
-			objs = append(objs, StatusObject{
-				ID:        sl.id,
-				Value:     e.Value,
-				Version:   e.Version,
-				Source:    e.Source,
-				Origin:    e.Origin,
-				Hops:      e.Hops,
-				Refreshed: e.Refreshed,
-				AgeMillis: now.Sub(e.Refreshed).Milliseconds(),
-			})
+			if len(top) < sample {
+				heap.Push(&top, *sl)
+			} else if sampleOrder(sl, &top[0]) < 0 {
+				top[0] = *sl
+				heap.Fix(&top, 0)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		if !objs[i].Refreshed.Equal(objs[j].Refreshed) {
-			return objs[i].Refreshed.After(objs[j].Refreshed)
+	slices.SortFunc(top, func(a, b slot) int { return sampleOrder(&a, &b) })
+	out.Sample = make([]StatusObject, len(top))
+	for i := range top {
+		var e Entry
+		top[i].entry(&e)
+		out.Sample[i] = StatusObject{
+			ID:        top[i].id,
+			Value:     e.Value,
+			Version:   e.Version,
+			Source:    e.Source,
+			Origin:    e.Origin,
+			Hops:      e.Hops,
+			Refreshed: e.Refreshed,
+			AgeMillis: now.Sub(e.Refreshed).Milliseconds(),
 		}
-		return objs[i].ID < objs[j].ID
-	})
-	if len(objs) > sample {
-		objs = objs[:sample]
 	}
-	out.Sample = objs
 	return out
+}
+
+// sampleOrder ranks slots for the status sample: the most recent refresh
+// first (an unknown refresh time, 0, last), ties by id.
+func sampleOrder(a, b *slot) int {
+	if c := cmp.Compare(b.refreshed, a.refreshed); c != 0 {
+		return c
+	}
+	return strings.Compare(a.id, b.id)
+}
+
+// sampleHeap is a container/heap whose root is the slot that ranks last.
+type sampleHeap []slot
+
+func (h sampleHeap) Len() int           { return len(h) }
+func (h sampleHeap) Less(i, j int) bool { return sampleOrder(&h[i], &h[j]) > 0 }
+func (h sampleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *sampleHeap) Push(x any)        { *h = append(*h, x.(slot)) }
+func (h *sampleHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // StatusHandler serves the cache status as JSON — mount it on a mux for

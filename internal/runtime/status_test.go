@@ -2,12 +2,16 @@ package runtime
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	stdruntime "runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"bestsync/internal/transport"
+	"bestsync/internal/wire"
 )
 
 func TestStatusSnapshot(t *testing.T) {
@@ -87,5 +91,88 @@ func TestStatusHandler(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST status = %d, want 405", post.StatusCode)
+	}
+}
+
+// TestStatusSampleIsBoundedSelection: the status sample is the top of the
+// store by (refresh time desc, id) — the same listing a full sort gives,
+// timestamp ties and entries with no refresh time included — yet a call
+// allocates for the sample only, not for every stored object.
+func TestStatusSampleIsBoundedSelection(t *testing.T) {
+	const objects, batch = 16384, 512 // a batch's objects share a refresh time
+	clock := newFakeClock()
+	c := NewCache(CacheConfig{
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 2, Now: clock.Now,
+	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
+	defer c.Close()
+	ids := make([]string, 0, objects+2)
+	for first := 0; first < objects; first += batch {
+		clock.advance(time.Millisecond)
+		rs := make([]wire.Refresh, batch)
+		for i := range rs {
+			id := fmt.Sprintf("s1/o%05d", (first+i)*7919%objects) // ids out of insertion order
+			rs[i] = wire.Refresh{SourceID: "s1", ObjectID: id, Value: float64(first + i), Version: 1, Epoch: 1}
+			ids = append(ids, id)
+		}
+		apply(t, c, rs...)
+	}
+	for _, id := range []string{"z/never-refreshed", "a/never-refreshed"} {
+		sh, h := c.locate(id)
+		sh.mu.Lock()
+		sh.setEntry(sh.insert(h, id), Entry{Value: -1, Version: 1, Source: "snap"})
+		sh.mu.Unlock()
+		ids = append(ids, id)
+	}
+
+	now := clock.Now()
+	full := make([]StatusObject, 0, len(ids))
+	for _, id := range ids {
+		e, _ := c.Get(id)
+		full = append(full, StatusObject{
+			ID: id, Value: e.Value, Version: e.Version, Source: e.Source, Origin: e.Origin,
+			Hops: e.Hops, Refreshed: e.Refreshed, AgeMillis: now.Sub(e.Refreshed).Milliseconds(),
+		})
+	}
+	sort.Slice(full, func(i, j int) bool {
+		if !full[i].Refreshed.Equal(full[j].Refreshed) {
+			return full[i].Refreshed.After(full[j].Refreshed)
+		}
+		return full[i].ID < full[j].ID
+	})
+	same := func(got, want []StatusObject) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if !g.Refreshed.Equal(w.Refreshed) {
+				return false
+			}
+			g.Refreshed, w.Refreshed = time.Time{}, time.Time{}
+			if g != w {
+				return false
+			}
+		}
+		return true
+	}
+	for _, sample := range []int{1, 10, 600, len(ids), len(ids) + 5} {
+		want := full[:min(sample, len(full))]
+		if got := c.Status(sample).Sample; !same(got, want) {
+			t.Errorf("Status(%d) sample differs from the sorted store: got %d entries, first %+v; want first %+v",
+				sample, len(got), got[0], want[0])
+		}
+	}
+
+	var before, after stdruntime.MemStats
+	const calls = 10
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		c.Status(10)
+	}
+	stdruntime.ReadMemStats(&after)
+	// The sample is 10 objects of ~100 B; sorting the store allocated over
+	// 2 MB per call.
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 16<<10 {
+		t.Errorf("Status(10) over %d objects allocated %d B per call, want O(sample)", len(ids), perCall)
 	}
 }
