@@ -120,7 +120,6 @@ func main() {
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval (0 = silent)")
 	snapshotPath := flag.String("snapshot", "", "optional snapshot file (loaded at boot, saved periodically and on shutdown)")
 	snapshotEvery := flag.Duration("snapshot-every", time.Minute, "periodic snapshot interval")
-	codecPref := flag.String("codec", "auto", "wire codec for outbound (child) connections: auto (binary, falling back to gob against old daemons) | binary | gob; inbound streams always auto-detect")
 	flag.Parse()
 
 	policy, err := runtime.ParsePolicy(*mode)
@@ -131,11 +130,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("cachesyncd: -child-mode: %v", err)
 	}
-	dialCodec, err := transport.ParseCodec(*codecPref)
-	if err != nil {
-		log.Fatalf("cachesyncd: -codec: %v", err)
-	}
-	transport.SetDialCodec(dialCodec)
 	var caps uint64
 	if childPolicy == runtime.PolicyHybrid {
 		// The relay's child face pushes its hot set; advertising the

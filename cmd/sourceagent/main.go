@@ -84,18 +84,12 @@ func main() {
 	httpAddr := flag.String("http", "", "optional HTTP admin address (GET /status, POST /caches/add, POST /caches/remove)")
 	seed := flag.Int64("seed", time.Now().UnixNano(), "workload seed")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval (0 = silent)")
-	codecPref := flag.String("codec", "auto", "wire codec for cache connections: auto (binary, falling back to gob against old daemons) | binary | gob")
 	flag.Parse()
 
 	policy, err := runtime.ParsePolicy(*mode)
 	if err != nil {
 		log.Fatalf("sourceagent: -mode: %v", err)
 	}
-	dialCodec, err := transport.ParseCodec(*codecPref)
-	if err != nil {
-		log.Fatalf("sourceagent: -codec: %v", err)
-	}
-	transport.SetDialCodec(dialCodec)
 	// Advertise the peer-serving capability unconditionally: this build's
 	// answer path understands known-version hints (wire.Poll.Known), so
 	// caches may attach them and save redundant reply items. Hybrid mode

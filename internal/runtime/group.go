@@ -291,10 +291,7 @@ func (g *SessionGroup) attachLocked(m *syncSession) {
 	m.wantGroup = true
 	m.detached = make(chan struct{})
 	m.groupConn = m.dest.Conn
-	m.groupFS = nil
-	if fs, ok := m.dest.Conn.(transport.FrameSender); ok && fs.FramesEnabled() {
-		m.groupFS = fs
-	}
+	m.groupFS, _ = m.dest.Conn.(transport.FrameSender)
 	m.workerIdx = g.next % len(g.workers)
 	g.next++
 	g.members = append(g.members, m)
@@ -490,10 +487,10 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 // provenance, in batch order. The two callers differ only in where the bytes
 // come from: encode builds the shared frame (encode-once for the flusher, a
 // splice of the inbound frame for a relay), and decode, when non-nil, builds
-// the decoded form b.rs lazily — the splice path has none until a gob member
-// or an exclusion that actually fires needs it. Caller holds src.mu with the
-// batch scheduled and b holding the caller's one reference; fanoutLocked
-// releases both.
+// the decoded form b.rs lazily — the splice path has none until a member
+// without a FrameSender or an exclusion that actually fires needs it. Caller
+// holds src.mu with the batch scheduled and b holding the caller's one
+// reference; fanoutLocked releases both.
 func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, provs []Provenance,
 	decode func() []wire.Refresh, encode func() *codec.Frame) {
 	s := g.src
@@ -526,7 +523,7 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 		case m.groupFS != nil:
 			needFrame = true
 		default:
-			needDecoded = true // gob members need the decoded form
+			needDecoded = true // Local and Batcher members need the decoded form
 		}
 		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
 	}

@@ -387,7 +387,6 @@ type nullFrameConn struct{ fb chan wire.Feedback }
 func (nullFrameConn) SendRefresh(wire.Refresh) error   { return nil }
 func (nullFrameConn) SendBatch([]wire.Refresh) error   { return nil }
 func (nullFrameConn) SendFrame(*codec.Frame) error     { return nil }
-func (nullFrameConn) FramesEnabled() bool              { return true }
 func (c nullFrameConn) Feedback() <-chan wire.Feedback { return c.fb }
 func (nullFrameConn) Close() error                     { return nil }
 

@@ -81,8 +81,6 @@ func (c *frameConn) SendFrame(f *codec.Frame) error {
 	return nil
 }
 
-func (c *frameConn) FramesEnabled() bool { return true }
-
 func (c *frameConn) SendBatch(rs []wire.Refresh) error {
 	if err := c.fakeConn.SendBatch(rs); err != nil {
 		return err
@@ -311,8 +309,8 @@ func TestGroupFanoutTCP(t *testing.T) {
 	if st.Group.Delivered == 0 {
 		t.Error("no group deliveries over TCP")
 	}
-	// Binary TCP connections negotiate frames, so the broadcasts must have
-	// used the encode-once path, not per-member re-encoding.
+	// TCP connections take frames, so the broadcasts must have used the
+	// encode-once path, not per-member re-encoding.
 	if st.Group.Batches == 0 {
 		t.Error("no group batches over TCP")
 	}
@@ -531,7 +529,6 @@ func (c *blockingConn) wait() error {
 func (c *blockingConn) SendRefresh(wire.Refresh) error { return c.wait() }
 func (c *blockingConn) SendBatch([]wire.Refresh) error { return c.wait() }
 func (c *blockingConn) SendFrame(*codec.Frame) error   { return c.wait() }
-func (c *blockingConn) FramesEnabled() bool            { return true }
 func (c *blockingConn) Feedback() <-chan wire.Feedback { return c.fb }
 func (c *blockingConn) Close() error {
 	select {

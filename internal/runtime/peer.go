@@ -280,7 +280,7 @@ func NewNode(cfg NodeConfig, intake transport.CacheEndpoint, peers []Destination
 	if cfg.SpliceForward {
 		// Zero-copy re-export: ask the intake transport to retain inbound
 		// binary frames and route framed apply batches through the splice
-		// hook. Transports without frame retention (Local, gob) simply never
+		// hook. Transports without frame retention (Local) simply never
 		// produce a retained frame, so every batch takes the classic path.
 		cacheCfg.OnForward = n.onForward
 		if fr, ok := intake.(transport.FrameRetainer); ok {

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -309,11 +308,10 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 
 	snapped := Entry{Value: -1, Version: 2, Epoch: 3, Source: "s3", Origin: "root",
 		OriginEpoch: 4, OriginVersion: 6, Hops: 2, Via: []string{"r1", "r2"}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion, Store: map[string]Entry{"snap/d": snapped}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadSnapshot(&buf); err != nil {
+	saved := cacheWithEntries(t, map[string]Entry{"snap/d": snapped})
+	snap := snapshotOf(t, saved)
+	saved.Close()
+	if err := c.LoadSnapshot(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
 	want["snap/d"] = snapped

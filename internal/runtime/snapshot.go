@@ -1,39 +1,55 @@
 package runtime
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"time"
+
+	"bestsync/internal/wire"
+	"bestsync/internal/wire/codec"
 )
 
-// snapshotVersion guards the on-disk format.
-const snapshotVersion = 1
-
-// snapshot is the serialized cache store.
-type snapshot struct {
-	Version int
-	Store   map[string]Entry
-}
-
-// SaveSnapshot writes the current store to w (gob-encoded). A cache daemon
-// can persist across restarts without re-fetching every object from its
-// sources. Shards are serialized into one flat map, so snapshots survive
-// shard-count changes between runs.
+// SaveSnapshot writes the current store to w, so a cache daemon can persist
+// across restarts without re-fetching every object from its sources. A
+// snapshot is a binary-codec stream (spec §10): the prologue {codec.Magic,
+// codec.Version}, then one batch frame per slab chunk, shard by shard,
+// holding one wire.Refresh per object — Entry.Source as SourceID, Refreshed
+// as SentUnix (0 for the zero Time), every other field under its own name.
+// Nothing in it depends on the shard count. A shard's lock is held only while
+// a chunk is copied out, never across a Write.
 func (c *Cache) SaveSnapshot(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion, Store: map[string]Entry{}}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := int32(0); i < sh.n; i++ {
-			var e Entry
-			sl := sh.at(i)
-			sl.entry(&e)
-			snap.Store[sl.id] = e
-		}
-		sh.mu.Unlock()
+	if _, err := w.Write([]byte{codec.Magic, codec.Version}); err != nil {
+		return err
 	}
-	return gob.NewEncoder(w).Encode(snap)
+	var enc codec.Encoder
+	var buf []byte
+	rs := make([]wire.Refresh, 0, slabChunk)
+	for _, sh := range c.shards {
+		for start := int32(0); ; start += slabChunk {
+			rs = rs[:0]
+			sh.mu.Lock()
+			for i := start; i < min(sh.n, start+slabChunk); i++ {
+				s := sh.at(i)
+				rs = append(rs, wire.Refresh{
+					SourceID: s.rt.sender, ObjectID: s.id, Origin: s.rt.origin, Hops: s.rt.hops, Via: s.rt.via,
+					OriginEpoch: s.rt.originEpoch, OriginVersion: s.originVersion,
+					Value: s.value, Version: s.version, Epoch: s.epoch, SentUnix: s.refreshed,
+				})
+			}
+			sh.mu.Unlock()
+			if len(rs) == 0 {
+				break
+			}
+			buf = enc.AppendBatch(buf[:0], wire.RefreshBatch{Refreshes: rs})
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // LoadSnapshot merges a previously saved store into the cache, distributing
@@ -45,26 +61,53 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 // different nodes are incomparable wall-clock starts, and comparing them
 // would let a snapshot entry from a later-booted sender (larger epoch, any
 // age) overwrite a live feed.
+//
+// Frames merge as they are read: a stream cut off or corrupt mid-frame
+// returns an error, and the frames before it stay merged under the same
+// rule. A stream that does not open with the prologue — a snapshot an older
+// build wrote in another encoding, say — is refused before anything merges.
 func (c *Cache) LoadSnapshot(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("runtime: decoding snapshot: %w", err)
+	br := bufio.NewReader(r)
+	var prologue [2]byte
+	if _, err := io.ReadFull(br, prologue[:]); err != nil {
+		return fmt.Errorf("runtime: reading the binary-codec snapshot prologue: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("runtime: snapshot version %d, want %d", snap.Version, snapshotVersion)
+	if want := [2]byte{codec.Magic, codec.Version}; prologue != want {
+		return fmt.Errorf("runtime: snapshot starts %x, not the binary-codec prologue %x; delete a snapshot in another format or codec version", prologue, want)
 	}
-	for id, e := range snap.Store {
-		sh, h := c.locate(id)
-		sh.mu.Lock()
-		if i := sh.find(h, id); i < 0 {
-			sh.setEntry(sh.insert(h, id), e)
-		} else if cur := sh.at(i); cur.rt.sender == e.Source &&
-			(cur.epoch < e.Epoch || (cur.epoch == e.Epoch && cur.version < e.Version)) {
-			sh.setEntry(i, e)
+	dec := codec.NewDecoder(br)
+	for {
+		env, err := dec.ReadCacheBound()
+		if err == io.EOF {
+			return nil
 		}
-		sh.mu.Unlock()
+		if err == nil && env.Batch == nil {
+			err = fmt.Errorf("poll-reply frame")
+		}
+		if err != nil {
+			return fmt.Errorf("runtime: decoding snapshot: %w", err)
+		}
+		for i := range env.Batch.Refreshes {
+			rf := &env.Batch.Refreshes[i]
+			if rf.ObjectID == "" || rf.Hops < 0 {
+				return fmt.Errorf("runtime: decoding snapshot: malformed record for %q", rf.ObjectID)
+			}
+			e := Entry{Value: rf.Value, Version: rf.Version, Epoch: rf.Epoch, Source: rf.SourceID, Origin: rf.Origin,
+				OriginEpoch: rf.OriginEpoch, OriginVersion: rf.OriginVersion, Hops: rf.Hops, Via: rf.Via}
+			if rf.SentUnix != 0 {
+				e.Refreshed = time.Unix(0, rf.SentUnix)
+			}
+			sh, h := c.locate(rf.ObjectID)
+			sh.mu.Lock()
+			if j := sh.find(h, rf.ObjectID); j < 0 {
+				sh.setEntry(sh.insert(h, rf.ObjectID), e)
+			} else if cur := sh.at(j); cur.rt.sender == e.Source &&
+				(cur.epoch < e.Epoch || (cur.epoch == e.Epoch && cur.version < e.Version)) {
+				sh.setEntry(j, e)
+			}
+			sh.mu.Unlock()
+		}
 	}
-	return nil
 }
 
 // SaveSnapshotFile atomically writes the store to path (temp file + rename),

@@ -16,8 +16,8 @@
 // Eligibility and fallback (see docs/algorithm-specifications.md §14): the
 // fast path requires an attached session group, the push policy, the
 // value-deviation metric with the default delta, and a parseable canonical
-// frame; anything else — and every individual (non-grouped) session, gob
-// member, held-ack or split-horizon exclusion, threshold-suppressed or
+// frame; anything else — and every individual (non-grouped) session, Local
+// or Batcher member, held-ack or split-horizon exclusion, threshold-suppressed or
 // budget-starved item — falls back to the classic machinery per batch, per
 // member, or per item without changing what any receiver observes.
 package runtime
@@ -279,8 +279,8 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 	// codec.PatchForward is the reference implementation the splice
 	// differential fuzz pins SpliceForward against, so they are
 	// interchangeable by construction. The decoded one is materialized only
-	// when some member cannot take the spliced bytes: a gob conn, or an
-	// exclusion (held ack ahead of the axis, split horizon) that actually
+	// when some member cannot take the spliced bytes: a Local or Batcher
+	// conn, or an exclusion (held ack ahead of the axis, split horizon) that actually
 	// fires for an item of this batch.
 	g.fanoutLocked(&sc.fan, b, keys, sent, func() []wire.Refresh {
 		return codec.PatchForward(rs, keep, versions, fp)

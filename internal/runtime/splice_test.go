@@ -73,7 +73,7 @@ func buildSpliceTier(t *testing.T, leaves int, splice bool) (*spliceTier, func()
 		}, ep)
 		tier.leaves[i] = leaf
 		cleanups = append(cleanups, func() { leaf.Close(); ep.Close() })
-		conn, err := transport.DialCodec(ln.Addr().String(), "relay", transport.CodecBinary)
+		conn, err := transport.Dial(ln.Addr().String(), "relay")
 		if err != nil {
 			fail(err)
 		}
@@ -102,7 +102,7 @@ func buildSpliceTier(t *testing.T, leaves int, splice bool) (*spliceTier, func()
 	tier.node = node
 	cleanups = append(cleanups, func() { node.Close() })
 
-	srcConn, err := transport.DialCodec(upLn.Addr().String(), "root", transport.CodecBinary)
+	srcConn, err := transport.Dial(upLn.Addr().String(), "root")
 	if err != nil {
 		fail(err)
 	}
@@ -296,7 +296,7 @@ func TestSpliceRespectsThreshold(t *testing.T) {
 	defer leafEp.Close()
 	leaf := NewCache(CacheConfig{ID: "leaf-0", Bandwidth: 10000, Tick: 5 * time.Millisecond}, leafEp)
 	defer leaf.Close()
-	peerConn, err := transport.DialCodec(leafLn.Addr().String(), "relay", transport.CodecBinary)
+	peerConn, err := transport.Dial(leafLn.Addr().String(), "relay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSpliceRespectsThreshold(t *testing.T) {
 	}
 	defer node.Close()
 
-	srcConn, err := transport.DialCodec(upLn.Addr().String(), "root", transport.CodecBinary)
+	srcConn, err := transport.Dial(upLn.Addr().String(), "root")
 	if err != nil {
 		t.Fatal(err)
 	}

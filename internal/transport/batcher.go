@@ -148,13 +148,13 @@ func (b *batcher) flush() error {
 }
 
 // sendBatch hands the batch to the connection, pre-encoded when it can take
-// one: a binary-codec connection (FrameSender) receives a pooled
-// codec.Frame, so the serialization cost is paid exactly once per batch —
-// here, under flushMu — instead of per envelope inside the connection, and
-// the same Frame shape lets a fan-out layer share one encoding across every
-// destination holding the same batch.
+// one: a TCP connection (FrameSender) receives a pooled codec.Frame, so the
+// serialization cost is paid exactly once per batch — here, under flushMu —
+// instead of per envelope inside the connection, and the same Frame shape
+// lets a fan-out layer share one encoding across every destination holding
+// the same batch.
 func (b *batcher) sendBatch(rs []wire.Refresh) error {
-	if fs, ok := b.conn.(FrameSender); ok && fs.FramesEnabled() {
+	if fs, ok := b.conn.(FrameSender); ok {
 		f := codec.NewBatchFrame(rs, time.Now().UnixNano())
 		err := fs.SendFrame(f)
 		f.Release()

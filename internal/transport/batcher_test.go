@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -55,13 +54,8 @@ func TestLocalBatchRoundTrip(t *testing.T) {
 }
 
 func TestTCPBatchRoundTrip(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-	conn, err := Dial(ln.Addr().String(), "s1")
+	srv, addr := serveTCP(t)
+	conn, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -28,42 +27,31 @@ func waitCooperates(t *testing.T, rep cooperationReporter, id string, want bool)
 }
 
 // TestCapabilityNegotiationPerCodec: a hybrid-capable client's Hello carries
-// wire.CapCooperative through EVERY codec path — binary frames, forced gob,
-// and auto negotiation — and the server reports it via PeerCooperates; a
-// client with no capabilities set reads as non-cooperative (the gate
-// defaults closed for legacy peers).
+// wire.CapCooperative through the binary codec, the one TCP encoding, and the
+// server reports it via PeerCooperates; a client with no capabilities set
+// reads as non-cooperative (the gate defaults closed).
 func TestCapabilityNegotiationPerCodec(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-	addr := ln.Addr().String()
+	srv, addr := serveTCP(t)
 	rep := srv.(cooperationReporter)
 
-	for _, pref := range []Codec{CodecBinary, CodecGob, CodecAuto} {
-		t.Run(pref.String(), func(t *testing.T) {
-			SetDialCapabilities(wire.CapCooperative)
-			defer SetDialCapabilities(0)
-			id := "coop-" + pref.String()
-			conn, err := DialCodec(addr, id, pref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			waitCooperates(t, rep, id, true)
+	t.Run("binary", func(t *testing.T) {
+		SetDialCapabilities(wire.CapCooperative)
+		defer SetDialCapabilities(0)
+		conn, err := Dial(addr, "coop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		waitCooperates(t, rep, "coop", true)
 
-			SetDialCapabilities(0)
-			plainID := "plain-" + pref.String()
-			plain, err := DialCodec(addr, plainID, pref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer plain.Close()
-			waitCooperates(t, rep, plainID, false)
-		})
-	}
+		SetDialCapabilities(0)
+		plain, err := Dial(addr, "plain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		waitCooperates(t, rep, "plain", false)
+	})
 }
 
 // TestCapabilityLocalTransport: the in-process transport stamps the same
@@ -95,36 +83,5 @@ func TestCapabilityLocalTransport(t *testing.T) {
 	plain.Close()
 	if local.PeerCooperates("plain") {
 		t.Error("capability survived the connection")
-	}
-}
-
-// TestAutoFallbackNegotiatesWithHybridPeer: a hybrid-capable client in auto
-// mode dialing a legacy gob-only daemon must still complete the gob
-// fallback — the capability bit rides the Hello as a plain field old gob
-// decoders skip — and deliver traffic the old server parses.
-func TestAutoFallbackNegotiatesWithHybridPeer(t *testing.T) {
-	addr, batches, closeFn := legacyGobServer(t)
-	defer closeFn()
-
-	SetDialCapabilities(wire.CapCooperative)
-	defer SetDialCapabilities(0)
-	conn, err := DialCodec(addr, "s1", CodecAuto)
-	if err != nil {
-		t.Fatalf("hybrid-capable auto dial failed against a legacy server: %v", err)
-	}
-	defer conn.Close()
-	if fs := conn.(FrameSender); fs.FramesEnabled() {
-		t.Fatal("fallback connection claims binary frames")
-	}
-	if err := conn.SendRefresh(wire.Refresh{SourceID: "s1", ObjectID: "a", Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case b := <-batches:
-		if len(b.Refreshes) != 1 || b.Refreshes[0].ObjectID != "a" {
-			t.Errorf("legacy server decoded %+v", b)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("legacy server never received the hybrid-capable client's refresh")
 	}
 }

@@ -1,72 +1,29 @@
 package transport
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"bestsync/internal/wire/codec"
 )
 
-// Codec selects the wire encoding a TCP client speaks. The server side needs
-// no selection: it auto-detects per connection from the stream's first byte
-// (a binary stream opens with codec.Magic, which can never begin a gob
-// stream), so one server serves old gob clients and new binary clients at
-// once.
+// Codec names a TCP wire encoding. There is one: the binary codec
+// (internal/wire/codec).
+//
+// Deprecated: use Dial. Codec, CodecBinary and DialCodec remain only because
+// benchmark/topology.go dials through them; the benchmark module's next
+// change switches that call to Dial and deletes all three.
 type Codec int
 
-const (
-	// CodecAuto negotiates: the client opens with the binary prologue and
-	// waits for the server to echo it; a legacy server instead kills the
-	// connection (the magic byte fails its gob decode), upon which the
-	// client redials and speaks plain gob. The default.
-	CodecAuto Codec = iota
-	// CodecBinary requires the binary codec; dialing a legacy server fails
-	// instead of falling back.
-	CodecBinary
-	// CodecGob speaks legacy encoding/gob framing only — byte-for-byte the
-	// pre-codec protocol. The escape hatch for pinning interop with old
-	// daemons (and the encoding snapshots keep regardless).
-	CodecGob
-)
+// CodecBinary is the binary codec, the only encoding the TCP transport
+// speaks.
+//
+// Deprecated: use Dial.
+const CodecBinary Codec = 0
 
-// String implements flag.Value-style display.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return "auto"
-	}
-}
-
-// ParseCodec parses a -codec flag value: auto | binary | gob.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "auto", "":
-		return CodecAuto, nil
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return CodecAuto, fmt.Errorf("transport: unknown codec %q (want auto, binary or gob)", s)
-}
-
-// dialCodec is the process-wide codec preference used by Dial (and therefore
-// by runtime.DialDestinations and every daemon redial closure). Auto unless
-// a daemon's -codec flag says otherwise.
-var dialCodec atomic.Int32
-
-// SetDialCodec sets the codec preference Dial uses. Daemons call it once at
-// boot from their -codec flag; the negotiation default (CodecAuto) is right
-// for everything except pinning interop tests or talking through middleboxes
-// that cannot survive the probe redial.
-func SetDialCodec(c Codec) { dialCodec.Store(int32(c)) }
-
-// DialCodecDefault reports the current process-wide codec preference.
-func DialCodecDefault() Codec { return Codec(dialCodec.Load()) }
+// DialCodec is Dial; the codec argument is ignored.
+//
+// Deprecated: use Dial.
+func DialCodec(addr, sourceID string, _ Codec) (SourceConn, error) { return Dial(addr, sourceID) }
 
 // dialCaps is the process-wide capability mask stamped onto the Hello of
 // every outbound dial (TCP and Local alike). Zero — no capabilities — unless
@@ -83,18 +40,15 @@ func SetDialCapabilities(caps uint64) { dialCaps.Store(caps) }
 func DialCapabilities() uint64 { return dialCaps.Load() }
 
 // FrameSender is the capability a connection exposes when it can transmit
-// pre-encoded binary frames verbatim: the encode-once half of fan-out. A
-// Batcher flushes through it when available, so one batch is serialized
-// exactly once no matter how it reaches the socket; a fan-out layer can
-// share one codec.Frame (Retain per destination) across every connection
-// whose cache needs the same batch, dropping the per-destination cost to a
-// write syscall.
+// pre-encoded binary frames verbatim: the encode-once half of fan-out. Every
+// TCP client implements it; Local connections do not. A Batcher flushes
+// through it when available, so one batch is serialized exactly once no
+// matter how it reaches the socket; a fan-out layer can share one
+// codec.Frame (Retain per destination) across every connection whose cache
+// needs the same batch, dropping the per-destination cost to a write
+// syscall.
 type FrameSender interface {
 	// SendFrame writes one pre-encoded frame. The caller keeps ownership of
 	// the frame (release it after the call; retain it per extra holder).
 	SendFrame(*codec.Frame) error
-	// FramesEnabled reports whether the connection's negotiated encoding
-	// matches pre-encoded frames (binary streams only — a gob stream cannot
-	// interleave raw frames).
-	FramesEnabled() bool
 }

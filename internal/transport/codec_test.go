@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"io"
 	"net"
 	"testing"
@@ -11,206 +10,98 @@ import (
 	"bestsync/internal/wire/codec"
 )
 
-func TestParseCodec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"auto", CodecAuto, true},
-		{"", CodecAuto, true},
-		{"binary", CodecBinary, true},
-		{"gob", CodecGob, true},
-		{"protobuf", CodecAuto, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseCodec(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	for _, c := range []Codec{CodecAuto, CodecBinary, CodecGob} {
-		back, err := ParseCodec(c.String())
-		if err != nil || back != c {
-			t.Errorf("round trip %v → %q → %v, %v", c, c.String(), back, err)
-		}
-	}
-}
-
-func TestSetDialCodec(t *testing.T) {
-	defer SetDialCodec(CodecAuto)
-	SetDialCodec(CodecGob)
-	if got := DialCodecDefault(); got != CodecGob {
-		t.Fatalf("DialCodecDefault = %v after SetDialCodec(gob)", got)
-	}
-}
-
-// testTCPRoundTrip runs the full bidirectional exchange — refresh up,
-// feedback down, poll down, reply up — against a new server with the client
-// forced to the given codec. The same server binary serves both encodings,
-// so running this per codec IS the old-client/new-server interop test:
-// CodecGob is byte-for-byte the pre-codec client.
-func testTCPRoundTrip(t *testing.T, pref Codec, wantFrames bool) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-
-	conn, err := DialCodec(ln.Addr().String(), "s1", pref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	if fs, ok := conn.(FrameSender); !ok {
-		t.Fatal("TCP client does not implement FrameSender")
-	} else if fs.FramesEnabled() != wantFrames {
-		t.Fatalf("FramesEnabled = %v with codec %v, want %v", fs.FramesEnabled(), pref, wantFrames)
-	}
-
-	if err := conn.SendRefresh(wire.Refresh{
-		SourceID: "s1", ObjectID: "a", Value: 3.5, Version: 1,
-		Origin: "s1", Via: []string{"relay-1"}, Hops: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if r := recvOne(t, srv.Batches()); r.ObjectID != "a" || r.Value != 3.5 || len(r.Via) != 1 {
-		t.Errorf("got %+v", r)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	fb := wire.Feedback{CacheID: "edge", Held: []wire.HeldVersion{{ObjectID: "a", Version: 1}}}
-	for {
-		if err := srv.SendFeedback("s1", fb); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("source never registered for feedback")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	select {
-	case got := <-conn.Feedback():
-		if got.CacheID != "edge" || len(got.Held) != 1 || got.Held[0].ObjectID != "a" {
-			t.Errorf("feedback drifted: %+v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("feedback not received")
-	}
-
-	pe, pc := srv.(PollEndpoint), conn.(PollConn)
-	if err := pe.SendPoll("s1", wire.Poll{CacheID: "edge", ObjectIDs: []string{"a", "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-pc.Polls():
-		if p.CacheID != "edge" || len(p.ObjectIDs) != 2 {
-			t.Errorf("poll drifted: %+v", p)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("poll not received")
-	}
-	if err := pc.SendReply(wire.PollReply{SourceID: "s1", Items: []wire.PollItem{
-		{ObjectID: "a", Exists: true, Value: 1.5, Version: 3},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-pe.Replies():
-		if r.SourceID != "s1" || len(r.Items) != 1 || r.Items[0].Value != 1.5 {
-			t.Errorf("reply drifted: %+v", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reply not received")
-	}
-}
-
-// TestTCPRoundTripPerCodec runs the same protocol exchange under every
-// client codec against one server implementation.
+// TestTCPRoundTripPerCodec runs the full bidirectional exchange — refresh
+// up, feedback down, poll down, reply up — under each client codec against
+// one server. Binary is the only TCP encoding.
 func TestTCPRoundTripPerCodec(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { testTCPRoundTrip(t, CodecBinary, true) })
-	t.Run("gob", func(t *testing.T) { testTCPRoundTrip(t, CodecGob, false) })
-	t.Run("auto", func(t *testing.T) { testTCPRoundTrip(t, CodecAuto, true) })
+	t.Run("binary", func(t *testing.T) {
+		srv, addr := serveTCP(t)
+		conn, err := Dial(addr, "s1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, ok := conn.(FrameSender); !ok {
+			t.Fatal("TCP client does not implement FrameSender")
+		}
+
+		if err := conn.SendRefresh(wire.Refresh{
+			SourceID: "s1", ObjectID: "a", Value: 3.5, Version: 1,
+			Origin: "s1", Via: []string{"relay-1"}, Hops: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if r := recvOne(t, srv.Batches()); r.ObjectID != "a" || r.Value != 3.5 || len(r.Via) != 1 {
+			t.Errorf("got %+v", r)
+		}
+
+		deadline := time.Now().Add(2 * time.Second)
+		fb := wire.Feedback{CacheID: "edge", Held: []wire.HeldVersion{{ObjectID: "a", Version: 1}}}
+		for {
+			if err := srv.SendFeedback("s1", fb); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("source never registered for feedback")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		select {
+		case got := <-conn.Feedback():
+			if got.CacheID != "edge" || len(got.Held) != 1 || got.Held[0].ObjectID != "a" {
+				t.Errorf("feedback drifted: %+v", got)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("feedback not received")
+		}
+
+		pe, pc := srv.(PollEndpoint), conn.(PollConn)
+		if err := pe.SendPoll("s1", wire.Poll{CacheID: "edge", ObjectIDs: []string{"a", "b"}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-pc.Polls():
+			if p.CacheID != "edge" || len(p.ObjectIDs) != 2 {
+				t.Errorf("poll drifted: %+v", p)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("poll not received")
+		}
+		if err := pc.SendReply(wire.PollReply{SourceID: "s1", Items: []wire.PollItem{
+			{ObjectID: "a", Exists: true, Value: 1.5, Version: 3},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-pe.Replies():
+			if r.SourceID != "s1" || len(r.Items) != 1 || r.Items[0].Value != 1.5 {
+				t.Errorf("reply drifted: %+v", r)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("reply not received")
+		}
+	})
 }
 
-// legacyGobServer mimics a pre-codec daemon: a bare gob decoder from byte
-// one. A binary probe's magic byte fails its gob decode immediately (0xB5
-// reads as a 75-byte length field, which is out of range), so it kills the
-// connection — exactly the signal the auto-negotiating client falls back on.
-func legacyGobServer(t *testing.T) (addr string, batches chan wire.RefreshBatch, closeFn func()) {
-	t.Helper()
+// TestBinaryRequiredFailsAgainstLegacyServer: a server that does not accept
+// the prologue — here one that, like a pre-codec daemon, closes the
+// connection on the magic byte — fails the dial; there is nothing to fall
+// back to.
+func TestBinaryRequiredFailsAgainstLegacyServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches = make(chan wire.RefreshBatch, 16)
+	defer ln.Close()
 	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				var hello wire.Hello
-				if err := dec.Decode(&hello); err != nil {
-					return // the legacy reaction to a binary prologue
-				}
-				for {
-					var env wire.CacheBound
-					if err := dec.Decode(&env); err != nil {
-						return
-					}
-					if env.Batch != nil {
-						batches <- *env.Batch
-					}
-				}
-			}(conn)
+		for conn, err := ln.Accept(); err == nil; conn, err = ln.Accept() {
+			conn.Read(make([]byte, 1))
+			conn.Close()
 		}
 	}()
-	return ln.Addr().String(), batches, func() { ln.Close() }
-}
-
-// TestAutoFallsBackToGobAgainstLegacyServer: a new client with CodecAuto
-// dialing an old gob-only daemon must transparently redial in gob and
-// deliver traffic the old daemon parses.
-func TestAutoFallsBackToGobAgainstLegacyServer(t *testing.T) {
-	addr, batches, closeFn := legacyGobServer(t)
-	defer closeFn()
-
-	conn, err := DialCodec(addr, "s1", CodecAuto)
-	if err != nil {
-		t.Fatalf("auto dial against a legacy server failed instead of falling back: %v", err)
-	}
-	defer conn.Close()
-	if fs := conn.(FrameSender); fs.FramesEnabled() {
-		t.Fatal("fallback connection claims binary frames")
-	}
-	if err := conn.SendRefresh(wire.Refresh{SourceID: "s1", ObjectID: "a", Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case b := <-batches:
-		if len(b.Refreshes) != 1 || b.Refreshes[0].ObjectID != "a" {
-			t.Errorf("legacy server decoded %+v", b)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("legacy server never received the fallback client's refresh")
-	}
-}
-
-// TestBinaryRequiredFailsAgainstLegacyServer: CodecBinary must error, not
-// silently downgrade.
-func TestBinaryRequiredFailsAgainstLegacyServer(t *testing.T) {
-	addr, _, closeFn := legacyGobServer(t)
-	defer closeFn()
-	if conn, err := DialCodec(addr, "s1", CodecBinary); err == nil {
+	if conn, err := Dial(ln.Addr().String(), "s1"); err == nil {
 		conn.Close()
-		t.Fatal("CodecBinary dial against a legacy server succeeded")
+		t.Fatal("dial succeeded against a server that never accepted the prologue")
 	}
 }
 
@@ -236,89 +127,101 @@ func rawBinaryHandshake(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// expectConnClosed asserts the server tears the connection down (the
-// contract for every codec decode error: the frame boundary is gone).
-func expectConnClosed(t *testing.T, conn net.Conn) {
+// expectConnClosed asserts the server tears the connection down within the
+// given time (the contract for every codec decode error: the frame boundary
+// is gone).
+func expectConnClosed(t *testing.T, conn net.Conn, within time.Duration) {
 	t.Helper()
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	conn.SetReadDeadline(time.Now().Add(within))
 	var one [1]byte
 	if _, err := conn.Read(one[:]); err == nil {
 		t.Fatal("server kept the connection open after a malformed frame")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("server neither closed the connection nor erred within the deadline")
+		t.Fatalf("server neither closed the connection nor erred within %v", within)
 	}
 }
 
 // TestServerClosesConnOnGarbageFrame: after a clean handshake, an undecodable
 // frame kind must kill the connection, not desynchronize the stream.
 func TestServerClosesConnOnGarbageFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-
-	conn := rawBinaryHandshake(t, ln.Addr().String())
+	_, addr := serveTCP(t)
+	conn := rawBinaryHandshake(t, addr)
 	defer conn.Close()
 	if _, err := conn.Write([]byte{0x7e, 0x03, 0xde, 0xad, 0xbe}); err != nil {
 		t.Fatal(err)
 	}
-	expectConnClosed(t, conn)
+	expectConnClosed(t, conn, 2*time.Second)
 }
 
 // TestServerClosesConnOnOversizedFrame: a length prefix past the size cap is
 // rejected before allocation and the connection dies.
 func TestServerClosesConnOnOversizedFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-
-	conn := rawBinaryHandshake(t, ln.Addr().String())
+	_, addr := serveTCP(t)
+	conn := rawBinaryHandshake(t, addr)
 	defer conn.Close()
 	// KindBatch claiming a 2 GiB payload in 5 bytes.
 	if _, err := conn.Write([]byte{codec.KindBatch, 0x80, 0x80, 0x80, 0x80, 0x08}); err != nil {
 		t.Fatal(err)
 	}
-	expectConnClosed(t, conn)
+	expectConnClosed(t, conn, 2*time.Second)
 }
 
-// TestServerClosesConnOnFutureCodecVersion: a prologue with an unknown
-// version byte is refused (closing tells the future client to fall back to
-// gob, the shared denominator).
-func TestServerClosesConnOnFutureCodecVersion(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+// expectRefused opens a raw connection to srv at addr, writes sent, and
+// asserts the server closes it within the given time without registering a
+// source.
+func expectRefused(t *testing.T, srv CacheEndpoint, addr string, sent []byte, within time.Duration) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte{codec.Magic, 0x7f}); err != nil {
+	if _, err := conn.Write(sent); err != nil {
 		t.Fatal(err)
 	}
-	expectConnClosed(t, conn)
+	expectConnClosed(t, conn, within)
+	if ids := srv.Sources(); len(ids) != 0 {
+		t.Errorf("refused connection registered as %v", ids)
+	}
 }
 
-// TestBatcherUsesFrameSender: through a Batcher over a binary connection,
+// TestServerClosesConnOnFutureCodecVersion: a prologue with an unknown
+// version byte is refused by closing the connection; there is no fallback.
+func TestServerClosesConnOnFutureCodecVersion(t *testing.T) {
+	srv, addr := serveTCP(t)
+	expectRefused(t, srv, addr, []byte{codec.Magic, 0x7f}, 2*time.Second)
+}
+
+// TestServerClosesConnOnNonBinaryPrologue: a stream whose first byte is not
+// codec.Magic — here the opening of a pre-codec client, whose first byte is
+// a message length — is refused at once, well inside the handshake deadline.
+func TestServerClosesConnOnNonBinaryPrologue(t *testing.T) {
+	srv, addr := serveTCP(t)
+	expectRefused(t, srv, addr, []byte{0x2c, 0x7f, 0x03, 0x01, 0x01, 0x05, 'H', 'e', 'l', 'l', 'o'}, handshakeTimeout/2)
+}
+
+// TestServerClosesStalledHandshake: a peer that connects and then sends
+// nothing, or half a Hello, is dropped when the handshake deadline expires.
+func TestServerClosesStalledHandshake(t *testing.T) {
+	srv, addr := serveTCP(t)
+	var enc codec.Encoder
+	hello := enc.AppendHello(nil, wire.Hello{SourceID: "stalled-source"})
+	for name, sent := range map[string][]byte{
+		"silent":          nil,
+		"truncated-hello": append([]byte{codec.Magic, codec.Version}, hello[:len(hello)-3]...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			expectRefused(t, srv, addr, sent, 5*time.Second)
+		})
+	}
+}
+
+// TestBatcherUsesFrameSender: through a Batcher over a TCP connection,
 // flushed batches travel as pre-encoded frames and still arrive intact.
 func TestBatcherUsesFrameSender(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-
-	raw, err := DialCodec(ln.Addr().String(), "s1", CodecBinary)
+	srv, addr := serveTCP(t)
+	raw, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}

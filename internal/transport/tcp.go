@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -15,17 +14,14 @@ import (
 )
 
 // tcpServer implements CacheEndpoint (and PollEndpoint) over TCP. Each
-// source opens one connection, sends a wire.Hello, then streams
-// wire.CacheBound envelopes — each carrying either a refresh batch (push
-// policy) or a poll reply (poll policies); a single refresh travels as a
-// batch of one. The server streams wire.SourceBound envelopes (feedback or
-// polls) the other way on the same connection.
-//
-// Two encodings coexist. Binary-codec streams open with the two-byte
-// prologue {codec.Magic, codec.Version}; legacy streams open with a gob
-// frame. codec.Magic can never begin a gob stream, so the server detects the
-// encoding from the first byte of each connection and serves old and new
-// clients side by side — no flag, no restart ordering between daemons.
+// source opens one connection, sends the prologue {codec.Magic,
+// codec.Version} and a wire.Hello, then streams wire.CacheBound envelopes —
+// each carrying either a refresh batch (push policy) or a poll reply (poll
+// policies); a single refresh travels as a batch of one. The server echoes
+// the prologue to accept and streams wire.SourceBound envelopes (feedback or
+// polls) the other way on the same connection. Every frame is in the binary
+// codec (internal/wire/codec); a connection that opens with anything else is
+// closed.
 type tcpServer struct {
 	ln      net.Listener
 	batches chan InboundBatch
@@ -40,25 +36,20 @@ type tcpServer struct {
 
 type tcpServerConn struct {
 	conn net.Conn
-	caps uint64 // Hello capability bits; written once before registration
+	caps uint64 // Hello capability bits
 	mu   sync.Mutex
-	enc  *gob.Encoder // legacy streams
 	benc codec.Encoder
 	wbuf []byte // reusable frame buffer, guarded by mu
-	bin  bool
 }
 
-// sendEnv writes one cache→source envelope in the stream's negotiated
-// encoding. A binary encode error (malformed envelope) is reported without
-// writing anything, so the stream stays framed; a write error means an
-// unknowable number of frame bytes reached the socket, so the connection is
-// closed — the client's read loop observes it and redials.
+// sendEnv writes one cache→source envelope. An encode error (malformed
+// envelope) is reported without writing anything, so the stream stays
+// framed; a write error means an unknowable number of frame bytes reached
+// the socket, so the connection is closed — the client's read loop observes
+// it and redials.
 func (sc *tcpServerConn) sendEnv(env wire.SourceBound) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.bin {
-		return sc.enc.Encode(env)
-	}
 	buf, err := sc.benc.AppendSourceBound(sc.wbuf[:0], env)
 	sc.wbuf = buf
 	if err != nil {
@@ -101,68 +92,19 @@ func (s *tcpServer) acceptLoop() {
 	}
 }
 
-// envelopeReader abstracts the per-connection decode loop over the two
-// encodings. Every error it returns is terminal: the caller closes the
-// connection (a binary stream's frame boundary is unknowable after a bad
-// frame, and a gob stream is equally unrecoverable after a decode error).
-type envelopeReader interface {
-	// readEnvelope returns the decoded envelope and, when the stream is
-	// binary and retention is on, the retained batch frame (nil otherwise).
-	readEnvelope() (wire.CacheBound, *codec.Frame, error)
-}
-
-type gobEnvelopeReader struct{ dec *gob.Decoder }
-
-func (g gobEnvelopeReader) readEnvelope() (wire.CacheBound, *codec.Frame, error) {
-	var env wire.CacheBound
-	err := g.dec.Decode(&env)
-	return env, nil, err
-}
-
-type binEnvelopeReader struct {
-	dec    *codec.Decoder
-	retain *atomic.Bool
-}
-
-func (b binEnvelopeReader) readEnvelope() (wire.CacheBound, *codec.Frame, error) {
-	if b.retain.Load() {
-		return b.dec.ReadCacheBoundRetained()
-	}
-	env, err := b.dec.ReadCacheBound()
-	return env, nil, err
-}
-
-// handshake performs the per-connection encoding detection and Hello
-// exchange, returning the upward decode loop reader. Binary clients get the
-// prologue echoed back as the accept signal — written before the connection
-// is registered, so it always precedes any sendDown frame.
-func (s *tcpServer) handshake(conn net.Conn, br *bufio.Reader, sc *tcpServerConn) (wire.Hello, envelopeReader, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return wire.Hello{}, nil, err
-	}
-	if first[0] != codec.Magic {
-		// Legacy stream: plain gob from the first byte, exactly the
-		// pre-codec protocol.
-		dec := gob.NewDecoder(br)
-		var hello wire.Hello
-		if err := dec.Decode(&hello); err != nil {
+// handshake reads the prologue and the Hello, then echoes the prologue as
+// the accept signal — written before the connection is registered, so it
+// always precedes any sendDown frame. The first byte that differs from the
+// prologue fails the handshake: there is no other encoding to fall back to.
+func handshake(conn net.Conn, br *bufio.Reader) (wire.Hello, *codec.Decoder, error) {
+	for _, want := range [2]byte{codec.Magic, codec.Version} {
+		b, err := br.ReadByte()
+		if err != nil {
 			return wire.Hello{}, nil, err
 		}
-		if err := hello.Validate(); err != nil {
-			return wire.Hello{}, nil, err
+		if b != want {
+			return wire.Hello{}, nil, fmt.Errorf("transport: not a binary-codec stream (byte 0x%02x, want 0x%02x)", b, want)
 		}
-		sc.enc = gob.NewEncoder(conn)
-		return hello, gobEnvelopeReader{dec}, nil
-	}
-	var prologue [2]byte
-	if _, err := io.ReadFull(br, prologue[:]); err != nil {
-		return wire.Hello{}, nil, err
-	}
-	if prologue[1] != codec.Version {
-		// A future client speaking a version this daemon cannot parse;
-		// closing makes it fall back to gob, which both sides share.
-		return wire.Hello{}, nil, fmt.Errorf("transport: unsupported codec version 0x%02x", prologue[1])
 	}
 	dec := codec.NewDecoder(br)
 	hello, err := dec.ReadHello()
@@ -175,8 +117,7 @@ func (s *tcpServer) handshake(conn net.Conn, br *bufio.Reader, sc *tcpServerConn
 	if _, err := conn.Write([]byte{codec.Magic, codec.Version}); err != nil {
 		return wire.Hello{}, nil, err
 	}
-	sc.bin = true
-	return hello, binEnvelopeReader{dec: dec, retain: &s.retain}, nil
+	return hello, dec, nil
 }
 
 // RetainFrames implements FrameRetainer. Retention applies to envelopes
@@ -190,13 +131,17 @@ const readBufSize = 64 << 10
 
 func (s *tcpServer) handle(conn net.Conn) {
 	defer s.wg.Done()
-	br := bufio.NewReaderSize(conn, readBufSize)
-	sc := &tcpServerConn{conn: conn}
-	hello, rd, err := s.handshake(conn, br, sc)
+	// A peer that connects and stalls mid-handshake must not pin this
+	// goroutine and its socket: the handshake runs under the same deadline
+	// the client gives it.
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	hello, dec, err := handshake(conn, bufio.NewReaderSize(conn, readBufSize))
 	if err != nil {
 		conn.Close()
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
+	sc := &tcpServerConn{conn: conn, caps: hello.Capabilities}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -206,14 +151,21 @@ func (s *tcpServer) handle(conn net.Conn) {
 	if old, dup := s.conns[hello.SourceID]; dup {
 		old.conn.Close() // newest connection wins (source reconnect)
 	}
-	sc.caps = hello.Capabilities
 	s.conns[hello.SourceID] = sc
 	s.mu.Unlock()
 
 	for {
-		env, frame, err := rd.readEnvelope()
+		// Every decode error is terminal: the next frame boundary is
+		// unknowable, so the connection is closed below.
+		var env wire.CacheBound
+		var frame *codec.Frame
+		if s.retain.Load() {
+			env, frame, err = dec.ReadCacheBoundRetained()
+		} else {
+			env, err = dec.ReadCacheBound()
+		}
 		if err != nil {
-			break // terminal for both codecs: close below
+			break
 		}
 		s.mu.Lock()
 		closed := s.closed
@@ -374,78 +326,41 @@ func (s *tcpServer) Close() error {
 	return err
 }
 
-// tcpClient implements SourceConn (and PollConn) over TCP, in either
-// encoding. Binary clients additionally implement FrameSender, the
-// encode-once path a Batcher uses to hand over pre-encoded batches.
+// tcpClient implements SourceConn (and PollConn) over TCP, and FrameSender,
+// the encode-once path a Batcher uses to hand over pre-encoded batches.
 type tcpClient struct {
 	conn  net.Conn
 	br    *bufio.Reader
-	enc   *gob.Encoder // legacy streams
 	benc  codec.Encoder
 	wbuf  []byte // reusable frame buffer, guarded by mu
-	bin   bool
 	fb    chan wire.Feedback
 	polls chan wire.Poll
 	mu    sync.Mutex
 	once  sync.Once
 }
 
-// handshakeTimeout bounds how long a dialing client waits for the binary
-// accept echo. A legacy server never sends it — it either kills the
-// connection when codec.Magic fails its gob decode (immediate error here) or
-// blocks waiting for the rest of what it misparsed as a huge gob message
-// (this deadline breaks that stall) — and in both cases the client falls
-// back to a fresh gob connection.
+// handshakeTimeout bounds each side's wait for the other's half of the
+// handshake: the client's wait for the accept echo, and the server's wait
+// for the prologue and the Hello. A peer that connects and then stalls is
+// dropped when it expires.
 const handshakeTimeout = 3 * time.Second
 
-// Dial connects a source to a cache daemon at addr using the process-wide
-// codec preference (SetDialCodec; CodecAuto unless a -codec flag said
-// otherwise).
+// Dial connects a source to a cache daemon at addr: the prologue and the
+// Hello frame go out in one write, then the server's prologue echo is the
+// accept signal.
 func Dial(addr, sourceID string) (SourceConn, error) {
-	return DialCodec(addr, sourceID, DialCodecDefault())
-}
-
-// DialCodec connects with an explicit codec choice. CodecAuto attempts the
-// binary handshake and transparently redials in gob when the far side does
-// not speak it; CodecBinary fails instead of falling back; CodecGob skips
-// the probe and speaks the legacy protocol byte-for-byte.
-func DialCodec(addr, sourceID string, pref Codec) (SourceConn, error) {
 	if sourceID == "" {
 		return nil, fmt.Errorf("transport: empty source id")
 	}
-	if pref != CodecGob {
-		c, err := dialBinary(addr, sourceID)
-		if err == nil {
-			return c, nil
-		}
-		if pref == CodecBinary {
-			return nil, err
-		}
-		// Auto: anything that went wrong after connecting — reset, EOF,
-		// echo timeout, garbled echo — reads as "far side speaks gob";
-		// dial errors proper (no listener) are not worth a second attempt
-		// but redialing is harmless and keeps this branch simple.
-	}
-	return dialGob(addr, sourceID)
-}
-
-func newTCPClient(conn net.Conn) *tcpClient {
-	return &tcpClient{
-		conn:  conn,
-		fb:    make(chan wire.Feedback, 4),
-		polls: make(chan wire.Poll, 16),
-	}
-}
-
-// dialBinary performs the binary handshake: prologue + Hello frame in one
-// write, then the server's prologue echo as the accept signal.
-func dialBinary(addr, sourceID string) (*tcpClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := newTCPClient(conn)
-	c.bin = true
+	c := &tcpClient{
+		conn:  conn,
+		fb:    make(chan wire.Feedback, 4),
+		polls: make(chan wire.Poll, 16),
+	}
 	buf := append(c.wbuf[:0], codec.Magic, codec.Version)
 	c.wbuf = c.benc.AppendHello(buf, wire.Hello{SourceID: sourceID, Capabilities: DialCapabilities()})
 	if _, err := conn.Write(c.wbuf); err != nil {
@@ -464,23 +379,6 @@ func dialBinary(addr, sourceID string) (*tcpClient, error) {
 		return nil, fmt.Errorf("transport: bad binary-codec accept from %s: %x", addr, echo)
 	}
 	conn.SetReadDeadline(time.Time{})
-	go c.readLoop()
-	return c, nil
-}
-
-// dialGob opens a legacy gob stream, byte-for-byte the pre-codec protocol.
-func dialGob(addr, sourceID string) (*tcpClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := newTCPClient(conn)
-	c.enc = gob.NewEncoder(conn)
-	if err := c.enc.Encode(wire.Hello{SourceID: sourceID, Capabilities: DialCapabilities()}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.br = bufio.NewReader(conn)
 	go c.readLoop()
 	return c, nil
 }
@@ -531,18 +429,11 @@ func DialAll(addrs []string, sourceID string) ([]SourceConn, error) {
 }
 
 func (c *tcpClient) readLoop() {
-	var rd interface {
-		readSourceBound() (wire.SourceBound, error)
-	}
-	if c.bin {
-		rd = binSourceBoundReader{codec.NewDecoder(c.br)}
-	} else {
-		rd = gobSourceBoundReader{gob.NewDecoder(c.br)}
-	}
+	dec := codec.NewDecoder(c.br)
 	for {
-		env, err := rd.readSourceBound()
+		env, err := dec.ReadSourceBound()
 		if err != nil {
-			break // terminal for both codecs: close below
+			break // terminal: close below
 		}
 		switch {
 		case env.Feedback != nil:
@@ -565,20 +456,6 @@ func (c *tcpClient) readLoop() {
 	// closer: Close just tears down the connection, which lands here.
 	close(c.fb)
 	close(c.polls)
-}
-
-type gobSourceBoundReader struct{ dec *gob.Decoder }
-
-func (g gobSourceBoundReader) readSourceBound() (wire.SourceBound, error) {
-	var env wire.SourceBound
-	err := g.dec.Decode(&env)
-	return env, err
-}
-
-type binSourceBoundReader struct{ dec *codec.Decoder }
-
-func (b binSourceBoundReader) readSourceBound() (wire.SourceBound, error) {
-	return b.dec.ReadSourceBound()
 }
 
 // SendRefresh implements SourceConn.
@@ -606,35 +483,23 @@ func (c *tcpClient) SendBatch(rs []wire.Refresh) error {
 	b := wire.RefreshBatch{Refreshes: rs, SentUnix: time.Now().UnixNano()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.bin {
-		return c.enc.Encode(wire.CacheBound{Batch: &b})
-	}
 	c.wbuf = c.benc.AppendBatch(c.wbuf[:0], b)
 	return c.writeFrame(c.wbuf)
 }
 
 // SendFrame implements FrameSender: the pre-encoded bytes go to the socket
 // verbatim, so a batch encoded once (codec.NewBatchFrame) fans out to any
-// number of binary connections without re-serializing.
+// number of connections without re-serializing.
 func (c *tcpClient) SendFrame(f *codec.Frame) error {
-	if !c.bin {
-		return fmt.Errorf("transport: connection did not negotiate the binary codec")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.writeFrame(f.Bytes())
 }
 
-// FramesEnabled implements FrameSender.
-func (c *tcpClient) FramesEnabled() bool { return c.bin }
-
 // SendReply implements PollConn.
 func (c *tcpClient) SendReply(r wire.PollReply) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.bin {
-		return c.enc.Encode(wire.CacheBound{Reply: &r})
-	}
 	c.wbuf = c.benc.AppendReply(c.wbuf[:0], r)
 	return c.writeFrame(c.wbuf)
 }

@@ -1,15 +1,16 @@
 // Package transport connects live sources to the cache. Two implementations
 // are provided: an in-process channel transport (Local) for embedding the
-// whole system in one binary, and a TCP transport (Serve/Dial) using
-// encoding/gob framing for the cmd/cachesyncd and cmd/sourceagent daemons.
+// whole system in one binary, and a TCP transport (Serve/Dial) speaking the
+// binary codec (internal/wire/codec) for the cmd/cachesyncd and
+// cmd/sourceagent daemons.
 //
 // # Batching
 //
 // The cache-facing side of every transport delivers wire.RefreshBatch
 // envelopes, not individual refreshes: a single SendRefresh travels as a
 // batch of one, and SendBatch (or a Batcher wrapping the connection) frames
-// many refreshes into one envelope, amortizing the per-message gob encode
-// and write syscall across the batch. Batches preserve the order refreshes
+// many refreshes into one envelope, amortizing the per-message encode and
+// write syscall across the batch. Batches preserve the order refreshes
 // were sent in, and a batch never mixes refreshes from different sources.
 //
 // # Back-pressure contract

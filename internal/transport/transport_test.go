@@ -23,6 +23,19 @@ func recvOne(t *testing.T, ch <-chan InboundBatch) wire.Refresh {
 	}
 }
 
+// serveTCP starts a TCP cache endpoint on a loopback port, closed when the
+// test and its subtests end, and returns it with its address.
+func serveTCP(t *testing.T) (CacheEndpoint, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, 16)
+	t.Cleanup(func() { srv.Close() })
+	return srv, ln.Addr().String()
+}
+
 func TestLocalRoundTrip(t *testing.T) {
 	l := NewLocal(4)
 	defer l.Close()
@@ -158,14 +171,9 @@ func TestFeedbackNonBlocking(t *testing.T) {
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
+	srv, addr := serveTCP(t)
 
-	conn, err := Dial(ln.Addr().String(), "s1")
+	conn, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +207,13 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPPollRoundTrip(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
+	srv, addr := serveTCP(t)
 	pe, ok := srv.(PollEndpoint)
 	if !ok {
 		t.Fatal("TCP server does not implement PollEndpoint")
 	}
 
-	conn, err := Dial(ln.Addr().String(), "s1")
+	conn, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +308,8 @@ func TestBatcherPollPassthrough(t *testing.T) {
 }
 
 func TestTCPSourceIdentityAuthoritative(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
-	conn, err := Dial(ln.Addr().String(), "real")
+	srv, addr := serveTCP(t)
+	conn, err := Dial(addr, "real")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,21 +323,16 @@ func TestTCPSourceIdentityAuthoritative(t *testing.T) {
 }
 
 func TestTCPReconnectReplacesConn(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
+	srv, addr := serveTCP(t)
 
-	c1, err := Dial(ln.Addr().String(), "s1")
+	c1, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c1.SendRefresh(wire.Refresh{SourceID: "s1", ObjectID: "a", Version: 1})
 	<-srv.Batches()
 
-	c2, err := Dial(ln.Addr().String(), "s1")
+	c2, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,12 +362,8 @@ func TestTCPReconnectReplacesConn(t *testing.T) {
 }
 
 func TestTCPServerCloseUnblocksClients(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	conn, err := Dial(ln.Addr().String(), "s1")
+	srv, addr := serveTCP(t)
+	conn, err := Dial(addr, "s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,13 +392,7 @@ func TestDialAllFanout(t *testing.T) {
 	srvs := make([]CacheEndpoint, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = Serve(ln, 16)
-		defer srvs[i].Close()
-		addrs[i] = ln.Addr().String()
+		srvs[i], addrs[i] = serveTCP(t)
 	}
 	conns, err := DialAll(addrs, "s1")
 	if err != nil {
@@ -448,17 +431,12 @@ func TestDialAllFanout(t *testing.T) {
 // TestDialAllPartialFailureCleansUp: a failed dial closes the connections
 // already established.
 func TestDialAllPartialFailureCleansUp(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, 16)
-	defer srv.Close()
+	_, addr := serveTCP(t)
 	// Port 0 is never listenable, so connecting to it is refused
 	// deterministically — unlike the listen-then-close trick, where another
 	// process can rebind the freed port between Close and DialAll.
 	deadAddr := "127.0.0.1:0"
-	if _, err := DialAll([]string{ln.Addr().String(), deadAddr}, "s1"); err == nil {
+	if _, err := DialAll([]string{addr, deadAddr}, "s1"); err == nil {
 		t.Fatal("DialAll to a dead address succeeded")
 	}
 }

@@ -1,10 +1,7 @@
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"testing"
 
 	"bestsync/internal/wire"
@@ -27,12 +24,8 @@ func benchBatch(n int) wire.RefreshBatch {
 	return wire.RefreshBatch{Refreshes: rs, SentUnix: 1700000000000000000}
 }
 
-// BenchmarkEncodeBatch measures the binary encoder against gob on the hot
-// frame, reporting ns/refresh — the number the wire-path roadmap item
-// targets. Gob here re-creates the encoder per envelope the way a fresh
-// stream would not, so the gob figure is additionally measured in stream
-// mode (one encoder, many envelopes), which matches the transport's real
-// usage and is the fair baseline.
+// BenchmarkEncodeBatch measures the encoder on the hot frame, reporting
+// ns/refresh — the number the wire-path roadmap item targets.
 func BenchmarkEncodeBatch(b *testing.B) {
 	for _, size := range []int{1, 64, 256} {
 		batch := benchBatch(size)
@@ -43,20 +36,6 @@ func BenchmarkEncodeBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf = enc.AppendBatch(buf[:0], batch)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/refresh")
-		})
-		b.Run(fmt.Sprintf("gob/batch=%d", size), func(b *testing.B) {
-			var sink bytes.Buffer
-			enc := gob.NewEncoder(&sink)
-			env := wire.CacheBound{Batch: &batch}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink.Reset()
-				if err := enc.Encode(env); err != nil {
-					b.Fatal(err)
-				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/refresh")
 		})
@@ -94,33 +73,6 @@ func BenchmarkDecodeBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/refresh")
-		})
-		b.Run(fmt.Sprintf("gob/batch=%d", size), func(b *testing.B) {
-			// Gob decoders cannot replay a byte stream (type definitions are
-			// stateful), so stream b.N envelopes through a pipe from an
-			// encoder goroutine — the decode cost dominates.
-			pr, pw := io.Pipe()
-			go func() {
-				enc := gob.NewEncoder(pw)
-				env := wire.CacheBound{Batch: &batch}
-				for i := 0; i < b.N; i++ {
-					if enc.Encode(env) != nil {
-						return
-					}
-				}
-				pw.Close()
-			}()
-			dec := gob.NewDecoder(pr)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var env wire.CacheBound
-				if err := dec.Decode(&env); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/refresh")
-			pr.Close()
 		})
 	}
 }

@@ -1,8 +1,8 @@
-// Package codec is the hand-rolled binary wire format for the hot protocol
+// Package codec is the hand-rolled binary wire format for the protocol
 // messages (Refresh, RefreshBatch, Feedback, Poll, PollReply and the Hello
-// handshake) — the zero-reflection replacement for encoding/gob on the TCP
-// hot path. Snapshots and legacy peers keep gob: the codec is negotiated per
-// stream (see below), so old and new daemons interoperate.
+// handshake) — the one encoding of the TCP transport, and of cache snapshots
+// (runtime.Cache.SaveSnapshot), which are a prologue followed by batch
+// frames.
 //
 // # Frame layout
 //
@@ -23,16 +23,12 @@
 // See docs/algorithm-specifications.md §10 for the per-message field tables;
 // testdata/golden/ pins the canonical encoding of every message type.
 //
-// # Stream negotiation
+// # Stream prologue
 //
-// A binary stream starts with the two-byte prologue {Magic, Version}. Magic
-// (0xB5) can never begin an encoding/gob stream — gob's first byte is a
-// message length, either 0x00–0x7F (small count) or 0xF8–0xFF (multi-byte
-// count) — so a server peeks one byte to tell a new client from an old one
-// and answers a binary client by echoing the prologue. A client that never
-// receives the echo (an old server kills the connection when the magic byte
-// fails its gob decode) redials and speaks plain gob. Gob streams carry no
-// prologue at all, byte-for-byte compatible with pre-codec daemons.
+// A stream starts with the two-byte prologue {Magic, Version}. A server
+// answers by echoing it; a prologue with any other byte — another encoding,
+// or a version this build cannot parse — is refused by closing the
+// connection. There is no fallback encoding.
 //
 // # Hostile input
 //
@@ -75,14 +71,14 @@ import (
 	"slices"
 )
 
-// Stream negotiation bytes. The prologue {Magic, Version} opens every binary
-// stream in both directions (client sends, server echoes to accept).
+// Prologue bytes. {Magic, Version} opens every stream in both directions
+// (client sends, server echoes to accept) and every snapshot file.
 const (
-	// Magic is chosen from 0x80–0xF7, the byte range that cannot start a
-	// gob stream, so auto-detection against legacy peers is unambiguous.
+	// Magic marks a binary-codec stream.
 	Magic byte = 0xB5
 	// Version is the wire-format version. Unknown versions are rejected at
-	// the handshake; the format itself is pinned by testdata/golden.
+	// the handshake and by the snapshot loader; the format itself is pinned
+	// by testdata/golden.
 	Version byte = 0x01
 )
 

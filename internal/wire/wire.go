@@ -1,7 +1,7 @@
 // Package wire defines the protocol messages exchanged between live sources
 // and the cache (internal/runtime), independent of transport. All messages
-// are small and fixed-shape; the TCP transport encodes them with
-// encoding/gob.
+// are small and fixed-shape; the TCP transport and cache snapshots encode
+// them with the binary codec in internal/wire/codec.
 //
 // The message set mirrors Section 5 of the paper: refresh messages carry the
 // new object value plus the source's piggybacked local threshold; feedback

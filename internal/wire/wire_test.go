@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestHelloValidate(t *testing.T) {
 	if err := (Hello{SourceID: "s"}).Validate(); err != nil {
@@ -61,43 +56,6 @@ func TestRefreshBatchValidate(t *testing.T) {
 	}}
 	if err := bad.Validate(); err == nil {
 		t.Error("batch with invalid refresh accepted")
-	}
-}
-
-func TestRefreshBatchGobRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
-	in := RefreshBatch{
-		SentUnix: 42,
-		Refreshes: []Refresh{
-			{SourceID: "s1", ObjectID: "a", Value: 1.5, Version: 1, Epoch: 9, Threshold: 0.25},
-			{SourceID: "s1", ObjectID: "b", Value: -7, Version: 3, Epoch: 9, Threshold: 0.25},
-			{SourceID: "s1", ObjectID: "c", Value: 0, Version: 2, Epoch: 9, Threshold: 0.5},
-		},
-	}
-	if err := enc.Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out RefreshBatch
-	if err := dec.Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.SentUnix != in.SentUnix || len(out.Refreshes) != len(in.Refreshes) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
-	}
-	for i := range in.Refreshes {
-		if !reflect.DeepEqual(out.Refreshes[i], in.Refreshes[i]) {
-			t.Errorf("refresh %d: %+v vs %+v", i, out.Refreshes[i], in.Refreshes[i])
-		}
-	}
-	// Successive batches on one stream reuse the gob type definition
-	// (framing overhead is paid once) and stay decodable.
-	if err := enc.Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&out); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -161,84 +119,5 @@ func TestEnvelopeValidate(t *testing.T) {
 	}
 	if err := (SourceBound{}).Validate(); err == nil {
 		t.Error("empty source-bound envelope accepted")
-	}
-}
-
-func TestEnvelopeGobRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
-	// One stream mixing both cache-bound payload kinds, as a TCP source
-	// connection does when a poll-mode cache talks to it.
-	msgs := []CacheBound{
-		{Batch: &RefreshBatch{Refreshes: []Refresh{{SourceID: "s", ObjectID: "a", Value: 2}}}},
-		{Reply: &PollReply{SourceID: "s", All: true, Items: []PollItem{
-			{ObjectID: "a", Exists: true, Value: 2, Version: 5, Epoch: 9, LastModifiedUnix: 17},
-			{ObjectID: "gone"},
-		}}},
-	}
-	for _, m := range msgs {
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range msgs {
-		var got CacheBound
-		if err := dec.Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("envelope %d: %+v vs %+v", i, got, want)
-		}
-	}
-
-	var buf2 bytes.Buffer
-	enc2 := gob.NewEncoder(&buf2)
-	dec2 := gob.NewDecoder(&buf2)
-	down := []SourceBound{
-		{Feedback: &Feedback{CacheID: "c", Held: []HeldVersion{{ObjectID: "a", Epoch: 9, Version: 5}}}},
-		{Poll: &Poll{CacheID: "c", ObjectIDs: []string{"a", "b"}}},
-		{Poll: &Poll{CacheID: "c"}}, // discovery
-	}
-	for _, m := range down {
-		if err := enc2.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range down {
-		var got SourceBound
-		if err := dec2.Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("envelope %d: %+v vs %+v", i, got, want)
-		}
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
-	in := Refresh{
-		SourceID:  "src-1",
-		ObjectID:  "obj-9",
-		Origin:    "root-7",
-		Hops:      2,
-		Via:       []string{"relay-a", "relay-b"},
-		Value:     -2.25,
-		Version:   42,
-		Threshold: 1.5,
-		SentUnix:  123456789,
-	}
-	if err := enc.Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out Refresh
-	if err := dec.Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Errorf("round trip mismatch: %+v vs %+v", out, in)
 	}
 }
