@@ -351,7 +351,7 @@ func main() {
 						h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, nst.Peers.PollsAnswered, h.PolledItems)
 				}
 				if g := nst.Peers.Group; g != nil {
-					fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d detaches=%d rejoins=%d overruns=%d share=%.3g/s\n",
+					fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d lags=%d caught_up=%d overruns=%d share=%.3g/s\n",
 						g.Members, g.Batches, g.Delivered, g.Fallbacks, g.Detaches, g.Rejoins, g.QueueOverruns, g.MemberShare)
 				}
 				if nst.SplicedBatches > 0 || nst.SpliceFallbacks > 0 {

@@ -216,7 +216,7 @@ func main() {
 					h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, st.PollsAnswered, h.PolledItems)
 			}
 			if g := st.Group; g != nil {
-				fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d detaches=%d rejoins=%d overruns=%d share=%.3g/s early=%d\n",
+				fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d lags=%d caught_up=%d overruns=%d share=%.3g/s early=%d\n",
 					g.Members, g.Batches, g.Delivered, g.Fallbacks, g.Detaches, g.Rejoins, g.QueueOverruns, g.MemberShare, g.EarlyBatches)
 			}
 			if len(st.Sessions) > 1 {

@@ -71,7 +71,6 @@ package runtime
 
 import (
 	"math"
-	"math/bits"
 	stdruntime "runtime"
 	"slices"
 	"sync"
@@ -394,14 +393,11 @@ func unixNano(t time.Time) int64 {
 const routeMemo = 4
 
 // ackSet is the pending held-version acknowledgements toward one sender: the
-// set of slab indexes whose entry the sender should hear about, as a bitset
-// drained round-robin from cursor. Only the index is recorded; the payload is
-// read from the entry when the ack is drained.
+// slab indexes whose entry the sender should hear about. Only the index is
+// recorded; the payload is read from the entry when the ack is drained.
 type ackSet struct {
 	sender string
-	bits   []uint64
-	n      int // set bits
-	cursor int // word the next drain starts at
+	keySet
 }
 
 // shard is one independent slice of the cache store: an id index over a dense
@@ -1061,14 +1057,7 @@ func (c *Cache) recordAckLocked(sh *shard, sender string, i int32) {
 		sh.owed = append(sh.owed, ackSet{sender: sender})
 		a = &sh.owed[len(sh.owed)-1]
 	}
-	w := int(i >> 6)
-	if w >= len(a.bits) {
-		a.bits = append(a.bits, make([]uint64, w+1-len(a.bits))...)
-	}
-	if bit := uint64(1) << (i & 63); a.bits[w]&bit == 0 {
-		a.bits[w] |= bit
-		a.n++
-	}
+	a.set(int(i))
 }
 
 // owedTo returns the pending-ack set of sender, or nil when it is owed
@@ -1108,8 +1097,8 @@ func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 }
 
 // drainAcksLocked moves pending acks of a onto out until a is empty or out
-// holds maxHeldPerFeedback, scanning the bitset round-robin from where the
-// previous drain stopped. Caller holds sh.mu.
+// holds maxHeldPerFeedback, resuming where the previous drain stopped. Caller
+// holds sh.mu.
 func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldVersion {
 	if a.n == 0 {
 		return out
@@ -1117,19 +1106,14 @@ func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldV
 	if out == nil {
 		out = make([]wire.HeldVersion, 0, min(a.n, maxHeldPerFeedback))
 	}
-	for scanned := 0; scanned < len(a.bits) && a.n > 0 && len(out) < maxHeldPerFeedback; scanned++ {
-		w := a.cursor
-		for a.bits[w] != 0 && len(out) < maxHeldPerFeedback {
-			b := bits.TrailingZeros64(a.bits[w])
-			a.bits[w] &^= 1 << b
-			a.n--
-			sl := sh.at(int32(w<<6 | b))
-			e, v := sl.originAxis()
-			out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
+	for len(out) < maxHeldPerFeedback {
+		i, ok := a.pop()
+		if !ok {
+			break
 		}
-		if a.bits[w] == 0 {
-			a.cursor = (w + 1) % len(a.bits)
-		}
+		sl := sh.at(int32(i))
+		e, v := sl.originAxis()
+		out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
 	}
 	return out
 }

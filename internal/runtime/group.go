@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,13 +24,13 @@ type GroupConfig struct {
 	Enabled bool
 	// Workers is the sender worker pool size (default 4). Members are
 	// sharded across workers, so one back-pressured connection stalls at
-	// most 1/Workers of the cohort until its queue overruns and the member
-	// detaches.
+	// most 1/Workers of the cohort, and only until those members' queues
+	// fill and they lag (see Queue).
 	Workers int
 	// Queue is the per-member bound on outstanding group batches (default
-	// 8). A member whose connection cannot drain Queue batches is detached
-	// to its individual session path (full re-sync, exactly the redial
-	// contract) rather than back-pressuring the whole cohort.
+	// 8). A member whose connection cannot drain Queue batches lags rather
+	// than back-pressuring the cohort: each batch it cannot take marks its
+	// objects dirty for it, to be caught up to what the group holds later.
 	Queue int
 	// MaxBatch caps refreshes per group batch (default 64, matching the
 	// transport Batcher's default framing).
@@ -51,8 +52,7 @@ func (c GroupConfig) withDefaults() GroupConfig {
 
 // GroupStats is the session group's slice of SourceStats.
 type GroupStats struct {
-	// Members is the current attached-member count; detached members run
-	// their individual session path and re-attach once fully re-synced.
+	// Members is the member count; a lagging or redialing member stays one.
 	Members int
 	// Batches counts group batches scheduled; Scheduled counts the
 	// refreshes inside them (one per object pick, independent of cohort
@@ -65,13 +65,13 @@ type GroupStats struct {
 	// re-cut for that member alone, the rest of the cohort still shares
 	// the one frame.
 	Fallbacks int
-	// Detaches counts members dropped to the individual path (connection
-	// loss, queue overrun, removal); Rejoins counts returns to the group
-	// after a full individual re-sync caught the member up.
+	// Detaches counts members going from caught up to lagging (a batch they
+	// could not take, a redial or a late join marked objects dirty);
+	// Rejoins counts lagging members whose dirty set emptied.
 	Detaches int
 	Rejoins  int
-	// QueueOverruns counts detaches caused specifically by a member's
-	// outbound queue exceeding GroupConfig.Queue.
+	// QueueOverruns counts the batches a member could not take because
+	// GroupConfig.Queue of its batches were still unsent.
 	QueueOverruns int
 	SendErrors    int64
 	// SplicedBatches counts broadcasts that bypassed the flush scheduler
@@ -128,14 +128,11 @@ func (b *groupBatch) release() {
 	groupBatchPool.Put(b)
 }
 
-// sendItem is one member's slice of a broadcast, queued to a sender worker.
+// sendItem is one member's send, queued to a sender worker: a shared batch
+// (its frame to a FrameSender, its refreshes otherwise) or, batch nil, rs.
 type sendItem struct {
-	sess *syncSession
-	conn transport.SourceConn
-	fs   transport.FrameSender // non-nil: send frame instead of batch
-	// frame is a retained reference released after the send; batch is the
-	// shared-buffer refcount (nil for a member-filtered fallback slice).
-	frame *codec.Frame
+	sess  *syncSession
+	conn  transport.SourceConn
 	batch *groupBatch
 	rs    []wire.Refresh
 	n     int // refreshes carried (counter commit on success)
@@ -153,25 +150,21 @@ type groupWorker struct {
 	done   chan struct{}
 }
 
-// memberPlan is one member's delivery decision for a batch, made under the
-// source mutex and executed outside it.
-type memberPlan struct {
-	m      *syncSession
-	conn   transport.SourceConn
-	fs     transport.FrameSender
-	shared bool
-	rs     []wire.Refresh // fallback slice when !shared
+// fanScratch is the sends of one fanoutLocked or catchUp call, planned under
+// the source mutex into one bucket per worker and dispatched outside it; its
+// reuse keeps steady-state fan-out allocation-free. Caller-supplied because
+// fan-outs run concurrently — the flusher uses the group's own, a splice call
+// (on a cache shard worker) a pooled one.
+type fanScratch struct {
+	buckets [][]sendItem
 }
 
-// fanScratch is the working set of one fanoutLocked call, reused across
-// batches so steady-state fan-out allocates nothing: the delivery plan, the
-// overrun list and the per-worker enqueue buckets. Caller-supplied because
-// fan-outs run concurrently — the flusher uses the group's own, a splice
-// call (on a cache shard worker) a pooled one.
-type fanScratch struct {
-	plan    []memberPlan
-	overrun []*syncSession
-	buckets [][]sendItem
+// add queues it for its member's worker at the next dispatch.
+func (fs *fanScratch) add(it sendItem) {
+	for len(fs.buckets) <= it.sess.workerIdx {
+		fs.buckets = append(fs.buckets, nil)
+	}
+	fs.buckets[it.sess.workerIdx] = append(fs.buckets[it.sess.workerIdx], it)
 }
 
 // earlyFrames sizes the flusher's size trigger: an early pass needs this many
@@ -193,12 +186,12 @@ const earlyFrames = 8
 // SessionGroup coalesces the compatible members of a fan-out into one
 // scheduling pass, one encode, and one flusher: ONE scheduler (sched)
 // for the whole cohort, fed once per update instead of once per member.
-// Per-member divergence (held acks, split horizon) stays on the members and
-// is applied per batch. Scheduling state (sched, members, counters other
-// than the atomics) is guarded by src.mu; the flusher goroutine plans each
-// broadcast under the lock and hands the shared batch to the sender workers
-// outside it, so a slow member's TCP back-pressure never holds the
-// scheduler.
+// Per-member divergence (held acks, split horizon, the dirty set of a member
+// that fell behind) stays on the members and is applied per batch and per
+// tick. Scheduling state (sched, members, counters other than the atomics) is
+// guarded by src.mu; the flusher goroutine plans each broadcast under the
+// lock and hands the shared batch to the sender workers outside it, so a slow
+// member's TCP back-pressure never holds the scheduler.
 type SessionGroup struct {
 	src *Source
 	cfg GroupConfig
@@ -212,8 +205,8 @@ type SessionGroup struct {
 	batches   int
 	scheduled int
 	fallbacks int
-	detaches  int
-	rejoins   int
+	lags      int // members gone from caught up to lagging (GroupStats.Detaches)
+	caughtUp  int // lagging members whose dirty set emptied (GroupStats.Rejoins)
 	overruns  int
 	// budget is the group's shared send-token bucket, accrued at the
 	// per-member rate by accrueLocked and spent one token per scheduled
@@ -248,7 +241,7 @@ type SessionGroup struct {
 	// framesLive tracks shared frames created minus fully released — zero
 	// whenever the group is quiescent. Tests assert on it to prove the
 	// refcounting neither leaks nor double-releases under member failures,
-	// detaches and close.
+	// overruns and close.
 	framesLive atomic.Int64
 
 	workers []*groupWorker
@@ -280,48 +273,43 @@ func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
 	return g
 }
 
-// attachLocked adds a fully synchronized member to the group. Its scheduler
-// goes idle — the shared group state replaces the per-object records, the
-// O(members × objects) memory the group exists to avoid — and only the acks
-// it has heard stay with it (syncSession.held; nothing at all for a member
-// never acked). Caller holds src.mu and reallocates after.
+// attachLocked makes a new session m a member for its whole life. Its own
+// scheduler stays idle — the shared group state replaces the per-object
+// records, the O(members × objects) memory the group exists to avoid — and a
+// member joining a non-empty store lags on every object. Caller holds src.mu
+// and reallocates after.
 func (g *SessionGroup) attachLocked(m *syncSession) {
-	m.reset(0)
 	m.grouped = true
-	m.wantGroup = true
-	m.detached = make(chan struct{})
-	m.groupConn = m.dest.Conn
-	m.groupFS, _ = m.dest.Conn.(transport.FrameSender)
 	m.workerIdx = g.next % len(g.workers)
 	g.next++
 	g.members = append(g.members, m)
+	g.lagLocked(m, nil)
 }
 
-// detachLocked drops a member back to its individual session path. With
-// resync every object is re-registered as never-sent and re-observed — the
-// full re-sync contract redial uses, conservative because the group cannot
-// know which broadcasts the member actually received (its held acks survive,
-// so objects the cache proved it holds are not re-sent). Without resync the
-// member is leaving the topology (removal/shutdown) and keeps no state.
-// Caller holds src.mu and reallocates after.
-func (g *SessionGroup) detachLocked(m *syncSession, resync bool) {
+// detachLocked removes member m as it leaves the topology (removed, or gone
+// with no redial hook); a no-op for any other session, g nil included. Caller
+// holds src.mu and reallocates after.
+func (g *SessionGroup) detachLocked(m *syncSession) {
 	if !m.grouped {
 		return
 	}
 	m.grouped = false
-	for i, mm := range g.members {
-		if mm == m {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
+	g.members = slices.DeleteFunc(g.members, func(mm *syncSession) bool { return mm == m })
+}
+
+// lagLocked marks the objects with queue keys keys — every object when keys
+// is nil — dirty for member m: it may not hold the values the group
+// committed for them. Caller holds src.mu.
+func (g *SessionGroup) lagLocked(m *syncSession, keys []int) {
+	was := m.lag.n
+	if keys == nil {
+		m.lag.fill(g.src.order.n)
 	}
-	g.detaches++
-	close(m.detached)
-	m.groupConn, m.groupFS = nil, nil
-	if resync {
-		m.resyncLocked(g.src.now())
-	} else {
-		m.held = nil
+	for _, k := range keys {
+		m.lag.set(k)
+	}
+	if was == 0 && m.lag.n > 0 {
+		g.lags++
 	}
 }
 
@@ -383,7 +371,12 @@ func (g *SessionGroup) wakeLocked(now float64) {
 // until one comes out short. need is zero on a tick pass. An early pass
 // starts only with a whole quantum queued and paid for and goes on while a
 // full frame is, so what it leaves behind is a partial frame for the tick.
+// A tick pass first catches lagging members up, so that a saturated bucket
+// cannot starve them; their free queue slots bound what it spends on them.
 func (g *SessionGroup) pass(need int) {
+	if need == 0 {
+		g.catchUp()
+	}
 	for g.broadcastOnce(need) {
 		if need > 0 {
 			need = g.cfg.MaxBatch
@@ -406,9 +399,9 @@ func (g *SessionGroup) accrueLocked(now float64) {
 // scheduleLocked commits object o as broadcast at now and charges the shared
 // bucket for it. Shared sent-state is committed at schedule time, not delivery
 // time: the group never retries or reschedules for one member. A member that
-// misses a batch — excluded, queue-overrun, send failed, detached mid-flight —
-// is healed by its individual re-sync path, the same contract redial has
-// always had. Caller holds src.mu.
+// misses a batch lags instead (a queue overrun marks the batch's objects, a
+// failed send's redial marks them all) and is caught up from its dirty set.
+// Caller holds src.mu.
 func (g *SessionGroup) scheduleLocked(o *objState, now float64) {
 	g.commitPush(o, o.value, o.version, now, now)
 	g.scheduled++
@@ -499,33 +492,38 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 	// relay that already ends with this node's id — no member carries it).
 	g.restrictLocked(provs)
 
-	// Plan each member's delivery under the lock; execute outside it.
-	plan, overrun := fs.plan[:0], fs.overrun[:0]
+	// Plan each member's send under the lock; execute outside it.
 	needFrame, needDecoded := false, false
 	for _, m := range g.members {
-		if int(m.inflight.Load()) >= g.cfg.Queue {
-			// The member's connection is not draining: detach it below
-			// rather than let one slow peer back-pressure the cohort.
-			overrun = append(overrun, m)
+		switch {
+		case m.redialing:
+			continue // its redial marks every object dirty
+		case int(m.inflight.Load()) >= g.cfg.Queue:
+			// The member's connection is not draining: it lags on this
+			// batch rather than back-pressuring the cohort.
+			g.overruns++
+			g.lagLocked(m, keys)
 			continue
 		}
-		var mrs []wire.Refresh
-		dropped := g.memberDropsLocked(m, keys, provs)
-		switch {
+		it := sendItem{sess: m, conn: m.dest.Conn, batch: b, n: len(keys)}
+		switch dropped := g.memberDropsLocked(m, keys, provs); {
 		case dropped == len(keys):
 			continue // everything in this batch is excluded for the member
 		case dropped > 0:
 			if len(b.rs) == 0 {
 				b.rs = decode()
 			}
-			mrs = memberCopy(b.rs, g.dropBuf, dropped, m.remoteID)
+			it.batch, it.rs = nil, memberCopy(b.rs, g.dropBuf, dropped, m.remoteID)
+			it.n = len(it.rs)
 			g.fallbacks++
-		case m.groupFS != nil:
-			needFrame = true
 		default:
-			needDecoded = true // Local and Batcher members need the decoded form
+			// Local and Batcher members need the decoded form.
+			_, frames := it.conn.(transport.FrameSender)
+			needFrame, needDecoded = needFrame || frames, needDecoded || !frames
+			b.refs.Add(1)
 		}
-		plan = append(plan, memberPlan{m: m, conn: m.groupConn, fs: m.groupFS, shared: dropped == 0, rs: mrs})
+		m.inflight.Add(1)
+		fs.add(it)
 	}
 	s.mu.Unlock()
 
@@ -536,29 +534,66 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 	if needDecoded && len(b.rs) == 0 {
 		b.rs = decode()
 	}
-	for len(fs.buckets) < len(g.workers) {
-		fs.buckets = append(fs.buckets, nil)
-	}
-	for _, p := range plan {
-		it := sendItem{sess: p.m, conn: p.conn}
-		if p.shared {
-			b.refs.Add(1)
-			it.batch = b
-			it.n = len(keys)
-			if p.fs != nil {
-				b.frame.Retain()
-				it.frame = b.frame
-				it.fs = p.fs
-			} else {
-				it.rs = b.rs
+	g.dispatch(fs)
+	b.release()
+}
+
+// catchUp opens a tick pass: it cuts member-addressed batches for lagging
+// members while a member has free queue slots and the bucket can pay —
+// 1/len(members) token a refresh, as a broadcast token is len(members)
+// messages. It never commits to the group scheduler or moves the threshold.
+// A member is sent the group's committed copy, so that the group's one
+// sent-state describes it again: rebuilt from the group's record for a
+// locally produced object. A relayed one's committed origin axis is not kept:
+// it is sent while its value is the committed one, and otherwise stays dirty
+// until it is again. An excluded object (split horizon, an ack at or ahead of
+// the axis) leaves the set at no cost.
+func (g *SessionGroup) catchUp() {
+	s := g.src
+	s.mu.Lock()
+	now, sentUnix := s.clock()
+	g.accrueLocked(now)
+	cost, epoch := 1/float64(len(g.members)), s.started.UnixNano()
+	for _, m := range g.members {
+		// Each dirty key is taken once a pass; one that must wait goes back.
+		todo := m.lag.n
+		for todo > 0 && !m.redialing && int(m.inflight.Load()) < g.cfg.Queue && g.budget.tokens >= cost {
+			rs := make([]wire.Refresh, 0, min(todo, g.cfg.MaxBatch))
+			for ; todo > 0 && len(rs) < g.cfg.MaxBatch && g.budget.tokens >= cost; todo-- {
+				k, _ := m.lag.pop()
+				o, prov, so := s.order.at(k), s.order.prov(int32(k)), &g.objs[k]
+				if prov.Epoch != 0 && so.sentVer != 0 && o.version != so.sentVer && o.value != so.sentVal {
+					m.lag.set(k) // relayed, and moved off the committed value
+					continue
+				}
+				if m.lag.n == 0 {
+					g.caughtUp++
+				}
+				ref := g.refresh(o, &prov, m.remoteID, epoch, sentUnix)
+				if prov.Epoch == 0 {
+					ref.Value, ref.Version = so.sentVal, so.sentVer
+				}
+				prov.Epoch, prov.Version = ref.OriginAxis()
+				// Skipped: never sent to the cohort (its first broadcast is
+				// queued), or excluded.
+				if so.sentVer != 0 && !m.excludesLocked(k, &prov, m.remoteID != "") {
+					rs = append(rs, ref)
+					g.budget.tokens -= cost
+				}
 			}
-		} else {
-			it.rs = p.rs
-			it.n = len(p.rs)
+			if len(rs) == 0 {
+				break // everything left was skipped or waits
+			}
+			m.inflight.Add(1)
+			g.fan.add(sendItem{sess: m, conn: m.dest.Conn, rs: rs, n: len(rs)})
 		}
-		p.m.inflight.Add(1)
-		fs.buckets[p.m.workerIdx] = append(fs.buckets[p.m.workerIdx], it)
 	}
+	s.mu.Unlock()
+	g.dispatch(&g.fan)
+}
+
+// dispatch hands every item queued in fs to its worker.
+func (g *SessionGroup) dispatch(fs *fanScratch) {
 	for wi, items := range fs.buckets {
 		if len(items) == 0 {
 			continue
@@ -570,22 +605,6 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 		w.mu.Unlock()
 		fs.buckets[wi] = items[:0] // the worker queue copied every item
 	}
-	b.release()
-
-	if len(overrun) > 0 {
-		s.mu.Lock()
-		for _, m := range overrun {
-			if m.grouped {
-				g.overruns++
-				g.detachLocked(m, true)
-			}
-		}
-		s.reallocateLocked()
-		s.mu.Unlock()
-	}
-	// Hand any regrown buffers back to the scratch so their capacity is
-	// reused by the next batch.
-	fs.plan, fs.overrun = plan[:0], overrun[:0]
 }
 
 // restrictLocked rebuilds the split-horizon identity set for a batch: every
@@ -636,19 +655,26 @@ func (g *SessionGroup) memberDropsLocked(m *syncSession, keys []int, provs []Pro
 	drops := g.dropBuf[:len(provs)]
 	dropped := 0
 	for i := range provs {
-		drops[i] = false
-		p := &provs[i]
-		switch {
-		case restricted && p.passedThrough(m.remoteID):
-		case keys[i] < len(m.held) && m.held[keys[i]].covers(p.Epoch, p.Version):
-			m.heldSkips++
-		default:
-			continue
+		drops[i] = m.excludesLocked(keys[i], &provs[i], restricted)
+		if drops[i] {
+			dropped++
 		}
-		drops[i] = true
-		dropped++
 	}
 	return dropped
+}
+
+// excludesLocked reports whether member m must not be sent the value with
+// queue key key and outgoing provenance p: split horizon (tested if horizon)
+// or an ack at or ahead of p's origin axis, a held skip. Caller holds src.mu.
+func (m *syncSession) excludesLocked(key int, p *Provenance, horizon bool) bool {
+	if horizon && p.passedThrough(m.remoteID) {
+		return true
+	}
+	if key < len(m.held) && m.held[key].covers(p.Epoch, p.Version) {
+		m.heldSkips++
+		return true
+	}
+	return false
 }
 
 // memberCopy builds the member-specific copy of a batch: rs without the
@@ -666,18 +692,17 @@ func memberCopy(rs []wire.Refresh, drops []bool, dropped int, remoteID string) [
 
 // process executes one member send on a worker. A failed send means the
 // connection is broken (both provided transports only fail closed), so it
-// is closed outright: the member's feedback stream then ends and its
-// session leaves the group through the standard redial path. References are
-// released unconditionally — failure paths must not leak the shared frame.
+// is closed outright: the member's feedback stream then ends and its session
+// redials, to lag on every object once back. References are released
+// unconditionally — failure paths must not leak the shared frame.
 func (g *SessionGroup) process(it sendItem) {
 	var err error
-	if it.fs != nil {
-		err = it.fs.SendFrame(it.frame)
+	if fs, ok := it.conn.(transport.FrameSender); ok && it.batch != nil {
+		err = fs.SendFrame(it.batch.frame)
+	} else if it.batch != nil {
+		err = it.conn.SendBatch(it.batch.rs)
 	} else {
 		err = it.conn.SendBatch(it.rs)
-	}
-	if it.frame != nil {
-		it.frame.Release()
 	}
 	if it.batch != nil {
 		it.batch.release()
@@ -742,8 +767,8 @@ func (g *SessionGroup) statsLocked() GroupStats {
 		Scheduled:        g.scheduled,
 		Delivered:        g.delivered.Load(),
 		Fallbacks:        g.fallbacks,
-		Detaches:         g.detaches,
-		Rejoins:          g.rejoins,
+		Detaches:         g.lags,
+		Rejoins:          g.caughtUp,
 		QueueOverruns:    g.overruns,
 		SendErrors:       g.sendErrors.Load(),
 		SplicedBatches:   g.splicedBatches,

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net"
 	stdruntime "runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"bestsync/internal/core"
 	"bestsync/internal/metric"
+	"bestsync/internal/priority"
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
 	"bestsync/internal/wire/codec"
@@ -133,24 +136,31 @@ func newGroupSource(t *testing.T, conns []transport.SourceConn, cfg GroupConfig)
 	return src
 }
 
-// pump drives the listed objects with monotonically growing values until
-// cond holds. The area-above-divergence priority (AreaGeneral) needs
-// divergence to keep accruing before an object clears the refresh
-// threshold — a one-shot update to a constant value schedules ~nothing —
-// so tests exercise the group path the way a live workload would: a
-// continuing stream of changes.
-func groupPump(t *testing.T, src *Source, ids []string, cond func() bool, msg string) {
+// pumpUntil runs update with monotonically growing values until cond holds. The
+// area-above-divergence priority (AreaGeneral) needs divergence to keep
+// accruing before an object clears the refresh threshold — a one-shot update
+// to a constant value schedules ~nothing — so tests exercise the group path
+// the way a live workload would: a continuing stream of changes.
+func pumpUntil(t *testing.T, update func(v float64), cond func() bool, msg string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for v := 1.0; !cond(); v++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("timeout waiting for %s", msg)
 		}
+		update(v)
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// groupPump pumps the listed objects of src.
+func groupPump(t *testing.T, src *Source, ids []string, cond func() bool, msg string) {
+	t.Helper()
+	pumpUntil(t, func(v float64) {
 		for _, id := range ids {
 			src.Update(id, v)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	}, cond, msg)
 }
 
 // received reports whether the member has been sent a refresh for objectID.
@@ -364,21 +374,15 @@ func TestGroupSplitHorizonExclusion(t *testing.T) {
 	// Member a identifies itself; values it originated are then re-exported
 	// through this source alongside a local object.
 	a.feed(t, src, wire.Feedback{CacheID: "peer-a"})
-	deadline := time.Now().Add(5 * time.Second)
-	for v := 1.0; ; v++ {
-		if time.Now().After(deadline) {
-			t.Fatal("timeout waiting for split-horizon delivery")
-		}
+	pumpUntil(t, func(v float64) {
 		src.UpdateFrom("peer-a/obj", v, Provenance{
 			Origin: "peer-a", Hops: 1, Via: []string{"relay-1"},
 			Epoch: 123, Version: uint64(v),
 		})
 		src.Update("gs/local", v)
-		if received(b, "peer-a/obj") && received(b, "gs/local") && received(a, "gs/local") {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	}, func() bool {
+		return received(b, "peer-a/obj") && received(b, "gs/local") && received(a, "gs/local")
+	}, "split-horizon delivery")
 	for _, r := range a.sentMsgs() {
 		if r.ObjectID == "peer-a/obj" {
 			t.Fatalf("origin member received its own value back: %+v", r)
@@ -386,205 +390,460 @@ func TestGroupSplitHorizonExclusion(t *testing.T) {
 	}
 }
 
-// TestGroupRedialResyncRejoin: a member whose connection dies leaves the
-// group (receiving nothing meanwhile), redials, is fully re-synchronized on
-// its individual path, and re-attaches once caught up — with the final
-// state identical to the cohort's.
+// lagRig is a group source driven by hand, like earlyRig: a stepped clock and
+// a Tick no ticker reaches, so nothing is sent unless the test runs a tick.
+// Unless cfg says otherwise, the threshold is pinned under every move and the
+// budget never binds.
+type lagRig struct {
+	clock *fakeClock
+	src   *Source
+}
+
+func newLagRig(t *testing.T, cfg SourceConfig, dests ...Destination) *lagRig {
+	t.Helper()
+	r := &lagRig{clock: newFakeClock()}
+	cfg.ID, cfg.Metric, cfg.Tick, cfg.Now, cfg.Group.Enabled = "gs", metric.ValueDeviation, time.Hour, r.clock.Now, true
+	if cfg.Bandwidth == 0 {
+		cfg.Bandwidth = 1e9
+	}
+	if cfg.Params == (core.Params{}) {
+		cfg.Params = pinnedParams(1e-6)
+	}
+	src, err := NewFanoutSource(cfg, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	r.src = src
+	// Protocol time must be past zero for a never-sent object to have area.
+	r.clock.advance(time.Second)
+	return r
+}
+
+// update sets every object of ids to v.
+func (r *lagRig) update(ids []string, v float64) {
+	for _, id := range ids {
+		r.src.Update(id, v)
+	}
+}
+
+// tick runs the flusher's tick pass, waits for the sends to finish (see
+// settle) and steps the clock, so that what is updated next has area.
+func (r *lagRig) tick(t *testing.T, stuck ...int) {
+	t.Helper()
+	r.src.group.pass(0)
+	r.settle(t, stuck...)
+	r.clock.advance(time.Second)
+}
+
+// settle waits until no member has a send outstanding, except those whose
+// worker is in stuck: queued behind a member that stopped draining.
+func (r *lagRig) settle(t *testing.T, stuck ...int) {
+	t.Helper()
+	drained := func() bool {
+		r.src.mu.Lock()
+		defer r.src.mu.Unlock()
+		for _, ss := range r.src.sessions {
+			if ss.inflight.Load() != 0 && !slices.Contains(stuck, ss.workerIdx) {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !drained(); stdruntime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender workers did not drain")
+		}
+	}
+}
+
+// workerOf returns the worker member i's sends queue on.
+func (r *lagRig) workerOf(i int) int {
+	r.src.mu.Lock()
+	defer r.src.mu.Unlock()
+	return r.src.sessions[i].workerIdx
+}
+
+// holds is what a member holds: the last value it was sent per object.
+func holds(c *frameConn) map[string]float64 {
+	out := map[string]float64{}
+	for _, r := range c.sentMsgs() {
+		out[r.ObjectID] = r.Value
+	}
+	return out
+}
+
+// TestGroupRedialResyncRejoin: a member whose connection dies stays in the
+// group. Broadcasts skip it while it redials; once back it lags on every
+// object, because the peer may have restarted empty, and the next tick's
+// catch-up re-synchronizes it with no further updates.
 func TestGroupRedialResyncRejoin(t *testing.T) {
 	const n = 2
 	nets := make([]*transport.Local, n)
 	caches := make([]*Cache, n)
 	dests := make([]Destination, n)
+	allow := make(chan struct{}) // the redial of member 0 waits for it
 	for i := 0; i < n; i++ {
-		i := i
 		nets[i] = transport.NewLocal(64)
 		caches[i] = NewCache(CacheConfig{
 			ID: fmt.Sprintf("cache-%d", i), Bandwidth: 10000,
 			Tick: 5 * time.Millisecond,
 		}, nets[i])
 		defer caches[i].Close()
-		conn, err := nets[i].Dial("s1")
+		conn, err := nets[i].Dial("gs")
 		if err != nil {
 			t.Fatal(err)
 		}
-		dests[i] = Destination{
-			CacheID: fmt.Sprintf("cache-%d", i),
-			Conn:    conn,
-			Redial:  func() (transport.SourceConn, error) { return nets[i].Dial("s1") },
-		}
+		dests[i] = Destination{CacheID: fmt.Sprintf("cache-%d", i), Conn: conn}
 	}
-	src, err := NewFanoutSource(SourceConfig{
-		ID: "s1", Metric: metric.ValueDeviation,
-		Bandwidth: 10000, Tick: 5 * time.Millisecond,
-		Group: GroupConfig{Enabled: true},
-	}, dests)
-	if err != nil {
-		t.Fatal(err)
+	dests[0].Redial = func() (transport.SourceConn, error) {
+		<-allow
+		return nets[0].Dial("gs")
 	}
-	defer src.Close()
-
-	src.Update("s1/a", 1)
-	src.Update("s1/b", 2)
-	waitFor(t, 5*time.Second, func() bool {
-		e, ok := caches[0].Get("s1/b")
-		return ok && e.Value == 2
-	}, "initial group delivery to land")
-
-	// Kill member 0's connection: the group must drop it (no stale sends
-	// into a dead pipe) and the session must redial and re-sync.
-	src.mu.Lock()
-	dead := src.sessions[0].dest.Conn
-	src.mu.Unlock()
-	dead.Close()
-
-	waitFor(t, 5*time.Second, func() bool {
-		st := src.Stats()
-		return st.Group != nil && st.Group.Detaches >= 1 && st.Sessions[0].Reconnects >= 1
-	}, "member to detach and reconnect")
-
-	// New state produced while the member is (or was) away must arrive via
-	// the individual re-sync, then the member re-attaches.
-	src.Update("s1/c", 3)
-	waitFor(t, 5*time.Second, func() bool {
-		e, ok := caches[0].Get("s1/c")
-		return ok && e.Value == 3
-	}, "re-synced member to receive post-failure state")
-	waitFor(t, 5*time.Second, func() bool {
-		st := src.Stats()
-		return st.Group.Rejoins >= 1 && st.Sessions[0].Grouped
-	}, "member to rejoin the group after catching up")
-
-	// Group delivery must work again for the rejoined member.
-	src.Update("s1/d", 4)
-	for i := 0; i < n; i++ {
-		i := i
+	r := newLagRig(t, SourceConfig{}, dests...)
+	var once sync.Once
+	open := func() { once.Do(func() { close(allow) }) }
+	t.Cleanup(open) // before the source closes: a redial stuck here would hang it
+	holding := func(i int, id string, v float64) {
+		t.Helper()
 		waitFor(t, 5*time.Second, func() bool {
-			e, ok := caches[i].Get("s1/d")
-			return ok && e.Value == 4
-		}, fmt.Sprintf("cache %d to receive post-rejoin broadcast", i))
+			e, ok := caches[i].Get(id)
+			return ok && e.Value == v
+		}, fmt.Sprintf("cache %d to hold %s = %v", i, id, v))
 	}
-	if fl := src.group.framesLive.Load(); fl != 0 {
+
+	r.update([]string{"gs/a"}, 1)
+	r.update([]string{"gs/b"}, 2)
+	r.tick(t)
+	holding(0, "gs/b", 2)
+
+	// Kill member 0's connection; its redial waits for allow.
+	r.src.mu.Lock()
+	dead := r.src.sessions[0].dest.Conn
+	r.src.mu.Unlock()
+	dead.Close()
+	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Sessions[0].Redialing }, "member 0 to redial")
+
+	r.update([]string{"gs/c"}, 3)
+	r.tick(t)
+	holding(1, "gs/c", 3)
+	st := r.src.Stats()
+	if st.Group.Members != n || !st.Sessions[0].Grouped || st.Group.Delivered != 2*2+1 || st.Group.SendErrors != 0 {
+		t.Fatalf("while redialing: members=%d grouped=%v delivered=%d send errors=%d, want %d, true, 5 and 0 (skipped, not failed)",
+			st.Group.Members, st.Sessions[0].Grouped, st.Group.Delivered, st.Group.SendErrors, n)
+	}
+
+	open()
+	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Sessions[0].Reconnects == 1 }, "member 0 to reconnect")
+	st = r.src.Stats()
+	if st.Sessions[0].Pending != 3 || st.Sessions[1].Pending != 0 || st.Group.Detaches != 1 {
+		t.Fatalf("after the redial: pending %d/%d, lags %d, want 3/0 and 1", st.Sessions[0].Pending, st.Sessions[1].Pending, st.Group.Detaches)
+	}
+	r.tick(t)
+	holding(0, "gs/a", 1)
+	holding(0, "gs/b", 2)
+	holding(0, "gs/c", 3)
+	st = r.src.Stats()
+	if st.Sessions[0].Pending != 0 || st.Group.Rejoins != 1 || st.Group.Delivered != 5+3 {
+		t.Errorf("after catch-up: pending %d, caught up %d, delivered %d, want 0, 1 and 8", st.Sessions[0].Pending, st.Group.Rejoins, st.Group.Delivered)
+	}
+	if fl := r.src.group.framesLive.Load(); fl != 0 {
 		t.Errorf("framesLive = %d after quiesce, want 0", fl)
 	}
 }
 
 // TestGroupSendFailureDetach: a frame send failing mid-broadcast must not
-// leak the shared frame, must not disturb the other members, and must push
-// the failed member out through the standard detach path.
+// leak the shared frame or disturb the other members. The failed connection
+// is closed; with no redial hook the member's session ends and it leaves the
+// group, the one way out besides RemoveDestination.
 func TestGroupSendFailureDetach(t *testing.T) {
 	a, b := newFrameConn("fail-a"), newFrameConn("ok-b")
-	src := newGroupSource(t, []transport.SourceConn{a, b}, GroupConfig{})
-	defer src.Close()
+	r := newLagRig(t, SourceConfig{},
+		Destination{CacheID: "member-0", Conn: a}, Destination{CacheID: "member-1", Conn: b})
 
-	groupPump(t, src, []string{"gs/one"}, func() bool {
-		return received(a, "gs/one") && received(b, "gs/one")
-	}, "initial broadcast to land on both members")
-
+	r.update([]string{"gs/one"}, 1)
+	r.tick(t)
 	a.setFailures(1)
-	groupPump(t, src, []string{"gs/two"}, func() bool {
-		st := src.Stats()
-		return st.Group != nil && st.Group.SendErrors >= 1 && st.Group.Detaches >= 1
-	}, "failed member to detach")
-	waitFor(t, 5*time.Second, func() bool {
-		return received(b, "gs/two")
-	}, "surviving member to receive the batch")
-	waitFor(t, 5*time.Second, func() bool {
-		return src.group.framesLive.Load() == 0
-	}, "all shared frames to be released after the failure")
-	st := src.Stats()
-	if st.Group.Members != 1 {
-		t.Errorf("members = %d after failure, want 1", st.Group.Members)
+	r.update([]string{"gs/two"}, 2)
+	r.tick(t)
+	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Group.Members == 1 }, "the failed member to leave")
+	r.update([]string{"gs/three"}, 3)
+	r.tick(t)
+
+	if !received(b, "gs/two") || !received(b, "gs/three") || received(a, "gs/two") || received(a, "gs/three") {
+		t.Errorf("survivor sent %v, failed member %v", b.sentMsgs(), a.sentMsgs())
 	}
-	if !st.Sessions[1].Grouped || st.Sessions[0].Grouped {
-		t.Errorf("grouped flags = %v/%v, want failed member out, survivor in",
-			st.Sessions[0].Grouped, st.Sessions[1].Grouped)
+	st := r.src.Stats()
+	if !st.Sessions[0].Ended || st.Sessions[0].Grouped || !st.Sessions[1].Grouped {
+		t.Errorf("failed member ended=%v grouped=%v, survivor grouped=%v; want true, false, true",
+			st.Sessions[0].Ended, st.Sessions[0].Grouped, st.Sessions[1].Grouped)
+	}
+	if st.Group.SendErrors != 1 || st.Group.Detaches != 0 {
+		t.Errorf("send errors %d, lags %d; want 1 and 0 (leaving is not lagging)", st.Group.SendErrors, st.Group.Detaches)
+	}
+	if fl := r.src.group.framesLive.Load(); fl != 0 {
+		t.Errorf("framesLive = %d after the failure, want 0", fl)
 	}
 }
 
-// blockingConn is a frame-capable connection whose sends block until
-// released (or until the connection closes) — a peer that stopped draining.
+// blockingConn is a connection whose batch sends block while it is held — a
+// peer that stopped draining — and fail once it is closed. What it is sent
+// while released goes on to the connection inside, which must take frames
+// unless an outer wrapper hides SendFrame.
 type blockingConn struct {
-	fb      chan wire.Feedback
-	release chan struct{}
-	closed  chan struct{}
+	transport.SourceConn
+	gateMu sync.Mutex
+	gate   chan struct{} // non-nil while held
+	closed chan struct{}
+	once   sync.Once
 }
 
-func newBlockingConn() *blockingConn {
-	return &blockingConn{
-		fb:      make(chan wire.Feedback, 4),
-		release: make(chan struct{}),
-		closed:  make(chan struct{}),
+// newBlockingConn returns a held connection in front of conn.
+func newBlockingConn(conn transport.SourceConn) *blockingConn {
+	c := &blockingConn{SourceConn: conn, closed: make(chan struct{})}
+	c.hold()
+	return c
+}
+
+func (c *blockingConn) hold() {
+	c.gateMu.Lock()
+	c.gate = make(chan struct{})
+	c.gateMu.Unlock()
+}
+
+func (c *blockingConn) release() {
+	c.gateMu.Lock()
+	if c.gate != nil {
+		close(c.gate)
+		c.gate = nil
 	}
+	c.gateMu.Unlock()
 }
 
 func (c *blockingConn) wait() error {
+	c.gateMu.Lock()
+	gate := c.gate
+	c.gateMu.Unlock()
+	if gate == nil {
+		return nil
+	}
 	select {
-	case <-c.release:
+	case <-gate:
 		return nil
 	case <-c.closed:
 		return errors.New("blockingConn: closed")
 	}
 }
 
-func (c *blockingConn) SendRefresh(wire.Refresh) error { return c.wait() }
-func (c *blockingConn) SendBatch([]wire.Refresh) error { return c.wait() }
-func (c *blockingConn) SendFrame(*codec.Frame) error   { return c.wait() }
-func (c *blockingConn) Feedback() <-chan wire.Feedback { return c.fb }
-func (c *blockingConn) Close() error {
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
+func (c *blockingConn) SendFrame(f *codec.Frame) error {
+	if err := c.wait(); err != nil {
+		return err
 	}
-	return nil
+	return c.SourceConn.(transport.FrameSender).SendFrame(f)
 }
 
-// TestGroupQueueOverrunDetach: a member whose connection stops draining is
-// detached once its outstanding-batch bound is hit, instead of
-// back-pressuring the whole cohort; the healthy member keeps receiving.
-func TestGroupQueueOverrunDetach(t *testing.T) {
-	blocked := newBlockingConn()
-	healthy := newFrameConn("ok")
-	src := newGroupSource(t, []transport.SourceConn{blocked, healthy},
-		GroupConfig{Workers: 2, Queue: 1})
-	defer src.Close()
+func (c *blockingConn) SendBatch(rs []wire.Refresh) error {
+	if err := c.wait(); err != nil {
+		return err
+	}
+	return c.SourceConn.SendBatch(rs)
+}
 
-	// Distinct objects so every tick has something over threshold.
-	for i := 0; ; i++ {
-		src.Update(fmt.Sprintf("gs/o-%d", i%8), float64(i))
-		st := src.Stats()
-		if st.Group != nil && st.Group.QueueOverruns >= 1 {
+func (c *blockingConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.SourceConn.Close()
+}
+
+// TestGroupQueueOverrunDetach: a member whose connection stops draining does
+// not leave the group and does not hold it back. Each batch it cannot take
+// marks that batch's objects dirty for it; once its connection drains again,
+// one tick catches it up with the current values of exactly those objects.
+func TestGroupQueueOverrunDetach(t *testing.T) {
+	slow, healthy := newFrameConn("blocked"), newFrameConn("ok")
+	blocked := newBlockingConn(slow)
+	r := newLagRig(t, SourceConfig{Group: GroupConfig{Workers: 2, Queue: 1}},
+		Destination{CacheID: "blocked", Conn: blocked}, Destination{CacheID: "ok", Conn: healthy})
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("gs/o-%d", i)
+	}
+	stuck := r.workerOf(0)
+	for v := 1.0; v <= 3; v++ {
+		r.update(ids, v)
+		r.tick(t, stuck)
+	}
+	// The first batch sits in the blocked member's one queue slot; the next
+	// two found it full.
+	st := r.src.Stats()
+	if g := st.Group; g.Members != 2 || g.QueueOverruns != 2 || g.Detaches != 1 || g.Rejoins != 0 {
+		t.Fatalf("members=%d overruns=%d lags=%d caught up=%d, want 2, 2, 1 and 0", g.Members, g.QueueOverruns, g.Detaches, g.Rejoins)
+	}
+	if !st.Sessions[0].Grouped || st.Sessions[0].Pending != len(ids) || st.Sessions[1].Pending != 0 {
+		t.Fatalf("blocked member grouped=%v pending=%d, healthy pending=%d; want true, %d and 0",
+			st.Sessions[0].Grouped, st.Sessions[0].Pending, st.Sessions[1].Pending, len(ids))
+	}
+	if got := len(healthy.sentMsgs()); got != 3*len(ids) {
+		t.Fatalf("healthy member was sent %d refreshes, want every broadcast's %d", got, 3*len(ids))
+	}
+
+	blocked.release()
+	r.settle(t)
+	r.tick(t)
+	st = r.src.Stats()
+	if st.Sessions[0].Pending != 0 || st.Group.Rejoins != 1 {
+		t.Fatalf("after release: pending %d, caught up %d, want 0 and 1", st.Sessions[0].Pending, st.Group.Rejoins)
+	}
+	// The stuck first batch, then one catch-up refresh per dirty object.
+	if got := len(slow.sentMsgs()); got != 2*len(ids) {
+		t.Errorf("blocked member was sent %d refreshes, want %d", got, 2*len(ids))
+	}
+	for _, id := range ids {
+		if v := holds(slow)[id]; v != 3 {
+			t.Errorf("blocked member holds %s = %v, want 3", id, v)
+		}
+	}
+	if len(healthy.sentMsgs()) != 3*len(ids) {
+		t.Error("the catch-up sent the healthy member something")
+	}
+	if fl := r.src.group.framesLive.Load(); fl != 0 {
+		t.Errorf("framesLive = %d after the catch-up, want 0", fl)
+	}
+}
+
+// sinkConn is a frame-capable member that drops what it is sent: a healthy
+// cache in a large cohort, at no cost to the test (SessionStats count what it
+// was sent).
+type sinkConn struct{}
+
+func (sinkConn) SendRefresh(wire.Refresh) error { return nil }
+func (sinkConn) SendBatch([]wire.Refresh) error { return nil }
+func (sinkConn) SendFrame(*codec.Frame) error   { return nil }
+func (sinkConn) Feedback() <-chan wire.Feedback { return nil }
+func (sinkConn) Close() error                   { return nil }
+
+// TestGroupStalledMemberCatchUp: in a group of 1 000 over 16 384 objects, one
+// member's connection blocks while K = 200 objects are updated. Released, it
+// is sent at most K + Queue × MaxBatch refreshes beyond the broadcasts it
+// took — what it missed, never the store again — and ends holding every final
+// value; the 999 others are sent exactly the broadcasts.
+func TestGroupStalledMemberCatchUp(t *testing.T) {
+	const members, objects, k = 1000, 16384, 200
+	member := newFrameConn("stalled")
+	stalled := newBlockingConn(member)
+	stalled.release()
+	dests := make([]Destination, members)
+	dests[0] = Destination{CacheID: "stalled", Conn: stalled}
+	for i := 1; i < members; i++ {
+		dests[i] = Destination{CacheID: fmt.Sprintf("m-%d", i), Conn: sinkConn{}}
+	}
+	r := newLagRig(t, SourceConfig{}, dests...)
+	cfg := r.src.group.cfg
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("gs/o-%05d", i)
+	}
+	// The initial sync, in ticks of Queue/2 batches: nobody lags, and no tick
+	// queues the early pass's quantum.
+	for lo, step := 0, cfg.Queue/2*cfg.MaxBatch; lo < objects; lo += step {
+		r.update(ids[lo:lo+step], 1)
+		r.tick(t)
+	}
+	// The member's identity, so that its catch-up frames are addressed.
+	r.src.sessions[0].onFeedback(wire.Feedback{CacheID: "stalled"})
+
+	stalled.hold()
+	stuck := r.workerOf(0)
+	for lo := 0; lo < k; lo += 10 {
+		r.update(ids[lo:lo+10], 2)
+		r.tick(t, stuck)
+	}
+	if p := r.src.Stats().Sessions[0].Pending; p != k-cfg.Queue*10 {
+		t.Fatalf("stalled member lags on %d objects, want the %d its full queue turned away", p, k-cfg.Queue*10)
+	}
+	stalled.release()
+	r.settle(t)
+	r.tick(t)
+
+	broadcast, caughtUp := 0, 0
+	for _, ref := range member.sentMsgs() {
+		if ref.CacheID == "" {
+			broadcast++
+		} else {
+			caughtUp++
+		}
+	}
+	if caughtUp > k+cfg.Queue*cfg.MaxBatch {
+		t.Errorf("stalled member was sent %d refreshes beyond the %d broadcast ones, want at most %d",
+			caughtUp, broadcast, k+cfg.Queue*cfg.MaxBatch)
+	}
+	got := holds(member)
+	for i, id := range ids {
+		want := 1.0
+		if i < k {
+			want = 2
+		}
+		if got[id] != want {
+			t.Fatalf("stalled member holds %s = %v, want %v", id, got[id], want)
+		}
+	}
+	r.src.mu.Lock()
+	scheduled := int64(r.src.group.scheduled)
+	for i, ss := range r.src.sessions[1:] {
+		if n := ss.groupSent.Load(); n != scheduled {
+			t.Errorf("member %d was sent %d refreshes, want the %d broadcast", i+1, n, scheduled)
 			break
 		}
-		if i > 10000 {
-			t.Fatal("no queue overrun despite a blocked member")
+	}
+	r.src.mu.Unlock()
+}
+
+// TestGroupLagBudget: catch-up is paid from the group's bucket, a refresh at
+// one message of the aggregate share. A late joiner catches up on the store
+// while updates saturate the bucket, and what all members are sent stays
+// within the share × t plus a two-token burst.
+func TestGroupLagBudget(t *testing.T) {
+	const share, objects, perStep = 300.0, 200, 20
+	dests := make([]Destination, 3)
+	for i := range dests {
+		dests[i] = Destination{CacheID: fmt.Sprintf("m-%d", i), Conn: newFrameConn(fmt.Sprintf("m-%d", i))}
+	}
+	r := newLagRig(t, SourceConfig{Bandwidth: share}, dests...)
+	clock, src := r.clock, r.src
+	late := newFrameConn("late")
+	for step := 0; step < 40; step++ {
+		clock.advance(100 * time.Millisecond)
+		for i := 0; i < perStep; i++ {
+			src.Update(fmt.Sprintf("gs/o-%03d", (step*perStep+i)%objects), float64(step))
 		}
-		time.Sleep(time.Millisecond)
+		if step == 10 {
+			if err := src.AddDestination(Destination{CacheID: "late", Conn: late}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.group.pass(0)
+		r.settle(t)
 	}
 	st := src.Stats()
-	if st.Sessions[0].Grouped {
-		t.Error("blocked member still grouped after overrun")
+	if st.Group.Detaches != 1 || st.Group.Rejoins != 1 || st.Sessions[3].Pending != 0 {
+		t.Fatalf("late joiner: lags %d, caught up %d, pending %d; want 1, 1 and 0", st.Group.Detaches, st.Group.Rejoins, st.Sessions[3].Pending)
 	}
-	if !st.Sessions[1].Grouped {
-		t.Error("healthy member was detached along with the blocked one")
+	if st.Group.Pending == 0 {
+		t.Fatal("nothing left queued: the updates never saturated the bucket")
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		return len(healthy.sentMsgs()) > 0
-	}, "healthy member to keep receiving")
-
-	// Release the blocked send so the worker and the individual path can
-	// drain, then verify no frame leaked.
-	close(blocked.release)
-	waitFor(t, 5*time.Second, func() bool {
-		return src.group.framesLive.Load() == 0
-	}, "shared frames to drain after release")
+	src.mu.Lock()
+	elapsed := src.now()
+	src.mu.Unlock()
+	members := float64(st.Group.Members)
+	if bound := share*elapsed + 2*members; float64(st.Group.Delivered) > bound {
+		t.Errorf("members were sent %d messages in %.1f s, over the share's %.1f", st.Group.Delivered, elapsed, bound)
+	}
 }
 
 // TestGroupCloseReleasesFrames: closing the source with broadcasts still
 // queued behind a blocked member must release every shared frame — the
 // workers drain their queues against the closed connections.
 func TestGroupCloseReleasesFrames(t *testing.T) {
-	blocked := newBlockingConn()
+	blocked := newBlockingConn(newFrameConn("blocked"))
 	healthy := newFrameConn("ok")
 	src := newGroupSource(t, []transport.SourceConn{blocked, healthy},
 		GroupConfig{Workers: 1, Queue: 8})
@@ -600,6 +859,62 @@ func TestGroupCloseReleasesFrames(t *testing.T) {
 	}
 	if fl := src.group.framesLive.Load(); fl != 0 {
 		t.Fatalf("framesLive = %d after Close, want 0 (leak or double-release)", fl)
+	}
+}
+
+// TestGroupCatchUpSendsCommittedCopy: a lagging member is brought up to what
+// the rest of the group holds, not past it. Were it sent a newer value the
+// group has not committed, a later move back to the committed value would
+// leave it alone holding the newer one: the group would see no divergence
+// to repair. A relayed object's committed origin axis is not kept, so there the
+// member waits, still lagging, until the value is the committed one again.
+func TestGroupCatchUpSendsCommittedCopy(t *testing.T) {
+	for _, relayed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "local", true: "relayed"}[relayed], func(t *testing.T) {
+			slow, healthy := newFrameConn("blocked"), newFrameConn("ok")
+			blocked := newBlockingConn(slow)
+			r := newLagRig(t, SourceConfig{
+				PriorityFn: priority.SimpleDivergence, Params: pinnedParams(3),
+				Group: GroupConfig{Workers: 2, Queue: 1},
+			}, Destination{CacheID: "blocked", Conn: blocked}, Destination{CacheID: "ok", Conn: healthy})
+			var version uint64
+			update := func(v float64) {
+				version++
+				prov := Provenance{}
+				if relayed {
+					prov = Provenance{Origin: "up", Hops: 1, Via: []string{"mid"}, Epoch: 5, Version: version}
+				}
+				r.src.UpdateFrom("gs/x", v, prov)
+			}
+			stuck := r.workerOf(0)
+			update(10)
+			r.tick(t, stuck) // held in the blocked member's one queue slot
+			update(20)
+			r.tick(t, stuck) // the queue is full: the member lags on x
+			update(21)
+			r.tick(t, stuck) // within the threshold of the committed 20: not sent
+			blocked.release()
+			r.settle(t)
+			r.tick(t) // catch-up
+			if relayed {
+				if got := holds(slow)["gs/x"]; got != 10 {
+					t.Fatalf("blocked member was caught up to %v, want it left at 10 until x is committed again", got)
+				}
+				if p := r.src.Stats().Sessions[0].Pending; p != 1 {
+					t.Fatalf("blocked member lags on %d objects, want 1", p)
+				}
+			}
+			update(20)
+			r.tick(t) // back at the committed value: nothing to broadcast
+			got, want := slow.sentMsgs(), healthy.sentMsgs()
+			g, w := got[len(got)-1], want[len(want)-1]
+			if g.Value != w.Value || !relayed && g.Version != w.Version {
+				t.Errorf("blocked member holds %v (version %d), the rest of the group %v (version %d)", g.Value, g.Version, w.Value, w.Version)
+			}
+			if p := r.src.Stats().Sessions[0].Pending; p != 0 {
+				t.Errorf("blocked member still lags on %d objects", p)
+			}
+		})
 	}
 }
 
@@ -622,46 +937,48 @@ func TestGroupRemoveDestination(t *testing.T) {
 	if st.Group == nil || st.Group.Members != 1 {
 		t.Fatalf("members = %+v, want 1 after removal", st.Group)
 	}
-	before := len(a.sentMsgs())
+	before, survivor := len(a.sentMsgs()), len(b.sentMsgs())
+	// Keep the workload flowing until the survivor has been sent 25 more
+	// refreshes: the removed member must see none of them.
 	groupPump(t, src, []string{"gs/y"}, func() bool {
-		return received(b, "gs/y")
+		return len(b.sentMsgs()) >= survivor+25
 	}, "survivor to keep receiving broadcasts")
-	// Keep the workload flowing a little longer: the removed member must
-	// see none of it.
-	for v := 0; v < 25; v++ {
-		src.Update("gs/y", float64(1000+v))
-		time.Sleep(2 * time.Millisecond)
-	}
 	if after := len(a.sentMsgs()); after != before {
 		t.Errorf("removed member still receiving (%d -> %d)", before, after)
 	}
 }
 
 // TestGroupLateJoinerSyncsBeforeAttach: a destination added to a running
-// group source with a non-empty store starts on the individual path, is
-// fully synchronized from scratch, and only then joins the group.
+// group source with a non-empty store is a member at once, lagging on every
+// stored object. The next tick's catch-up sends it the whole store with no
+// further updates, and sends the early member nothing.
 func TestGroupLateJoinerSyncsBeforeAttach(t *testing.T) {
 	a := newFrameConn("early")
-	src := newGroupSource(t, []transport.SourceConn{a}, GroupConfig{})
-	defer src.Close()
-
-	groupPump(t, src, []string{"gs/x", "gs/y"}, func() bool {
-		return received(a, "gs/x") && received(a, "gs/y")
-	}, "seed state to broadcast")
+	r := newLagRig(t, SourceConfig{}, Destination{CacheID: "early", Conn: a})
+	ids := []string{"gs/x", "gs/y"}
+	r.update(ids, 1)
+	r.tick(t)
 
 	late := newFrameConn("late")
-	if err := src.AddDestination(Destination{CacheID: "late", Conn: late}); err != nil {
+	if err := r.src.AddDestination(Destination{CacheID: "late", Conn: late}); err != nil {
 		t.Fatal(err)
 	}
-	// Keep the workload flowing: the late joiner re-syncs on its individual
-	// path and re-attaches at the first tick its queue drains (between
-	// updates); with the event-driven priority discipline a stopped
-	// workload would leave a below-threshold residual parked forever.
-	groupPump(t, src, []string{"gs/x", "gs/y"}, func() bool {
-		st := src.Stats()
-		return received(late, "gs/x") && received(late, "gs/y") &&
-			st.Group != nil && st.Group.Members == 2
-	}, "late joiner to re-synchronize and attach")
+	st := r.src.Stats()
+	if st.Group.Members != 2 || !st.Sessions[1].Grouped || st.Sessions[1].Pending != len(ids) || st.Group.Detaches != 1 {
+		t.Fatalf("after the join: members=%d grouped=%v pending=%d lags=%d, want 2, true, %d and 1",
+			st.Group.Members, st.Sessions[1].Grouped, st.Sessions[1].Pending, st.Group.Detaches, len(ids))
+	}
+	early := len(a.sentMsgs())
+	r.tick(t)
+	if got := holds(late); len(got) != len(ids) || got["gs/x"] != 1 || got["gs/y"] != 1 {
+		t.Errorf("late joiner holds %v, want every object at 1", got)
+	}
+	if st := r.src.Stats(); st.Sessions[1].Pending != 0 || st.Group.Rejoins != 1 {
+		t.Errorf("after catch-up: pending %d, caught up %d, want 0 and 1", st.Sessions[1].Pending, st.Group.Rejoins)
+	}
+	if len(a.sentMsgs()) != early {
+		t.Error("the late joiner's catch-up sent the early member something")
+	}
 }
 
 // earlyRig is a group of two in-process members driven by hand: a stepped

@@ -53,11 +53,10 @@ type SessionStats struct {
 	// a known-version hint proving the poller already at-or-ahead on the
 	// same origin axis (cache-driven and hybrid policies).
 	PollOmits int
-	// Grouped reports a session currently attached to the source's session
-	// group: its refreshes arrive via group broadcasts (counted in
-	// Refreshes here as well), Threshold mirrors the shared group
-	// threshold, and Pending is zero — the group's queue is reported once
-	// in SourceStats.Group.
+	// Grouped reports a member of the source's session group: its refreshes
+	// arrive via group broadcasts and catch-up (counted in Refreshes as
+	// well), Threshold mirrors the group's, and Pending counts the objects
+	// it lags on — the group's queue is reported once in SourceStats.Group.
 	Grouped bool
 	// Hybrid carries the migration controller's regime split and migration
 	// counters under PolicyHybrid; nil under every other policy.
@@ -99,8 +98,8 @@ type syncSession struct {
 	src  *Source
 	dest Destination
 
-	// Guarded by src.mu. The scheduler idles while the session is attached
-	// to the group (objs nil — the group's one shared sched replaces it —
+	// Guarded by src.mu. The scheduler idles when the session is a group
+	// member (objs nil — the group's one shared sched replaces it —
 	// which is the O(members × objects) memory the group exists to avoid).
 	// dest.Conn is also guarded by src.mu: a redial swaps it while flush and
 	// Close read it. rate and weight are re-assigned by reallocateLocked
@@ -124,11 +123,11 @@ type syncSession struct {
 	// has ACKNOWLEDGED holding (wire.Feedback.Held), grouped or not. A send
 	// whose origin axis is at-or-behind the ack is skipped — the cache
 	// provably already has it: an individual session cancels it on the spot,
-	// a grouped member is excluded from broadcasts of that object. An ack that
-	// has fallen behind the canonical axis excludes nothing, and all of them
-	// survive attach and detach so a re-sync skips what the cache proved it
-	// holds. nil until the first ack arrives, so a session that is never
-	// acked (every child of an origin) pays nothing.
+	// a grouped member is excluded from broadcasts and catch-up of that
+	// object. An ack that has fallen behind the canonical axis excludes
+	// nothing; one at the axis lets a lagging member's catch-up skip what the
+	// cache proved it holds. nil until the first ack arrives, so a session
+	// that is never acked (every child of an origin) pays nothing.
 	held []heldAxis
 	// heldPending buffers held-version acks for objects the source has not
 	// produced yet (a cache can ack ahead of a relay's snapshot re-export);
@@ -136,15 +135,13 @@ type syncSession struct {
 	// only ever holds ids that are not in src.objs.
 	heldPending map[string]wire.HeldVersion
 
-	// Group-delivery state. grouped/wantGroup/workerIdx/groupConn/groupFS/
-	// detached are guarded by src.mu; the atomics are shared with the
-	// group's sender workers.
+	// Group-delivery state, guarded by src.mu; the atomics are shared with
+	// the group's sender workers. grouped holds from creation until removal
+	// or end. lag is the member's dirty set over queue keys: objects it may
+	// not hold the group's values of, drained by the flusher's catch-up.
 	grouped   bool
-	wantGroup bool // group-eligible: re-attach when fully synced
 	workerIdx int
-	groupConn transport.SourceConn
-	groupFS   transport.FrameSender
-	detached  chan struct{} // closed by the group on detach
+	lag       keySet
 
 	inflight        atomic.Int32 // group batches queued, not yet sent
 	groupSent       atomic.Int64 // refreshes delivered via group sends
@@ -210,9 +207,9 @@ func (ss *syncSession) observeLocked(o *objState, now float64) {
 
 // resyncLocked restarts the session from a cache that may hold nothing:
 // every object is re-registered as never-sent and re-ranked from scratch.
-// The contract a new destination, a redial and a detach from the group
-// share; held acks are the caller's to keep or clear first. Caller holds
-// src.mu.
+// The contract a new destination and a redial share (a group member's dirty
+// set fills instead); held acks are the caller's to keep or clear first.
+// Caller holds src.mu.
 func (ss *syncSession) resyncLocked(now float64) {
 	ss.reset(ss.src.order.n)
 	for o := range ss.src.order.all() {
@@ -225,9 +222,9 @@ func (ss *syncSession) statsLocked() SessionStats {
 	pending := ss.eng.Queue.Len()
 	threshold := ss.eng.Threshold()
 	if ss.grouped {
-		// The member's own engine idles while grouped; the shared group
-		// engine is what schedules for it.
-		pending = 0
+		// The shared group engine schedules for a member; what the member
+		// alone still waits for is its dirty set.
+		pending = ss.lag.n
 		threshold = ss.src.group.eng.Threshold()
 	}
 	st := SessionStats{
@@ -306,10 +303,10 @@ func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
 // session an object whose scheduled send the ack now covers is cancelled on
 // the spot — this is what lets a relay restored from a stale snapshot stop
 // re-exporting to a child that is already ahead. A grouped member only
-// records it (exclusions are applied per batch), and only when it is at or
-// ahead of the canonical origin axis: the axis only moves forward, so an ack
-// already behind it can exclude nothing and cancel nothing after a detach.
-// Caller holds src.mu.
+// records it (exclusions are applied per batch and per catch-up), and only
+// when it is at or ahead of the canonical origin axis: the axis only moves
+// forward, so an ack already behind it can exclude nothing. Caller holds
+// src.mu.
 func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	s := ss.src
 	o, _ := s.objLocked(h.ObjectID)
@@ -348,10 +345,10 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 // the session does is a matter of which select cases are live, and that
 // follows from state it already has — a nil channel never fires:
 //
-//   - The flush tick runs unless the session is attached to the group (the
-//     group's one flusher schedules for the whole cohort; the member only
-//     relays feedback). Under a cache-driven policy the tick only accrues:
-//     there are no priorities, thresholds or pushes.
+//   - The flush tick runs unless the session is a group member (the group's
+//     one flusher schedules for the whole cohort; the member only relays
+//     feedback). Under a cache-driven policy the tick only accrues: there
+//     are no priorities, thresholds or pushes.
 //   - Polls are read under every polling policy and only while the bucket
 //     covers an answer, so an answer the source cannot afford stays in the
 //     channel, where transport back-pressure drops the cache's best-effort
@@ -369,17 +366,17 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 // periodic re-allocation pass re-weights sessions.
 //
 // The feedback channel closing is the one disconnect signal under every
-// policy. A grouped member first leaves the group, so the broadcast stops
-// feeding a dead pipe, and rebuilds its individual state — a redialing member
-// receives no group sends. Then redial (when configured) re-establishes the
-// connection under the standard full-resync contract, and a session without a
-// redial hook ends. A polling cache is re-sent nothing it did not ask for.
+// policy. Redial (when configured) re-establishes the connection under the
+// standard full-resync contract — a group member is skipped by every
+// broadcast meanwhile and lags on every object once back — and a session
+// without a redial hook ends, leaving the group. A polling cache is re-sent
+// nothing it did not ask for.
 func (ss *syncSession) loop() {
 	defer close(ss.done)
 	s := ss.src
 	ticker := time.NewTicker(s.cfg.Tick)
 	defer ticker.Stop()
-	var migrate <-chan time.Time
+	var tick, migrate <-chan time.Time
 	pollCost := 1.0
 	if ss.hyb != nil {
 		t := time.NewTicker(ss.hyb.cfg.MigrateEvery)
@@ -387,20 +384,17 @@ func (ss *syncSession) loop() {
 		migrate, pollCost = t.C, pollRoundTrip
 	}
 	var (
-		budget   tokenBucket
-		fb       <-chan wire.Feedback
-		pc       transport.PollConn
-		polls    <-chan wire.Poll
-		detached <-chan struct{} // non-nil exactly while attached to the group
+		budget tokenBucket
+		fb     <-chan wire.Feedback
+		pc     transport.PollConn
+		polls  <-chan wire.Poll
 	)
-	// link re-reads what the loop selects on whenever it may have changed:
-	// at start, after a redial, on attach and on detach.
+	// link re-reads what the loop selects on: at start and after a redial.
 	link := func() bool {
 		s.mu.Lock()
 		conn := ss.dest.Conn
-		detached = nil
-		if ss.grouped {
-			detached = ss.detached
+		if !ss.grouped {
+			tick = ticker.C // a member's sends are the group flusher's
 		}
 		s.mu.Unlock()
 		fb = conn.Feedback()
@@ -422,10 +416,7 @@ func (ss *syncSession) loop() {
 		return
 	}
 	for {
-		tick, in := ticker.C, polls
-		if detached != nil {
-			tick = nil
-		}
+		in := polls
 		if budget.tokens < pollCost {
 			in = nil
 		}
@@ -434,22 +425,12 @@ func (ss *syncSession) loop() {
 			return
 		case <-ss.stop:
 			return // removed from the fan-out; the remover closes the conn
-		case <-detached:
-			// The group dropped us (overrun/removal): go individual. Only
-			// push sessions group, so there is no poll side to re-validate.
-			link()
 		case f, ok := <-fb:
 			if ok {
 				// The CGM baseline has no feedback, but a cache may still
 				// identify itself; onFeedback records that under every policy.
 				ss.onFeedback(f)
 				continue
-			}
-			if detached != nil {
-				s.mu.Lock()
-				s.group.detachLocked(ss, true)
-				s.reallocateLocked()
-				s.mu.Unlock()
 			}
 			if ss.dest.Redial == nil {
 				ss.end() // connection gone for good; survivors inherit the share
@@ -476,44 +457,10 @@ func (ss *syncSession) loop() {
 				continue
 			}
 			budget.tokens = ss.flush(budget.tokens)
-			if ss.maybeRejoin() {
-				// Tokens accrued at the individual share are not the
-				// group's to inherit, nor this session's after a detach.
-				budget = tokenBucket{}
-				link()
-			}
 		case <-migrate:
 			ss.migrateOnce()
 		}
 	}
-}
-
-// maybeRejoin re-attaches a group-eligible session once its individual path
-// has caught the cache up: nothing sendable left (the queue is empty or
-// holds only below-threshold residuals — divergence the engine tolerates by
-// definition, so waiting for an empty queue would park a member on the
-// individual path forever under sustained load), no outstanding group
-// sends, connection up. Called after each flush.
-func (ss *syncSession) maybeRejoin() bool {
-	s := ss.src
-	if s.group == nil || !ss.wantGroup {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ss.grouped || ss.ended || ss.redialing {
-		return false
-	}
-	if ss.inflight.Load() != 0 {
-		return false
-	}
-	if _, _, sendable := ss.eng.ShouldSend(); sendable {
-		return false
-	}
-	s.group.attachLocked(ss)
-	s.group.rejoins++
-	s.reallocateLocked()
-	return true
 }
 
 // migrateOnce runs one migration pass: the controller re-scores every
@@ -694,16 +641,16 @@ func (ss *syncSession) answerLocked(o *objState, known map[string]wire.KnownVers
 // end marks the session permanently dead and re-divides its share across
 // the surviving sessions: a session that can never send again must not
 // keep a slice of the budget (nor skew the aggregate threshold mean — see
-// Source.Stats). Its per-object state is released — nothing will ever
-// observe or flush it again — while the counters stay for the ENDED stats
-// row.
+// Source.Stats). A group member leaves the group. Its per-object state is
+// released — nothing will ever observe or flush it again — while the counters
+// stay for the ENDED stats row.
 func (ss *syncSession) end() {
 	s := ss.src
 	s.mu.Lock()
+	s.group.detachLocked(ss)
 	ss.ended = true
-	ss.wantGroup = false
 	ss.reset(0)
-	ss.held = nil
+	ss.held, ss.lag = nil, keySet{}
 	s.reallocateLocked()
 	s.mu.Unlock()
 }
@@ -719,9 +666,9 @@ const (
 // redial re-establishes this session's connection with exponential backoff,
 // returning false when the source shuts down first. On success the session's
 // sent-state is reset: the peer may have restarted empty, so every object is
-// re-registered as never-sent and re-ranked for refresh from scratch. For a
-// peer that in fact kept its store, the re-sends are harmless — the cache's
-// (epoch, version) staleness guards drop anything it already holds.
+// re-registered as never-sent and re-ranked (for a group member: marked
+// dirty). For a peer that in fact kept its store, the re-sends are harmless —
+// the cache's (epoch, version) staleness guards drop anything it already holds.
 func (ss *syncSession) redial() bool {
 	s := ss.src
 	// Release the dead connection first: a Batcher wrapping it keeps a
@@ -730,7 +677,8 @@ func (ss *syncSession) redial() bool {
 	// Source.Close's own snapshot-and-close is harmless. While the redial
 	// runs, the session is flagged so the rebalance pass does not let its
 	// ever-growing demand (nothing resets while the peer is gone) capture
-	// share from sessions that can actually spend it.
+	// share from sessions that can actually spend it, and so that group
+	// broadcasts skip it.
 	s.mu.Lock()
 	ss.redialing = true
 	old := ss.dest.Conn
@@ -785,7 +733,10 @@ func (ss *syncSession) redial() bool {
 		// re-sync.
 		ss.held = nil
 		ss.heldPending = map[string]wire.HeldVersion{}
-		if !s.cfg.Policy.CacheDriven() {
+		switch {
+		case ss.grouped:
+			s.group.lagLocked(ss, nil)
+		case !s.cfg.Policy.CacheDriven():
 			// Under the hybrid policy the re-observe passes the poll-set
 			// gate, so only push-set objects re-queue.
 			ss.resyncLocked(s.now())

@@ -278,7 +278,7 @@ type Source struct {
 	cfg SourceConfig
 
 	mu       sync.Mutex
-	sessions []*syncSession // live + ended (removed ones are detached)
+	sessions []*syncSession // live + ended (removed ones are dropped)
 	// group is the session group when cfg.Group.Enabled on a push source;
 	// immutable after construction (its member set is what changes).
 	group   *SessionGroup
@@ -374,8 +374,6 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 		ss := newSyncSession(s, d)
 		s.sessions[i] = ss
 		if s.group != nil && d.Weight == 1 {
-			// The store is empty at construction, so a fresh member is
-			// trivially synchronized and joins directly.
 			s.group.attachLocked(ss)
 		}
 	}
@@ -427,17 +425,11 @@ func (s *Source) AddDestination(d Destination) error {
 		d.Weight = 1
 	}
 	ss := newSyncSession(s, d)
-	if !s.cfg.Policy.CacheDriven() {
-		if s.group != nil && d.Weight == 1 && s.order.n == 0 {
-			// Empty store: nothing to re-sync, join the group directly.
-			s.group.attachLocked(ss)
-		} else {
-			ss.resyncLocked(s.now())
-			// With a non-empty store the member starts on the individual
-			// path — the full from-scratch sync — and attaches to the group
-			// once its queue drains (syncSession.maybeRejoin).
-			ss.wantGroup = s.group != nil && d.Weight == 1
-		}
+	switch {
+	case s.group != nil && d.Weight == 1:
+		s.group.attachLocked(ss) // a member at once, lagging on the whole store
+	case !s.cfg.Policy.CacheDriven():
+		ss.resyncLocked(s.now())
 	}
 	s.sessions = append(s.sessions, ss)
 	s.reallocateLocked()
@@ -476,14 +468,7 @@ func (s *Source) RemoveDestination(cacheID string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("runtime: no destination %q", cacheID)
 	}
-	if s.group != nil {
-		// A grouped victim leaves the broadcast set first (no re-sync: it
-		// is leaving the topology, not falling back to individual sends).
-		s.group.detachLocked(victim, false)
-	}
-	// Its loop may get one more flush in before it sees the stop: that must
-	// not re-attach a session the fan-out no longer knows.
-	victim.wantGroup = false
+	s.group.detachLocked(victim)
 	s.sessions = append(s.sessions[:idx], s.sessions[idx+1:]...)
 	if s.reb != nil {
 		s.reb.Forget(cacheID)
@@ -957,15 +942,17 @@ func (s *Source) Stats() SourceStats {
 			st.Hybrid.Demotions += sess.Hybrid.Demotions
 			st.Hybrid.PolledItems += sess.Hybrid.PolledItems
 		}
-		if !sess.Ended && !sess.Grouped {
+		if !sess.Ended {
 			// An ended session's queue will never drain and its frozen
 			// threshold describes nothing: both would skew the aggregate
 			// view of the live topology (historical counters above still
-			// aggregate — those sends happened). Grouped sessions share the
-			// group's one queue and threshold, folded in once below.
+			// aggregate — those sends happened). A member's threshold is the
+			// group's, folded in once below with the group's queue.
 			st.Pending += sess.Pending
-			st.Threshold += sess.Threshold
-			live++
+			if !sess.Grouped {
+				st.Threshold += sess.Threshold
+				live++
+			}
 		}
 		st.Sessions = append(st.Sessions, sess)
 	}
