@@ -4,9 +4,9 @@
 // spare processing bandwidth.
 //
 // The cache store is sharded (-shards) with one apply worker per shard, and
-// sources are expected to frame refreshes in batches (see sourceagent's
-// -batch/-flush flags); -queue bounds each shard's pending-batch queue, the
-// back-pressure point between the dispatcher and the workers.
+// sources frame refreshes in batches; -queue bounds each shard's
+// pending-batch queue, the back-pressure point between the dispatcher and the
+// workers.
 //
 // The cache stamps its identity (-id, default the listen address) on the
 // feedback it sends, so fan-out sources (sourceagent -caches) can attribute
@@ -160,19 +160,6 @@ func main() {
 		cache *runtime.Cache
 		node  *runtime.Node
 	)
-	// Child connections are batched with the transport defaults and
-	// redialed with backoff so a restarted child rejoins the tier; a
-	// child that is down right now does not block the boot. The admin
-	// endpoint wraps destinations added at runtime identically.
-	wrap := func(conn transport.SourceConn) transport.SourceConn {
-		// Group delivery coalesces at the scheduler and sends pre-encoded
-		// frames; a Batcher in front would hide the connection's FrameSender
-		// fast path, so -group uses child connections bare.
-		if *group {
-			return conn
-		}
-		return transport.NewBatcher(conn, transport.BatcherConfig{})
-	}
 	if *children != "" || *peers != "" {
 		if policy.CacheDriven() {
 			log.Fatalf("cachesyncd: relay/mesh mode requires -mode push or hybrid (got %v)", policy)
@@ -195,7 +182,10 @@ func main() {
 			}
 			addrs, weights = append(addrs, a...), append(weights, w...)
 		}
-		dests, deferred := runtime.DialDestinations(addrs, weights, *id, wrap)
+		// Child connections are redialed with backoff so a restarted child
+		// rejoins the tier; a child that is down right now does not block
+		// the boot. The admin endpoint adds children identically.
+		dests, deferred := runtime.DialDestinations(addrs, weights, *id)
 		for _, addr := range deferred {
 			log.Printf("cachesyncd: peer %s unreachable, will keep redialing", addr)
 		}
@@ -284,9 +274,9 @@ func main() {
 		mux.Handle("/status", cache.StatusHandler(100))
 		if node != nil {
 			// Tree and mesh vocabulary manage the same symmetric face.
-			mux.HandleFunc("/children/add", adminhttp.AddHandler(node.AddPeer, *id, wrap))
+			mux.HandleFunc("/children/add", adminhttp.AddHandler(node.AddPeer, *id))
 			mux.HandleFunc("/children/remove", adminhttp.RemoveHandler(node.RemovePeer))
-			mux.HandleFunc("/peers/add", adminhttp.AddHandler(node.AddPeer, *id, wrap))
+			mux.HandleFunc("/peers/add", adminhttp.AddHandler(node.AddPeer, *id))
 			mux.HandleFunc("/peers/remove", adminhttp.RemoveHandler(node.RemovePeer))
 		}
 		if *pprofFlag {
@@ -342,8 +332,8 @@ func main() {
 			}
 			if node != nil {
 				nst := node.Stats()
-				fmt.Printf("  node forwarded=%d looped=%d hop_limited=%d suppressed=%d peer_served=%d out_refreshes=%d up=%.3g/s down=%.3g/s rebalances=%d\n",
-					nst.Forwarded, nst.Looped, nst.HopLimited, nst.ThresholdSuppressed,
+				fmt.Printf("  node forwarded=%d looped=%d hop_limited=%d peer_served=%d out_refreshes=%d up=%.3g/s down=%.3g/s rebalances=%d\n",
+					nst.Forwarded, nst.Looped, nst.HopLimited,
 					nst.Intake.PeerServed, nst.Peers.Refreshes,
 					nst.IntakeBandwidth, nst.PeerBandwidth, nst.FaceRebalances)
 				if h := nst.Peers.Hybrid; h != nil {

@@ -3,26 +3,26 @@
 // or more cachesyncd caches to keep the most important changes synchronized
 // under the configured bandwidth.
 //
-// Refreshes are coalesced into wire.RefreshBatch envelopes before hitting
-// the TCP stream: -batch caps the batch size (a full batch flushes
-// immediately) and -flush bounds how long a partial batch may wait, i.e.
-// the extra latency batching can add. -batch 1 disables coalescing.
+// Refreshes are cut into wire.RefreshBatch frames of up to 64 by the
+// source's scheduler, encoded once and written to the TCP stream as they are
+// cut: every tick (100 ms), or as soon as eight full frames are queued and
+// paid for.
 //
 // # Fan-out
 //
-// With -caches the agent synchronizes several caches at once, running one
-// independent sync session (threshold, priority queue, feedback loop) per
-// cache and dividing -bandwidth across them by the Section 7 share
-// allocation. Each destination is host:port with an optional =weight
-// suffix; omitted weights mean equal shares. Batching is per destination —
-// a batch never spans caches.
+// With -caches the agent synchronizes several caches at once, each an
+// independent group (threshold, priority queue, feedback loop) — unless
+// -group puts the default-weight ones in one shared group — dividing
+// -bandwidth across them by the Section 7 share allocation. Each destination
+// is host:port with an optional =weight suffix; omitted weights mean equal
+// shares. A batch never spans caches.
 //
 // The allocation is live: with -rebalance the shares are re-derived
 // periodically from observed per-cache feedback and outstanding divergence
 // (option-3 contribution scores), and the -http admin endpoint
 // adds/removes caches on the running agent:
 //
-//	POST /caches/add?addr=host:port[&weight=2]   start a session (redialed, batched)
+//	POST /caches/add?addr=host:port[&weight=2]   start a session (redialed)
 //	POST /caches/remove?addr=host:port           stop it, re-divide the budget
 //	GET  /status                                 source stats as JSON
 //
@@ -32,10 +32,10 @@
 // With -mode poll|ideal|cgm1|cgm2 it instead ANSWERS cache-driven polls
 // from its local store (pair with a cachesyncd running the same -mode): no
 // thresholds, no pushes — the cache decides what to ask and when, and the
-// agent's replies are paced by the same per-session share of -bandwidth.
+// agent's replies are paced by the same per-destination share of -bandwidth.
 //
 // With -mode hybrid the agent runs both halves under ONE token bucket: a
-// per-session migration controller pushes the objects whose divergence per
+// per-destination migration controller pushes the objects whose divergence per
 // message beats their estimated poll value and leaves the cold tail to
 // cache-driven polls, stamping each reply's Pushed set so the cache stops
 // polling pushed objects. The agent advertises the cooperative capability
@@ -43,7 +43,7 @@
 //
 // Examples:
 //
-//	sourceagent -addr localhost:7400 -id sensor-7 -objects 50 -rate 2 -bandwidth 10 -batch 64
+//	sourceagent -addr localhost:7400 -id sensor-7 -objects 50 -rate 2 -bandwidth 10
 //	sourceagent -caches cache-a:7400,cache-b:7400=2 -id sensor-7 -bandwidth 30 -rebalance 2s -http :7411
 //	sourceagent -addr localhost:7400 -mode cgm1 -objects 50 -rate 2 -bandwidth 40
 package main
@@ -76,8 +76,6 @@ func main() {
 	rate := flag.Float64("rate", 1, "total updates per second across all objects")
 	bw := flag.Float64("bandwidth", 10, "source-side send budget (messages/second), shared across all caches")
 	mode := flag.String("mode", "push", "sync policy: push (source-initiated refreshes), hybrid (push hot head, answer polls for the cold tail) or poll|ideal|cgm1|cgm2 (answer cache-driven polls; pair with cachesyncd -mode)")
-	batch := flag.Int("batch", 64, "max refreshes per wire batch (1 = no coalescing)")
-	flush := flag.Duration("flush", 5*time.Millisecond, "max time a partial batch may wait")
 	rebalance := flag.Duration("rebalance", 0, "periodic share re-allocation interval from observed feedback/divergence (0 = static shares)")
 	group := flag.Bool("group", false, "session-group fan-out: default-weight push destinations share one scheduling pass and one encode per batch (encode-once delivery)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -http mux")
@@ -109,24 +107,11 @@ func main() {
 			log.Fatalf("sourceagent: -caches: %v", err)
 		}
 	}
-	wrap := func(conn transport.SourceConn) transport.SourceConn {
-		// Group delivery already coalesces at the scheduler and sends
-		// pre-encoded frames; a per-connection Batcher in front of it would
-		// only add latency and hide the raw connection's FrameSender fast
-		// path. -group therefore uses connections bare.
-		if *batch > 1 && !*group {
-			conn = transport.NewBatcher(conn, transport.BatcherConfig{
-				MaxBatch:   *batch,
-				FlushEvery: *flush,
-			})
-		}
-		return conn
-	}
 	// A restarted cache rejoins the fan-out: each session redials with
 	// backoff (DialDestinations wires the Redial closures) and
 	// re-registers every object. A cache that is down at start-up is
 	// reported and retried rather than failing the agent.
-	dests, deferred := runtime.DialDestinations(addrs, weights, *id, wrap)
+	dests, deferred := runtime.DialDestinations(addrs, weights, *id)
 	for _, a := range deferred {
 		log.Printf("sourceagent: cache %s unreachable, will keep redialing", a)
 	}
@@ -154,7 +139,7 @@ func main() {
 			enc.SetIndent("", "  ")
 			enc.Encode(src.Stats())
 		})
-		mux.HandleFunc("/caches/add", adminhttp.AddHandler(src.AddDestination, *id, wrap))
+		mux.HandleFunc("/caches/add", adminhttp.AddHandler(src.AddDestination, *id))
 		mux.HandleFunc("/caches/remove", adminhttp.RemoveHandler(src.RemoveDestination))
 		if *pprofFlag {
 			adminhttp.RegisterPprof(mux)

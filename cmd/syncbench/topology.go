@@ -23,23 +23,22 @@ type topologyNodeResult struct {
 // equal slice of the remaining B/2 and pushes to its successor) or the full
 // mesh (same split, peer faces fan to every other node).
 type topologyResult struct {
-	Scenario            string               `json:"scenario"` // tree | ring | mesh
-	Nodes               int                  `json:"nodes"`
-	Objects             int                  `json:"objects"`
-	DurationS           float64              `json:"duration_s"`
-	TotalBandwidth      float64              `json:"total_bandwidth_msgs_per_s"`
-	OriginBandwidth     float64              `json:"origin_bandwidth_msgs_per_s"`
-	Updates             int                  `json:"updates"`
-	OriginEgress        int                  `json:"origin_egress"`        // refreshes sent by the origin source
-	PeerServed          int                  `json:"peer_served"`          // applies that reached a node laterally
-	Forwarded           int                  `json:"forwarded"`            // refreshes re-exported between nodes
-	Looped              int                  `json:"looped"`               // cycled copies rejected at intake
-	HopLimited          int                  `json:"hop_limited"`          // re-exports dropped at the hop ceiling
-	ThresholdSuppressed int                  `json:"threshold_suppressed"` // peer fan-outs deferred within threshold
-	TotalApplied        int                  `json:"total_applied"`
-	MeanDivergence      float64              `json:"mean_divergence"`
-	MaxDivergence       float64              `json:"max_divergence"`
-	PerNode             []topologyNodeResult `json:"per_node"`
+	Scenario        string               `json:"scenario"` // tree | ring | mesh
+	Nodes           int                  `json:"nodes"`
+	Objects         int                  `json:"objects"`
+	DurationS       float64              `json:"duration_s"`
+	TotalBandwidth  float64              `json:"total_bandwidth_msgs_per_s"`
+	OriginBandwidth float64              `json:"origin_bandwidth_msgs_per_s"`
+	Updates         int                  `json:"updates"`
+	OriginEgress    int                  `json:"origin_egress"` // refreshes sent by the origin source
+	PeerServed      int                  `json:"peer_served"`   // applies that reached a node laterally
+	Forwarded       int                  `json:"forwarded"`     // refreshes re-exported between nodes
+	Looped          int                  `json:"looped"`        // cycled copies rejected at intake
+	HopLimited      int                  `json:"hop_limited"`   // re-exports dropped at the hop ceiling
+	TotalApplied    int                  `json:"total_applied"`
+	MeanDivergence  float64              `json:"mean_divergence"`
+	MaxDivergence   float64              `json:"max_divergence"`
+	PerNode         []topologyNodeResult `json:"per_node"`
 }
 
 // runTopologyMode compares the tree, ring and mesh topologies over the same
@@ -216,7 +215,6 @@ func measureTopology(shape string, nodes, objects int, rate, bandwidth float64, 
 			res.Forwarded += nst.Forwarded
 			res.Looped += nst.Looped
 			res.HopLimited += nst.HopLimited
-			res.ThresholdSuppressed += nst.ThresholdSuppressed
 			res.MeanDivergence += d
 			res.MaxDivergence = max(res.MaxDivergence, d)
 			res.PerNode = append(res.PerNode, topologyNodeResult{

@@ -1,7 +1,7 @@
 // Package adminhttp implements the small HTTP admin surface shared by the
 // daemons: adding and removing fan-out destinations on a running node
 // (sourceagent's /caches/*, cachesyncd's /children/*). Both daemons build
-// their handlers here so the dial/wrap/redial semantics of a destination
+// their handlers here so the dial/redial semantics of a destination
 // added over HTTP cannot drift from one added with a boot flag — the
 // handlers route through runtime.DialDestinations exactly like the flags
 // do.
@@ -14,7 +14,6 @@ import (
 	"strconv"
 
 	"bestsync/internal/runtime"
-	"bestsync/internal/transport"
 )
 
 // RegisterPprof mounts the standard net/http/pprof handlers under
@@ -34,10 +33,8 @@ func RegisterPprof(mux *http.ServeMux) {
 // destination to add. An address that is down right now is still added —
 // it starts on a dead stub connection and the session's redial loop
 // connects when the peer appears, the same deferred-dial contract the boot
-// flags have. wrap decorates the connection (and every redial) the same
-// way the daemon wraps its boot-time destinations, e.g. in a
-// transport.Batcher; nil means use it as-is.
-func AddHandler(add func(runtime.Destination) error, sourceID string, wrap func(transport.SourceConn) transport.SourceConn) http.HandlerFunc {
+// flags have.
+func AddHandler(add func(runtime.Destination) error, sourceID string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed (POST)", http.StatusMethodNotAllowed)
@@ -57,7 +54,7 @@ func AddHandler(add func(runtime.Destination) error, sourceID string, wrap func(
 				return
 			}
 		}
-		dests, deferred := runtime.DialDestinations([]string{addr}, []float64{weight}, sourceID, wrap)
+		dests, deferred := runtime.DialDestinations([]string{addr}, []float64{weight}, sourceID)
 		if err := add(dests[0]); err != nil {
 			dests[0].Conn.Close()
 			http.Error(w, err.Error(), http.StatusConflict)

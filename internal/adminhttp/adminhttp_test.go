@@ -59,7 +59,7 @@ func newAdminFixture(t *testing.T) *adminFixture {
 
 	mux := http.NewServeMux()
 	mux.Handle("/status", cache.StatusHandler(10))
-	mux.HandleFunc("/caches/add", AddHandler(src.AddDestination, "admin-src", nil))
+	mux.HandleFunc("/caches/add", AddHandler(src.AddDestination, "admin-src"))
 	mux.HandleFunc("/caches/remove", RemoveHandler(src.RemoveDestination))
 	return &adminFixture{mux: mux, cacheAddr: ln.Addr().String(), src: src}
 }
@@ -211,7 +211,7 @@ func TestRegisterPprof(t *testing.T) {
 
 	// Without registration the daemon must not leak the endpoints.
 	bare := http.NewServeMux()
-	bare.HandleFunc("/caches/add", AddHandler(nil, "x", nil))
+	bare.HandleFunc("/caches/add", AddHandler(nil, "x"))
 	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil)
 	rec := httptest.NewRecorder()
 	bare.ServeHTTP(rec, req)

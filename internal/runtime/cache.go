@@ -12,13 +12,13 @@
 //
 // # Fan-out
 //
-// A Source can synchronize several caches at once (NewFanoutSource): it
-// runs one self-contained sync session per destination — its own
-// divergence trackers, priority queue, threshold engine and send budget —
-// and divides the source-side bandwidth across sessions with the Section 7
-// share allocation (internal/alloc). Sessions converge independently: a
-// starved cache throttles only its own session's threshold while
-// well-provisioned caches keep receiving at full rate. Feedback is
+// A Source can synchronize several caches at once (NewFanoutSource): each
+// destination is a group of its own — its own divergence trackers, priority
+// queue, threshold engine and send budget — or a member of the one shared
+// group, and the source-side bandwidth is divided across them with the
+// Section 7 share allocation (internal/alloc). Groups converge
+// independently: a starved cache throttles only its own group's threshold
+// while well-provisioned caches keep receiving at full rate. Feedback is
 // attributed per connection, and caches stamp their identity on it
 // (wire.Feedback.CacheID) so sessions can report who is on the other end.
 // See docs/algorithm-specifications.md §7.
@@ -747,8 +747,8 @@ func tokenBurst(rate float64, tick time.Duration) float64 {
 }
 
 // tokenBucket is the message allowance every paced loop of this package
-// spends from: the cache dispatcher, the poll scheduler, each sync session
-// and the session group. Spending is plain arithmetic on tokens — an
+// spends from: the cache dispatcher, the poll scheduler, each session group
+// and each poll-only sync session. Spending is plain arithmetic on tokens — an
 // over-spend may push it negative, which simply delays the next spend until
 // amortized.
 type tokenBucket struct{ tokens float64 }

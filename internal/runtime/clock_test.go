@@ -30,7 +30,7 @@ func (c *stepClock) Now() time.Time {
 // TestUpdateReadsClockUnderLock forces the interleaving behind the
 // "metric: time went backwards" crash: an Update is parked on Source.mu
 // while the lock holder commits a later protocol time to the same object (as
-// a flush commit or a competing update does). Protocol time sampled before
+// a commit or a competing update does). Protocol time sampled before
 // taking the lock would then run backwards through the object's tracker and
 // panic; sampled under the lock it cannot.
 func TestUpdateReadsClockUnderLock(t *testing.T) {
@@ -70,9 +70,9 @@ func TestUpdateReadsClockUnderLock(t *testing.T) {
 	}
 }
 
-// TestClockOrderUnderContention is the same property under load, on the
-// per-session and the group path: several goroutines update random objects
-// (singly and in batches) and read Stats while the sessions flush every
+// TestClockOrderUnderContention is the same property under load, on groups
+// of one and on the shared group: several goroutines update random objects
+// (singly and in batches) and read Stats while the flusher passes every
 // millisecond, all on a stepping clock, where a reading taken before waiting
 // for the lock is older than the winner's every time, not once in a blue
 // moon. Run under -race.
@@ -92,8 +92,7 @@ func TestClockOrderUnderContention(t *testing.T) {
 		src, err := NewFanoutSource(SourceConfig{
 			ID: "s", Metric: metric.ValueDeviation, Bandwidth: 1e5,
 			Tick: time.Millisecond, Now: clock.Now,
-			SuppressWithinThreshold: !group,
-			Group:                   GroupConfig{Enabled: group},
+			Group: GroupConfig{Enabled: group},
 		}, conns)
 		if err != nil {
 			t.Fatal(err)

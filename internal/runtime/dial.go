@@ -32,12 +32,12 @@ func (c *deadConn) SendReply(wire.PollReply) error { return transport.ErrClosed 
 func (c *deadConn) Close() error                   { return nil }
 
 // DialDestinations dials every address and builds the fan-out destinations
-// a daemon passes to NewFanoutSource or NewNode: each connection is
-// wrapped via wrap (nil = use as-is, e.g. pass a transport.Batcher
-// constructor for batched framing) and gets a Redial closure that re-dials
-// and re-wraps the same way, so sessions survive peer restarts. weights[i]
-// is the destination's Section 7 share weight (0 or a nil slice = default,
-// equal shares).
+// a daemon passes to NewFanoutSource or NewNode: each connection is used
+// as dialed — its group cuts and pre-encodes the batches, sent through the
+// TCP client's FrameSender path — and gets a Redial closure that re-dials
+// the same address, so sessions survive peer restarts. weights[i] is the
+// destination's Section 7 share weight (0 or a nil slice = default, equal
+// shares).
 //
 // An address that cannot be dialed right now does NOT fail the whole set —
 // a node must not refuse to boot because one peer is down when its sessions
@@ -51,11 +51,8 @@ func (c *deadConn) Close() error                   { return nil }
 // for stable logs.
 //
 // This is the one place the sourceagent and cachesyncd daemons build their
-// destination sets, so the wrap/redial semantics cannot drift between them.
-func DialDestinations(addrs []string, weights []float64, sourceID string, wrap func(transport.SourceConn) transport.SourceConn) (dests []Destination, deferred []string) {
-	if wrap == nil {
-		wrap = func(c transport.SourceConn) transport.SourceConn { return c }
-	}
+// destination sets, so the dial/redial semantics cannot drift between them.
+func DialDestinations(addrs []string, weights []float64, sourceID string) (dests []Destination, deferred []string) {
 	dests = make([]Destination, len(addrs))
 	var (
 		wg  sync.WaitGroup
@@ -72,27 +69,15 @@ func DialDestinations(addrs []string, weights []float64, sourceID string, wrap f
 			if weights != nil {
 				w = weights[i]
 			}
-			var conn transport.SourceConn
-			if c, err := transport.Dial(addr, sourceID); err == nil {
-				conn = wrap(c)
-			} else {
+			redial := func() (transport.SourceConn, error) { return transport.Dial(addr, sourceID) }
+			conn, err := redial()
+			if err != nil {
 				conn = newDeadConn()
 				mu.Lock()
 				deferred = append(deferred, addr)
 				mu.Unlock()
 			}
-			dests[i] = Destination{
-				CacheID: addr,
-				Conn:    conn,
-				Weight:  w,
-				Redial: func() (transport.SourceConn, error) {
-					c, err := transport.Dial(addr, sourceID)
-					if err != nil {
-						return nil, err
-					}
-					return wrap(c), nil
-				},
-			}
+			dests[i] = Destination{CacheID: addr, Conn: conn, Weight: w, Redial: redial}
 		}(i, addr)
 	}
 	wg.Wait()

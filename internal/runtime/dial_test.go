@@ -22,7 +22,7 @@ func TestDialDestinationsDeferred(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	dests, deferred := DialDestinations([]string{addr}, nil, "s1", nil)
+	dests, deferred := DialDestinations([]string{addr}, nil, "s1")
 	if len(dests) != 1 || len(deferred) != 1 || deferred[0] != addr {
 		t.Fatalf("dests=%d deferred=%v, want 1 destination deferred", len(dests), deferred)
 	}

@@ -26,7 +26,7 @@ func TestAddDestinationSyncsExistingObjects(t *testing.T) {
 	clock.advance(time.Second)
 	src.Update("a", 10)
 	src.Update("b", 20)
-	ss1.flush(2)
+	passWith(ss1, 2)
 	if got := len(conn1.sentMsgs()); got != 2 {
 		t.Fatalf("pre-add refreshes = %d, want 2", got)
 	}
@@ -54,7 +54,7 @@ func TestAddDestinationSyncsExistingObjects(t *testing.T) {
 	src.mu.Lock()
 	ss2 := src.sessions[1]
 	src.mu.Unlock()
-	ss2.flush(2)
+	passWith(ss2, 2)
 	sent := conn2.sentMsgs()
 	if len(sent) != 2 {
 		t.Fatalf("new destination received %d refreshes, want both objects", len(sent))
@@ -118,11 +118,11 @@ func TestRemoveDestinationRedividesBandwidth(t *testing.T) {
 	if !closed {
 		t.Error("removed destination's connection left open")
 	}
-	// The survivor still works: flush delivers the pending refresh.
+	// The survivor still works: a pass delivers the pending refresh.
 	src.mu.Lock()
 	ss := src.sessions[0]
 	src.mu.Unlock()
-	ss.flush(1)
+	passWith(ss, 1)
 	if got := len(conns[1].sentMsgs()); got != 1 {
 		t.Errorf("survivor received %d refreshes after the removal, want 1", got)
 	}
@@ -270,6 +270,35 @@ func TestRelayTotalBandwidthNormalizesFaces(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRelayFaceRebalanceCountsGroupQueue: a relay whose peers share a group
+// reports the group's queue as peer-face backlog. Its one member is caught
+// up, so the member's Pending is zero, while the queue holds every object the
+// starved budget cannot send; with the intake idle, the face rebalancer must
+// move the shared budget to the peer face. Counted by member Pending alone,
+// the peer face read idle and the split stayed half and half.
+func TestRelayFaceRebalanceCountsGroupQueue(t *testing.T) {
+	intake := transport.NewLocal(4)
+	defer intake.Close()
+	node, err := NewNode(NodeConfig{
+		ID: "relay", TotalBandwidth: 0.01, Rebalance: time.Millisecond,
+		Metric: metric.ValueDeviation, Group: GroupConfig{Enabled: true},
+	}, intake, []Destination{{CacheID: "leaf", Conn: sinkConn{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	for i := range 10 {
+		node.Source().Update(fmt.Sprintf("up/o%d", i), 1)
+	}
+	if st := node.Stats().Peers; st.Group == nil || st.Group.Pending != 10 || st.Sessions[0].Pending != 0 {
+		t.Fatalf("peer face: group %+v, member pending %d; want 10 queued and a caught-up member", st.Group, st.Sessions[0].Pending)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		st := node.Stats()
+		return st.FaceRebalances >= 3 && st.PeerBandwidth > 2*st.IntakeBandwidth
+	}, "the face split to move to the peer face")
 }
 
 // TestRebalanceShiftsShareToResponsiveCache: with periodic re-allocation
@@ -483,8 +512,8 @@ func TestAddRemoveDestinationTCPIntegration(t *testing.T) {
 
 // TestRateUpdateVsFlushRace hammers every share-moving path — SetBandwidth,
 // AddDestination/RemoveDestination and the periodic rebalance pass —
-// against live ticking sessions under load. Run with -race; correctness
-// here is "no data race and a clean shutdown".
+// against the live flusher's passes over groups of one under load. Run with
+// -race; correctness here is "no data race and a clean shutdown".
 func TestRateUpdateVsFlushRace(t *testing.T) {
 	local := transport.NewLocal(64)
 	cache := NewCache(CacheConfig{Bandwidth: 100000, Tick: time.Millisecond}, local)

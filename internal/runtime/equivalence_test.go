@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
 	"net"
+	"os"
 	stdruntime "runtime"
 	"slices"
 	"testing"
@@ -18,10 +20,15 @@ import (
 )
 
 // Stream equivalence: one scripted update stream, driven by hand through
-// every push delivery path, must look the same from the receiver. The paths
-// share one scheduler (sched), so this is a property of the code; the test is
-// the safety net for the parts they do not share — who flushes, when the
-// commit happens, how exclusions are applied.
+// every push delivery path, must look the same from the receiver. Every path
+// is a group with one scheduler (sched), so this is a property of the code;
+// the test is the safety net for what the paths do not share — a group of
+// its own or the shared group, a member that lags, a relay that splices. The
+// exact legs are pinned to what the per-session flush this package once had
+// delivered for the same script (testdata/stream_session.json): a held-ack
+// and a split-horizon exclusion inside the contended phase, where the budget
+// and the threshold bind, cost a group neither a token nor an α step, exactly
+// as they cost that session nothing.
 
 // delivered is one refresh as the receiver sees it.
 type delivered struct {
@@ -31,65 +38,88 @@ type delivered struct {
 	value   float64
 }
 
-// streamLeg is one delivery path under test. A leg is compared with the
-// session leg of the same priority; a plain group leg must match its stream,
-// threshold and sent-state exactly, the others only end holding the same
-// values.
+// streamLeg is one delivery path under test. An exact leg must reproduce the
+// recorded stream, threshold and sent-state of its priority; the others only
+// end holding the same values.
 type streamLeg struct {
-	name  string
+	name string
+	// group enables the shared group (GroupConfig.Enabled), of one member;
+	// otherwise the destination is a group of its own.
 	group bool
 	// divergence ranks objects by divergence alone (SimpleDivergence), not
 	// by the default area priority. Under the area priority an update that
 	// lowers an object's divergence can leave it with no area, parked until
-	// its next update, and which objects end parked depends on when flushes
-	// reach them — timing the lagging and splice legs do not share with a
-	// session.
+	// its next update, and which objects end parked depends on when passes
+	// reach them — timing the lagging and splice legs do not share with the
+	// recorded stream.
 	divergence bool
 	// lag holds the member's connection for part of the contended phase
-	// behind a queue of one batch, so the member lags and is caught up.
+	// behind a queue of one batch, and gives the group a second member that
+	// always drains, so the group goes on cutting batches and the held member
+	// lags and is caught up (a group whose only member is full holds back).
 	lag bool
 	// splice makes the source a relay Node's peer face: the script's updates
 	// reach it as refreshes over TCP and leave it splice-forwarded.
 	splice bool
 }
 
-func (l streamLeg) exact() bool { return l.group && !l.lag && !l.splice }
+func (l streamLeg) exact() bool { return !l.lag && !l.splice }
 
 var streamLegs = []streamLeg{
-	{name: "session"},
-	{name: "group-of-one", group: true},
-	{name: "session by divergence", divergence: true},
-	{name: "group-of-one by divergence", group: true, divergence: true},
-	{name: "lagging group-of-one", group: true, divergence: true, lag: true},
+	{name: "group of its own"},
+	{name: "shared group of one", group: true},
+	{name: "group of its own by divergence", divergence: true},
+	{name: "shared group of one by divergence", group: true, divergence: true},
+	{name: "lagging member", group: true, divergence: true, lag: true},
 	{name: "splice", group: true, divergence: true, splice: true},
 }
 
-// midSendConn runs a one-shot hook in the middle of the next SendRefresh:
-// after the refresh was built, before it is committed. Only the test's own
-// goroutine sends on it.
-type midSendConn struct {
-	transport.SourceConn
-	hook func()
+// streamFixture is the recorded stream of one priority.
+type streamFixture struct {
+	Threshold float64               `json:"threshold"`
+	HeldSkips int                   `json:"held_skips"`
+	Sent      map[string][2]float64 `json:"sent"`
+	Stream    []struct {
+		ID      string  `json:"id"`
+		Epoch   int64   `json:"epoch"`
+		Version uint64  `json:"version"`
+		Value   float64 `json:"value"`
+	} `json:"stream"`
 }
 
-func (c *midSendConn) SendRefresh(r wire.Refresh) error {
-	if h := c.hook; h != nil {
-		c.hook = nil
-		h()
+// loadStreamFixtures reads the recorded streams, keyed by priority: "area"
+// and "divergence".
+func loadStreamFixtures(t *testing.T) map[string]streamFixture {
+	t.Helper()
+	b, err := os.ReadFile("testdata/stream_session.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return c.SourceConn.SendRefresh(r)
+	var fs map[string]streamFixture
+	if err := json.Unmarshal(b, &fs); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// got returns the recorded stream as the receiver saw it.
+func (f *streamFixture) got() []delivered {
+	out := make([]delivered, len(f.Stream))
+	for i, r := range f.Stream {
+		out[i] = delivered{r.ID, r.Epoch, r.Version, r.Value}
+	}
+	return out
 }
 
 // streamRig is one leg's source, its one receiver and the hand that drives
-// them: a stepped clock, a Tick no ticker ever reaches, and flushes called
-// from the test goroutine.
+// them: a stepped clock, a Tick no ticker ever reaches, and passes run from
+// the test goroutine.
 type streamRig struct {
 	t       *testing.T
 	leg     streamLeg
 	clock   *fakeClock
 	batches <-chan transport.InboundBatch // what the receiver got
-	conn    *midSendConn                  // the source's connection, but on the splice leg
-	gate    *blockingConn                 // inside conn on the lagging leg
+	gate    *blockingConn                 // the source's connection on the lagging leg
 	held    bool
 	src     *Source
 	ss      *syncSession
@@ -100,12 +130,8 @@ type streamRig struct {
 	up       transport.SourceConn
 	epoch    int64
 	versions map[string]uint64
-	// The session leg's bucket, accrued by the rig exactly as the group
-	// accrues its own: rate × protocol time elapsed since the last flush.
-	budget     tokenBucket
-	lastAccrue float64
-	got        []delivered
-	holds      map[string]delivered
+	got      []delivered
+	holds    map[string]delivered
 }
 
 func newStreamRig(t *testing.T, leg streamLeg) *streamRig {
@@ -124,33 +150,36 @@ func newStreamRig(t *testing.T, leg streamLeg) *streamRig {
 	if leg.splice {
 		r.startRelay(params, prio, group)
 	} else {
-		local := transport.NewLocal(4096)
-		var conn transport.SourceConn
+		local, other := transport.NewLocal(4096), transport.NewLocal(4096)
 		conn, err := local.Dial("origin")
 		if err != nil {
 			t.Fatal(err)
 		}
+		dests := []Destination{{CacheID: "leaf", Conn: conn}}
 		if leg.lag {
 			r.gate = newBlockingConn(conn)
 			r.gate.release()
-			conn = r.gate
+			dests[0].Conn = struct{ transport.SourceConn }{r.gate} // hides SendFrame, which a Local connection lacks
+			drained, err := other.Dial("origin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dests = append(dests, Destination{CacheID: "other", Conn: drained})
 		}
-		r.conn = &midSendConn{SourceConn: conn}
 		r.src, err = NewFanoutSource(SourceConfig{
 			ID: "origin", Metric: metric.ValueDeviation, PriorityFn: prio,
 			Bandwidth: 20, Tick: time.Hour, Params: params, Now: r.clock.Now, Group: group,
-		}, []Destination{{CacheID: "leaf", Conn: r.conn}})
+		}, dests)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { r.src.Close(); local.Close() })
+		t.Cleanup(func() { r.src.Close(); local.Close(); other.Close() })
 		r.batches = local.Batches()
 	}
 	r.ss = r.src.sessions[0]
 	r.src.mu.Lock()
-	r.lastAccrue = r.src.now()
-	if r.ss.grouped != leg.group {
-		t.Fatalf("session grouped=%v, want %v", r.ss.grouped, leg.group)
+	if shared := r.ss.group == r.src.group; shared != leg.group {
+		t.Fatalf("member of the shared group=%v, want %v", shared, leg.group)
 	}
 	r.src.mu.Unlock()
 	return r
@@ -235,20 +264,25 @@ func (r *streamRig) forward(ref wire.Refresh) {
 	}
 }
 
-// flush advances the clock by dt and runs one flush tick by hand, then
+// ackAhead has the receiver acknowledge a version of object id one ahead of
+// the canonical origin axis, so that its next update is already there.
+func (r *streamRig) ackAhead(id string) {
+	r.src.mu.Lock()
+	o, _ := r.src.objLocked(id)
+	if o == nil {
+		r.src.mu.Unlock()
+		r.t.Fatalf("%s was never updated", id)
+	}
+	e, v := r.src.originAxisLocked(o)
+	r.src.mu.Unlock()
+	r.ss.onFeedback(wire.Feedback{CacheID: "leaf", Held: []wire.HeldVersion{{ObjectID: id, Epoch: e, Version: v + 1}}})
+}
+
+// flush advances the clock by dt and runs one tick pass by hand, then
 // collects what the receiver got.
 func (r *streamRig) flush(dt time.Duration) {
 	r.clock.advance(dt)
-	if r.leg.group {
-		r.src.group.pass(0)
-	} else {
-		r.src.mu.Lock()
-		now, rate := r.src.now(), r.ss.rate
-		r.src.mu.Unlock()
-		r.budget.accrue(rate, now-r.lastAccrue, time.Hour)
-		r.lastAccrue = now
-		r.budget.tokens = r.ss.flush(r.budget.tokens)
-	}
+	r.ss.group.pass(0)
 	r.collect()
 }
 
@@ -267,9 +301,7 @@ func (r *streamRig) collect() {
 	for !r.held && r.ss.inflight.Load() != 0 {
 		stdruntime.Gosched()
 	}
-	r.src.mu.Lock()
-	sent := r.ss.refreshes + int(r.ss.groupSent.Load())
-	r.src.mu.Unlock()
+	sent := int(r.ss.groupSent.Load())
 	for len(r.got) < sent {
 		select {
 		case b := <-r.batches:
@@ -286,14 +318,11 @@ func (r *streamRig) collect() {
 	}
 }
 
-// sent returns the scheduler's per-object sent-state, by object id.
+// sent returns the group's per-object sent-state, by object id.
 func (r *streamRig) sent() map[string][2]float64 {
 	r.src.mu.Lock()
 	defer r.src.mu.Unlock()
-	objs := r.ss.objs
-	if r.leg.group {
-		objs = r.src.group.objs
-	}
+	objs := r.ss.group.objs
 	out := map[string][2]float64{}
 	for o := range r.src.order.all() {
 		out[o.id] = [2]float64{objs[o.key].sentVal, float64(objs[o.key].sentVer)}
@@ -301,10 +330,9 @@ func (r *streamRig) sent() map[string][2]float64 {
 	return out
 }
 
-// runStreamScript plays the script on one leg. With race set, one update
-// lands between a refresh being built and its commit on the session path —
-// a window the group path, which commits under the lock hold that built the
-// refresh, does not have; the group legs apply it right after that flush.
+// runStreamScript plays the script on one leg. With race set, one more update
+// lands right after the last contended pass committed its refreshes and
+// before anything else runs.
 func runStreamScript(t *testing.T, leg streamLeg, race bool) *streamRig {
 	r := newStreamRig(t, leg)
 	rng := rand.New(rand.NewSource(22))
@@ -318,7 +346,11 @@ func runStreamScript(t *testing.T, leg streamLeg, race bool) *streamRig {
 
 	// Contended phase: ~2.5 updates against 2 tokens per step, so objects
 	// coalesce, the budget binds and the threshold moves both ways. The
-	// lagging leg's connection stops draining for a third of it.
+	// lagging leg's connection stops draining for a third of it. Both
+	// exclusions land here, after the lagging leg has caught up: a held ack
+	// one ahead of obj-05's canonical axis, and a relayed value that already
+	// passed through the receiver, then the same object again by another
+	// route.
 	updates := 0
 	for step := 0; step < 100; step++ {
 		if leg.lag && step == 30 {
@@ -333,27 +365,28 @@ func runStreamScript(t *testing.T, leg streamLeg, race bool) *streamRig {
 			r.update(ids[i], vals[i])
 			updates++
 		}
+		switch step {
+		case 70:
+			r.ackAhead(ids[5])
+			vals[5] += 7
+			r.update(ids[5], vals[5])
+		case 75:
+			r.relayed("up/x", 1, Provenance{Origin: "up", Hops: 2, Via: []string{"leaf", "mid"}, Epoch: 5, Version: 1})
+		case 78:
+			r.relayed("up/x", 2, Provenance{Origin: "up", Hops: 1, Via: []string{"mid"}, Epoch: 5, Version: 2})
+		}
 		if step%5 == 4 {
 			feedback()
 		}
 		if race && step == 99 {
-			vals[3] += 40 // over any threshold the script reaches: sent this flush
+			vals[3] += 40 // over any threshold the script reaches: sent this pass
 			r.update(ids[3], vals[3])
-			vals[3]++
-			racing := func() {
-				r.clock.advance(time.Millisecond)
-				r.update(ids[3], vals[3])
-			}
-			if leg.group {
-				r.flush(100 * time.Millisecond)
-				racing()
-				continue
-			}
-			r.conn.hook = racing
 		}
 		r.flush(100 * time.Millisecond)
-		if r.conn != nil && r.conn.hook != nil {
-			t.Fatal("the racing update never ran: obj-03 was not sent at the last contended step")
+		if race && step == 99 {
+			vals[3]++
+			r.clock.advance(time.Millisecond)
+			r.update(ids[3], vals[3])
 		}
 	}
 	if updates < 200 {
@@ -367,37 +400,16 @@ func runStreamScript(t *testing.T, leg streamLeg, race bool) *streamRig {
 
 	// Quiet phase: no budget pressure (10 s of tokens per round) and feedback
 	// every round, so the threshold falls to its floor and everything queued
-	// drains in priority order. The two exclusions sit here on purpose. An
-	// excluded refresh costs the group a token and an α step for a batch its
-	// only member is left out of, and costs a session nothing — under budget
-	// or threshold pressure that alone would reorder what follows, which is
-	// the group's documented price, not a delivery difference.
-	drain := func(rounds int) {
-		for ; rounds > 0; rounds-- {
-			feedback()
-			r.flush(10 * time.Second)
-		}
+	// drains in priority order.
+	for range 20 {
+		feedback()
+		r.flush(10 * time.Second)
 	}
-	drain(20)
-	// Held-ack exclusion: the receiver acknowledges a version of obj-05 one
-	// ahead of the canonical axis, so the next update is already there.
-	r.src.mu.Lock()
-	o, _ := r.src.objLocked(ids[5])
-	e, v := r.src.originAxisLocked(o)
-	r.src.mu.Unlock()
-	ahead := wire.HeldVersion{ObjectID: ids[5], Epoch: e, Version: v + 1}
-	r.ss.onFeedback(wire.Feedback{CacheID: "leaf", Held: []wire.HeldVersion{ahead}})
-	r.update(ids[5], vals[5]+7)
-	// Split-horizon exclusion: a relayed value that already passed through
-	// the receiver, then the same object again by another route.
-	r.relayed("up/x", 1, Provenance{Origin: "up", Hops: 2, Via: []string{"leaf", "mid"}, Epoch: 5, Version: 1})
-	drain(3)
-	r.relayed("up/x", 2, Provenance{Origin: "up", Hops: 1, Via: []string{"mid"}, Epoch: 5, Version: 2})
-	drain(20)
 	return r
 }
 
 func TestStreamEquivalence(t *testing.T) {
+	fixtures := loadStreamFixtures(t)
 	cases := []struct {
 		name string
 		race bool
@@ -407,20 +419,29 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refs := map[bool]*streamRig{} // the session leg, by priority
+			refs := map[bool]map[string]delivered{} // what the receiver must end holding, by priority
 			for _, leg := range streamLegs {
 				r := runStreamScript(t, leg, tc.race)
 				st := r.src.Stats()
-				if !leg.group {
-					refs[leg.divergence] = r
+				f := fixtures[map[bool]string{false: "area", true: "divergence"}[leg.divergence]]
+				if refs[leg.divergence] == nil {
+					refs[leg.divergence] = r.holds
+					if !tc.race {
+						refs[leg.divergence] = map[string]delivered{}
+						for _, d := range f.got() {
+							refs[leg.divergence][d.id] = d
+						}
+					}
 				}
-				ref := refs[leg.divergence]
-				refStats := ref.src.Stats()
 				// What must agree whatever the interleaving: the receiver ends
 				// up holding the same values, nothing is left queued or owed,
-				// and neither exclusion let its value through.
-				if !maps.Equal(r.holds, ref.holds) {
-					t.Errorf("%s: receiver holds %v\n%s: receiver holds %v", leg.name, r.holds, ref.leg.name, ref.holds)
+				// and neither exclusion let its value through. A lagging member
+				// is caught up to the group's committed copies, so it can hold
+				// an older version of a value that did not change since, and
+				// the held ack can have been overtaken before its catch-up.
+				same := func(a, b delivered) bool { return a == b || leg.lag && a.value == b.value }
+				if want := refs[leg.divergence]; !maps.EqualFunc(r.holds, want, same) {
+					t.Errorf("%s: receiver holds %v\nwant %v", leg.name, r.holds, want)
 				}
 				if st.Pending != 0 {
 					t.Errorf("%s: pending = %d after the quiet phase, want 0", leg.name, st.Pending)
@@ -430,28 +451,28 @@ func TestStreamEquivalence(t *testing.T) {
 						t.Errorf("%s: split-horizoned value delivered: %+v", leg.name, d)
 					}
 				}
-				if skips := st.Sessions[0].HeldSkips; skips != 1 {
-					t.Errorf("%s: held skips = %d, want 1", leg.name, skips)
-				}
-				if !leg.group && len(r.got) < 100 {
-					t.Errorf("%s: only %d refreshes delivered: the script no longer exercises the scheduler", leg.name, len(r.got))
+				if skips := st.Sessions[0].HeldSkips; skips == 0 && !leg.lag {
+					t.Errorf("%s: no held skip: the held-ack exclusion never bound", leg.name)
 				}
 				if !leg.exact() || tc.race {
 					continue
 				}
-				if !slices.Equal(r.got, ref.got) {
+				if want := f.got(); !slices.Equal(r.got, want) {
 					n := 0
-					for n < len(r.got) && n < len(ref.got) && r.got[n] == ref.got[n] {
+					for n < len(r.got) && n < len(want) && r.got[n] == want[n] {
 						n++
 					}
-					t.Errorf("%s delivered %d refreshes, %s %d; streams part at #%d:\n%v\n%v",
-						leg.name, len(r.got), ref.leg.name, len(ref.got), n, tail(r.got, n), tail(ref.got, n))
+					t.Errorf("%s delivered %d refreshes, the recorded stream %d; they part at #%d:\n%v\n%v",
+						leg.name, len(r.got), len(want), n, tail(r.got, n), tail(want, n))
 				}
-				if st.Threshold != refStats.Threshold {
-					t.Errorf("threshold: %s %v, %s %v", leg.name, st.Threshold, ref.leg.name, refStats.Threshold)
+				if st.Threshold != f.Threshold {
+					t.Errorf("%s: threshold %v, recorded %v", leg.name, st.Threshold, f.Threshold)
 				}
-				if got, want := r.sent(), ref.sent(); !maps.Equal(got, want) {
-					t.Errorf("sent-state: %s %v\n%s %v", leg.name, got, ref.leg.name, want)
+				if got := r.sent(); !maps.Equal(got, f.Sent) {
+					t.Errorf("%s: sent-state %v\nrecorded %v", leg.name, got, f.Sent)
+				}
+				if skips := st.Sessions[0].HeldSkips; skips != f.HeldSkips {
+					t.Errorf("%s: held skips = %d, recorded %d", leg.name, skips, f.HeldSkips)
 				}
 			}
 		})

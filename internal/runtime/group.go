@@ -11,26 +11,29 @@ import (
 	"bestsync/internal/wire/codec"
 )
 
-// GroupConfig enables session-group delivery on a push-mode fan-out source:
-// destinations with compatible scheduling state (push policy, default share
-// weight, full-replica cohort) register into one SessionGroup that runs ONE
-// scheduling pass and ONE encode per batch, then fans the shared
-// pre-encoded frame to every member through a small pool of sender workers.
-// Origin cost per batch drops from O(members × schedule+encode) to one
-// schedule+encode plus O(members) queue hand-offs.
+// GroupConfig configures push delivery. Every push-policy destination is a
+// member of exactly one SessionGroup, which runs ONE scheduling pass and ONE
+// encode per batch and fans the pre-encoded frame to its members through
+// sender workers. With Enabled, the default-weight destinations share one
+// group: origin cost per batch drops from O(members × schedule+encode) to one
+// schedule+encode plus O(members) queue hand-offs. Every other push or hybrid
+// destination is a group of its own, with a sender worker of its own, so a
+// slow or stalled cache never holds back another.
 type GroupConfig struct {
-	// Enabled turns group delivery on. Only push-policy sources group;
-	// cache-driven policies have no source-side scheduling to share.
+	// Enabled puts the default-weight destinations of a PolicyPush source in
+	// one shared group. Cache-driven policies have no source-side scheduling
+	// and no groups at all.
 	Enabled bool
-	// Workers is the sender worker pool size (default 4). Members are
-	// sharded across workers, so one back-pressured connection stalls at
-	// most 1/Workers of the cohort, and only until those members' queues
-	// fill and they lag (see Queue).
+	// Workers is the size of the shared group's sender worker pool (default
+	// 4). Its members are spread across the workers, so one back-pressured
+	// connection stalls at most the members on its worker, and only until
+	// their queues fill and they lag (see Queue).
 	Workers int
 	// Queue is the per-member bound on outstanding group batches (default
 	// 8). A member whose connection cannot drain Queue batches lags rather
 	// than back-pressuring the cohort: each batch it cannot take marks its
 	// objects dirty for it, to be caught up to what the group holds later.
+	// When no member can take a batch, the group holds back instead.
 	Queue int
 	// MaxBatch caps refreshes per group batch (default 64, matching the
 	// transport Batcher's default framing).
@@ -50,7 +53,7 @@ func (c GroupConfig) withDefaults() GroupConfig {
 	return c
 }
 
-// GroupStats is the session group's slice of SourceStats.
+// GroupStats is the shared session group's slice of SourceStats.
 type GroupStats struct {
 	// Members is the member count; a lagging or redialing member stays one.
 	Members int
@@ -95,9 +98,16 @@ type GroupStats struct {
 	MemberShare float64
 }
 
-// groupConsumerID is the rebalancer identity of the whole group: the group
-// competes for bandwidth as one consumer whose base weight is its member
-// count, so grouped and individual destinations keep comparable shares.
+const (
+	stallNone int32 = iota
+	stallWaiting
+	stallResume
+)
+
+// groupConsumerID is the rebalancer identity of the shared group: it competes
+// for bandwidth as one consumer whose base weight is its member count, so its
+// members and the groups of one (consumer: the destination's CacheID, base:
+// its Weight) keep comparable per-destination shares.
 const groupConsumerID = "(group)"
 
 // groupBatch is one broadcast's shared payload: the refresh slice every
@@ -131,6 +141,7 @@ func (b *groupBatch) release() {
 // sendItem is one member's send, queued to a sender worker: a shared batch
 // (its frame to a FrameSender, its refreshes otherwise) or, batch nil, rs.
 type sendItem struct {
+	g     *SessionGroup
 	sess  *syncSession
 	conn  transport.SourceConn
 	batch *groupBatch
@@ -141,13 +152,49 @@ type sendItem struct {
 // groupWorker drains a FIFO of sendItems. The queue is structurally
 // unbounded; the per-member inflight counters bound it at members × Queue.
 type groupWorker struct {
-	g      *SessionGroup
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []sendItem
 	head   int
 	closed bool
 	done   chan struct{}
+	// members counts the shared-group members sending on this pool worker
+	// (guarded by src.mu).
+	members int
+}
+
+// startWorker starts a sender worker.
+func startWorker() *groupWorker {
+	w := &groupWorker{done: make(chan struct{})}
+	w.cond = sync.NewCond(&w.mu)
+	go w.run()
+	return w
+}
+
+// push queues items. A closed worker — its member left, or the source
+// closed, while the items were planned — drops them and their references.
+func (w *groupWorker) push(items []sendItem) {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		for _, it := range items {
+			if it.batch != nil {
+				it.batch.release()
+			}
+		}
+		return
+	}
+	w.queue = append(w.queue, items...)
+	w.cond.Signal()
+	w.mu.Unlock()
+}
+
+// close lets the worker exit once it has sent what is queued. Idempotent.
+func (w *groupWorker) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
 // fanScratch is the sends of one fanoutLocked or catchUp call, planned under
@@ -156,15 +203,39 @@ type groupWorker struct {
 // fan-outs run concurrently — the flusher uses the group's own, a splice call
 // (on a cache shard worker) a pooled one.
 type fanScratch struct {
-	buckets [][]sendItem
+	buckets []fanBucket
+	n       int // buckets in use
+}
+
+type fanBucket struct {
+	w     *groupWorker
+	items []sendItem
 }
 
 // add queues it for its member's worker at the next dispatch.
 func (fs *fanScratch) add(it sendItem) {
-	for len(fs.buckets) <= it.sess.workerIdx {
-		fs.buckets = append(fs.buckets, nil)
+	i := 0
+	for i < fs.n && fs.buckets[i].w != it.sess.worker {
+		i++
 	}
-	fs.buckets[it.sess.workerIdx] = append(fs.buckets[it.sess.workerIdx], it)
+	if i == fs.n {
+		if i == len(fs.buckets) {
+			fs.buckets = append(fs.buckets, fanBucket{})
+		}
+		fs.buckets[i].w = it.sess.worker
+		fs.n++
+	}
+	fs.buckets[i].items = append(fs.buckets[i].items, it)
+}
+
+// dispatch hands every item queued in fs to its worker.
+func (fs *fanScratch) dispatch() {
+	for i := range fs.buckets[:fs.n] {
+		b := &fs.buckets[i]
+		b.w.push(b.items)
+		b.w, b.items = nil, b.items[:0] // the worker queue copied every item
+	}
+	fs.n = 0
 }
 
 // earlyFrames sizes the flusher's size trigger: an early pass needs this many
@@ -183,15 +254,15 @@ func (fs *fanScratch) add(it sendItem) {
 // could tune without the same table.
 const earlyFrames = 8
 
-// SessionGroup coalesces the compatible members of a fan-out into one
-// scheduling pass, one encode, and one flusher: ONE scheduler (sched)
-// for the whole cohort, fed once per update instead of once per member.
-// Per-member divergence (held acks, split horizon, the dirty set of a member
-// that fell behind) stays on the members and is applied per batch and per
-// tick. Scheduling state (sched, members, counters other than the atomics) is
-// guarded by src.mu; the flusher goroutine plans each broadcast under the
-// lock and hands the shared batch to the sender workers outside it, so a slow
-// member's TCP back-pressure never holds the scheduler.
+// SessionGroup is one receiver cohort of a source — the shared group, or one
+// destination on its own: ONE scheduler (sched), fed once per update, one
+// token bucket and one member list. Per-member state (held acks, split
+// horizon, the dirty set of a member that fell behind) stays on the members
+// and is applied per batch and per tick. A group is plain data guarded by
+// src.mu, all but the atomics: the source's one flusher goroutine runs every
+// group's passes, planning each broadcast under the lock and handing the
+// batch to its members' sender workers outside it, so a slow member's TCP
+// back-pressure never holds the scheduler.
 type SessionGroup struct {
 	src *Source
 	cfg GroupConfig
@@ -200,7 +271,7 @@ type SessionGroup struct {
 	sched
 	members   []*syncSession
 	rate      float64 // per-member share, msgs/s (aggregate / members)
-	feedbacks int     // member feedback heard while grouped
+	feedbacks int     // member feedback heard
 	windowFb  int     // feedbacks already folded into the rebalancer
 	batches   int
 	scheduled int
@@ -208,11 +279,12 @@ type SessionGroup struct {
 	lags      int // members gone from caught up to lagging (GroupStats.Detaches)
 	caughtUp  int // lagging members whose dirty set emptied (GroupStats.Rejoins)
 	overruns  int
-	// budget is the group's shared send-token bucket, accrued at the
-	// per-member rate by accrueLocked and spent one token per scheduled
-	// refresh by both the flusher (broadcastOnce) and the splice
-	// fast path (Source.forwardSpliced) — one bucket, so splicing never
-	// overspends the share the rebalancer granted the group.
+	// budget is the group's send-token bucket, accrued at the per-member
+	// rate by accrueLocked and spent one token per scheduled refresh by both
+	// the flusher (broadcastOnce) and the splice fast path
+	// (Source.forwardSpliced) — one bucket, so splicing never overspends the
+	// share the rebalancer granted the group. A hybrid group of one's poll
+	// answers spend it too (syncSession.loop).
 	budget     tokenBucket
 	lastAccrue float64 // protocol time of the last budget accrual
 	// splicedBatches/splicedRefreshes count forwardSpliced broadcasts.
@@ -224,18 +296,23 @@ type SessionGroup struct {
 	// found the queue long only with under-threshold residuals to the next
 	// tick pass.
 	waking, disarmed bool
-	next             int                 // round-robin worker assignment cursor
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
-	// The flusher's per-batch scratch (reused): the scheduled objects' queue
-	// keys and outgoing provenance, and its fan-out working set. dropBuf is
-	// one member's exclusion mask, valid between memberDropsLocked and the
-	// next call, so it is shared by every fan-out under the lock.
+	// A pass's scratch, reused, so passMu keeps the flusher's pass and one run
+	// by hand apart: the scheduled objects' queue keys and outgoing
+	// provenance, and its fan-out working set. dropBuf is one member's
+	// exclusion mask, valid between memberDropsLocked and the next call, so
+	// it is shared by every fan-out under the lock.
+	passMu  sync.Mutex
 	keyBuf  []int
 	provBuf []Provenance
 	dropBuf []bool
 	fan     fanScratch
 
-	// Atomics shared with the sender workers.
+	// Atomics shared with the sender workers. stall is the back-pressure
+	// handshake of roomLocked: stallWaiting while a pass has stopped with
+	// work queued because no member could take a batch, stallResume once a
+	// worker freed a slot and asked the flusher to go on.
+	stall      atomic.Int32
 	delivered  atomic.Int64
 	sendErrors atomic.Int64
 	// framesLive tracks shared frames created minus fully released — zero
@@ -243,58 +320,69 @@ type SessionGroup struct {
 	// refcounting neither leaks nor double-releases under member failures,
 	// overruns and close.
 	framesLive atomic.Int64
-
-	workers []*groupWorker
-	// wake carries the update path's early-pass requests to the flusher; one
-	// slot, because waking admits one request at a time.
-	wake chan struct{}
-	done chan struct{}
 }
 
-func newSessionGroup(s *Source, cfg GroupConfig) *SessionGroup {
-	cfg = cfg.withDefaults()
+// newSessionGroup returns an empty group of s, holding a never-sent record
+// for every object s already has. Caller holds s.mu (or owns s outright).
+func newSessionGroup(s *Source) *SessionGroup {
 	g := &SessionGroup{
 		src:        s,
-		cfg:        cfg,
+		cfg:        s.cfg.Group.withDefaults(),
 		sched:      newSched(&s.cfg),
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
 	}
-	g.workers = make([]*groupWorker, cfg.Workers)
-	for i := range g.workers {
-		w := &groupWorker{g: g, done: make(chan struct{})}
-		w.cond = sync.NewCond(&w.mu)
-		g.workers[i] = w
-		go w.run()
-	}
-	go g.loop()
+	g.objs = make([]schedObj, s.order.n)
 	return g
 }
 
-// attachLocked makes a new session m a member for its whole life. Its own
-// scheduler stays idle — the shared group state replaces the per-object
-// records, the O(members × objects) memory the group exists to avoid — and a
-// member joining a non-empty store lags on every object. Caller holds src.mu
-// and reallocates after.
-func (g *SessionGroup) attachLocked(m *syncSession) {
-	m.grouped = true
-	m.workerIdx = g.next % len(g.workers)
-	g.next++
-	g.members = append(g.members, m)
-	g.lagLocked(m, nil)
-}
-
-// detachLocked removes member m as it leaves the topology (removed, or gone
-// with no redial hook); a no-op for any other session, g nil included. Caller
-// holds src.mu and reallocates after.
-func (g *SessionGroup) detachLocked(m *syncSession) {
-	if !m.grouped {
+// joinLocked puts the new push destination ss into its group for its whole
+// life: the shared group when it has the default weight, a new group of its
+// own otherwise. A shared-group member sends on the least-loaded worker of
+// the pool, lags on every stored object and is caught up to what the group
+// committed; a group of its own sends on a worker of its own and holds
+// nothing yet, so every stored object is observed as never sent. Nothing to
+// do under a cache-driven policy. Caller holds s.mu and reallocates after.
+func (s *Source) joinLocked(ss *syncSession, now float64) {
+	if !s.cfg.Policy.Pushes() {
 		return
 	}
-	m.grouped = false
-	g.members = slices.DeleteFunc(g.members, func(mm *syncSession) bool { return mm == m })
+	g := s.group
+	if g == nil || ss.dest.Weight != 1 {
+		g = newSessionGroup(s)
+		s.groups = append(s.groups, g)
+	}
+	ss.group = g
+	g.members = append(g.members, ss)
+	if g == s.group {
+		ss.worker = slices.MinFunc(s.workers, func(a, b *groupWorker) int { return a.members - b.members })
+		ss.worker.members++
+		g.lagLocked(ss, nil)
+		return
+	}
+	ss.worker = startWorker()
+	for o := range s.order.all() {
+		g.observeLocked(o, now)
+	}
+}
+
+// leaveLocked takes session ss out of its group as it leaves the topology
+// (removed, or gone with no redial hook); a group of its own goes with it,
+// and its worker exits once it has sent what is queued. Caller holds s.mu
+// and reallocates after.
+func (s *Source) leaveLocked(ss *syncSession) {
+	g := ss.group
+	if g == nil {
+		return
+	}
+	ss.group = nil
+	g.members = slices.DeleteFunc(g.members, func(m *syncSession) bool { return m == ss })
+	if g == s.group {
+		ss.worker.members--
+		return
+	}
+	s.groups = slices.DeleteFunc(s.groups, func(h *SessionGroup) bool { return h == g })
+	ss.worker.close()
 }
 
 // lagLocked marks the objects with queue keys keys — every object when keys
@@ -313,19 +401,17 @@ func (g *SessionGroup) lagLocked(m *syncSession, keys []int) {
 	}
 }
 
-// loop is the group's one flusher — the coalesced replacement for
-// per-session tickers and per-Batcher flush timers, and like a Batcher it
-// sends on size or time: a tick pass sends whatever is sendable, so Tick
-// bounds how long a partial frame waits, and an early pass, requested by the
-// update path (wakeLocked), sends a full run of frames as soon as it is
-// ready. Budget accrues at the PER-MEMBER rate: one scheduled refresh reaches
-// every member, so charging the aggregate rate per broadcast would overspend
-// egress by the member count. The bucket itself lives on the group
-// (g.budget) so the splice fast path spends from the same allowance between
-// ticks.
-func (g *SessionGroup) loop() {
-	defer close(g.done)
-	s := g.src
+// flushLoop is the source's one flusher, and like a Batcher it sends on size
+// or time: every Tick it runs a tick pass of each group, which sends whatever
+// is sendable, so Tick bounds how long a partial frame waits; an early pass,
+// requested by the update path (wakeLocked), sends a group's full run of
+// frames as soon as it is ready. Budget accrues at the PER-MEMBER rate: one
+// scheduled refresh reaches every member, so charging the aggregate rate per
+// broadcast would overspend egress by the member count. The bucket itself
+// lives on the group (g.budget) so the splice fast path spends from the same
+// allowance between ticks.
+func (s *Source) flushLoop() {
+	defer close(s.flushed)
 	ticker := time.NewTicker(s.cfg.Tick)
 	defer ticker.Stop()
 	for {
@@ -333,11 +419,35 @@ func (g *SessionGroup) loop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			g.pass(0)
-		case <-g.wake:
-			g.pass(g.quantum())
+			for _, g := range s.snapshotGroups(false) {
+				g.pass(0)
+			}
+		case <-s.wake:
+			for _, g := range s.snapshotGroups(true) {
+				need := g.quantum()
+				if g.stall.CompareAndSwap(stallResume, stallNone) {
+					need = 0 // the rest of a pass that stopped for room
+				}
+				g.pass(need)
+			}
 		}
 	}
+}
+
+// snapshotGroups returns the groups a flusher pass visits — every group, or
+// with waking only those that asked for an early pass or to be resumed — in
+// the flusher's reused slice. A group removed after the snapshot has no member
+// to cut anything for.
+func (s *Source) snapshotGroups(waking bool) []*SessionGroup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.passing = s.passing[:0]
+	for _, g := range s.groups {
+		if !waking || g.waking || g.stall.Load() == stallResume {
+			s.passing = append(s.passing, g)
+		}
+	}
+	return s.passing
 }
 
 // quantum is the early pass's size in refreshes.
@@ -349,31 +459,34 @@ func (g *SessionGroup) quantum() int { return earlyFrames * g.cfg.MaxBatch }
 // tested first and nearly always fails, so an update pays one comparison; now
 // is the caller's reading of the clock. A bucket whose burst is under a
 // quantum (a budget-limited group) never passes: there every pass is a tick
-// pass. The flusher re-checks all of it under the lock, with the bucket
-// actually accrued. Caller holds src.mu.
+// pass. A stalled group waits for its sender workers instead. The flusher
+// re-checks all of it under the lock, with the bucket actually accrued.
+// Caller holds src.mu.
 func (g *SessionGroup) wakeLocked(now float64) {
 	q := g.quantum()
 	if g.eng.Queue.Len() < q || g.waking || g.disarmed {
 		return
 	}
 	need := float64(q)
-	if tokenBurst(g.rate, g.src.cfg.Tick) < need || g.budget.tokens+(now-g.lastAccrue)*g.rate < need {
+	if tokenBurst(g.rate, g.src.cfg.Tick) < need || g.budget.tokens+(now-g.lastAccrue)*g.rate < need ||
+		g.stall.Load() != stallNone {
 		return
 	}
 	g.waking = true
 	select {
-	case g.wake <- struct{}{}:
+	case g.src.wake <- struct{}{}:
 	default:
 	}
 }
 
-// pass runs one scheduling pass on the flusher goroutine, batch after batch
-// until one comes out short. need is zero on a tick pass. An early pass
+// pass runs one scheduling pass, batch after batch until one comes out short. need is zero on a tick pass. An early pass
 // starts only with a whole quantum queued and paid for and goes on while a
 // full frame is, so what it leaves behind is a partial frame for the tick.
 // A tick pass first catches lagging members up, so that a saturated bucket
 // cannot starve them; their free queue slots bound what it spends on them.
 func (g *SessionGroup) pass(need int) {
+	g.passMu.Lock()
+	defer g.passMu.Unlock()
 	if need == 0 {
 		g.catchUp()
 	}
@@ -396,25 +509,100 @@ func (g *SessionGroup) accrueLocked(now float64) {
 	}
 }
 
-// scheduleLocked commits object o as broadcast at now and charges the shared
-// bucket for it. Shared sent-state is committed at schedule time, not delivery
-// time: the group never retries or reschedules for one member. A member that
-// misses a batch lags instead (a queue overrun marks the batch's objects, a
-// failed send's redial marks them all) and is caught up from its dirty set.
-// Caller holds src.mu.
+// scheduleLocked commits object o as broadcast at now, takes the threshold's
+// α step for the send (T_j ·= α·β) and charges the bucket for it. Sent-state
+// is committed at schedule time, not delivery time: the group never retries
+// or reschedules for one member. A member that misses a batch lags instead (a
+// queue overrun marks the batch's objects, a failed send's redial marks them
+// all) and is caught up from its dirty set. Caller holds src.mu.
 func (g *SessionGroup) scheduleLocked(o *objState, now float64) {
-	g.commitPush(o, o.value, o.version, now, now)
+	g.commit(o, o.value, o.version, now, now)
+	g.eng.OnRefreshSent(now)
+	g.eng.ClampThreshold()
+	if g.hyb != nil {
+		g.hyb.charge(int(o.key), 1)
+	}
 	g.scheduled++
 	g.budget.tokens--
+}
+
+// observeLocked folds a canonical-state change for object o into the group,
+// unless the exclusion rule takes o out of the schedule. Caller holds src.mu.
+func (g *SessionGroup) observeLocked(o *objState, now float64) {
+	p := g.src.order.prov(o.key)
+	p.Epoch, p.Version = g.src.originAxisLocked(o)
+	if !g.excludedLocked(o, &p, now) {
+		g.observe(o, now)
+	}
+}
+
+// excludedLocked is the group's exclusion rule for object o, whose outgoing
+// provenance with its origin axis is p, applied at observe, when a pass or a
+// splice picks o, and when an ack arrives: when every member that can receive
+// excludes o (split horizon, or an ack at or ahead of p's axis), the group
+// takes o out of the schedule without a token or an α step and reports true.
+// Split horizon alone unschedules it, sent-state untouched; an ack commits it
+// as delivered, a held skip for every member whose ack covers it. The test
+// stops at the first member that takes o. Caller holds src.mu.
+func (g *SessionGroup) excludedLocked(o *objState, p *Provenance, now float64) bool {
+	key, receivers, held := int(o.key), false, false
+	for _, m := range g.members {
+		if m.redialing {
+			continue
+		}
+		ex, h := m.excludesLocked(key, p, m.remoteID != "")
+		if !ex {
+			return false
+		}
+		receivers, held = true, held || h
+	}
+	switch {
+	case !receivers:
+		return false
+	case !held:
+		g.unschedule(key, now)
+		return true
+	}
+	g.commit(o, o.value, o.version, now, now)
+	for _, m := range g.members {
+		if _, h := m.excludesLocked(key, p, m.remoteID != ""); h && !m.redialing {
+			m.heldSkips++
+		}
+	}
+	return true
+}
+
+// roomLocked reports whether some member can take a batch now: one that is
+// not redialing and has a free queue slot. A group none of whose members can
+// cuts nothing, so what it would commit stays in its scheduler, where later
+// updates coalesce with it — the back-pressure a blocked send once exerted.
+// Members that are only full, with work queued, mark the group stalled for
+// the sender worker that frees a slot to resume the pass; a slot freed while
+// marking is seen by the second look. Caller holds src.mu.
+func (g *SessionGroup) roomLocked() bool {
+	for look := 0; ; look++ {
+		full := false
+		for _, m := range g.members {
+			if !m.redialing && int(m.inflight.Load()) < g.cfg.Queue {
+				return look == 0 || g.stall.CompareAndSwap(stallWaiting, stallNone)
+			}
+			full = full || !m.redialing
+		}
+		if look == 1 || !full || g.eng.Queue.Len() == 0 {
+			return false
+		}
+		g.stall.Store(stallWaiting)
+	}
 }
 
 // broadcastOnce cuts one batch of a pass and fans it to every member: the
 // shared refresh slice is built and committed under the source mutex, the
 // frame is encoded once outside it, and each member's send is queued to its
 // sharded worker. need is how many refreshes must be queued and paid for
-// before anything is cut (zero on a tick pass: anything sendable goes). It
-// returns false when the batch came out short of MaxBatch — nothing more was
-// over threshold, the bucket ran dry or need was not met — which ends the
+// before anything is cut (zero on a tick pass: anything sendable goes); a
+// group no member of which has room cuts nothing. It returns false when the
+// batch came out short of MaxBatch — nothing more was over threshold, the
+// bucket ran dry, need was not met or there was no room — which ends the
 // pass.
 func (g *SessionGroup) broadcastOnce(need int) bool {
 	s := g.src
@@ -425,9 +613,16 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	s.mu.Lock()
 	now, sentUnix := s.clock()
 	g.accrueLocked(now)
-	epoch := s.started.UnixNano()
+	epoch, stamp := s.started.UnixNano(), ""
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need)
+	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need) && g.roomLocked()
+	if ready && g != s.group {
+		// A group of one addresses its batches to its member. The shared
+		// group's frame, which every member takes, carries no stamp: caches
+		// treat an empty one as unaddressed, never as misrouted, and the
+		// member-filtered fallback copies are stamped normally.
+		stamp = g.members[0].remoteID
+	}
 	for ready && g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
 		key, _, ok := g.eng.ShouldSend()
 		if !ok {
@@ -435,12 +630,12 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 		}
 		o := s.order.at(key)
 		prov := s.order.prov(o.key)
-		// No CacheID stamp: the frame is shared by the whole cohort, so it
-		// cannot carry any single member's identity. Caches treat an empty
-		// stamp as unaddressed, never as misrouted; the member-filtered
-		// fallback copies are stamped normally.
-		b.rs = append(b.rs, g.refresh(o, &prov, "", epoch, sentUnix))
+		ref := g.refresh(o, &prov, stamp, epoch, sentUnix)
 		prov.Epoch, prov.Version = s.originAxisLocked(o)
+		if g.excludedLocked(o, &prov, now) {
+			continue
+		}
+		b.rs = append(b.rs, ref)
 		keys, provs = append(keys, key), append(provs, prov)
 		g.scheduleLocked(o, now)
 	}
@@ -505,7 +700,7 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 			g.lagLocked(m, keys)
 			continue
 		}
-		it := sendItem{sess: m, conn: m.dest.Conn, batch: b, n: len(keys)}
+		it := sendItem{g: g, sess: m, conn: m.dest.Conn, batch: b, n: len(keys)}
 		switch dropped := g.memberDropsLocked(m, keys, provs); {
 		case dropped == len(keys):
 			continue // everything in this batch is excluded for the member
@@ -534,7 +729,7 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 	if needDecoded && len(b.rs) == 0 {
 		b.rs = decode()
 	}
-	g.dispatch(fs)
+	fs.dispatch()
 	b.release()
 }
 
@@ -547,7 +742,7 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 // locally produced object. A relayed one's committed origin axis is not kept:
 // it is sent while its value is the committed one, and otherwise stays dirty
 // until it is again. An excluded object (split horizon, an ack at or ahead of
-// the axis) leaves the set at no cost.
+// the axis) and a hybrid poll-set object leave the set at no cost.
 func (g *SessionGroup) catchUp() {
 	s := g.src
 	s.mu.Lock()
@@ -569,42 +764,34 @@ func (g *SessionGroup) catchUp() {
 				if m.lag.n == 0 {
 					g.caughtUp++
 				}
+				// Skipped: never sent to the cohort (its first broadcast is
+				// queued), a hybrid poll-set object (the cache's polls own its
+				// freshness), or excluded.
+				if so.sentVer == 0 || g.hyb != nil && !g.hyb.pushed(k) {
+					continue
+				}
 				ref := g.refresh(o, &prov, m.remoteID, epoch, sentUnix)
 				if prov.Epoch == 0 {
 					ref.Value, ref.Version = so.sentVal, so.sentVer
 				}
 				prov.Epoch, prov.Version = ref.OriginAxis()
-				// Skipped: never sent to the cohort (its first broadcast is
-				// queued), or excluded.
-				if so.sentVer != 0 && !m.excludesLocked(k, &prov, m.remoteID != "") {
+				switch ex, held := m.excludesLocked(k, &prov, m.remoteID != ""); {
+				case !ex:
 					rs = append(rs, ref)
 					g.budget.tokens -= cost
+				case held:
+					m.heldSkips++
 				}
 			}
 			if len(rs) == 0 {
 				break // everything left was skipped or waits
 			}
 			m.inflight.Add(1)
-			g.fan.add(sendItem{sess: m, conn: m.dest.Conn, rs: rs, n: len(rs)})
+			g.fan.add(sendItem{g: g, sess: m, conn: m.dest.Conn, rs: rs, n: len(rs)})
 		}
 	}
 	s.mu.Unlock()
-	g.dispatch(&g.fan)
-}
-
-// dispatch hands every item queued in fs to its worker.
-func (g *SessionGroup) dispatch(fs *fanScratch) {
-	for wi, items := range fs.buckets {
-		if len(items) == 0 {
-			continue
-		}
-		w := g.workers[wi]
-		w.mu.Lock()
-		w.queue = append(w.queue, items...)
-		w.cond.Signal()
-		w.mu.Unlock()
-		fs.buckets[wi] = items[:0] // the worker queue copied every item
-	}
+	g.fan.dispatch()
 }
 
 // restrictLocked rebuilds the split-horizon identity set for a batch: every
@@ -655,26 +842,27 @@ func (g *SessionGroup) memberDropsLocked(m *syncSession, keys []int, provs []Pro
 	drops := g.dropBuf[:len(provs)]
 	dropped := 0
 	for i := range provs {
-		drops[i] = m.excludesLocked(keys[i], &provs[i], restricted)
-		if drops[i] {
+		ex, held := m.excludesLocked(keys[i], &provs[i], restricted)
+		if drops[i] = ex; ex {
 			dropped++
+		}
+		if held {
+			m.heldSkips++
 		}
 	}
 	return dropped
 }
 
 // excludesLocked reports whether member m must not be sent the value with
-// queue key key and outgoing provenance p: split horizon (tested if horizon)
-// or an ack at or ahead of p's origin axis, a held skip. Caller holds src.mu.
-func (m *syncSession) excludesLocked(key int, p *Provenance, horizon bool) bool {
+// queue key key and outgoing provenance p — split horizon (tested if horizon)
+// or an ack at or ahead of p's origin axis — and whether by the ack, a held
+// skip. Caller holds src.mu.
+func (m *syncSession) excludesLocked(key int, p *Provenance, horizon bool) (excluded, held bool) {
 	if horizon && p.passedThrough(m.remoteID) {
-		return true
+		return true, false
 	}
-	if key < len(m.held) && m.held[key].covers(p.Epoch, p.Version) {
-		m.heldSkips++
-		return true
-	}
-	return false
+	held = key < len(m.held) && m.held[key].covers(p.Epoch, p.Version)
+	return held, held
 }
 
 // memberCopy builds the member-specific copy of a batch: rs without the
@@ -707,7 +895,12 @@ func (g *SessionGroup) process(it sendItem) {
 	if it.batch != nil {
 		it.batch.release()
 	}
-	it.sess.inflight.Add(-1)
+	if it.sess.inflight.Add(-1); g.stall.CompareAndSwap(stallWaiting, stallResume) {
+		select {
+		case g.src.wake <- struct{}{}:
+		default:
+		}
+	}
 	if err != nil {
 		g.sendErrors.Add(1)
 		it.sess.groupSendErrors.Add(1)
@@ -737,25 +930,7 @@ func (w *groupWorker) run() {
 			w.head = 0
 		}
 		w.mu.Unlock()
-		w.g.process(it)
-	}
-}
-
-// close joins the flusher and drains the workers. Called by Source.Close
-// after s.stop is closed and the session loops have exited; the flusher
-// exits on s.stop, so no new work is queued once it is joined. Workers
-// finish their remaining queue (sends fail fast on the closed connections)
-// so every outstanding frame reference is released.
-func (g *SessionGroup) close() {
-	<-g.done
-	for _, w := range g.workers {
-		w.mu.Lock()
-		w.closed = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	}
-	for _, w := range g.workers {
-		<-w.done
+		it.g.process(it)
 	}
 }
 

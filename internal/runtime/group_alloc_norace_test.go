@@ -61,48 +61,61 @@ func TestGroupUpdateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSourceUpdateSteadyStateAllocs: on a per-session source, Update over
-// known ids allocates nothing — the id resolves through the source's idIndex
-// and the session's observe/requeue runs in place. First insertion of N ids
-// allocates nothing per object — object state lands in a slab chunk of 512 —
-// and otherwise only where a table or slice doubles: O(log N), not O(N), so a
-// cold start (setup) stays cheap.
+// TestSourceUpdateSteadyStateAllocs: on a source whose destinations are each
+// a group of its own — one, and the four of the fanout_classic shape — Update
+// over known ids allocates nothing: the id resolves through the source's
+// idIndex and each group's observe/requeue runs in place. First insertion of
+// N ids allocates nothing per object — object state lands in a slab chunk of
+// 512 — and otherwise only where a table or slice doubles: O(log N) per
+// group, not O(N), so a cold start (setup) stays cheap.
 func TestSourceUpdateSteadyStateAllocs(t *testing.T) {
-	// A starved budget and an hour-long tick keep the session loop idle, so
-	// the measurement sees only the update path.
-	src := NewSource(SourceConfig{
-		ID: "al", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
-	}, nullFrameConn{fb: make(chan wire.Feedback)})
-	defer src.Close()
+	for _, groups := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d groups", groups), func(t *testing.T) {
+			dests := make([]Destination, groups)
+			for i := range dests {
+				dests[i] = Destination{CacheID: fmt.Sprintf("leaf-%d", i), Conn: nullFrameConn{fb: make(chan wire.Feedback)}}
+			}
+			// A starved budget and an hour-long tick keep the flusher idle, so
+			// the measurement sees only the update path.
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "al", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
+			}, dests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
 
-	const objects = 4096
-	ids := make([]string, objects)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("tenant-%04d/obj-1", i)
-	}
-	// AllocsPerRun would insert during its warm-up run; count by hand.
-	var before, after stdruntime.MemStats
-	stdruntime.ReadMemStats(&before)
-	for _, id := range ids {
-		src.Update(id, 1)
-	}
-	stdruntime.ReadMemStats(&after)
-	// Eight slab chunks; everything else doubles: the id index, the slab's
-	// chunk list, the session's per-object state and its priority queue, a
-	// dozen doublings each (log2 4096 = 12).
-	if n := after.Mallocs - before.Mallocs; n > 16*12 {
-		t.Errorf("first insertion of %d ids allocated %d times, want O(log N)", objects, n)
-	}
+			const objects = 4096
+			ids := make([]string, objects)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("tenant-%04d/obj-1", i)
+			}
+			// AllocsPerRun would insert during its warm-up run; count by hand.
+			var before, after stdruntime.MemStats
+			stdruntime.ReadMemStats(&before)
+			for _, id := range ids {
+				src.Update(id, 1)
+			}
+			stdruntime.ReadMemStats(&after)
+			t.Logf("first insertion of %d ids: %d allocations", objects, after.Mallocs-before.Mallocs)
+			// Eight slab chunks; everything else doubles: the id index, the
+			// slab's chunk list, and each group's per-object state and priority
+			// queue, a dozen doublings each (log2 4096 = 12).
+			if n := after.Mallocs - before.Mallocs; n > uint64(16*12*groups) {
+				t.Errorf("first insertion of %d ids allocated %d times, want O(log N) per group", objects, n)
+			}
 
-	v := 2.0
-	avg := testing.AllocsPerRun(20, func() {
-		for _, id := range ids {
-			src.Update(id, v)
-		}
-		v++
-	})
-	if perUpdate := avg / objects; perUpdate > 0 {
-		t.Errorf("steady-state per-session Update allocates %.4f allocs/update, want 0", perUpdate)
+			v := 2.0
+			avg := testing.AllocsPerRun(20, func() {
+				for _, id := range ids {
+					src.Update(id, v)
+				}
+				v++
+			})
+			if perUpdate := avg / objects; perUpdate > 0 {
+				t.Errorf("steady-state Update allocates %.4f allocs/update, want 0", perUpdate)
+			}
+		})
 	}
 }
 

@@ -174,10 +174,10 @@ func received(c *frameConn, objectID string) bool {
 }
 
 // TestGroupFanoutLocalMatchesPerSession runs the same 1→4 workload twice
-// over the in-process transport — once per-session, once grouped — and
-// requires both topologies to apply the identical final state at every
-// cache. This is the group path's core correctness contract: encode-once
-// delivery must be invisible to the caches.
+// over the in-process transport — once with a group per destination, once
+// with one shared group — and requires both topologies to apply the
+// identical final state at every cache. This is the group path's core
+// correctness contract: encode-once delivery must be invisible to the caches.
 func TestGroupFanoutLocalMatchesPerSession(t *testing.T) {
 	const n = 4
 	run := func(grouped bool) {
@@ -429,7 +429,7 @@ func (r *lagRig) update(ids []string, v float64) {
 
 // tick runs the flusher's tick pass, waits for the sends to finish (see
 // settle) and steps the clock, so that what is updated next has area.
-func (r *lagRig) tick(t *testing.T, stuck ...int) {
+func (r *lagRig) tick(t *testing.T, stuck ...*groupWorker) {
 	t.Helper()
 	r.src.group.pass(0)
 	r.settle(t, stuck...)
@@ -438,13 +438,13 @@ func (r *lagRig) tick(t *testing.T, stuck ...int) {
 
 // settle waits until no member has a send outstanding, except those whose
 // worker is in stuck: queued behind a member that stopped draining.
-func (r *lagRig) settle(t *testing.T, stuck ...int) {
+func (r *lagRig) settle(t *testing.T, stuck ...*groupWorker) {
 	t.Helper()
 	drained := func() bool {
 		r.src.mu.Lock()
 		defer r.src.mu.Unlock()
 		for _, ss := range r.src.sessions {
-			if ss.inflight.Load() != 0 && !slices.Contains(stuck, ss.workerIdx) {
+			if ss.inflight.Load() != 0 && !slices.Contains(stuck, ss.worker) {
 				return false
 			}
 		}
@@ -458,10 +458,10 @@ func (r *lagRig) settle(t *testing.T, stuck ...int) {
 }
 
 // workerOf returns the worker member i's sends queue on.
-func (r *lagRig) workerOf(i int) int {
+func (r *lagRig) workerOf(i int) *groupWorker {
 	r.src.mu.Lock()
 	defer r.src.mu.Unlock()
-	return r.src.sessions[i].workerIdx
+	return r.src.sessions[i].worker
 }
 
 // holds is what a member holds: the last value it was sent per object.
@@ -708,6 +708,95 @@ func TestGroupQueueOverrunDetach(t *testing.T) {
 	if fl := r.src.group.framesLive.Load(); fl != 0 {
 		t.Errorf("framesLive = %d after the catch-up, want 0", fl)
 	}
+}
+
+// TestGroupFullQueueHoldsBack: a group none of whose members can take another
+// batch cuts nothing. What it would have committed stays in its scheduler,
+// where a later update coalesces with it, and the member does not lag; the
+// sender worker that frees a slot resumes the pass at once, with no tick.
+func TestGroupFullQueueHoldsBack(t *testing.T) {
+	slow := newFrameConn("slow")
+	blocked := newBlockingConn(slow)
+	r := newLagRig(t, SourceConfig{Group: GroupConfig{Queue: 1, MaxBatch: 2}}, Destination{CacheID: "slow", Conn: blocked})
+	ids := []string{"gs/a", "gs/b", "gs/c", "gs/d"}
+	r.update(ids, 1)
+	r.src.group.pass(0) // one batch fills the member's one queue slot
+	if g := r.src.Stats().Group; g.Scheduled != 2 || g.Pending != 2 || g.QueueOverruns != 0 || g.Detaches != 0 {
+		t.Fatalf("scheduled=%d pending=%d overruns=%d lags=%d, want 2, 2, 0 and 0", g.Scheduled, g.Pending, g.QueueOverruns, g.Detaches)
+	}
+	r.clock.advance(time.Second)
+	r.update(ids, 2)
+	blocked.release()
+	waitFor(t, 5*time.Second, func() bool {
+		h := holds(slow)
+		return len(h) == len(ids) && h["gs/a"] == 2 && h["gs/b"] == 2 && h["gs/c"] == 2 && h["gs/d"] == 2
+	}, "the freed slot to resume the pass")
+	if g := r.src.Stats().Group; g.QueueOverruns != 0 || g.Detaches != 0 || g.Pending != 0 {
+		t.Errorf("overruns=%d lags=%d pending=%d, want 0, 0 and 0", g.QueueOverruns, g.Detaches, g.Pending)
+	}
+}
+
+// TestGroupOfOneSendsOnItsOwnWorker: destinations that are groups of their own
+// never share a sender worker, whatever GroupConfig.Workers says. A cache that
+// stops reading holds back only its own group: the other destination, and one
+// added after churn, is sent every value, while the blocked group cuts nothing
+// more until its connection drains again.
+func TestGroupOfOneSendsOnItsOwnWorker(t *testing.T) {
+	clock := newFakeClock()
+	slow, healthy, late := newFrameConn("slow"), newFrameConn("ok"), newFrameConn("late")
+	blocked := newBlockingConn(slow)
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "gs", Metric: metric.ValueDeviation, Bandwidth: 1e9, Tick: time.Hour, Now: clock.Now,
+		Params: pinnedParams(1e-6), Group: GroupConfig{Workers: 1, Queue: 1},
+	}, []Destination{{CacheID: "slow", Conn: blocked}, {CacheID: "ok", Conn: healthy}, {CacheID: "gone", Conn: newFrameConn("gone")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	if err := src.RemoveDestination("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AddDestination(Destination{CacheID: "late", Conn: late}); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(time.Second)
+	ids := []string{"gs/a", "gs/b", "gs/c"}
+	holdsAll := func(c *frameConn, v float64) bool {
+		h := holds(c)
+		for _, id := range ids {
+			if h[id] != v {
+				return false
+			}
+		}
+		return true
+	}
+	passAll := func() {
+		src.mu.Lock()
+		groups := slices.Clone(src.groups)
+		src.mu.Unlock()
+		for _, g := range groups {
+			g.pass(0)
+		}
+	}
+	for v := 1.0; v <= 3; v++ {
+		for _, id := range ids {
+			src.Update(id, v)
+		}
+		passAll()
+		waitFor(t, 5*time.Second, func() bool { return holdsAll(healthy, v) && holdsAll(late, v) },
+			fmt.Sprintf("the unblocked destinations to hold %v", v))
+		clock.advance(time.Second)
+	}
+	st := src.Stats()
+	if len(st.Sessions) != 3 || st.Sessions[0].Pending != len(ids) || st.Sessions[0].Refreshes != 0 {
+		t.Fatalf("blocked destination: %d sessions, pending %d, refreshes %d; want 3, %d and 0",
+			len(st.Sessions), st.Sessions[0].Pending, st.Sessions[0].Refreshes, len(ids))
+	}
+	blocked.release()
+	waitFor(t, 5*time.Second, func() bool {
+		passAll()
+		return holdsAll(slow, 3)
+	}, "the released destination to catch up")
 }
 
 // sinkConn is a frame-capable member that drops what it is sent: a healthy
@@ -1029,7 +1118,7 @@ func newEarlyRig(t *testing.T, bandwidth float64, tick time.Duration, params cor
 func (r *earlyRig) trigger() (waking, disarmed bool, queued int) {
 	r.src.mu.Lock()
 	defer r.src.mu.Unlock()
-	return r.g.waking, r.g.disarmed, len(r.g.wake)
+	return r.g.waking, r.g.disarmed, len(r.src.wake)
 }
 
 // settle waits for the flusher to finish the early pass it was asked for and

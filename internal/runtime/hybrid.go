@@ -7,7 +7,7 @@ import (
 )
 
 // HybridConfig tunes the per-object migration controller behind
-// PolicyHybrid (SourceConfig.Hybrid). Each sync session classifies every
+// PolicyHybrid (SourceConfig.Hybrid). Each destination classifies every
 // object into a push set (source-initiated refreshes through the §5
 // threshold machinery) or a poll set (cache-driven CGM polling); the
 // controller re-scores all objects once per MigrateEvery window and moves
@@ -94,9 +94,9 @@ type hybridObj struct {
 	est1    cgm.LastModifiedEstimator
 }
 
-// hybridController is one sync session's migration controller. All state
-// is guarded by the owning Source's mutex, like the rest of the session's
-// scheduling state; only migrate is called off the session's own loop.
+// hybridController is one destination's migration controller, on its group's
+// scheduler. All state is guarded by the owning Source's mutex, like the rest
+// of the scheduling state; migrate is called from the session's loop.
 // Objects start in the POLL set: a new object has no divergence-per-message
 // history, and polling is the regime that builds one without the source
 // committing push bandwidth to it.
@@ -131,7 +131,7 @@ func (hc *hybridController) pushed(key int) bool {
 
 // observe folds one canonical update into object key's open window:
 // divDelta is the divergence growth the update produced toward this
-// session's cache (zero when the value walked back toward the sent copy).
+// destination's cache (zero when the value walked back toward the sent copy).
 func (hc *hybridController) observe(key int, divDelta, now float64) {
 	ho := hc.ensure(key)
 	ho.chgWin++

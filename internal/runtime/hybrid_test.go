@@ -275,3 +275,70 @@ func TestHybridBudgetConservation(t *testing.T) {
 			spend, limit, pushes, h.PolledItems, discovery, elapsed)
 	}
 }
+
+// pollFrameConn is a frameConn that can be polled (transport.PollConn), for
+// driving a hybrid destination by hand: no poll ever arrives and replies are
+// dropped.
+type pollFrameConn struct {
+	*frameConn
+	polls chan wire.Poll
+}
+
+func newPollFrameConn(id string) *pollFrameConn {
+	return &pollFrameConn{frameConn: newFrameConn(id), polls: make(chan wire.Poll)}
+}
+
+func (c *pollFrameConn) Polls() <-chan wire.Poll        { return c.polls }
+func (c *pollFrameConn) SendReply(wire.PollReply) error { return nil }
+
+// TestHybridRedialCatchesUpPushSetOnly: a hybrid destination that redials lags
+// on every object, but its catch-up re-sends only the push set. A poll-set
+// object — here one a poll answer committed — is left to the cache's polls,
+// so the catch-up spends no token on it.
+func TestHybridRedialCatchesUpPushSetOnly(t *testing.T) {
+	clock := newFakeClock()
+	conn, conn2 := newPollFrameConn("c1"), newPollFrameConn("c1")
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "hs", Metric: metric.ValueDeviation, Bandwidth: 1e9, Tick: time.Hour, Now: clock.Now,
+		Params: pinnedParams(1e-6), Policy: PolicyHybrid, Hybrid: HybridConfig{MigrateEvery: time.Hour},
+	}, []Destination{{CacheID: "c1", Conn: conn, Redial: func() (transport.SourceConn, error) { return conn2, nil }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	ss := src.sessions[0]
+	clock.advance(time.Second)
+	src.Update("hs/hot", 5)
+	src.Update("hs/cold", 7)
+
+	// Promote hs/hot as a migration pass would, and commit hs/cold as the
+	// answer to a poll.
+	src.mu.Lock()
+	g, now := ss.group, src.now()
+	hot, _ := src.objLocked("hs/hot")
+	g.hyb.ensure(int(hot.key)).pushed = true
+	g.hyb.pushCount++
+	g.requeue(hot, now)
+	cold, _ := src.objLocked("hs/cold")
+	g.commitPolledLocked(wire.PollItem{ObjectID: "hs/cold", Exists: true, Value: 7, Version: cold.version}, now, now)
+	src.mu.Unlock()
+
+	passWith(ss, 10)
+	if got := holds(conn.frameConn); len(got) != 1 || got["hs/hot"] != 5 {
+		t.Fatalf("before the redial the cache was pushed %v, want hs/hot=5 only", got)
+	}
+	conn.Close()
+	waitFor(t, 5*time.Second, func() bool { return src.Stats().Sessions[0].Reconnects == 1 }, "the destination to redial")
+	if p := src.Stats().Sessions[0].Pending; p != 2 {
+		t.Fatalf("after the redial pending = %d, want 2 (it lags on both objects)", p)
+	}
+	if left := passWith(ss, 10); left != 9 {
+		t.Errorf("the catch-up left %v tokens of 10, want 9 (one push-set refresh)", left)
+	}
+	if got := holds(conn2.frameConn); len(got) != 1 || got["hs/hot"] != 5 {
+		t.Errorf("the catch-up sent %v, want hs/hot=5 only", got)
+	}
+	if p := src.Stats().Sessions[0].Pending; p != 0 {
+		t.Errorf("after the catch-up pending = %d, want 0", p)
+	}
+}

@@ -111,13 +111,9 @@ type NodeStats struct {
 	// not paid when nothing downstream would receive the updates. The first
 	// peer to (re)attach is seeded from the store instead.
 	SuppressedBatches int
-	// ThresholdSuppressed counts updates whose per-peer scheduling fan-out
-	// was deferred because every live peer session was provably within its
-	// threshold (SourceStats.SuppressedObserves on the peer face) — the
-	// re-export reached the store and the source's object state, but no
-	// per-session observe work was spent until the next flush tick (by
-	// which point most such updates have been superseded or still need no
-	// send).
+	// ThresholdSuppressed is always zero: no re-export's scheduling is
+	// deferred any more (SourceStats.SuppressedObserves). Kept for readers of
+	// older output.
 	ThresholdSuppressed int
 	// Looped counts refreshes rejected at intake because this node was
 	// already on their path (Via) or was their origin. Mirrored in
@@ -261,12 +257,6 @@ func NewNode(cfg NodeConfig, intake transport.CacheEndpoint, peers []Destination
 		Rebalance:  cfg.Rebalance,
 		Group:      cfg.Group,
 		Now:        cfg.Now,
-		// Threshold-aware suppression: an intake burst that leaves every
-		// peer within its threshold skips the per-session scheduling
-		// fan-out entirely (deferred to the next flush tick). Pure win on a
-		// relay tier, where most applied refreshes are below-threshold
-		// jitter for every peer.
-		SuppressWithinThreshold: true,
 	}, peers)
 	if err != nil {
 		return nil, err
@@ -361,16 +351,21 @@ func (n *Node) rebalanceFaces() {
 		n.lastUpApplied = cs.Refreshes
 		downUsed := max(0, ss.Refreshes-n.lastDownSent)
 		n.lastDownSent = ss.Refreshes
-		// Peer-face backlog counts only sessions that can deliver: a
-		// redialing peer's queue holds the whole store but its sends go
-		// nowhere, and letting that phantom backlog capture budget from
-		// the intake face is the same starvation the session-level
-		// rebalancer guards against.
-		pending := 0
+		// Peer-face backlog counts only what can be delivered: a redialing
+		// peer lags on the whole store but its sends go nowhere, and letting
+		// that phantom backlog capture budget from the intake face is the
+		// same starvation the session-level rebalancer guards against. A
+		// group of one's queue is in its member's Pending; the shared
+		// group's counts once, while a member can take it.
+		pending, shared := 0, false
 		for _, sess := range ss.Sessions {
 			if !sess.Ended && !sess.Redialing {
 				pending += sess.Pending
+				shared = shared || sess.Grouped
 			}
+		}
+		if shared {
+			pending += ss.Group.Pending
 		}
 		n.faceReb.Observe([]alloc.Consumer{
 			{ID: "up", Base: n.upBase, Demand: float64(upUsed + n.cache.backlog())},
@@ -536,7 +531,6 @@ func (n *Node) Stats() NodeStats {
 		Intake: n.cache.Stats(),
 		Peers:  n.src.Stats(),
 	}
-	st.ThresholdSuppressed = st.Peers.SuppressedObserves
 	n.mu.Lock()
 	st.Forwarded = n.forwarded
 	st.Looped = n.looped

@@ -22,12 +22,12 @@ import (
 //     message per refresh — the response); CGM1/CGM2 estimate rates live
 //     (last-modified / binary change bit) and pay the round trip (two
 //     messages per refresh).
-//   - PolicyHybrid: per-OBJECT policy selection. Each session classifies
+//   - PolicyHybrid: per-OBJECT policy selection. Each destination classifies
 //     its objects into a push set (hot head: source-initiated refreshes
 //     through the §5 threshold machinery) and a poll set (cold tail:
 //     cache-driven CGM polling), migrating objects between the regimes from
 //     live estimator signals (see HybridConfig). Both regimes charge the
-//     same per-session token bucket, so the equal-budget comparison with
+//     same per-destination token bucket, so the equal-budget comparison with
 //     the pure policies stays honest.
 //
 // Sources and caches must agree on the policy: a push source never polls

@@ -22,11 +22,11 @@ type schedObj struct {
 // sched is the paper's §5 source toward one receiver cohort: a priority
 // queue of diverged objects, the adaptive threshold T_j (both inside the
 // core.Source engine) and the per-object divergence records that feed them.
-// A syncSession holds one for its single cache, the SessionGroup one for
-// all of its members — a session is a cohort of one — so every delivery
-// path observes, ranks and commits through the same code. §8.2 (a priority
-// changes only when divergence does) is what keeps it event-driven: observe
-// and commit are the only places a priority is computed.
+// Every SessionGroup holds one for its members — the shared cohort, or one
+// destination on its own — so every delivery path observes, ranks and
+// commits through the same code. §8.2 (a priority changes only when
+// divergence does) is what keeps it event-driven: observe and commit are the
+// only places a priority is computed.
 //
 // All of it is guarded by the owning Source's mutex. Nothing here allocates
 // in steady state, and nothing may start to: observe and commit run once per
@@ -35,8 +35,7 @@ type sched struct {
 	scfg *SourceConfig // the owning Source's configuration, immutable after construction
 	eng  *core.Source
 	// objs is indexed like Source.order: entry k is this cohort's record of
-	// the object with queue key k. nil on a scheduler that is not scheduling
-	// (a grouped member, an ended session).
+	// the object with queue key k.
 	objs []schedObj
 	// demand is the running Σ tracker.Current() over objs, the rebalancer's
 	// outstanding-divergence signal, maintained incrementally so a
@@ -54,15 +53,6 @@ func newSched(cfg *SourceConfig) sched {
 		sc.hyb = newHybridController(cfg.Hybrid)
 	}
 	return sc
-}
-
-// reset forgets everything the cohort was sent: n never-sent records and no
-// demand. The caller re-observes every object, which re-ranks the queue.
-func (sc *sched) reset(n int) {
-	sc.objs, sc.demand = nil, 0
-	if n > 0 {
-		sc.objs = make([]schedObj, n)
-	}
 }
 
 // observe folds a canonical-state change for object o into the cohort's
@@ -136,10 +126,9 @@ func (sc *sched) requeue(o *objState, now float64) {
 // zero and the object leaves the queue until the next update re-ranks it (the
 // §8.2 event-driven discipline).
 //
-// The two owners differ only in WHEN they call this: a session after the send
-// succeeded (a failed send commits nothing and is retried), the group at
-// schedule time under the same lock hold that built the refresh, where
-// builtAt == now and no residual can exist.
+// A pushed refresh is committed at schedule time, under the same lock hold
+// that built it, where builtAt == now and no residual can exist; a poll
+// answer once its reply went out, built at builtAt.
 func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now float64) {
 	so := &sc.objs[o.key]
 	sc.demand -= so.tracker.Current()
@@ -154,14 +143,6 @@ func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now
 	sc.demand += d
 	so.tracker.Update(now, d)
 	sc.requeue(o, now)
-}
-
-// commitPush is commit for a refresh the §5 engine itself scheduled: the
-// send also raises the threshold (T_j ·= α·β).
-func (sc *sched) commitPush(o *objState, value float64, version uint64, builtAt, now float64) {
-	sc.commit(o, value, version, builtAt, now)
-	sc.eng.OnRefreshSent(now)
-	sc.eng.ClampThreshold()
 }
 
 // unschedule takes the object with queue key key out of the schedule without
@@ -220,8 +201,8 @@ func (sc *sched) refresh(o *objState, prov *Provenance, cacheID string, epoch, s
 // limit is the one place a scheduler's engine learns whether it is limited —
 // sending at the full capacity of its share, the state in which §5 has a
 // source ignore positive feedback: sendable work is left AND the bucket, at
-// tokens, cannot pay for one more refresh. Every owner calls it once at the
-// end of a scheduling pass, whether or not the pass cut anything, so the flag
+// tokens, cannot pay for one more refresh. A group calls it once at the end
+// of every scheduling pass, whether or not the pass cut anything, so the flag
 // always describes the most recent look at the queue. A pass that stops by
 // choice with budget in hand (a group early pass at a frame boundary) is not
 // limited; a pass that never started for lack of budget is.

@@ -28,7 +28,7 @@ type SessionStats struct {
 	Weight float64
 	// Ended reports a session that exited permanently (connection gone
 	// with no redial hook). Its counters are historical; its share has
-	// been re-divided across the surviving sessions.
+	// been re-divided across the surviving destinations.
 	Ended bool
 	// Redialing reports a session whose connection is down and being
 	// redialed with backoff: still alive, but unable to deliver until the
@@ -38,8 +38,11 @@ type SessionStats struct {
 	Feedbacks  int
 	SendErrors int
 	Reconnects int
-	Pending    int
-	Threshold  float64
+	// Pending counts what the destination still waits for: the objects it
+	// lags on, plus, for a group of its own, its group's queue. Threshold is
+	// its group's; both are zero on a poll-only session.
+	Pending   int
+	Threshold float64
 	// PollsAnswered counts poll requests this session answered from the
 	// source store (cache-driven policies; Refreshes then counts the reply
 	// items delivered).
@@ -53,10 +56,9 @@ type SessionStats struct {
 	// a known-version hint proving the poller already at-or-ahead on the
 	// same origin axis (cache-driven and hybrid policies).
 	PollOmits int
-	// Grouped reports a member of the source's session group: its refreshes
-	// arrive via group broadcasts and catch-up (counted in Refreshes as
-	// well), Threshold mirrors the group's, and Pending counts the objects
-	// it lags on — the group's queue is reported once in SourceStats.Group.
+	// Grouped reports a member of the source's shared group: Threshold
+	// mirrors the group's, and Pending counts only the objects it lags on —
+	// the group's queue is reported once in SourceStats.Group.
 	Grouped bool
 	// Hybrid carries the migration controller's regime split and migration
 	// counters under PolicyHybrid; nil under every other policy.
@@ -73,7 +75,10 @@ type heldAxis struct {
 // covers reports whether the ack covers the origin-axis version (oe, ov) a
 // send would carry.
 func (h heldAxis) covers(oe int64, ov uint64) bool {
-	return heldAtOrAhead(h.epoch, h.ver, oe, ov)
+	if h.epoch == 0 {
+		return false // no ack recorded
+	}
+	return oe < h.epoch || (oe == h.epoch && ov <= h.ver)
 }
 
 // before reports whether n is a newer ack than h.
@@ -81,53 +86,45 @@ func (h heldAxis) before(n heldAxis) bool {
 	return n.epoch > h.epoch || (n.epoch == h.epoch && n.ver > h.ver)
 }
 
-// syncSession drives the Section 5 protocol toward one downstream cache:
-// it owns the per-destination scheduler (sched: divergence trackers relative
-// to what that cache has been sent, the priority queue, the core.Source
-// threshold engine), the token-bucket send budget, the connection and its
-// feedback stream. A Source fans every Update into all of its sessions; each
-// session then converges independently, so a slow or throttled cache never
-// holds back the others.
+// syncSession is one downstream cache's link: the connection, its feedback,
+// the cache's polls (answered from the canonical store) and redial. Its
+// pushes are its group's (SessionGroup); the session keeps what is
+// per-destination — held acks, the dirty set of a member that fell behind,
+// and the counters.
 //
-// Locking: all scheduling state (sched, held, counters) is guarded by the
-// owning Source's mutex; only the session's own goroutine (loop/flush)
-// sends on the connection, and sends happen outside the lock so that
-// cache-side back-pressure — the paper's network queueing — stalls just
-// this session.
+// Locking: everything is guarded by the owning Source's mutex but the
+// atomics, which the sender workers share. Poll replies are sent by the
+// session's own goroutine outside the lock, so that cache-side back-pressure —
+// the paper's network queueing — stalls just this session.
 type syncSession struct {
 	src  *Source
 	dest Destination
 
-	// Guarded by src.mu. The scheduler idles when the session is a group
-	// member (objs nil — the group's one shared sched replaces it —
-	// which is the O(members × objects) memory the group exists to avoid).
-	// dest.Conn is also guarded by src.mu: a redial swaps it while flush and
-	// Close read it. rate and weight are re-assigned by reallocateLocked
-	// whenever the topology or the rebalancer moves shares; the loop re-reads
-	// rate each tick rather than freezing it at start.
-	sched
-	rate            float64 // allocated share of the source bandwidth, msgs/s
-	weight          float64 // effective weight behind rate at last allocation
-	ended           bool    // loop exited permanently (no redial)
-	redialing       bool    // connection down, redial loop running
-	refreshes       int
-	feedbacks       int
-	windowFeedbacks int // feedbacks already folded into the rebalancer
-	sendErrors      int
-	reconnects      int
-	pollsAnswered   int
-	pollOmits       int
-	heldSkips       int
-	remoteID        string
+	// Guarded by src.mu. group is nil only for a poll-only session and once
+	// the session has ended or been removed. dest.Conn is guarded too: a
+	// redial swaps it while the workers' senders and Close read it. rate and
+	// weight are re-assigned by reallocateLocked whenever the topology or the
+	// rebalancer moves shares.
+	group         *SessionGroup
+	rate          float64 // allocated share of the source bandwidth, msgs/s
+	weight        float64 // effective weight behind rate at last allocation
+	ended         bool    // loop exited permanently (no redial)
+	redialing     bool    // connection down, redial loop running
+	refreshes     int
+	feedbacks     int
+	sendErrors    int
+	reconnects    int
+	pollsAnswered int
+	pollOmits     int
+	heldSkips     int
+	remoteID      string
 	// held records, per queue key, the newest origin-axis version the cache
-	// has ACKNOWLEDGED holding (wire.Feedback.Held), grouped or not. A send
-	// whose origin axis is at-or-behind the ack is skipped — the cache
-	// provably already has it: an individual session cancels it on the spot,
-	// a grouped member is excluded from broadcasts and catch-up of that
-	// object. An ack that has fallen behind the canonical axis excludes
-	// nothing; one at the axis lets a lagging member's catch-up skip what the
-	// cache proved it holds. nil until the first ack arrives, so a session
-	// that is never acked (every child of an origin) pays nothing.
+	// has ACKNOWLEDGED holding (wire.Feedback.Held), while it is at or ahead
+	// of the canonical axis (the axis only moves forward, so an ack behind it
+	// excludes nothing). A send whose axis the ack covers is skipped — the
+	// cache provably has it — in broadcasts and catch-up, and by the whole
+	// group when every member holds it (excludedLocked). nil until the first
+	// ack arrives, so a session that is never acked pays nothing.
 	held []heldAxis
 	// heldPending buffers held-version acks for objects the source has not
 	// produced yet (a cache can ack ahead of a relay's snapshot re-export);
@@ -136,12 +133,12 @@ type syncSession struct {
 	heldPending map[string]wire.HeldVersion
 
 	// Group-delivery state, guarded by src.mu; the atomics are shared with
-	// the group's sender workers. grouped holds from creation until removal
-	// or end. lag is the member's dirty set over queue keys: objects it may
-	// not hold the group's values of, drained by the flusher's catch-up.
-	grouped   bool
-	workerIdx int
-	lag       keySet
+	// the sender workers. worker is the one its sends queue on: a pool
+	// worker in the shared group, its own otherwise. lag is the member's
+	// dirty set over queue keys: objects it may not hold the group's values
+	// of, drained by the flusher's catch-up.
+	worker *groupWorker
+	lag    keySet
 
 	inflight        atomic.Int32 // group batches queued, not yet sent
 	groupSent       atomic.Int64 // refreshes delivered via group sends
@@ -155,77 +152,20 @@ func newSyncSession(src *Source, dest Destination) *syncSession {
 	return &syncSession{
 		src:         src,
 		dest:        dest,
-		sched:       newSched(&src.cfg),
 		heldPending: map[string]wire.HeldVersion{},
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
 }
 
-// heldAtOrAhead reports whether an acknowledged held version (he, hv)
-// covers the origin-axis version (oe, ov) a send would carry.
-func heldAtOrAhead(he int64, hv uint64, oe int64, ov uint64) bool {
-	if he == 0 {
-		return false // no ack recorded
-	}
-	return oe < he || (oe == he && ov <= hv)
-}
-
-// markDeliveredLocked commits object o as already-at-the-cache without a
-// send: sent-state snaps to the canonical value, accumulated divergence is
-// released from the rebalancer demand, and the object leaves the queue.
-// Caller holds src.mu.
-func (ss *syncSession) markDeliveredLocked(o *objState, now float64) {
-	ss.commit(o, o.value, o.version, now, now)
-	ss.heldSkips++
-}
-
-// observeLocked folds a canonical-state change for object o into this
-// session's scheduler, unless the peer provably needs no send. Caller holds
-// src.mu.
-func (ss *syncSession) observeLocked(o *objState, now float64) {
-	if p := ss.src.order.prov(o.key); ss.remoteID != "" && p.passedThrough(ss.remoteID) {
-		// Split horizon: the peer produced or already relayed this value,
-		// so its loop guard is guaranteed to reject a send — don't burn
-		// this session's bandwidth share advertising it back. (An object
-		// queued before feedback reveals the peer's identity is caught by
-		// the same check at send time; see flush.)
-		ss.unschedule(int(o.key), now)
-		return
-	}
-	if int(o.key) < len(ss.held) {
-		if oe, ov := ss.src.originAxisLocked(o); ss.held[o.key].covers(oe, ov) {
-			// Held-skip: the cache acknowledged holding this origin version
-			// (or newer), so a send is guaranteed to be dropped as stale
-			// there — don't spend share on it, don't let it linger as demand.
-			ss.markDeliveredLocked(o, now)
-			return
-		}
-	}
-	ss.observe(o, now)
-}
-
-// resyncLocked restarts the session from a cache that may hold nothing:
-// every object is re-registered as never-sent and re-ranked from scratch.
-// The contract a new destination and a redial share (a group member's dirty
-// set fills instead); held acks are the caller's to keep or clear first.
-// Caller holds src.mu.
-func (ss *syncSession) resyncLocked(now float64) {
-	ss.reset(ss.src.order.n)
-	for o := range ss.src.order.all() {
-		ss.observeLocked(o, now)
-	}
-}
-
 // statsLocked snapshots the session counters. Caller holds src.mu.
 func (ss *syncSession) statsLocked() SessionStats {
-	pending := ss.eng.Queue.Len()
-	threshold := ss.eng.Threshold()
-	if ss.grouped {
-		// The shared group engine schedules for a member; what the member
-		// alone still waits for is its dirty set.
-		pending = ss.lag.n
-		threshold = ss.src.group.eng.Threshold()
+	pending, threshold, g := 0, 0.0, ss.group
+	if g != nil {
+		pending, threshold = ss.lag.n, g.eng.Threshold()
+		if g != ss.src.group {
+			pending += g.eng.Queue.Len()
+		}
 	}
 	st := SessionStats{
 		CacheID:       ss.dest.CacheID,
@@ -234,7 +174,7 @@ func (ss *syncSession) statsLocked() SessionStats {
 		Weight:        ss.weight,
 		Ended:         ss.ended,
 		Redialing:     ss.redialing,
-		Grouped:       ss.grouped,
+		Grouped:       g != nil && g == ss.src.group,
 		Refreshes:     ss.refreshes + int(ss.groupSent.Load()),
 		Feedbacks:     ss.feedbacks,
 		SendErrors:    ss.sendErrors + int(ss.groupSendErrors.Load()),
@@ -245,17 +185,16 @@ func (ss *syncSession) statsLocked() SessionStats {
 		PollOmits:     ss.pollOmits,
 		HeldSkips:     ss.heldSkips,
 	}
-	if ss.hyb != nil {
-		hs := ss.hyb.statsLocked()
+	if g != nil && g.hyb != nil {
+		hs := g.hyb.statsLocked()
 		st.Hybrid = &hs
 	}
 	return st
 }
 
-// onFeedback applies one feedback message from this session's cache. A
-// grouped member's feedback feeds the SHARED engine — every member's
-// feedback moves the one group threshold — while its held acks stay
-// per-member, driving the member's batch exclusions.
+// onFeedback applies one feedback message from this session's cache. It
+// feeds the group's engine — every member's feedback moves the one group
+// threshold — while held acks stay per-member, driving its exclusions.
 func (ss *syncSession) onFeedback(f wire.Feedback) {
 	s := ss.src
 	s.mu.Lock()
@@ -265,11 +204,9 @@ func (ss *syncSession) onFeedback(f wire.Feedback) {
 		ss.remoteID = f.CacheID
 	}
 	ss.feedbacks++
-	if ss.grouped {
-		s.group.eng.OnFeedback(now)
-		s.group.feedbacks++
-	} else {
-		ss.eng.OnFeedback(now)
+	if g := ss.group; g != nil {
+		g.eng.OnFeedback(now)
+		g.feedbacks++
 	}
 	if ss.ended || s.cfg.Policy.CacheDriven() {
 		return
@@ -299,14 +236,11 @@ func (ss *syncSession) raiseHeldLocked(key int, h heldAxis) bool {
 }
 
 // recordHeldLocked folds one held-version ack into the session; the object
-// id is resolved once. The newest ack per object is kept. On an individual
-// session an object whose scheduled send the ack now covers is cancelled on
-// the spot — this is what lets a relay restored from a stale snapshot stop
-// re-exporting to a child that is already ahead. A grouped member only
-// records it (exclusions are applied per batch and per catch-up), and only
-// when it is at or ahead of the canonical origin axis: the axis only moves
-// forward, so an ack already behind it can exclude nothing. Caller holds
-// src.mu.
+// id is resolved once. The newest ack per object is kept, and only when it is
+// at or ahead of the canonical origin axis. An object the group still owes
+// and every member now excludes leaves the schedule on the spot (the group's
+// exclusion rule) — this is what lets a relay restored from a stale snapshot
+// stop re-exporting to a child that is already ahead. Caller holds src.mu.
 func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 	s := ss.src
 	o, _ := s.objLocked(h.ObjectID)
@@ -319,67 +253,59 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 		}
 		return
 	}
-	ack := heldAxis{h.Epoch, h.Version}
-	oe, ov := s.originAxisLocked(o)
-	if ss.grouped {
-		if ack.covers(oe, ov) {
-			ss.raiseHeldLocked(int(o.key), ack)
-		}
+	ack, p := heldAxis{h.Epoch, h.Version}, s.order.prov(o.key)
+	p.Epoch, p.Version = s.originAxisLocked(o)
+	if !ack.covers(p.Epoch, p.Version) || !ss.raiseHeldLocked(int(o.key), ack) {
 		return
 	}
-	if !ss.raiseHeldLocked(int(o.key), ack) {
-		return // older than what we already know the cache holds
-	}
-	if so := &ss.objs[o.key]; so.sentVer == o.version && so.sentVal == o.value {
-		return // nothing pending toward this cache anyway
-	}
-	if ack.covers(oe, ov) {
-		ss.markDeliveredLocked(o, now)
+	if g := ss.group; g != nil {
+		if so := &g.objs[o.key]; so.sentVer != o.version || so.sentVal != o.value {
+			g.excludedLocked(o, &p, now)
+		}
 	}
 }
 
-// loop is the session's one goroutine: it accrues budget at the session's
-// allocated rate, flushes over-threshold objects, answers the cache's polls
-// and folds in its feedback. One loop runs per session, so N caches drain
-// concurrently and one blocked connection stalls only its own session. What
-// the session does is a matter of which select cases are live, and that
-// follows from state it already has — a nil channel never fires:
+// loop is the session's one goroutine: it folds in its cache's feedback,
+// answers its polls, closes the hybrid controller's scoring windows and
+// redials, so one blocked connection stalls only its own session. What it
+// does is a matter of which select cases are live — a nil channel never
+// fires:
 //
-//   - The flush tick runs unless the session is a group member (the group's
-//     one flusher schedules for the whole cohort; the member only relays
-//     feedback). Under a cache-driven policy the tick only accrues: there
-//     are no priorities, thresholds or pushes.
 //   - Polls are read under every polling policy and only while the bucket
 //     covers an answer, so an answer the source cannot afford stays in the
 //     channel, where transport back-pressure drops the cache's best-effort
-//     polls until it can (the cache re-polls on its period). Replies and
-//     refreshes spend the SAME bucket. Under the hybrid policy that is the
-//     equal-budget invariant the policy comparison rests on, and intake is
-//     gated and charged at the poll round trip, the conservative bound
-//     Policy.MessageCost reports; the pure polling policies count the reply
-//     alone.
+//     polls until it can (the cache re-polls on its period). Under the
+//     hybrid policy replies spend the group's bucket, the one its pushes
+//     spend: the equal-budget invariant the policy comparison rests on, with
+//     intake gated and charged at the poll round trip, the conservative bound
+//     Policy.MessageCost reports. The pure polling policies count the reply
+//     alone, against a bucket of the session's own.
+//   - The tick runs only under a polling policy: it accrues the session's
+//     bucket at the allocated rate, re-read every tick because shares move
+//     at runtime, and wakes the loop to look at the bucket again.
 //   - The migration tick closes the hybrid controller's scoring window.
-//
-// The allocated rate is re-read under src.mu on every tick — never frozen at
-// loop start — because shares move at runtime: AddDestination and
-// RemoveDestination re-divide the budget, SetBandwidth replaces it, and the
-// periodic re-allocation pass re-weights sessions.
 //
 // The feedback channel closing is the one disconnect signal under every
 // policy. Redial (when configured) re-establishes the connection under the
 // standard full-resync contract — a group member is skipped by every
 // broadcast meanwhile and lags on every object once back — and a session
-// without a redial hook ends, leaving the group. A polling cache is re-sent
+// without a redial hook ends, leaving its group. A polling cache is re-sent
 // nothing it did not ask for.
 func (ss *syncSession) loop() {
 	defer close(ss.done)
 	s := ss.src
-	ticker := time.NewTicker(s.cfg.Tick)
-	defer ticker.Stop()
 	var tick, migrate <-chan time.Time
+	if s.cfg.Policy.Polls() {
+		t := time.NewTicker(s.cfg.Tick)
+		defer t.Stop()
+		tick = t.C
+	}
+	s.mu.Lock()
+	g := ss.group // a hybrid destination's group of its own; nil for a poll-only one
+	s.mu.Unlock()
 	pollCost := 1.0
-	if ss.hyb != nil {
-		t := time.NewTicker(ss.hyb.cfg.MigrateEvery)
+	if s.cfg.Policy == PolicyHybrid {
+		t := time.NewTicker(s.cfg.Hybrid.withDefaults().MigrateEvery)
 		defer t.Stop()
 		migrate, pollCost = t.C, pollRoundTrip
 	}
@@ -389,13 +315,22 @@ func (ss *syncSession) loop() {
 		pc     transport.PollConn
 		polls  <-chan wire.Poll
 	)
+	// afford reports whether the reply bucket covers an answer: the
+	// session's own, or its group's under the hybrid policy (answerPoll
+	// spends that one).
+	afford := func() bool {
+		if g == nil {
+			return budget.tokens >= pollCost
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		g.accrueLocked(s.now())
+		return g.budget.tokens >= pollCost
+	}
 	// link re-reads what the loop selects on: at start and after a redial.
 	link := func() bool {
 		s.mu.Lock()
 		conn := ss.dest.Conn
-		if !ss.grouped {
-			tick = ticker.C // a member's sends are the group flusher's
-		}
 		s.mu.Unlock()
 		fb = conn.Feedback()
 		if s.cfg.Policy.Polls() {
@@ -417,7 +352,7 @@ func (ss *syncSession) loop() {
 	}
 	for {
 		in := polls
-		if budget.tokens < pollCost {
+		if in != nil && !afford() {
 			in = nil
 		}
 		select {
@@ -447,16 +382,16 @@ func (ss *syncSession) loop() {
 				polls = nil // the feedback close drives the redial
 				continue
 			}
-			budget.tokens -= pollCost * float64(ss.answerPoll(pc, p))
-		case <-tick:
-			s.mu.Lock()
-			rate := ss.rate
-			s.mu.Unlock()
-			budget.accrue(rate, s.cfg.Tick.Seconds(), s.cfg.Tick)
-			if !s.cfg.Policy.Pushes() {
-				continue
+			if n := ss.answerPoll(pc, p); g == nil {
+				budget.tokens -= pollCost * float64(n)
 			}
-			budget.tokens = ss.flush(budget.tokens)
+		case <-tick:
+			if g == nil {
+				s.mu.Lock()
+				rate := ss.rate
+				s.mu.Unlock()
+				budget.accrue(rate, s.cfg.Tick.Seconds(), s.cfg.Tick)
+			}
 		case <-migrate:
 			ss.migrateOnce()
 		}
@@ -464,45 +399,44 @@ func (ss *syncSession) loop() {
 }
 
 // migrateOnce runs one migration pass: the controller re-scores every
-// object and the session applies the regime moves to its priority queue.
+// object and the group applies the regime moves to its priority queue.
 func (ss *syncSession) migrateOnce() {
 	s := ss.src
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ss.ended || ss.objs == nil {
-		return
+	g := ss.group
+	if g == nil {
+		return // ended or removed
 	}
 	now := s.now()
-	promoted, demoted := ss.hyb.migrate(now)
+	promoted, demoted := g.hyb.migrate(now)
 	for _, key := range promoted {
-		if key < len(ss.objs) {
-			// The tracker kept accumulating while the object was polled,
-			// so the promotion ranks it by its real outstanding divergence.
-			ss.requeue(s.order.at(key), now)
-		}
+		// The tracker kept accumulating while the object was polled, so
+		// the promotion ranks it by its real outstanding divergence.
+		g.requeue(s.order.at(key), now)
 	}
 	for _, key := range demoted {
-		ss.eng.Queue.Remove(key)
+		g.eng.Queue.Remove(key)
 	}
 }
 
 // answerPoll builds and sends the reply to one poll from the canonical
-// store, returning the budget it spent: one unit per targeted item, and a
+// store, returning the budget it spent — from its group's bucket itself under
+// the hybrid policy, at the poll round trip: one unit per targeted item, and a
 // flat one unit for a discovery reply — the full-store listing is universe
 // METADATA (the cache registers ids from it, never values), so charging it
 // per item would bill a control-plane message at data-plane rates and
 // starve the targeted replies that actually move values. An empty object
 // list is the discovery poll: the whole store is returned with All set.
-// Counters commit only after a successful send, the same rule as the push
-// path's flush; Refreshes counts targeted items only (the value
-// transfers).
+// Counters commit only after a successful send; Refreshes counts targeted
+// items only (the value transfers).
 //
-// Under the hybrid policy the reply additionally advertises the session's
+// Under the hybrid policy the reply additionally advertises the group's
 // current push set (wire.PollReply.Pushed) so a cooperation-aware cache
 // stops polling objects the source is already pushing, and each answered
 // targeted item is charged to the migration controller at the poll
 // round-trip cost and committed as delivered — the cache installs exactly
-// the replied value, so the session's sent-state advances as if the value
+// the replied value, so the group's sent-state advances as if the value
 // had been pushed.
 func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	s := ss.src
@@ -540,8 +474,8 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 			}
 		}
 	}
-	if ss.hyb != nil {
-		reply.Pushed = ss.hyb.pushSet(&s.order)
+	if g := ss.group; g != nil && g.hyb != nil {
+		reply.Pushed = g.hyb.pushSet(&s.order)
 	}
 	s.mu.Unlock()
 
@@ -562,10 +496,13 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	ss.pollsAnswered++
 	if !reply.All {
 		ss.refreshes += len(reply.Items)
-		if ss.hyb != nil && !ss.ended {
-			ss.hyb.polled += len(reply.Items)
+	}
+	if g := ss.group; g != nil { // a hybrid destination's
+		g.budget.tokens -= pollRoundTrip * float64(cost)
+		if !reply.All {
+			g.hyb.polled += len(reply.Items)
 			for _, it := range reply.Items {
-				ss.commitPolledLocked(it, builtAt, now)
+				g.commitPolledLocked(it, builtAt, now)
 			}
 		}
 	}
@@ -574,20 +511,20 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 }
 
 // commitPolledLocked records one answered targeted poll item with the
-// hybrid migration controller and advances the session's sent-state to
-// the replied value — the same commit a pushed refresh gets, built when the
-// reply was (builtAt), with updates that landed since left as its residual.
-// Caller holds src.mu.
-func (ss *syncSession) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
-	o, _ := ss.src.objLocked(it.ObjectID)
-	if o == nil || int(o.key) >= len(ss.objs) {
+// hybrid migration controller and advances the group's sent-state to the
+// replied value — the same commit a pushed refresh gets, built when the reply
+// was (builtAt), with updates that landed since left as its residual. Caller
+// holds src.mu.
+func (g *SessionGroup) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
+	o, _ := g.src.objLocked(it.ObjectID)
+	if o == nil {
 		return
 	}
-	ss.hyb.charge(int(o.key), pollRoundTrip)
-	if !it.Exists || it.Version <= ss.objs[o.key].sentVer {
+	g.hyb.charge(int(o.key), pollRoundTrip)
+	if !it.Exists || it.Version <= g.objs[o.key].sentVer {
 		return // nothing replied, or a push already delivered something at-or-ahead
 	}
-	ss.commit(o, it.Value, it.Version, builtAt, now)
+	g.commit(o, it.Value, it.Version, builtAt, now)
 }
 
 // answerLocked returns object o's answer to this session's poller, or false
@@ -617,7 +554,7 @@ func (ss *syncSession) answerLocked(o *objState, known map[string]wire.KnownVers
 			origin = s.cfg.ID // locally produced: this source is the origin
 		}
 		if k.Origin == origin {
-			if oe, ov := s.originAxisLocked(o); heldAtOrAhead(k.Epoch, k.Version, oe, ov) {
+			if oe, ov := s.originAxisLocked(o); (heldAxis{k.Epoch, k.Version}).covers(oe, ov) {
 				ss.pollOmits++
 				return wire.PollItem{}, false
 			}
@@ -639,17 +576,16 @@ func (ss *syncSession) answerLocked(o *objState, known map[string]wire.KnownVers
 }
 
 // end marks the session permanently dead and re-divides its share across
-// the surviving sessions: a session that can never send again must not
+// the surviving destinations: a session that can never send again must not
 // keep a slice of the budget (nor skew the aggregate threshold mean — see
-// Source.Stats). A group member leaves the group. Its per-object state is
-// released — nothing will ever observe or flush it again — while the counters
-// stay for the ENDED stats row.
+// Source.Stats). It leaves its group, and a group of its own goes with it.
+// Its per-object state is released, while the counters stay for the ENDED
+// stats row.
 func (ss *syncSession) end() {
 	s := ss.src
 	s.mu.Lock()
-	s.group.detachLocked(ss)
+	s.leaveLocked(ss)
 	ss.ended = true
-	ss.reset(0)
 	ss.held, ss.lag = nil, keySet{}
 	s.reallocateLocked()
 	s.mu.Unlock()
@@ -664,11 +600,10 @@ const (
 )
 
 // redial re-establishes this session's connection with exponential backoff,
-// returning false when the source shuts down first. On success the session's
-// sent-state is reset: the peer may have restarted empty, so every object is
-// re-registered as never-sent and re-ranked (for a group member: marked
-// dirty). For a peer that in fact kept its store, the re-sends are harmless —
-// the cache's (epoch, version) staleness guards drop anything it already holds.
+// returning false when the source shuts down first. On success the member
+// lags on every object: the peer may have restarted empty. For a peer that
+// in fact kept its store, the re-sends are harmless — the cache's (epoch,
+// version) staleness guards drop anything it already holds.
 func (ss *syncSession) redial() bool {
 	s := ss.src
 	// Release the dead connection first: a Batcher wrapping it keeps a
@@ -676,9 +611,9 @@ func (ss *syncSession) redial() bool {
 	// Close is idempotent on every provided transport, so racing
 	// Source.Close's own snapshot-and-close is harmless. While the redial
 	// runs, the session is flagged so the rebalance pass does not let its
-	// ever-growing demand (nothing resets while the peer is gone) capture
-	// share from sessions that can actually spend it, and so that group
-	// broadcasts skip it.
+	// group's ever-growing demand (nothing resets while the peer is gone)
+	// capture share from destinations that can actually spend it, and so
+	// that broadcasts skip it: a group of its own cuts nothing meanwhile.
 	s.mu.Lock()
 	ss.redialing = true
 	old := ss.dest.Conn
@@ -733,89 +668,12 @@ func (ss *syncSession) redial() bool {
 		// re-sync.
 		ss.held = nil
 		ss.heldPending = map[string]wire.HeldVersion{}
-		switch {
-		case ss.grouped:
-			s.group.lagLocked(ss, nil)
-		case !s.cfg.Policy.CacheDriven():
-			// Under the hybrid policy the re-observe passes the poll-set
-			// gate, so only push-set objects re-queue.
-			ss.resyncLocked(s.now())
+		if g := ss.group; g != nil {
+			g.lagLocked(ss, nil)
 		}
 		s.mu.Unlock()
 		return true
 	}
-}
-
-// flush sends over-threshold objects while budget remains, returning the
-// leftover budget.
-//
-// Sent-state is committed only AFTER a successful send: on error the
-// tracker, queue entry and threshold are left untouched, so the refresh is
-// retried on the next flush instead of being silently dropped (a failed
-// send must not look like a delivered one). Updates that raced in while the
-// send was in flight are the commit's residual (see sched.commit).
-func (ss *syncSession) flush(budget float64) float64 {
-	s := ss.src
-	if s.cfg.SuppressWithinThreshold {
-		// Observe work deferred by the within-threshold suppression replays
-		// here, before sendability is consulted — the deferral only ever
-		// moves bookkeeping to this point, never past a send decision.
-		s.mu.Lock()
-		s.replayDeferredLocked(s.now())
-		s.mu.Unlock()
-	}
-	for budget >= 1 {
-		s.mu.Lock()
-		key, _, ok := ss.eng.ShouldSend()
-		if !ok {
-			ss.eng.SetLimited(false)
-			s.mu.Unlock()
-			return budget
-		}
-		o := s.order.at(key)
-		prov := s.order.prov(o.key)
-		builtAt, sentUnix := s.clock()
-		if ss.remoteID != "" && prov.passedThrough(ss.remoteID) {
-			// Split horizon binds at send time: this object was queued
-			// before feedback revealed the peer's identity, so
-			// observeLocked could not exclude it. Drop it now, unsent and
-			// uncharged, as the group path does per batch.
-			ss.unschedule(key, builtAt)
-			s.mu.Unlock()
-			continue
-		}
-		// Stamped with the cache identity learned from feedback (not the
-		// local label): the advisory mismatch counter on the cache then only
-		// fires on genuine miswiring, never on operators labeling
-		// destinations differently than caches name themselves.
-		msg := ss.refresh(o, &prov, ss.remoteID, s.started.UnixNano(), sentUnix)
-		conn := ss.dest.Conn
-		s.mu.Unlock()
-
-		// Send outside the lock: a saturated cache applies back-pressure
-		// here, which is exactly the paper's network queueing — and it
-		// stalls only this session. The connection is snapshotted under the
-		// lock above because a redial may swap it concurrently.
-		if err := conn.SendRefresh(msg); err != nil {
-			s.mu.Lock()
-			ss.sendErrors++
-			s.mu.Unlock()
-			return budget
-		}
-
-		s.mu.Lock()
-		ss.commitPush(o, msg.Value, msg.Version, builtAt, s.now())
-		if ss.hyb != nil {
-			ss.hyb.charge(key, 1)
-		}
-		ss.refreshes++
-		s.mu.Unlock()
-		budget--
-	}
-	s.mu.Lock()
-	ss.limit(budget)
-	s.mu.Unlock()
-	return budget
 }
 
 // Destination describes one downstream cache of a fan-out source.
@@ -826,19 +684,20 @@ type Destination struct {
 	// distinguishes the two as CacheID vs RemoteID). Defaults to
 	// "cache-<i>".
 	CacheID string
-	// Conn is the connection to the cache. Wrap it in a transport.Batcher
-	// for batched framing; batches never span destinations.
+	// Conn is the connection to the cache. Its group sends it batches of up
+	// to GroupConfig.MaxBatch refreshes, pre-encoded for a FrameSender.
 	Conn transport.SourceConn
 	// Weight is the destination's share weight for dividing
-	// SourceConfig.Bandwidth across sessions (Section 7 share allocation);
-	// non-positive means 1 (equal shares when all are defaulted).
+	// SourceConfig.Bandwidth across destinations (Section 7 share
+	// allocation); non-positive means 1 (equal shares when all are
+	// defaulted).
 	Weight float64
 	// Redial, when non-nil, re-establishes the connection after the
 	// current one dies: the session retries it with exponential backoff
-	// (50 ms doubling to 5 s) until it succeeds or the source closes,
-	// then resets its sent-state so a peer that restarted empty is fully
-	// re-synchronized. Return a connection wrapped the same way as Conn
-	// (e.g. in a transport.Batcher). Nil keeps the old behavior: a dead
-	// connection permanently ends its session.
+	// (50 ms doubling to 5 s) until it succeeds or the source closes, and
+	// the destination then lags on every object, so a peer that restarted
+	// empty is fully re-synchronized. Return a connection wrapped the same
+	// way as Conn. Nil keeps the old behavior: a dead connection
+	// permanently ends its session.
 	Redial func() (transport.SourceConn, error)
 }

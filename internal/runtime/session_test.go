@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -96,10 +97,15 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// newTestSession builds a single-destination source whose session is driven
-// manually: the huge tick keeps the background loop from ever flushing, and
-// beta is disabled so threshold arithmetic is exactly α and ω.
+// newTestSession builds a single-destination source driven by hand: the
+// hour-long tick keeps the flusher from ever passing, and beta is disabled so
+// threshold arithmetic is exactly α and ω. The destination is a group of its
+// own.
 func newTestSession(t *testing.T, conn transport.SourceConn, clock *fakeClock) (*Source, *syncSession) {
+	return newTestSessionTo(t, Destination{CacheID: "c1", Conn: conn}, clock)
+}
+
+func newTestSessionTo(t *testing.T, d Destination, clock *fakeClock) (*Source, *syncSession) {
 	t.Helper()
 	params := core.DefaultParams(1, 1000)
 	params.DisableBeta = true
@@ -110,7 +116,7 @@ func newTestSession(t *testing.T, conn transport.SourceConn, clock *fakeClock) (
 		Tick:      time.Hour,
 		Params:    params,
 		Now:       clock.Now,
-	}, []Destination{{CacheID: "c1", Conn: conn}})
+	}, []Destination{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,64 +124,91 @@ func newTestSession(t *testing.T, conn transport.SourceConn, clock *fakeClock) (
 	return src, src.sessions[0]
 }
 
+// passWith runs one tick pass of the group of session ss by hand with exactly
+// budget tokens in its bucket — what it accrued is replaced, so the test says
+// what the pass may spend — waits for the member's sends to finish and
+// returns what the pass left in the bucket.
+func passWith(ss *syncSession, budget float64) float64 {
+	s := ss.src
+	s.mu.Lock()
+	g := ss.group
+	g.accrueLocked(s.now())
+	g.budget.tokens = budget
+	s.mu.Unlock()
+	g.pass(0)
+	for ss.inflight.Load() != 0 {
+		stdruntime.Gosched()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return g.budget.tokens
+}
+
+// midSendConn runs a one-shot hook in the middle of the next send: after the
+// group committed the refresh, before the send returns.
+type midSendConn struct {
+	transport.SourceConn
+	hook func()
+}
+
+func (c *midSendConn) SendBatch(rs []wire.Refresh) error {
+	if h := c.hook; h != nil {
+		c.hook = nil
+		h()
+	}
+	return c.SourceConn.SendBatch(rs)
+}
+
 // TestFlushRetriesAfterSendError is the regression test for the
-// lost-refresh bug: sent-state used to be committed (tracker reset, queue
-// entry removed, threshold raised) BEFORE SendRefresh, so a send error
-// silently dropped the refresh forever. Now a failed send leaves the object
-// scheduled and the refresh goes out on the next flush.
+// lost-refresh bug: a send error once dropped a committed refresh forever. A
+// group commits a refresh when it schedules it, so a failed send is not
+// retried as such: it closes the connection, the member redials and lags on
+// every object, and the next pass catches it up. The member ends holding
+// every value, and SendErrors counts the failure.
 func TestFlushRetriesAfterSendError(t *testing.T) {
-	conn := newFakeConn()
+	conn, conn2 := newFakeConn(), newFakeConn()
 	clock := newFakeClock()
-	src, ss := newTestSession(t, conn, clock)
+	src, ss := newTestSessionTo(t, Destination{CacheID: "c1", Conn: conn,
+		Redial: func() (transport.SourceConn, error) { return conn2, nil }}, clock)
 
 	clock.advance(time.Second)
 	src.Update("x", 42) // priority 1s × 42 ≫ threshold 1
-
-	conn.setFailures(2)
-	thBefore := src.Stats().Threshold
-	ss.flush(1) // fails: must not commit anything
+	src.Update("y", 7)
+	conn.setFailures(1)
+	passWith(ss, 2)
 	if got := len(conn.sentMsgs()); got != 0 {
 		t.Fatalf("send failed but %d refreshes recorded", got)
 	}
+	waitFor(t, 5*time.Second, func() bool { return src.Stats().Sessions[0].Reconnects == 1 }, "the member to redial")
 	st := src.Stats()
-	if st.SendErrors != 1 {
-		t.Errorf("send errors = %d, want 1", st.SendErrors)
+	if st.SendErrors != 1 || st.Refreshes != 0 {
+		t.Errorf("send errors = %d, refreshes = %d, want 1 and 0", st.SendErrors, st.Refreshes)
 	}
-	if st.Refreshes != 0 {
-		t.Errorf("refreshes = %d, want 0 after failed send", st.Refreshes)
-	}
-	if st.Pending != 1 {
-		t.Errorf("pending = %d, want 1 (object must stay scheduled)", st.Pending)
-	}
-	if st.Threshold != thBefore {
-		t.Errorf("threshold moved %v → %v on a FAILED send", thBefore, st.Threshold)
+	if st.Pending != 2 {
+		t.Errorf("pending = %d, want 2 (the member lags on both objects)", st.Pending)
 	}
 
-	ss.flush(1) // second injected failure
-	if got := src.Stats().SendErrors; got != 2 {
-		t.Errorf("send errors = %d, want 2", got)
+	passWith(ss, 2)
+	got := map[string]float64{}
+	for _, r := range conn2.sentMsgs() {
+		got[r.ObjectID] = r.Value
 	}
-
-	ss.flush(1) // conn healthy again: the refresh must finally go out
-	sent := conn.sentMsgs()
-	if len(sent) != 1 {
-		t.Fatalf("refresh lost after transient send errors: %d sent", len(sent))
-	}
-	if sent[0].ObjectID != "x" || sent[0].Value != 42 {
-		t.Errorf("sent %+v, want x=42", sent[0])
+	if len(got) != 2 || got["x"] != 42 || got["y"] != 7 {
+		t.Fatalf("after the redial the member holds %v, want x=42 y=7", got)
 	}
 	st = src.Stats()
-	if st.Refreshes != 1 || st.Pending != 0 {
-		t.Errorf("after recovery: refreshes=%d pending=%d, want 1/0",
-			st.Refreshes, st.Pending)
+	if st.SendErrors != 1 || st.Refreshes != 2 || st.Pending != 0 {
+		t.Errorf("after recovery: send errors=%d refreshes=%d pending=%d, want 1/2/0",
+			st.SendErrors, st.Refreshes, st.Pending)
 	}
 }
 
-// TestFlushCommitsResidualOnRacingUpdate: an update landing between message
-// construction and the send commit leaves a residual divergence, and the
-// object stays scheduled so the newer value is sent too. The residual used
-// to be committed with zero area — priority 0, so it left the queue and the
-// cache kept the old value however long the source stayed quiet.
+// TestFlushCommitsResidualOnRacingUpdate: an update that lands while a
+// refresh is in flight — committed when its pass scheduled it, not yet sent —
+// leaves a residual divergence against the new sent-state, and the object
+// stays scheduled, so the newer value is sent too with no further Update. A
+// residual once left the queue with zero area, and the cache kept the old
+// value however long the source stayed quiet.
 func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 	conn := newFakeConn()
 	hooked := &midSendConn{SourceConn: conn}
@@ -184,10 +217,10 @@ func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 
 	clock.advance(time.Second)
 	src.Update("x", 10)
-	ss.flush(1)
+	passWith(ss, 1)
 	clock.advance(time.Second)
 	src.Update("x", 20)
-	ss.flush(1)
+	passWith(ss, 1)
 	sent := conn.sentMsgs()
 	if len(sent) != 2 || sent[1].Value != 20 {
 		t.Fatalf("sent %+v, want two refreshes ending at 20", sent)
@@ -204,19 +237,19 @@ func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 		clock.advance(10 * time.Millisecond)
 		src.Update("x", 101)
 	}
-	ss.flush(1)
+	passWith(ss, 1)
 	if sent = conn.sentMsgs(); len(sent) != 3 || sent[2].Value != 100 {
 		t.Fatalf("sent %+v, want a third refresh carrying the value built before the race", sent)
 	}
 	if p := src.Stats().Pending; p != 1 {
-		t.Fatalf("pending = %d after the racing flush, want 1 (the residual must stay queued)", p)
+		t.Fatalf("pending = %d after the racing pass, want 1 (the residual must stay queued)", p)
 	}
 	// No further Update: feedback alone lowers the threshold until the
-	// residual's area clears it, and quiet flushes deliver 101.
+	// residual's area clears it, and quiet passes deliver 101.
 	for i := 0; i < 50 && len(conn.sentMsgs()) == 3; i++ {
 		ss.onFeedback(wire.Feedback{})
 		clock.advance(time.Second)
-		ss.flush(1)
+		passWith(ss, 1)
 	}
 	if sent = conn.sentMsgs(); len(sent) != 4 || sent[3].Value != 101 {
 		t.Fatalf("sent %+v, want the racing update delivered with no further Update", sent)
@@ -231,7 +264,7 @@ func TestFlushCommitsResidualOnRacingUpdate(t *testing.T) {
 // was checked only when an update was observed, so a relayed value queued
 // BEFORE feedback revealed the peer's identity was still sent (and rejected
 // by the peer's loop guard, a wasted message). The exclusion must bind at
-// send time: the flush drops the object unsent, keeps its budget and leaves
+// send time: the pass drops the object unsent, keeps its budget and leaves
 // no demand behind.
 func TestSplitHorizonBindsAtSendTime(t *testing.T) {
 	local := transport.NewLocal(8)
@@ -243,7 +276,7 @@ func TestSplitHorizonBindsAtSendTime(t *testing.T) {
 	clock := newFakeClock()
 	src, err := NewFanoutSource(SourceConfig{
 		ID: "s1", Metric: metric.ValueDeviation, Bandwidth: 1000,
-		Tick: time.Hour, Now: clock.Now, // the test drives flush by hand
+		Tick: time.Hour, Now: clock.Now, // the test drives the passes by hand
 	}, []Destination{{CacheID: "c1", Conn: conn}})
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +298,8 @@ func TestSplitHorizonBindsAtSendTime(t *testing.T) {
 	}, "feedback to reveal the peer's identity")
 
 	clock.advance(time.Second)
-	if left := ss.flush(1); left != 1 {
-		t.Errorf("flush left budget %v, want 1 (an excluded object is not charged)", left)
+	if left := passWith(ss, 1); left != 1 {
+		t.Errorf("the pass left budget %v, want 1 (an excluded object is not charged)", left)
 	}
 	if n := len(local.Batches()); n != 0 {
 		t.Errorf("%d batches sent to a peer already on the value's path, want 0", n)
@@ -276,43 +309,50 @@ func TestSplitHorizonBindsAtSendTime(t *testing.T) {
 		t.Errorf("refreshes=%d pending=%d, want 0/0", st.Refreshes, st.Pending)
 	}
 	src.mu.Lock()
-	demand := ss.demand
+	demand := ss.group.demand
 	src.mu.Unlock()
 	if demand != 0 {
-		t.Errorf("session demand = %v, want 0 (an unsendable object must not earn share)", demand)
+		t.Errorf("group demand = %v, want 0 (an unsendable object must not earn share)", demand)
 	}
 }
 
 // TestSessionThresholdInterplay drives OnFeedback/OnRefreshSent through a
-// session and checks the Section 5 feedback loop end to end: the threshold
-// rises by α per refresh sent, falls by ω on feedback — and holds still
-// when the session is send-limited (feedback must not re-open the floodgate
-// of a source already at capacity).
+// destination's group and checks the Section 5 feedback loop end to end: the
+// threshold rises by α per refresh sent, falls by ω on feedback — and holds
+// still when the group is send-limited (feedback must not re-open the
+// floodgate of a source already at capacity) or cannot send at all.
 func TestSessionThresholdInterplay(t *testing.T) {
 	const (
 		alpha = core.DefaultAlpha
 		omega = core.DefaultOmega
 	)
+	// interplay is one case's source, its destination's connection, and the
+	// gate its redial waits on.
+	type interplay struct {
+		src   *Source
+		ss    *syncSession
+		conn  *fakeConn
+		clock *fakeClock
+		allow chan struct{}
+	}
 	// Each step performs one protocol event and gives the expected
 	// threshold as a function of the previous one.
 	type step struct {
 		name string
-		do   func(src *Source, ss *syncSession, conn *fakeConn, clock *fakeClock)
+		do   func(r *interplay)
 		want func(prev float64) float64
 	}
-	update := func(val float64) func(*Source, *syncSession, *fakeConn, *fakeClock) {
-		return func(src *Source, _ *syncSession, _ *fakeConn, clock *fakeClock) {
-			clock.advance(time.Second)
-			src.Update("x", val)
+	update := func(val float64) func(*interplay) {
+		return func(r *interplay) {
+			r.clock.advance(time.Second)
+			r.src.Update("x", val)
 		}
 	}
-	flush := func(budget float64) func(*Source, *syncSession, *fakeConn, *fakeClock) {
-		return func(_ *Source, ss *syncSession, _ *fakeConn, _ *fakeClock) {
-			ss.flush(budget)
-		}
+	flush := func(budget float64) func(*interplay) {
+		return func(r *interplay) { passWith(r.ss, budget) }
 	}
-	feedback := func(_ *Source, ss *syncSession, _ *fakeConn, _ *fakeClock) {
-		ss.onFeedback(wire.Feedback{CacheID: "remote-7"})
+	feedback := func(r *interplay) {
+		r.ss.onFeedback(wire.Feedback{CacheID: "remote-7"})
 	}
 	same := func(prev float64) float64 { return prev }
 
@@ -345,28 +385,47 @@ func TestSessionThresholdInterplay(t *testing.T) {
 			},
 		},
 		{
+			// A group commits what it schedules, so a send that is going to
+			// fail must not be scheduled: while the connection is down and
+			// redialing, a pass cuts nothing.
 			name: "failed send leaves threshold untouched",
 			steps: []step{
 				{"update", update(1000), same},
-				{"fail", func(_ *Source, ss *syncSession, conn *fakeConn, _ *fakeClock) {
-					conn.setFailures(1)
-					ss.flush(1)
+				{"fail", func(r *interplay) {
+					r.conn.Close()
+					waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Sessions[0].Redialing }, "the redial")
+					passWith(r.ss, 1)
 				}, same},
-				{"retry succeeds", flush(1), func(p float64) float64 { return p * alpha }},
+				{"retry succeeds", func(r *interplay) {
+					close(r.allow)
+					waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Sessions[0].Reconnects == 1 }, "the reconnect")
+					passWith(r.ss, 1)
+				}, func(p float64) float64 { return p * alpha }},
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := newFakeConn()
-			clock := newFakeClock()
-			src, ss := newTestSession(t, conn, clock)
+			r := &interplay{conn: newFakeConn(), clock: newFakeClock(), allow: make(chan struct{})}
+			r.src, r.ss = newTestSessionTo(t, Destination{CacheID: "c1", Conn: r.conn,
+				Redial: func() (transport.SourceConn, error) {
+					<-r.allow
+					return newFakeConn(), nil
+				}}, r.clock)
+			t.Cleanup(func() {
+				select {
+				case <-r.allow:
+				default:
+					close(r.allow) // before the source closes: a redial stuck here would hang it
+				}
+			})
+			src := r.src
 			prev := src.Stats().Threshold
 			if prev != 1 {
 				t.Fatalf("initial threshold = %v, want 1", prev)
 			}
 			for _, s := range tc.steps {
-				s.do(src, ss, conn, clock)
+				s.do(r)
 				got := src.Stats().Threshold
 				want := s.want(prev)
 				if math.Abs(got-want) > 1e-9*want {
@@ -380,7 +439,7 @@ func TestSessionThresholdInterplay(t *testing.T) {
 
 // TestSessionRedialRecovers: with Destination.Redial set, a dead connection
 // no longer ends the session — it redials with backoff (surviving an initial
-// failure), resets sent-state so a peer that restarted empty is fully
+// failure), lags on every object so a peer that restarted empty is fully
 // re-synchronized, and counts the reconnect.
 func TestSessionRedialRecovers(t *testing.T) {
 	conn1 := newFakeConn()
@@ -394,7 +453,7 @@ func TestSessionRedialRecovers(t *testing.T) {
 		ID:        "s1",
 		Metric:    metric.ValueDeviation,
 		Bandwidth: 1000,
-		Tick:      time.Hour, // flushes are driven manually
+		Tick:      time.Hour, // passes are driven manually
 		Params:    params,
 		Now:       clock.Now,
 	}, []Destination{{
@@ -417,7 +476,7 @@ func TestSessionRedialRecovers(t *testing.T) {
 
 	clock.advance(time.Second)
 	src.Update("x", 42)
-	ss.flush(1)
+	passWith(ss, 1)
 	if got := len(conn1.sentMsgs()); got != 1 {
 		t.Fatalf("pre-failure refresh count = %d, want 1", got)
 	}
@@ -445,12 +504,12 @@ func TestSessionRedialRecovers(t *testing.T) {
 		t.Errorf("remote id %q survived the reconnect, want cleared", got)
 	}
 
-	// Sent-state was reset: the object is re-scheduled even though its
-	// value never changed, so a peer that restarted empty still gets it.
+	// The member lags on the object even though its value never changed,
+	// so a peer that restarted empty still gets it.
 	if p := src.Stats().Sessions[0].Pending; p != 1 {
-		t.Errorf("pending = %d after reconnect, want 1 (sent-state reset)", p)
+		t.Errorf("pending = %d after reconnect, want 1 (lagging on x)", p)
 	}
-	ss.flush(1)
+	passWith(ss, 1)
 	sent := conn2.sentMsgs()
 	if len(sent) != 1 || sent[0].ObjectID != "x" || sent[0].Value != 42 {
 		t.Fatalf("replacement connection received %+v, want the re-registration of x=42", sent)
@@ -469,7 +528,7 @@ func TestSessionLearnsRemoteID(t *testing.T) {
 
 	clock.advance(time.Second)
 	src.Update("x", 100)
-	ss.flush(1)
+	passWith(ss, 1)
 	if sent := conn.sentMsgs(); sent[0].CacheID != "" {
 		t.Errorf("refresh before any feedback stamped CacheID %q, want empty",
 			sent[0].CacheID)
@@ -481,7 +540,7 @@ func TestSessionLearnsRemoteID(t *testing.T) {
 	}
 	clock.advance(time.Second)
 	src.Update("x", 200)
-	ss.flush(1)
+	passWith(ss, 1)
 	sent := conn.sentMsgs()
 	if got := sent[len(sent)-1].CacheID; got != "the-real-cache" {
 		t.Errorf("refresh after feedback stamped CacheID %q, want the-real-cache", got)
@@ -500,7 +559,7 @@ func TestSessionStampsProvenance(t *testing.T) {
 	src.UpdateFrom("relayed-obj", 200, Provenance{
 		Origin: "origin-src", Hops: 3, Via: []string{"relay-a", "relay-b", "relay-c"},
 	})
-	ss.flush(2)
+	passWith(ss, 2)
 	sent := conn.sentMsgs()
 	if len(sent) != 2 {
 		t.Fatalf("sent %d refreshes, want 2", len(sent))

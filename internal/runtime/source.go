@@ -27,68 +27,53 @@ type SourceConfig struct {
 	// for staleness/lag (Section 8.1).
 	PriorityFn priority.Fn
 	// Bandwidth is the source-side send budget in messages/second. A
-	// fan-out source divides it across its sync sessions by the
-	// destinations' share weights (Section 7 allocation, internal/alloc).
-	// The division is live: AddDestination/RemoveDestination re-divide it
-	// across the surviving sessions, and SetBandwidth replaces it at
-	// runtime.
+	// fan-out source divides it across its destinations by their share
+	// weights (Section 7 allocation, internal/alloc). The division is live:
+	// AddDestination/RemoveDestination re-divide it across the survivors, and
+	// SetBandwidth replaces it at runtime.
 	Bandwidth float64
 	// Rebalance, when positive, enables the periodic re-allocation pass:
-	// every Rebalance interval the session shares are re-derived from
-	// observed per-session feedback rates and outstanding divergence (the
+	// every Rebalance interval the shares are re-derived from observed
+	// per-destination feedback rates and outstanding divergence (the
 	// paper's option-3 contribution scores computed live — see
 	// alloc.Rebalancer), so a starved-but-responsive cache earns share
 	// from an idle or saturated one. Zero keeps the static Section 7
 	// split: shares move only when the destination set or the total
 	// bandwidth changes.
 	Rebalance time.Duration
-	// Tick is the send-loop interval (default 100 ms).
+	// Tick is the flusher's pass interval (default 100 ms).
 	Tick time.Duration
 	// Policy selects the synchronization policy toward the caches. Under
-	// the default PolicyPush the sessions run the paper's §5 protocol
-	// (priority queue, adaptive threshold, source-initiated refreshes).
-	// Under a cache-driven policy (ideal/cgm1/cgm2) the sessions instead
-	// ANSWER the caches' polls from the local store — no priorities, no
-	// thresholds, no pushes — pacing replies with the same per-session
-	// token-bucket share of Bandwidth so message accounting stays
+	// the default PolicyPush the destinations' groups run the paper's §5
+	// protocol (priority queue, adaptive threshold, source-initiated
+	// refreshes). Under a cache-driven policy (ideal/cgm1/cgm2) the sessions
+	// instead ANSWER the caches' polls from the local store — no priorities,
+	// no thresholds, no pushes — pacing replies with a token bucket at the
+	// destination's share of Bandwidth so message accounting stays
 	// comparable. Cache-driven policies require every destination
 	// connection to implement transport.PollConn (both provided transports
-	// and the Batcher do). PolicyHybrid runs both regimes per session —
-	// push-set objects flow through the §5 machinery, poll-set objects are
-	// answered like a cache-driven policy — against one shared token
-	// bucket, with the Hybrid migration controller moving objects between
-	// the sets; it needs poll-capable connections too.
+	// and the Batcher do). PolicyHybrid runs both regimes per destination,
+	// each a group of its own — push-set objects flow through the §5
+	// machinery, poll-set objects are answered like a cache-driven policy —
+	// against the group's one token bucket, with the Hybrid migration
+	// controller moving objects between the sets; it needs poll-capable
+	// connections too.
 	Policy Policy
 	// Hybrid tunes the per-object migration controller under PolicyHybrid
 	// (zero fields mean the documented defaults); ignored under every
 	// other policy.
 	Hybrid HybridConfig
 	// Params tunes the threshold algorithm; zero means paper defaults.
-	// All sessions share the same parameters; each session applies them
-	// to its own independent threshold.
+	// All groups share the same parameters; each applies them to its own
+	// independent threshold.
 	Params core.Params
 	// Weight assigns refresh weights (importance × popularity) per object;
 	// nil means weight 1 for all.
 	Weight func(objectID string) float64
-	// SuppressWithinThreshold, when set, defers the per-session scheduling
-	// fan-out of an update that is PROVABLY within every live session's
-	// threshold: the canonical object state still advances (the store stays
-	// correct, polls answer the new value), but no observe/requeue work is
-	// spent until the next flush tick replays the deferred objects. Only
-	// exact-bound configurations are eligible — the value-deviation metric
-	// with the default delta, pure-push individual sessions — and any
-	// session outside that shape (hybrid, grouped, redialing, never-sent)
-	// disables the deferral for the update at hand, so behaviour never
-	// changes, only bookkeeping timing. Relays (Node) enable this: most
-	// re-exported refreshes are below-threshold jitter for every peer.
-	// Counted in SourceStats.SuppressedObserves.
-	SuppressWithinThreshold bool
-	// Group enables session-group delivery: push-policy destinations with
-	// the default share weight register into one SessionGroup that runs a
-	// single scheduling pass and a single encode per batch and fans the
-	// shared frame to all members (see GroupConfig). Destinations with an
-	// explicit non-default weight, and every destination under a
-	// cache-driven policy, keep their individual sessions.
+	// Group configures push delivery (see GroupConfig): with Group.Enabled
+	// on a PolicyPush source the default-weight destinations share one
+	// SessionGroup, one scheduling pass and one encode per batch; every other
+	// push or hybrid destination is a group of its own.
 	Group GroupConfig
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
@@ -116,23 +101,22 @@ type SourceStats struct {
 	// sessions: split horizon (the poller is on the value's path) or a
 	// known-version hint proving the poller already at-or-ahead.
 	PollOmits int
-	// SuppressedObserves counts updates whose per-session scheduling
-	// fan-out was deferred because every live session was provably within
-	// its threshold (SourceConfig.SuppressWithinThreshold).
+	// SuppressedObserves is always zero: no update's scheduling is deferred
+	// any more. Kept for readers of older output.
 	SuppressedObserves int
 	// Rebalances counts completed periodic re-allocation passes
 	// (SourceConfig.Rebalance).
 	Rebalances int
-	// Threshold is the mean local threshold across live sessions (a
-	// single-cache source reports its one threshold unchanged). Grouped
-	// sessions share one threshold, counted once.
+	// Threshold is the mean threshold across the groups with a live member
+	// (a single-cache source reports its one threshold unchanged): the
+	// shared group's counts once.
 	Threshold float64
 	Sessions  []SessionStats
-	// Group carries the session-group breakdown when group delivery is
-	// enabled and has members; nil otherwise.
+	// Group carries the shared group's breakdown when group delivery is
+	// enabled and it has members; nil otherwise.
 	Group *GroupStats
-	// Hybrid aggregates the per-session migration controllers under
-	// PolicyHybrid (set sizes summed across sessions, cumulative
+	// Hybrid aggregates the per-destination migration controllers under
+	// PolicyHybrid (set sizes summed across destinations, cumulative
 	// promotions/demotions); nil under every other policy.
 	Hybrid *HybridStats
 }
@@ -146,15 +130,11 @@ type SourceStats struct {
 type objState struct {
 	id string
 	// key is the object's queue key: its index in Source.order and in every
-	// per-session/group state slice. Resolving an id through Source.objs
-	// yields it with the state, so nothing looks an object up twice.
-	key int32
-	// deferred marks an object whose per-session observe fan-out was
-	// suppressed (SourceConfig.SuppressWithinThreshold); the next flush
-	// tick replays it from canonical state.
-	deferred bool
-	value    float64
-	version  uint64
+	// group's state slice. Resolving an id through Source.objs yields it with
+	// the state, so nothing looks an object up twice.
+	key     int32
+	value   float64
+	version uint64
 	// Poisson-rate estimate (Section 8.1): total updates over total
 	// observed time.
 	updates int
@@ -265,38 +245,47 @@ func (p *Provenance) passedThrough(id string) bool {
 }
 
 // Source is a live source node. Applications call Update whenever a local
-// object changes; the node decides, independently per downstream cache,
-// when each object is worth a refresh message.
+// object changes; the node decides, independently per receiver cohort, when
+// each object is worth a refresh message.
 //
-// A Source is a thin coordinator: the actual scheduling state lives in one
-// syncSession per destination cache. Update fans the canonical change into
-// every session; each session's own goroutine then drives the Section 5
-// protocol toward its cache with its allocated share of the send budget,
-// so per-cache thresholds converge independently and a stalled cache
-// back-pressures only its own session.
+// A Source is a thin coordinator. Every push destination is a member of one
+// SessionGroup, whose scheduler ranks the objects against what that cohort
+// was sent: Update observes the canonical change once per group, and the
+// source's one flusher goroutine runs each group's Section 5 passes at the
+// group's share of the send budget, so per-group thresholds converge
+// independently. A group of its own sends on a worker of its own, so a
+// stalled cache back-pressures only its own group, and a stalled member of
+// the shared group lags instead. Each destination keeps a syncSession for
+// its connection: feedback, polls, migration and redial.
 type Source struct {
 	cfg SourceConfig
 
 	mu       sync.Mutex
 	sessions []*syncSession // live + ended (removed ones are dropped)
-	// group is the session group when cfg.Group.Enabled on a push source;
-	// immutable after construction (its member set is what changes).
+	// group is the shared group when cfg.Group.Enabled on a PolicyPush
+	// source; immutable after construction (its member set is what changes).
+	// groups is every push group, the shared one included.
 	group   *SessionGroup
+	groups  []*SessionGroup
 	reb     *alloc.Rebalancer
 	seq     int     // next default CacheID ordinal (never reused)
 	objs    idIndex // object id → queue key, confirmed against order.at(key).id
 	order   objSlab // queue key → object and provenance, in first-update order
 	updates int
-	// suppressedObserves and deferredKeys implement
-	// SourceConfig.SuppressWithinThreshold: queue keys of objects whose
-	// observe fan-out was deferred, replayed by replayDeferredLocked.
-	suppressedObserves int
-	deferredKeys       []int
 	// bandwidth is the live total send budget; cfg.Bandwidth is only its
 	// initial value (SetBandwidth replaces it at runtime).
 	bandwidth  float64
 	rebalances int
 	started    time.Time
+
+	// The push machinery: the shared group's sender worker pool (nil
+	// without one), the flusher's reused snapshot of the groups, the
+	// requests to pass early or resume (one slot: the flusher scans every
+	// group) and its exit. Nil if nothing pushes.
+	workers []*groupWorker
+	passing []*SessionGroup
+	wake    chan struct{}
+	flushed chan struct{}
 
 	stop chan struct{}
 }
@@ -317,7 +306,8 @@ func NewSource(cfg SourceConfig, conn transport.SourceConn) *Source {
 // NewFanoutSource starts a source node synchronizing every destination
 // cache. cfg.Bandwidth is divided across destinations in proportion to
 // their Weights (all-default weights mean equal shares); each destination
-// gets its own sync session, threshold and feedback loop.
+// gets its own sync session and feedback loop, and its own group, threshold
+// and scheduler unless it shares the group of cfg.Group.Enabled.
 func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("runtime: fan-out source needs at least one destination")
@@ -361,26 +351,32 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 	if cfg.Rebalance > 0 {
 		s.reb = &alloc.Rebalancer{}
 	}
-	// Group delivery is pure-push machinery: a hybrid session's poll set
-	// and migration state are inherently per-destination.
-	if cfg.Group.Enabled && cfg.Policy == PolicyPush {
-		// The group's flusher goroutine starts here, so everything below
-		// runs under the lock.
-		s.group = newSessionGroup(s, cfg.Group)
+	if cfg.Policy.Pushes() {
+		s.wake, s.flushed = make(chan struct{}, 1), make(chan struct{})
 	}
 	s.mu.Lock()
+	// The shared group is pure-push machinery: a hybrid destination's poll
+	// set and migration state are inherently its own.
+	if cfg.Group.Enabled && cfg.Policy == PolicyPush {
+		s.group = newSessionGroup(s)
+		s.groups = append(s.groups, s.group)
+		s.workers = make([]*groupWorker, cfg.Group.withDefaults().Workers)
+		for i := range s.workers {
+			s.workers[i] = startWorker()
+		}
+	}
 	s.sessions = make([]*syncSession, len(dests))
 	for i, d := range dests {
-		ss := newSyncSession(s, d)
-		s.sessions[i] = ss
-		if s.group != nil && d.Weight == 1 {
-			s.group.attachLocked(ss)
-		}
+		s.sessions[i] = newSyncSession(s, d)
+		s.joinLocked(s.sessions[i], 0)
 	}
 	s.reallocateLocked()
 	s.mu.Unlock()
 	for _, ss := range s.sessions {
 		go ss.loop()
+	}
+	if s.flushed != nil {
+		go s.flushLoop()
 	}
 	if cfg.Rebalance > 0 {
 		go s.rebalanceLoop()
@@ -390,11 +386,11 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 
 // AddDestination starts a sync session toward a new downstream cache on a
 // running source, re-dividing the send budget across all live sessions. The
-// new session starts with every existing object registered as never-sent,
-// so the cache is fully synchronized from scratch — exactly the redial
-// contract. An empty CacheID is defaulted to a fresh "cache-<n>" label; a
-// CacheID already in use by a live session is an error (RemoveDestination
-// is keyed by it).
+// new destination is sent every existing object — a shared-group member lags
+// on all of them, a group of its own holds all of them as never sent — so
+// the cache is fully synchronized from scratch, the redial contract. An
+// empty CacheID is defaulted to a fresh "cache-<n>" label; a CacheID already
+// in use by a live session is an error (RemoveDestination is keyed by it).
 func (s *Source) AddDestination(d Destination) error {
 	if d.Conn == nil {
 		return fmt.Errorf("runtime: destination has a nil connection")
@@ -425,12 +421,7 @@ func (s *Source) AddDestination(d Destination) error {
 		d.Weight = 1
 	}
 	ss := newSyncSession(s, d)
-	switch {
-	case s.group != nil && d.Weight == 1:
-		s.group.attachLocked(ss) // a member at once, lagging on the whole store
-	case !s.cfg.Policy.CacheDriven():
-		ss.resyncLocked(s.now())
-	}
+	s.joinLocked(ss, s.now())
 	s.sessions = append(s.sessions, ss)
 	s.reallocateLocked()
 	s.mu.Unlock()
@@ -439,10 +430,11 @@ func (s *Source) AddDestination(d Destination) error {
 }
 
 // RemoveDestination stops the sync session whose Destination.CacheID is
-// cacheID, closes its connection, waits for its loop to exit, and
-// re-divides the send budget across the survivors — their in-flight
-// refreshes and scheduling state are untouched, only their rates move. The
-// removed session's historical counters leave the aggregate Stats with it.
+// cacheID, closes its connection, waits for its loop (and the sender worker
+// of a group of its own) to exit, and re-divides the send budget across the
+// survivors — their in-flight refreshes and scheduling state are untouched,
+// only their rates move. The removed session's historical counters leave the
+// aggregate Stats with it.
 func (s *Source) RemoveDestination(cacheID string) error {
 	s.mu.Lock()
 	// Prefer the live session: AddDestination allows re-using the label of
@@ -468,7 +460,11 @@ func (s *Source) RemoveDestination(cacheID string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("runtime: no destination %q", cacheID)
 	}
-	s.group.detachLocked(victim)
+	var sender *groupWorker // a group of its own's, which exits with it
+	if victim.group != nil && victim.group != s.group {
+		sender = victim.worker
+	}
+	s.leaveLocked(victim)
 	s.sessions = append(s.sessions[:idx], s.sessions[idx+1:]...)
 	if s.reb != nil {
 		s.reb.Forget(cacheID)
@@ -490,6 +486,9 @@ func (s *Source) RemoveDestination(cacheID string) error {
 		conn.Close()
 		select {
 		case <-victim.done:
+			if sender != nil {
+				<-sender.done // its sends fail fast on the closed connection
+			}
 			return nil
 		case <-time.After(10 * time.Millisecond):
 		}
@@ -532,69 +531,73 @@ func (s *Source) LiveDestinations() int {
 	return n
 }
 
-// reallocateLocked re-divides the send budget across the live sessions:
-// effective weights come from the rebalancer's contribution scores when
-// periodic re-allocation is enabled, from the static destination weights
-// otherwise. Ended sessions are stripped to rate zero so a dead session
-// never holds share a live one could spend. Caller holds s.mu; sessions
-// pick the new rates up on their next tick (see syncSession.loop).
-func (s *Source) reallocateLocked() {
-	live := make([]*syncSession, 0, len(s.sessions))
-	ids := make([]string, 0, len(s.sessions)+1)
-	bases := make([]float64, 0, len(s.sessions)+1)
+// consumer is one claimant on the send budget: the shared group (ss nil), or
+// another live destination, with its group (nil for a poll-only one).
+type consumer struct {
+	alloc.Consumer
+	ss *syncSession
+	g  *SessionGroup
+}
+
+// consumersLocked lists the live destinations as the rebalancer's consumers:
+// the shared group once, at groupConsumerID with its member count as base
+// weight, so its members and the other destinations earn the same
+// per-destination share; every other one at its CacheID and Weight. Ended
+// sessions are stripped to rate zero on the way, so a dead session never
+// holds share a live one could spend. Caller holds s.mu.
+func (s *Source) consumersLocked() []consumer {
+	cs := make([]consumer, 0, len(s.sessions)+1)
 	for _, ss := range s.sessions {
-		if ss.ended {
-			ss.rate = 0
-			ss.weight = 0
+		switch {
+		case ss.ended:
+			ss.rate, ss.weight = 0, 0
+		case ss.group == nil || ss.group != s.group:
+			cs = append(cs, consumer{alloc.Consumer{ID: ss.dest.CacheID, Base: ss.dest.Weight}, ss, ss.group})
+		}
+	}
+	if g := s.group; g != nil && len(g.members) > 0 {
+		cs = append(cs, consumer{alloc.Consumer{ID: groupConsumerID, Base: float64(len(g.members))}, nil, g})
+	}
+	return cs
+}
+
+// reallocateLocked re-divides the send budget across the consumers:
+// effective weights come from the rebalancer's contribution scores when
+// periodic re-allocation is enabled, from the static base weights otherwise.
+// The shared group schedules at the PER-MEMBER rate — one scheduled refresh
+// fans to all members, keeping total egress within the budget. Caller holds
+// s.mu; a group accrues at its new rate from its next spend, a poll-only
+// session from its next tick (see syncSession.loop).
+func (s *Source) reallocateLocked() {
+	cs := s.consumersLocked()
+	ids, weights := make([]string, len(cs)), make([]float64, len(cs))
+	for i, c := range cs {
+		ids[i], weights[i] = c.ID, c.Base
+	}
+	if s.reb != nil {
+		weights = s.reb.Weights(ids, weights)
+	}
+	if s.group != nil {
+		s.group.rate = 0 // unless it is one of cs
+	}
+	for i, rate := range alloc.Proportional(s.bandwidth, weights) {
+		if c := cs[i]; c.ss != nil {
+			c.ss.rate, c.ss.weight = rate, weights[i]
+			if c.g != nil {
+				c.g.rate = rate
+			}
 			continue
 		}
-		if ss.grouped {
-			continue // accounted through the group's one consumer below
-		}
-		live = append(live, ss)
-		ids = append(ids, ss.dest.CacheID)
-		bases = append(bases, ss.dest.Weight)
-	}
-	// The group competes as a single consumer whose base weight is its
-	// member count (every member has the default weight 1), so grouped and
-	// individual destinations earn the same per-destination share. The
-	// group then schedules at the PER-MEMBER rate — one scheduled refresh
-	// fans to all members, keeping total egress within the budget.
-	groupIdx := -1
-	if s.group != nil && len(s.group.members) > 0 {
-		groupIdx = len(ids)
-		ids = append(ids, groupConsumerID)
-		bases = append(bases, float64(len(s.group.members)))
-	}
-	if len(ids) == 0 {
-		if s.group != nil {
-			s.group.rate = 0
-		}
-		return
-	}
-	weights := bases
-	if s.reb != nil {
-		weights = s.reb.Weights(ids, bases)
-	}
-	rates := alloc.Proportional(s.bandwidth, weights)
-	for i, ss := range live {
-		ss.rate = rates[i]
-		ss.weight = weights[i]
-	}
-	if groupIdx >= 0 {
 		g := s.group
-		g.rate = rates[groupIdx] / float64(len(g.members))
+		g.rate = rate / float64(len(g.members))
 		for _, m := range g.members {
-			m.rate = g.rate
-			m.weight = 1
+			m.rate, m.weight = g.rate, 1
 		}
-	} else if s.group != nil {
-		s.group.rate = 0
 	}
 }
 
 // rebalanceLoop is the periodic re-allocation pass (SourceConfig.Rebalance):
-// each interval it folds every live session's observation window — feedback
+// each interval it folds every consumer's observation window — feedback
 // messages heard and outstanding divergence — into the rebalancer's
 // contribution scores and re-divides the budget by the smoothed weights.
 func (s *Source) rebalanceLoop() {
@@ -614,42 +617,23 @@ func (s *Source) rebalanceLoop() {
 // loop's ticker; the daemons only ever drive it periodically).
 func (s *Source) rebalanceOnce() {
 	s.mu.Lock()
-	cons := make([]alloc.Consumer, 0, len(s.sessions)+1)
-	if s.group != nil && len(s.group.members) > 0 {
-		g := s.group
-		fb := g.feedbacks - g.windowFb
-		g.windowFb = g.feedbacks
-		cons = append(cons, alloc.Consumer{
-			ID:        groupConsumerID,
-			Base:      float64(len(g.members)),
-			Feedbacks: float64(fb),
-			Demand:    g.demand,
-		})
-	}
-	for _, ss := range s.sessions {
-		if ss.ended || ss.grouped {
-			continue
+	cs := s.consumersLocked()
+	cons := make([]alloc.Consumer, len(cs))
+	for i, c := range cs {
+		// A group's demand is maintained incrementally by observe and commit
+		// (both already under s.mu), so this pass is O(destinations) instead
+		// of O(destinations × objects) under the send-path mutex. A
+		// destination whose connection is down (redialing) reports zero
+		// demand: un-spendable share allocated to a dead pipe would starve the
+		// destinations that can deliver. A poll-only session hears no
+		// feedback and has no demand.
+		if g := c.g; g != nil {
+			c.Feedbacks, g.windowFb = float64(g.feedbacks-g.windowFb), g.feedbacks
+			if c.ss == nil || !c.ss.redialing {
+				c.Demand = g.demand
+			}
 		}
-		// ss.demand is maintained incrementally by observeLocked and the
-		// flush commit (both already under s.mu), so this pass is
-		// O(sessions) instead of O(sessions × objects) under the send-path
-		// mutex. A session whose connection is down (redialing) reports
-		// zero demand: its trackers grow without bound while the peer is
-		// gone, and un-spendable share allocated to a dead pipe would
-		// starve the sessions that can deliver — on reconnect the full
-		// re-sync rebuilds its demand and it earns share back immediately.
-		demand := ss.demand
-		if ss.redialing {
-			demand = 0
-		}
-		fb := ss.feedbacks - ss.windowFeedbacks
-		ss.windowFeedbacks = ss.feedbacks
-		cons = append(cons, alloc.Consumer{
-			ID:        ss.dest.CacheID,
-			Base:      ss.dest.Weight,
-			Feedbacks: float64(fb),
-			Demand:    demand,
-		})
+		cons[i] = c.Consumer
 	}
 	if len(cons) > 0 {
 		s.reb.Observe(cons)
@@ -708,8 +692,8 @@ func (s *Source) UpdateFrom(objectID string, value float64, prov Provenance) {
 	defer s.mu.Unlock()
 	now, unix := s.clock()
 	s.updateLocked(objectID, value, prov, now, unix)
-	if s.group != nil {
-		s.group.wakeLocked(now)
+	for _, g := range s.groups {
+		g.wakeLocked(now)
 	}
 }
 
@@ -737,10 +721,10 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 		s.updateLocked(u.ObjectID, u.Value, u.Prov, now, unix)
 	}
 	// Once per call, not per element: what the batch queued may have
-	// completed a full run of frames, which the group flusher then sends
-	// without waiting for its tick.
-	if s.group != nil {
-		s.group.wakeLocked(now)
+	// completed a full run of frames, which the flusher then sends without
+	// waiting for its tick.
+	for _, g := range s.groups {
+		g.wakeLocked(now)
 	}
 }
 
@@ -762,35 +746,23 @@ func (s *Source) objLocked(objectID string) (*objState, uint64) {
 }
 
 // newObjLocked registers a first-seen object: its canonical state, its queue
-// key, and a zeroed per-object record in the group and in every session that
-// schedules. Held-version acks that arrived before the object existed here (a
-// cache acking ahead of a relay's snapshot re-export) are folded in now, so
-// the observe that follows already sees them. Caller holds s.mu.
+// key, and a zeroed per-object record in every group. Held-version acks that
+// arrived before the object existed here (a cache acking ahead of a relay's
+// snapshot re-export) are folded in now, so the observe that follows already
+// sees them. Caller holds s.mu.
 func (s *Source) newObjLocked(objectID string, h uint64, now float64) *objState {
 	o := s.order.add(objectID, now)
 	s.objs.insert(h, o.key)
 	if s.cfg.Policy.CacheDriven() {
 		return o
 	}
-	if s.group != nil {
-		s.group.objs = append(s.group.objs, schedObj{})
+	for _, g := range s.groups {
+		g.objs = append(g.objs, schedObj{})
 	}
 	for _, ss := range s.sessions {
-		// Ended sessions never observe or flush again; growing their
-		// (released) per-object state with every new object would leak in a
-		// long-running source with dead destinations. Grouped sessions keep
-		// no scheduling state at all — that is the group's memory win.
-		if ss.ended {
-			continue
-		}
-		if !ss.grouped {
-			ss.objs = append(ss.objs, schedObj{})
-		}
-		if len(ss.heldPending) > 0 {
-			if h, ok := ss.heldPending[objectID]; ok {
-				delete(ss.heldPending, objectID)
-				ss.raiseHeldLocked(int(o.key), heldAxis{h.Epoch, h.Version})
-			}
+		if h, ok := ss.heldPending[objectID]; ok && !ss.ended {
+			delete(ss.heldPending, objectID)
+			ss.raiseHeldLocked(int(o.key), heldAxis{h.Epoch, h.Version})
 		}
 	}
 	return o
@@ -811,102 +783,18 @@ func (s *Source) advanceLocked(o *objState, value float64, prov Provenance, unix
 // updateLocked is the shared body of Update/UpdateFrom/UpdateFromAll; now and
 // unix are one reading of the clock, taken under the lock. Caller holds s.mu.
 func (s *Source) updateLocked(objectID string, value float64, prov Provenance, now float64, unix int64) {
-	cacheDriven := s.cfg.Policy.CacheDriven()
 	o, h := s.objLocked(objectID)
-	ok := o != nil
-	if !ok {
+	if o == nil {
 		o = s.newObjLocked(objectID, h, now)
 	}
 	s.advanceLocked(o, value, prov, unix)
-	if cacheDriven {
-		// Poll-answering sessions keep no per-object scheduling state: the
-		// caches decide what to ask for and when, so there is nothing to
-		// observe or rank here.
-		return
+	// One observe per group, the shared group for its whole cohort: the
+	// O(1)-per-update dispatch, allocation-free in steady state. Under a
+	// cache-driven policy there is no group — the caches decide what to ask
+	// for and when, so there is nothing to observe or rank here.
+	for _, g := range s.groups {
+		g.observeLocked(o, now)
 	}
-	if s.cfg.SuppressWithinThreshold && ok && s.group == nil && s.withinAllThresholdsLocked(o) {
-		// Every live session is provably within its threshold for this
-		// value: skip the whole scheduling fan-out. The canonical state
-		// above already advanced, so polls and later re-syncs see the new
-		// value; the next flush tick replays the object through
-		// observeLocked (idempotent over canonical state), at which point
-		// most such updates have been superseded or still need no send.
-		if !o.deferred {
-			o.deferred = true
-			s.deferredKeys = append(s.deferredKeys, int(o.key))
-		}
-		s.suppressedObserves++
-		return
-	}
-	if o.deferred {
-		// The update broke out of the threshold band (or eligibility):
-		// observe normally below — the fan-out reads canonical state, so
-		// one pass also covers everything deferred before it.
-		o.deferred = false
-	}
-	// The group observes once for its whole cohort — the O(1)-per-update
-	// dispatch that replaces the per-session loop below for grouped
-	// members. Both paths are allocation-free in steady state.
-	if s.group != nil {
-		s.group.observe(o, now)
-	}
-	s.observeSessionsLocked(o, now)
-}
-
-// observeSessionsLocked fans a canonical-state change for object o into
-// every session that schedules for itself. Caller holds s.mu.
-func (s *Source) observeSessionsLocked(o *objState, now float64) {
-	for _, ss := range s.sessions {
-		if !ss.ended && !ss.grouped {
-			ss.observeLocked(o, now)
-		}
-	}
-}
-
-// withinAllThresholdsLocked reports whether o's new value is PROVABLY
-// within every live session's current threshold — the precondition for
-// deferring the observe fan-out. Provable requires the exact-bound shape:
-// the value-deviation metric with the default |V1−V2| delta, and every
-// live session individual, push-only, connected, and with a known
-// last-sent value. Anything else (hybrid poll sets, group scheduling,
-// redial re-syncs, a never-sent object, a custom delta) makes the bound
-// unavailable and disables the deferral. Caller holds s.mu.
-func (s *Source) withinAllThresholdsLocked(o *objState) bool {
-	if s.cfg.Metric != metric.ValueDeviation || s.cfg.Delta != nil {
-		return false
-	}
-	for _, ss := range s.sessions {
-		if ss.ended {
-			continue
-		}
-		if ss.redialing || ss.grouped || ss.hyb != nil || int(o.key) >= len(ss.objs) {
-			return false
-		}
-		if ss.deviates(o, ss.eng.Threshold()) {
-			return false
-		}
-	}
-	return true
-}
-
-// replayDeferredLocked re-runs the observe fan-out for every object whose
-// scheduling work was deferred by the within-threshold suppression. Called
-// at the top of each flush tick (and from Stats, so Pending stays
-// truthful); observeLocked reads canonical state, so replaying once covers
-// any number of suppressed updates. Caller holds s.mu.
-func (s *Source) replayDeferredLocked(now float64) {
-	if len(s.deferredKeys) == 0 {
-		return
-	}
-	for _, key := range s.deferredKeys {
-		o := s.order.at(key)
-		if !o.deferred {
-			continue // superseded by an over-threshold update already observed
-		}
-		o.deferred = false
-		s.observeSessionsLocked(o, now)
-	}
-	s.deferredKeys = s.deferredKeys[:0]
 }
 
 // Stats returns a snapshot of protocol counters, aggregated and per
@@ -914,15 +802,11 @@ func (s *Source) replayDeferredLocked(now float64) {
 func (s *Source) Stats() SourceStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Deferred observes would otherwise under-report Pending until the next
-	// flush tick; replaying here keeps the snapshot truthful.
-	s.replayDeferredLocked(s.now())
 	st := SourceStats{
-		Policy:             s.cfg.Policy.String(),
-		Updates:            s.updates,
-		Rebalances:         s.rebalances,
-		SuppressedObserves: s.suppressedObserves,
-		Sessions:           make([]SessionStats, 0, len(s.sessions)),
+		Policy:     s.cfg.Policy.String(),
+		Updates:    s.updates,
+		Rebalances: s.rebalances,
+		Sessions:   make([]SessionStats, 0, len(s.sessions)),
 	}
 	live := 0
 	for _, ss := range s.sessions {
@@ -943,13 +827,13 @@ func (s *Source) Stats() SourceStats {
 			st.Hybrid.PolledItems += sess.Hybrid.PolledItems
 		}
 		if !sess.Ended {
-			// An ended session's queue will never drain and its frozen
-			// threshold describes nothing: both would skew the aggregate
-			// view of the live topology (historical counters above still
-			// aggregate — those sends happened). A member's threshold is the
-			// group's, folded in once below with the group's queue.
+			// An ended session has left its group: nothing it still owes
+			// will drain (historical counters above still aggregate — those
+			// sends happened). A shared-group member's Pending is its dirty
+			// set and its threshold the group's: both are folded in once
+			// below.
 			st.Pending += sess.Pending
-			if !sess.Grouped {
+			if ss.group != nil && !sess.Grouped {
 				st.Threshold += sess.Threshold
 				live++
 			}
@@ -971,10 +855,10 @@ func (s *Source) Stats() SourceStats {
 
 // Close stops the node and all of its connections, returning the first
 // connection-close error. Connections are closed before waiting for the
-// session loops: a session can be blocked inside a back-pressured send
-// (the paper's network queueing), and only tearing its connection down
-// unblocks that send — otherwise one stalled cache would wedge shutdown
-// of the whole fan-out source.
+// session loops and the sender workers: either can be blocked inside a
+// back-pressured send (the paper's network queueing), and only tearing the
+// connection down unblocks it — otherwise one stalled cache would wedge
+// shutdown of the whole fan-out source.
 func (s *Source) Close() error {
 	select {
 	case <-s.stop:
@@ -990,8 +874,12 @@ func (s *Source) Close() error {
 	s.mu.Lock()
 	sessions := append([]*syncSession(nil), s.sessions...)
 	conns := make([]transport.SourceConn, len(sessions))
+	workers := slices.Clone(s.workers)
 	for i, ss := range sessions {
 		conns[i] = ss.dest.Conn
+		if ss.worker != nil { // a pool worker again is harmless
+			workers = append(workers, ss.worker)
+		}
 	}
 	s.mu.Unlock()
 	var err error
@@ -1003,12 +891,18 @@ func (s *Source) Close() error {
 	for _, ss := range sessions {
 		<-ss.done
 	}
-	if s.group != nil {
+	if s.flushed != nil {
 		// After the flusher exits (it watches s.stop) nothing enqueues to
 		// the workers; they drain their remaining items — sends fail fast
 		// on the closed connections — so every shared-frame reference is
-		// released before close returns.
-		s.group.close()
+		// released before Close returns.
+		<-s.flushed
+		for _, w := range workers {
+			w.close()
+		}
+		for _, w := range workers {
+			<-w.done
+		}
 	}
 	return err
 }

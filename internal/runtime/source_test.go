@@ -19,7 +19,7 @@ import (
 // directions. Whatever the column stores — or, for a key range no relayed value
 // reached, does not store — every refresh on the wire carries exactly the
 // provenance of its object's last update, split horizon excludes exactly the
-// values whose path names the peer on both push paths, and the origin axis of
+// values whose path names the peer in both kinds of group, and the origin axis of
 // a locally produced value is the source's own.
 func TestSourceProvenanceColumn(t *testing.T) {
 	if size := unsafe.Sizeof(objState{}); size > 64 {
@@ -63,9 +63,9 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	clock := newFakeClock()
 	src, err := NewFanoutSource(SourceConfig{
 		ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 1e5,
-		Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now, // flushed by hand
-		// A queue deep enough for a whole pass: an overrun would detach the
-		// member mid-pass.
+		Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now, // passes run by hand
+		// A queue deep enough for a whole pass: an overrun would make the
+		// member lag mid-pass.
 		Group: GroupConfig{Enabled: group, Queue: 64},
 	}, []Destination{{CacheID: "leaf", Conn: conn}})
 	if err != nil {
@@ -73,8 +73,8 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	}
 	defer src.Close()
 	ss := src.sessions[0]
-	if ss.grouped != group {
-		t.Fatalf("session grouped=%v, want %v", ss.grouped, group)
+	if shared := ss.group == src.group; shared != group {
+		t.Fatalf("member of the shared group=%v, want %v", shared, group)
 	}
 	ss.onFeedback(wire.Feedback{CacheID: "leaf"}) // the peer's identity, for split horizon
 
@@ -95,19 +95,12 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	excluded := func(k int) bool { return want[k].passedThrough("leaf") }
 	flush := func() map[string]wire.Refresh {
 		clock.advance(time.Second)
-		if group {
-			src.group.pass(0)
-			for ss.inflight.Load() != 0 {
-				stdruntime.Gosched()
-			}
-			src.mu.Lock()
-			grouped := ss.grouped
-			src.mu.Unlock()
-			if !grouped {
-				t.Fatal("the member left the group: the pass was not delivered by the group path")
-			}
-		} else {
-			ss.flush(1e6)
+		ss.group.pass(0)
+		for ss.inflight.Load() != 0 {
+			stdruntime.Gosched()
+		}
+		if p := src.Stats().Sessions[0].Pending; p != 0 {
+			t.Fatalf("the member lags on %d objects: the pass was not delivered whole", p)
 		}
 		got := map[string]wire.Refresh{}
 		for {

@@ -14,12 +14,13 @@
 // difference.
 //
 // Eligibility and fallback (see docs/algorithm-specifications.md §14): the
-// fast path requires an attached session group, the push policy, the
+// fast path requires the shared session group, the push policy, the
 // value-deviation metric with the default delta, and a parseable canonical
-// frame; anything else — and every individual (non-grouped) session, Local
-// or Batcher member, held-ack or split-horizon exclusion, threshold-suppressed or
-// budget-starved item — falls back to the classic machinery per batch, per
-// member, or per item without changing what any receiver observes.
+// frame; anything else — and every Local or Batcher member, held-ack or
+// split-horizon exclusion, below-threshold or budget-starved item — falls
+// back to the classic machinery per batch, per member, or per item without
+// changing what any receiver observes. The other groups (weighted peers)
+// observe every spliced item as the classic path would have.
 package runtime
 
 import (
@@ -189,12 +190,12 @@ func (n *Node) onForward(rs []wire.Refresh, frame *codec.Frame, keep []bool) {
 //
 // When handled, every kept item advanced the canonical object state under
 // one lock acquisition, and each item either boarded the spliced frame
-// (scheduled, counted in the return) or fell back to the normal scheduling
-// machinery (within the group threshold, out of send budget, or stale
-// against a concurrently applied newer copy — the per-item fallback the
-// docs' matrix describes). The frame reference stays with the CALLER; the
-// spliced output is an independent frame, so the inbound one may be
-// released as soon as this returns.
+// (scheduled, counted in the return), left the schedule by the group's
+// exclusion rule, or fell back to the normal scheduling machinery (within the
+// group threshold, out of send budget, or stale against a concurrently
+// applied newer copy — the per-item fallback the docs' matrix describes). The
+// frame reference stays with the CALLER; the spliced output is an independent
+// frame, so the inbound one may be released as soon as this returns.
 func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bool, sc *spliceScratch) (scheduled int, handled bool) {
 	g := s.group
 	if g == nil || s.cfg.Policy != PolicyPush || s.cfg.Metric != metric.ValueDeviation || s.cfg.Delta != nil {
@@ -241,8 +242,15 @@ func (s *Source) forwardSpliced(rs []wire.Refresh, frame *codec.Frame, keep []bo
 			continue
 		}
 		s.advanceLocked(o, rs[i].Value, provs[i], nowUnix)
-		// Individual (non-grouped) sessions keep the classic observe path.
-		s.observeSessionsLocked(o, now)
+		for _, og := range s.groups {
+			if og != g {
+				og.observeLocked(o, now)
+			}
+		}
+		if g.excludedLocked(o, &provs[i], now) {
+			keep[i] = false
+			continue
+		}
 		if !g.deviates(o, threshold) || g.budget.tokens < 1 {
 			// Within threshold or out of budget: the normal scheduling
 			// machinery picks the object up at the flusher's next pass.
