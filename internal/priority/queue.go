@@ -8,22 +8,24 @@ func sqrt(x float64) float64 { return math.Sqrt(x) }
 // Queue is an indexed max-heap of (object id, priority) pairs supporting
 // O(log n) upsert and removal by id. Object ids are small dense integers
 // (indices into the engine's object table), so positions are tracked in a
-// slice rather than a map.
+// slice rather than a map. Ids and positions are stored as int32 — an object
+// table never holds 2³¹ objects — which takes 8 B per object off a queue that
+// every scheduler keeps; the API speaks int.
 //
 // Sources use a Queue to locate their highest-priority modified object
 // whenever spare source-side bandwidth becomes available (Section 8), and
 // the idealized global scheduler uses one per source plus a queue of
 // sources.
 type Queue struct {
-	ids  []int     // heap of object ids
+	ids  []int32   // heap of object ids
 	pri  []float64 // pri[k] is the priority of ids[k]
-	pos  []int     // pos[id] = index in ids, or -1
+	pos  []int32   // pos[id] = index in ids, or -1
 	size int
 }
 
 // NewQueue returns a queue sized for ids in [0, capacity).
 func NewQueue(capacity int) *Queue {
-	q := &Queue{pos: make([]int, capacity)}
+	q := &Queue{pos: make([]int32, capacity)}
 	for i := range q.pos {
 		q.pos[i] = -1
 	}
@@ -57,7 +59,7 @@ func (q *Queue) grow(id int) {
 // already present.
 func (q *Queue) Upsert(id int, pri float64) {
 	q.grow(id)
-	if k := q.pos[id]; k >= 0 {
+	if k := int(q.pos[id]); k >= 0 {
 		old := q.pri[k]
 		q.pri[k] = pri
 		if pri > old {
@@ -68,13 +70,13 @@ func (q *Queue) Upsert(id int, pri float64) {
 		return
 	}
 	if q.size == len(q.ids) {
-		q.ids = append(q.ids, id)
+		q.ids = append(q.ids, int32(id))
 		q.pri = append(q.pri, pri)
 	} else {
-		q.ids[q.size] = id
+		q.ids[q.size] = int32(id)
 		q.pri[q.size] = pri
 	}
-	q.pos[id] = q.size
+	q.pos[id] = int32(q.size)
 	q.size++
 	q.up(q.size - 1)
 }
@@ -84,7 +86,7 @@ func (q *Queue) Remove(id int) {
 	if !q.Contains(id) {
 		return
 	}
-	k := q.pos[id]
+	k := int(q.pos[id])
 	q.swap(k, q.size-1)
 	q.pos[id] = -1
 	q.size--
@@ -100,7 +102,7 @@ func (q *Queue) Max() (id int, pri float64, ok bool) {
 	if q.size == 0 {
 		return 0, 0, false
 	}
-	return q.ids[0], q.pri[0], true
+	return int(q.ids[0]), q.pri[0], true
 }
 
 // PopMax removes and returns the highest-priority entry.
@@ -108,7 +110,7 @@ func (q *Queue) PopMax() (id int, pri float64, ok bool) {
 	if q.size == 0 {
 		return 0, 0, false
 	}
-	id, pri = q.ids[0], q.pri[0]
+	id, pri = int(q.ids[0]), q.pri[0]
 	q.Remove(id)
 	return id, pri, true
 }
@@ -119,8 +121,8 @@ func (q *Queue) swap(i, j int) {
 	}
 	q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
 	q.pri[i], q.pri[j] = q.pri[j], q.pri[i]
-	q.pos[q.ids[i]] = i
-	q.pos[q.ids[j]] = j
+	q.pos[q.ids[i]] = int32(i)
+	q.pos[q.ids[j]] = int32(j)
 }
 
 func (q *Queue) up(k int) {

@@ -115,7 +115,7 @@ func checkInvariants(t *testing.T, q *Queue) {
 		if r < q.size && q.pri[r] > q.pri[k] {
 			t.Fatalf("heap violation at %d/%d", k, r)
 		}
-		if q.pos[q.ids[k]] != k {
+		if int(q.pos[q.ids[k]]) != k {
 			t.Fatalf("position map broken for id %d", q.ids[k])
 		}
 	}

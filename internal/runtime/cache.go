@@ -389,7 +389,8 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// routeMemo is the number of recently resolved routes a shard remembers.
+// routeMemo is the number of recently resolved routes a shard, and a Source's
+// provenance column, remembers.
 const routeMemo = 4
 
 // ackSet is the pending held-version acknowledgements toward one sender: the

@@ -322,10 +322,10 @@ func (r *streamRig) collect() {
 func (r *streamRig) sent() map[string][2]float64 {
 	r.src.mu.Lock()
 	defer r.src.mu.Unlock()
-	objs := r.ss.group.objs
 	out := map[string][2]float64{}
 	for o := range r.src.order.all() {
-		out[o.id] = [2]float64{objs[o.key].sentVal, float64(objs[o.key].sentVer)}
+		so := r.ss.group.objs.at(int(o.key))
+		out[o.id] = [2]float64{so.sentVal, float64(so.sentVer)}
 	}
 	return out
 }

@@ -332,7 +332,7 @@ func newSessionGroup(s *Source) *SessionGroup {
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
 	}
-	g.objs = make([]schedObj, s.order.n)
+	g.objs.grow(s.order.n)
 	return g
 }
 
@@ -756,7 +756,7 @@ func (g *SessionGroup) catchUp() {
 			rs := make([]wire.Refresh, 0, min(todo, g.cfg.MaxBatch))
 			for ; todo > 0 && len(rs) < g.cfg.MaxBatch && g.budget.tokens >= cost; todo-- {
 				k, _ := m.lag.pop()
-				o, prov, so := s.order.at(k), s.order.prov(int32(k)), &g.objs[k]
+				o, prov, so := s.order.at(k), s.order.prov(int32(k)), g.objs.at(k)
 				if prov.Epoch != 0 && so.sentVer != 0 && o.version != so.sentVer && o.value != so.sentVal {
 					m.lag.set(k) // relayed, and moved off the committed value
 					continue

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bestsync/internal/metric"
 	"bestsync/internal/transport"
@@ -119,53 +120,87 @@ func TestSourceUpdateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSourceHeapPerObject bounds the live heap an origin keeps per object, in
+// TestSourceHeapPerObject bounds the live heap a Source keeps per object, in
 // the shape of a paper_star origin (a group of one): the objState in its slab
 // chunk, the id index words, the group's schedObj and its priority-queue
 // entry. An extra objState field, a chunk one size class too big or a
-// provenance column an origin allocates all push it over the bound. Walking
-// the slab allocates nothing.
+// provenance column an origin allocates all push it over the bound. A relay
+// adds its 16 B provenance entry per object — the version and a pointer to the
+// one route every value that arrived the same way shares — and little else:
+// a Provenance per object, or a route per object, pushes it over its bound.
+// Both id shapes are measured. Walking the slab allocates nothing, and a
+// group of a few objects holds a few scheduler records, not a whole chunk.
 func TestSourceHeapPerObject(t *testing.T) {
-	const objects = 16384
-	ids := make([]string, objects) // allocated before the baseline: not counted
-	for i := range ids {
-		ids[i] = fmt.Sprintf("src-0/o%05d", i)
+	const objects, originBound = 16384, 164
+	memo := viaMemo{id: "relay"}
+	relayed := Provenance{Origin: "src-0", Hops: 1, Via: memo.path(nil), Epoch: 77}
+	for _, leg := range []struct {
+		role  string
+		relay bool
+		bound float64
+	}{{"origin", false, originBound}, {"relay", true, originBound + 24}} {
+		for _, shape := range []string{"src-0/o%05d", "sensor-%05d/temperature"} {
+			ids := make([]string, objects) // allocated before the baseline: not counted
+			for i := range ids {
+				ids[i] = fmt.Sprintf(shape, i)
+			}
+			before := liveHeap()
+			// A starved budget keeps the flusher idle: nothing is sent, every
+			// object stays queued.
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "src-0", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
+				Group: GroupConfig{Enabled: true},
+			}, []Destination{{CacheID: "leaf-0", Conn: nullFrameConn{fb: make(chan wire.Feedback)}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				if leg.relay {
+					p := relayed
+					p.Version = uint64(i + 1)
+					src.UpdateFrom(id, 1, p)
+				} else {
+					src.Update(id, 1)
+				}
+			}
+			perObject := float64(liveHeap()-before) / objects
+			stdruntime.KeepAlive(ids) // counted in neither reading: the objects share the ids
+			t.Logf("%s, %s: live heap %.1f B/object over %d objects", leg.role, shape, perObject, objects)
+			if perObject > leg.bound {
+				t.Errorf("%s, %s: a Source holds %.1f B of live heap per object, want ≤ %.0f", leg.role, shape, perObject, leg.bound)
+			}
+
+			src.mu.Lock()
+			n := 0
+			if allocs := testing.AllocsPerRun(10, func() {
+				for o := range src.order.all() {
+					n += int(o.key & 1)
+				}
+			}); allocs > 0 || n == 0 {
+				t.Errorf("walking the slab allocated %.0f times (n=%d), want 0", allocs, n)
+			}
+			src.mu.Unlock()
+			src.Close()
+		}
 	}
-	var before, after stdruntime.MemStats
-	stdruntime.GC()
-	stdruntime.GC()
-	stdruntime.ReadMemStats(&before)
-	// A starved budget keeps the flusher idle: nothing is sent, every object
-	// stays queued.
-	src, err := NewFanoutSource(SourceConfig{
-		ID: "src-0", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
-		Group: GroupConfig{Enabled: true},
-	}, []Destination{{CacheID: "leaf-0", Conn: nullFrameConn{fb: make(chan wire.Feedback)}}})
+
+	src, err := NewFanoutSource(SourceConfig{ID: "src-0", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour},
+		[]Destination{{CacheID: "leaf-0", Conn: nullFrameConn{fb: make(chan wire.Feedback)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for _, id := range ids {
-		src.Update(id, 1)
+	for i := range 10 {
+		src.Update(fmt.Sprintf("src-0/o%05d", i), 1)
 	}
-	stdruntime.GC()
-	stdruntime.GC()
-	stdruntime.ReadMemStats(&after)
-	perObject := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / objects
-	t.Logf("origin live heap: %.1f B/object over %d objects", perObject, objects)
-	if perObject > 170 {
-		t.Errorf("an origin holds %.1f B of live heap per object, want ≤ 170", perObject)
-	}
-
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	n := 0
-	if allocs := testing.AllocsPerRun(10, func() {
-		for o := range src.order.all() {
-			n += int(o.key & 1)
-		}
-	}); allocs > 0 || n == 0 {
-		t.Errorf("walking the slab allocated %.0f times (n=%d), want 0", allocs, n)
+	held := 0
+	for _, c := range src.sessions[0].group.objs.chunks {
+		held += cap(c) * int(unsafe.Sizeof(schedObj{}))
+	}
+	if held >= 1<<10 {
+		t.Errorf("a group of one over 10 objects holds %d B of scheduler records, want < 1 KiB", held)
 	}
 }
 
@@ -269,15 +304,6 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 		}
 		c.Close()
 	}
-}
-
-// liveHeap returns the bytes of live heap after two collections.
-func liveHeap() int64 {
-	var ms stdruntime.MemStats
-	stdruntime.GC()
-	stdruntime.GC()
-	stdruntime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
 }
 
 // dispatchAll pushes batches through the dispatcher and waits for the shard

@@ -638,3 +638,81 @@ func TestRelayConfigValidation(t *testing.T) {
 		t.Error("relay with no children was accepted")
 	}
 }
+
+// TestRunawayPeerGrowsEveryTier states the gap of ROADMAP item 6 as it stands:
+// an origin that sprays fresh ids grows every tier below it by one record per
+// id — at the relay an intake slot and index word, a peer-face object record
+// and a scheduler record, at the leaf a slot — and nothing gives any of them
+// back. No quota refuses a new id at intake and no path frees an index word, a
+// slab slot or a scheduler record, so the counts below hold after the origin
+// has gone, for as long as the nodes run. Item 6's second slice (one admission
+// rule at intake) is what changes them.
+func TestRunawayPeerGrowsEveryTier(t *testing.T) {
+	const sprayed = 4096
+	leafNet := transport.NewLocal(64)
+	leaf := NewCache(CacheConfig{ID: "leaf", Bandwidth: 1e6, Tick: 5 * time.Millisecond}, leafNet)
+	defer leaf.Close()
+	down, err := leafNet.Dial("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upNet := transport.NewLocal(64)
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay",
+		Intake:        CacheConfig{Bandwidth: 1e6, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 1e6,
+		Metric:        metric.ValueDeviation,
+		Tick:          5 * time.Millisecond,
+	}, upNet, []Destination{{CacheID: "leaf", Conn: down}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	up, err := upNet.Dial("origin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := NewFanoutSource(SourceConfig{
+		ID: "origin", Metric: metric.ValueDeviation, Bandwidth: 1e6, Tick: 5 * time.Millisecond,
+	}, []Destination{{CacheID: "relay", Conn: up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sprayed {
+		origin.Update(fmt.Sprintf("spray-%05d", i), 1)
+	}
+	waitFor(t, 10*time.Second, func() bool { return leaf.Len() == sprayed }, "the leaf to hold every sprayed id")
+	origin.Close()
+
+	// records reports a Source's object records, index words and scheduler
+	// records (summed over its groups).
+	records := func(s *Source) (objects, words, sched int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, g := range s.groups {
+			sched += g.objs.n
+		}
+		return s.order.n, s.objs.n, sched
+	}
+	for _, tier := range []struct {
+		name string
+		src  *Source
+	}{{"origin", origin}, {"relay peer face", relay.src}} {
+		if o, w, sc := records(tier.src); o != sprayed || w != sprayed || sc != sprayed {
+			t.Errorf("%s holds %d objects, %d index words and %d scheduler records, want %d of each",
+				tier.name, o, w, sc, sprayed)
+		}
+	}
+	words := 0
+	for _, sh := range relay.cache.shards {
+		sh.mu.Lock()
+		words += sh.index.n
+		sh.mu.Unlock()
+	}
+	if n := relay.cache.Len(); n != sprayed || words != sprayed {
+		t.Errorf("relay intake holds %d slots and %d index words, want %d of each", n, words, sprayed)
+	}
+	if n := leaf.Len(); n != sprayed {
+		t.Errorf("leaf holds %d slots, want %d", n, sprayed)
+	}
+}

@@ -11,12 +11,49 @@ import (
 // the cohort was last sent and the divergence accumulated against it. The
 // canonical object state (current value, version, update counts) lives in
 // Source.objState; a scheduler only tracks what its receivers are missing.
-// Kept by value in a slice indexed by queue key, like Source.order: no heap
-// object per (cohort, object).
+// Kept by value in a schedTable indexed by queue key, like Source.order: no
+// heap object per (cohort, object).
 type schedObj struct {
 	sentVal float64
 	sentVer uint64
 	tracker metric.Tracker
+}
+
+// schedTable is a scheduler's schedObjs, indexed by queue key, in chunks of
+// objChunkLen records (the 28 672 B size class, pointer-free: no type header).
+// Every chunk but the first is allocated whole and never moves, so growth
+// copies nothing and leaves no slack; the first doubles up to a whole chunk,
+// so a group of a few objects holds a few records. A *schedObj is valid only
+// until the next grow.
+type schedTable struct {
+	chunks [][]schedObj
+	n      int
+}
+
+// at returns the record of the object with queue key k.
+func (t *schedTable) at(k int) *schedObj {
+	return &t.chunks[k>>objChunkShift][k&(objChunkLen-1)]
+}
+
+// grow extends the table to n records, the new ones zero.
+func (t *schedTable) grow(n int) {
+	for t.n < n {
+		c := t.n >> objChunkShift
+		if c == len(t.chunks) {
+			t.chunks = append(t.chunks, nil)
+		}
+		ch := &t.chunks[c]
+		end := min(n-c<<objChunkShift, objChunkLen)
+		if end > cap(*ch) {
+			size := objChunkLen
+			if c == 0 {
+				size = min(max(end, 2*cap(*ch), 8), objChunkLen)
+			}
+			*ch = append(make([]schedObj, 0, size), *ch...)
+		}
+		*ch = (*ch)[:end]
+		t.n = c<<objChunkShift + end
+	}
 }
 
 // sched is the paper's §5 source toward one receiver cohort: a priority
@@ -36,7 +73,7 @@ type sched struct {
 	eng  *core.Source
 	// objs is indexed like Source.order: entry k is this cohort's record of
 	// the object with queue key k.
-	objs []schedObj
+	objs schedTable
 	// demand is the running Σ tracker.Current() over objs, the rebalancer's
 	// outstanding-divergence signal, maintained incrementally so a
 	// rebalance pass never walks the objects.
@@ -58,7 +95,7 @@ func newSched(cfg *SourceConfig) sched {
 // observe folds a canonical-state change for object o into the cohort's
 // divergence tracker and priority queue.
 func (sc *sched) observe(o *objState, now float64) {
-	so := &sc.objs[o.key]
+	so := sc.objs.at(int(o.key))
 	d := metric.Divergence(sc.scfg.Metric, sc.scfg.Delta,
 		int(o.version-so.sentVer), o.value, so.sentVal)
 	if so.sentVer == 0 && d == 0 {
@@ -95,7 +132,7 @@ func (sc *sched) requeue(o *objState, now float64) {
 	if span := now - o.firstAt; span > 0 && o.updates > 1 {
 		lambda = float64(o.updates) / span
 	}
-	tr := &sc.objs[key].tracker
+	tr := &sc.objs.at(key).tracker
 	p := priority.Compute(sc.scfg.PriorityFn, priority.Inputs{
 		Now:         now,
 		LastRefresh: tr.LastReset(),
@@ -130,7 +167,7 @@ func (sc *sched) requeue(o *objState, now float64) {
 // that built it, where builtAt == now and no residual can exist; a poll
 // answer once its reply went out, built at builtAt.
 func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now float64) {
-	so := &sc.objs[o.key]
+	so := sc.objs.at(int(o.key))
 	sc.demand -= so.tracker.Current()
 	so.sentVal, so.sentVer = value, version
 	so.tracker.Reset(builtAt, 0)
@@ -150,7 +187,7 @@ func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now
 // divergence toward an object this cohort will not be sent must not linger as
 // rebalancer demand, where it would earn share the scheduler cannot spend.
 func (sc *sched) unschedule(key int, now float64) {
-	so := &sc.objs[key]
+	so := sc.objs.at(key)
 	sc.demand -= so.tracker.Current()
 	so.tracker.Reset(now, 0)
 	sc.eng.Queue.Remove(key)
@@ -161,7 +198,7 @@ func (sc *sched) unschedule(key int, now float64) {
 // by at least t. Exact only under the value-deviation metric with the default
 // |V1−V2| delta — callers check that shape before trusting it.
 func (sc *sched) deviates(o *objState, t float64) bool {
-	so := &sc.objs[o.key]
+	so := sc.objs.at(int(o.key))
 	if so.sentVer == 0 {
 		return true
 	}

@@ -259,7 +259,7 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 		return
 	}
 	if g := ss.group; g != nil {
-		if so := &g.objs[o.key]; so.sentVer != o.version || so.sentVal != o.value {
+		if so := g.objs.at(int(o.key)); so.sentVer != o.version || so.sentVal != o.value {
 			g.excludedLocked(o, &p, now)
 		}
 	}
@@ -521,7 +521,7 @@ func (g *SessionGroup) commitPolledLocked(it wire.PollItem, builtAt, now float64
 		return
 	}
 	g.hyb.charge(int(o.key), pollRoundTrip)
-	if !it.Exists || it.Version <= g.objs[o.key].sentVer {
+	if !it.Exists || it.Version <= g.objs.at(int(o.key)).sentVer {
 		return // nothing replied, or a push already delivered something at-or-ahead
 	}
 	g.commit(o, it.Value, it.Version, builtAt, now)

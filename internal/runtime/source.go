@@ -145,26 +145,67 @@ type objState struct {
 	lastUnix int64
 }
 
-// objChunkLen is the number of objects per objSlab chunk. A chunk of 512
-// objStates, and one of 512 Provenances, is 64 B × 512 = 32 KiB exactly. Go
-// prefixes every pointer-holding object between 512 B and 32 KiB with an 8 B
-// type header, so a chunk sized by habit lands one size class up — 64 × 128 B
-// + 8 B is the 9 472 B class — while a 32 KiB one takes the large-object
-// path: whole pages, no header, no byte wasted.
+// objChunkLen is the number of objects per objSlab chunk, and per scheduler
+// chunk (schedTable). Go prefixes every pointer-holding object between 512 B
+// and 32 KiB with an 8 B type header, so a chunk sized by habit lands one size
+// class up — 64 × 128 B + 8 B is the 9 472 B class. A chunk of 512 objStates
+// is 64 B × 512 = 32 KiB exactly and takes the large-object path: whole pages,
+// no header, no byte wasted. The provenance column's 16 B entries come 2 048 to
+// a chunk (provChunkLen) for the same 32 KiB; 512 × 56 B scheduler records are
+// the 28 672 B class exactly, and hold no pointer, so they carry no header.
 const (
-	objChunkShift = 9
-	objChunkLen   = 1 << objChunkShift
+	objChunkShift  = 9
+	objChunkLen    = 1 << objChunkShift
+	provChunkShift = objChunkShift + 2
+	provChunkLen   = 1 << provChunkShift
 )
 
 // objSlab is a Source's object table, indexed by queue key in first-update
 // order: objStates by value in chunks that never move, so growth copies
 // nothing and a *objState stays valid for the Source's lifetime. Provenance
 // is a parallel column whose chunk is allocated only when an update in its
-// key range carries a non-zero one — an origin stores none.
+// key range carries a non-zero one — an origin stores none. An entry is the
+// value's origin-axis version and a pointer to its shared provRoute.
 type objSlab struct {
 	chunks []*[objChunkLen]objState
-	provs  []*[objChunkLen]Provenance // nil or short: that key range has the zero provenance
+	provs  []*[provChunkLen]provSlot // nil or short: that key range has the zero provenance
 	n      int
+	// routes remembers the most recently resolved provenance routes, so an
+	// object that changed route, or a first insertion, usually finds its
+	// record without allocating. Replaced round-robin from nextRoute.
+	routes    [routeMemo]*provRoute
+	nextRoute int
+}
+
+// provSlot is one object's provenance: the origin-axis version, which moves
+// with every update, and the route, which every object that arrived the same
+// way shares (nil for a locally produced value).
+type provSlot struct {
+	version uint64
+	rt      *provRoute
+}
+
+// provRoute is the part of a Provenance that depends only on how a value
+// arrived — origin, hops, relay path and origin incarnation — the Source's
+// counterpart of the cache's route. It is never mutated, and nothing indexes
+// routes: one no slot or memo entry points to is garbage, so their memory is
+// bounded by the live objects however many distinct paths arrive.
+type provRoute struct {
+	origin string
+	hops   int
+	via    []string
+	epoch  int64
+}
+
+// is reports whether rt is p's route. A relay's paths come from a viaMemo,
+// so a Via that is the route's own slice is recognised without reading it;
+// otherwise it is compared by content.
+func (rt *provRoute) is(p *Provenance) bool {
+	if rt == nil || rt.origin != p.Origin || rt.hops != p.Hops || rt.epoch != p.Epoch ||
+		(rt.via == nil) != (p.Via == nil) || len(rt.via) != len(p.Via) {
+		return false
+	}
+	return len(p.Via) == 0 || &rt.via[0] == &p.Via[0] || slices.Equal(rt.via, p.Via)
 }
 
 // at returns the object with queue key k.
@@ -198,26 +239,56 @@ func (t *objSlab) add(id string, now float64) *objState {
 // prov returns the provenance of the object with queue key k. It is a copy:
 // the column is written only by setProv.
 func (t *objSlab) prov(k int32) Provenance {
-	if c := int(k >> objChunkShift); c < len(t.provs) && t.provs[c] != nil {
-		return t.provs[c][k&(objChunkLen-1)]
+	c := int(k >> provChunkShift)
+	if c >= len(t.provs) || t.provs[c] == nil {
+		return Provenance{}
 	}
-	return Provenance{}
+	ps := &t.provs[c][k&(provChunkLen-1)]
+	if rt := ps.rt; rt != nil {
+		return Provenance{Origin: rt.origin, Hops: rt.hops, Via: rt.via, Epoch: rt.epoch, Version: ps.version}
+	}
+	return Provenance{Version: ps.version}
 }
 
 // setProv records the provenance of the object with queue key k. A zero
 // provenance in a key range that has no column chunk is already stored.
-func (t *objSlab) setProv(k int32, p Provenance) {
-	c := int(k >> objChunkShift)
+func (t *objSlab) setProv(k int32, p *Provenance) {
+	c := int(k >> provChunkShift)
+	local := p.Origin == "" && p.Hops == 0 && p.Via == nil && p.Epoch == 0
 	if c >= len(t.provs) || t.provs[c] == nil {
-		if p.Origin == "" && p.Hops == 0 && p.Via == nil && p.Epoch == 0 && p.Version == 0 {
+		if local && p.Version == 0 {
 			return
 		}
 		if c >= len(t.provs) {
-			t.provs = append(t.provs, make([]*[objChunkLen]Provenance, c+1-len(t.provs))...)
+			t.provs = append(t.provs, make([]*[provChunkLen]provSlot, c+1-len(t.provs))...)
 		}
-		t.provs[c] = new([objChunkLen]Provenance)
+		t.provs[c] = new([provChunkLen]provSlot)
 	}
-	t.provs[c][k&(objChunkLen-1)] = p
+	ps := &t.provs[c][k&(provChunkLen-1)]
+	ps.version = p.Version
+	if local {
+		ps.rt = nil
+	} else {
+		ps.rt = t.routeFor(ps.rt, p)
+	}
+}
+
+// routeFor returns the shared route of p: cur when it already is that route
+// (an object updated the way it was last time), else a match in the memo,
+// else a new record that replaces the memo's oldest.
+func (t *objSlab) routeFor(cur *provRoute, p *Provenance) *provRoute {
+	if cur.is(p) {
+		return cur
+	}
+	for _, rt := range t.routes {
+		if rt.is(p) {
+			return rt
+		}
+	}
+	rt := &provRoute{origin: p.Origin, hops: p.Hops, via: p.Via, epoch: p.Epoch}
+	t.routes[t.nextRoute] = rt
+	t.nextRoute = (t.nextRoute + 1) % routeMemo
+	return rt
 }
 
 // Provenance describes where a re-exported value came from: the producing
@@ -757,7 +828,7 @@ func (s *Source) newObjLocked(objectID string, h uint64, now float64) *objState 
 		return o
 	}
 	for _, g := range s.groups {
-		g.objs = append(g.objs, schedObj{})
+		g.objs.grow(s.order.n)
 	}
 	for _, ss := range s.sessions {
 		if h, ok := ss.heldPending[objectID]; ok && !ss.ended {
@@ -775,7 +846,7 @@ func (s *Source) advanceLocked(o *objState, value float64, prov Provenance, unix
 	o.value = value
 	o.version++
 	o.updates++
-	s.order.setProv(o.key, prov)
+	s.order.setProv(o.key, &prov)
 	o.lastUnix = unix
 	s.updates++
 }

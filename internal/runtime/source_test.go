@@ -20,10 +20,19 @@ import (
 // reached, does not store — every refresh on the wire carries exactly the
 // provenance of its object's last update, split horizon excludes exactly the
 // values whose path names the peer in both kinds of group, and the origin axis of
-// a locally produced value is the source's own.
+// a locally produced value is the source's own. Values that arrived the same
+// way share one route record.
 func TestSourceProvenanceColumn(t *testing.T) {
-	if size := unsafe.Sizeof(objState{}); size > 64 {
-		t.Errorf("objState is %d bytes, want at most 64: a chunk of %d no longer fits 32 KiB", size, objChunkLen)
+	// Every chunk is a size class exactly: the header a pointer-holding object
+	// under 32 KiB carries would push a chunk sized otherwise one class up.
+	if size := unsafe.Sizeof(objState{}); size*objChunkLen != 32<<10 {
+		t.Errorf("objState is %d bytes: a chunk of %d is no longer 32 KiB", size, objChunkLen)
+	}
+	if size := unsafe.Sizeof(provSlot{}); size*provChunkLen != 32<<10 {
+		t.Errorf("provSlot is %d bytes: a column chunk of %d is no longer 32 KiB", size, provChunkLen)
+	}
+	if size := unsafe.Sizeof(schedObj{}); size*objChunkLen != 28672 {
+		t.Errorf("schedObj is %d bytes: a scheduler chunk of %d is no longer the 28 672 B class", size, objChunkLen)
 	}
 	for _, group := range []bool{false, true} {
 		name := "session"
@@ -42,18 +51,51 @@ func TestSourceProvenanceColumn(t *testing.T) {
 	}
 	origin := NewSource(SourceConfig{ID: "origin", Metric: metric.ValueDeviation, Tick: time.Hour}, conn)
 	defer origin.Close()
-	for k := range 2 * objChunkLen {
+	for k := range 2 * provChunkLen {
 		origin.Update(fmt.Sprintf("origin/o%04d", k), float64(k))
 	}
 	origin.mu.Lock()
-	defer origin.mu.Unlock()
 	if n := len(origin.order.provs); n != 0 {
 		t.Errorf("an origin that only saw Update holds %d provenance chunks, want 0", n)
 	}
+	origin.mu.Unlock()
+
+	// A relay whose values all arrived one way holds one route, though every
+	// update brings its own copy of the path.
+	conn, err = local.Dial("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := NewSource(SourceConfig{ID: "relay", Metric: metric.ValueDeviation, Tick: time.Hour}, conn)
+	defer relay.Close()
+	for k := range 2 * provChunkLen {
+		relay.UpdateFrom(fmt.Sprintf("up/o%04d", k), float64(k),
+			Provenance{Origin: "up", Hops: 1, Via: []string{"relay"}, Epoch: 77, Version: uint64(k + 1)})
+	}
+	relay.mu.Lock()
+	defer relay.mu.Unlock()
+	if n := provRoutes(&relay.order); n != 1 {
+		t.Errorf("a relay whose values all arrived one way holds %d routes, want 1", n)
+	}
+}
+
+// provRoutes counts the distinct routes the slab's objects point to.
+func provRoutes(t *objSlab) int {
+	seen := map[*provRoute]bool{}
+	for _, c := range t.provs {
+		if c != nil {
+			for i := range c {
+				if rt := c[i].rt; rt != nil {
+					seen[rt] = true
+				}
+			}
+		}
+	}
+	return len(seen)
 }
 
 func provenanceColumnLeg(t *testing.T, group bool) {
-	const objects = 2 * objChunkLen // keys 0…1023: both sides of a chunk boundary
+	const objects = 2 * provChunkLen // both sides of a column chunk boundary
 	local := transport.NewLocal(4 * objects)
 	defer local.Close()
 	conn, err := local.Dial("relay")
@@ -181,7 +223,10 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	check("first updates", func(int) bool { return true })
 	src.mu.Lock()
 	if n := len(src.order.provs); n != 2 || src.order.provs[0] == nil || src.order.provs[1] == nil {
-		t.Errorf("relay holds provenance chunks %v, want both of 2", src.order.provs)
+		t.Errorf("relay holds %d provenance chunks, want both of 2", n)
+	}
+	if n := provRoutes(&src.order); n != 2 {
+		t.Errorf("values over two paths left %d routes, want 2", n)
 	}
 	src.mu.Unlock()
 
@@ -190,11 +235,12 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	// value overwritten by a relayed one, a value through the peer overwritten
 	// by a local one (now sendable), and a local one by a value through the
 	// peer (now excluded).
-	overwrites := map[int]Provenance{ // 512 % 3 == 2
-		1: {}, 514: {}, // relayed → local
-		3: relayedVia(3, "mid", "relay"), 513: relayedVia(513, "mid", "relay"), // local → relayed
-		2: {}, 515: {}, // through the peer → local
-		6: relayedVia(6, "leaf", "relay"), 516: relayedVia(516, "leaf", "relay"), // local → through the peer
+	const b = provChunkLen // b % 3 == 2
+	overwrites := map[int]Provenance{
+		1: {}, b + 2: {}, // relayed → local
+		3: relayedVia(3, "mid", "relay"), b + 1: relayedVia(b+1, "mid", "relay"), // local → relayed
+		2: {}, b + 3: {}, // through the peer → local
+		6: relayedVia(6, "leaf", "relay"), b + 4: relayedVia(b+4, "leaf", "relay"), // local → through the peer
 	}
 	// The area priority of a change is its divergence × the time since the
 	// last refresh, so the overwrites land a second after it.
@@ -203,4 +249,68 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 		update(k, float64(objects+k), p)
 	}
 	check("overwrites", func(k int) bool { _, ok := overwrites[k]; return ok })
+}
+
+// TestSourceRoutesDoNotAccumulate is the Source counterpart of
+// TestCacheRoutesDoNotAccumulate: an upstream that gives every relayed object
+// its own path costs the relay one route per object only while those values
+// live. Once one path has overwritten them all, the relay holds one route and
+// what a relay that only ever saw the one path holds, give or take its route
+// memo.
+func TestSourceRoutesDoNotAccumulate(t *testing.T) {
+	const objects = 4096
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("root/o%05d", i)
+	}
+	onePath := []string{"relay"}
+	heldBy := func(spray bool) int64 {
+		before := liveHeap()
+		src, err := NewFanoutSource(SourceConfig{
+			ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
+		}, []Destination{{CacheID: "leaf", Conn: newFrameConn("leaf")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		round := func(v uint64, path func(i int) []string) {
+			for i, id := range ids {
+				via := path(i)
+				src.UpdateFrom(id, float64(v), Provenance{Origin: "root", Hops: len(via), Via: via, Epoch: 9, Version: v})
+			}
+		}
+		if spray {
+			round(1, func(i int) []string { return []string{fmt.Sprintf("hop-%05d", i), "relay"} })
+		} else {
+			round(1, func(int) []string { return onePath })
+		}
+		src.mu.Lock()
+		n := provRoutes(&src.order)
+		src.mu.Unlock()
+		if want := map[bool]int{false: 1, true: objects}[spray]; n != want {
+			t.Fatalf("spray=%v: the first round left %d routes, want %d", spray, n, want)
+		}
+		round(2, func(int) []string { return onePath })
+		src.mu.Lock()
+		n = provRoutes(&src.order)
+		src.mu.Unlock()
+		if n != 1 {
+			t.Fatalf("spray=%v: one path over every object left %d routes, want 1", spray, n)
+		}
+		return liveHeap() - before
+	}
+	plain, sprayed := heldBy(false), heldBy(true)
+	t.Logf("one path: %d B; a path per object, then one path: %d B", plain, sprayed)
+	if d := sprayed - plain; d > 4<<10 || d < -4<<10 {
+		t.Errorf("a relay that once held %d routes keeps %d B more than one that never did, want within 4 KiB", objects, d)
+	}
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() int64 {
+	var ms stdruntime.MemStats
+	stdruntime.GC()
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
