@@ -295,11 +295,15 @@ func (r *streamRig) release() {
 	r.collect()
 }
 
-// collect waits for the sends in flight, unless the connection is held, and
-// records everything the receiver was sent.
+// collect waits for the sends in flight — every member's but a held
+// connection's, so that the next pass finds the others idle rather than
+// stalling on a sender worker the scheduler has not run yet — and records
+// everything the receiver was sent.
 func (r *streamRig) collect() {
-	for !r.held && r.ss.inflight.Load() != 0 {
-		stdruntime.Gosched()
+	for _, ss := range r.src.sessions {
+		for !(r.held && ss == r.ss) && ss.inflight.Load() != 0 {
+			stdruntime.Gosched()
+		}
 	}
 	sent := int(r.ss.groupSent.Load())
 	for len(r.got) < sent {

@@ -35,8 +35,8 @@ type GroupConfig struct {
 	// objects dirty for it, to be caught up to what the group holds later.
 	// When no member can take a batch, the group holds back instead.
 	Queue int
-	// MaxBatch caps refreshes per group batch (default 64, matching the
-	// transport Batcher's default framing).
+	// MaxBatch caps refreshes per group batch (default 64), and is the
+	// early pass's unit: its quantum is a whole number of such frames.
 	MaxBatch int
 }
 
@@ -85,8 +85,9 @@ type GroupStats struct {
 	SplicedBatches   int
 	SplicedRefreshes int
 	// EarlyBatches counts batches the flusher cut ahead of its tick because
-	// a full run of frames was queued and paid for (see earlyFrames; also
-	// folded into Batches). Batches − SplicedBatches − EarlyBatches left on
+	// the group's early-pass quantum — a run of frames sized from its own
+	// traffic, at most earlyFrames — was queued and paid for (also folded
+	// into Batches). Batches − SplicedBatches − EarlyBatches left on
 	// a tick: the ratio says whether the tick or the size trigger delivers.
 	EarlyBatches int
 	// Pending and Threshold describe the shared scheduling engine.
@@ -238,20 +239,20 @@ func (fs *fanScratch) dispatch() {
 	fs.n = 0
 }
 
-// earlyFrames sizes the flusher's size trigger: an early pass needs this many
-// full frames (× GroupConfig.MaxBatch refreshes) queued and paid for. A pass
-// starts a chain of goroutine wake-ups down the tree (flusher → sender
-// worker → remote reader → dispatcher → shard workers → …) whose cost is
-// per pass, not per frame, so the quantum trades CPU for latency: a tick
-// amortises one chain over everything the tick collected, an early pass over
-// earlyFrames frames. Measured on the 100k updates/s tree workload with a
-// 10 ms tick (≈ 16 frames a tick; update→leaf p50 7.2 ms at the tick alone):
-// 1 frame 1.0 ms at ×1.3–1.5 CPU, 4 frames 2.3 ms at ×1.2, 8 frames 3.9 ms
-// at ×1.1, 16 frames never fire. The first extra pass per tick buys half of
-// all the latency there is to win and each further halving costs as much
-// again, hence 8. A count keeps that overhead per update the same at every
-// update rate; it is a constant because there is nothing here an operator
-// could tune without the same table.
+// earlyFrames caps the flusher's size trigger, and is the quantum of a group
+// that has not yet measured its traffic: an early pass needs a quantum of full
+// frames (× GroupConfig.MaxBatch refreshes) queued and paid for. A pass starts
+// a chain of goroutine wake-ups down the tree (flusher → sender worker →
+// remote reader → dispatcher → shard workers → …) whose cost is per pass, not
+// per frame, so the quantum trades CPU for latency: a tick amortises one
+// chain over everything the tick collected, an early pass over its quantum.
+// Measured on the 100k updates/s tree workload with a 10 ms tick (≈ 16 frames
+// a tick; update→leaf p50 7.2 ms at the tick alone): 1 frame 1.0 ms at
+// ×1.3–1.5 CPU, 4 frames 2.3 ms at ×1.2, 8 frames 3.9 ms at ×1.1, 16 frames
+// never fire. The first extra pass per tick buys half of all the latency
+// there is to win and each further halving costs as much again, hence one
+// early pass a tick and a cap of 8. It is a constant because there is nothing
+// here an operator could tune without the same table.
 const earlyFrames = 8
 
 // SessionGroup is one receiver cohort of a source — the shared group, or one
@@ -294,8 +295,10 @@ type SessionGroup struct {
 	// The size trigger's state (see wakeLocked): waking is set while an
 	// early-pass request is outstanding, disarmed from an early pass that
 	// found the queue long only with under-threshold residuals to the next
-	// tick pass.
+	// tick pass. frames is the quantum (see quantum) and ticked the
+	// scheduled count when a tick pass last measured it.
 	waking, disarmed bool
+	frames, ticked   int
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
 	// A pass's scratch, reused, so passMu keeps the flusher's pass and one run
 	// by hand apart: the scheduled objects' queue keys and outgoing
@@ -331,6 +334,7 @@ func newSessionGroup(s *Source) *SessionGroup {
 		sched:      newSched(&s.cfg),
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
+		frames:     earlyFrames,
 	}
 	g.objs.grow(s.order.n)
 	return g
@@ -415,43 +419,57 @@ func (s *Source) flushLoop() {
 	ticker := time.NewTicker(s.cfg.Tick)
 	defer ticker.Stop()
 	for {
+		waking := false
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			for _, g := range s.snapshotGroups(false) {
-				g.pass(0)
-			}
 		case <-s.wake:
-			for _, g := range s.snapshotGroups(true) {
-				need := g.quantum()
-				if g.stall.CompareAndSwap(stallResume, stallNone) {
-					need = 0 // the rest of a pass that stopped for room
-				}
-				g.pass(need)
-			}
+			waking = true
+		}
+		for _, p := range s.snapshotGroups(waking) {
+			p.g.pass(p.need)
 		}
 	}
 }
 
-// snapshotGroups returns the groups a flusher pass visits — every group, or
-// with waking only those that asked for an early pass or to be resumed — in
-// the flusher's reused slice. A group removed after the snapshot has no member
-// to cut anything for.
-func (s *Source) snapshotGroups(waking bool) []*SessionGroup {
+// resumed is the need of the rest of a pass that stopped for room (see pass).
+const resumed = -1
+
+// groupPass is one pass the flusher runs: a group and its need.
+type groupPass struct {
+	g    *SessionGroup
+	need int
+}
+
+// snapshotGroups returns the passes a flusher wake-up runs — every group's
+// tick pass, or with waking only those that asked to be resumed or for an
+// early pass, whose need is resolved here under the lock — in the flusher's
+// reused slice. A group removed after the snapshot has no member to cut
+// anything for.
+func (s *Source) snapshotGroups(waking bool) []groupPass {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.passing = s.passing[:0]
 	for _, g := range s.groups {
-		if !waking || g.waking || g.stall.Load() == stallResume {
-			s.passing = append(s.passing, g)
+		switch {
+		case !waking:
+			s.passing = append(s.passing, groupPass{g, 0})
+		case g.stall.CompareAndSwap(stallResume, stallNone):
+			s.passing = append(s.passing, groupPass{g, resumed})
+		case g.waking:
+			s.passing = append(s.passing, groupPass{g, g.quantum()})
 		}
 	}
 	return s.passing
 }
 
-// quantum is the early pass's size in refreshes.
-func (g *SessionGroup) quantum() int { return earlyFrames * g.cfg.MaxBatch }
+// quantum is the early pass's size in refreshes: half of what the group
+// committed (splices included) between its last two tick passes, rounded up
+// to whole frames and at most earlyFrames, so the group early-passes about
+// half-way through its tick. It starts at earlyFrames, and a tick pass after
+// an idle interval keeps it. Caller holds src.mu.
+func (g *SessionGroup) quantum() int { return g.frames * g.cfg.MaxBatch }
 
 // wakeLocked is the size trigger, run by the update path after it has
 // observed its objects: it asks the flusher for an early pass once a whole
@@ -479,15 +497,18 @@ func (g *SessionGroup) wakeLocked(now float64) {
 	}
 }
 
-// pass runs one scheduling pass, batch after batch until one comes out short. need is zero on a tick pass. An early pass
-// starts only with a whole quantum queued and paid for and goes on while a
-// full frame is, so what it leaves behind is a partial frame for the tick.
-// A tick pass first catches lagging members up, so that a saturated bucket
-// cannot starve them; their free queue slots bound what it spends on them.
+// pass runs one scheduling pass, batch after batch until one comes out short.
+// need is zero on a tick pass, resumed on the rest of a pass that stopped for
+// room (anything sendable goes on both, but only a tick pass re-measures the
+// quantum) and the quantum on an early pass, which starts only with a whole
+// quantum queued and paid for and goes on while a full frame is, so what it
+// leaves behind is a partial frame for the tick. A tick pass first catches
+// lagging members up, so that a saturated bucket cannot starve them; their
+// free queue slots bound what it spends on them.
 func (g *SessionGroup) pass(need int) {
 	g.passMu.Lock()
 	defer g.passMu.Unlock()
-	if need == 0 {
+	if need <= 0 {
 		g.catchUp()
 	}
 	for g.broadcastOnce(need) {
@@ -599,8 +620,8 @@ func (g *SessionGroup) roomLocked() bool {
 // shared refresh slice is built and committed under the source mutex, the
 // frame is encoded once outside it, and each member's send is queued to its
 // sharded worker. need is how many refreshes must be queued and paid for
-// before anything is cut (zero on a tick pass: anything sendable goes); a
-// group no member of which has room cuts nothing. It returns false when the
+// before anything is cut (zero or resumed: anything sendable goes); a group
+// no member of which has room cuts nothing. It returns false when the
 // batch came out short of MaxBatch — nothing more was over threshold, the
 // bucket ran dry, need was not met or there was no room — which ends the
 // pass.
@@ -615,7 +636,7 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.accrueLocked(now)
 	epoch, stamp := s.started.UnixNano(), ""
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need) && g.roomLocked()
+	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(max(need, 0)) && g.roomLocked()
 	if ready && g != s.group {
 		// A group of one addresses its batches to its member. The shared
 		// group's frame, which every member takes, carries no stamp: caches
@@ -642,11 +663,15 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.keyBuf, g.provBuf = keys, provs
 	full := len(b.rs) == g.cfg.MaxBatch
 	if !full {
-		// The pass ends with this batch. A tick pass re-arms the size trigger.
-		// An early pass that met its need and still came up short was woken by
-		// a queue of under-threshold residuals: it disarms the trigger until
-		// the next tick, so residuals cannot wake the flusher once per update.
-		if need == 0 {
+		// The pass ends with this batch. A tick pass re-arms the size trigger
+		// and re-sizes the quantum (see quantum). An early pass that met its
+		// need and still came up short was woken by a queue of under-threshold
+		// residuals: it disarms the trigger until the next tick, so residuals
+		// cannot wake the flusher once per update.
+		if n := g.scheduled - g.ticked; need == 0 && n > 0 {
+			g.frames, g.ticked = min((n+2*g.cfg.MaxBatch-1)/(2*g.cfg.MaxBatch), earlyFrames), g.scheduled
+		}
+		if need <= 0 {
 			g.disarmed = false
 		} else {
 			g.waking = false

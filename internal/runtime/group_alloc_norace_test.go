@@ -210,51 +210,70 @@ func TestSourceHeapPerObject(t *testing.T) {
 // early pass on the flusher goroutine and the fan-out of its frames to two
 // frame-capable members. What that allocates is what cutting the same frames
 // on a tick allocates — nothing once the pooled batches and frames are warm:
-// no closure, timer or channel per pass.
+// no closure, timer or channel per pass. It runs at a fresh group's quantum
+// and at one a tick pass measured down to two frames.
 func TestGroupEarlyPassSteadyStateAllocs(t *testing.T) {
-	clock := newFakeClock()
-	src, err := NewFanoutSource(SourceConfig{
-		ID: "al", Metric: metric.ValueDeviation,
-		Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
-		Group: GroupConfig{Enabled: true, Queue: 64},
-	}, []Destination{
-		{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-		{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	g := src.group
-	ids := make([]string, g.quantum())
-	for i := range ids {
-		ids[i] = fmt.Sprintf("al/obj-%d", i)
-	}
-	v, want := 1.0, 0
-	round := func() {
-		clock.advance(time.Millisecond)
-		for _, id := range ids {
-			src.Update(id, v)
-		}
-		v++
-		want += len(ids)
-		for done := false; !done; stdruntime.Gosched() {
+	for _, frames := range []int{earlyFrames, 2} {
+		t.Run(fmt.Sprintf("%d frames", frames), func(t *testing.T) {
+			clock := newFakeClock()
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "al", Metric: metric.ValueDeviation,
+				Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
+				Group: GroupConfig{Enabled: true, Queue: 64},
+			}, []Destination{
+				{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+				{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			g := src.group
+			if frames != earlyFrames {
+				// A tick pass that commits twice the quantum measures it.
+				clock.advance(time.Millisecond)
+				for i := range 2 * frames * g.cfg.MaxBatch {
+					src.Update(fmt.Sprintf("al/tick-%d", i), 1)
+				}
+				g.pass(0)
+			}
 			src.mu.Lock()
-			done = g.scheduled == want && !g.waking
+			quantum, want, ticked := g.quantum(), g.scheduled, g.batches
 			src.mu.Unlock()
-		}
-	}
-	round() // inserts
-	round() // sizes the pooled batches, frames and scratch
-	allocs := pooledAllocsPerRun(50, round)
-	src.mu.Lock()
-	early, batches := g.earlyBatches, g.batches
-	src.mu.Unlock()
-	if early != batches || early != 53*earlyFrames {
-		t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*earlyFrames)
-	}
-	if allocs > 0 {
-		t.Errorf("a quantum of updates and its early pass allocated %.1f times, want 0", allocs)
+			if quantum != frames*g.cfg.MaxBatch {
+				t.Fatalf("quantum %d, want %d frames of %d", quantum, frames, g.cfg.MaxBatch)
+			}
+			ids := make([]string, quantum)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("al/obj-%d", i)
+			}
+			v := 1.0
+			round := func() {
+				clock.advance(time.Millisecond)
+				for _, id := range ids {
+					src.Update(id, v)
+				}
+				v++
+				want += len(ids)
+				for done := false; !done; stdruntime.Gosched() {
+					src.mu.Lock()
+					done = g.scheduled == want && !g.waking
+					src.mu.Unlock()
+				}
+			}
+			round() // inserts
+			round() // sizes the pooled batches, frames and scratch
+			allocs := pooledAllocsPerRun(50, round)
+			src.mu.Lock()
+			early, batches := g.earlyBatches, g.batches-ticked
+			src.mu.Unlock()
+			if early != batches || early != 53*frames {
+				t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*frames)
+			}
+			if allocs > 0 {
+				t.Errorf("a quantum of updates and its early pass allocated %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

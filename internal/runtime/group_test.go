@@ -1083,6 +1083,13 @@ type earlyRig struct {
 
 func newEarlyRig(t *testing.T, bandwidth float64, tick time.Duration, params core.Params) *earlyRig {
 	t.Helper()
+	return newEarlyRigBatch(t, bandwidth, tick, params, 0)
+}
+
+// newEarlyRigBatch is newEarlyRig with GroupConfig.MaxBatch maxBatch (zero:
+// the default).
+func newEarlyRigBatch(t *testing.T, bandwidth float64, tick time.Duration, params core.Params, maxBatch int) *earlyRig {
+	t.Helper()
 	r := &earlyRig{clock: newFakeClock(), nets: make([]*transport.Local, 2)}
 	dests := make([]Destination, len(r.nets))
 	for i := range r.nets {
@@ -1096,7 +1103,7 @@ func newEarlyRig(t *testing.T, bandwidth float64, tick time.Duration, params cor
 	src, err := NewFanoutSource(SourceConfig{
 		ID: "origin", Metric: metric.ValueDeviation, Bandwidth: bandwidth,
 		Tick: tick, Params: params, Now: r.clock.Now,
-		Group: GroupConfig{Enabled: true, Queue: 64},
+		Group: GroupConfig{Enabled: true, Queue: 64, MaxBatch: maxBatch},
 	}, dests)
 	if err != nil {
 		t.Fatal(err)
@@ -1226,22 +1233,29 @@ func TestGroupEarlyPass(t *testing.T) {
 
 // TestGroupEarlyPassBudgetLimited: a group whose bucket cannot hold a quantum
 // (1000 msg/s per member at a 10 ms tick: a burst of 20) never passes early
-// however long its queue, and stays inside its budget.
+// however long its queue, and stays inside its budget — also once its tick
+// passes have measured the quantum down to a single frame.
 func TestGroupEarlyPassBudgetLimited(t *testing.T) {
 	r := newEarlyRig(t, 2000, 10*time.Millisecond, pinnedParams(1e-6))
 	start := r.clock.Now()
-	for i := 0; i < 4*r.g.quantum(); i++ {
-		r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
-		if waking, _, queued := r.trigger(); waking || queued != 0 {
-			t.Fatalf("update %d: the trigger fired on a budget-limited group", i)
-		}
-		if i%64 == 0 {
-			r.clock.advance(time.Millisecond)
-			for j := range r.nets {
-				r.frames(j) // keep the members draining
+	feed := func(from, to int) {
+		for i := from; i < to; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
+			if waking, _, queued := r.trigger(); waking || queued != 0 {
+				t.Fatalf("update %d: the trigger fired on a budget-limited group", i)
+			}
+			if i%64 == 0 {
+				r.clock.advance(time.Millisecond)
+				for j := range r.nets {
+					r.frames(j) // keep the members draining
+				}
 			}
 		}
 	}
+	r.src.mu.Lock()
+	n := 4 * r.g.quantum()
+	r.src.mu.Unlock()
+	feed(0, n)
 	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Group.Batches > 0 }, "a tick pass")
 	r.src.mu.Lock()
 	elapsed := r.clock.Now().Sub(start).Seconds() + 1 // the rig's opening step accrued too
@@ -1252,6 +1266,124 @@ func TestGroupEarlyPassBudgetLimited(t *testing.T) {
 	}
 	if limit := rate*elapsed + tokenBurst(rate, 10*time.Millisecond); float64(scheduled) > limit {
 		t.Errorf("scheduled %d refreshes in %.3f s at %.0f/s, over the budget of %.1f", scheduled, elapsed, rate, limit)
+	}
+
+	// A tick pass commits at most a burst and what accrued since the last
+	// one, under a frame: the quantum is measured down to one frame, which
+	// the bucket still cannot hold.
+	r.src.mu.Lock()
+	q, burst := r.g.quantum(), tokenBurst(r.g.rate, 10*time.Millisecond)
+	r.src.mu.Unlock()
+	if q != r.g.cfg.MaxBatch || burst >= float64(q) {
+		t.Fatalf("measured quantum %d with a burst of %.0f, want one frame of %d and a burst under it", q, burst, r.g.cfg.MaxBatch)
+	}
+	feed(n, n+4*q)
+	if early := r.src.Stats().Group.EarlyBatches; early != 0 {
+		t.Errorf("%d early batches at a measured quantum of one frame, want 0", early)
+	}
+}
+
+// TestGroupEarlyPassFollowsTraffic: the quantum is half of what the group
+// committed between its last two tick passes, in whole frames from one up to
+// earlyFrames, so a group cutting a few frames a tick passes early once a
+// tick rather than never. Only a tick pass that committed something measures
+// it: not an idle one, and not the rest of a pass resumed after a stall.
+func TestGroupEarlyPassFollowsTraffic(t *testing.T) {
+	for _, maxBatch := range []int{0, 16} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
+			r := newEarlyRigBatch(t, 2e6, time.Hour, pinnedParams(1e-6), maxBatch)
+			frame := r.g.cfg.MaxBatch
+			quantum := func() int {
+				r.src.mu.Lock()
+				defer r.src.mu.Unlock()
+				return r.g.quantum()
+			}
+			round := 0.0
+			// update gives objects [from, to) a value over the last round's,
+			// at a clock stepped past the last commit so that each has area.
+			update := func(from, to int) {
+				if from == 0 {
+					round++
+					r.clock.advance(time.Millisecond)
+				}
+				for i := from; i < to; i++ {
+					r.src.Update(fmt.Sprintf("obj-%04d", i), round)
+				}
+			}
+			settle := func() *GroupStats {
+				r.settle(t)
+				for i := range r.nets {
+					r.frames(i)
+				}
+				return r.src.Stats().Group
+			}
+			tick := func() *GroupStats {
+				r.g.pass(0)
+				return settle()
+			}
+			if q := quantum(); q != earlyFrames*frame {
+				t.Fatalf("a fresh group's quantum is %d, want %d frames of %d", q, earlyFrames, frame)
+			}
+
+			// Five frames on a tick: half, rounded up to whole frames.
+			update(0, 5*frame)
+			if st := tick(); st.Batches != 5 || st.EarlyBatches != 0 {
+				t.Fatalf("first tick: batches=%d early=%d, want 5 and 0", st.Batches, st.EarlyBatches)
+			}
+			if q := quantum(); q != 3*frame {
+				t.Fatalf("after a tick of 5 frames the quantum is %d, want 3 frames of %d", q, frame)
+			}
+
+			// The next interval: the third frame wakes one early pass of three
+			// full frames; the last two are the tick's, which measures the
+			// interval's five frames again.
+			update(0, 3*frame)
+			if st := settle(); st.EarlyBatches != 3 || st.Pending != 0 {
+				t.Fatalf("three frames in: early=%d pending=%d, want 3 and 0", st.EarlyBatches, st.Pending)
+			}
+			update(3*frame, 5*frame)
+			if waking, _, queued := r.trigger(); waking || queued != 0 {
+				t.Fatalf("two frames after the early pass: waking=%v, %d requests queued, want none", waking, queued)
+			}
+			if st := tick(); st.Batches != 10 || st.EarlyBatches != 3 || st.Pending != 0 {
+				t.Fatalf("second tick: batches=%d early=%d pending=%d, want 10, 3 and 0", st.Batches, st.EarlyBatches, st.Pending)
+			}
+			if q := quantum(); q != 3*frame {
+				t.Fatalf("after an interval of 5 frames the quantum is %d, want 3 frames of %d", q, frame)
+			}
+
+			// An idle tick keeps it.
+			tick()
+			if q := quantum(); q != 3*frame {
+				t.Fatalf("an idle tick moved the quantum to %d, want 3 frames of %d", q, frame)
+			}
+
+			// The rest of a pass that stopped for room commits without
+			// measuring; the next tick pass counts what it committed.
+			update(0, frame)
+			r.g.pass(resumed)
+			if st := settle(); st.Batches != 11 || st.Pending != 0 {
+				t.Fatalf("resumed pass: batches=%d pending=%d, want 11 and 0", st.Batches, st.Pending)
+			}
+			if q := quantum(); q != 3*frame {
+				t.Fatalf("a resumed pass moved the quantum to %d, want 3 frames of %d", q, frame)
+			}
+			tick()
+			if q := quantum(); q != frame {
+				t.Fatalf("after an interval of one frame the quantum is %d, want one frame of %d", q, frame)
+			}
+
+			// Twenty frames in an interval, early passes included: half is
+			// ten, capped at earlyFrames.
+			update(0, 20*frame)
+			settle()
+			if st := tick(); st.Scheduled != 31*frame || st.Pending != 0 {
+				t.Fatalf("twenty frames: scheduled=%d pending=%d, want %d and 0", st.Scheduled, st.Pending, 31*frame)
+			}
+			if q := quantum(); q != earlyFrames*frame {
+				t.Fatalf("after an interval of 20 frames the quantum is %d, want the cap of %d frames of %d", q, earlyFrames, frame)
+			}
+		})
 	}
 }
 

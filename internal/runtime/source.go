@@ -354,7 +354,7 @@ type Source struct {
 	// requests to pass early or resume (one slot: the flusher scans every
 	// group) and its exit. Nil if nothing pushes.
 	workers []*groupWorker
-	passing []*SessionGroup
+	passing []groupPass
 	wake    chan struct{}
 	flushed chan struct{}
 
