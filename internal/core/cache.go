@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Cache is the cache-side half of the protocol. It tracks the most recent
@@ -113,15 +114,16 @@ func (c *Cache) PickFeedbackTargets(k int, ascending bool) []int {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := c.thresholds[order[a]], c.thresholds[order[b]]
-		if ta != tb {
+	// slices.SortFunc, unlike sort.Slice, boxes no swapper and lets the
+	// comparison closure stay on the stack: a pick allocates nothing.
+	slices.SortFunc(order, func(a, b int) int {
+		if d := cmp.Compare(c.thresholds[a], c.thresholds[b]); d != 0 {
 			if ascending {
-				return ta < tb
+				return d
 			}
-			return ta > tb
+			return -d
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 	if k > len(order) {
 		k = len(order)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -283,5 +284,33 @@ func TestThresholdConvergenceScenario(t *testing.T) {
 	}
 	if s.Threshold() < minThreshold || s.Threshold() > 1 {
 		t.Errorf("threshold drifted to %v; want bounded oscillation below 1", s.Threshold())
+	}
+}
+
+// TestCachePickOrder pins the whole target order: descending by threshold
+// (ascending for the negative-feedback ablation), ties broken by source index,
+// sources that exhausted their warm-up greetings without a refresh excluded.
+// Picking allocates nothing once the scratch buffer is sized.
+func TestCachePickOrder(t *testing.T) {
+	c := NewCache(7)
+	for src, th := range map[int]float64{0: 2, 1: 9, 2: 2, 4: 0.5, 5: 9, 6: 2} {
+		c.ObserveThreshold(src, th)
+	}
+	for i := 0; i < warmupGreetLimit; i++ {
+		c.PickFeedbackTargets(1, false) // source 3, never heard, greets and gives up
+	}
+	for _, leg := range []struct {
+		ascending bool
+		want      []int
+	}{
+		{false, []int{1, 5, 0, 2, 6, 4}},
+		{true, []int{4, 0, 2, 6, 1, 5}},
+	} {
+		if got := c.PickFeedbackTargets(10, leg.ascending); !slices.Equal(got, leg.want) {
+			t.Errorf("ascending=%v: targets %v, want %v", leg.ascending, got, leg.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.PickFeedbackTargets(3, false) }); allocs != 0 {
+		t.Errorf("PickFeedbackTargets allocated %.1f times per call, want 0", allocs)
 	}
 }

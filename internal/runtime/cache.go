@@ -129,10 +129,11 @@ type CacheConfig struct {
 	// excluded), outside the shard lock. Refreshes for the same object are
 	// delivered in apply order (they always land on the same shard);
 	// different objects may be reported concurrently from different
-	// workers. The slice is the worker's own buffer, valid only for the
-	// duration of the call (as OnForward's arguments are). This is the
-	// re-export hook a Node uses to turn applied refreshes into updates for
-	// its own downstream tier.
+	// workers. The slice is the worker's own buffer, overwritten by its next
+	// task, so it is valid only for the duration of the call: copy the
+	// refreshes to keep them (their strings and Via paths stay valid). This
+	// is the re-export hook a Node uses to turn applied refreshes into
+	// updates for its own downstream tier.
 	OnApply func([]wire.Refresh)
 	// OnForward, when non-nil, replaces OnApply for batches that arrive
 	// with a retained wire frame (transport.InboundBatch.Frame): once every
@@ -140,7 +141,10 @@ type CacheConfig struct {
 	// the batch's refreshes, the retained frame, and a keep mask aligned
 	// 1:1 with both (keep[i] is true iff rs[i] was actually installed —
 	// stale drops and Reject hits are false). Ownership of the frame
-	// reference transfers to the hook, which must Release it. Unlike
+	// reference transfers to the hook, which must Release it. rs is the
+	// decoded batch itself, handed back to the codec for the next frame as
+	// soon as the hook returns, and keep is reused too: both are valid only
+	// for the duration of the call, and the hook copies what it keeps. Unlike
 	// OnApply it runs outside any shard lock but also outside apply order
 	// across batches — consumers needing per-object ordering must re-check
 	// against their own state. Frameless batches are unaffected and keep
@@ -248,9 +252,11 @@ type applyTask struct {
 // The last worker to finish (pending hits zero) recycles it and, for a framed
 // batch (frame != nil), first fires OnForward, handing over the frame
 // reference. Refs are pooled: the keep mask and the per-shard index buckets
-// are reused across batches, so OnForward's rs/keep arguments are valid only
-// for the duration of the call (the hook decodes or copies what it needs
-// before returning — n.onForward does).
+// are reused across batches, and recycling hands rs back to its producer —
+// the codec's decoded batch (in) or the poll scheduler's install buffer
+// (polled) — so OnApply's and OnForward's arguments are valid only for the
+// duration of the call (the hooks copy what they need before returning —
+// n.reexport and n.onForward do).
 type batchRef struct {
 	c       *Cache
 	rs      []wire.Refresh
@@ -259,6 +265,8 @@ type batchRef struct {
 	keep    []bool // framed batches only: aligned with rs and the frame's items
 	parts   [][]int32
 	pending atomic.Int32
+	in      transport.InboundBatch // the intake batch rs came in, released at recycle
+	polled  *[]wire.Refresh        // the install buffer rs is, returned at recycle
 }
 
 var batchRefPool = sync.Pool{New: func() any { return new(batchRef) }}
@@ -301,7 +309,11 @@ func (b *batchRef) done() {
 }
 
 func (b *batchRef) recycle() {
-	b.c, b.rs, b.frame = nil, nil, nil
+	b.in.Release()
+	if b.polled != nil {
+		installPool.Put(b.polled)
+	}
+	b.c, b.rs, b.frame, b.in, b.polled = nil, nil, nil, transport.InboundBatch{}, nil
 	batchRefPool.Put(b)
 }
 
@@ -498,6 +510,11 @@ type Cache struct {
 	fbSent    int
 	misrouted int
 	rejected  int
+
+	// Down-send buffers, owned by the dispatcher loop (sendFeedback): an
+	// endpoint copies what it keeps, so each is reused from call to call.
+	fbIDs []string
+	acks  []wire.HeldVersion
 
 	// outstanding counts refreshes dispatched to shard queues but not yet
 	// applied; the surplus-feedback rule requires a fully drained cache,
@@ -844,7 +861,9 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 		frame.Release()
 		frame = nil
 	}
-	c.route(b.Refreshes, frame)
+	ref := c.grabBatchRef(b.Refreshes, frame)
+	ref.in = b
+	c.route(ref)
 }
 
 // installPolled is the poll scheduler's entry into the apply path: the
@@ -855,9 +874,11 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 // apply: a poll reply from a lateral peer can carry a value this node is
 // already on the path of (the peer answered before learning our identity),
 // and installing it would re-circulate the cycle the intake guard exists
-// to break.
-func (c *Cache) installPolled(rs []wire.Refresh) {
-	c.route(rs, nil)
+// to break. The buffer goes back to installPool when the batch recycles.
+func (c *Cache) installPolled(buf *[]wire.Refresh) {
+	ref := c.grabBatchRef(*buf, nil)
+	ref.polled = buf
+	c.route(ref)
 }
 
 // route hands a batch's refreshes to their owning shards' apply queues as
@@ -868,10 +889,10 @@ func (c *Cache) installPolled(rs []wire.Refresh) {
 // surgery, records Reject hits here and stale drops in the workers, and the
 // last worker to finish fires OnForward exactly once. Refreshes count as
 // outstanding until the workers drain them. Shard-queue sends block when a
-// worker is behind (back-pressure) but abort on shutdown.
-func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
-	ref := c.grabBatchRef(rs, frame)
-	parts := ref.parts
+// worker is behind (back-pressure) but abort on shutdown. route owns ref from
+// here: every end of the batch recycles it, handing rs back to its producer.
+func (c *Cache) route(ref *batchRef) {
+	rs, frame, parts := ref.rs, ref.frame, ref.parts
 	live := 0
 	for i := range rs {
 		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
@@ -921,8 +942,9 @@ func (c *Cache) enqueue(sh *shard, t applyTask) {
 	case sh.queue <- t:
 	case <-c.stop:
 		// Shutdown abort: the batch's countdown never drains, so a framed
-		// batch's OnForward never fires, stranding the frame's pool object —
-		// harmless, the process is winding down.
+		// batch's OnForward never fires and the ref never recycles,
+		// stranding the frame's and the batch's pool objects — harmless,
+		// the process is winding down.
 	}
 }
 
@@ -1082,8 +1104,9 @@ const maxHeldPerFeedback = 256
 
 // takeAcks drains up to maxHeldPerFeedback pending acks toward sourceID,
 // reading each one's origin-axis version from the entry as it stands now.
+// The result is c.acks, valid until the next call; nil when nothing is owed.
 func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
-	var out []wire.HeldVersion
+	out := c.acks[:0]
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if a := sh.owedTo(sourceID); a != nil {
@@ -1094,6 +1117,10 @@ func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 			break
 		}
 	}
+	c.acks = out
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
@@ -1101,12 +1128,6 @@ func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 // holds maxHeldPerFeedback, resuming where the previous drain stopped. Caller
 // holds sh.mu.
 func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldVersion {
-	if a.n == 0 {
-		return out
-	}
-	if out == nil {
-		out = make([]wire.HeldVersion, 0, min(a.n, maxHeldPerFeedback))
-	}
 	for len(out) < maxHeldPerFeedback {
 		i, ok := a.pop()
 		if !ok {
@@ -1161,10 +1182,11 @@ func (c *Cache) sendFeedback(k int) int {
 		return 0
 	}
 	targets := c.tracker.PickFeedbackTargets(k, false)
-	ids := make([]string, 0, len(targets))
+	ids := c.fbIDs[:0]
 	for _, idx := range targets {
 		ids = append(ids, c.srcIDs[idx])
 	}
+	c.fbIDs = ids
 	c.mu.Unlock()
 	sent := 0
 	now := c.cfg.Now().UnixNano()

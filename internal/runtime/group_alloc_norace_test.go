@@ -7,6 +7,7 @@ package runtime
 
 import (
 	"fmt"
+	"net"
 	stdruntime "runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -322,6 +323,84 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 			t.Errorf("hook=%v: re-applying %d refreshes allocated %.0f times, want 0", hook, objects, allocs)
 		}
 		c.Close()
+	}
+}
+
+// TestCacheIntakeSteadyStateAllocs: frames written over loopback TCP into
+// transport.Serve and a Cache allocate nothing per frame once warm, whichever
+// way the batch ends — applied and reported to OnApply, dropped whole by
+// Reject (the route's no-task path), or handed with its retained frame to
+// OnForward. The decoded batch is the codec's pooled one, so a path that
+// failed to release it would show here as allocations.
+func TestCacheIntakeSteadyStateAllocs(t *testing.T) {
+	const objects, batch = 256, 64
+	for _, leg := range []string{"apply", "reject", "forward"} {
+		t.Run(leg, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := transport.Serve(ln, 16)
+			defer ep.Close()
+			// seen counts the refreshes that reached the leg's hook: the
+			// hooks run on the shard workers and the dispatcher.
+			var seen atomic.Int64
+			// The intake opens on the first tick; a long one keeps the tick's
+			// surplus feedback out of the measurement.
+			cfg := CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: 500 * time.Millisecond, Shards: 2}
+			switch leg {
+			case "apply":
+				cfg.OnApply = func(rs []wire.Refresh) { seen.Add(int64(len(rs))) }
+			case "reject":
+				cfg.Reject = func(wire.Refresh) bool { seen.Add(1); return true }
+			case "forward":
+				ep.(transport.FrameRetainer).RetainFrames(true)
+				cfg.OnForward = func(rs []wire.Refresh, f *codec.Frame, _ []bool) {
+					seen.Add(int64(len(rs)))
+					f.Release()
+				}
+			}
+			c := NewCache(cfg, ep)
+			defer c.Close()
+			conn, err := transport.Dial(ln.Addr().String(), "src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fs := conn.(transport.FrameSender)
+
+			rs := make([]wire.Refresh, objects)
+			for i := range rs {
+				rs[i] = wire.Refresh{SourceID: "src", ObjectID: fmt.Sprintf("src/o%03d", i), Epoch: 1}
+			}
+			var want int64
+			round := func() {
+				for i := range rs {
+					rs[i].Version++
+					rs[i].Value++
+				}
+				for b := 0; b < objects; b += batch {
+					f := codec.NewBatchFrame(rs[b:b+batch], 1)
+					if err := fs.SendFrame(f); err != nil {
+						t.Fatal(err)
+					}
+					f.Release()
+				}
+				want += objects
+				for seen.Load() < want {
+					stdruntime.Gosched()
+				}
+			}
+			// The first tick opens the intake and sends its feedback; the
+			// measurement runs well inside the next one.
+			<-conn.Feedback()
+			for i := 0; i < 8; i++ {
+				round() // inserts, then warms the pools and the intern table
+			}
+			if allocs := pooledAllocsPerRun(20, round); allocs > 0 {
+				t.Errorf("%d frames allocated %.1f times, want 0", objects/batch, allocs)
+			}
+		})
 	}
 }
 

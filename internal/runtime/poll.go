@@ -167,6 +167,10 @@ type pollScheduler struct {
 	installs   int
 	lastPushed int
 
+	// batch is sendDue's per-source id lists, reused from tick to tick
+	// (loop-local): SendPoll copies what it keeps.
+	batch map[string][]string
+
 	// done is closed when the loop goroutine exits; Cache.Close waits on
 	// it before closing the shard queues, because processReply installs
 	// values through them.
@@ -193,6 +197,7 @@ func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *poll
 		rng:      rand.New(rand.NewSource(seed)),
 		known:    map[string]bool{},
 		pushedBy: map[string]map[string]bool{},
+		batch:    map[string][]string{},
 		done:     make(chan struct{}),
 	}
 	if c.cfg.Policy == PolicyHybrid {
@@ -336,7 +341,10 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 	if ps.queue.Len() == 0 || ps.queue.due[0] > t || budget < cost {
 		return 0
 	}
-	batch := map[string][]string{}
+	batch := ps.batch
+	for src, ids := range batch {
+		batch[src] = ids[:0]
+	}
 	spent := 0.0
 	for ps.queue.Len() > 0 && ps.queue.due[0] <= t && budget-spent >= cost {
 		_, i := ps.queue.Pop()
@@ -353,6 +361,9 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 	}
 	sent := 0
 	for src, ids := range batch {
+		if len(ids) == 0 {
+			continue
+		}
 		p := wire.Poll{
 			CacheID:   ps.c.cfg.ID,
 			ObjectIDs: ids,
@@ -376,6 +387,10 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 	ps.statMu.Unlock()
 	return spent
 }
+
+// installPool recycles processReply's install buffers: the cache hands each
+// one back when the batch routed over it recycles.
+var installPool = sync.Pool{New: func() any { return new([]wire.Refresh) }}
 
 // processReply folds one poll reply into the estimators and the store,
 // returning the budget charged at receipt.
@@ -417,7 +432,8 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 	}
 
 	wallNow := ps.c.cfg.Now()
-	var install []wire.Refresh
+	buf := installPool.Get().(*[]wire.Refresh)
+	install := (*buf)[:0]
 	created := 0
 	for _, it := range r.Items {
 		i, h := ps.find(it.ObjectID)
@@ -472,9 +488,12 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 		ps.scheduleNew(t, created)
 	}
 	ps.applyPushed(r, t)
+	*buf = install
 	if len(install) > 0 {
 		ps.installs += len(install)
-		ps.c.installPolled(install)
+		ps.c.installPolled(buf)
+	} else {
+		installPool.Put(buf)
 	}
 	ps.statMu.Lock()
 	ps.replyMsgs += len(r.Items)

@@ -131,6 +131,10 @@ type syncSession struct {
 	// Source.newObjLocked folds them in when the object appears, so the map
 	// only ever holds ids that are not in src.objs.
 	heldPending map[string]wire.HeldVersion
+	// items is answerPoll's reply buffer for targeted polls, reused from poll
+	// to poll: SendReply copies what it keeps. A discovery listing, as long
+	// as the whole store, is allocated afresh rather than pinned here.
+	items []wire.PollItem
 
 	// Group-delivery state, guarded by src.mu; the atomics are shared with
 	// the sender workers. worker is the one its sends queue on: a pool
@@ -463,7 +467,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 			}
 		}
 	} else {
-		reply.Items = make([]wire.PollItem, 0, len(p.ObjectIDs))
+		reply.Items = ss.items[:0]
 		for _, id := range p.ObjectIDs {
 			if o, _ := s.objLocked(id); o != nil {
 				if item, ok := ss.answerLocked(o, known, epoch); ok {
@@ -473,6 +477,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 				reply.Items = append(reply.Items, wire.PollItem{ObjectID: id})
 			}
 		}
+		ss.items = reply.Items
 	}
 	if g := ss.group; g != nil && g.hyb != nil {
 		reply.Pushed = g.hyb.pushSet(&s.order)

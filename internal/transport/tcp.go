@@ -174,6 +174,9 @@ func (s *tcpServer) handle(conn net.Conn) {
 			if frame != nil {
 				frame.Release()
 			}
+			if env.Batch != nil {
+				codec.ReleaseBatch(env.Batch)
+			}
 			break
 		}
 		switch {
@@ -218,9 +221,10 @@ func (s *tcpServer) handle(conn net.Conn) {
 				frame = nil
 			}
 			if len(b.Refreshes) == 0 {
+				codec.ReleaseBatch(env.Batch)
 				continue
 			}
-			s.batches <- InboundBatch{RefreshBatch: b, Frame: frame}
+			s.batches <- InboundBatch{RefreshBatch: b, Frame: frame, decoded: env.Batch}
 		case env.Reply != nil:
 			rp := *env.Reply
 			rp.SourceID = hello.SourceID // stream identity is authoritative

@@ -47,9 +47,26 @@ var ErrClosed = errors.New("transport: closed")
 // order, with Refreshes. Ownership of the frame reference transfers to the
 // receiver, which must Release it (directly or by handing it to a consumer
 // that does).
+//
+// A batch the TCP server decoded is a pooled codec object: the receiver owns
+// it too, and calls Release once it is done with Refreshes.
 type InboundBatch struct {
 	wire.RefreshBatch
-	Frame *codec.Frame
+	Frame   *codec.Frame
+	decoded *wire.RefreshBatch // the codec's pooled batch, nil if not decoded here
+}
+
+// Release hands a decoded batch back to the codec for the next frame.
+// Refreshes, and every copy of this InboundBatch, must not be read after it;
+// strings and Via paths already read out of the refreshes stay valid. It does
+// not touch Frame, whose reference is released on its own. Release is a
+// no-op for Local batches and for batches built by hand, and the GC takes a
+// batch that is never released.
+func (b *InboundBatch) Release() {
+	if b.decoded != nil {
+		codec.ReleaseBatch(b.decoded)
+		b.decoded = nil
+	}
 }
 
 // FrameRetainer is implemented by endpoints that can retain inbound binary
@@ -83,7 +100,9 @@ type SourceConn interface {
 // that can also receive cache-driven polls and answer them. Both provided
 // transports (Local and TCP) implement it, as does a Batcher wrapping one;
 // the runtime's poll policies require it and reject connections without it.
-// Push-only deployments never touch these methods.
+// Push-only deployments never touch these methods. Like every send on a
+// connection or endpoint, SendReply leaves the caller free to reuse every
+// slice of its argument once it returns.
 type PollConn interface {
 	SourceConn
 	// Polls delivers poll requests from the cache. The channel is closed
@@ -96,7 +115,8 @@ type PollConn interface {
 
 // PollEndpoint is the poll-path extension of CacheEndpoint: a cache
 // endpoint that can send polls to its connected sources and receive their
-// replies. Both provided transports implement it.
+// replies. Both provided transports implement it. SendPoll follows
+// SendFeedback's ownership rule.
 type PollEndpoint interface {
 	CacheEndpoint
 	// SendPoll sends a poll request to one source. Unknown sources are an
@@ -109,6 +129,10 @@ type PollEndpoint interface {
 }
 
 // CacheEndpoint is the cache's view of all connected sources.
+//
+// Ownership: a down-send (SendFeedback, and PollEndpoint.SendPoll) encodes
+// or copies what it keeps, so the caller may reuse every slice of its
+// argument once the call returns.
 type CacheEndpoint interface {
 	// Batches delivers incoming refresh batches from every source. A
 	// refresh sent individually arrives as a batch of one. The Frame field
@@ -176,6 +200,8 @@ func (l *Local) SendPoll(sourceID string, p wire.Poll) error {
 	if !ok {
 		return fmt.Errorf("transport: unknown source %q", sourceID)
 	}
+	p.ObjectIDs = append([]string(nil), p.ObjectIDs...)
+	p.Known = append([]wire.KnownVersion(nil), p.Known...)
 	select {
 	case ch <- p:
 	default:
@@ -195,6 +221,7 @@ func (l *Local) SendFeedback(sourceID string, fb wire.Feedback) error {
 	if !ok {
 		return fmt.Errorf("transport: unknown source %q", sourceID)
 	}
+	fb.Held = append([]wire.HeldVersion(nil), fb.Held...)
 	select {
 	case ch <- fb:
 	default:
@@ -331,9 +358,10 @@ func (c *localConn) SendReply(r wire.PollReply) error {
 	if closed || !connected {
 		return ErrClosed
 	}
-	// Copy the items: the reply is consumed asynchronously and the caller
-	// may reuse its slice (same contract as SendBatch).
+	// Copy the slices: the reply is consumed asynchronously and the caller
+	// may reuse them (same contract as SendBatch).
 	r.Items = append([]wire.PollItem(nil), r.Items...)
+	r.Pushed = append([]string(nil), r.Pushed...)
 	c.net.replies <- r
 	return nil
 }

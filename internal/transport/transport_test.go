@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,6 +98,53 @@ func TestLocalPollRoundTrip(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("reply not delivered")
+	}
+}
+
+// TestLocalSendsCopy: every Local send leaves its caller free to reuse the
+// argument's slices once it returns — overwriting them afterwards changes
+// nothing the other side receives, in either direction.
+func TestLocalSendsCopy(t *testing.T) {
+	l := NewLocal(4)
+	defer l.Close()
+	conn, err := l.Dial("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := conn.(PollConn)
+	held := []wire.HeldVersion{{ObjectID: "a", Epoch: 1, Version: 2}}
+	ids := []string{"a", "b"}
+	known := []wire.KnownVersion{{ObjectID: "a", Origin: "o", Epoch: 1, Version: 2}}
+	rs := []wire.Refresh{{SourceID: "s1", ObjectID: "a", Value: 1}}
+	items := []wire.PollItem{{ObjectID: "a", Exists: true, Value: 3}}
+	pushed := []string{"a"}
+	if err := l.SendFeedback("s1", wire.Feedback{Held: held}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SendPoll("s1", wire.Poll{ObjectIDs: ids, Known: known}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SendBatch(rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.SendReply(wire.PollReply{SourceID: "s1", Items: items, Pushed: pushed}); err != nil {
+		t.Fatal(err)
+	}
+	held[0], ids[0], known[0], rs[0], items[0], pushed[0] = wire.HeldVersion{}, "x", wire.KnownVersion{}, wire.Refresh{}, wire.PollItem{}, "x"
+
+	if fb := <-conn.Feedback(); !reflect.DeepEqual(fb.Held, []wire.HeldVersion{{ObjectID: "a", Epoch: 1, Version: 2}}) {
+		t.Errorf("feedback's held acks changed after the send: %+v", fb.Held)
+	}
+	p := <-pc.Polls()
+	if !reflect.DeepEqual(p.ObjectIDs, []string{"a", "b"}) || !reflect.DeepEqual(p.Known, []wire.KnownVersion{{ObjectID: "a", Origin: "o", Epoch: 1, Version: 2}}) {
+		t.Errorf("poll changed after the send: %+v", p)
+	}
+	if r := recvOne(t, l.Batches()); r.ObjectID != "a" || r.Value != 1 {
+		t.Errorf("batch changed after the send: %+v", r)
+	}
+	r := <-l.Replies()
+	if !reflect.DeepEqual(r.Items, []wire.PollItem{{ObjectID: "a", Exists: true, Value: 3}}) || !reflect.DeepEqual(r.Pushed, []string{"a"}) {
+		t.Errorf("reply changed after the send: %+v", r)
 	}
 }
 

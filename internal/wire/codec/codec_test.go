@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"bestsync/internal/wire"
@@ -490,6 +492,134 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state encode allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestDecodeReleaseSteadyStateZeroAlloc: a reader that releases every batch
+// it is handed decodes frame after frame without allocating — plain reads,
+// and retained reads whose frame goes back to its pool too.
+func TestDecodeReleaseSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pools
+	rs := make([]wire.Refresh, 64)
+	for i := range rs {
+		rs[i] = sampleRefresh()
+		rs[i].ObjectID = fmt.Sprintf("src-9/obj-%02d", i)
+	}
+	var enc Encoder
+	frame := enc.AppendBatch(nil, wire.RefreshBatch{Refreshes: rs, SentUnix: 42})
+	const runs = 100
+	for _, retained := range []bool{false, true} {
+		dec := NewDecoder(bytes.NewReader(bytes.Repeat(frame, runs+2)))
+		read := func() {
+			var env wire.CacheBound
+			var f *Frame
+			var err error
+			if retained {
+				env, f, err = dec.ReadCacheBoundRetained()
+				f.Release()
+			} else {
+				env, err = dec.ReadCacheBound()
+			}
+			if err != nil || len(env.Batch.Refreshes) != len(rs) {
+				t.Fatalf("read: %v", err)
+			}
+			ReleaseBatch(env.Batch)
+		}
+		read() // warm the intern table and the pools
+		if allocs := testing.AllocsPerRun(runs, read); allocs > 0 {
+			t.Errorf("retained=%v: decode + release allocated %.1f times per frame, want 0", retained, allocs)
+		}
+	}
+}
+
+// staleRefresh sets every field of a Refresh to a non-zero value no frame in
+// these tests carries, so a decode into it that skipped a field shows. A
+// field of a kind it does not know fails the test: give it a stale value.
+func staleRefresh(t *testing.T) wire.Refresh {
+	t.Helper()
+	var r wire.Refresh
+	v := reflect.ValueOf(&r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(99)
+		case reflect.Uint64:
+			f.SetUint(99)
+		case reflect.Float64:
+			f.SetFloat(9.5)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]string{"stale"}))
+		default:
+			t.Fatalf("staleRefresh: no stale value for %s field %s", f.Kind(), v.Type().Field(i).Name)
+		}
+	}
+	return r
+}
+
+// TestDecodeIntoReusedBatch: a batch handed back by ReleaseBatch comes out of
+// the next decode exactly as the batch that was encoded — nothing of its old
+// refreshes shows through, including fields the new frame leaves zero.
+func TestDecodeIntoReusedBatch(t *testing.T) {
+	want := sampleBatch()
+	frame := NewBatchFrame(want.Refreshes, want.SentUnix)
+	defer frame.Release()
+	// sync.Pool may hand out another batch (a goroutine moved between Ps, or
+	// the race detector dropped the put): retry until the stale one returns.
+	for try := 0; try < 100; try++ {
+		stale := &wire.RefreshBatch{SentUnix: 99}
+		for i := 0; i < 4; i++ {
+			stale.Refreshes = append(stale.Refreshes, staleRefresh(t))
+		}
+		ReleaseBatch(stale)
+		got, err := NewDecoder(bytes.NewReader(frame.Bytes())).ReadCacheBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Batch != stale {
+			continue
+		}
+		if !reflect.DeepEqual(*got.Batch, want) {
+			t.Errorf("decode into a released batch:\n got %+v\nwant %+v", *got.Batch, want)
+		}
+		return
+	}
+	t.Skip("the pool never handed the released batch back")
+}
+
+// TestReleasedBatchCapBounded: a frame that grows the refresh slice past the
+// decoder's initial-capacity clamp is not pooled on release, so no later
+// batch-64 decode holds on to its backing array.
+func TestReleasedBatchCapBounded(t *testing.T) {
+	big := make([]wire.Refresh, 2*maxPooledBatch)
+	for i := range big {
+		big[i] = wire.Refresh{SourceID: "s", ObjectID: fmt.Sprintf("o%d", i)}
+	}
+	var enc Encoder
+	env, err := NewDecoder(bytes.NewReader(enc.AppendBatch(nil, wire.RefreshBatch{Refreshes: big}))).ReadCacheBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := env.Batch
+	if cap(hostile.Refreshes) <= maxPooledBatch {
+		t.Fatalf("a %d-refresh decode has cap %d, want it grown past %d", len(big), cap(hostile.Refreshes), maxPooledBatch)
+	}
+	backing := &hostile.Refreshes[0]
+	ReleaseBatch(hostile)
+	small := enc.AppendBatch(nil, wire.RefreshBatch{Refreshes: big[:64]})
+	for i := 0; i < 10; i++ {
+		env, err := NewDecoder(bytes.NewReader(small)).ReadCacheBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Batch == hostile || &env.Batch.Refreshes[0] == backing || cap(env.Batch.Refreshes) > maxPooledBatch {
+			t.Fatalf("a batch-64 decode got the hostile frame's batch back (cap %d)", cap(env.Batch.Refreshes))
+		}
+		ReleaseBatch(env.Batch)
 	}
 }
 

@@ -3,6 +3,7 @@ package codec
 import (
 	"bufio"
 	"io"
+	"sync"
 
 	"bestsync/internal/wire"
 )
@@ -218,9 +219,10 @@ func sliceCap(n, clamp int) int {
 	return clamp
 }
 
-// grow extends rs by one zeroed element without copying a struct through the
-// stack: within capacity a reslice exposes the already-zeroed backing array
-// (the slices here only ever grow from a fresh make).
+// grow extends rs by one element without copying a struct through the
+// stack: within capacity a reslice exposes the backing array as it is. That
+// element may hold a released batch's stale refresh, which is sound only
+// because decodeRefresh writes every field (TestDecodeIntoReusedBatch).
 func grow(rs []wire.Refresh) []wire.Refresh {
 	if len(rs) < cap(rs) {
 		return rs[:len(rs)+1]
@@ -228,14 +230,41 @@ func grow(rs []wire.Refresh) []wire.Refresh {
 	return append(rs, wire.Refresh{})
 }
 
+// maxPooledBatch is the largest refresh slice ReleaseBatch keeps: the
+// decoder's initial-capacity clamp. A slice a frame grew past it by append is
+// left to the GC, so one hostile frame cannot pin its backing array under
+// every later 64-refresh decode.
+const maxPooledBatch = 1024
+
+// batchPool recycles decoded batches and their refresh slices, the way
+// framePool serves Frame: a consumer that releases each batch it is handed
+// makes the decode side allocation-free in steady state.
+var batchPool = sync.Pool{New: func() any { return new(wire.RefreshBatch) }}
+
+// ReleaseBatch hands a batch decoded by ReadCacheBound or
+// ReadCacheBoundRetained back for reuse by a later decode. Neither the batch
+// nor any slice of its Refreshes may be touched afterwards, and it must be
+// released at most once. Strings and Via paths read out of the refreshes stay
+// valid: they are never reused. A caller that never releases loses nothing
+// but the reuse; the GC takes the batch.
+func ReleaseBatch(b *wire.RefreshBatch) {
+	if cap(b.Refreshes) > maxPooledBatch {
+		return
+	}
+	b.Refreshes = b.Refreshes[:0]
+	batchPool.Put(b)
+}
+
 func decodeBatch(p *payload) (*wire.RefreshBatch, error) {
 	n, err := p.count(minRefreshEnc)
 	if err != nil {
 		return nil, err
 	}
-	b := &wire.RefreshBatch{}
-	if n > 0 {
-		b.Refreshes = make([]wire.Refresh, 0, sliceCap(n, 1024))
+	b := batchPool.Get().(*wire.RefreshBatch)
+	if n == 0 {
+		b.Refreshes = nil // as a fresh decode has it
+	} else if c := sliceCap(n, maxPooledBatch); cap(b.Refreshes) < c {
+		b.Refreshes = make([]wire.Refresh, 0, c)
 	}
 	for i := 0; i < n; i++ {
 		b.Refreshes = grow(b.Refreshes)
