@@ -3,10 +3,9 @@
 // stream refresh messages, and receive positive feedback when the cache has
 // spare processing bandwidth.
 //
-// The cache store is sharded (-shards) with one apply worker per shard, and
-// sources frame refreshes in batches; -queue bounds each shard's
-// pending-batch queue, the back-pressure point between the dispatcher and the
-// workers.
+// The cache store is split into lock stripes (-shards), and sources frame
+// refreshes in batches, which the dispatcher applies one at a time: a busy
+// dispatcher stops reading the connections, the back-pressure point.
 //
 // The cache stamps its identity (-id, default the listen address) on the
 // feedback it sends, so fan-out sources (sourceagent -caches) can attribute
@@ -106,8 +105,7 @@ func main() {
 	childMode := flag.String("child-mode", "push", "relay mode: sync policy on the downstream (child) face: push or hybrid")
 	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "poll modes: re-estimation/re-allocation epoch")
 	pollRate := flag.Float64("poll-rate", 0, "ideal mode: assumed per-object update rate (updates/s); 0 = fall back to CGM1 estimates")
-	shards := flag.Int("shards", 0, "store shards, each with its own lock and apply worker (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "per-shard apply-queue depth in batches")
+	shards := flag.Int("shards", 0, "store lock stripes (0 = GOMAXPROCS)")
 	children := flag.String("children", "", "comma-separated downstream cache addresses host:port[=weight] (relay mode: re-export applied refreshes)")
 	peers := flag.String("peers", "", "comma-separated lateral peer addresses host:port[=weight] (mesh mode: same peer face as -children, ring/mesh vocabulary)")
 	childBW := flag.Float64("child-bandwidth", 50, "relay mode: send budget toward children (messages/second), divided by share weight")
@@ -203,7 +201,7 @@ func main() {
 				childBand = 0
 			}
 		}
-		upCfg := runtime.CacheConfig{Bandwidth: cacheBW, Shards: *shards, ShardQueue: *queue, Policy: policy}
+		upCfg := runtime.CacheConfig{Bandwidth: cacheBW, Shards: *shards, Policy: policy}
 		if policy.Polls() {
 			upCfg.Poll = runtime.PollConfig{ReSolveEvery: *resolveEvery}
 		}
@@ -237,12 +235,11 @@ func main() {
 			pollCfg.TrueRate = func(string) float64 { return rate }
 		}
 		cache = runtime.NewCache(runtime.CacheConfig{
-			ID:         *id,
-			Bandwidth:  *bw,
-			Shards:     *shards,
-			ShardQueue: *queue,
-			Policy:     policy,
-			Poll:       pollCfg,
+			ID:        *id,
+			Bandwidth: *bw,
+			Shards:    *shards,
+			Policy:    policy,
+			Poll:      pollCfg,
 		}, ep)
 		log.Printf("cachesyncd %s: listening on %s, policy %v, bandwidth %.1f msgs/s, shards=%d",
 			cache.ID(), ln.Addr(), policy, *bw, cache.Shards())

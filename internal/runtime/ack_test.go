@@ -25,12 +25,10 @@ func quietCache(shards int, onApply func([]wire.Refresh)) *Cache {
 	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
 }
 
-// apply pushes one batch through the dispatcher path and waits for the shard
-// workers to drain it.
+// apply pushes one batch through the dispatcher path, which applies it.
 func apply(t *testing.T, c *Cache, rs ...wire.Refresh) {
 	t.Helper()
 	c.dispatch(transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}})
-	waitFor(t, 2*time.Second, func() bool { return c.outstanding.Load() == 0 }, "shard workers to drain")
 }
 
 // relayed is a refresh for an object of origin "root" as relay sender

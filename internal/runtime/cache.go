@@ -34,36 +34,35 @@
 //
 // # Sharding
 //
-// The cache store is split into N independent shards, each with its own
-// lock, bounded apply queue, worker goroutine, and divergence/bandwidth
-// counters. A refresh is routed to the shard owning the hash of its object
-// key; object keys are source-qualified by convention ("source/obj-n"), so
-// the hash distributes (source, object-key) pairs across shards. A central
-// dispatcher goroutine owns the protocol state that is inherently global —
-// the token-bucket budget, the per-source threshold tracker, and feedback
-// targeting — and fans incoming batches out to the shard queues; workers
-// apply refreshes to their shard's store in parallel. Per-shard statistics
-// are merged periodically (once per second) into rate gauges for the
-// status endpoint and merged on demand by Stats.
+// The cache store is split into N shards, each with its own lock and
+// divergence/bandwidth counters. A refresh belongs to the shard owning the
+// hash of its object key; object keys are source-qualified by convention
+// ("source/obj-n"), so the hash distributes (source, object-key) pairs across
+// shards. A central dispatcher goroutine owns the protocol state that is
+// inherently global — the token-bucket budget, the per-source threshold
+// tracker, and feedback targeting — and applies each incoming batch itself,
+// shard by shard under that shard's lock: the shards are lock stripes, so a
+// reader waits at most for one shard's part of a batch. Per-shard statistics
+// are merged periodically (once per second) into rate gauges for the status
+// endpoint and merged on demand by Stats.
 //
 // A shard's store is an open-addressed id index (idIndex) over a dense slab of
 // 64-byte slots, whose sender, origin and relay path live in one immutable
 // route record shared by every slot that arrived the same way. The dispatcher
 // hashes a refresh's id once, picking the shard from the hash's low half, and
-// the shard probes its index with the same hash's high half, then works on
-// the slot (overwritten in place). Batches reach the
-// shards as index lists over the one decoded slice, and pending held-version
-// acks are sets of slab indexes whose payload is read when they are sent —
-// the steady-state apply path allocates nothing.
+// probes the shard's index with the same hash's high half, then works on the
+// slot (overwritten in place). A batch is applied as index lists over the one
+// decoded slice, and pending held-version acks are sets of slab indexes whose
+// payload is read when they are sent — the steady-state apply path allocates
+// nothing.
 //
 // # Back-pressure
 //
 // Every stage is bounded: transport batch channel → dispatcher (gated by
-// the token bucket) → per-shard queues (ShardQueue batches deep) → worker.
-// When a shard's worker falls behind, its queue fills and the dispatcher
-// blocks, which in turn fills the transport channel and stalls the sources'
-// SendRefresh calls — the network queueing of the paper's model, now with
-// parallel drains.
+// the token bucket), which applies a batch before it reads the next. When
+// the apply path falls behind, the dispatcher stops reading, which fills the
+// transport channel and stalls the sources' SendRefresh calls — the network
+// queueing of the paper's model.
 //
 // docs/algorithm-specifications.md §6 specifies the shard/batch semantics
 // and the full back-pressure chain.
@@ -96,13 +95,10 @@ type CacheConfig struct {
 	// Tick is the protocol interval (default 100 ms): budget accrual,
 	// surplus detection and feedback all run once per tick.
 	Tick time.Duration
-	// Shards is the number of independent store shards (default
-	// GOMAXPROCS). One worker goroutine drains each shard's queue.
+	// Shards is the number of lock stripes the store is split into
+	// (default GOMAXPROCS): Get locks one, and a batch is applied stripe
+	// by stripe.
 	Shards int
-	// ShardQueue is the per-shard apply-queue depth in batches (default
-	// 64). A full queue blocks the dispatcher — see the package's
-	// back-pressure contract.
-	ShardQueue int
 	// Params tunes the threshold algorithm; zero means paper defaults.
 	Params core.Params
 	// Policy selects the synchronization policy this cache runs. The
@@ -124,32 +120,33 @@ type CacheConfig struct {
 	Policy Policy
 	// Poll tunes the cache-driven policies; ignored under PolicyPush.
 	Poll PollConfig
-	// OnApply, when non-nil, is called by the shard workers with every
-	// refresh that was actually installed into the store (stale drops are
-	// excluded), outside the shard lock. Refreshes for the same object are
-	// delivered in apply order (they always land on the same shard);
-	// different objects may be reported concurrently from different
-	// workers. The slice is the worker's own buffer, overwritten by its next
-	// task, so it is valid only for the duration of the call: copy the
-	// refreshes to keep them (their strings and Via paths stay valid). This
-	// is the re-export hook a Node uses to turn applied refreshes into
-	// updates for its own downstream tier.
+	// OnApply, when non-nil, is called once per batch with every refresh
+	// of it that was actually installed into the store (stale drops are
+	// excluded), outside the shard locks, on the goroutine that applied the
+	// batch: the dispatcher, or the poll scheduler for polled values.
+	// Batches are applied one at a time, each reported before the next is
+	// applied, so refreshes for the same object are delivered in apply
+	// order — and a hook must not wait for the cache to apply another
+	// batch. The slice is the cache's own buffer,
+	// overwritten by the next batch, so it is valid only for the duration of
+	// the call: copy the refreshes to keep them (their strings and Via paths
+	// stay valid). This is the re-export hook a Node uses to turn applied
+	// refreshes into updates for its own downstream tier.
 	OnApply func([]wire.Refresh)
 	// OnForward, when non-nil, replaces OnApply for batches that arrive
-	// with a retained wire frame (transport.InboundBatch.Frame): once every
-	// shard worker has finished the batch, it is called exactly once with
-	// the batch's refreshes, the retained frame, and a keep mask aligned
-	// 1:1 with both (keep[i] is true iff rs[i] was actually installed —
-	// stale drops and Reject hits are false). Ownership of the frame
-	// reference transfers to the hook, which must Release it. rs is the
-	// decoded batch itself, handed back to the codec for the next frame as
-	// soon as the hook returns, and keep is reused too: both are valid only
-	// for the duration of the call, and the hook copies what it keeps. Unlike
-	// OnApply it runs outside any shard lock but also outside apply order
-	// across batches — consumers needing per-object ordering must re-check
-	// against their own state. Frameless batches are unaffected and keep
-	// the OnApply contract. This is the splice-forwarding entry: a Node
-	// uses it to re-export the inbound bytes without re-encoding.
+	// with a retained wire frame (transport.InboundBatch.Frame): once the
+	// batch is applied, it is called exactly once with the batch's
+	// refreshes, the retained frame, and a keep mask aligned 1:1 with both
+	// (keep[i] is true iff rs[i] was actually installed — stale drops and
+	// Reject hits are false). Ownership of the frame reference transfers to
+	// the hook, which must Release it. rs is the decoded batch itself,
+	// handed back to the codec for the next frame as soon as the hook
+	// returns, and keep is reused too: both are valid only for the duration
+	// of the call, and the hook copies what it keeps. Like OnApply it runs
+	// outside the shard locks, in apply order. Frameless batches are
+	// unaffected and keep the OnApply contract. This is the
+	// splice-forwarding entry: a Node uses it to re-export the inbound bytes
+	// without re-encoding.
 	OnForward func(rs []wire.Refresh, frame *codec.Frame, keep []bool)
 	// Reject, when non-nil, is consulted by the dispatcher for every
 	// incoming refresh before it reaches the apply path; returning true
@@ -231,8 +228,7 @@ type CacheStats struct {
 	Resolves    int     // completed cgm allocation solves
 }
 
-// shardStats is the per-shard slice of CacheStats, owned by the shard's
-// worker under the shard lock.
+// shardStats is the per-shard slice of CacheStats, guarded by the shard lock.
 type shardStats struct {
 	refreshes  int
 	stale      int
@@ -240,81 +236,31 @@ type shardStats struct {
 	divergence float64
 }
 
-// applyTask is one unit of work on a shard queue: the indices into the shared
-// batchRef's refreshes that this shard owns. Plain and framed batches take the
-// same shape; no refresh is copied on the way to a shard.
-type applyTask struct {
-	ref  *batchRef
-	idxs []int32
-}
-
-// batchRef is the shared state of one batch in flight across shard workers.
-// The last worker to finish (pending hits zero) recycles it and, for a framed
-// batch (frame != nil), first fires OnForward, handing over the frame
-// reference. Refs are pooled: the keep mask and the per-shard index buckets
-// are reused across batches, and recycling hands rs back to its producer —
-// the codec's decoded batch (in) or the poll scheduler's install buffer
-// (polled) — so OnApply's and OnForward's arguments are valid only for the
-// duration of the call (the hooks copy what they need before returning —
-// n.reexport and n.onForward do).
-type batchRef struct {
-	c       *Cache
-	rs      []wire.Refresh
-	hs      []uint64 // hashID of each refresh's object id, aligned with rs
-	frame   *codec.Frame
-	keep    []bool // framed batches only: aligned with rs and the frame's items
+// routeScratch is route's working set, reused from batch to batch under
+// Cache.applyMu: each refresh's id hash and the word in its home index slot,
+// aligned with the batch; one index list per shard; a framed batch's keep
+// mask; and the applied refreshes OnApply is handed.
+type routeScratch struct {
+	hs, ws  []uint64
 	parts   [][]int32
-	pending atomic.Int32
-	in      transport.InboundBatch // the intake batch rs came in, released at recycle
-	polled  *[]wire.Refresh        // the install buffer rs is, returned at recycle
+	keep    []bool
+	applied []wire.Refresh
 }
 
-var batchRefPool = sync.Pool{New: func() any { return new(batchRef) }}
-
-// grabBatchRef readies a pooled ref for a batch: room for one hash per
-// refresh, one (emptied) index bucket per shard and, for a framed batch, the
-// keep mask zeroed to length len(rs).
-func (c *Cache) grabBatchRef(rs []wire.Refresh, frame *codec.Frame) *batchRef {
-	b := batchRefPool.Get().(*batchRef)
-	b.c, b.rs, b.frame = c, rs, frame
-	if cap(b.hs) < len(rs) {
-		b.hs = make([]uint64, len(rs))
+// ready sizes the scratch for a batch of n refreshes over shards shards,
+// every index list emptied and the keep mask cleared.
+func (sc *routeScratch) ready(n, shards int) {
+	if cap(sc.hs) < n {
+		sc.hs, sc.ws, sc.keep = make([]uint64, n), make([]uint64, n), make([]bool, n)
 	}
-	b.hs = b.hs[:len(rs)]
-	b.keep = b.keep[:0]
-	if frame != nil {
-		if cap(b.keep) < len(rs) {
-			b.keep = make([]bool, len(rs))
-		}
-		b.keep = b.keep[:len(rs)]
-		clear(b.keep)
+	sc.hs, sc.ws, sc.keep = sc.hs[:n], sc.ws[:n], sc.keep[:n]
+	clear(sc.keep)
+	if len(sc.parts) < shards {
+		sc.parts = make([][]int32, shards)
 	}
-	if cap(b.parts) < len(c.shards) {
-		b.parts = make([][]int32, len(c.shards))
+	for i := range sc.parts {
+		sc.parts[i] = sc.parts[i][:0]
 	}
-	b.parts = b.parts[:len(c.shards)]
-	for i := range b.parts {
-		b.parts[i] = b.parts[i][:0]
-	}
-	return b
-}
-
-func (b *batchRef) done() {
-	if b.pending.Add(-1) == 0 {
-		if b.frame != nil {
-			b.c.cfg.OnForward(b.rs, b.frame, b.keep)
-		}
-		b.recycle()
-	}
-}
-
-func (b *batchRef) recycle() {
-	b.in.Release()
-	if b.polled != nil {
-		installPool.Put(b.polled)
-	}
-	b.c, b.rs, b.frame, b.in, b.polled = nil, nil, nil, transport.InboundBatch{}, nil
-	batchRefPool.Put(b)
 }
 
 // slabChunk is the number of slots per slab chunk. Chunks are allocated whole
@@ -422,7 +368,6 @@ type shard struct {
 	slab  []*[slabChunk]slot
 	n     int32 // slots in use
 	stats shardStats
-	queue chan applyTask
 	// owed holds the pending held-version acknowledgements per sender — for
 	// entries this shard applied from relayed refreshes, or held on to while
 	// dropping a sender's stale re-send. The dispatcher's surplus-feedback
@@ -483,6 +428,20 @@ func (sh *shard) find(h uint64, objectID string) int32 {
 	}
 }
 
+// lookup is find with the word in h's home slot already loaded as w (see
+// Cache.route): a word whose tag matches and whose slot holds objectID is the
+// answer, and anything else walks the probe, so a word loaded before the
+// batch inserted the id or grew the table is never trusted to say "absent".
+// Caller holds sh.mu.
+func (sh *shard) lookup(w, h uint64, objectID string) int32 {
+	if w != 0 && w&^idLow == h&^idLow {
+		if i := int32(w&idLow) - 1; sh.at(i).id == objectID {
+			return i
+		}
+	}
+	return sh.find(h, objectID)
+}
+
 // insert adds a slot for a new object id whose hashID is h and returns its
 // slab index. Caller holds sh.mu.
 func (sh *shard) insert(h uint64, objectID string) int32 {
@@ -516,10 +475,11 @@ type Cache struct {
 	fbIDs []string
 	acks  []wire.HeldVersion
 
-	// outstanding counts refreshes dispatched to shard queues but not yet
-	// applied; the surplus-feedback rule requires a fully drained cache,
-	// not just an empty intake channel.
-	outstanding atomic.Int64
+	// applyMu makes route one batch at a time, between the dispatcher and
+	// the poll scheduler, so the hooks see refreshes in apply order; it
+	// guards scratch.
+	applyMu sync.Mutex
+	scratch routeScratch
 
 	// bw is the live processing budget in messages/second (float64 bits);
 	// cfg.Bandwidth is only its initial value. The loop re-reads it every
@@ -533,7 +493,6 @@ type Cache struct {
 
 	stop chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup // shard workers
 }
 
 // mergeMark remembers the last periodic stats merge.
@@ -560,9 +519,6 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	if cfg.Shards <= 0 {
 		cfg.Shards = stdruntime.GOMAXPROCS(0)
 	}
-	if cfg.ShardQueue <= 0 {
-		cfg.ShardQueue = 64
-	}
 	if cfg.Params == (core.Params{}) {
 		cfg.Params = core.DefaultParams(1, cfg.Bandwidth)
 	}
@@ -577,9 +533,7 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	c.bw.Store(math.Float64bits(cfg.Bandwidth))
 	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{queue: make(chan applyTask, cfg.ShardQueue)}
-		c.wg.Add(1)
-		go c.worker(c.shards[i])
+		c.shards[i] = new(shard)
 	}
 	if cfg.Policy.Polls() {
 		pe, ok := ep.(transport.PollEndpoint)
@@ -689,16 +643,15 @@ func (c *Cache) SetBandwidth(b float64) {
 	}
 }
 
-// backlog approximates the refreshes accepted but not yet applied: those
-// dispatched to shard queues plus batches still waiting at the intake
-// channel (counted as one each — the channel holds batches, not messages,
-// so this is a floor). It is the cache face's observable demand signal for
-// a relay's up/down budget split.
+// backlog approximates the refreshes accepted but not yet applied: the
+// batches waiting at the intake channel, counted as one each (the channel
+// holds batches, not messages, so this is a floor). It is the cache face's
+// observable demand signal for a relay's up/down budget split.
 func (c *Cache) backlog() int {
-	return int(c.outstanding.Load()) + len(c.ep.Batches())
+	return len(c.ep.Batches())
 }
 
-// Close stops the dispatcher and the shard workers.
+// Close stops the dispatcher and the poll scheduler.
 func (c *Cache) Close() error {
 	select {
 	case <-c.stop:
@@ -708,14 +661,8 @@ func (c *Cache) Close() error {
 	close(c.stop)
 	<-c.done
 	if c.ps != nil {
-		// The poll scheduler also feeds the shard queues (installPolled);
-		// closing them under its feet would panic a send racing shutdown.
 		<-c.ps.done
 	}
-	for _, sh := range c.shards {
-		close(sh.queue)
-	}
-	c.wg.Wait()
 	return nil
 }
 
@@ -806,14 +753,14 @@ func (c *Cache) loop() {
 			budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
 			// Surplus → positive feedback to highest-threshold sources,
 			// but only when truly drained: nothing waiting at the intake
-			// and nothing still queued for the shard workers. A backlogged
-			// apply path must not advertise spare capacity. Cache-driven
-			// policies send none: feedback is push machinery, the CGM
-			// baseline has no analogue, and unaccounted feedback messages
-			// would skew equal-budget policy comparisons (the poll
-			// scheduler owns the whole message budget there).
+			// (the dispatcher applies a batch before it reads the next). A
+			// backlogged apply path must not advertise spare capacity.
+			// Cache-driven policies send none: feedback is push machinery,
+			// the CGM baseline has no analogue, and unaccounted feedback
+			// messages would skew equal-budget policy comparisons (the
+			// poll scheduler owns the whole message budget there).
 			if !c.cfg.Policy.CacheDriven() &&
-				len(batches) == 0 && c.outstanding.Load() == 0 && budget.tokens >= 1 {
+				len(batches) == 0 && budget.tokens >= 1 {
 				budget.tokens -= float64(c.sendFeedback(int(budget.tokens)))
 			}
 			c.maybeMergeStats()
@@ -832,9 +779,8 @@ func (c *Cache) loop() {
 	}
 }
 
-// dispatch observes piggybacked thresholds and fans a batch's refreshes out
-// to the owning shards. Shard-queue sends block when a worker is behind
-// (back-pressure) but abort on shutdown.
+// dispatch observes piggybacked thresholds and applies a batch, then hands
+// the decoded batch back to its producer.
 func (c *Cache) dispatch(b transport.InboundBatch) {
 	c.mu.Lock()
 	sender, idx := "", -1
@@ -861,9 +807,8 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 		frame.Release()
 		frame = nil
 	}
-	ref := c.grabBatchRef(b.Refreshes, frame)
-	ref.in = b
-	c.route(ref)
+	c.route(b.Refreshes, frame)
+	b.Release()
 }
 
 // installPolled is the poll scheduler's entry into the apply path: the
@@ -874,37 +819,36 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 // apply: a poll reply from a lateral peer can carry a value this node is
 // already on the path of (the peer answered before learning our identity),
 // and installing it would re-circulate the cycle the intake guard exists
-// to break. The buffer goes back to installPool when the batch recycles.
-func (c *Cache) installPolled(buf *[]wire.Refresh) {
-	ref := c.grabBatchRef(*buf, nil)
-	ref.polled = buf
-	c.route(ref)
+// to break. rs is the caller's again once this returns.
+func (c *Cache) installPolled(rs []wire.Refresh) {
+	c.route(rs, nil)
 }
 
-// route hands a batch's refreshes to their owning shards' apply queues as
-// index lists over the one shared slice, with each id's hash beside it for
-// the shard's index probe — nothing is copied or compacted, so
-// for a framed batch (frame != nil) index i of the keep mask, the refreshes
-// and the retained frame's encoded items always line up: the mask, not slice
-// surgery, records Reject hits here and stale drops in the workers, and the
-// last worker to finish fires OnForward exactly once. Refreshes count as
-// outstanding until the workers drain them. Shard-queue sends block when a
-// worker is behind (back-pressure) but abort on shutdown. route owns ref from
-// here: every end of the batch recycles it, handing rs back to its producer.
-func (c *Cache) route(ref *batchRef) {
-	rs, frame, parts := ref.rs, ref.frame, ref.parts
+// route applies a batch on the calling goroutine and reports what it
+// installed. Each refresh's id is hashed once, for its shard and for that
+// shard's index, and each shard's part is applied under its lock as an index
+// list over the one shared slice — nothing is copied or compacted, so for a
+// framed batch (frame != nil) index i of the keep mask, the refreshes and the
+// retained frame's encoded items always line up. A part is resolved in two
+// passes: first every id's home index word, loads independent of each other
+// whose misses the CPU overlaps, then each id from its word (shard.lookup).
+// The applied refreshes go to OnApply, or the keep mask and the frame to
+// OnForward, which owns the frame from then on; a batch with nothing left
+// after Reject just releases its frame.
+func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
+	sc := &c.scratch
+	sc.ready(len(rs), len(c.shards))
 	live := 0
 	for i := range rs {
 		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
 			continue
 		}
 		h := hashID(rs[i].ObjectID)
-		ref.hs[i] = h
+		sc.hs[i] = h
 		si := c.shardOf(h)
-		parts[si] = append(parts[si], int32(i))
-		if frame != nil {
-			ref.keep[i] = true
-		}
+		sc.parts[si] = append(sc.parts[si], int32(i))
 		live++
 	}
 	if rejected := len(rs) - live; rejected > 0 {
@@ -912,82 +856,45 @@ func (c *Cache) route(ref *batchRef) {
 		c.rejected += rejected
 		c.mu.Unlock()
 	}
-	tasks := int32(0)
-	for _, p := range parts {
-		if len(p) > 0 {
-			tasks++
+	now := unixNano(c.cfg.Now())
+	report := frame == nil && c.cfg.OnApply != nil
+	for si, part := range sc.parts {
+		if len(part) == 0 {
+			continue
 		}
-	}
-	if tasks == 0 {
-		if frame != nil {
-			frame.Release()
-		}
-		ref.recycle()
-		return
-	}
-	ref.pending.Store(tasks)
-	c.outstanding.Add(int64(live))
-	// The ref (and parts with it) may be recycled the moment its last task is
-	// queued, so the loop must not look at parts again after that.
-	for si := 0; tasks > 0; si++ {
-		if p := parts[si]; len(p) > 0 {
-			tasks--
-			c.enqueue(c.shards[si], applyTask{ref: ref, idxs: p})
-		}
-	}
-}
-
-func (c *Cache) enqueue(sh *shard, t applyTask) {
-	select {
-	case sh.queue <- t:
-	case <-c.stop:
-		// Shutdown abort: the batch's countdown never drains, so a framed
-		// batch's OnForward never fires and the ref never recycles,
-		// stranding the frame's and the batch's pool objects — harmless,
-		// the process is winding down.
-	}
-}
-
-// worker drains one shard's queue, applying refreshes under the shard lock
-// and reporting the applied ones outside it: a plain task's to the OnApply
-// hook, a framed task's through the keep mask and the batch countdown to the
-// OnForward hook.
-func (c *Cache) worker(sh *shard) {
-	defer c.wg.Done()
-	// applied is the worker's own buffer, reused from task to task.
-	var applied []wire.Refresh
-	for t := range sh.queue {
-		now := unixNano(c.cfg.Now())
-		ref := t.ref
-		framed := ref.frame != nil
-		report := !framed && c.cfg.OnApply != nil
+		sh := c.shards[si]
 		sh.mu.Lock()
-		for _, i := range t.idxs {
-			ok := c.applyLocked(sh, &ref.rs[i], ref.hs[i], now)
-			switch {
-			case ok && report:
-				applied = append(applied, ref.rs[i])
-			case !ok && framed:
-				ref.keep[i] = false
+		for _, i := range part {
+			sc.ws[i] = sh.index.home(sc.hs[i])
+		}
+		for _, i := range part {
+			if c.applyLocked(sh, &rs[i], sc.hs[i], sc.ws[i], now) {
+				sc.keep[i] = true
+				if report {
+					sc.applied = append(sc.applied, rs[i])
+				}
 			}
 		}
 		sh.mu.Unlock()
-		if len(applied) > 0 {
-			c.cfg.OnApply(applied)
-			applied = applied[:0]
-		}
-		c.outstanding.Add(-int64(len(t.idxs)))
-		ref.done()
+	}
+	switch {
+	case frame != nil && live == 0:
+		frame.Release()
+	case frame != nil:
+		c.cfg.OnForward(rs, frame, sc.keep)
+	case len(sc.applied) > 0:
+		c.cfg.OnApply(sc.applied)
+		sc.applied = sc.applied[:0]
 	}
 }
 
 // applyLocked installs one refresh into the shard store, reporting whether
 // it was applied (false = dropped as stale). The object id is resolved once,
-// with the hash h the dispatcher routed it by; an existing slot is
-// overwritten in place, stamped with now (Unix nanoseconds). Caller holds
-// sh.mu.
-func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h uint64, now int64) bool {
-	i := sh.find(h, r.ObjectID)
+// with the hash h it was routed by and the home word w loaded for it (see
+// shard.lookup); an existing slot is overwritten in place, stamped with now
+// (Unix nanoseconds). Caller holds sh.mu.
+func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) bool {
+	i := sh.lookup(w, h, r.ObjectID)
 	ok := i >= 0
 	if !ok {
 		i = sh.insert(h, r.ObjectID)

@@ -35,8 +35,8 @@ type GroupConfig struct {
 	// objects dirty for it, to be caught up to what the group holds later.
 	// When no member can take a batch, the group holds back instead.
 	Queue int
-	// MaxBatch caps refreshes per group batch (default 64), and is the
-	// early pass's unit: its quantum is a whole number of such frames.
+	// MaxBatch caps refreshes per group batch (default 64): a full frame,
+	// which the flusher sends as soon as it is queued and paid for.
 	MaxBatch int
 }
 
@@ -85,10 +85,9 @@ type GroupStats struct {
 	SplicedBatches   int
 	SplicedRefreshes int
 	// EarlyBatches counts batches the flusher cut ahead of its tick because
-	// the group's early-pass quantum — a run of frames sized from its own
-	// traffic, at most earlyFrames — was queued and paid for (also folded
-	// into Batches). Batches − SplicedBatches − EarlyBatches left on
-	// a tick: the ratio says whether the tick or the size trigger delivers.
+	// a full frame was queued and paid for (also folded into Batches).
+	// Batches − SplicedBatches − EarlyBatches left on a tick: the ratio
+	// says whether the tick or the size trigger delivers.
 	EarlyBatches int
 	// Pending and Threshold describe the shared scheduling engine.
 	Pending   int
@@ -202,7 +201,7 @@ func (w *groupWorker) close() {
 // the source mutex into one bucket per worker and dispatched outside it; its
 // reuse keeps steady-state fan-out allocation-free. Caller-supplied because
 // fan-outs run concurrently — the flusher uses the group's own, a splice call
-// (on a cache shard worker) a pooled one.
+// (on the intake cache's dispatcher) a pooled one.
 type fanScratch struct {
 	buckets []fanBucket
 	n       int // buckets in use
@@ -238,22 +237,6 @@ func (fs *fanScratch) dispatch() {
 	}
 	fs.n = 0
 }
-
-// earlyFrames caps the flusher's size trigger, and is the quantum of a group
-// that has not yet measured its traffic: an early pass needs a quantum of full
-// frames (× GroupConfig.MaxBatch refreshes) queued and paid for. A pass starts
-// a chain of goroutine wake-ups down the tree (flusher → sender worker →
-// remote reader → dispatcher → shard workers → …) whose cost is per pass, not
-// per frame, so the quantum trades CPU for latency: a tick amortises one
-// chain over everything the tick collected, an early pass over its quantum.
-// Measured on the 100k updates/s tree workload with a 10 ms tick (≈ 16 frames
-// a tick; update→leaf p50 7.2 ms at the tick alone): 1 frame 1.0 ms at
-// ×1.3–1.5 CPU, 4 frames 2.3 ms at ×1.2, 8 frames 3.9 ms at ×1.1, 16 frames
-// never fire. The first extra pass per tick buys half of all the latency
-// there is to win and each further halving costs as much again, hence one
-// early pass a tick and a cap of 8. It is a constant because there is nothing
-// here an operator could tune without the same table.
-const earlyFrames = 8
 
 // SessionGroup is one receiver cohort of a source — the shared group, or one
 // destination on its own: ONE scheduler (sched), fed once per update, one
@@ -295,10 +278,8 @@ type SessionGroup struct {
 	// The size trigger's state (see wakeLocked): waking is set while an
 	// early-pass request is outstanding, disarmed from an early pass that
 	// found the queue long only with under-threshold residuals to the next
-	// tick pass. frames is the quantum (see quantum) and ticked the
-	// scheduled count when a tick pass last measured it.
+	// tick pass.
 	waking, disarmed bool
-	frames, ticked   int
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
 	// A pass's scratch, reused, so passMu keeps the flusher's pass and one run
 	// by hand apart: the scheduled objects' queue keys and outgoing
@@ -334,7 +315,6 @@ func newSessionGroup(s *Source) *SessionGroup {
 		sched:      newSched(&s.cfg),
 		restricted: map[string]struct{}{},
 		lastAccrue: s.now(),
-		frames:     earlyFrames,
 	}
 	g.objs.grow(s.order.n)
 	return g
@@ -408,8 +388,8 @@ func (g *SessionGroup) lagLocked(m *syncSession, keys []int) {
 // flushLoop is the source's one flusher, and like a Batcher it sends on size
 // or time: every Tick it runs a tick pass of each group, which sends whatever
 // is sendable, so Tick bounds how long a partial frame waits; an early pass,
-// requested by the update path (wakeLocked), sends a group's full run of
-// frames as soon as it is ready. Budget accrues at the PER-MEMBER rate: one
+// requested by the update path (wakeLocked), sends a group's full frames as
+// soon as they are ready. Budget accrues at the PER-MEMBER rate: one
 // scheduled refresh reaches every member, so charging the aggregate rate per
 // broadcast would overspend egress by the member count. The bucket itself
 // lives on the group (g.budget) so the splice fast path spends from the same
@@ -433,9 +413,6 @@ func (s *Source) flushLoop() {
 	}
 }
 
-// resumed is the need of the rest of a pass that stopped for room (see pass).
-const resumed = -1
-
 // groupPass is one pass the flusher runs: a group and its need.
 type groupPass struct {
 	g    *SessionGroup
@@ -443,49 +420,40 @@ type groupPass struct {
 }
 
 // snapshotGroups returns the passes a flusher wake-up runs — every group's
-// tick pass, or with waking only those that asked to be resumed or for an
-// early pass, whose need is resolved here under the lock — in the flusher's
-// reused slice. A group removed after the snapshot has no member to cut
-// anything for.
+// tick pass, or with waking only those that asked to be resumed (the rest of
+// a pass that stopped for room, which goes like a tick pass) or for an early
+// pass — in the flusher's reused slice. A group removed after the snapshot
+// has no member to cut anything for.
 func (s *Source) snapshotGroups(waking bool) []groupPass {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.passing = s.passing[:0]
 	for _, g := range s.groups {
 		switch {
-		case !waking:
+		case !waking || g.stall.CompareAndSwap(stallResume, stallNone):
 			s.passing = append(s.passing, groupPass{g, 0})
-		case g.stall.CompareAndSwap(stallResume, stallNone):
-			s.passing = append(s.passing, groupPass{g, resumed})
 		case g.waking:
-			s.passing = append(s.passing, groupPass{g, g.quantum()})
+			s.passing = append(s.passing, groupPass{g, g.cfg.MaxBatch})
 		}
 	}
 	return s.passing
 }
 
-// quantum is the early pass's size in refreshes: half of what the group
-// committed (splices included) between its last two tick passes, rounded up
-// to whole frames and at most earlyFrames, so the group early-passes about
-// half-way through its tick. It starts at earlyFrames, and a tick pass after
-// an idle interval keeps it. Caller holds src.mu.
-func (g *SessionGroup) quantum() int { return g.frames * g.cfg.MaxBatch }
-
 // wakeLocked is the size trigger, run by the update path after it has
-// observed its objects: it asks the flusher for an early pass once a whole
-// quantum is queued and the shared bucket can pay for it. The queue length is
-// tested first and nearly always fails, so an update pays one comparison; now
-// is the caller's reading of the clock. A bucket whose burst is under a
-// quantum (a budget-limited group) never passes: there every pass is a tick
-// pass. A stalled group waits for its sender workers instead. The flusher
-// re-checks all of it under the lock, with the bucket actually accrued.
-// Caller holds src.mu.
+// observed its objects: it asks the flusher for an early pass once a full
+// frame (GroupConfig.MaxBatch refreshes) is queued and the shared bucket can
+// pay for it, so a frame leaves when it is full rather than at the tick. The
+// queue length is tested first and nearly always fails, so an update pays
+// one comparison; now is the caller's reading of the clock. A bucket whose
+// burst is under a frame (a budget-limited group) never passes: there every
+// pass is a tick pass. A stalled group waits for its sender workers instead.
+// The flusher re-checks all of it under the lock, with the bucket actually
+// accrued. Caller holds src.mu.
 func (g *SessionGroup) wakeLocked(now float64) {
-	q := g.quantum()
-	if g.eng.Queue.Len() < q || g.waking || g.disarmed {
+	if g.eng.Queue.Len() < g.cfg.MaxBatch || g.waking || g.disarmed {
 		return
 	}
-	need := float64(q)
+	need := float64(g.cfg.MaxBatch)
 	if tokenBurst(g.rate, g.src.cfg.Tick) < need || g.budget.tokens+(now-g.lastAccrue)*g.rate < need ||
 		g.stall.Load() != stallNone {
 		return
@@ -498,23 +466,18 @@ func (g *SessionGroup) wakeLocked(now float64) {
 }
 
 // pass runs one scheduling pass, batch after batch until one comes out short.
-// need is zero on a tick pass, resumed on the rest of a pass that stopped for
-// room (anything sendable goes on both, but only a tick pass re-measures the
-// quantum) and the quantum on an early pass, which starts only with a whole
-// quantum queued and paid for and goes on while a full frame is, so what it
+// need is zero on a tick pass (anything sendable goes) and a frame on an
+// early pass, which cuts only full frames queued and paid for, so what it
 // leaves behind is a partial frame for the tick. A tick pass first catches
 // lagging members up, so that a saturated bucket cannot starve them; their
 // free queue slots bound what it spends on them.
 func (g *SessionGroup) pass(need int) {
 	g.passMu.Lock()
 	defer g.passMu.Unlock()
-	if need <= 0 {
+	if need == 0 {
 		g.catchUp()
 	}
 	for g.broadcastOnce(need) {
-		if need > 0 {
-			need = g.cfg.MaxBatch
-		}
 	}
 }
 
@@ -620,8 +583,8 @@ func (g *SessionGroup) roomLocked() bool {
 // shared refresh slice is built and committed under the source mutex, the
 // frame is encoded once outside it, and each member's send is queued to its
 // sharded worker. need is how many refreshes must be queued and paid for
-// before anything is cut (zero or resumed: anything sendable goes); a group
-// no member of which has room cuts nothing. It returns false when the
+// before anything is cut (zero: anything sendable goes); a group no member
+// of which has room cuts nothing. It returns false when the
 // batch came out short of MaxBatch — nothing more was over threshold, the
 // bucket ran dry, need was not met or there was no room — which ends the
 // pass.
@@ -636,7 +599,7 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.accrueLocked(now)
 	epoch, stamp := s.started.UnixNano(), ""
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(max(need, 0)) && g.roomLocked()
+	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need) && g.roomLocked()
 	if ready && g != s.group {
 		// A group of one addresses its batches to its member. The shared
 		// group's frame, which every member takes, carries no stamp: caches
@@ -663,15 +626,11 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.keyBuf, g.provBuf = keys, provs
 	full := len(b.rs) == g.cfg.MaxBatch
 	if !full {
-		// The pass ends with this batch. A tick pass re-arms the size trigger
-		// and re-sizes the quantum (see quantum). An early pass that met its
-		// need and still came up short was woken by a queue of under-threshold
-		// residuals: it disarms the trigger until the next tick, so residuals
-		// cannot wake the flusher once per update.
-		if n := g.scheduled - g.ticked; need == 0 && n > 0 {
-			g.frames, g.ticked = min((n+2*g.cfg.MaxBatch-1)/(2*g.cfg.MaxBatch), earlyFrames), g.scheduled
-		}
-		if need <= 0 {
+		// The pass ends with this batch. A tick pass re-arms the size trigger.
+		// An early pass that met its need and still came up short was woken by
+		// a queue of under-threshold residuals: it disarms the trigger until
+		// the next tick, so residuals cannot wake the flusher once per update.
+		if need == 0 {
 			g.disarmed = false
 		} else {
 			g.waking = false

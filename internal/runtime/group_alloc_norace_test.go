@@ -206,87 +206,68 @@ func TestSourceHeapPerObject(t *testing.T) {
 }
 
 // TestGroupEarlyPassSteadyStateAllocs is the sibling that passes the size
-// trigger instead of being rejected by it: every iteration queues a whole
-// quantum against an ample bucket, so it pays for the updates, the wake, the
-// early pass on the flusher goroutine and the fan-out of its frames to two
-// frame-capable members. What that allocates is what cutting the same frames
-// on a tick allocates — nothing once the pooled batches and frames are warm:
-// no closure, timer or channel per pass. It runs at a fresh group's quantum
-// and at one a tick pass measured down to two frames.
+// trigger instead of being rejected by it: every iteration queues two full
+// frames against an ample bucket, so it pays for the updates, the wakes, the
+// early passes on the flusher goroutine and the fan-out of their frames to
+// two frame-capable members. What that allocates is what cutting the same
+// frames on a tick allocates — nothing once the pooled batches and frames
+// are warm: no closure, timer or channel per pass.
 func TestGroupEarlyPassSteadyStateAllocs(t *testing.T) {
-	for _, frames := range []int{earlyFrames, 2} {
-		t.Run(fmt.Sprintf("%d frames", frames), func(t *testing.T) {
-			clock := newFakeClock()
-			src, err := NewFanoutSource(SourceConfig{
-				ID: "al", Metric: metric.ValueDeviation,
-				Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
-				Group: GroupConfig{Enabled: true, Queue: 64},
-			}, []Destination{
-				{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-				{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			g := src.group
-			if frames != earlyFrames {
-				// A tick pass that commits twice the quantum measures it.
-				clock.advance(time.Millisecond)
-				for i := range 2 * frames * g.cfg.MaxBatch {
-					src.Update(fmt.Sprintf("al/tick-%d", i), 1)
-				}
-				g.pass(0)
-			}
+	const frames = 2
+	clock := newFakeClock()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "al", Metric: metric.ValueDeviation,
+		Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
+		Group: GroupConfig{Enabled: true, Queue: 64},
+	}, []Destination{
+		{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+		{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	g := src.group
+	ids := make([]string, frames*g.cfg.MaxBatch)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("al/obj-%d", i)
+	}
+	v, want := 1.0, 0
+	round := func() {
+		clock.advance(time.Millisecond)
+		for _, id := range ids {
+			src.Update(id, v)
+		}
+		v++
+		want += len(ids)
+		for done := false; !done; stdruntime.Gosched() {
 			src.mu.Lock()
-			quantum, want, ticked := g.quantum(), g.scheduled, g.batches
+			done = g.scheduled == want && !g.waking
 			src.mu.Unlock()
-			if quantum != frames*g.cfg.MaxBatch {
-				t.Fatalf("quantum %d, want %d frames of %d", quantum, frames, g.cfg.MaxBatch)
-			}
-			ids := make([]string, quantum)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("al/obj-%d", i)
-			}
-			v := 1.0
-			round := func() {
-				clock.advance(time.Millisecond)
-				for _, id := range ids {
-					src.Update(id, v)
-				}
-				v++
-				want += len(ids)
-				for done := false; !done; stdruntime.Gosched() {
-					src.mu.Lock()
-					done = g.scheduled == want && !g.waking
-					src.mu.Unlock()
-				}
-			}
-			round() // inserts
-			round() // sizes the pooled batches, frames and scratch
-			allocs := pooledAllocsPerRun(50, round)
-			src.mu.Lock()
-			early, batches := g.earlyBatches, g.batches-ticked
-			src.mu.Unlock()
-			if early != batches || early != 53*frames {
-				t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*frames)
-			}
-			if allocs > 0 {
-				t.Errorf("a quantum of updates and its early pass allocated %.1f times, want 0", allocs)
-			}
-		})
+		}
+	}
+	round() // inserts
+	round() // sizes the pooled batches, frames and scratch
+	allocs := pooledAllocsPerRun(50, round)
+	src.mu.Lock()
+	early, batches := g.earlyBatches, g.batches
+	src.mu.Unlock()
+	if early != batches || early != 53*frames {
+		t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*frames)
+	}
+	if allocs > 0 {
+		t.Errorf("two frames of updates and their early passes allocated %.1f times, want 0", allocs)
 	}
 }
 
 // TestCacheReapplySteadyStateAllocs: refreshing objects the cache already
-// holds allocates nothing — the batch is routed to the shards as index lists
-// over the one refresh slice, and an entry is overwritten in place. (With an
-// OnApply hook the only addition is the worker's reused report buffer.)
+// holds allocates nothing — the batch is applied shard by shard as index
+// lists over the one refresh slice, and an entry is overwritten in place.
+// (With an OnApply hook the only addition is the cache's reused report
+// buffer.)
 func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 	const objects, batch = 1024, 64
 	for _, hook := range []bool{false, true} {
-		// The hook runs on both shard workers at once, and this file is
-		// never built under the race detector: count atomically.
 		var applied atomic.Int64
 		var onApply func([]wire.Refresh)
 		if hook {
@@ -342,8 +323,8 @@ func TestCacheIntakeSteadyStateAllocs(t *testing.T) {
 			}
 			ep := transport.Serve(ln, 16)
 			defer ep.Close()
-			// seen counts the refreshes that reached the leg's hook: the
-			// hooks run on the shard workers and the dispatcher.
+			// seen counts the refreshes that reached the leg's hook, which
+			// runs on the dispatcher.
 			var seen atomic.Int64
 			// The intake opens on the first tick; a long one keeps the tick's
 			// surplus feedback out of the measurement.
@@ -404,14 +385,10 @@ func TestCacheIntakeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// dispatchAll pushes batches through the dispatcher and waits for the shard
-// workers to drain them.
+// dispatchAll pushes batches through the dispatcher path, which applies them.
 func dispatchAll(c *Cache, batches [][]wire.Refresh) {
 	for _, rs := range batches {
 		c.dispatch(transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}})
-	}
-	for c.outstanding.Load() != 0 {
-		stdruntime.Gosched()
 	}
 }
 

@@ -831,8 +831,7 @@ func TestGroupStalledMemberCatchUp(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("gs/o-%05d", i)
 	}
-	// The initial sync, in ticks of Queue/2 batches: nobody lags, and no tick
-	// queues the early pass's quantum.
+	// The initial sync, in ticks of Queue/2 batches: nobody lags.
 	for lo, step := 0, cfg.Queue/2*cfg.MaxBatch; lo < objects; lo += step {
 		r.update(ids[lo:lo+step], 1)
 		r.tick(t)
@@ -1083,13 +1082,6 @@ type earlyRig struct {
 
 func newEarlyRig(t *testing.T, bandwidth float64, tick time.Duration, params core.Params) *earlyRig {
 	t.Helper()
-	return newEarlyRigBatch(t, bandwidth, tick, params, 0)
-}
-
-// newEarlyRigBatch is newEarlyRig with GroupConfig.MaxBatch maxBatch (zero:
-// the default).
-func newEarlyRigBatch(t *testing.T, bandwidth float64, tick time.Duration, params core.Params, maxBatch int) *earlyRig {
-	t.Helper()
 	r := &earlyRig{clock: newFakeClock(), nets: make([]*transport.Local, 2)}
 	dests := make([]Destination, len(r.nets))
 	for i := range r.nets {
@@ -1103,7 +1095,7 @@ func newEarlyRigBatch(t *testing.T, bandwidth float64, tick time.Duration, param
 	src, err := NewFanoutSource(SourceConfig{
 		ID: "origin", Metric: metric.ValueDeviation, Bandwidth: bandwidth,
 		Tick: tick, Params: params, Now: r.clock.Now,
-		Group: GroupConfig{Enabled: true, Queue: 64, MaxBatch: maxBatch},
+		Group: GroupConfig{Enabled: true, Queue: 64},
 	}, dests)
 	if err != nil {
 		t.Fatal(err)
@@ -1159,8 +1151,8 @@ func (r *earlyRig) frames(i int) []int {
 	}
 }
 
-// TestGroupEarlyPass: a full run of frames leaves when it is ready, not at the
-// next tick — and only a full run does.
+// TestGroupEarlyPass: a full frame leaves when it is ready, not at the next
+// tick — and only a full frame does.
 func TestGroupEarlyPass(t *testing.T) {
 	feeders := map[string]func(src *Source, from, to int){
 		"Update": func(src *Source, from, to int) {
@@ -1182,33 +1174,41 @@ func TestGroupEarlyPass(t *testing.T) {
 	for name, feed := range feeders {
 		t.Run(name, func(t *testing.T) {
 			r := newEarlyRig(t, 2e6, time.Hour, pinnedParams(1e-6))
-			quantum := r.g.quantum()
-			if quantum != earlyFrames*64 {
-				t.Fatalf("quantum = %d, want %d frames of the default 64", quantum, earlyFrames)
+			frame := r.g.cfg.MaxBatch
+			if frame != 64 {
+				t.Fatalf("MaxBatch = %d, want the default 64", frame)
 			}
 
-			feed(r.src, 0, quantum-1)
+			feed(r.src, 0, frame-1)
 			if waking, _, queued := r.trigger(); waking || queued != 0 {
-				t.Fatalf("one short of the quantum: waking=%v, %d requests queued, want none", waking, queued)
+				t.Fatalf("one short of a frame: waking=%v, %d requests queued, want none", waking, queued)
 			}
-			if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != quantum-1 {
-				t.Fatalf("one short of the quantum: batches=%d pending=%d, want 0 and %d", st.Batches, st.Pending, quantum-1)
+			if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != frame-1 {
+				t.Fatalf("one short of a frame: batches=%d pending=%d, want 0 and %d", st.Batches, st.Pending, frame-1)
 			}
 
-			feed(r.src, quantum-1, quantum+10)
+			// The update that fills the frame sends it.
+			feed(r.src, frame-1, frame)
+			r.settle(t)
+			if st := r.src.Stats().Group; st.Scheduled != frame || st.EarlyBatches != 1 || st.Pending != 0 {
+				t.Fatalf("a full frame: scheduled=%d early=%d pending=%d, want %d, 1 and 0", st.Scheduled, st.EarlyBatches, st.Pending, frame)
+			}
+
+			// Two more frames and ten over: each frame leaves as it fills.
+			feed(r.src, frame, 3*frame+10)
 			r.settle(t)
 			st := r.src.Stats().Group
-			if st.Scheduled != quantum || st.Batches != earlyFrames || st.EarlyBatches != earlyFrames || st.Pending != 10 {
-				t.Fatalf("after the early pass: scheduled=%d batches=%d early=%d pending=%d, want %d, %d, %d and 10",
-					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, quantum, earlyFrames, earlyFrames)
+			if st.Scheduled != 3*frame || st.Batches != 3 || st.EarlyBatches != 3 || st.Pending != 10 {
+				t.Fatalf("after the early passes: scheduled=%d batches=%d early=%d pending=%d, want %d, 3, 3 and 10",
+					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, 3*frame)
 			}
 			for i := range r.nets {
 				sizes := r.frames(i)
-				if len(sizes) != earlyFrames {
-					t.Fatalf("member %d received %d frames, want %d", i, len(sizes), earlyFrames)
+				if len(sizes) != 3 {
+					t.Fatalf("member %d received %d frames, want 3", i, len(sizes))
 				}
 				for _, n := range sizes {
-					if n != r.g.cfg.MaxBatch {
+					if n != frame {
 						t.Fatalf("member %d received frames of %v, want every one full", i, sizes)
 					}
 				}
@@ -1218,9 +1218,9 @@ func TestGroupEarlyPass(t *testing.T) {
 			r.g.pass(0)
 			r.settle(t)
 			st = r.src.Stats().Group
-			if st.Scheduled != quantum+10 || st.Batches != earlyFrames+1 || st.EarlyBatches != earlyFrames || st.Pending != 0 {
-				t.Fatalf("after the tick pass: scheduled=%d batches=%d early=%d pending=%d, want %d, %d, %d and 0",
-					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, quantum+10, earlyFrames+1, earlyFrames)
+			if st.Scheduled != 3*frame+10 || st.Batches != 4 || st.EarlyBatches != 3 || st.Pending != 0 {
+				t.Fatalf("after the tick pass: scheduled=%d batches=%d early=%d pending=%d, want %d, 4, 3 and 0",
+					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, 3*frame+10)
 			}
 			for i := range r.nets {
 				if sizes := r.frames(i); len(sizes) != 1 || sizes[0] != 10 {
@@ -1231,31 +1231,25 @@ func TestGroupEarlyPass(t *testing.T) {
 	}
 }
 
-// TestGroupEarlyPassBudgetLimited: a group whose bucket cannot hold a quantum
-// (1000 msg/s per member at a 10 ms tick: a burst of 20) never passes early
-// however long its queue, and stays inside its budget — also once its tick
-// passes have measured the quantum down to a single frame.
+// TestGroupEarlyPassBudgetLimited: a group whose bucket cannot hold a frame
+// (1000 msg/s per member at a 10 ms tick: a burst of 20, under 64) never
+// passes early however long its queue, and stays inside its budget.
 func TestGroupEarlyPassBudgetLimited(t *testing.T) {
 	r := newEarlyRig(t, 2000, 10*time.Millisecond, pinnedParams(1e-6))
 	start := r.clock.Now()
-	feed := func(from, to int) {
-		for i := from; i < to; i++ {
-			r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
-			if waking, _, queued := r.trigger(); waking || queued != 0 {
-				t.Fatalf("update %d: the trigger fired on a budget-limited group", i)
-			}
-			if i%64 == 0 {
-				r.clock.advance(time.Millisecond)
-				for j := range r.nets {
-					r.frames(j) // keep the members draining
-				}
+	n := 8 * r.g.cfg.MaxBatch
+	for i := 0; i < n; i++ {
+		r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
+		if waking, _, queued := r.trigger(); waking || queued != 0 {
+			t.Fatalf("update %d: the trigger fired on a budget-limited group", i)
+		}
+		if i%64 == 0 {
+			r.clock.advance(time.Millisecond)
+			for j := range r.nets {
+				r.frames(j) // keep the members draining
 			}
 		}
 	}
-	r.src.mu.Lock()
-	n := 4 * r.g.quantum()
-	r.src.mu.Unlock()
-	feed(0, n)
 	waitFor(t, 5*time.Second, func() bool { return r.src.Stats().Group.Batches > 0 }, "a tick pass")
 	r.src.mu.Lock()
 	elapsed := r.clock.Now().Sub(start).Seconds() + 1 // the rig's opening step accrued too
@@ -1267,124 +1261,6 @@ func TestGroupEarlyPassBudgetLimited(t *testing.T) {
 	if limit := rate*elapsed + tokenBurst(rate, 10*time.Millisecond); float64(scheduled) > limit {
 		t.Errorf("scheduled %d refreshes in %.3f s at %.0f/s, over the budget of %.1f", scheduled, elapsed, rate, limit)
 	}
-
-	// A tick pass commits at most a burst and what accrued since the last
-	// one, under a frame: the quantum is measured down to one frame, which
-	// the bucket still cannot hold.
-	r.src.mu.Lock()
-	q, burst := r.g.quantum(), tokenBurst(r.g.rate, 10*time.Millisecond)
-	r.src.mu.Unlock()
-	if q != r.g.cfg.MaxBatch || burst >= float64(q) {
-		t.Fatalf("measured quantum %d with a burst of %.0f, want one frame of %d and a burst under it", q, burst, r.g.cfg.MaxBatch)
-	}
-	feed(n, n+4*q)
-	if early := r.src.Stats().Group.EarlyBatches; early != 0 {
-		t.Errorf("%d early batches at a measured quantum of one frame, want 0", early)
-	}
-}
-
-// TestGroupEarlyPassFollowsTraffic: the quantum is half of what the group
-// committed between its last two tick passes, in whole frames from one up to
-// earlyFrames, so a group cutting a few frames a tick passes early once a
-// tick rather than never. Only a tick pass that committed something measures
-// it: not an idle one, and not the rest of a pass resumed after a stall.
-func TestGroupEarlyPassFollowsTraffic(t *testing.T) {
-	for _, maxBatch := range []int{0, 16} {
-		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
-			r := newEarlyRigBatch(t, 2e6, time.Hour, pinnedParams(1e-6), maxBatch)
-			frame := r.g.cfg.MaxBatch
-			quantum := func() int {
-				r.src.mu.Lock()
-				defer r.src.mu.Unlock()
-				return r.g.quantum()
-			}
-			round := 0.0
-			// update gives objects [from, to) a value over the last round's,
-			// at a clock stepped past the last commit so that each has area.
-			update := func(from, to int) {
-				if from == 0 {
-					round++
-					r.clock.advance(time.Millisecond)
-				}
-				for i := from; i < to; i++ {
-					r.src.Update(fmt.Sprintf("obj-%04d", i), round)
-				}
-			}
-			settle := func() *GroupStats {
-				r.settle(t)
-				for i := range r.nets {
-					r.frames(i)
-				}
-				return r.src.Stats().Group
-			}
-			tick := func() *GroupStats {
-				r.g.pass(0)
-				return settle()
-			}
-			if q := quantum(); q != earlyFrames*frame {
-				t.Fatalf("a fresh group's quantum is %d, want %d frames of %d", q, earlyFrames, frame)
-			}
-
-			// Five frames on a tick: half, rounded up to whole frames.
-			update(0, 5*frame)
-			if st := tick(); st.Batches != 5 || st.EarlyBatches != 0 {
-				t.Fatalf("first tick: batches=%d early=%d, want 5 and 0", st.Batches, st.EarlyBatches)
-			}
-			if q := quantum(); q != 3*frame {
-				t.Fatalf("after a tick of 5 frames the quantum is %d, want 3 frames of %d", q, frame)
-			}
-
-			// The next interval: the third frame wakes one early pass of three
-			// full frames; the last two are the tick's, which measures the
-			// interval's five frames again.
-			update(0, 3*frame)
-			if st := settle(); st.EarlyBatches != 3 || st.Pending != 0 {
-				t.Fatalf("three frames in: early=%d pending=%d, want 3 and 0", st.EarlyBatches, st.Pending)
-			}
-			update(3*frame, 5*frame)
-			if waking, _, queued := r.trigger(); waking || queued != 0 {
-				t.Fatalf("two frames after the early pass: waking=%v, %d requests queued, want none", waking, queued)
-			}
-			if st := tick(); st.Batches != 10 || st.EarlyBatches != 3 || st.Pending != 0 {
-				t.Fatalf("second tick: batches=%d early=%d pending=%d, want 10, 3 and 0", st.Batches, st.EarlyBatches, st.Pending)
-			}
-			if q := quantum(); q != 3*frame {
-				t.Fatalf("after an interval of 5 frames the quantum is %d, want 3 frames of %d", q, frame)
-			}
-
-			// An idle tick keeps it.
-			tick()
-			if q := quantum(); q != 3*frame {
-				t.Fatalf("an idle tick moved the quantum to %d, want 3 frames of %d", q, frame)
-			}
-
-			// The rest of a pass that stopped for room commits without
-			// measuring; the next tick pass counts what it committed.
-			update(0, frame)
-			r.g.pass(resumed)
-			if st := settle(); st.Batches != 11 || st.Pending != 0 {
-				t.Fatalf("resumed pass: batches=%d pending=%d, want 11 and 0", st.Batches, st.Pending)
-			}
-			if q := quantum(); q != 3*frame {
-				t.Fatalf("a resumed pass moved the quantum to %d, want 3 frames of %d", q, frame)
-			}
-			tick()
-			if q := quantum(); q != frame {
-				t.Fatalf("after an interval of one frame the quantum is %d, want one frame of %d", q, frame)
-			}
-
-			// Twenty frames in an interval, early passes included: half is
-			// ten, capped at earlyFrames.
-			update(0, 20*frame)
-			settle()
-			if st := tick(); st.Scheduled != 31*frame || st.Pending != 0 {
-				t.Fatalf("twenty frames: scheduled=%d pending=%d, want %d and 0", st.Scheduled, st.Pending, 31*frame)
-			}
-			if q := quantum(); q != earlyFrames*frame {
-				t.Fatalf("after an interval of 20 frames the quantum is %d, want the cap of %d frames of %d", q, earlyFrames, frame)
-			}
-		})
-	}
 }
 
 // TestGroupEarlyPassDisarmsOnResiduals: a queue that is long only because it
@@ -1395,27 +1271,29 @@ func TestGroupEarlyPassDisarmsOnResiduals(t *testing.T) {
 	r.src.mu.Lock()
 	r.g.eng.SetThreshold(1e9) // pinned params: nothing moves it back
 	r.src.mu.Unlock()
-	quantum := r.g.quantum()
+	frame := r.g.cfg.MaxBatch
 
 	for round := 0; round < 2; round++ {
-		// Crossing the quantum (the first round) or the first update after a
+		// Crossing a frame (the first round) or the first update after a
 		// tick (the second) asks for exactly one pass, which finds nothing.
-		for i := 0; i < quantum; i++ {
+		for i := 0; i < frame; i++ {
 			r.src.Update(fmt.Sprintf("obj-%04d", i), float64(round+1))
 		}
 		r.settle(t)
 		if _, disarmed, _ := r.trigger(); !disarmed {
 			t.Fatalf("round %d: the fruitless pass left the trigger armed", round)
 		}
-		// A stream of updates over the same residuals asks for none.
-		for i := 0; i < 200; i++ {
-			r.src.Update(fmt.Sprintf("obj-%04d", i), float64(round+10))
+		// A stream of updates over the same residuals, and new objects
+		// that lengthen the queue by more than a frame, ask for none.
+		for i := 0; i < 4*frame; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i%frame), float64(round+10))
+			r.src.Update(fmt.Sprintf("new-%d-%04d", round, i%(frame+1)), 1)
 			if waking, _, queued := r.trigger(); waking || queued != 0 {
 				t.Fatalf("round %d, update %d: a disarmed trigger fired", round, i)
 			}
 		}
-		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != quantum {
-			t.Fatalf("round %d: batches=%d pending=%d, want 0 and %d", round, st.Batches, st.Pending, quantum)
+		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != (round+2)*frame+round+1 {
+			t.Fatalf("round %d: batches=%d pending=%d, want 0 and %d", round, st.Batches, st.Pending, (round+2)*frame+round+1)
 		}
 		r.g.pass(0) // the tick re-arms it
 		if _, disarmed, _ := r.trigger(); disarmed {
@@ -1445,13 +1323,13 @@ func TestGroupEarlyPassCloseWithWakePending(t *testing.T) {
 	// is still outstanding when the stop channel closes.
 	src.mu.Lock()
 	now, unix := src.clock()
-	for i := 0; i < g.quantum(); i++ {
+	for i := 0; i < g.cfg.MaxBatch; i++ {
 		src.updateLocked(fmt.Sprintf("obj-%04d", i), 1, Provenance{}, now, unix)
 	}
 	g.wakeLocked(now)
 	if !g.waking {
 		src.mu.Unlock()
-		t.Fatal("a full quantum with an ample bucket did not ask for a pass")
+		t.Fatal("a full frame with an ample bucket did not ask for a pass")
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- src.Close() }()
@@ -1508,12 +1386,12 @@ func TestGroupLimited(t *testing.T) {
 
 	t.Run("an early pass that stops by choice", func(t *testing.T) {
 		r := newEarlyRig(t, 2e6, time.Hour, params)
-		for i := 0; i < r.g.quantum()+10; i++ {
+		for i := 0; i < r.g.cfg.MaxBatch+10; i++ {
 			r.src.Update(fmt.Sprintf("obj-%04d", i), 100)
 		}
 		r.settle(t)
-		if st := r.src.Stats().Group; st.EarlyBatches != earlyFrames || st.Pending != 10 {
-			t.Fatalf("early=%d pending=%d, want %d and 10", st.EarlyBatches, st.Pending, earlyFrames)
+		if st := r.src.Stats().Group; st.EarlyBatches != 1 || st.Pending != 10 {
+			t.Fatalf("early=%d pending=%d, want 1 and 10", st.EarlyBatches, st.Pending)
 		}
 		if limited, _ := state(r); limited {
 			t.Fatal("a partial frame left behind with budget in hand, but the engine is limited")

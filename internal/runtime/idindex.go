@@ -65,6 +65,16 @@ func (x *idIndex) next(p *idProbe) int32 {
 	}
 }
 
+// home returns the word in hash h's home slot, the first a probe of h reads
+// (0 while the table is empty). A caller resolving many ids loads all their
+// home words first: the loads are independent, so their cache misses overlap.
+func (x *idIndex) home(h uint64) uint64 {
+	if len(x.words) == 0 {
+		return 0
+	}
+	return x.words[h>>x.shift]
+}
+
 // insert records index i under hash h. The caller has just probed h and
 // found its id absent.
 func (x *idIndex) insert(h uint64, i int32) {

@@ -36,8 +36,8 @@ type NodeConfig struct {
 	// refreshes and poll replies. Default "node".
 	ID string
 	// Intake configures the intake-facing cache (processing bandwidth,
-	// shards, queue depth). Its ID, OnApply, Reject and Now fields are
-	// owned by the node and must be left zero.
+	// shards). Its ID, OnApply, Reject and Now fields are owned by the
+	// node and must be left zero.
 	Intake CacheConfig
 	// PeerBandwidth is the peer-face send budget in messages/second,
 	// divided across the attached peers by their share weights (Section 7
@@ -401,9 +401,9 @@ func (n *Node) rejectCycle(ref wire.Refresh) bool {
 }
 
 // reexport converts a batch of applied refreshes into peer updates. It runs
-// on the cache's shard workers, so refreshes for one object arrive in apply
-// order while distinct objects may be re-exported concurrently — the same
-// ordering contract Update gives a plain source.
+// on the goroutine that applied the batch, once per batch, so refreshes for
+// one object arrive in apply order — the same ordering contract Update gives
+// a plain source.
 //
 // Loop check: a refresh is dropped from re-export when this node already
 // appears on its path — either as the origin or anywhere in the Via path
@@ -453,8 +453,7 @@ func (n *Node) reexport(applied []wire.Refresh) {
 			Prov:     Provenance{Origin: origin, Hops: hops + 1, Via: via, Epoch: oe, Version: ov},
 		})
 	}
-	// One lock round-trip for the whole apply batch: shard workers must
-	// not serialize on the source mutex message by message.
+	// One lock round-trip for the whole apply batch, not one per message.
 	n.src.UpdateFromAll(updates)
 	n.mu.Lock()
 	n.forwarded += len(updates)

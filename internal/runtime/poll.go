@@ -168,12 +168,13 @@ type pollScheduler struct {
 	lastPushed int
 
 	// batch is sendDue's per-source id lists, reused from tick to tick
-	// (loop-local): SendPoll copies what it keeps.
-	batch map[string][]string
+	// (loop-local): SendPoll copies what it keeps. install is
+	// processReply's, the refreshes a reply installs.
+	batch   map[string][]string
+	install []wire.Refresh
 
 	// done is closed when the loop goroutine exits; Cache.Close waits on
-	// it before closing the shard queues, because processReply installs
-	// values through them.
+	// it, because processReply installs values through the apply path.
 	done chan struct{}
 
 	statMu    sync.Mutex
@@ -388,10 +389,6 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 	return spent
 }
 
-// installPool recycles processReply's install buffers: the cache hands each
-// one back when the batch routed over it recycles.
-var installPool = sync.Pool{New: func() any { return new([]wire.Refresh) }}
-
 // processReply folds one poll reply into the estimators and the store,
 // returning the budget charged at receipt.
 //
@@ -432,8 +429,7 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 	}
 
 	wallNow := ps.c.cfg.Now()
-	buf := installPool.Get().(*[]wire.Refresh)
-	install := (*buf)[:0]
+	install := ps.install[:0]
 	created := 0
 	for _, it := range r.Items {
 		i, h := ps.find(it.ObjectID)
@@ -488,12 +484,10 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 		ps.scheduleNew(t, created)
 	}
 	ps.applyPushed(r, t)
-	*buf = install
+	ps.install = install
 	if len(install) > 0 {
 		ps.installs += len(install)
-		ps.c.installPolled(buf)
-	} else {
-		installPool.Put(buf)
+		ps.c.installPolled(install)
 	}
 	ps.statMu.Lock()
 	ps.replyMsgs += len(r.Items)

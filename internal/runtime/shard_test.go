@@ -377,3 +377,92 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 		t.Errorf("acks = %+v, want %+v", acks, wantAcks)
 	}
 }
+
+// TestShardTaskLookupMatchesOneByOne: a shard resolves a batch's ids in two
+// passes — every home index word first, then each id from its word — and must
+// end exactly where applying the same refreshes one batch each ends. The batch
+// refreshes ids whose home words collide in the seeded 8-slot table, names two
+// new ids twice each — one whose home slot is empty when the words are loaded,
+// one whose home holds another id — and inserts enough new ids to double the
+// index several times mid-batch before refreshing them all again, with a stale
+// re-send and a superseded incarnation among them. Both id shapes run.
+func TestShardTaskLookupMatchesOneByOne(t *testing.T) {
+	for name, shape := range map[string]string{"distinct tails": "src-3/o%05d", "shared suffix": "sensor-%05d/temperature"} {
+		t.Run(name, func(t *testing.T) {
+			// Three ids that share a home slot of an 8-slot table (the top 3
+			// bits of their hash), so they fill it and the two after it: the
+			// seed leaves the index at that size.
+			home := func(id string) uint64 { return hashID(id) >> 61 }
+			var colliders []string
+			for i := 0; len(colliders) < 3; i++ {
+				id := fmt.Sprintf(shape, i)
+				if len(colliders) == 0 || home(id) == home(colliders[0]) {
+					colliders = append(colliders, id)
+				}
+			}
+			// find returns the first id from i on whose home slot ok accepts.
+			find := func(i int, ok func(slot uint64) bool) string {
+				for ; !ok(home(fmt.Sprintf(shape, i))); i++ {
+				}
+				return fmt.Sprintf(shape, i)
+			}
+			fresh := find(90000, func(slot uint64) bool { return (slot-home(colliders[0]))%8 > 2 })
+			foreign := find(80000, func(slot uint64) bool { return slot == home(colliders[0]) })
+			at := func(id string, value float64, version uint64, epoch int64) wire.Refresh {
+				return wire.Refresh{SourceID: "s", ObjectID: id, Value: value, Version: version, Epoch: epoch}
+			}
+			var seed, batch []wire.Refresh
+			for _, id := range colliders {
+				seed = append(seed, at(id, 1, 1, 5))
+			}
+			batch = append(batch,
+				at(colliders[2], 2, 2, 5), at(colliders[1], 2, 2, 5), at(fresh, 1, 1, 5), at(foreign, 1, 1, 5),
+				at(colliders[0], 1, 1, 5), at(fresh, 2, 2, 5), at(foreign, 2, 2, 5))
+			for i := range 300 {
+				batch = append(batch, at(fmt.Sprintf(shape, 50000+i), float64(i), 1, 5))
+			}
+			batch = append(batch,
+				at(colliders[0], 3, 3, 5), at(colliders[1], 0, 9, 4), at(colliders[2], 3, 3, 5),
+				at(fresh, 2, 2, 5), at(fresh, 3, 3, 5), at(foreign, 3, 3, 5))
+
+			clock := newFakeClock()
+			caches := [2]*Cache{}
+			for i := range caches {
+				caches[i] = NewCache(CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 1, Now: clock.Now},
+					stubEndpoint{batches: make(chan transport.InboundBatch)})
+				defer caches[i].Close()
+				apply(t, caches[i], seed...)
+			}
+			batched, single := caches[0], caches[1]
+			if w := len(batched.shards[0].index.words); w != idMinSlots {
+				t.Fatalf("seeded index has %d slots, want %d", w, idMinSlots)
+			}
+			apply(t, batched, batch...)
+			for _, r := range batch {
+				apply(t, single, r)
+			}
+			if w := len(batched.shards[0].index.words); w < 64*idMinSlots {
+				t.Fatalf("index has %d slots after the batch, want it grown mid-batch", w)
+			}
+
+			if got, want := batched.Len(), single.Len(); got != want || got != 3+2+300 {
+				t.Fatalf("batched cache holds %d objects, one by one %d, want %d", got, want, 3+2+300)
+			}
+			for _, r := range append(seed, batch...) {
+				got, ok1 := batched.Get(r.ObjectID)
+				want, ok2 := single.Get(r.ObjectID)
+				if !ok1 || !ok2 || !sameEntry(got, want) {
+					t.Fatalf("%s: batched %+v (%v), one by one %+v (%v)", r.ObjectID, got, ok1, want, ok2)
+				}
+			}
+			bs, ss := batched.Stats(), single.Stats()
+			if bs.Refreshes != ss.Refreshes || bs.Stale != ss.Stale || bs.Divergence != ss.Divergence {
+				t.Fatalf("batched refreshes/stale/divergence %d/%d/%v, one by one %d/%d/%v",
+					bs.Refreshes, bs.Stale, bs.Divergence, ss.Refreshes, ss.Stale, ss.Divergence)
+			}
+			if bs.Stale != 3 {
+				t.Fatalf("%d stale drops, want 3 (a re-send, an old incarnation, a repeated version)", bs.Stale)
+			}
+		})
+	}
+}

@@ -776,10 +776,9 @@ type RelayedUpdate struct {
 }
 
 // UpdateFromAll records a batch of re-exported values under a single lock
-// acquisition. This is the relay hot path: one shard-worker apply batch
-// becomes one lock round-trip instead of one per refresh, so the sharded
-// cache's parallel workers don't serialize on the source mutex message by
-// message.
+// acquisition. This is the relay hot path: one applied batch becomes one
+// lock round-trip instead of one per refresh, so the cache's dispatcher does
+// not contend for the source mutex message by message.
 func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 	if len(updates) == 0 {
 		return
@@ -792,8 +791,8 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 		s.updateLocked(u.ObjectID, u.Value, u.Prov, now, unix)
 	}
 	// Once per call, not per element: what the batch queued may have
-	// completed a full run of frames, which the flusher then sends without
-	// waiting for its tick.
+	// completed a full frame, which the flusher then sends without waiting
+	// for its tick.
 	for _, g := range s.groups {
 		g.wakeLocked(now)
 	}

@@ -35,11 +35,11 @@ import (
 // spliceScratch is the per-batch working state of one onForward call,
 // pooled so the hot path allocates nothing per batch once warm. It plays the
 // role the SessionGroup's own keyBuf/provBuf/fan scratch plays for the
-// flusher — but the splice path runs on cache shard workers, concurrently
-// with the flusher and with other shards' batches, so the scratch must be
-// call-owned rather than group-owned. Slices are resized, never cleared:
-// every consumer writes before it reads (provs and versions are only read at
-// indices the keep mask selects, which the loop assigned).
+// flusher — but the splice path runs on the intake cache's dispatcher,
+// concurrently with the flusher, so the scratch must be call-owned rather
+// than group-owned. Slices are resized, never cleared: every consumer writes
+// before it reads (provs and versions are only read at indices the keep mask
+// selects, which the loop assigned).
 type spliceScratch struct {
 	memo     viaMemo
 	provs    []Provenance
