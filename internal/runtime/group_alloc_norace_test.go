@@ -206,57 +206,61 @@ func TestSourceHeapPerObject(t *testing.T) {
 }
 
 // TestGroupEarlyPassSteadyStateAllocs is the sibling that passes the size
-// trigger instead of being rejected by it: every iteration queues two full
+// trigger instead of being rejected by it: every iteration queues full
 // frames against an ample bucket, so it pays for the updates, the wakes, the
 // early passes on the flusher goroutine and the fan-out of their frames to
 // two frame-capable members. What that allocates is what cutting the same
 // frames on a tick allocates — nothing once the pooled batches and frames
-// are warm: no closure, timer or channel per pass.
+// are warm: no closure, timer or channel per pass. It runs with a round of
+// eight full frames and with a round of two.
 func TestGroupEarlyPassSteadyStateAllocs(t *testing.T) {
-	const frames = 2
-	clock := newFakeClock()
-	src, err := NewFanoutSource(SourceConfig{
-		ID: "al", Metric: metric.ValueDeviation,
-		Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
-		Group: GroupConfig{Enabled: true, Queue: 64},
-	}, []Destination{
-		{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-		{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	g := src.group
-	ids := make([]string, frames*g.cfg.MaxBatch)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("al/obj-%d", i)
-	}
-	v, want := 1.0, 0
-	round := func() {
-		clock.advance(time.Millisecond)
-		for _, id := range ids {
-			src.Update(id, v)
-		}
-		v++
-		want += len(ids)
-		for done := false; !done; stdruntime.Gosched() {
+	for _, frames := range []int{8, 2} {
+		t.Run(fmt.Sprintf("%d frames", frames), func(t *testing.T) {
+			clock := newFakeClock()
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "al", Metric: metric.ValueDeviation,
+				Bandwidth: 1e9, Tick: time.Hour, Params: pinnedParams(1e-6), Now: clock.Now,
+				Group: GroupConfig{Enabled: true, Queue: 64},
+			}, []Destination{
+				{CacheID: "a", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+				{CacheID: "b", Conn: nullFrameConn{fb: make(chan wire.Feedback)}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			g := src.group
+			ids := make([]string, frames*g.cfg.MaxBatch)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("al/obj-%d", i)
+			}
+			v, want := 1.0, 0
+			round := func() {
+				clock.advance(time.Millisecond)
+				for _, id := range ids {
+					src.Update(id, v)
+				}
+				v++
+				want += len(ids)
+				for done := false; !done; stdruntime.Gosched() {
+					src.mu.Lock()
+					done = g.scheduled == want && !g.waking
+					src.mu.Unlock()
+				}
+			}
+			round() // inserts
+			round() // sizes the pooled batches, frames and scratch
+			allocs := pooledAllocsPerRun(50, round)
 			src.mu.Lock()
-			done = g.scheduled == want && !g.waking
+			early, batches := g.earlyBatches, g.batches
 			src.mu.Unlock()
-		}
-	}
-	round() // inserts
-	round() // sizes the pooled batches, frames and scratch
-	allocs := pooledAllocsPerRun(50, round)
-	src.mu.Lock()
-	early, batches := g.earlyBatches, g.batches
-	src.mu.Unlock()
-	if early != batches || early != 53*frames {
-		t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*frames)
-	}
-	if allocs > 0 {
-		t.Errorf("two frames of updates and their early passes allocated %.1f times, want 0", allocs)
+			if early != batches || early != 53*frames {
+				t.Errorf("%d early batches of %d, want all %d cut by the size trigger", early, batches, 53*frames)
+			}
+			if allocs > 0 {
+				t.Errorf("%d frames of updates and their early passes allocated %.1f times, want 0", frames, allocs)
+			}
+		})
 	}
 }
 
