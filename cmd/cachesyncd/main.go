@@ -3,9 +3,9 @@
 // stream refresh messages, and receive positive feedback when the cache has
 // spare processing bandwidth.
 //
-// The cache store is split into lock stripes (-shards), and sources frame
-// refreshes in batches, which the dispatcher applies one at a time: a busy
-// dispatcher stops reading the connections, the back-pressure point.
+// The cache is one dispatcher writing one store under one lock. Sources
+// frame refreshes in batches, which the dispatcher applies one at a time: a
+// busy dispatcher stops reading the connections, the back-pressure point.
 //
 // The cache stamps its identity (-id, default the listen address) on the
 // feedback it sends, so fan-out sources (sourceagent -caches) can attribute
@@ -71,7 +71,7 @@
 //
 // Examples:
 //
-//	cachesyncd -addr :7400 -bandwidth 100 -shards 8
+//	cachesyncd -addr :7400 -bandwidth 100
 //	cachesyncd -addr :7400 -children edge-a:7500,edge-b:7500=2 -child-bandwidth 60
 //	cachesyncd -addr :7400 -children edge-a:7500 -total-bandwidth 120 -rebalance 2s -http :7401
 //	cachesyncd -addr :7400 -peers node-b:7400,node-c:7400 -child-mode hybrid
@@ -105,7 +105,6 @@ func main() {
 	childMode := flag.String("child-mode", "push", "relay mode: sync policy on the downstream (child) face: push or hybrid")
 	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "poll modes: re-estimation/re-allocation epoch")
 	pollRate := flag.Float64("poll-rate", 0, "ideal mode: assumed per-object update rate (updates/s); 0 = fall back to CGM1 estimates")
-	shards := flag.Int("shards", 0, "store lock stripes (0 = GOMAXPROCS)")
 	children := flag.String("children", "", "comma-separated downstream cache addresses host:port[=weight] (relay mode: re-export applied refreshes)")
 	peers := flag.String("peers", "", "comma-separated lateral peer addresses host:port[=weight] (mesh mode: same peer face as -children, ring/mesh vocabulary)")
 	childBW := flag.Float64("child-bandwidth", 50, "relay mode: send budget toward children (messages/second), divided by share weight")
@@ -201,7 +200,7 @@ func main() {
 				childBand = 0
 			}
 		}
-		upCfg := runtime.CacheConfig{Bandwidth: cacheBW, Shards: *shards, Policy: policy}
+		upCfg := runtime.CacheConfig{Bandwidth: cacheBW, Policy: policy}
 		if policy.Polls() {
 			upCfg.Poll = runtime.PollConfig{ReSolveEvery: *resolveEvery}
 		}
@@ -226,8 +225,8 @@ func main() {
 		if *peers != "" {
 			face = "peer links"
 		}
-		log.Printf("cachesyncd %s: node on %s, bandwidth %.1f msgs/s intake / %.1f msgs/s out to %d %s, shards=%d",
-			node.ID(), ln.Addr(), nst.IntakeBandwidth, nst.PeerBandwidth, len(dests), face, cache.Shards())
+		log.Printf("cachesyncd %s: node on %s, bandwidth %.1f msgs/s intake / %.1f msgs/s out to %d %s",
+			node.ID(), ln.Addr(), nst.IntakeBandwidth, nst.PeerBandwidth, len(dests), face)
 	} else {
 		pollCfg := runtime.PollConfig{ReSolveEvery: *resolveEvery}
 		if *pollRate > 0 {
@@ -237,12 +236,11 @@ func main() {
 		cache = runtime.NewCache(runtime.CacheConfig{
 			ID:        *id,
 			Bandwidth: *bw,
-			Shards:    *shards,
 			Policy:    policy,
 			Poll:      pollCfg,
 		}, ep)
-		log.Printf("cachesyncd %s: listening on %s, policy %v, bandwidth %.1f msgs/s, shards=%d",
-			cache.ID(), ln.Addr(), policy, *bw, cache.Shards())
+		log.Printf("cachesyncd %s: listening on %s, policy %v, bandwidth %.1f msgs/s",
+			cache.ID(), ln.Addr(), policy, *bw)
 	}
 	if *snapshotPath != "" {
 		if err := cache.LoadSnapshotFile(*snapshotPath); err != nil {

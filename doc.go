@@ -9,7 +9,7 @@
 //     on a virtual clock, and
 //   - a live half (internal/runtime, internal/transport, internal/wire)
 //     that runs the same protocol over wall-clock time and TCP, with a
-//     sharded concurrent cache store, batched refresh framing, fan-out
+//     one-writer cache store, batched refresh framing, fan-out
 //     sources, relay tiers (cache→cache hierarchy: a cache that
 //     re-exports applied refreshes to downstream children), and a
 //     pluggable sync-policy layer (runtime.Policy: the paper's

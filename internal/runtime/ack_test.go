@@ -19,9 +19,9 @@ func (stubEndpoint) SendFeedback(string, wire.Feedback) error { return nil }
 func (stubEndpoint) Sources() []string                        { return nil }
 func (stubEndpoint) Close() error                             { return nil }
 
-func quietCache(shards int, onApply func([]wire.Refresh)) *Cache {
+func quietCache(onApply func([]wire.Refresh)) *Cache {
 	return NewCache(CacheConfig{
-		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: shards, OnApply: onApply,
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, OnApply: onApply,
 	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
 }
 
@@ -45,7 +45,7 @@ func relayed(sender, object string, senderVersion, originVersion uint64) wire.Re
 // copy of the version; what is sent is the origin axis the entry has when
 // the feedback is built — one ack per object however often it was applied.
 func TestAckPayloadReadAtDrain(t *testing.T) {
-	c := quietCache(2, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	apply(t, c, relayed("relay", "root/x", 1, 5))
 	apply(t, c, relayed("relay", "root/x", 2, 6), relayed("relay", "root/y", 3, 2))
@@ -82,7 +82,7 @@ func TestAckPayloadReadAtDrain(t *testing.T) {
 // of one object — the first is applied, the second dropped by the origin-axis
 // guard — and each of them is owed, and gets, its own ack.
 func TestAckPerSender(t *testing.T) {
-	c := quietCache(2, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	apply(t, c, relayed("relay-a", "root/x", 1, 5))
 	apply(t, c, relayed("relay-b", "root/x", 9, 5))
@@ -104,7 +104,7 @@ func TestAckPerSender(t *testing.T) {
 // acks; the rest stay pending, and every object is acked exactly once.
 func TestAckBoundedPerFeedback(t *testing.T) {
 	const objects = 2*maxHeldPerFeedback + 88
-	c := quietCache(2, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	rs := make([]wire.Refresh, objects)
 	for i := range rs {

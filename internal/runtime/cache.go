@@ -32,26 +32,22 @@
 // a hop ceiling. Divergence accounting composes per hop; see
 // docs/algorithm-specifications.md §8.
 //
-// # Sharding
+// # One store, one writer
 //
-// The cache store is split into N shards, each with its own lock and
-// divergence/bandwidth counters. A refresh belongs to the shard owning the
-// hash of its object key; object keys are source-qualified by convention
-// ("source/obj-n"), so the hash distributes (source, object-key) pairs across
-// shards. A central dispatcher goroutine owns the protocol state that is
-// inherently global — the token-bucket budget, the per-source threshold
-// tracker, and feedback targeting — and applies each incoming batch itself,
-// shard by shard under that shard's lock: the shards are lock stripes, so a
-// reader waits at most for one shard's part of a batch. Per-shard statistics
-// are merged periodically (once per second) into rate gauges for the status
-// endpoint and merged on demand by Stats.
+// A cache is one dispatcher goroutine writing one store under one lock, the
+// one bandwidth-limited server of the paper's model. The dispatcher owns the
+// protocol state — the token-bucket budget, the per-source threshold
+// tracker, feedback targeting and, under a polling policy, the poll
+// scheduler — and applies every pushed batch and every poll reply itself,
+// taking the write lock once per batch. Readers (Get, Len, Stats, Status,
+// snapshots) take the read lock. The apply rate is folded into a gauge once
+// per second for the status endpoint.
 //
-// A shard's store is an open-addressed id index (idIndex) over a dense slab of
+// The store is an open-addressed id index (idIndex) over a dense slab of
 // 64-byte slots, whose sender, origin and relay path live in one immutable
 // route record shared by every slot that arrived the same way. The dispatcher
-// hashes a refresh's id once, picking the shard from the hash's low half, and
-// probes the shard's index with the same hash's high half, then works on the
-// slot (overwritten in place). A batch is applied as index lists over the one
+// hashes a refresh's id once, probes the index with it, then works on the
+// slot (overwritten in place). A batch is applied as one pass over the
 // decoded slice, and pending held-version acks are sets of slab indexes whose
 // payload is read when they are sent — the steady-state apply path allocates
 // nothing.
@@ -62,15 +58,15 @@
 // the token bucket), which applies a batch before it reads the next. When
 // the apply path falls behind, the dispatcher stops reading, which fills the
 // transport channel and stalls the sources' SendRefresh calls — the network
-// queueing of the paper's model.
+// queueing of the paper's model. A feedback or poll write that blocks stalls
+// intake the same way.
 //
-// docs/algorithm-specifications.md §6 specifies the shard/batch semantics
+// docs/algorithm-specifications.md §6 specifies the store/batch semantics
 // and the full back-pressure chain.
 package runtime
 
 import (
 	"math"
-	stdruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -95,10 +91,6 @@ type CacheConfig struct {
 	// Tick is the protocol interval (default 100 ms): budget accrual,
 	// surplus detection and feedback all run once per tick.
 	Tick time.Duration
-	// Shards is the number of lock stripes the store is split into
-	// (default GOMAXPROCS): Get locks one, and a batch is applied stripe
-	// by stripe.
-	Shards int
 	// Params tunes the threshold algorithm; zero means paper defaults.
 	Params core.Params
 	// Policy selects the synchronization policy this cache runs. The
@@ -122,12 +114,11 @@ type CacheConfig struct {
 	Poll PollConfig
 	// OnApply, when non-nil, is called once per batch with every refresh
 	// of it that was actually installed into the store (stale drops are
-	// excluded), outside the shard locks, on the goroutine that applied the
-	// batch: the dispatcher, or the poll scheduler for polled values.
-	// Batches are applied one at a time, each reported before the next is
-	// applied, so refreshes for the same object are delivered in apply
-	// order — and a hook must not wait for the cache to apply another
-	// batch. The slice is the cache's own buffer,
+	// excluded), outside the cache lock, on the dispatcher — for pushed and
+	// polled batches alike. Batches are applied one at a time, each reported
+	// before the next is applied, so refreshes for the same object are
+	// delivered in apply order — and a hook must not wait for the cache to
+	// apply another batch. The slice is the cache's own buffer,
 	// overwritten by the next batch, so it is valid only for the duration of
 	// the call: copy the refreshes to keep them (their strings and Via paths
 	// stay valid). This is the re-export hook a Node uses to turn applied
@@ -143,8 +134,8 @@ type CacheConfig struct {
 	// handed back to the codec for the next frame as soon as the hook
 	// returns, and keep is reused too: both are valid only for the duration
 	// of the call, and the hook copies what it keeps. Like OnApply it runs
-	// outside the shard locks, in apply order. Frameless batches are
-	// unaffected and keep the OnApply contract. This is the
+	// on the dispatcher outside the cache lock, in apply order. Frameless
+	// batches are unaffected and keep the OnApply contract. This is the
 	// splice-forwarding entry: a Node uses it to re-export the inbound bytes
 	// without re-encoding.
 	OnForward func(rs []wire.Refresh, frame *codec.Frame, keep []bool)
@@ -228,44 +219,29 @@ type CacheStats struct {
 	Resolves    int     // completed cgm allocation solves
 }
 
-// shardStats is the per-shard slice of CacheStats, guarded by the shard lock.
-type shardStats struct {
-	refreshes  int
-	stale      int
-	peerServed int
-	divergence float64
-}
-
-// routeScratch is route's working set, reused from batch to batch under
-// Cache.applyMu: each refresh's id hash and the word in its home index slot,
-// aligned with the batch; one index list per shard; a framed batch's keep
-// mask; and the applied refreshes OnApply is handed.
+// routeScratch is route's working set, reused from batch to batch on the
+// dispatcher: each refresh's id hash and the word in its home index slot,
+// aligned with the batch; the keep mask, set for every refresh Reject let
+// through and then left set for those installed; and the applied refreshes
+// OnApply is handed.
 type routeScratch struct {
 	hs, ws  []uint64
-	parts   [][]int32
 	keep    []bool
 	applied []wire.Refresh
 }
 
-// ready sizes the scratch for a batch of n refreshes over shards shards,
-// every index list emptied and the keep mask cleared.
-func (sc *routeScratch) ready(n, shards int) {
+// ready sizes the scratch for a batch of n refreshes, the keep mask cleared.
+func (sc *routeScratch) ready(n int) {
 	if cap(sc.hs) < n {
 		sc.hs, sc.ws, sc.keep = make([]uint64, n), make([]uint64, n), make([]bool, n)
 	}
 	sc.hs, sc.ws, sc.keep = sc.hs[:n], sc.ws[:n], sc.keep[:n]
 	clear(sc.keep)
-	if len(sc.parts) < shards {
-		sc.parts = make([][]int32, shards)
-	}
-	for i := range sc.parts {
-		sc.parts[i] = sc.parts[i][:0]
-	}
 }
 
 // slabChunk is the number of slots per slab chunk. Chunks are allocated whole
 // and never move, so growing the store copies nothing and a slot pointer
-// stays valid for as long as the shard lock is held. 512 slots of 64 B are
+// stays valid for as long as the cache lock is held. 512 slots of 64 B are
 // exactly 32 KiB: the chunk takes the allocator's large-object path (whole
 // pages, no type header), where 64 slots would pay a header and land in the
 // 4 864 B size class.
@@ -347,8 +323,8 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// routeMemo is the number of recently resolved routes a shard, and a Source's
-// provenance column, remembers.
+// routeMemo is the number of recently resolved routes the store, and a
+// Source's provenance column, remembers.
 const routeMemo = 4
 
 // ackSet is the pending held-version acknowledgements toward one sender: the
@@ -359,22 +335,20 @@ type ackSet struct {
 	keySet
 }
 
-// shard is one independent slice of the cache store: an id index over a dense
-// slab of entries that are mutated in place, so a refresh for a known object
-// costs one probe of a table word and one id comparison.
-type shard struct {
-	mu    sync.Mutex
+// store is the cache's table: an id index over a dense slab of entries that
+// are mutated in place, so a refresh for a known object costs one probe of a
+// table word and one id comparison. It is guarded by Cache.mu.
+type store struct {
 	index idIndex // object id → slab index, confirmed against slot.id
 	slab  []*[slabChunk]slot
 	n     int32 // slots in use
-	stats shardStats
 	// owed holds the pending held-version acknowledgements per sender — for
-	// entries this shard applied from relayed refreshes, or held on to while
-	// dropping a sender's stale re-send. The dispatcher's surplus-feedback
-	// pass drains them onto outgoing wire.Feedback.Held (bounded per
-	// message), so senders learn what this cache already holds and skip the
-	// rest. A cache hears from few senders and a batch comes from one, so the
-	// list is scanned, most recent sender first (lastOwed).
+	// entries applied from relayed refreshes, or held on to while dropping a
+	// sender's stale re-send. The dispatcher's surplus-feedback pass drains
+	// them onto outgoing wire.Feedback.Held (bounded per message), so senders
+	// learn what this cache already holds and skip the rest. A cache hears
+	// from few senders and a batch comes from one, so the list is scanned,
+	// most recent sender first (lastOwed).
 	owed     []ackSet
 	lastOwed int
 	// routes remembers the most recently resolved routes, so an object that
@@ -385,44 +359,44 @@ type shard struct {
 }
 
 // at returns the slot at slab index i.
-func (sh *shard) at(i int32) *slot {
-	return &sh.slab[i>>slabShift][i&(slabChunk-1)]
+func (st *store) at(i int32) *slot {
+	return &st.slab[i>>slabShift][i&(slabChunk-1)]
 }
 
 // routeFor returns the shared route (sender, origin, originEpoch, hops, via):
 // cur when it already is that route (an object refreshed the way it was last
-// time), else a match in the shard's memo, else a new record that replaces the
-// memo's oldest. Caller holds sh.mu.
-func (sh *shard) routeFor(cur *route, sender, origin string, originEpoch int64, hops int, via []string) *route {
+// time), else a match in the store's memo, else a new record that replaces the
+// memo's oldest. Caller holds the write lock.
+func (st *store) routeFor(cur *route, sender, origin string, originEpoch int64, hops int, via []string) *route {
 	if cur.is(sender, origin, originEpoch, hops, via) {
 		return cur
 	}
-	for _, rt := range sh.routes {
+	for _, rt := range st.routes {
 		if rt.is(sender, origin, originEpoch, hops, via) {
 			return rt
 		}
 	}
 	rt := &route{sender: sender, origin: origin, originEpoch: originEpoch, hops: hops, via: via}
-	sh.routes[sh.nextRoute] = rt
-	sh.nextRoute = (sh.nextRoute + 1) % routeMemo
+	st.routes[st.nextRoute] = rt
+	st.nextRoute = (st.nextRoute + 1) % routeMemo
 	return rt
 }
 
 // setEntry stores e, field for field, in the slot at slab index i. Caller
-// holds sh.mu.
-func (sh *shard) setEntry(i int32, e Entry) {
-	s := sh.at(i)
+// holds the write lock.
+func (st *store) setEntry(i int32, e Entry) {
+	s := st.at(i)
 	s.value, s.version, s.epoch, s.originVersion = e.Value, e.Version, e.Epoch, e.OriginVersion
 	s.refreshed = unixNano(e.Refreshed)
-	s.rt = sh.routeFor(s.rt, e.Source, e.Origin, e.OriginEpoch, e.Hops, e.Via)
+	s.rt = st.routeFor(s.rt, e.Source, e.Origin, e.OriginEpoch, e.Hops, e.Via)
 }
 
 // find returns the slab index of objectID, whose hashID is h, or -1. Caller
-// holds sh.mu.
-func (sh *shard) find(h uint64, objectID string) int32 {
-	p := sh.index.probe(h)
+// holds the lock.
+func (st *store) find(h uint64, objectID string) int32 {
+	p := st.index.probe(h)
 	for {
-		if i := sh.index.next(&p); i < 0 || sh.at(i).id == objectID {
+		if i := st.index.next(&p); i < 0 || st.at(i).id == objectID {
 			return i
 		}
 	}
@@ -432,54 +406,53 @@ func (sh *shard) find(h uint64, objectID string) int32 {
 // Cache.route): a word whose tag matches and whose slot holds objectID is the
 // answer, and anything else walks the probe, so a word loaded before the
 // batch inserted the id or grew the table is never trusted to say "absent".
-// Caller holds sh.mu.
-func (sh *shard) lookup(w, h uint64, objectID string) int32 {
+// Caller holds the lock.
+func (st *store) lookup(w, h uint64, objectID string) int32 {
 	if w != 0 && w&^idLow == h&^idLow {
-		if i := int32(w&idLow) - 1; sh.at(i).id == objectID {
+		if i := int32(w&idLow) - 1; st.at(i).id == objectID {
 			return i
 		}
 	}
-	return sh.find(h, objectID)
+	return st.find(h, objectID)
 }
 
 // insert adds a slot for a new object id whose hashID is h and returns its
-// slab index. Caller holds sh.mu.
-func (sh *shard) insert(h uint64, objectID string) int32 {
-	i := sh.n
-	if int(i>>slabShift) == len(sh.slab) {
-		sh.slab = append(sh.slab, new([slabChunk]slot))
+// slab index. Caller holds the write lock.
+func (st *store) insert(h uint64, objectID string) int32 {
+	i := st.n
+	if int(i>>slabShift) == len(st.slab) {
+		st.slab = append(st.slab, new([slabChunk]slot))
 	}
-	sh.n++
-	sh.index.insert(h, i)
-	sh.at(i).id = objectID
+	st.n++
+	st.index.insert(h, i)
+	st.at(i).id = objectID
 	return i
 }
 
 // Cache is a live cache node.
 type Cache struct {
-	cfg    CacheConfig
-	ep     transport.CacheEndpoint
-	ps     *pollScheduler // non-nil for cache-driven policies
-	shards []*shard
+	cfg CacheConfig
+	ep  transport.CacheEndpoint
+	ps  *pollScheduler // non-nil for cache-driven policies; runs on the dispatcher
 
-	mu        sync.Mutex // guards tracker, source table, central counters
+	// mu is the cache's one lock. The dispatcher takes the write lock once
+	// per batch, and LoadSnapshot once per record; readers take the read
+	// lock.
+	mu        sync.RWMutex
+	store     store
 	tracker   *core.Cache
 	srcIdx    map[string]int
 	srcIDs    []string
-	fbSent    int
-	misrouted int
-	rejected  int
+	stats     CacheStats // every counter but Sources, which Stats derives
+	applyRate float64    // refreshes applied per second, last merge window
+	lastMerge mergeMark
 
-	// Down-send buffers, owned by the dispatcher loop (sendFeedback): an
-	// endpoint copies what it keeps, so each is reused from call to call.
-	fbIDs []string
-	acks  []wire.HeldVersion
-
-	// applyMu makes route one batch at a time, between the dispatcher and
-	// the poll scheduler, so the hooks see refreshes in apply order; it
-	// guards scratch.
-	applyMu sync.Mutex
+	// Owned by the dispatcher: route's working set, and the down-send
+	// buffers of sendFeedback — an endpoint copies what it keeps, so each is
+	// reused from call to call.
 	scratch routeScratch
+	fbIDs   []string
+	acks    []wire.HeldVersion
 
 	// bw is the live processing budget in messages/second (float64 bits);
 	// cfg.Bandwidth is only its initial value. The loop re-reads it every
@@ -487,15 +460,11 @@ type Cache struct {
 	// takes effect within one tick.
 	bw atomic.Uint64
 
-	rateMu    sync.Mutex // guards the periodically merged gauges
-	applyRate float64    // refreshes applied per second, last merge window
-	lastMerge mergeMark
-
 	stop chan struct{}
 	done chan struct{}
 }
 
-// mergeMark remembers the last periodic stats merge.
+// mergeMark remembers the last apply-rate merge.
 type mergeMark struct {
 	at        time.Time
 	refreshes int
@@ -516,9 +485,6 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = stdruntime.GOMAXPROCS(0)
-	}
 	if cfg.Params == (core.Params{}) {
 		cfg.Params = core.DefaultParams(1, cfg.Bandwidth)
 	}
@@ -531,81 +497,43 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	}
 	c.lastMerge.at = cfg.Now()
 	c.bw.Store(math.Float64bits(cfg.Bandwidth))
-	c.shards = make([]*shard, cfg.Shards)
-	for i := range c.shards {
-		c.shards[i] = new(shard)
-	}
 	if cfg.Policy.Polls() {
 		pe, ok := ep.(transport.PollEndpoint)
 		if !ok {
 			panic("runtime: a polling policy requires a transport.PollEndpoint (both provided transports implement it)")
 		}
 		c.ps = newPollScheduler(c, pe, cfg.Poll)
-		go c.ps.loop()
 	}
 	go c.loop()
 	return c
 }
 
-// shardOf routes an object id's hash to its owning shard. It reads the low
-// half of the hash; the shard's idIndex reads the high half, so the shard
-// choice and the slot within it stay independent.
-func (c *Cache) shardOf(h uint64) int {
-	return int(h & idLow * uint64(len(c.shards)) >> 32)
-}
-
-// locate hashes an object id once and returns its shard and the hash the
-// shard's index is probed with.
-func (c *Cache) locate(objectID string) (*shard, uint64) {
-	h := hashID(objectID)
-	return c.shards[c.shardOf(h)], h
-}
-
 // Get returns the cached copy of an object.
 func (c *Cache) Get(objectID string) (e Entry, ok bool) {
-	sh, h := c.locate(objectID)
-	sh.mu.Lock()
-	if i := sh.find(h, objectID); i >= 0 {
-		sh.at(i).entry(&e)
+	h := hashID(objectID)
+	c.mu.RLock()
+	if i := c.store.find(h, objectID); i >= 0 {
+		c.store.at(i).entry(&e)
 		ok = true
 	}
-	sh.mu.Unlock()
+	c.mu.RUnlock()
 	return e, ok
 }
 
 // Len returns the number of cached objects.
 func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += int(sh.n)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return int(c.store.n)
 }
 
-// Shards returns the configured shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// Stats merges the per-shard counters with the central protocol counters.
+// Stats snapshots the protocol counters.
 func (c *Cache) Stats() CacheStats {
-	var s CacheStats
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		s.Refreshes += sh.stats.refreshes
-		s.Stale += sh.stats.stale
-		s.PeerServed += sh.stats.peerServed
-		s.Divergence += sh.stats.divergence
-		sh.mu.Unlock()
-	}
-	c.mu.Lock()
-	s.Feedbacks = c.fbSent
+	c.mu.RLock()
+	s := c.stats
 	s.Sources = len(c.srcIdx)
-	s.Misrouted = c.misrouted
-	s.Rejected = c.rejected
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	if c.ps != nil {
-		s.Polls, s.PollReplies, s.Resolves = c.ps.snapshotCounters()
 		// The source intern table is push machinery (fed by piggybacked
 		// thresholds); under a poll policy the connected set is the
 		// meaningful count.
@@ -621,10 +549,10 @@ func (c *Cache) Policy() Policy { return c.cfg.Policy }
 func (c *Cache) ID() string { return c.cfg.ID }
 
 // ApplyRate returns the refresh-apply throughput (messages/second) measured
-// over the most recent periodic stats-merge window.
+// over the most recent periodic merge window.
 func (c *Cache) ApplyRate() float64 {
-	c.rateMu.Lock()
-	defer c.rateMu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.applyRate
 }
 
@@ -651,7 +579,7 @@ func (c *Cache) backlog() int {
 	return len(c.ep.Batches())
 }
 
-// Close stops the dispatcher and the poll scheduler.
+// Close stops the dispatcher, and with it the poll scheduler.
 func (c *Cache) Close() error {
 	select {
 	case <-c.stop:
@@ -660,9 +588,6 @@ func (c *Cache) Close() error {
 	}
 	close(c.stop)
 	<-c.done
-	if c.ps != nil {
-		<-c.ps.done
-	}
 	return nil
 }
 
@@ -693,8 +618,7 @@ func (c *Cache) sourceIndex(id string) int {
 	return idx
 }
 
-// mergeInterval paces the periodic merge of per-shard counters into the
-// rate gauges served by Status.
+// mergeInterval paces the apply-rate gauge served by Status.
 const mergeInterval = time.Second
 
 // tokenBurst is the token-bucket capacity for a budget of rate msgs/second
@@ -736,6 +660,10 @@ func (c *Cache) loop() {
 	defer ticker.Stop()
 	var budget tokenBucket
 	batches := c.ep.Batches()
+	var replies <-chan wire.PollReply
+	if c.ps != nil {
+		replies = c.ps.pe.Replies()
+	}
 	for {
 		// Gate the intake on the token bucket: with no budget left the
 		// dispatcher stops reading, the transport channel fills, and
@@ -764,6 +692,15 @@ func (c *Cache) loop() {
 				budget.tokens -= float64(c.sendFeedback(int(budget.tokens)))
 			}
 			c.maybeMergeStats()
+			if c.ps != nil {
+				c.ps.tick()
+			}
+		case r, ok := <-replies:
+			if !ok {
+				replies = nil
+				continue
+			}
+			c.ps.budget.tokens -= c.ps.processReply(r, c.ps.now())
 		case b, ok := <-in:
 			if !ok {
 				batches = nil // endpoint closed; keep serving reads
@@ -779,13 +716,39 @@ func (c *Cache) loop() {
 	}
 }
 
-// dispatch observes piggybacked thresholds and applies a batch, then hands
-// the decoded batch back to its producer.
+// dispatch applies a pushed batch, observing its piggybacked thresholds,
+// then hands the decoded batch back to its producer.
 func (c *Cache) dispatch(b transport.InboundBatch) {
-	c.mu.Lock()
+	frame := b.Frame
+	if frame != nil && c.cfg.OnForward == nil {
+		// Nobody downstream wants the bytes; drop the reference now rather
+		// than thread it through the apply path.
+		frame.Release()
+		frame = nil
+	}
+	c.route(b.Refreshes, frame, true)
+	b.Release()
+}
+
+// installPolled is the poll scheduler's entry into the apply path: the
+// refreshes built from a poll reply's items take the same route — staleness
+// guards, divergence accounting, OnApply — as pushed ones, but bypass the
+// push-protocol observation (poll replies piggyback no thresholds and name
+// no advisory destination). The Reject filter DOES apply: a poll reply from
+// a lateral peer can carry a value this node is already on the path of (the
+// peer answered before learning our identity), and installing it would
+// re-circulate the cycle the intake guard exists to break. rs is the
+// caller's again once this returns.
+func (c *Cache) installPolled(rs []wire.Refresh) {
+	c.route(rs, nil, false)
+}
+
+// observeLocked feeds a pushed batch's piggybacked thresholds to the tracker
+// and counts advisory destination mismatches. Caller holds the write lock.
+func (c *Cache) observeLocked(rs []wire.Refresh) {
 	sender, idx := "", -1
-	for i := range b.Refreshes {
-		r := &b.Refreshes[i]
+	for i := range rs {
+		r := &rs[i]
 		if idx < 0 || r.SourceID != sender {
 			// A batch comes from one sender: resolve its id once, not per
 			// refresh.
@@ -796,87 +759,56 @@ func (c *Cache) dispatch(b transport.InboundBatch) {
 			// Advisory destination mismatch: still applied (the connection
 			// is authoritative) but counted for operators debugging fan-out
 			// wiring.
-			c.misrouted++
+			c.stats.Misrouted++
 		}
 	}
-	c.mu.Unlock()
-	frame := b.Frame
-	if frame != nil && c.cfg.OnForward == nil {
-		// Nobody downstream wants the bytes; drop the reference now rather
-		// than thread it through the apply path.
-		frame.Release()
-		frame = nil
-	}
-	c.route(b.Refreshes, frame)
-	b.Release()
 }
 
-// installPolled is the poll scheduler's entry into the apply path: the
-// refreshes built from a poll reply's items take the same sharded route —
-// staleness guards, divergence accounting, OnApply — as pushed ones, but
-// bypass the push-protocol observation (poll replies piggyback no
-// thresholds and name no advisory destination). The Reject filter DOES
-// apply: a poll reply from a lateral peer can carry a value this node is
-// already on the path of (the peer answered before learning our identity),
-// and installing it would re-circulate the cycle the intake guard exists
-// to break. rs is the caller's again once this returns.
-func (c *Cache) installPolled(rs []wire.Refresh) {
-	c.route(rs, nil)
-}
-
-// route applies a batch on the calling goroutine and reports what it
-// installed. Each refresh's id is hashed once, for its shard and for that
-// shard's index, and each shard's part is applied under its lock as an index
-// list over the one shared slice — nothing is copied or compacted, so for a
-// framed batch (frame != nil) index i of the keep mask, the refreshes and the
-// retained frame's encoded items always line up. A part is resolved in two
-// passes: first every id's home index word, loads independent of each other
-// whose misses the CPU overlaps, then each id from its word (shard.lookup).
-// The applied refreshes go to OnApply, or the keep mask and the frame to
-// OnForward, which owns the frame from then on; a batch with nothing left
-// after Reject just releases its frame.
-func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
-	c.applyMu.Lock()
-	defer c.applyMu.Unlock()
+// route applies a batch on the dispatcher and reports what it installed; a
+// pushed batch also has its thresholds observed (observeLocked). Reject runs
+// first, outside the lock, and each id left is hashed once. The write lock is
+// then taken once for the whole batch, which is applied in place over the one
+// decoded slice — nothing is copied or compacted, so for a framed batch
+// (frame != nil) index i of the keep mask, the refreshes and the retained
+// frame's encoded items always line up. Ids are resolved in two passes:
+// first every id's home index word, loads independent of each other whose
+// misses the CPU overlaps, then each id from its word (store.lookup). Once the
+// lock is released the applied refreshes go to OnApply, or the keep mask and
+// the frame to OnForward, which owns the frame from then on; a batch with
+// nothing left after Reject just releases its frame.
+func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame, pushed bool) {
 	sc := &c.scratch
-	sc.ready(len(rs), len(c.shards))
+	sc.ready(len(rs))
 	live := 0
 	for i := range rs {
 		if c.cfg.Reject != nil && c.cfg.Reject(rs[i]) {
 			continue
 		}
-		h := hashID(rs[i].ObjectID)
-		sc.hs[i] = h
-		si := c.shardOf(h)
-		sc.parts[si] = append(sc.parts[si], int32(i))
+		sc.hs[i], sc.keep[i] = hashID(rs[i].ObjectID), true
 		live++
-	}
-	if rejected := len(rs) - live; rejected > 0 {
-		c.mu.Lock()
-		c.rejected += rejected
-		c.mu.Unlock()
 	}
 	now := unixNano(c.cfg.Now())
 	report := frame == nil && c.cfg.OnApply != nil
-	for si, part := range sc.parts {
-		if len(part) == 0 {
+	c.mu.Lock()
+	if pushed {
+		c.observeLocked(rs)
+	}
+	c.stats.Rejected += len(rs) - live
+	for i := range rs {
+		if sc.keep[i] {
+			sc.ws[i] = c.store.index.home(sc.hs[i])
+		}
+	}
+	for i := range rs {
+		if !sc.keep[i] {
 			continue
 		}
-		sh := c.shards[si]
-		sh.mu.Lock()
-		for _, i := range part {
-			sc.ws[i] = sh.index.home(sc.hs[i])
+		sc.keep[i] = c.applyLocked(&rs[i], sc.hs[i], sc.ws[i], now)
+		if sc.keep[i] && report {
+			sc.applied = append(sc.applied, rs[i])
 		}
-		for _, i := range part {
-			if c.applyLocked(sh, &rs[i], sc.hs[i], sc.ws[i], now) {
-				sc.keep[i] = true
-				if report {
-					sc.applied = append(sc.applied, rs[i])
-				}
-			}
-		}
-		sh.mu.Unlock()
 	}
+	c.mu.Unlock()
 	switch {
 	case frame != nil && live == 0:
 		frame.Release()
@@ -888,18 +820,19 @@ func (c *Cache) route(rs []wire.Refresh, frame *codec.Frame) {
 	}
 }
 
-// applyLocked installs one refresh into the shard store, reporting whether
-// it was applied (false = dropped as stale). The object id is resolved once,
-// with the hash h it was routed by and the home word w loaded for it (see
-// shard.lookup); an existing slot is overwritten in place, stamped with now
-// (Unix nanoseconds). Caller holds sh.mu.
-func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) bool {
-	i := sh.lookup(w, h, r.ObjectID)
+// applyLocked installs one refresh into the store, reporting whether it was
+// applied (false = dropped as stale). The object id is resolved once, with
+// its hash h and the home word w loaded for it (see store.lookup); an
+// existing slot is overwritten in place, stamped with now (Unix
+// nanoseconds). Caller holds the write lock.
+func (c *Cache) applyLocked(r *wire.Refresh, h, w uint64, now int64) bool {
+	st := &c.store
+	i := st.lookup(w, h, r.ObjectID)
 	ok := i >= 0
 	if !ok {
-		i = sh.insert(h, r.ObjectID)
+		i = st.insert(h, r.ObjectID)
 	}
-	cur := sh.at(i)
+	cur := st.at(i)
 	// The (epoch, version) staleness guard is per sender: epochs from
 	// different nodes are incomparable wall-clock starts, so comparing
 	// them across senders would let one upstream's restart permanently
@@ -913,13 +846,13 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) 
 			// construction, so re-applying it would only inflate counters —
 			// and, at a relay, re-broadcast it to every child. Reconnect
 			// re-sends from a peer that never restarted land here.
-			sh.stats.stale++
-			c.recordAckLocked(sh, r.SourceID, i)
+			c.stats.Stale++
+			c.recordAckLocked(r.SourceID, i)
 			return false
 		}
 		if r.Epoch < cur.epoch {
-			sh.stats.stale++ // message from a superseded incarnation
-			c.recordAckLocked(sh, r.SourceID, i)
+			c.stats.Stale++ // message from a superseded incarnation
+			c.recordAckLocked(r.SourceID, i)
 			return false
 		}
 	}
@@ -935,8 +868,8 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) 
 		re, rv := r.OriginAxis()
 		ce, cv := cur.originAxis()
 		if re < ce || (re == ce && rv <= cv) {
-			sh.stats.stale++
-			c.recordAckLocked(sh, r.SourceID, i)
+			c.stats.Stale++
+			c.recordAckLocked(r.SourceID, i)
 			return false
 		}
 	}
@@ -945,7 +878,7 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) 
 		if d < 0 {
 			d = -d
 		}
-		sh.stats.divergence += d
+		c.stats.Divergence += d
 	}
 	// A copy whose origin is its sender is stored as direct: no origin, and
 	// the sender's own (epoch, version) is the origin axis.
@@ -956,17 +889,17 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) 
 	}
 	cur.value, cur.version, cur.epoch, cur.originVersion = r.Value, r.Version, r.Epoch, originVersion
 	cur.refreshed = now
-	cur.rt = sh.routeFor(cur.rt, r.SourceID, origin, originEpoch, r.Hops, r.Via)
+	cur.rt = st.routeFor(cur.rt, r.SourceID, origin, originEpoch, r.Hops, r.Via)
 	if relayed {
-		sh.stats.peerServed++
+		c.stats.PeerServed++
 		// Applied relayed copies are acknowledged too: the ack lets the
 		// relay skip re-sending them after ITS restart (direct senders
 		// need no apply-path ack — their re-sends fall into the stale
 		// branches above, which ack on the spot — so the single-tier hot
 		// path records nothing).
-		c.recordAckLocked(sh, r.SourceID, i)
+		c.recordAckLocked(r.SourceID, i)
 	}
-	sh.stats.refreshes++
+	c.stats.Refreshes++
 	return true
 }
 
@@ -977,29 +910,30 @@ func (c *Cache) applyLocked(sh *shard, r *wire.Refresh, h, w uint64, now int64) 
 // what it held now, so still truthful. Each sender has its own set, so two
 // senders owed an ack for one object both get theirs. No-op under
 // cache-driven policies — they send no feedback to carry the acks. Caller
-// holds sh.mu.
-func (c *Cache) recordAckLocked(sh *shard, sender string, i int32) {
+// holds the write lock.
+func (c *Cache) recordAckLocked(sender string, i int32) {
 	if c.cfg.Policy.CacheDriven() {
 		return
 	}
-	a := sh.owedTo(sender)
+	st := &c.store
+	a := st.owedTo(sender)
 	if a == nil {
-		sh.owed = append(sh.owed, ackSet{sender: sender})
-		a = &sh.owed[len(sh.owed)-1]
+		st.owed = append(st.owed, ackSet{sender: sender})
+		a = &st.owed[len(st.owed)-1]
 	}
 	a.set(int(i))
 }
 
 // owedTo returns the pending-ack set of sender, or nil when it is owed
-// nothing yet. Caller holds sh.mu.
-func (sh *shard) owedTo(sender string) *ackSet {
-	if k := sh.lastOwed; k < len(sh.owed) && sh.owed[k].sender == sender {
-		return &sh.owed[k]
+// nothing yet. Caller holds the write lock.
+func (st *store) owedTo(sender string) *ackSet {
+	if k := st.lastOwed; k < len(st.owed) && st.owed[k].sender == sender {
+		return &st.owed[k]
 	}
-	for k := range sh.owed {
-		if sh.owed[k].sender == sender {
-			sh.lastOwed = k
-			return &sh.owed[k]
+	for k := range st.owed {
+		if st.owed[k].sender == sender {
+			st.lastOwed = k
+			return &st.owed[k]
 		}
 	}
 	return nil
@@ -1010,20 +944,24 @@ func (sh *shard) owedTo(sender string) *ackSet {
 const maxHeldPerFeedback = 256
 
 // takeAcks drains up to maxHeldPerFeedback pending acks toward sourceID,
-// reading each one's origin-axis version from the entry as it stands now.
-// The result is c.acks, valid until the next call; nil when nothing is owed.
+// resuming where the previous drain stopped and reading each one's
+// origin-axis version from the entry as it stands now. The result is c.acks,
+// valid until the next call; nil when nothing is owed.
 func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 	out := c.acks[:0]
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if a := sh.owedTo(sourceID); a != nil {
-			out = sh.drainAcksLocked(a, out)
-		}
-		sh.mu.Unlock()
-		if len(out) >= maxHeldPerFeedback {
-			break
+	c.mu.Lock()
+	if a := c.store.owedTo(sourceID); a != nil {
+		for len(out) < maxHeldPerFeedback {
+			i, ok := a.pop()
+			if !ok {
+				break
+			}
+			sl := c.store.at(int32(i))
+			e, v := sl.originAxis()
+			out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
 		}
 	}
+	c.mu.Unlock()
 	c.acks = out
 	if len(out) == 0 {
 		return nil
@@ -1031,46 +969,16 @@ func (c *Cache) takeAcks(sourceID string) []wire.HeldVersion {
 	return out
 }
 
-// drainAcksLocked moves pending acks of a onto out until a is empty or out
-// holds maxHeldPerFeedback, resuming where the previous drain stopped. Caller
-// holds sh.mu.
-func (sh *shard) drainAcksLocked(a *ackSet, out []wire.HeldVersion) []wire.HeldVersion {
-	for len(out) < maxHeldPerFeedback {
-		i, ok := a.pop()
-		if !ok {
-			break
-		}
-		sl := sh.at(int32(i))
-		e, v := sl.originAxis()
-		out = append(out, wire.HeldVersion{ObjectID: sl.id, Epoch: e, Version: v})
-	}
-	return out
-}
-
-// maybeMergeStats periodically folds the per-shard counters into the rate
-// gauges exposed by Status/ApplyRate.
+// maybeMergeStats refreshes the apply-rate gauge exposed by Status/ApplyRate
+// once per mergeInterval.
 func (c *Cache) maybeMergeStats() {
 	now := c.cfg.Now()
-	c.rateMu.Lock()
-	elapsed := now.Sub(c.lastMerge.at)
-	if elapsed < mergeInterval {
-		c.rateMu.Unlock()
-		return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if elapsed := now.Sub(c.lastMerge.at); elapsed >= mergeInterval {
+		c.applyRate = float64(c.stats.Refreshes-c.lastMerge.refreshes) / elapsed.Seconds()
+		c.lastMerge = mergeMark{at: now, refreshes: c.stats.Refreshes}
 	}
-	prev := c.lastMerge
-	c.rateMu.Unlock()
-
-	total := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		total += sh.stats.refreshes
-		sh.mu.Unlock()
-	}
-
-	c.rateMu.Lock()
-	c.applyRate = float64(total-prev.refreshes) / elapsed.Seconds()
-	c.lastMerge = mergeMark{at: now, refreshes: total}
-	c.rateMu.Unlock()
 }
 
 // sendFeedback spends up to k surplus units on feedback messages and
@@ -1107,7 +1015,7 @@ func (c *Cache) sendFeedback(k int) int {
 		}
 	}
 	c.mu.Lock()
-	c.fbSent += sent
+	c.stats.Feedbacks += sent
 	c.mu.Unlock()
 	return sent
 }

@@ -207,7 +207,7 @@ func (r *streamRig) startRelay(params core.Params, prio priority.Fn, group Group
 	}
 	r.node, err = NewNode(NodeConfig{
 		ID:            "relay",
-		Intake:        CacheConfig{Bandwidth: 1e9, Tick: time.Millisecond, Shards: 1},
+		Intake:        CacheConfig{Bandwidth: 1e9, Tick: time.Millisecond},
 		PeerBandwidth: 20, Metric: metric.ValueDeviation, PriorityFn: prio,
 		Tick: time.Hour, Params: params,
 		Group: group, SpliceForward: true, Now: r.clock.Now,

@@ -265,8 +265,8 @@ func TestGroupEarlyPassSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCacheReapplySteadyStateAllocs: refreshing objects the cache already
-// holds allocates nothing — the batch is applied shard by shard as index
-// lists over the one refresh slice, and an entry is overwritten in place.
+// holds allocates nothing — the batch is applied in one pass over the one
+// refresh slice, and an entry is overwritten in place.
 // (With an OnApply hook the only addition is the cache's reused report
 // buffer.)
 func TestCacheReapplySteadyStateAllocs(t *testing.T) {
@@ -277,7 +277,7 @@ func TestCacheReapplySteadyStateAllocs(t *testing.T) {
 		if hook {
 			onApply = func(rs []wire.Refresh) { applied.Add(int64(len(rs))) }
 		}
-		c := quietCache(2, onApply)
+		c := quietCache(onApply)
 		batches := make([][]wire.Refresh, objects/batch)
 		for b := range batches {
 			batches[b] = make([]wire.Refresh, batch)
@@ -332,7 +332,7 @@ func TestCacheIntakeSteadyStateAllocs(t *testing.T) {
 			var seen atomic.Int64
 			// The intake opens on the first tick; a long one keeps the tick's
 			// surplus feedback out of the measurement.
-			cfg := CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: 500 * time.Millisecond, Shards: 2}
+			cfg := CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: 500 * time.Millisecond}
 			switch leg {
 			case "apply":
 				cfg.OnApply = func(rs []wire.Refresh) { seen.Add(int64(len(rs))) }
@@ -397,8 +397,7 @@ func dispatchAll(c *Cache, batches [][]wire.Refresh) {
 }
 
 // TestCacheHeapPerObject bounds the live heap a cache keeps per object: the
-// 64 B slot in its 32 KiB chunk, the id index words and each shard's first
-// chunk, for ids that differ early and for ids that share a long suffix. An
+// 64 B slot in its 32 KiB chunk and the id index words, for ids that differ early and for ids that share a long suffix. An
 // extra slot field, a route per object or a chunk one size class too big
 // push it over the bound.
 func TestCacheHeapPerObject(t *testing.T) {
@@ -412,7 +411,7 @@ func TestCacheHeapPerObject(t *testing.T) {
 			}
 		}
 		before := liveHeap()
-		c := quietCache(2, nil)
+		c := quietCache(nil)
 		dispatchAll(c, batches)
 		perObject := float64(liveHeap()-before) / objects
 		stdruntime.KeepAlive(batches) // the slots share the ids
@@ -430,7 +429,7 @@ func TestCacheHeapPerObject(t *testing.T) {
 // TestCacheRoutesDoNotAccumulate: a sender that gives every object its own
 // path costs one route per object only while those entries live. Once a
 // one-path sender has overwritten them all, the cache holds what a cache that
-// only ever saw the one path holds, give or take the shards' route memos.
+// only ever saw the one path holds, give or take the store's route memo.
 func TestCacheRoutesDoNotAccumulate(t *testing.T) {
 	const objects, batch = 4096, 64
 	ids := make([]string, objects)
@@ -454,18 +453,16 @@ func TestCacheRoutesDoNotAccumulate(t *testing.T) {
 	onePath := func(int) []string { return []string{"relay"} }
 	routes := func(c *Cache) int {
 		seen := map[*route]bool{}
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			for i := int32(0); i < sh.n; i++ {
-				seen[sh.at(i).rt] = true
-			}
-			sh.mu.Unlock()
+		c.mu.RLock()
+		for i := int32(0); i < c.store.n; i++ {
+			seen[c.store.at(i).rt] = true
 		}
+		c.mu.RUnlock()
 		return len(seen)
 	}
 	heldBy := func(spray bool) int64 {
 		before := liveHeap()
-		c := quietCache(2, nil)
+		c := quietCache(nil)
 		defer c.Close()
 		if spray {
 			round(c, 1, func(i int) []string { return []string{fmt.Sprintf("hop-%05d", i)} })
@@ -474,8 +471,8 @@ func TestCacheRoutesDoNotAccumulate(t *testing.T) {
 			}
 		}
 		round(c, 2, onePath)
-		if n := routes(c); n != len(c.shards) {
-			t.Fatalf("one sender over one path left %d routes, want one per shard", n)
+		if n := routes(c); n != 1 {
+			t.Fatalf("one sender over one path left %d routes, want one", n)
 		}
 		return liveHeap() - before
 	}

@@ -118,6 +118,35 @@ func TestSessionHeldSkip(t *testing.T) {
 	}
 }
 
+// TestEndedSessionDropsParkedAcks: an ack parked for an object the source
+// never produced is released when the session ends. An ended session stays
+// in the source for its stats row, and nothing folds its parked acks in
+// afterwards, so keeping them would hold up to maxHeldPending acks forever.
+func TestEndedSessionDropsParkedAcks(t *testing.T) {
+	fc := newFakeConn()
+	src := NewSource(SourceConfig{
+		ID: "relay", Metric: metric.ValueDeviation,
+		Bandwidth: 1000, Tick: 2 * time.Millisecond,
+	}, fc)
+	defer src.Close()
+	fc.fb <- wire.Feedback{CacheID: "child", Held: []wire.HeldVersion{
+		{ObjectID: "root/never", Epoch: 50, Version: 5},
+	}}
+	waitFor(t, 2*time.Second, func() bool {
+		return src.Stats().Feedbacks == 1
+	}, "feedback processed")
+	fc.Close() // no redial hook: the session ends
+	waitFor(t, 2*time.Second, func() bool {
+		return src.Stats().Sessions[0].Ended
+	}, "session ended")
+	src.mu.Lock()
+	parked := len(src.sessions[0].heldPending)
+	src.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("ended session still parks %d acks", parked)
+	}
+}
+
 // TestReexportStoreSkipsAheadChild is the end-to-end regression test for
 // the ROADMAP's snapshot-age window: a relay restarts from a snapshot
 // OLDER than what its child holds, re-exports the restored store, and the

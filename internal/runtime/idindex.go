@@ -7,14 +7,14 @@ import (
 
 // idSeed keys the one object-id hash of this package. It is drawn once per
 // process, so a peer cannot pick ids that collide, and a hash taken once —
-// by Cache.route, for both the shard and its index — serves a whole node hop.
+// by Cache.route, for the store's index — serves a whole node hop.
 var idSeed = maphash.MakeSeed()
 
 // hashID hashes an object id for routing and for an idIndex probe.
 func hashID(id string) uint64 { return maphash.String(idSeed, id) }
 
 // idIndex maps object ids to the dense int32 indexes of an insert-only owner:
-// a cache shard's slab, a Source's queue keys, the poll scheduler's objects.
+// the cache store's slab, a Source's queue keys, the poll scheduler's objects.
 // Each slot is one word — the hash's high 32 bits as a tag, the index + 1 in
 // the low 32 bits, 0 for empty — so the table holds no strings and no
 // pointers, and GC mark never scans it. A probe starts at the hash's top bits

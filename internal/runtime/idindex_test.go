@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// idOwner owns an idIndex the way a shard or a Source does: the ids live in
+// idOwner owns an idIndex the way the cache store or a Source does: the ids live in
 // its own records, and a tag match is confirmed against them.
 type idOwner struct {
 	x   idIndex

@@ -2,8 +2,8 @@ package runtime
 
 import "math/bits"
 
-// keySet is a set of dense keys — a Source's queue keys, a shard's slab
-// indexes — as a pointer-free bitset GC never scans. Setting a key is
+// keySet is a set of dense keys — a Source's queue keys, the cache store's
+// slab indexes — as a pointer-free bitset GC never scans. Setting a key is
 // idempotent and counted; the words grow when a key beyond them is set, never
 // with the key space. pop drains round-robin from a cursor: a drain cut short
 // resumes after the last key it took, so every key gets its turn.

@@ -5,12 +5,12 @@
 // Source toward whoever it sends to — and treats every link as a PEER LINK:
 // the intake face accepts refreshes and poll replies from anyone (upstream,
 // lateral neighbor), and the peer face pushes applied values to — and
-// answers polls from — every attached peer out of the same local sharded
-// store. Freshness is decided by the origin-axis guard (wire.Refresh
-// .OriginAxis), never by link direction, so the same Node works as a tree
-// tier (peers = children), a ring member (peer = successor), or a mesh
-// participant (peers = all neighbors); loop safety is the PR 3 path-vector
-// machinery (Via, split horizon, MaxHops), which is direction-agnostic.
+// answers polls from — every attached peer out of the same local store.
+// Freshness is decided by the origin-axis guard (wire.Refresh.OriginAxis),
+// never by link direction, so the same Node works as a tree tier (peers =
+// children), a ring member (peer = successor), or a mesh participant (peers =
+// all neighbors); loop safety is the path-vector machinery (Via, split
+// horizon, MaxHops), which is direction-agnostic.
 package runtime
 
 import (
@@ -36,7 +36,7 @@ type NodeConfig struct {
 	// refreshes and poll replies. Default "node".
 	ID string
 	// Intake configures the intake-facing cache (processing bandwidth,
-	// shards). Its ID, OnApply, Reject and Now fields are owned by the
+	// policy). Its ID, OnApply, Reject and Now fields are owned by the
 	// node and must be left zero.
 	Intake CacheConfig
 	// PeerBandwidth is the peer-face send budget in messages/second,
@@ -401,9 +401,9 @@ func (n *Node) rejectCycle(ref wire.Refresh) bool {
 }
 
 // reexport converts a batch of applied refreshes into peer updates. It runs
-// on the goroutine that applied the batch, once per batch, so refreshes for
-// one object arrive in apply order — the same ordering contract Update gives
-// a plain source.
+// on the cache's dispatcher (or under ReexportStore's read lock), once per
+// batch, so refreshes for one object arrive in apply order — the same
+// ordering contract Update gives a plain source.
 //
 // Loop check: a refresh is dropped from re-export when this node already
 // appears on its path — either as the origin or anywhere in the Via path
@@ -474,36 +474,24 @@ func (n *Node) reexport(applied []wire.Refresh) {
 // queued re-sends for objects the peer is already at-or-ahead of
 // (SessionStats.HeldSkips). The peer never regresses.
 //
-// The re-export happens under each shard's lock: a live apply for the same
-// object is thereby serialized against the snapshot read, so a racing
-// fresher value always reaches the peer sessions after — never before —
-// the snapshot one (the lock order shard→source is taken nowhere else in
-// reverse).
+// The store is walked one slab chunk at a time, each chunk re-exported under
+// the cache's read lock: a live apply of the same object is thereby ordered
+// against the snapshot read, so a racing fresher value always reaches the peer
+// sessions after — never before — the snapshot one. The lock order cache →
+// source is taken nowhere in reverse.
 func (n *Node) ReexportStore() {
-	for _, sh := range n.cache.shards {
-		sh.mu.Lock()
-		batch := make([]wire.Refresh, 0, sh.n)
-		for i := int32(0); i < sh.n; i++ {
-			var e Entry
-			sl := sh.at(i)
-			sl.entry(&e)
-			batch = append(batch, wire.Refresh{
-				SourceID:      e.Source,
-				ObjectID:      sl.id,
-				Origin:        e.Origin,
-				Hops:          e.Hops,
-				Via:           e.Via,
-				OriginEpoch:   e.OriginEpoch,
-				OriginVersion: e.OriginVersion,
-				Value:         e.Value,
-				Version:       e.Version,
-				Epoch:         e.Epoch,
-			})
-		}
+	c := n.cache
+	batch := make([]wire.Refresh, 0, slabChunk)
+	for start := int32(0); ; start += slabChunk {
+		c.mu.RLock()
+		batch = c.store.appendChunk(batch[:0], start)
 		if len(batch) > 0 {
 			n.reexport(batch)
 		}
-		sh.mu.Unlock()
+		c.mu.RUnlock()
+		if len(batch) == 0 {
+			return
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bestsync/internal/cgm"
@@ -115,7 +114,7 @@ func (h *pollQueue) Reset() {
 // the object universe from connected sources, polls each object at the
 // frequency cgm.OptimalAllocation assigns it under the cache's message
 // budget, feeds the replies to the live CGM estimators, and installs
-// changed values through the same sharded apply path refreshes take.
+// changed values through the same apply path refreshes take.
 //
 // # Message accounting
 //
@@ -132,15 +131,20 @@ func (h *pollQueue) Reset() {
 // each tick with the shared burst floor; an over-spend pushes it negative,
 // delaying future polls until amortized.
 //
-// All scheduler state is confined to the loop goroutine; only the counters
-// behind statMu are read from outside (Stats/Status).
+// The scheduler runs on the cache's dispatcher: its tick and the poll replies
+// are cases of Cache.loop, so its state needs no lock of its own, and the
+// values it installs are applied in turn with pushed batches. Its counters are
+// the poll fields of the cache's CacheStats, under Cache.mu.
 type pollScheduler struct {
 	c   *Cache
 	pe  transport.PollEndpoint
 	cfg PollConfig
 	rng *rand.Rand
 
-	// Loop-local state (no locking needed).
+	start     time.Time // protocol time zero (now)
+	budget    tokenBucket
+	nextSolve float64 // protocol seconds of the next re-solve
+
 	objects []*pollObj
 	index   idIndex // object id → objects index, confirmed against objects[i].id
 	known   map[string]bool
@@ -158,7 +162,7 @@ type pollScheduler struct {
 	// polls toward those (nil when the transport cannot say).
 	peers peerReporter
 
-	// Hybrid shared-budget accounting (loop-local): the poll bucket must
+	// Hybrid shared-budget accounting: the poll bucket must
 	// leave room for the push half, so each tick deducts the refreshes the
 	// push regime landed since the last one. installs counts this
 	// scheduler's own polled installs (charged at poll-send time already)
@@ -167,20 +171,11 @@ type pollScheduler struct {
 	installs   int
 	lastPushed int
 
-	// batch is sendDue's per-source id lists, reused from tick to tick
-	// (loop-local): SendPoll copies what it keeps. install is
-	// processReply's, the refreshes a reply installs.
+	// batch is sendDue's per-source id lists, reused from tick to tick:
+	// SendPoll copies what it keeps. install is processReply's, the
+	// refreshes a reply installs.
 	batch   map[string][]string
 	install []wire.Refresh
-
-	// done is closed when the loop goroutine exits; Cache.Close waits on
-	// it, because processReply installs values through the apply path.
-	done chan struct{}
-
-	statMu    sync.Mutex
-	polls     int // poll request messages: one per targeted object, one per discovery
-	replyMsgs int // reply messages: one per targeted item, one per discovery listing
-	resolves  int // completed allocation solves
 }
 
 func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *pollScheduler {
@@ -192,14 +187,15 @@ func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *poll
 		seed = c.cfg.Now().UnixNano()
 	}
 	ps := &pollScheduler{
-		c:        c,
-		pe:       pe,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
-		known:    map[string]bool{},
-		pushedBy: map[string]map[string]bool{},
-		batch:    map[string][]string{},
-		done:     make(chan struct{}),
+		c:         c,
+		pe:        pe,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		start:     c.cfg.Now(),
+		nextSolve: cfg.ReSolveEvery.Seconds(),
+		known:     map[string]bool{},
+		pushedBy:  map[string]map[string]bool{},
+		batch:     map[string][]string{},
 	}
 	if c.cfg.Policy == PolicyHybrid {
 		ps.coop, _ = pe.(cooperationReporter)
@@ -226,11 +222,15 @@ type peerReporter interface {
 	PeerServesPeers(sourceID string) bool
 }
 
-// snapshotCounters returns the externally visible counters.
-func (ps *pollScheduler) snapshotCounters() (polls, replyMsgs, resolves int) {
-	ps.statMu.Lock()
-	defer ps.statMu.Unlock()
-	return ps.polls, ps.replyMsgs, ps.resolves
+// count adds to the cache's poll counters: requests sent, reply messages
+// received (one per targeted item, one per discovery listing), completed
+// allocation solves.
+func (ps *pollScheduler) count(polls, replies, resolves int) {
+	ps.c.mu.Lock()
+	ps.c.stats.Polls += polls
+	ps.c.stats.PollReplies += replies
+	ps.c.stats.Resolves += resolves
+	ps.c.mu.Unlock()
 }
 
 // pollBudget is the refresh budget: the live message budget divided by the
@@ -239,52 +239,35 @@ func (ps *pollScheduler) pollBudget() float64 {
 	return ps.c.Bandwidth() / ps.c.cfg.Policy.MessageCost()
 }
 
-// loop is the scheduler goroutine, started by NewCache for cache-driven
-// policies and stopped with the cache.
-func (ps *pollScheduler) loop() {
-	defer close(ps.done)
+// now is the scheduler's protocol time: seconds since it started.
+func (ps *pollScheduler) now() float64 { return ps.c.cfg.Now().Sub(ps.start).Seconds() }
+
+// tick is the scheduler's part of the dispatcher's tick: accrue the poll
+// budget, discover new sources, send the polls that are due, and re-solve
+// the allocation once per epoch.
+func (ps *pollScheduler) tick() {
 	c := ps.c
 	cost := c.cfg.Policy.MessageCost()
-	ticker := time.NewTicker(c.cfg.Tick)
-	defer ticker.Stop()
-	start := c.cfg.Now()
-	now := func() float64 { return c.cfg.Now().Sub(start).Seconds() }
-	var budget tokenBucket
-	replies := ps.pe.Replies()
-	nextSolve := ps.cfg.ReSolveEvery.Seconds()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case r, ok := <-replies:
-			if !ok {
-				replies = nil
-				continue
-			}
-			budget.tokens -= ps.processReply(r, now())
-		case <-ticker.C:
-			budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
-			if c.cfg.Policy == PolicyHybrid {
-				// One cache-side budget across both regimes: refreshes the
-				// push half landed since the last tick (total applies minus
-				// this scheduler's own installs, which poll sends already
-				// paid for) come out of the poll bucket, so the cache polls
-				// only with budget the pushes are not using — the mirror of
-				// the source's shared push/answer token bucket.
-				pushed := c.Stats().Refreshes - ps.installs
-				if d := pushed - ps.lastPushed; d > 0 {
-					budget.tokens -= float64(d)
-				}
-				ps.lastPushed = pushed
-			}
-			t := now()
-			budget.tokens -= ps.discoverNew(cost)
-			budget.tokens -= ps.sendDue(t, cost, budget.tokens)
-			if t >= nextSolve {
-				ps.solve(t)
-				nextSolve += ps.cfg.ReSolveEvery.Seconds()
-			}
+	ps.budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
+	if c.cfg.Policy == PolicyHybrid {
+		// One cache-side budget across both regimes: refreshes the push half
+		// landed since the last tick (total applies minus this scheduler's
+		// own installs, which poll sends already paid for) come out of the
+		// poll bucket, so the cache polls only with budget the pushes are not
+		// using — the mirror of the source's shared push/answer token bucket.
+		// The dispatcher is the counter's one writer, so it reads it unlocked.
+		pushed := c.stats.Refreshes - ps.installs
+		if d := pushed - ps.lastPushed; d > 0 {
+			ps.budget.tokens -= float64(d)
 		}
+		ps.lastPushed = pushed
+	}
+	t := ps.now()
+	ps.budget.tokens -= ps.discoverNew(cost)
+	ps.budget.tokens -= ps.sendDue(t, cost, ps.budget.tokens)
+	if t >= ps.nextSolve {
+		ps.solve(t)
+		ps.nextSolve += ps.cfg.ReSolveEvery.Seconds()
 	}
 }
 
@@ -327,9 +310,7 @@ func (ps *pollScheduler) discover(sourceID string, cost float64) float64 {
 	if err := ps.pe.SendPoll(sourceID, p); err != nil {
 		return 0
 	}
-	ps.statMu.Lock()
-	ps.polls++
-	ps.statMu.Unlock()
+	ps.count(1, 0, 0)
 	return cost - 1 // the request message; the reply is charged per item
 }
 
@@ -383,9 +364,7 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 		}
 		sent += len(ids)
 	}
-	ps.statMu.Lock()
-	ps.polls += sent
-	ps.statMu.Unlock()
+	ps.count(sent, 0, 0)
 	return spent
 }
 
@@ -398,7 +377,7 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 // full per-refresh cost — but no values are installed and no estimator is
 // fed from it. Targeted replies are the real observations: change
 // detection against the last-polled (epoch, version), estimator feeding,
-// and installation of changed values through the sharded apply path.
+// and installation of changed values through the apply path.
 func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 	if r.All {
 		created := 0
@@ -422,9 +401,7 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 			ps.scheduleNew(t, created)
 		}
 		ps.applyPushed(r, t)
-		ps.statMu.Lock()
-		ps.replyMsgs++ // the listing reply is one (metadata) message
-		ps.statMu.Unlock()
+		ps.count(0, 1, 0) // the listing reply is one (metadata) message
 		return 1
 	}
 
@@ -489,9 +466,7 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 		ps.installs += len(install)
 		ps.c.installPolled(install)
 	}
-	ps.statMu.Lock()
-	ps.replyMsgs += len(r.Items)
-	ps.statMu.Unlock()
+	ps.count(0, len(r.Items), 0)
 	return 0 // targeted polls were charged in full at send time
 }
 
@@ -634,9 +609,7 @@ func (ps *pollScheduler) solve(t float64) {
 			}
 		}
 	}
-	ps.statMu.Lock()
-	ps.resolves++
-	ps.statMu.Unlock()
+	ps.count(0, 0, 1)
 	// Re-discover: objects created at the sources since the last epoch are
 	// invisible to targeted polls. The known set is reset so next tick's
 	// discoverNew re-polls every connected source's full store. Under the

@@ -3,11 +3,14 @@ package runtime
 import (
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bestsync/internal/metric"
 	"bestsync/internal/transport"
+	"bestsync/internal/wire"
 )
 
 // pollHarness is one cache-driven source↔cache pairing on either transport.
@@ -176,5 +179,89 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if PolicyCGM1.MessageCost() != 2 || PolicyIdeal.MessageCost() != 1 || PolicyPush.MessageCost() != 1 {
 		t.Error("message costs drifted from the §6.3 model")
+	}
+}
+
+// pollStub is a poll endpoint nobody is connected to: a test feeds pushed
+// batches and poll replies straight into its channels, and polls go nowhere.
+type pollStub struct {
+	stubEndpoint
+	replies chan wire.PollReply
+}
+
+func (pollStub) SendPoll(string, wire.Poll) error { return nil }
+func (e pollStub) Replies() <-chan wire.PollReply { return e.replies }
+
+// TestApplyHooksRunOneAtATime: a hybrid cache fed pushed batches and poll
+// replies at once runs its OnApply hook one call at a time, and reports each
+// object's origin-axis versions in apply order — never backwards — however
+// the two streams interleave.
+func TestApplyHooksRunOneAtATime(t *testing.T) {
+	const objects, rounds = 8, 200
+	var inside, calls atomic.Int32
+	var mu sync.Mutex // guards last, so an overlap is reported, not a crash
+	last := map[string]uint64{}
+	ep := pollStub{stubEndpoint{batches: make(chan transport.InboundBatch)}, make(chan wire.PollReply)}
+	c := NewCache(CacheConfig{
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Millisecond, Policy: PolicyHybrid,
+		OnApply: func(rs []wire.Refresh) {
+			if inside.Add(1) != 1 {
+				t.Error("OnApply entered while another call was running")
+			}
+			calls.Add(1)
+			mu.Lock()
+			for _, r := range rs {
+				if _, v := r.OriginAxis(); v > last[r.ObjectID] {
+					last[r.ObjectID] = v
+				} else {
+					t.Errorf("%s reported at origin version %d after %d", r.ObjectID, v, last[r.ObjectID])
+				}
+			}
+			mu.Unlock()
+			time.Sleep(10 * time.Microsecond) // widen the window a second call would land in
+			inside.Add(-1)
+		},
+	}, ep)
+	defer c.Close()
+
+	// Both streams carry values of origin "root" through two relays: pushed
+	// ones at even origin versions, polled ones at odd, so every round of
+	// each overtakes the other's previous one.
+	id := func(i int) string { return fmt.Sprintf("root/o%d", i) }
+	var feeders sync.WaitGroup
+	feeders.Add(2)
+	go func() {
+		defer feeders.Done()
+		for v := uint64(1); v <= rounds; v++ {
+			rs := make([]wire.Refresh, objects)
+			for i := range rs {
+				rs[i] = wire.Refresh{SourceID: "relay-a", ObjectID: id(i), Origin: "root", Hops: 1, Via: []string{"relay-a"},
+					OriginEpoch: 50, OriginVersion: 2 * v, Value: float64(2 * v), Version: v, Epoch: 1}
+			}
+			ep.batches <- transport.InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs}}
+		}
+	}()
+	go func() {
+		defer feeders.Done()
+		for v := uint64(1); v <= rounds; v++ {
+			items := make([]wire.PollItem, objects)
+			for i := range items {
+				items[i] = wire.PollItem{ObjectID: id(i), Exists: true, Origin: "root", Hops: 1, Via: []string{"relay-b"},
+					OriginEpoch: 50, OriginVersion: 2*v + 1, Value: float64(2*v + 1), Version: v, Epoch: 1}
+			}
+			ep.replies <- wire.PollReply{SourceID: "relay-b", Items: items}
+		}
+	}()
+	feeders.Wait()
+	waitFor(t, 5*time.Second, func() bool {
+		for i := range objects {
+			if e, ok := c.Get(id(i)); !ok || e.OriginVersion != 2*rounds+1 {
+				return false
+			}
+		}
+		return true
+	}, "the last poll reply to be applied")
+	if n := calls.Load(); n < 2 {
+		t.Fatalf("OnApply ran %d times, want a call per applied batch", n)
 	}
 }

@@ -703,12 +703,9 @@ func TestRunawayPeerGrowsEveryTier(t *testing.T) {
 				tier.name, o, w, sc, sprayed)
 		}
 	}
-	words := 0
-	for _, sh := range relay.cache.shards {
-		sh.mu.Lock()
-		words += sh.index.n
-		sh.mu.Unlock()
-	}
+	relay.cache.mu.RLock()
+	words := relay.cache.store.index.n
+	relay.cache.mu.RUnlock()
 	if n := relay.cache.Len(); n != sprayed || words != sprayed {
 		t.Errorf("relay intake holds %d slots and %d index words, want %d of each", n, words, sprayed)
 	}

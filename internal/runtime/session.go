@@ -584,14 +584,16 @@ func (ss *syncSession) answerLocked(o *objState, known map[string]wire.KnownVers
 // the surviving destinations: a session that can never send again must not
 // keep a slice of the budget (nor skew the aggregate threshold mean — see
 // Source.Stats). It leaves its group, and a group of its own goes with it.
-// Its per-object state is released, while the counters stay for the ENDED
-// stats row.
+// Its per-object state is released — the parked acks and the poll-reply
+// buffer too, which nothing would drain — while the counters stay for the
+// ENDED stats row.
 func (ss *syncSession) end() {
 	s := ss.src
 	s.mu.Lock()
 	s.leaveLocked(ss)
 	ss.ended = true
 	ss.held, ss.lag = nil, keySet{}
+	ss.heldPending, ss.items = nil, nil
 	s.reallocateLocked()
 	s.mu.Unlock()
 }

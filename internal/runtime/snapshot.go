@@ -15,11 +15,10 @@ import (
 // SaveSnapshot writes the current store to w, so a cache daemon can persist
 // across restarts without re-fetching every object from its sources. A
 // snapshot is a binary-codec stream (spec §10): the prologue {codec.Magic,
-// codec.Version}, then one batch frame per slab chunk, shard by shard,
-// holding one wire.Refresh per object — Entry.Source as SourceID, Refreshed
-// as SentUnix (0 for the zero Time), every other field under its own name.
-// Nothing in it depends on the shard count. A shard's lock is held only while
-// a chunk is copied out, never across a Write.
+// codec.Version}, then one batch frame per slab chunk holding one
+// wire.Refresh per object — Entry.Source as SourceID, Refreshed as SentUnix
+// (0 for the zero Time), every other field under its own name. The read lock
+// is held only while a chunk is copied out, never across a Write.
 func (c *Cache) SaveSnapshot(w io.Writer) error {
 	if _, err := w.Write([]byte{codec.Magic, codec.Version}); err != nil {
 		return err
@@ -27,33 +26,36 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 	var enc codec.Encoder
 	var buf []byte
 	rs := make([]wire.Refresh, 0, slabChunk)
-	for _, sh := range c.shards {
-		for start := int32(0); ; start += slabChunk {
-			rs = rs[:0]
-			sh.mu.Lock()
-			for i := start; i < min(sh.n, start+slabChunk); i++ {
-				s := sh.at(i)
-				rs = append(rs, wire.Refresh{
-					SourceID: s.rt.sender, ObjectID: s.id, Origin: s.rt.origin, Hops: s.rt.hops, Via: s.rt.via,
-					OriginEpoch: s.rt.originEpoch, OriginVersion: s.originVersion,
-					Value: s.value, Version: s.version, Epoch: s.epoch, SentUnix: s.refreshed,
-				})
-			}
-			sh.mu.Unlock()
-			if len(rs) == 0 {
-				break
-			}
-			buf = enc.AppendBatch(buf[:0], wire.RefreshBatch{Refreshes: rs})
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
+	for start := int32(0); ; start += slabChunk {
+		c.mu.RLock()
+		rs = c.store.appendChunk(rs[:0], start)
+		c.mu.RUnlock()
+		if len(rs) == 0 {
+			return nil
+		}
+		buf = enc.AppendBatch(buf[:0], wire.RefreshBatch{Refreshes: rs})
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
-// LoadSnapshot merges a previously saved store into the cache, distributing
-// entries to their owning shards. A live entry always wins over a snapshot
+// appendChunk appends one wire.Refresh per slot of the slab chunk that starts
+// at slab index start — the form a snapshot, and a Node's store re-export,
+// carry entries in — and returns rs. Caller holds the lock.
+func (st *store) appendChunk(rs []wire.Refresh, start int32) []wire.Refresh {
+	for i := start; i < min(st.n, start+slabChunk); i++ {
+		s := st.at(i)
+		rs = append(rs, wire.Refresh{
+			SourceID: s.rt.sender, ObjectID: s.id, Origin: s.rt.origin, Hops: s.rt.hops, Via: s.rt.via,
+			OriginEpoch: s.rt.originEpoch, OriginVersion: s.originVersion,
+			Value: s.value, Version: s.version, Epoch: s.epoch, SentUnix: s.refreshed,
+		})
+	}
+	return rs
+}
+
+// LoadSnapshot merges a previously saved store into the cache. A live entry always wins over a snapshot
 // entry from a different sender, and wins over a same-sender snapshot entry
 // unless that one is newer (by source epoch, then version) — so loading an
 // old snapshot under traffic never regresses the store. The cross-sender
@@ -97,15 +99,15 @@ func (c *Cache) LoadSnapshot(r io.Reader) error {
 			if rf.SentUnix != 0 {
 				e.Refreshed = time.Unix(0, rf.SentUnix)
 			}
-			sh, h := c.locate(rf.ObjectID)
-			sh.mu.Lock()
-			if j := sh.find(h, rf.ObjectID); j < 0 {
-				sh.setEntry(sh.insert(h, rf.ObjectID), e)
-			} else if cur := sh.at(j); cur.rt.sender == e.Source &&
+			h, st := hashID(rf.ObjectID), &c.store
+			c.mu.Lock()
+			if j := st.find(h, rf.ObjectID); j < 0 {
+				st.setEntry(st.insert(h, rf.ObjectID), e)
+			} else if cur := st.at(j); cur.rt.sender == e.Source &&
 				(cur.epoch < e.Epoch || (cur.epoch == e.Epoch && cur.version < e.Version)) {
-				sh.setEntry(j, e)
+				st.setEntry(j, e)
 			}
-			sh.mu.Unlock()
+			c.mu.Unlock()
 		}
 	}
 }

@@ -15,12 +15,11 @@ import (
 	"bestsync/internal/wire/codec"
 )
 
-// putEntry stores e under a new object id directly in its shard.
+// putEntry stores e under a new object id directly in the store.
 func putEntry(c *Cache, id string, e Entry) {
-	sh, h := c.locate(id)
-	sh.mu.Lock()
-	sh.setEntry(sh.insert(h, id), e)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.store.setEntry(c.store.insert(hashID(id), id), e)
+	c.mu.Unlock()
 }
 
 // snapshotOf saves c and returns the snapshot bytes.
@@ -45,9 +44,9 @@ func cacheWithEntries(t *testing.T, entries map[string]Entry) *Cache {
 // TestSnapshotRoundTrip: save → load is exact, through Get, for every shape
 // slot.entry can produce — direct, relayed with a path, an origin that is its
 // own sender (stored as direct), no refresh time, a refresh time to the
-// nanosecond, no sender — and the store moves from 2 shards to 3.
+// nanosecond, no sender.
 func TestSnapshotRoundTrip(t *testing.T) {
-	src := quietCache(2, nil)
+	src := quietCache(nil)
 	defer src.Close()
 	apply(t, src,
 		wire.Refresh{SourceID: "s1", ObjectID: "s1/direct", Value: 1.5, Version: 3, Epoch: 10},
@@ -62,7 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		putEntry(src, id, e)
 	}
 
-	dst := quietCache(3, nil)
+	dst := quietCache(nil)
 	defer dst.Close()
 	if err := dst.LoadSnapshot(bytes.NewReader(snapshotOf(t, src))); err != nil {
 		t.Fatalf("load: %v", err)
@@ -175,7 +174,7 @@ func TestSnapshotFileAtomicAndMissing(t *testing.T) {
 // the binary-codec format and merges nothing.
 func expectSnapshotRefused(t *testing.T, name string, in []byte) {
 	t.Helper()
-	c := quietCache(1, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	if err := c.LoadSnapshot(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), "binary-codec") {
 		t.Errorf("%s: err = %v, want one naming the binary-codec format", name, err)
@@ -208,11 +207,11 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	expectSnapshotRefused(t, "version", tampered)
 }
 
-// savedStore saves a one-shard cache holding n direct objects, inserted in
+// savedStore saves a cache holding n direct objects, inserted in
 // id order from s1/obj-0000 at version 5: one frame per slabChunk objects.
 func savedStore(t *testing.T, n int) []byte {
 	t.Helper()
-	c := quietCache(1, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	for i := 0; i < n; i++ {
 		putEntry(c, fmt.Sprintf("s1/obj-%04d", i), Entry{Value: float64(i), Version: 5, Epoch: 1, Source: "s1"})
@@ -225,7 +224,7 @@ func savedStore(t *testing.T, n int) []byte {
 // newer-wins: the live copy that is newer than the snapshot's stays.
 func TestSnapshotTruncatedMidFrame(t *testing.T) {
 	snap := savedStore(t, slabChunk+100)
-	live := quietCache(2, nil)
+	live := quietCache(nil)
 	defer live.Close()
 	putEntry(live, "s1/obj-0000", Entry{Value: -1, Version: 9, Epoch: 1, Source: "s1"})
 
@@ -246,11 +245,11 @@ type writeFunc func([]byte) (int, error)
 func (f writeFunc) Write(b []byte) (int, error) { return f(b) }
 
 // TestSnapshotSaveHoldsNoLockAcrossWrite: a writer whose Write reads every
-// object through Get finishes — it would deadlock if SaveSnapshot held a
-// shard lock across I/O — and sees the prologue plus one frame per slab
-// chunk.
+// object through Get and re-applies one, which takes the write lock,
+// finishes — it would deadlock if SaveSnapshot held the cache lock across
+// I/O — and sees the prologue plus one frame per slab chunk.
 func TestSnapshotSaveHoldsNoLockAcrossWrite(t *testing.T) {
-	c := quietCache(2, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	rs := make([]wire.Refresh, 3*slabChunk)
 	for i := range rs {
@@ -265,6 +264,7 @@ func TestSnapshotSaveHoldsNoLockAcrossWrite(t *testing.T) {
 				return 0, fmt.Errorf("%q missing", rs[i].ObjectID)
 			}
 		}
+		apply(t, c, rs[0]) // a re-send: dropped as stale under the write lock
 		writes++
 		return len(b), nil
 	})
@@ -276,13 +276,9 @@ func TestSnapshotSaveHoldsNoLockAcrossWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("SaveSnapshot deadlocked: a shard lock is held across Write")
+		t.Fatal("SaveSnapshot deadlocked: the cache lock is held across Write")
 	}
-	want := 1
-	for _, sh := range c.shards {
-		want += int(sh.n+slabChunk-1) / slabChunk
-	}
-	if writes != want {
+	if want := 1 + 3; writes != want {
 		t.Errorf("%d writes, want %d", writes, want)
 	}
 }
@@ -290,7 +286,7 @@ func TestSnapshotSaveHoldsNoLockAcrossWrite(t *testing.T) {
 // FuzzLoadSnapshot: hostile snapshot bytes never panic, and a load that
 // succeeds leaves every object id the stream carries readable by Get.
 func FuzzLoadSnapshot(f *testing.F) {
-	seed := quietCache(2, nil)
+	seed := quietCache(nil)
 	putEntry(seed, "s1/a", Entry{Value: 1.5, Version: 3, Epoch: 10, Source: "s1", Refreshed: time.Unix(0, 1700000000123456789)})
 	for _, id := range []string{"root/b", "root/c"} {
 		putEntry(seed, id, Entry{Value: 7, Version: 4, Epoch: 1, Source: "relay", Origin: "root",
@@ -301,7 +297,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte{codec.Magic, codec.Version})
 	f.Add([]byte{codec.Magic, codec.Version, codec.KindReply, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c := quietCache(2, nil)
+		c := quietCache(nil)
 		defer c.Close()
 		if c.LoadSnapshot(bytes.NewReader(in)) != nil {
 			return
@@ -326,7 +322,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 
 // TestSnapshotLoadIntoPopulatedStore: loading a snapshot into a store that
 // already holds objects runs lookup-then-insert for every entry while the
-// shard indexes double underneath it. Overlapping ids keep the newer-wins
+// id index doubles underneath it. Overlapping ids keep the newer-wins
 // rule, every new id lands once, and a save → load of the result into an
 // empty cache gives the same store.
 func TestSnapshotLoadIntoPopulatedStore(t *testing.T) {
@@ -392,9 +388,9 @@ func TestSnapshotLoadIntoPopulatedStore(t *testing.T) {
 }
 
 // BenchmarkSaveSnapshot saves a 16 384-object store, half direct and half
-// relayed, over two shards.
+// relayed.
 func BenchmarkSaveSnapshot(b *testing.B) {
-	c := quietCache(2, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	for i := 0; i < 1<<14; i++ {
 		e := Entry{Value: float64(i), Version: uint64(i), Epoch: 1, Source: "s1", Refreshed: time.Unix(0, int64(i))}

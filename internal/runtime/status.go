@@ -22,7 +22,7 @@ type StatusObject struct {
 	AgeMillis int64     `json:"age_ms"`
 }
 
-// Status is the cache's observability snapshot, merged across shards.
+// Status is the cache's observability snapshot.
 type Status struct {
 	CacheID    string  `json:"cache_id"`
 	Policy     string  `json:"policy"` // push | ideal | cgm1 | cgm2
@@ -35,7 +35,6 @@ type Status struct {
 	Rejected   int     `json:"rejected,omitempty"` // dropped by the intake filter (relay loop guard)
 	Divergence float64 `json:"divergence_absorbed"`
 	Bandwidth  float64 `json:"bandwidth_msgs_per_s"`
-	Shards     int     `json:"shards"`
 	ApplyRate  float64 `json:"apply_rate_msgs_per_s"`
 	// Poll-policy counters (zero/omitted under push): poll requests sent,
 	// reply items received, completed allocation solves.
@@ -62,7 +61,6 @@ func (c *Cache) Status(sample int) Status {
 		Rejected:    st.Rejected,
 		Divergence:  st.Divergence,
 		Bandwidth:   c.Bandwidth(),
-		Shards:      len(c.shards),
 		ApplyRate:   c.ApplyRate(),
 		Polls:       st.Polls,
 		PollReplies: st.PollReplies,
@@ -74,21 +72,19 @@ func (c *Cache) Status(sample int) Status {
 	now := c.cfg.Now()
 	// A bounded selection, not a sort of the store: the heap keeps the sample
 	// best slots seen so far, its root the one that ranks last. The copies stay
-	// readable after each shard's lock is released — a route is immutable.
+	// readable after the lock is released — a route is immutable.
 	top := make(sampleHeap, 0, min(sample, out.Objects))
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := int32(0); i < sh.n; i++ {
-			sl := sh.at(i)
-			if len(top) < sample {
-				heap.Push(&top, *sl)
-			} else if sampleOrder(sl, &top[0]) < 0 {
-				top[0] = *sl
-				heap.Fix(&top, 0)
-			}
+	c.mu.RLock()
+	for i := int32(0); i < c.store.n; i++ {
+		sl := c.store.at(i)
+		if len(top) < sample {
+			heap.Push(&top, *sl)
+		} else if sampleOrder(sl, &top[0]) < 0 {
+			top[0] = *sl
+			heap.Fix(&top, 0)
 		}
-		sh.mu.Unlock()
 	}
+	c.mu.RUnlock()
 	slices.SortFunc(top, func(a, b slot) int { return sampleOrder(&a, &b) })
 	out.Sample = make([]StatusObject, len(top))
 	for i := range top {

@@ -102,7 +102,7 @@ func TestStatusSampleIsBoundedSelection(t *testing.T) {
 	const objects, batch = 16384, 512 // a batch's objects share a refresh time
 	clock := newFakeClock()
 	c := NewCache(CacheConfig{
-		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 2, Now: clock.Now,
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Now: clock.Now,
 	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
 	defer c.Close()
 	ids := make([]string, 0, objects+2)
@@ -117,10 +117,7 @@ func TestStatusSampleIsBoundedSelection(t *testing.T) {
 		apply(t, c, rs...)
 	}
 	for _, id := range []string{"z/never-refreshed", "a/never-refreshed"} {
-		sh, h := c.locate(id)
-		sh.mu.Lock()
-		sh.setEntry(sh.insert(h, id), Entry{Value: -1, Version: 1, Source: "snap"})
-		sh.mu.Unlock()
+		putEntry(c, id, Entry{Value: -1, Version: 1, Source: "snap"})
 		ids = append(ids, id)
 	}
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,16 +13,6 @@ import (
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
 )
-
-// shardedCache builds a cache with an explicit shard count over a Local
-// network with an unconstrained processing budget.
-func shardedCache(shards int, net transport.CacheEndpoint) *Cache {
-	return NewCache(CacheConfig{
-		Bandwidth: 1e7,
-		Tick:      2 * time.Millisecond,
-		Shards:    shards,
-	}, net)
-}
 
 // pump sends n distinct-object refreshes in batches of batch and waits for
 // all of them to be applied.
@@ -48,7 +39,7 @@ func pump(t *testing.T, c *Cache, conn transport.SourceConn, n, batch int) {
 
 func TestSingleShardBehavesLikeUnsharded(t *testing.T) {
 	net := transport.NewLocal(64)
-	c := shardedCache(1, net)
+	c := fastCache(net, 1e7)
 	defer c.Close()
 	conn, err := net.Dial("s1")
 	if err != nil {
@@ -56,9 +47,6 @@ func TestSingleShardBehavesLikeUnsharded(t *testing.T) {
 	}
 	defer conn.Close()
 	pump(t, c, conn, 50, 8)
-	if c.Shards() != 1 {
-		t.Errorf("shards = %d, want 1", c.Shards())
-	}
 	st := c.Stats()
 	if st.Refreshes != 50 {
 		t.Errorf("refreshes = %d, want 50", st.Refreshes)
@@ -70,28 +58,9 @@ func TestSingleShardBehavesLikeUnsharded(t *testing.T) {
 	}
 }
 
-func TestMoreShardsThanObjects(t *testing.T) {
-	net := transport.NewLocal(64)
-	c := shardedCache(32, net)
-	defer c.Close()
-	conn, err := net.Dial("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	pump(t, c, conn, 3, 3) // 3 objects across 32 shards
-	if got := c.Len(); got != 3 {
-		t.Errorf("len = %d, want 3", got)
-	}
-	st := c.Stats()
-	if st.Refreshes != 3 {
-		t.Errorf("refreshes = %d, want 3", st.Refreshes)
-	}
-}
-
 func TestShardStatsMerge(t *testing.T) {
 	net := transport.NewLocal(64)
-	c := shardedCache(4, net)
+	c := fastCache(net, 1e7)
 	defer c.Close()
 	conn, err := net.Dial("s1")
 	if err != nil {
@@ -100,28 +69,15 @@ func TestShardStatsMerge(t *testing.T) {
 	defer conn.Close()
 	pump(t, c, conn, 200, 16)
 
-	// Stats must account for every applied refresh across all shards, and
-	// the store must be spread over more than one shard.
-	st := c.Stats()
-	if st.Refreshes != 200 {
-		t.Errorf("merged refreshes = %d, want 200", st.Refreshes)
-	}
-	populated := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.n > 0 {
-			populated++
-		}
-		sh.mu.Unlock()
-	}
-	if populated < 2 {
-		t.Errorf("only %d of 4 shards populated — hash not spreading", populated)
+	// Stats must account for every applied refresh.
+	if st := c.Stats(); st.Refreshes != 200 {
+		t.Errorf("refreshes = %d, want 200", st.Refreshes)
 	}
 }
 
 func TestShardedStaleAndDivergenceAccounting(t *testing.T) {
 	net := transport.NewLocal(64)
-	c := shardedCache(4, net)
+	c := fastCache(net, 1e7)
 	defer c.Close()
 	conn, err := net.Dial("s1")
 	if err != nil {
@@ -158,60 +114,24 @@ func TestShardedStaleAndDivergenceAccounting(t *testing.T) {
 	}
 }
 
-func TestSnapshotAcrossShardCounts(t *testing.T) {
-	// A snapshot saved by an 8-shard cache must load into a 2-shard cache
-	// (and vice versa): the on-disk format is shard-free.
-	netA := transport.NewLocal(64)
-	a := shardedCache(8, netA)
-	defer a.Close()
-	connA, err := netA.Dial("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer connA.Close()
-	pump(t, a, connA, 40, 8)
-
-	var buf bytes.Buffer
-	if err := a.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	netB := transport.NewLocal(4)
-	b := shardedCache(2, netB)
-	defer b.Close()
-	if err := b.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 40 {
-		t.Fatalf("restored %d objects, want 40", b.Len())
-	}
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("s1/obj-%d", i)
-		e, ok := b.Get(id)
-		if !ok || e.Value != float64(i) {
-			t.Errorf("object %s = %+v (ok=%v)", id, e, ok)
-		}
-	}
-}
-
 func TestApplyRateGauge(t *testing.T) {
 	net := transport.NewLocal(64)
-	c := shardedCache(2, net)
+	c := fastCache(net, 1e7)
 	defer c.Close()
 	if got := c.ApplyRate(); got != 0 {
 		t.Errorf("initial apply rate = %v, want 0", got)
 	}
-	st := c.Status(0)
-	if st.Shards != 2 {
-		t.Errorf("status shards = %d, want 2", st.Shards)
+	if got := c.Status(0).ApplyRate; got != 0 {
+		t.Errorf("initial status apply rate = %v, want 0", got)
 	}
 }
 
-// TestCacheGetAfterGrowth: objects applied while their shards' id indexes
+// TestCacheGetAfterGrowth: objects applied while the store's id index
 // doubled several times are all found by Get afterwards — ids that share a
 // long prefix and suffix included — and ids never applied are not.
 func TestCacheGetAfterGrowth(t *testing.T) {
 	const objects, batch = 5000, 64
-	c := quietCache(3, nil)
+	c := quietCache(nil)
 	defer c.Close()
 	id := func(i int, kind string) string { return fmt.Sprintf("sensor-%05d/%s", i, kind) }
 	for first := 0; first < objects; first += batch {
@@ -232,10 +152,8 @@ func TestCacheGetAfterGrowth(t *testing.T) {
 			t.Fatalf("Get(%q) found an object that was never applied", id(i, "humidity"))
 		}
 	}
-	for i, sh := range c.shards {
-		if w := len(sh.index.words); int(sh.n) == 0 || 2*int(sh.n) > w || w < 1024 {
-			t.Errorf("shard %d: %d objects in a %d-slot index, want load ≤ ½ after several doublings", i, sh.n, w)
-		}
+	if w := len(c.store.index.words); 2*int(c.store.n) > w || w < 1024 {
+		t.Errorf("%d objects in a %d-slot index, want load ≤ ½ after several doublings", c.store.n, w)
 	}
 }
 
@@ -254,16 +172,17 @@ func sameEntry(got, want Entry) bool {
 // back exactly through Get — direct, relayed, an origin that is its own
 // sender (stored as direct), a snapshot-loaded entry with no refresh time —
 // while objects that arrived the same way share one route, more routes than
-// the shard's memo holds interleave without mixing, and takeAcks reads the
-// origin axis from slot and route. A concurrent Get loop gives the race
-// detector every read path.
+// the store's memo holds interleave without mixing, and takeAcks reads the
+// origin axis from slot and route. A concurrent reader calling Get and every
+// other read-lock site — Len, Stats, Status, ApplyRate, SaveSnapshot — gives
+// the race detector every read path against the writer.
 func TestCacheSlotRoundTrip(t *testing.T) {
 	if size := unsafe.Sizeof(slot{}); size > 64 {
 		t.Fatalf("slot is %d B, want ≤ 64", size)
 	}
 	clock := newFakeClock()
 	c := NewCache(CacheConfig{
-		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 1, Now: clock.Now,
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Now: clock.Now,
 	}, stubEndpoint{batches: make(chan transport.InboundBatch)})
 	defer c.Close()
 	at := clock.Now()
@@ -286,6 +205,14 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 					t.Errorf("mesh/o%02d read torn: %+v", i, e)
 					return
 				}
+			}
+			if st := c.Status(8); st.Objects > c.Len() || st.Refreshes > c.Stats().Refreshes || c.ApplyRate() < 0 {
+				t.Errorf("status %+v ran ahead of a later read", st)
+				return
+			}
+			if err := c.SaveSnapshot(io.Discard); err != nil {
+				t.Errorf("saving a snapshot beside the writer: %v", err)
+				return
 			}
 		}
 	}()
@@ -317,7 +244,7 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 	want["snap/d"] = snapped
 
 	// Six senders, each over its own one-hop path, interleaved object by
-	// object and then rotated: more routes than the memo holds, in one shard.
+	// object and then rotated: more routes than the memo holds.
 	mesh := func(round int) {
 		rs := make([]wire.Refresh, 12)
 		for i := range rs {
@@ -349,11 +276,11 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 		t.Errorf("snapshot entry with no refresh time reads back Refreshed=%v, want the zero Time", e.Refreshed)
 	}
 
-	sh := c.shards[0]
-	sh.mu.Lock()
-	e, f := sh.at(sh.find(hashID("root/e"), "root/e")), sh.at(sh.find(hashID("root/f"), "root/f"))
+	st := &c.store
+	c.mu.RLock()
+	e, f := st.at(st.find(hashID("root/e"), "root/e")), st.at(st.find(hashID("root/f"), "root/f"))
 	shared := e.rt == f.rt
-	sh.mu.Unlock()
+	c.mu.RUnlock()
 	if !shared {
 		t.Error("two objects from one sender over one path hold two route records, want one shared")
 	}
@@ -378,8 +305,8 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardTaskLookupMatchesOneByOne: a shard resolves a batch's ids in two
-// passes — every home index word first, then each id from its word — and must
+// TestShardTaskLookupMatchesOneByOne: the dispatcher resolves a batch's ids in
+// two passes — every home index word first, then each id from its word — and must
 // end exactly where applying the same refreshes one batch each ends. The batch
 // refreshes ids whose home words collide in the seeded 8-slot table, names two
 // new ids twice each — one whose home slot is empty when the words are loaded,
@@ -428,20 +355,20 @@ func TestShardTaskLookupMatchesOneByOne(t *testing.T) {
 			clock := newFakeClock()
 			caches := [2]*Cache{}
 			for i := range caches {
-				caches[i] = NewCache(CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Shards: 1, Now: clock.Now},
+				caches[i] = NewCache(CacheConfig{ID: "leaf", Bandwidth: 1e9, Tick: time.Hour, Now: clock.Now},
 					stubEndpoint{batches: make(chan transport.InboundBatch)})
 				defer caches[i].Close()
 				apply(t, caches[i], seed...)
 			}
 			batched, single := caches[0], caches[1]
-			if w := len(batched.shards[0].index.words); w != idMinSlots {
+			if w := len(batched.store.index.words); w != idMinSlots {
 				t.Fatalf("seeded index has %d slots, want %d", w, idMinSlots)
 			}
 			apply(t, batched, batch...)
 			for _, r := range batch {
 				apply(t, single, r)
 			}
-			if w := len(batched.shards[0].index.words); w < 64*idMinSlots {
+			if w := len(batched.store.index.words); w < 64*idMinSlots {
 				t.Fatalf("index has %d slots after the batch, want it grown mid-batch", w)
 			}
 
