@@ -5,8 +5,9 @@
 //
 // Refreshes are cut into wire.RefreshBatch frames of up to 64 by the
 // source's scheduler, encoded once and written to the TCP stream as they are
-// cut: every tick (100 ms), or as soon as eight full frames are queued and
-// paid for.
+// cut: every tick (100 ms), or, as soon as a frame's worth of refreshes is
+// queued and paid for, everything sendable at once. Frames queued back to
+// back for one cache go out in one write.
 //
 // # Fan-out
 //

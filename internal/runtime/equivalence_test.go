@@ -282,7 +282,7 @@ func (r *streamRig) ackAhead(id string) {
 // collects what the receiver got.
 func (r *streamRig) flush(dt time.Duration) {
 	r.clock.advance(dt)
-	r.ss.group.pass(0)
+	r.ss.group.pass(false)
 	r.collect()
 }
 

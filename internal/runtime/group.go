@@ -36,7 +36,7 @@ type GroupConfig struct {
 	// When no member can take a batch, the group holds back instead.
 	Queue int
 	// MaxBatch caps refreshes per group batch (default 64): a full frame,
-	// which the flusher sends as soon as it is queued and paid for.
+	// and the queued traffic that wakes an early pass (see wakeLocked).
 	MaxBatch int
 }
 
@@ -84,8 +84,8 @@ type GroupStats struct {
 	// are also folded into Batches/Scheduled).
 	SplicedBatches   int
 	SplicedRefreshes int
-	// EarlyBatches counts batches the flusher cut ahead of its tick because
-	// a full frame was queued and paid for (also folded into Batches).
+	// EarlyBatches counts batches the flusher cut ahead of its tick, on an
+	// early pass (also folded into Batches).
 	// Batches − SplicedBatches − EarlyBatches left on a tick: the ratio
 	// says whether the tick or the size trigger delivers.
 	EarlyBatches int
@@ -161,6 +161,9 @@ type groupWorker struct {
 	// members counts the shared-group members sending on this pool worker
 	// (guarded by src.mu).
 	members int
+	// The run being sent and its frames: the worker goroutine's scratch.
+	taken  []sendItem
+	frames []*codec.Frame
 }
 
 // startWorker starts a sender worker.
@@ -278,8 +281,11 @@ type SessionGroup struct {
 	// The size trigger's state (see wakeLocked): waking is set while an
 	// early-pass request is outstanding, disarmed from an early pass that
 	// found the queue long only with under-threshold residuals to the next
-	// tick pass.
+	// tick pass. carry is the length of the short batch that ended the last
+	// pass: refreshes that left in a partial frame still count toward the
+	// next frame.
 	waking, disarmed bool
+	carry            int
 	restricted       map[string]struct{} // per-batch split-horizon identity set (reused)
 	// A pass's scratch, reused, so passMu keeps the flusher's pass and one run
 	// by hand apart: the scheduled objects' queue keys and outgoing
@@ -385,11 +391,12 @@ func (g *SessionGroup) lagLocked(m *syncSession, keys []int) {
 	}
 }
 
-// flushLoop is the source's one flusher, and like a Batcher it sends on size
-// or time: every Tick it runs a tick pass of each group, which sends whatever
-// is sendable, so Tick bounds how long a partial frame waits; an early pass,
-// requested by the update path (wakeLocked), sends a group's full frames as
-// soon as they are ready. Budget accrues at the PER-MEMBER rate: one
+// flushLoop is the source's one flusher, and it sends on size or time: every
+// Tick it runs a tick pass of each group, which catches lagging members up
+// and sends whatever is sendable; an early pass, requested by the update
+// path once a frame's worth of traffic is queued (wakeLocked), sends
+// whatever is sendable too, so no refresh over threshold that the bucket can
+// pay for waits for the tick. Budget accrues at the PER-MEMBER rate: one
 // scheduled refresh reaches every member, so charging the aggregate rate per
 // broadcast would overspend egress by the member count. The bucket itself
 // lives on the group (g.budget) so the splice fast path spends from the same
@@ -408,15 +415,15 @@ func (s *Source) flushLoop() {
 			waking = true
 		}
 		for _, p := range s.snapshotGroups(waking) {
-			p.g.pass(p.need)
+			p.g.pass(p.early)
 		}
 	}
 }
 
-// groupPass is one pass the flusher runs: a group and its need.
+// groupPass is one pass the flusher runs: a group, and whether it is early.
 type groupPass struct {
-	g    *SessionGroup
-	need int
+	g     *SessionGroup
+	early bool
 }
 
 // snapshotGroups returns the passes a flusher wake-up runs — every group's
@@ -429,32 +436,30 @@ func (s *Source) snapshotGroups(waking bool) []groupPass {
 	defer s.mu.Unlock()
 	s.passing = s.passing[:0]
 	for _, g := range s.groups {
-		switch {
-		case !waking || g.stall.CompareAndSwap(stallResume, stallNone):
-			s.passing = append(s.passing, groupPass{g, 0})
-		case g.waking:
-			s.passing = append(s.passing, groupPass{g, g.cfg.MaxBatch})
+		if tick := !waking || g.stall.CompareAndSwap(stallResume, stallNone); tick || g.waking {
+			s.passing = append(s.passing, groupPass{g, !tick})
 		}
 	}
 	return s.passing
 }
 
 // wakeLocked is the size trigger, run by the update path after it has
-// observed its objects: it asks the flusher for an early pass once a full
-// frame (GroupConfig.MaxBatch refreshes) is queued and the shared bucket can
-// pay for it, so a frame leaves when it is full rather than at the tick. The
-// queue length is tested first and nearly always fails, so an update pays
-// one comparison; now is the caller's reading of the clock. A bucket whose
-// burst is under a frame (a budget-limited group) never passes: there every
-// pass is a tick pass. A stalled group waits for its sender workers instead.
-// The flusher re-checks all of it under the lock, with the bucket actually
-// accrued. Caller holds src.mu.
+// observed its objects: it asks the flusher for an early pass once the queue
+// plus the carry make GroupConfig.MaxBatch refreshes — a pass that ended on a
+// partial of k fires again at MaxBatch − k queued, one pass per frame of
+// traffic — and the shared bucket can pay for a frame. The queue length is
+// tested first and nearly always fails, so an update pays one comparison; now
+// is the caller's reading of the clock. A bucket whose burst is under a frame
+// (a budget-limited group) never passes: there every pass is a tick pass. A
+// stalled group waits for its sender workers instead. The flusher re-checks
+// the bucket and the room under the lock, with the bucket actually accrued.
+// Caller holds src.mu.
 func (g *SessionGroup) wakeLocked(now float64) {
-	if g.eng.Queue.Len() < g.cfg.MaxBatch || g.waking || g.disarmed {
+	if g.eng.Queue.Len()+g.carry < g.cfg.MaxBatch || g.waking || g.disarmed {
 		return
 	}
-	need := float64(g.cfg.MaxBatch)
-	if tokenBurst(g.rate, g.src.cfg.Tick) < need || g.budget.tokens+(now-g.lastAccrue)*g.rate < need ||
+	frame := float64(g.cfg.MaxBatch)
+	if tokenBurst(g.rate, g.src.cfg.Tick) < frame || g.budget.tokens+(now-g.lastAccrue)*g.rate < frame ||
 		g.stall.Load() != stallNone {
 		return
 	}
@@ -465,19 +470,18 @@ func (g *SessionGroup) wakeLocked(now float64) {
 	}
 }
 
-// pass runs one scheduling pass, batch after batch until one comes out short.
-// need is zero on a tick pass (anything sendable goes) and a frame on an
-// early pass, which cuts only full frames queued and paid for, so what it
-// leaves behind is a partial frame for the tick. A tick pass first catches
-// lagging members up, so that a saturated bucket cannot starve them; their
-// free queue slots bound what it spends on them.
-func (g *SessionGroup) pass(need int) {
+// pass runs one scheduling pass, batch after batch, highest priority first,
+// until one comes out short: nothing more is over threshold, the bucket ran
+// dry or no member has room. Early and tick passes cut alike; only a tick
+// pass first catches lagging members up, so that a saturated bucket cannot
+// starve them; their free queue slots bound what it spends on them.
+func (g *SessionGroup) pass(early bool) {
 	g.passMu.Lock()
 	defer g.passMu.Unlock()
-	if need == 0 {
+	if !early {
 		g.catchUp()
 	}
-	for g.broadcastOnce(need) {
+	for g.broadcastOnce(early) {
 	}
 }
 
@@ -582,13 +586,11 @@ func (g *SessionGroup) roomLocked() bool {
 // broadcastOnce cuts one batch of a pass and fans it to every member: the
 // shared refresh slice is built and committed under the source mutex, the
 // frame is encoded once outside it, and each member's send is queued to its
-// sharded worker. need is how many refreshes must be queued and paid for
-// before anything is cut (zero: anything sendable goes); a group no member
-// of which has room cuts nothing. It returns false when the
-// batch came out short of MaxBatch — nothing more was over threshold, the
-// bucket ran dry, need was not met or there was no room — which ends the
+// sharded worker. A group no member of which has room cuts nothing. It
+// returns false when the batch came out short of MaxBatch — nothing more was
+// over threshold, the bucket ran dry or there was no room — which ends the
 // pass.
-func (g *SessionGroup) broadcastOnce(need int) bool {
+func (g *SessionGroup) broadcastOnce(early bool) bool {
 	s := g.src
 	b := groupBatchPool.Get().(*groupBatch)
 	b.g = g
@@ -599,15 +601,15 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.accrueLocked(now)
 	epoch, stamp := s.started.UnixNano(), ""
 	keys, provs := g.keyBuf[:0], g.provBuf[:0]
-	ready := g.eng.Queue.Len() >= need && g.budget.tokens >= float64(need) && g.roomLocked()
-	if ready && g != s.group {
+	room := g.roomLocked()
+	if room && g != s.group {
 		// A group of one addresses its batches to its member. The shared
 		// group's frame, which every member takes, carries no stamp: caches
 		// treat an empty one as unaddressed, never as misrouted, and the
 		// member-filtered fallback copies are stamped normally.
 		stamp = g.members[0].remoteID
 	}
-	for ready && g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
+	for room && g.budget.tokens >= 1 && len(b.rs) < g.cfg.MaxBatch {
 		key, _, ok := g.eng.ShouldSend()
 		if !ok {
 			break
@@ -626,16 +628,16 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 	g.keyBuf, g.provBuf = keys, provs
 	full := len(b.rs) == g.cfg.MaxBatch
 	if !full {
-		// The pass ends with this batch. A tick pass re-arms the size trigger.
-		// An early pass that met its need and still came up short was woken by
-		// a queue of under-threshold residuals: it disarms the trigger until
-		// the next tick, so residuals cannot wake the flusher once per update.
-		if need == 0 {
-			g.disarmed = false
-		} else {
+		// The pass ends with this batch, whose length the next frame counts.
+		// A tick pass re-arms the size trigger. An early pass that stopped
+		// with room and budget in hand left only under-threshold residuals:
+		// if they alone still meet the trigger, it disarms until the next
+		// tick, so residuals cannot wake the flusher once per update.
+		g.carry = len(b.rs)
+		if early {
 			g.waking = false
-			g.disarmed = ready
 		}
+		g.disarmed = early && room && g.budget.tokens >= 1 && g.eng.Queue.Len()+g.carry >= g.cfg.MaxBatch
 		g.limit(g.budget.tokens)
 	}
 	if len(b.rs) == 0 {
@@ -644,7 +646,7 @@ func (g *SessionGroup) broadcastOnce(need int) bool {
 		groupBatchPool.Put(b)
 		return false
 	}
-	if need > 0 {
+	if early {
 		g.earlyBatches++
 	}
 	g.fanoutLocked(&g.fan, b, keys, provs, nil, func() *codec.Frame {
@@ -820,10 +822,8 @@ func (g *SessionGroup) memberDropsLocked(m *syncSession, keys []int, provs []Pro
 	if !restricted && m.held == nil {
 		return 0
 	}
-	if cap(g.dropBuf) < len(provs) {
-		g.dropBuf = make([]bool, len(provs))
-	}
-	drops := g.dropBuf[:len(provs)]
+	g.dropBuf = slices.Grow(g.dropBuf[:0], len(provs))[:len(provs)]
+	drops := g.dropBuf
 	dropped := 0
 	for i := range provs {
 		ex, held := m.excludesLocked(keys[i], &provs[i], restricted)
@@ -862,39 +862,63 @@ func memberCopy(rs []wire.Refresh, drops []bool, dropped int, remoteID string) [
 	return out
 }
 
-// process executes one member send on a worker. A failed send means the
-// connection is broken (both provided transports only fail closed), so it
-// is closed outright: the member's feedback stream then ends and its session
-// redials, to lag on every object once back. References are released
-// unconditionally — failure paths must not leak the shared frame.
-func (g *SessionGroup) process(it sendItem) {
+// send executes a run of member sends — one item, or shared frames for one
+// connection in one write — and then settles each item. A failed send means
+// the connection is broken (both provided transports only fail closed), so
+// it is closed and every item fails: the member's session redials, to lag
+// on every object once back. References are released unconditionally, so
+// failure paths cannot leak the shared frame.
+func (w *groupWorker) send(run []sendItem) {
+	head := &run[0]
 	var err error
-	if fs, ok := it.conn.(transport.FrameSender); ok && it.batch != nil {
-		err = fs.SendFrame(it.batch.frame)
-	} else if it.batch != nil {
-		err = it.conn.SendBatch(it.batch.rs)
-	} else {
-		err = it.conn.SendBatch(it.rs)
-	}
-	if it.batch != nil {
-		it.batch.release()
-	}
-	if it.sess.inflight.Add(-1); g.stall.CompareAndSwap(stallWaiting, stallResume) {
-		select {
-		case g.src.wake <- struct{}{}:
-		default:
+	switch fs, ok := head.conn.(transport.FrameSender); {
+	case len(run) > 1:
+		for i := range run {
+			w.frames = append(w.frames, run[i].batch.frame)
 		}
+		err = head.conn.(transport.FrameRunSender).SendFrames(w.frames)
+		clear(w.frames)
+		w.frames = w.frames[:0]
+	case ok && head.batch != nil:
+		err = fs.SendFrame(head.batch.frame)
+	case head.batch != nil:
+		err = head.conn.SendBatch(head.batch.rs)
+	default:
+		err = head.conn.SendBatch(head.rs)
 	}
 	if err != nil {
-		g.sendErrors.Add(1)
-		it.sess.groupSendErrors.Add(1)
-		it.conn.Close()
-		return
+		head.conn.Close()
 	}
-	g.delivered.Add(int64(it.n))
-	it.sess.groupSent.Add(int64(it.n))
+	for _, it := range run {
+		if it.batch != nil {
+			it.batch.release()
+		}
+		if it.sess.inflight.Add(-1); it.g.stall.CompareAndSwap(stallWaiting, stallResume) {
+			select {
+			case it.g.src.wake <- struct{}{}:
+			default:
+			}
+		}
+		if err != nil {
+			it.g.sendErrors.Add(1)
+			it.sess.groupSendErrors.Add(1)
+		} else {
+			it.g.delivered.Add(int64(it.n))
+			it.sess.groupSent.Add(int64(it.n))
+		}
+	}
 }
 
+// joins reports whether next can go out in one write behind it: a shared
+// frame, as it is, to the same connection, which writes runs of frames.
+func (it *sendItem) joins(next *sendItem) bool {
+	_, runs := it.conn.(transport.FrameRunSender)
+	return runs && it.conn == next.conn && it.batch != nil && it.batch.frame != nil && next.batch != nil && next.batch.frame != nil
+}
+
+// run sends the head of the queue with the shared frames queued right behind
+// it for the same connection: only frames already queued join a run, so
+// none waits longer than it would alone.
 func (w *groupWorker) run() {
 	defer close(w.done)
 	for {
@@ -906,15 +930,18 @@ func (w *groupWorker) run() {
 			w.mu.Unlock()
 			return
 		}
-		it := w.queue[w.head]
-		w.queue[w.head] = sendItem{} // drop references for GC/pooling
-		w.head++
+		run := append(w.taken[:0], w.queue[w.head])
+		for w.head++; w.head < len(w.queue) && run[0].joins(&w.queue[w.head]); w.head++ {
+			run = append(run, w.queue[w.head])
+		}
+		clear(w.queue[w.head-len(run) : w.head]) // drop references for GC/pooling
 		if w.head == len(w.queue) {
-			w.queue = w.queue[:0]
-			w.head = 0
+			w.queue, w.head = w.queue[:0], 0
 		}
 		w.mu.Unlock()
-		it.g.process(it)
+		w.send(run)
+		clear(run)
+		w.taken = run
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	stdruntime "runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,8 +421,13 @@ func newLagRig(t *testing.T, cfg SourceConfig, dests ...Destination) *lagRig {
 	return r
 }
 
-// update sets every object of ids to v.
+// update sets every object of ids to v, with the group's pass lock held: an
+// early pass the updates ask for starts only once all of them are queued, so
+// the batches a step is cut into do not depend on how fast the flusher
+// wakes, and the carry they leave is the same every run.
 func (r *lagRig) update(ids []string, v float64) {
+	r.src.group.passMu.Lock()
+	defer r.src.group.passMu.Unlock()
 	for _, id := range ids {
 		r.src.Update(id, v)
 	}
@@ -431,7 +437,7 @@ func (r *lagRig) update(ids []string, v float64) {
 // settle) and steps the clock, so that what is updated next has area.
 func (r *lagRig) tick(t *testing.T, stuck ...*groupWorker) {
 	t.Helper()
-	r.src.group.pass(0)
+	r.src.group.pass(false)
 	r.settle(t, stuck...)
 	r.clock.advance(time.Second)
 }
@@ -549,6 +555,104 @@ func TestGroupRedialResyncRejoin(t *testing.T) {
 	}
 	if fl := r.src.group.framesLive.Load(); fl != 0 {
 		t.Errorf("framesLive = %d after quiesce, want 0", fl)
+	}
+}
+
+// runConn is a frameConn that also writes runs of frames, recording the
+// length of each run; failRuns fails that many runs.
+type runConn struct {
+	*frameConn
+	runs     []int // guarded by frameConn.mu
+	failRuns int
+}
+
+func (c *runConn) SendFrames(fs []*codec.Frame) error {
+	c.mu.Lock()
+	c.runs = append(c.runs, len(fs))
+	fail := c.failRuns > 0
+	if fail {
+		c.failRuns--
+	}
+	c.mu.Unlock()
+	if fail {
+		return errors.New("runConn: injected run failure")
+	}
+	for _, f := range fs {
+		if err := c.SendFrame(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestGroupWorkerJoinsQueuedFrames: a sender worker that finds three shared
+// frames queued for one connection writes them in one call, in order, and
+// settles each item only after it. A failed run write fails every item of
+// the run and closes the connection, and no frame leaks either way.
+func TestGroupWorkerJoinsQueuedFrames(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ok", true: "failed"}[fail], func(t *testing.T) {
+			conn := &runConn{frameConn: newFrameConn("leaf")}
+			if fail {
+				conn.failRuns = 1
+			}
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "origin", Metric: metric.ValueDeviation, Bandwidth: 1e6, Tick: time.Hour,
+				Group: GroupConfig{Enabled: true},
+			}, []Destination{{CacheID: "leaf", Conn: conn}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			g, ss := src.group, src.sessions[0]
+			const frames, size = 3, 4
+			items := make([]sendItem, frames)
+			for i := range items {
+				rs := make([]wire.Refresh, size)
+				for j := range rs {
+					rs[j] = wire.Refresh{SourceID: "origin", ObjectID: fmt.Sprintf("obj-%d-%d", i, j), Version: 1}
+				}
+				b := &groupBatch{g: g, frame: codec.NewBatchFrame(rs, 1)}
+				b.refs.Store(1)
+				g.framesLive.Add(1)
+				items[i] = sendItem{g: g, sess: ss, conn: conn, batch: b, n: size}
+			}
+			ss.inflight.Add(frames)
+			w := startWorker()
+			defer func() { w.close(); <-w.done }()
+			w.push(items) // queued together: the worker takes them as one run
+
+			waitFor(t, 5*time.Second, func() bool {
+				conn.mu.Lock()
+				defer conn.mu.Unlock()
+				return ss.inflight.Load() == 0 && conn.closed == fail
+			}, "the run to settle")
+			conn.mu.Lock()
+			runs, sent, closed := slices.Clone(conn.runs), slices.Clone(conn.sent), conn.closed
+			conn.mu.Unlock()
+			if !slices.Equal(runs, []int{frames}) {
+				t.Fatalf("runs written: %v, want one of %d frames", runs, frames)
+			}
+			if fl := g.framesLive.Load(); fl != 0 {
+				t.Fatalf("framesLive = %d after the run, want 0", fl)
+			}
+			delivered, sendErrors := g.delivered.Load(), g.sendErrors.Load()
+			if fail {
+				if delivered != 0 || sendErrors != frames || ss.groupSendErrors.Load() != frames || !closed {
+					t.Fatalf("a failed run: delivered=%d errors=%d member errors=%d closed=%v, want 0, %d, %d and true",
+						delivered, sendErrors, ss.groupSendErrors.Load(), closed, frames, frames)
+				}
+				return
+			}
+			if delivered != frames*size || sendErrors != 0 || closed {
+				t.Fatalf("delivered=%d errors=%d closed=%v, want %d, 0 and false", delivered, sendErrors, closed, frames*size)
+			}
+			for k, r := range sent {
+				if want := fmt.Sprintf("obj-%d-%d", k/size, k%size); r.ObjectID != want {
+					t.Fatalf("refresh %d is %s, want %s: the run went out of order", k, r.ObjectID, want)
+				}
+			}
+		})
 	}
 }
 
@@ -720,7 +824,7 @@ func TestGroupFullQueueHoldsBack(t *testing.T) {
 	r := newLagRig(t, SourceConfig{Group: GroupConfig{Queue: 1, MaxBatch: 2}}, Destination{CacheID: "slow", Conn: blocked})
 	ids := []string{"gs/a", "gs/b", "gs/c", "gs/d"}
 	r.update(ids, 1)
-	r.src.group.pass(0) // one batch fills the member's one queue slot
+	r.src.group.pass(false) // one batch fills the member's one queue slot
 	if g := r.src.Stats().Group; g.Scheduled != 2 || g.Pending != 2 || g.QueueOverruns != 0 || g.Detaches != 0 {
 		t.Fatalf("scheduled=%d pending=%d overruns=%d lags=%d, want 2, 2, 0 and 0", g.Scheduled, g.Pending, g.QueueOverruns, g.Detaches)
 	}
@@ -775,7 +879,7 @@ func TestGroupOfOneSendsOnItsOwnWorker(t *testing.T) {
 		groups := slices.Clone(src.groups)
 		src.mu.Unlock()
 		for _, g := range groups {
-			g.pass(0)
+			g.pass(false)
 		}
 	}
 	for v := 1.0; v <= 3; v++ {
@@ -908,7 +1012,7 @@ func TestGroupLagBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		src.group.pass(0)
+		src.group.pass(false)
 		r.settle(t)
 	}
 	st := src.Stats()
@@ -1138,6 +1242,15 @@ func (r *earlyRig) settle(t *testing.T) {
 	}, "the early pass to finish")
 }
 
+// queued runs feed with the group's pass lock held, so an early pass the
+// feed asks for starts only once the whole feed is queued: what it cuts does
+// not depend on how fast the flusher wakes.
+func (r *earlyRig) queued(feed func()) {
+	r.g.passMu.Lock()
+	defer r.g.passMu.Unlock()
+	feed()
+}
+
 // frames drains what member i received, as frame sizes.
 func (r *earlyRig) frames(i int) []int {
 	var sizes []int
@@ -1151,8 +1264,9 @@ func (r *earlyRig) frames(i int) []int {
 	}
 }
 
-// TestGroupEarlyPass: a full frame leaves when it is ready, not at the next
-// tick — and only a full frame does.
+// TestGroupEarlyPass: a frame's worth of traffic wakes the flusher, not the
+// next tick, and the woken pass sends everything sendable: full frames, then
+// the partial rest.
 func TestGroupEarlyPass(t *testing.T) {
 	feeders := map[string]func(src *Source, from, to int){
 		"Update": func(src *Source, from, to int) {
@@ -1194,40 +1308,106 @@ func TestGroupEarlyPass(t *testing.T) {
 				t.Fatalf("a full frame: scheduled=%d early=%d pending=%d, want %d, 1 and 0", st.Scheduled, st.EarlyBatches, st.Pending, frame)
 			}
 
-			// Two more frames and ten over: each frame leaves as it fills.
-			feed(r.src, frame, 3*frame+10)
+			// Two more frames and ten over, queued before the pass starts: it
+			// cuts both frames and the partial rest, and leaves nothing.
+			r.queued(func() { feed(r.src, frame, 3*frame+10) })
 			r.settle(t)
 			st := r.src.Stats().Group
-			if st.Scheduled != 3*frame || st.Batches != 3 || st.EarlyBatches != 3 || st.Pending != 10 {
-				t.Fatalf("after the early passes: scheduled=%d batches=%d early=%d pending=%d, want %d, 3, 3 and 10",
-					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, 3*frame)
-			}
-			for i := range r.nets {
-				sizes := r.frames(i)
-				if len(sizes) != 3 {
-					t.Fatalf("member %d received %d frames, want 3", i, len(sizes))
-				}
-				for _, n := range sizes {
-					if n != frame {
-						t.Fatalf("member %d received frames of %v, want every one full", i, sizes)
-					}
-				}
-			}
-
-			// The remainder is the tick's.
-			r.g.pass(0)
-			r.settle(t)
-			st = r.src.Stats().Group
-			if st.Scheduled != 3*frame+10 || st.Batches != 4 || st.EarlyBatches != 3 || st.Pending != 0 {
-				t.Fatalf("after the tick pass: scheduled=%d batches=%d early=%d pending=%d, want %d, 4, 3 and 0",
+			if st.Scheduled != 3*frame+10 || st.Batches != 4 || st.EarlyBatches != 4 || st.Pending != 0 {
+				t.Fatalf("after the early passes: scheduled=%d batches=%d early=%d pending=%d, want %d, 4, 4 and 0",
 					st.Scheduled, st.Batches, st.EarlyBatches, st.Pending, 3*frame+10)
 			}
 			for i := range r.nets {
-				if sizes := r.frames(i); len(sizes) != 1 || sizes[0] != 10 {
-					t.Fatalf("member %d received %v on the tick, want one frame of 10", i, sizes)
+				if sizes := r.frames(i); !slices.Equal(sizes, []int{frame, frame, frame, 10}) {
+					t.Fatalf("member %d received frames of %v, want %d, %d, %d and 10", i, sizes, frame, frame, frame)
 				}
 			}
+
+			// Nothing is left for the tick.
+			r.g.pass(false)
+			r.settle(t)
+			if st := r.src.Stats().Group; st.Batches != 4 {
+				t.Fatalf("the tick pass cut %d batches, want none", st.Batches-4)
+			}
 		})
+	}
+}
+
+// TestGroupEarlyPassSendsOutrankedLeftovers: leftovers that every later
+// arrival outranks leave on the early pass that the later frame wakes, with
+// no tick. Under AreaGeneral a low deviation keeps the low priority it was
+// observed at, so a pass that cut full frames only would leave it behind
+// each new frame until the tick.
+func TestGroupEarlyPassSendsOutrankedLeftovers(t *testing.T) {
+	r := newEarlyRig(t, 2e6, time.Hour, pinnedParams(1e-6))
+	frame := r.g.cfg.MaxBatch
+	const low = 10
+	for i := 0; i < low; i++ {
+		r.src.Update(fmt.Sprintf("low-%02d", i), 1)
+	}
+	r.clock.advance(time.Second)
+	r.queued(func() {
+		for i := 0; i < frame; i++ {
+			r.src.Update(fmt.Sprintf("high-%04d", i), 100)
+		}
+	})
+	r.settle(t)
+	if st := r.src.Stats().Group; st.Batches != 2 || st.EarlyBatches != 2 || st.Pending != 0 {
+		t.Fatalf("batches=%d early=%d pending=%d, want 2, 2 and 0", st.Batches, st.EarlyBatches, st.Pending)
+	}
+	for i := range r.nets {
+		for j, want := range []struct {
+			prefix string
+			n      int
+		}{{"high-", frame}, {"low-", low}} {
+			b := <-r.nets[i].Batches()
+			if len(b.Refreshes) != want.n {
+				t.Fatalf("member %d, frame %d: %d refreshes, want %d", i, j, len(b.Refreshes), want.n)
+			}
+			for _, ref := range b.Refreshes {
+				if !strings.HasPrefix(ref.ObjectID, want.prefix) {
+					t.Fatalf("member %d, frame %d carries %s, want only %s objects", i, j, ref.ObjectID, want.prefix)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupEarlyPassCarry: a pass that ended on a partial frame of k
+// refreshes counts them toward the next frame, so the trigger fires at
+// MaxBatch − k queued, and not one sooner.
+func TestGroupEarlyPassCarry(t *testing.T) {
+	r := newEarlyRig(t, 2e6, time.Hour, pinnedParams(1e-6))
+	frame := r.g.cfg.MaxBatch
+	const k = 10
+	r.queued(func() {
+		for i := 0; i < frame+k; i++ {
+			r.src.Update(fmt.Sprintf("obj-%04d", i), 1)
+		}
+	})
+	r.settle(t)
+	if st := r.src.Stats().Group; st.EarlyBatches != 2 || st.Pending != 0 {
+		t.Fatalf("the first pass: early=%d pending=%d, want 2 and 0", st.EarlyBatches, st.Pending)
+	}
+	r.queued(func() {
+		for i := 0; i < frame-k; i++ {
+			if waking, _, _ := r.trigger(); waking {
+				t.Fatalf("the trigger fired at %d queued, want %d", i, frame-k)
+			}
+			r.src.Update(fmt.Sprintf("next-%04d", i), 1)
+		}
+		if waking, _, _ := r.trigger(); !waking {
+			t.Fatalf("%d queued after a carry of %d: the trigger did not fire", frame-k, k)
+		}
+	})
+	r.settle(t)
+	if st := r.src.Stats().Group; st.EarlyBatches != 3 || st.Pending != 0 {
+		t.Fatalf("the second pass: early=%d pending=%d, want 3 and 0", st.EarlyBatches, st.Pending)
+	}
+	for i := range r.nets {
+		if sizes := r.frames(i); !slices.Equal(sizes, []int{frame, k, frame - k}) {
+			t.Fatalf("member %d received frames of %v, want %d, %d and %d", i, sizes, frame, k, frame-k)
+		}
 	}
 }
 
@@ -1295,7 +1475,7 @@ func TestGroupEarlyPassDisarmsOnResiduals(t *testing.T) {
 		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != (round+2)*frame+round+1 {
 			t.Fatalf("round %d: batches=%d pending=%d, want 0 and %d", round, st.Batches, st.Pending, (round+2)*frame+round+1)
 		}
-		r.g.pass(0) // the tick re-arms it
+		r.g.pass(false) // the tick re-arms it
 		if _, disarmed, _ := r.trigger(); disarmed {
 			t.Fatalf("round %d: the tick pass left the trigger disarmed", round)
 		}
@@ -1371,7 +1551,7 @@ func TestGroupLimited(t *testing.T) {
 	t.Run("a starved pass", func(t *testing.T) {
 		r := newEarlyRig(t, 0.002, time.Hour, params)
 		r.src.Update("obj", 100)
-		r.g.pass(0) // cuts nothing: the bucket holds a thousandth of a token
+		r.g.pass(false) // cuts nothing: the bucket holds a thousandth of a token
 		if st := r.src.Stats().Group; st.Batches != 0 || st.Pending != 1 {
 			t.Fatalf("batches=%d pending=%d, want 0 and 1", st.Batches, st.Pending)
 		}
@@ -1384,17 +1564,19 @@ func TestGroupLimited(t *testing.T) {
 		}
 	})
 
-	t.Run("an early pass that stops by choice", func(t *testing.T) {
+	t.Run("an early pass that drains", func(t *testing.T) {
 		r := newEarlyRig(t, 2e6, time.Hour, params)
-		for i := 0; i < r.g.cfg.MaxBatch+10; i++ {
-			r.src.Update(fmt.Sprintf("obj-%04d", i), 100)
-		}
+		r.queued(func() {
+			for i := 0; i < r.g.cfg.MaxBatch+10; i++ {
+				r.src.Update(fmt.Sprintf("obj-%04d", i), 100)
+			}
+		})
 		r.settle(t)
-		if st := r.src.Stats().Group; st.EarlyBatches != 1 || st.Pending != 10 {
-			t.Fatalf("early=%d pending=%d, want 1 and 10", st.EarlyBatches, st.Pending)
+		if st := r.src.Stats().Group; st.EarlyBatches != 2 || st.Pending != 0 {
+			t.Fatalf("early=%d pending=%d, want 2 and 0", st.EarlyBatches, st.Pending)
 		}
 		if limited, _ := state(r); limited {
-			t.Fatal("a partial frame left behind with budget in hand, but the engine is limited")
+			t.Fatal("an early pass ended on a partial frame with budget in hand, but the engine is limited")
 		}
 		feedback(r)
 		if _, th := state(r); th != params.InitialThreshold/params.Omega {

@@ -22,12 +22,12 @@ func TestQuiescenceParksLoweredObject(t *testing.T) {
 		r.src.Update("x", v)
 	}
 	step(0, 0)
-	r.g.pass(0) // commits 0
+	r.g.pass(false) // commits 0
 	step(100*time.Millisecond, 10)
 	step(800*time.Millisecond, 1) // P = 0.9 s × 1 − 0.8 s × 10 < 0
 	for range 10_000 {
 		r.clock.advance(10 * time.Millisecond)
-		r.g.pass(0)
+		r.g.pass(false)
 	}
 	r.settle(t)
 

@@ -240,9 +240,8 @@ func (sc *sched) refresh(o *objState, prov *Provenance, cacheID string, epoch, s
 // source ignore positive feedback: sendable work is left AND the bucket, at
 // tokens, cannot pay for one more refresh. A group calls it once at the end
 // of every scheduling pass, whether or not the pass cut anything, so the flag
-// always describes the most recent look at the queue. A pass that stops by
-// choice with budget in hand (a group early pass at a frame boundary) is not
-// limited; a pass that never started for lack of budget is.
+// always describes the most recent look at the queue. A pass that never
+// started for lack of budget is limited.
 func (sc *sched) limit(tokens float64) {
 	_, _, want := sc.eng.ShouldSend()
 	sc.eng.SetLimited(want && tokens < 1)

@@ -135,7 +135,7 @@ func passWith(ss *syncSession, budget float64) float64 {
 	g.accrueLocked(s.now())
 	g.budget.tokens = budget
 	s.mu.Unlock()
-	g.pass(0)
+	g.pass(false)
 	for ss.inflight.Load() != 0 {
 		stdruntime.Gosched()
 	}

@@ -791,8 +791,8 @@ func (s *Source) UpdateFromAll(updates []RelayedUpdate) {
 		s.updateLocked(u.ObjectID, u.Value, u.Prov, now, unix)
 	}
 	// Once per call, not per element: what the batch queued may have
-	// completed a full frame, which the flusher then sends without waiting
-	// for its tick.
+	// completed a frame's worth of traffic, which the flusher then sends
+	// without waiting for its tick.
 	for _, g := range s.groups {
 		g.wakeLocked(now)
 	}

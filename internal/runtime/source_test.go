@@ -137,7 +137,7 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	excluded := func(k int) bool { return want[k].passedThrough("leaf") }
 	flush := func() map[string]wire.Refresh {
 		clock.advance(time.Second)
-		ss.group.pass(0)
+		ss.group.pass(false)
 		for ss.inflight.Load() != 0 {
 			stdruntime.Gosched()
 		}
@@ -251,59 +251,108 @@ func provenanceColumnLeg(t *testing.T, group bool) {
 	check("overwrites", func(k int) bool { _, ok := overwrites[k]; return ok })
 }
 
+// TestSourceCloseWithNoReader: Source.Close returns on a Local network that
+// nothing reads, with its one-slot queue full and a sender worker blocked on
+// the next frame: closing the connection wakes the blocked send. Both kinds
+// of group send on workers of their own kind, so both are checked. Close
+// runs under a timeout of its own, so a hang fails the test rather than the
+// run.
+func TestSourceCloseWithNoReader(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		name := "group of one"
+		if shared {
+			name = "shared group"
+		}
+		t.Run(name, func(t *testing.T) {
+			local := transport.NewLocal(1)
+			defer local.Close()
+			conn, err := local.Dial("origin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewFanoutSource(SourceConfig{
+				ID: "origin", Metric: metric.ValueDeviation, Bandwidth: 1e6, Tick: time.Millisecond,
+				Params: pinnedParams(1e-6), Group: GroupConfig{Enabled: shared},
+			}, []Destination{{CacheID: "leaf", Conn: conn}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range 4 * 64 {
+				src.Update(fmt.Sprintf("obj-%04d", i), 1)
+			}
+			ss := src.sessions[0]
+			waitFor(t, 5*time.Second, func() bool {
+				return len(local.Batches()) == cap(local.Batches()) && ss.inflight.Load() > 0
+			}, "a send blocked on the full queue")
+			closed := make(chan error, 1)
+			go func() { closed <- src.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Source.Close hung on a network nobody reads")
+			}
+		})
+	}
+}
+
 // TestSourceRoutesDoNotAccumulate is the Source counterpart of
 // TestCacheRoutesDoNotAccumulate: an upstream that gives every relayed object
 // its own path costs the relay one route per object only while those values
-// live. Once one path has overwritten them all, the relay holds one route and
-// what a relay that only ever saw the one path holds, give or take its route
-// memo.
+// live. Once one path has overwritten them all, the relay holds one route.
+// TestSourceRoutesHeapDoesNotAccumulate checks the heap that leaves behind.
 func TestSourceRoutesDoNotAccumulate(t *testing.T) {
+	relayRoutesHeld(t, false)
+	relayRoutesHeld(t, true)
+}
+
+// relayRoutesHeld runs a relay of 4 096 objects through one round whose
+// values arrived by one path, or with spray by a path per object, then a
+// round by the one path. It checks the routes each round leaves and returns
+// the live heap the relay holds after the second.
+func relayRoutesHeld(t *testing.T, spray bool) int64 {
+	t.Helper()
 	const objects = 4096
 	ids := make([]string, objects)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("root/o%05d", i)
 	}
 	onePath := []string{"relay"}
-	heldBy := func(spray bool) int64 {
-		before := liveHeap()
-		src, err := NewFanoutSource(SourceConfig{
-			ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
-		}, []Destination{{CacheID: "leaf", Conn: newFrameConn("leaf")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		round := func(v uint64, path func(i int) []string) {
-			for i, id := range ids {
-				via := path(i)
-				src.UpdateFrom(id, float64(v), Provenance{Origin: "root", Hops: len(via), Via: via, Epoch: 9, Version: v})
-			}
-		}
-		if spray {
-			round(1, func(i int) []string { return []string{fmt.Sprintf("hop-%05d", i), "relay"} })
-		} else {
-			round(1, func(int) []string { return onePath })
-		}
-		src.mu.Lock()
-		n := provRoutes(&src.order)
-		src.mu.Unlock()
-		if want := map[bool]int{false: 1, true: objects}[spray]; n != want {
-			t.Fatalf("spray=%v: the first round left %d routes, want %d", spray, n, want)
-		}
-		round(2, func(int) []string { return onePath })
-		src.mu.Lock()
-		n = provRoutes(&src.order)
-		src.mu.Unlock()
-		if n != 1 {
-			t.Fatalf("spray=%v: one path over every object left %d routes, want 1", spray, n)
-		}
-		return liveHeap() - before
+	before := liveHeap()
+	src, err := NewFanoutSource(SourceConfig{
+		ID: "relay", Metric: metric.ValueDeviation, Bandwidth: 0.001, Tick: time.Hour,
+	}, []Destination{{CacheID: "leaf", Conn: newFrameConn("leaf")}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, sprayed := heldBy(false), heldBy(true)
-	t.Logf("one path: %d B; a path per object, then one path: %d B", plain, sprayed)
-	if d := sprayed - plain; d > 4<<10 || d < -4<<10 {
-		t.Errorf("a relay that once held %d routes keeps %d B more than one that never did, want within 4 KiB", objects, d)
+	defer src.Close()
+	round := func(v uint64, path func(i int) []string) {
+		for i, id := range ids {
+			via := path(i)
+			src.UpdateFrom(id, float64(v), Provenance{Origin: "root", Hops: len(via), Via: via, Epoch: 9, Version: v})
+		}
 	}
+	if spray {
+		round(1, func(i int) []string { return []string{fmt.Sprintf("hop-%05d", i), "relay"} })
+	} else {
+		round(1, func(int) []string { return onePath })
+	}
+	src.mu.Lock()
+	n := provRoutes(&src.order)
+	src.mu.Unlock()
+	if want := map[bool]int{false: 1, true: objects}[spray]; n != want {
+		t.Fatalf("spray=%v: the first round left %d routes, want %d", spray, n, want)
+	}
+	round(2, func(int) []string { return onePath })
+	src.mu.Lock()
+	n = provRoutes(&src.order)
+	src.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("spray=%v: one path over every object left %d routes, want 1", spray, n)
+	}
+	return liveHeap() - before
 }
 
 // liveHeap returns the bytes of live heap after two collections.

@@ -23,23 +23,26 @@ type BatcherConfig struct {
 
 // NewBatcher wraps conn so that individual SendRefresh calls are coalesced
 // into wire.RefreshBatch envelopes: a flush happens as soon as MaxBatch
-// refreshes are pending, or after FlushEvery for partial batches. Refresh
-// order is preserved. Closing the Batcher flushes whatever is pending and
-// then closes the underlying connection.
+// refreshes are pending, or after FlushEvery for partial batches. A batch
+// the caller already cut (SendBatch) is not held: it goes straight through,
+// behind whatever singletons are pending. Refresh order is preserved.
+// Closing the Batcher flushes whatever is pending and then closes the
+// underlying connection.
 //
 // A flush error is returned to the send that triggered it; errors from
-// timer-driven flushes are sticky and surface on the next send — until a
-// later flush succeeds, which clears the error (a delivered batch proves
-// the connection recovered, so new sends must be accepted again).
+// timer-driven flushes are sticky and surface on the next SendRefresh —
+// until a later flush or batch succeeds, which clears the error (a delivered
+// batch proves the connection recovered, so new sends must be accepted
+// again).
 //
-// Durability caveat: through a Batcher, a nil SendRefresh/SendBatch return
-// means "accepted for batching", not "delivered" — a caller that commits
-// protocol state on send success (runtime's sync sessions) therefore has a
-// window of up to MaxBatch refreshes that a dying connection can lose.
-// Failed batches are re-buffered and retried (last at Close), so the loss
+// Durability caveat: a nil SendBatch return means the batch was written,
+// so a caller that commits protocol state on send success (a session
+// group's sender worker) keeps commit-after-send through a Batcher. A nil
+// SendRefresh return means "accepted for batching", not "delivered": a
+// window of up to MaxBatch singletons that a dying connection can lose.
+// Failed flushes are re-buffered and retried (last at Close), so the loss
 // is confined to connections that never recover — the same guarantee as
-// data in a kernel socket buffer when the peer dies. Deployments that need
-// the strict commit-after-send semantics use the connection unbatched.
+// data in a kernel socket buffer when the peer dies.
 func NewBatcher(conn SourceConn, cfg BatcherConfig) SourceConn {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 64
@@ -78,12 +81,31 @@ func (b *batcher) SendRefresh(r wire.Refresh) error {
 	return b.append([]wire.Refresh{r})
 }
 
-// SendBatch implements SourceConn.
+// SendBatch implements SourceConn: it flushes the pending singletons, in
+// order, then sends rs as its own batch before it returns. A batch that
+// fails is returned to the caller, not buffered.
 func (b *batcher) SendBatch(rs []wire.Refresh) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	return b.append(rs)
+	b.flushMu.Lock()
+	defer b.flushMu.Unlock()
+	b.mu.Lock()
+	closed := b.closed
+	b.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if err := b.flushLocked(); err != nil {
+		return err
+	}
+	if err := b.sendBatch(rs); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	b.err = nil
+	b.mu.Unlock()
+	return nil
 }
 
 func (b *batcher) append(rs []wire.Refresh) error {
@@ -125,6 +147,11 @@ func (b *batcher) append(rs []wire.Refresh) error {
 func (b *batcher) flush() error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
+	return b.flushLocked()
+}
+
+// flushLocked is flush with flushMu held.
+func (b *batcher) flushLocked() error {
 	b.mu.Lock()
 	rs := b.pending
 	b.pending = nil

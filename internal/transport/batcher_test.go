@@ -141,8 +141,10 @@ func TestBatcherCloseFlushesPending(t *testing.T) {
 	}
 	b := NewBatcher(raw, BatcherConfig{MaxBatch: 1000, FlushEvery: time.Hour})
 	want := refreshes("s1", 3)
-	if err := b.SendBatch(want); err != nil {
-		t.Fatal(err)
+	for _, r := range want {
+		if err := b.SendRefresh(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -331,5 +333,56 @@ func TestBatcherPreservesOrder(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("only %d of %d refreshes delivered", count, n)
 		}
+	}
+}
+
+// TestBatcherSendBatchPassesThrough: a batch the caller already cut is not
+// held for the size or the timer. It goes out as its own batch before
+// SendBatch returns, behind the singletons pending ahead of it, which leave
+// first in one batch of their own.
+func TestBatcherSendBatchPassesThrough(t *testing.T) {
+	conn := &syncedFlakyConn{fb: make(chan wire.Feedback)}
+	b := NewBatcher(conn, BatcherConfig{MaxBatch: 1000, FlushEvery: time.Hour})
+	defer b.Close()
+	rs := refreshes("s1", 5)
+	for _, r := range rs[:2] {
+		if err := b.SendRefresh(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.SendBatch(rs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.mu.Lock()
+	got := conn.batches
+	conn.mu.Unlock()
+	if len(got) != 2 || len(got[0]) != 2 || len(got[1]) != 3 {
+		t.Fatalf("delivered %v on return, want the 2 pending singletons, then the batch of 3", got)
+	}
+	for i, r := range append(got[0], got[1]...) {
+		if !reflect.DeepEqual(r, rs[i]) {
+			t.Errorf("refresh %d = %+v, want %+v (order must be preserved)", i, r, rs[i])
+		}
+	}
+}
+
+// TestBatcherSendBatchFailure: a batch whose write fails is the caller's to
+// handle — SendBatch returns the error and buffers nothing — and the next
+// batch goes out once the connection has recovered.
+func TestBatcherSendBatchFailure(t *testing.T) {
+	conn := &syncedFlakyConn{failures: 1, fb: make(chan wire.Feedback)}
+	b := NewBatcher(conn, BatcherConfig{MaxBatch: 1000, FlushEvery: time.Hour})
+	rs := refreshes("s1", 3)
+	if err := b.SendBatch(rs); err == nil {
+		t.Fatal("a failed batch write returned nil")
+	}
+	if err := b.SendBatch(rs[:1]); err != nil {
+		t.Fatalf("the next batch on a recovered connection: %v", err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := conn.delivered(); n != 1 {
+		t.Fatalf("delivered %d refreshes, want only the second batch's 1: a failed batch is not retried", n)
 	}
 }

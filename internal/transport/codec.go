@@ -52,3 +52,15 @@ type FrameSender interface {
 	// the frame (release it after the call; retain it per extra holder).
 	SendFrame(*codec.Frame) error
 }
+
+// FrameRunSender is the optional capability of a FrameSender that writes a
+// run of pre-encoded frames in one call — one writev on a TCP client — so a
+// sender that finds several frames queued for one connection pays one system
+// call and one reader wake-up for all of them. The bytes on the wire are
+// those of one SendFrame per frame, in order. Every TCP client implements it.
+type FrameRunSender interface {
+	// SendFrames writes the frames in order. The caller keeps ownership of
+	// every frame and may reuse the slice once the call returns. A failure
+	// may have written any prefix of the run, so the connection is closed.
+	SendFrames([]*codec.Frame) error
+}

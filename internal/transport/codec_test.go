@@ -242,3 +242,100 @@ func TestBatcherUsesFrameSender(t *testing.T) {
 		t.Fatal("frame-path batch not delivered")
 	}
 }
+
+// writeCounter is a TCP connection that counts its Write calls. Its
+// embedded connection still takes a net.Buffers write as one writev, which
+// does not pass through Write.
+type writeCounter struct {
+	*net.TCPConn
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.TCPConn.Write(p)
+}
+
+// TestSendFramesOneWrite: a run of three frames goes to the socket in one
+// writev, not a Write per frame, and its bytes are exactly those of three
+// SendFrame calls.
+func TestSendFramesOneWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	read := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			read <- nil
+			return
+		}
+		b, _ := io.ReadAll(conn)
+		conn.Close()
+		read <- b
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{TCPConn: raw.(*net.TCPConn)}
+	c := &tcpClient{conn: wc}
+
+	frames := make([]*codec.Frame, 3)
+	var want []byte
+	for i := range frames {
+		frames[i] = codec.NewBatchFrame(refreshes("s1", i+1), int64(i))
+		defer frames[i].Release()
+		want = append(want, frames[i].Bytes()...)
+	}
+	if err := c.SendFrames(frames); err != nil {
+		t.Fatal(err)
+	}
+	if wc.writes != 0 {
+		t.Fatalf("the run took %d Write calls, want one writev", wc.writes)
+	}
+	for _, f := range frames {
+		if err := c.SendFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wc.writes != len(frames) {
+		t.Fatalf("three SendFrame calls took %d writes, want 3", wc.writes)
+	}
+	c.Close()
+	got := <-read
+	if string(got) != string(want)+string(want) {
+		t.Fatalf("the run and three SendFrame calls wrote %d bytes, want the same %d twice", len(got), len(want))
+	}
+}
+
+// TestSendFramesFailureCloses: a run write that fails closes the
+// connection, so no later send can interleave into a torn frame.
+func TestSendFramesFailureCloses(t *testing.T) {
+	_, addr := serveTCP(t)
+	conn, err := Dial(addr, "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := conn.(*tcpClient)
+	f := codec.NewBatchFrame(refreshes("s1", 2), 1)
+	defer f.Release()
+	c.conn.SetWriteDeadline(time.Now().Add(-time.Second)) // every write now fails
+	if err := c.SendFrames([]*codec.Frame{f, f}); err == nil {
+		t.Fatal("a run write past its deadline succeeded")
+	}
+	c.conn.SetWriteDeadline(time.Time{})
+	if err := c.SendFrame(f); err == nil {
+		t.Fatal("a send after a failed run write succeeded: the connection was not closed")
+	}
+	select {
+	case _, ok := <-conn.Feedback():
+		if ok {
+			t.Fatal("feedback arrived on a closed connection")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the read loop never saw the connection close")
+	}
+}

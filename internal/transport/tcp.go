@@ -331,12 +331,18 @@ func (s *tcpServer) Close() error {
 }
 
 // tcpClient implements SourceConn (and PollConn) over TCP, and FrameSender,
-// the encode-once path a Batcher uses to hand over pre-encoded batches.
+// the encode-once path a Batcher uses to hand over pre-encoded batches, with
+// FrameRunSender, its one-write form for a run of them.
 type tcpClient struct {
-	conn  net.Conn
-	br    *bufio.Reader
-	benc  codec.Encoder
-	wbuf  []byte // reusable frame buffer, guarded by mu
+	conn net.Conn
+	br   *bufio.Reader
+	benc codec.Encoder
+	wbuf []byte // reusable frame buffer, guarded by mu
+	// run holds a frame run's byte slices and wv the copy WriteTo consumes,
+	// both reused and guarded by mu: a field, not a local, so that handing
+	// it to the connection's writev does not allocate.
+	run   [][]byte
+	wv    net.Buffers
 	fb    chan wire.Feedback
 	polls chan wire.Poll
 	mu    sync.Mutex
@@ -498,6 +504,25 @@ func (c *tcpClient) SendFrame(f *codec.Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.writeFrame(f.Bytes())
+}
+
+// SendFrames implements FrameRunSender: the run goes to the socket in one
+// writev, byte for byte what one SendFrame per frame would write.
+func (c *tcpClient) SendFrames(fs []*codec.Frame) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	run := c.run[:0]
+	for _, f := range fs {
+		run = append(run, f.Bytes())
+	}
+	c.run, c.wv = run, run
+	_, err := c.wv.WriteTo(c.conn)
+	clear(run) // the frames go back to their pool after the call
+	if err != nil {
+		c.closeConn()
+		return err
+	}
+	return nil
 }
 
 // SendReply implements PollConn.

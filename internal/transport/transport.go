@@ -152,13 +152,11 @@ type CacheEndpoint interface {
 // Local is an in-process network joining one cache endpoint with any number
 // of source connections.
 type Local struct {
-	mu       sync.Mutex
-	batches  chan InboundBatch
-	replies  chan wire.PollReply
-	feedback map[string]chan wire.Feedback
-	polls    map[string]chan wire.Poll
-	caps     map[string]uint64 // capability bits advertised at Dial
-	closed   bool
+	mu      sync.Mutex
+	batches chan InboundBatch
+	replies chan wire.PollReply
+	conns   map[string]*localConn // the connected sources, by id
+	closed  bool
 }
 
 // NewLocal creates an in-process network. buffer is the capacity of the
@@ -170,11 +168,9 @@ func NewLocal(buffer int) *Local {
 		buffer = 1
 	}
 	return &Local{
-		batches:  make(chan InboundBatch, buffer),
-		replies:  make(chan wire.PollReply, buffer),
-		feedback: make(map[string]chan wire.Feedback),
-		polls:    make(map[string]chan wire.Poll),
-		caps:     make(map[string]uint64),
+		batches: make(chan InboundBatch, buffer),
+		replies: make(chan wire.PollReply, buffer),
+		conns:   make(map[string]*localConn),
 	}
 }
 
@@ -196,14 +192,14 @@ func (l *Local) SendPoll(sourceID string, p wire.Poll) error {
 	if l.closed {
 		return ErrClosed
 	}
-	ch, ok := l.polls[sourceID]
+	c, ok := l.conns[sourceID]
 	if !ok {
 		return fmt.Errorf("transport: unknown source %q", sourceID)
 	}
 	p.ObjectIDs = append([]string(nil), p.ObjectIDs...)
 	p.Known = append([]wire.KnownVersion(nil), p.Known...)
 	select {
-	case ch <- p:
+	case c.polls <- p:
 	default:
 	}
 	return nil
@@ -217,13 +213,13 @@ func (l *Local) SendFeedback(sourceID string, fb wire.Feedback) error {
 	if l.closed {
 		return ErrClosed
 	}
-	ch, ok := l.feedback[sourceID]
+	c, ok := l.conns[sourceID]
 	if !ok {
 		return fmt.Errorf("transport: unknown source %q", sourceID)
 	}
 	fb.Held = append([]wire.HeldVersion(nil), fb.Held...)
 	select {
-	case ch <- fb:
+	case c.fb <- fb:
 	default:
 		// A source that has not consumed its previous feedback gains
 		// nothing from a second one queued behind it.
@@ -238,7 +234,8 @@ func (l *Local) SendFeedback(sourceID string, fb wire.Feedback) error {
 func (l *Local) PeerCooperates(sourceID string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.caps[sourceID]&wire.CapCooperative != 0
+	c, ok := l.conns[sourceID]
+	return ok && c.caps&wire.CapCooperative != 0
 }
 
 // PeerServesPeers reports whether the named source advertised wire.CapPeer
@@ -248,21 +245,23 @@ func (l *Local) PeerCooperates(sourceID string) bool {
 func (l *Local) PeerServesPeers(sourceID string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.caps[sourceID]&wire.CapPeer != 0
+	c, ok := l.conns[sourceID]
+	return ok && c.caps&wire.CapPeer != 0
 }
 
 // Sources implements CacheEndpoint.
 func (l *Local) Sources() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.feedback))
-	for id := range l.feedback {
+	out := make([]string, 0, len(l.conns))
+	for id := range l.conns {
 		out = append(out, id)
 	}
 	return out
 }
 
-// Close implements CacheEndpoint.
+// Close implements CacheEndpoint. It disconnects every source: a send
+// blocked on the full network queue returns ErrClosed.
 func (l *Local) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -270,25 +269,33 @@ func (l *Local) Close() error {
 		return nil
 	}
 	l.closed = true
-	for _, ch := range l.feedback {
-		close(ch)
+	for _, c := range l.conns {
+		c.disconnectLocked()
 	}
-	for _, ch := range l.polls {
-		close(ch)
-	}
-	l.feedback = map[string]chan wire.Feedback{}
-	l.polls = map[string]chan wire.Poll{}
-	l.caps = map[string]uint64{}
+	clear(l.conns)
 	return nil
 }
 
-// localConn is a source-side handle onto a Local network.
+// localConn is a source-side handle onto a Local network. done is closed
+// when it is disconnected — by its own Close or the network's — so a send
+// waiting for room in the network queue gives up rather than wait for a
+// reader that may never come.
 type localConn struct {
 	net   *Local
 	id    string
+	caps  uint64 // capability bits advertised at Dial
 	fb    chan wire.Feedback
 	polls chan wire.Poll
+	done  chan struct{}
 	once  sync.Once
+}
+
+// disconnectLocked ends c: its feedback and poll streams close and its
+// blocked sends return. Caller holds c.net.mu and takes c out of the map.
+func (c *localConn) disconnectLocked() {
+	close(c.fb)
+	close(c.polls)
+	close(c.done)
 }
 
 // Dial attaches a new source to the network.
@@ -301,15 +308,15 @@ func (l *Local) Dial(sourceID string) (SourceConn, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	if _, dup := l.feedback[sourceID]; dup {
+	if _, dup := l.conns[sourceID]; dup {
 		return nil, fmt.Errorf("transport: source %q already connected", sourceID)
 	}
-	fb := make(chan wire.Feedback, 4)
-	polls := make(chan wire.Poll, 16)
-	l.feedback[sourceID] = fb
-	l.polls[sourceID] = polls
-	l.caps[sourceID] = DialCapabilities()
-	return &localConn{net: l, id: sourceID, fb: fb, polls: polls}, nil
+	c := &localConn{
+		net: l, id: sourceID, caps: DialCapabilities(),
+		fb: make(chan wire.Feedback, 4), polls: make(chan wire.Poll, 16), done: make(chan struct{}),
+	}
+	l.conns[sourceID] = c
+	return c, nil
 }
 
 // SendRefresh implements SourceConn.
@@ -331,15 +338,24 @@ func (c *localConn) SendBatch(rs []wire.Refresh) error {
 
 // send transfers ownership of rs to the cache side.
 func (c *localConn) send(rs []wire.Refresh) error {
-	c.net.mu.Lock()
-	closed := c.net.closed
-	_, connected := c.net.feedback[c.id]
-	c.net.mu.Unlock()
-	if closed || !connected {
+	b := InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs, SentUnix: time.Now().UnixNano()}}
+	return deliver(c.done, c.net.batches, b)
+}
+
+// deliver puts v on the network queue ch, waiting for room until done is
+// closed. A connection already closed sends nothing, even when ch has room.
+func deliver[T any](done <-chan struct{}, ch chan<- T, v T) error {
+	select {
+	case <-done:
+		return ErrClosed
+	default:
+	}
+	select {
+	case ch <- v:
+		return nil
+	case <-done:
 		return ErrClosed
 	}
-	c.net.batches <- InboundBatch{RefreshBatch: wire.RefreshBatch{Refreshes: rs, SentUnix: time.Now().UnixNano()}}
-	return nil
 }
 
 // Feedback implements SourceConn.
@@ -351,34 +367,22 @@ func (c *localConn) Polls() <-chan wire.Poll { return c.polls }
 // SendReply implements PollConn: it transfers the reply to the cache side
 // under the same bounded-channel back-pressure as refresh batches.
 func (c *localConn) SendReply(r wire.PollReply) error {
-	c.net.mu.Lock()
-	closed := c.net.closed
-	_, connected := c.net.feedback[c.id]
-	c.net.mu.Unlock()
-	if closed || !connected {
-		return ErrClosed
-	}
 	// Copy the slices: the reply is consumed asynchronously and the caller
 	// may reuse them (same contract as SendBatch).
 	r.Items = append([]wire.PollItem(nil), r.Items...)
 	r.Pushed = append([]string(nil), r.Pushed...)
-	c.net.replies <- r
-	return nil
+	return deliver(c.done, c.net.replies, r)
 }
 
-// Close implements SourceConn.
+// Close implements SourceConn. A send blocked on the full network queue
+// returns ErrClosed.
 func (c *localConn) Close() error {
 	c.once.Do(func() {
 		c.net.mu.Lock()
-		if ch, ok := c.net.feedback[c.id]; ok {
-			close(ch)
-			delete(c.net.feedback, c.id)
+		if c.net.conns[c.id] == c {
+			c.disconnectLocked()
+			delete(c.net.conns, c.id)
 		}
-		if ch, ok := c.net.polls[c.id]; ok {
-			close(ch)
-			delete(c.net.polls, c.id)
-		}
-		delete(c.net.caps, c.id)
 		c.net.mu.Unlock()
 	})
 	return nil
