@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +30,11 @@ type tcpServer struct {
 	replies chan wire.PollReply
 	retain  atomic.Bool // FrameRetainer: keep inbound binary batch frames
 
-	mu     sync.Mutex
-	conns  map[string]*tcpServerConn
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	conns   map[string]*tcpServerConn
+	sources []string // conns' ids: the Sources snapshot, replaced on change
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 type tcpServerConn struct {
@@ -125,9 +128,15 @@ func handshake(conn net.Conn, br *bufio.Reader) (wire.Hello, *codec.Decoder, err
 // mode they were read under.
 func (s *tcpServer) RetainFrames(on bool) { s.retain.Store(on) }
 
-// readBufSize sizes the per-connection read buffer: big enough that a
-// batch-64 frame arrives in one read(2) instead of a dozen.
-const readBufSize = 64 << 10
+// Per-connection read buffers. The server reads batch frames, and its buffer
+// is big enough that a batch-64 frame arrives in one read(2) instead of a
+// dozen. The client reads only feedback and polls, and its buffer holds the
+// largest routine one, a feedback carrying 256 held acks; a larger frame
+// still reads through it, in more than one read(2).
+const (
+	readBufSize       = 64 << 10
+	clientReadBufSize = 8 << 10
+)
 
 func (s *tcpServer) handle(conn net.Conn) {
 	defer s.wg.Done()
@@ -152,6 +161,7 @@ func (s *tcpServer) handle(conn net.Conn) {
 		old.conn.Close() // newest connection wins (source reconnect)
 	}
 	s.conns[hello.SourceID] = sc
+	s.sources = slices.Collect(maps.Keys(s.conns))
 	s.mu.Unlock()
 
 	for {
@@ -243,6 +253,7 @@ func (s *tcpServer) handle(conn net.Conn) {
 	s.mu.Lock()
 	if cur, ok := s.conns[hello.SourceID]; ok && cur == sc {
 		delete(s.conns, hello.SourceID)
+		s.sources = slices.Collect(maps.Keys(s.conns))
 	}
 	s.mu.Unlock()
 }
@@ -305,11 +316,7 @@ func (s *tcpServer) PeerServesPeers(sourceID string) bool {
 func (s *tcpServer) Sources() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.conns))
-	for id := range s.conns {
-		out = append(out, id)
-	}
-	return out
+	return s.sources
 }
 
 // Close implements CacheEndpoint.
@@ -321,7 +328,7 @@ func (s *tcpServer) Close() error {
 	}
 	s.closed = true
 	conns := s.conns
-	s.conns = map[string]*tcpServerConn{}
+	s.conns, s.sources = map[string]*tcpServerConn{}, nil
 	s.mu.Unlock()
 	err := s.ln.Close()
 	for _, sc := range conns {
@@ -378,7 +385,7 @@ func Dial(addr, sourceID string) (SourceConn, error) {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	c.br = bufio.NewReaderSize(conn, readBufSize)
+	c.br = bufio.NewReaderSize(conn, clientReadBufSize)
 	var echo [2]byte
 	if _, err := io.ReadFull(c.br, echo[:]); err != nil {
 		conn.Close()

@@ -29,6 +29,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,7 +145,9 @@ type CacheEndpoint interface {
 	// Unknown sources are an error; feedback to a disconnected source is
 	// dropped.
 	SendFeedback(sourceID string, fb wire.Feedback) error
-	// Sources lists currently connected source ids.
+	// Sources lists currently connected source ids. The slice is a shared
+	// snapshot, replaced (never written) when a source connects or
+	// disconnects, so a call does not allocate: callers must not write to it.
 	Sources() []string
 	// Close shuts the endpoint down.
 	Close() error
@@ -156,6 +160,7 @@ type Local struct {
 	batches chan InboundBatch
 	replies chan wire.PollReply
 	conns   map[string]*localConn // the connected sources, by id
+	sources []string              // conns' ids: the Sources snapshot, replaced on change
 	closed  bool
 }
 
@@ -253,11 +258,7 @@ func (l *Local) PeerServesPeers(sourceID string) bool {
 func (l *Local) Sources() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.conns))
-	for id := range l.conns {
-		out = append(out, id)
-	}
-	return out
+	return l.sources
 }
 
 // Close implements CacheEndpoint. It disconnects every source: a send
@@ -273,6 +274,7 @@ func (l *Local) Close() error {
 		c.disconnectLocked()
 	}
 	clear(l.conns)
+	l.sources = nil
 	return nil
 }
 
@@ -316,6 +318,7 @@ func (l *Local) Dial(sourceID string) (SourceConn, error) {
 		fb: make(chan wire.Feedback, 4), polls: make(chan wire.Poll, 16), done: make(chan struct{}),
 	}
 	l.conns[sourceID] = c
+	l.sources = slices.Collect(maps.Keys(l.conns))
 	return c, nil
 }
 
@@ -382,6 +385,7 @@ func (c *localConn) Close() error {
 		if c.net.conns[c.id] == c {
 			c.disconnectLocked()
 			delete(c.net.conns, c.id)
+			c.net.sources = slices.Collect(maps.Keys(c.net.conns))
 		}
 		c.net.mu.Unlock()
 	})

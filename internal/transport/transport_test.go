@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"bestsync/internal/wire"
+	"bestsync/internal/wire/codec"
 )
 
 // recvOne receives one batch from ch and returns its only refresh.
@@ -180,6 +185,104 @@ func TestLocalSourcesList(t *testing.T) {
 	}
 }
 
+// forEachEndpoint runs f against a Local network and a TCP server, each with
+// a dial function whose connections close when the test ends.
+func forEachEndpoint(t *testing.T, f func(t *testing.T, ep CacheEndpoint, dial func(id string) SourceConn)) {
+	t.Run("local", func(t *testing.T) {
+		l := NewLocal(4)
+		t.Cleanup(func() { l.Close() })
+		f(t, l, func(id string) SourceConn {
+			c, err := l.Dial(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		srv, addr := serveTCP(t)
+		f(t, srv, func(id string) SourceConn {
+			c, err := Dial(addr, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		})
+	})
+}
+
+// waitSources waits until ep lists n connected sources: a TCP server
+// registers a connection after the client's dial returns, and drops it after
+// the client's close returns.
+func waitSources(t *testing.T, ep CacheEndpoint, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(ep.Sources()) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("sources = %v, want %d of them", ep.Sources(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSourcesAllocateNothing: the cache asks for the connected sources on
+// every feedback round, and the answer is a snapshot, not a fresh slice.
+func TestSourcesAllocateNothing(t *testing.T) {
+	forEachEndpoint(t, func(t *testing.T, ep CacheEndpoint, dial func(string) SourceConn) {
+		dial("a")
+		dial("b")
+		waitSources(t, ep, 2)
+		if n := testing.AllocsPerRun(100, func() { ep.Sources() }); n != 0 {
+			t.Errorf("Sources allocated %.1f times per call, want 0", n)
+		}
+	})
+}
+
+// TestSourcesSnapshotSurvivesDisconnect: a slice Sources handed out is never
+// written again — a disconnect or a connect replaces the snapshot — so a
+// reader may range over it while sources come and go.
+func TestSourcesSnapshotSurvivesDisconnect(t *testing.T) {
+	forEachEndpoint(t, func(t *testing.T, ep CacheEndpoint, dial func(string) SourceConn) {
+		a := dial("a")
+		dial("b")
+		waitSources(t, ep, 2)
+		before := ep.Sources()
+		want := slices.Clone(before)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range ep.Sources() {
+					if id == "" {
+						t.Error("an empty source id in the snapshot")
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+		a.Close()
+		waitSources(t, ep, 1)
+		dial("c")
+		waitSources(t, ep, 2)
+		close(stop)
+		<-done
+		if !slices.Equal(before, want) {
+			t.Errorf("a snapshot taken before the disconnect changed from %v to %v", want, before)
+		}
+		got := slices.Sorted(slices.Values(ep.Sources()))
+		if !slices.Equal(got, []string{"b", "c"}) {
+			t.Errorf("sources = %v, want [b c]", got)
+		}
+	})
+}
+
 func TestLocalConnCloseDetaches(t *testing.T) {
 	l := NewLocal(4)
 	defer l.Close()
@@ -318,6 +421,63 @@ func TestTCPPollRoundTrip(t *testing.T) {
 	}
 	if r := recvOne(t, srv.Batches()); r.ObjectID != "c" {
 		t.Errorf("got %+v", r)
+	}
+}
+
+// TestClientReadsFramesLargerThanBuffer: a source's read buffer is sized for
+// a routine feedback, and frames larger than it still arrive intact — a
+// feedback carrying 256 held acks of 64-byte ids, and a poll of many ids.
+func TestClientReadsFramesLargerThanBuffer(t *testing.T) {
+	srv, addr := serveTCP(t)
+	conn, err := Dial(addr, "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitSources(t, srv, 1)
+
+	fb := wire.Feedback{CacheID: "c", SentUnix: 42}
+	for i := 0; i < 256; i++ {
+		id := fmt.Sprintf("held-%03d/", i)
+		id += strings.Repeat("x", 64-len(id))
+		fb.Held = append(fb.Held, wire.HeldVersion{ObjectID: id, Epoch: 1_700_000_000_000_000_000 + int64(i), Version: uint64(i) << 20})
+	}
+	poll := wire.Poll{CacheID: "c", SentUnix: 43}
+	for i := 0; i < 2000; i++ {
+		poll.ObjectIDs = append(poll.ObjectIDs, fmt.Sprintf("sensor-%05d/temperature", i))
+	}
+	var enc codec.Encoder
+	for _, env := range []wire.SourceBound{{Feedback: &fb}, {Poll: &poll}} {
+		frame, err := enc.AppendSourceBound(nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) <= clientReadBufSize {
+			t.Fatalf("a %d-byte frame fits the %d-byte client buffer", len(frame), clientReadBufSize)
+		}
+	}
+
+	if err := srv.SendFeedback("s1", fb); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.(PollEndpoint).SendPoll("s1", poll); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-conn.Feedback():
+		if got.CacheID != fb.CacheID || got.SentUnix != fb.SentUnix || !slices.Equal(got.Held, fb.Held) {
+			t.Errorf("feedback arrived altered: %d held acks, want %d", len(got.Held), len(fb.Held))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("feedback not received")
+	}
+	select {
+	case got := <-conn.(PollConn).Polls():
+		if got.CacheID != poll.CacheID || got.SentUnix != poll.SentUnix || !slices.Equal(got.ObjectIDs, poll.ObjectIDs) {
+			t.Errorf("poll arrived altered: %d ids, want %d", len(got.ObjectIDs), len(poll.ObjectIDs))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("poll not received")
 	}
 }
 

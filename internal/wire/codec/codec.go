@@ -49,10 +49,12 @@
 // The table is sized by the stream, not by an option: it starts at 256 slots
 // and grows by half — re-placing what it holds, so a cold sync does not miss
 // twice — whenever a new string would fill it past ¾; it settles at 1⅓ to 2
-// times the working set and never exceeds 65 536 slots, so a peer that never
-// repeats an id pins at most that many short strings per connection. Lookups
-// probe linearly from a seeded hash of every byte and compare a slot's string
-// only when its one-byte tag matches the hash's.
+// times the working set and never exceeds 65 536 slots. A slot is a one-byte
+// tag and a 4-byte locator into a per-decoder arena that holds each id's
+// bytes once; the arena stops at 4 MiB, so a peer that never repeats an id
+// pins no more per connection than 65 536 separately allocated 64-byte
+// strings would. Lookups probe linearly from a seeded hash of every byte and
+// compare a slot's string only when its one-byte tag matches the hash's.
 //
 // The relay path of a refresh (Via) is decoded once per change, not once per
 // refresh: a path equal to the previous one on the stream is returned as the
@@ -69,6 +71,7 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Prologue bytes. {Magic, Version} opens every stream in both directions
@@ -267,6 +270,22 @@ const (
 	internMaxSlots = 1 << 16
 )
 
+// Intern arena sizing. The bytes of the interned strings live in chunks of
+// arenaChunk bytes, at most arenaMaxChunks of them: 4 MiB, as many bytes as
+// a full table of internLimit-byte ids.
+const (
+	arenaChunk     = 1 << locOffBits
+	arenaMaxChunks = internMaxSlots * internLimit / arenaChunk
+)
+
+// A locator packs where an interned string's bytes are in the arena into 32
+// bits: the chunk index, the offset in the chunk (locOffBits), and the length
+// minus one (locLenBits; a string of 1 to internLimit bytes).
+const (
+	locLenBits = 6
+	locOffBits = 14
+)
+
 // internTable is a per-decoder cache of recently decoded strings. Protocol
 // streams repeat the same identifiers frame after frame — the source id on
 // every refresh, the object ids of the live working set — so resolving them
@@ -283,21 +302,36 @@ const (
 // one matches, so the other strings on the path — same shape, same length,
 // differing only in a digit — cost no byte comparison.
 //
+// A slot is its tag and a 4-byte locator; the string's bytes are stored once,
+// appended to an arena of chunks. An interned string is a substring of its
+// chunk, so it costs its own bytes and no header or allocation of its own,
+// and it stays valid for as long as anyone holds it — which keeps its whole
+// chunk alive, after the decoder too. Each chunk is a strings.Builder with
+// its whole capacity reserved up front: the builder only appends, so the
+// strings it has returned never change, and no unsafe conversion is needed.
+//
 // The table grows with the stream's working set: every object id of a
 // round-robin stream over more objects than slots would otherwise miss on
 // every frame. Growth re-places the strings already interned (a cold sync
-// does not miss twice) and stops at internMaxSlots, so whatever a peer sends
-// the table holds at most internMaxSlots strings of at most internLimit
-// bytes per connection.
+// does not miss twice) and stops at internMaxSlots. The arena is
+// append-only, so the bytes of a string replaced at the cap stay in it; it
+// stops at arenaMaxChunks, and from then on a new string is allocated as if
+// there were no table and is not kept. So whatever a peer sends, the table
+// holds at most internMaxSlots slots and 4 MiB of string bytes per
+// connection — less than the same number of separately allocated strings of
+// internLimit bytes would take.
 //
 // Fields that are constant for a stream's lifetime (a refresh's source id,
 // cache id and origin) additionally get dedicated single-entry slots, which
 // hit without hashing at all, and the relay path of the previous refresh is
 // kept whole (see payload.via).
 type internTable struct {
-	entries []string // nil until the first lookup
+	entries []uint32 // a locator per slot; nil until the first lookup
 	tags    []uint8  // parallel to entries: a hash byte, never 0 where a string is
 	used    int      // filled slots
+
+	chunks []string        // the arena: each chunk's bytes so far
+	cur    strings.Builder // the last chunk, being filled
 
 	src, cache, origin string
 	via                []string
@@ -325,6 +359,12 @@ func (t *internTable) home(h uint64) (int, uint8) {
 	return int(h >> 32 * uint64(len(t.tags)) >> 32), max(uint8(h), 1)
 }
 
+// at returns the string a locator points at.
+func (t *internTable) at(loc uint32) string {
+	off := loc >> locLenBits & (arenaChunk - 1)
+	return t.chunks[loc>>(locLenBits+locOffBits)][off : off+loc&(1<<locLenBits-1)+1]
+}
+
 func (t *internTable) intern(b []byte) string {
 	if t.entries == nil {
 		t.grow()
@@ -336,44 +376,77 @@ func (t *internTable) intern(b []byte) string {
 	for tags[j] != 0 {
 		// A tag collision only costs a comparison; s == string(b) does not
 		// allocate.
-		if tags[j] == tag && entries[j] == string(b) {
-			return entries[j]
+		if tags[j] == tag {
+			if s := t.at(entries[j]); s == string(b) {
+				return s
+			}
 		}
 		if j++; j == len(tags) {
 			j = 0
 		}
 	}
-	return t.add(h, j, string(b))
+	return t.add(h, j, b)
 }
 
-// add keeps s, whose hash is h and whose probe missed at the empty slot j,
-// and returns it.
-func (t *internTable) add(h uint64, j int, s string) string {
+// add keeps b, whose hash is h and whose probe missed at the empty slot j,
+// and returns it as a string: its bytes in the arena, or a fresh copy when
+// the table does not keep it.
+func (t *internTable) add(h uint64, j int, b []byte) string {
 	i, tag := t.home(h)
-	switch {
-	case 4*t.used < 3*len(t.tags):
-		t.entries[j], t.tags[j] = s, tag
-		t.used++
-	case len(t.tags) < internMaxSlots:
-		t.grow()
-		t.place(h, s)
-	case t.tags[i] != 0:
-		// At the cap and ¾ full: replace the string at the home slot. Slots
-		// never empty, so every other string stays on its probe path.
-		t.entries[i], t.tags[i] = s, tag
+	room := 4*t.used < 3*len(t.tags)
+	grows := !room && len(t.tags) < internMaxSlots
+	// At the cap and ¾ full a string replaces the one at its home slot, and
+	// is not kept when that slot is empty: slots never empty and the table
+	// never fills past ¾, so every other string stays on its probe path.
+	if !room && !grows && t.tags[i] == 0 || !t.fits(len(b)) {
+		return string(b)
 	}
-	return s
+	loc := t.keep(b)
+	switch {
+	case room:
+		t.entries[j], t.tags[j] = loc, tag
+		t.used++
+	case grows:
+		t.grow()
+		t.place(h, loc)
+	default:
+		t.entries[i], t.tags[i] = loc, tag
+	}
+	return t.at(loc)
 }
 
-// place stores s, whose hash is h, in the first empty slot from its home.
-func (t *internTable) place(h uint64, s string) {
+// fits reports whether n more bytes fit in the arena: in the last chunk, or
+// in a new one below the bound.
+func (t *internTable) fits(n int) bool {
+	return t.cur.Cap()-t.cur.Len() >= n || len(t.chunks) < arenaMaxChunks
+}
+
+// keep appends b, which fits, to the arena and returns its locator. A string
+// never straddles two chunks: one that does not fit in the last chunk's
+// remainder starts a new chunk.
+func (t *internTable) keep(b []byte) uint32 {
+	if t.cur.Cap()-t.cur.Len() < len(b) {
+		t.cur = strings.Builder{}
+		t.cur.Grow(arenaChunk)
+		t.chunks = append(t.chunks, "")
+	}
+	off := t.cur.Len()
+	t.cur.Write(b)
+	c := len(t.chunks) - 1
+	t.chunks[c] = t.cur.String()
+	return uint32(c)<<(locLenBits+locOffBits) | uint32(off)<<locLenBits | uint32(len(b)-1)
+}
+
+// place stores the locator of a string whose hash is h in the first empty
+// slot from its home.
+func (t *internTable) place(h uint64, loc uint32) {
 	j, tag := t.home(h)
 	for t.tags[j] != 0 {
 		if j++; j == len(t.tags) {
 			j = 0
 		}
 	}
-	t.entries[j], t.tags[j] = s, tag
+	t.entries[j], t.tags[j] = loc, tag
 	t.used++
 }
 
@@ -381,12 +454,12 @@ func (t *internTable) place(h uint64, s string) {
 // holds. Growing by half rather than doubling keeps a table that has just
 // outgrown ¾ at most twice its working set.
 func (t *internTable) grow() {
-	old := t.entries
+	old, oldTags := t.entries, t.tags
 	n := min(max(len(old)+len(old)/2, internMinSlots), internMaxSlots)
-	t.entries, t.tags, t.used = make([]string, n), make([]uint8, n), 0
-	for _, s := range old {
-		if s != "" {
-			t.place(maphash.String(internSeed, s), s)
+	t.entries, t.tags, t.used = make([]uint32, n), make([]uint8, n), 0
+	for i, loc := range old {
+		if oldTags[i] != 0 {
+			t.place(maphash.String(internSeed, t.at(loc)), loc)
 		}
 	}
 }

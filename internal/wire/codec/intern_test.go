@@ -2,7 +2,9 @@ package codec
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"bestsync/internal/wire"
@@ -116,16 +118,33 @@ func TestDecoderInternSharedSuffix(t *testing.T) {
 	}
 }
 
+// tableBytes is the heap a decoder's intern table holds: its two slot arrays,
+// the arena's chunks and the chunk list.
+func tableBytes(t *internTable) int {
+	return 4*cap(t.entries) + cap(t.tags) + arenaChunk*len(t.chunks) + 16*cap(t.chunks)
+}
+
+// separateStringsWorstCase is what a table of internMaxSlots separately
+// allocated strings held at most: a 16-byte string header and a tag per
+// slot, and an internLimit-byte allocation per string.
+const separateStringsWorstCase = internMaxSlots * (16 + 1 + internLimit)
+
 // TestDecoderInternBounded: a peer that never repeats an id cannot grow the
-// table past its cap, and every id still decodes correctly.
+// table past its cap nor its arena past its bound, so the table holds no
+// more than separately allocated strings would at their worst, and every id
+// still decodes correctly after the arena is full.
 func TestDecoderInternBounded(t *testing.T) {
-	const batch, frames = 64, 4 * internMaxSlots / 64
+	const batch, frames = 64, 2 * internMaxSlots / 64
+	id := func(f, i int) string {
+		s := fmt.Sprintf("flood-%d-%d/", f, i)
+		return s + strings.Repeat("x", internLimit-len(s))
+	}
 	var enc Encoder
 	var stream []byte
 	for f := 0; f < frames; f++ {
 		rs := make([]wire.Refresh, batch)
 		for i := range rs {
-			rs[i] = wire.Refresh{SourceID: "s", ObjectID: fmt.Sprintf("flood-%d-%d", f, i), Version: 1}
+			rs[i] = wire.Refresh{SourceID: "s", ObjectID: id(f, i), Version: 1}
 		}
 		stream = enc.AppendBatch(stream, wire.RefreshBatch{Refreshes: rs})
 	}
@@ -136,13 +155,95 @@ func TestDecoderInternBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range cb.Batch.Refreshes {
-			if want := fmt.Sprintf("flood-%d-%d", f, i); r.ObjectID != want {
+			if want := id(f, i); r.ObjectID != want {
 				t.Fatalf("frame %d item %d decoded %q, want %q", f, i, r.ObjectID, want)
 			}
 		}
 	}
 	if n := len(d.intern.entries); n != internMaxSlots {
 		t.Errorf("table has %d slots after a flood of %d distinct ids, want the cap %d", n, frames*batch, internMaxSlots)
+	}
+	if n := len(d.intern.chunks); n != arenaMaxChunks {
+		t.Errorf("arena has %d chunks after a flood of %d distinct %d-byte ids, want the bound %d", n, frames*batch, internLimit, arenaMaxChunks)
+	}
+	if n := tableBytes(&d.intern); n > separateStringsWorstCase {
+		t.Errorf("table holds %d bytes, more than the %d of separately allocated strings", n, separateStringsWorstCase)
+	}
+}
+
+// TestDecoderInternIDsStable: an id the decoder handed out keeps its bytes
+// while the table grows, the arena starts new chunks and, past the slot cap,
+// new ids replace old ones — for both id shapes.
+func TestDecoderInternIDsStable(t *testing.T) {
+	const objects, batch = 3 * internMaxSlots / 2, 64
+	for _, format := range []string{"src-0/o%05d", "sensor-%05d/temperature"} {
+		stream, frames := idStream(format, objects, batch)
+		d := NewDecoder(&loopReader{data: stream})
+		held := make([]string, 0, objects)
+		for lap := 0; lap < 2; lap++ {
+			for f := 0; f < frames; f++ {
+				cb, err := d.ReadCacheBound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range cb.Batch.Refreshes {
+					if want := fmt.Sprintf(format, f*batch+i); r.ObjectID != want {
+						t.Fatalf("%q lap %d: decoded %q, want %q", format, lap, r.ObjectID, want)
+					}
+					if lap == 0 {
+						held = append(held, r.ObjectID)
+					}
+				}
+				ReleaseBatch(cb.Batch)
+			}
+		}
+		if n := len(d.intern.entries); n != internMaxSlots {
+			t.Errorf("%q: table has %d slots, want the cap %d (no replacement ran)", format, n, internMaxSlots)
+		}
+		if n := len(d.intern.chunks); n < 2 {
+			t.Errorf("%q: arena has %d chunks, want several", format, n)
+		}
+		for i, got := range held {
+			if want := fmt.Sprintf(format, i); got != want {
+				t.Fatalf("%q: id %d handed out as %q now reads %q", format, i, want, got)
+			}
+		}
+	}
+}
+
+// TestDecoderInternHeapPerID: the live heap a decoder keeps per interned id
+// is the id's own bytes and its slot (a tag and a locator, 1⅓ to 2 slots per
+// id), not a separate allocation with a string header per slot (about 40 B
+// per `src-0/o%05d` id).
+func TestDecoderInternHeapPerID(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the heap holds")
+	}
+	const objects, batch = 16384, 64
+	for _, format := range []string{"src-0/o%05d", "sensor-%05d/temperature"} {
+		stream, frames := idStream(format, objects, batch)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(&loopReader{data: stream})
+		for f := 0; f < frames; f++ {
+			cb, err := d.ReadCacheBound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseBatch(cb.Batch)
+		}
+		runtime.GC()
+		runtime.GC() // the second cycle empties the batch pool's victim cache
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(d)
+		perID := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / objects
+		idLen := len(fmt.Sprintf(format, 0))
+		t.Logf("%q: %.1f B of live heap per interned %d-byte id", format, perID, idLen)
+		if limit := float64(idLen + 12); perID > limit {
+			t.Errorf("%q: decoder keeps %.1f B per id, want ≤ %.0f (the id's bytes + 12)", format, perID, limit)
+		}
 	}
 }
 
