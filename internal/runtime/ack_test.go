@@ -43,12 +43,17 @@ func relayed(sender, object string, senderVersion, originVersion uint64) wire.Re
 
 // TestAckPayloadReadAtDrain: an ack records which entry it is about, not a
 // copy of the version; what is sent is the origin axis the entry has when
-// the feedback is built — one ack per object however often it was applied.
+// the feedback is built — one ack per object however often it was dropped.
+// Acks come from stale drops only: the applies that precede them owe none.
 func TestAckPayloadReadAtDrain(t *testing.T) {
 	c := quietCache(nil)
 	defer c.Close()
+	apply(t, c, relayed("relay", "root/x", 1, 5), relayed("relay", "root/y", 3, 2))
+	// Re-sends the cache already holds: x twice, y once.
 	apply(t, c, relayed("relay", "root/x", 1, 5))
-	apply(t, c, relayed("relay", "root/x", 2, 6), relayed("relay", "root/y", 3, 2))
+	apply(t, c, relayed("relay", "root/x", 1, 5), relayed("relay", "root/y", 3, 2))
+	// x moves on after its drops: the ack reports the version held at drain.
+	apply(t, c, relayed("relay", "root/x", 2, 6))
 	got := c.takeAcks("relay")
 	want := map[string]wire.HeldVersion{
 		"root/x": {ObjectID: "root/x", Epoch: 50, Version: 6},
@@ -80,7 +85,8 @@ func TestAckPayloadReadAtDrain(t *testing.T) {
 
 // TestAckPerSender: in a diamond, two relays deliver the same origin version
 // of one object — the first is applied, the second dropped by the origin-axis
-// guard — and each of them is owed, and gets, its own ack.
+// guard. The applying relay is owed nothing; the dropping relay gets its ack.
+// Once both have a copy dropped, each is owed, and gets, its own ack.
 func TestAckPerSender(t *testing.T) {
 	c := quietCache(nil)
 	defer c.Close()
@@ -90,6 +96,15 @@ func TestAckPerSender(t *testing.T) {
 		t.Fatalf("refreshes=%d stale=%d, want one apply and one origin-axis drop", st.Refreshes, st.Stale)
 	}
 	want := wire.HeldVersion{ObjectID: "root/x", Epoch: 50, Version: 5}
+	if got := c.takeAcks("relay-a"); got != nil {
+		t.Errorf("the applying relay is owed %+v, want nothing", got)
+	}
+	if got := c.takeAcks("relay-b"); len(got) != 1 || got[0] != want {
+		t.Errorf("acks toward relay-b = %+v, want [%+v]", got, want)
+	}
+	// relay-a re-sends its copy (per-sender drop), relay-b its own again
+	// (origin-axis drop): two senders owed an ack for one object.
+	apply(t, c, relayed("relay-a", "root/x", 1, 5), relayed("relay-b", "root/x", 9, 5))
 	for _, sender := range []string{"relay-b", "relay-a"} {
 		if got := c.takeAcks(sender); len(got) != 1 || got[0] != want {
 			t.Errorf("acks toward %s = %+v, want [%+v]", sender, got, want)
@@ -111,6 +126,7 @@ func TestAckBoundedPerFeedback(t *testing.T) {
 		rs[i] = relayed("relay", fmt.Sprintf("root/o%04d", i), uint64(i+1), 1)
 	}
 	apply(t, c, rs...)
+	apply(t, c, rs...) // every copy again: a stale drop, and an ack, each
 	seen := map[string]bool{}
 	for _, want := range []int{maxHeldPerFeedback, maxHeldPerFeedback, 88, 0} {
 		got := c.takeAcks("relay")
@@ -126,5 +142,37 @@ func TestAckBoundedPerFeedback(t *testing.T) {
 	}
 	if len(seen) != objects {
 		t.Errorf("%d of %d objects acked", len(seen), objects)
+	}
+}
+
+// TestAckOwedForDropsOnly: applying a copy tells its sender nothing it
+// did not send, so a stream of relayed applies from several senders, with no
+// stale drop among them, leaves nothing owed and no ack set allocated.
+func TestAckOwedForDropsOnly(t *testing.T) {
+	c := quietCache(nil)
+	defer c.Close()
+	for round := uint64(1); round <= 4; round++ {
+		rs := make([]wire.Refresh, 0, 2*64)
+		for i := range 64 {
+			// Each relay carries the objects the other does not, a round at a
+			// time: both take the apply path on every copy.
+			sender := []string{"relay-a", "relay-b"}[(i+int(round))%2]
+			rs = append(rs, relayed(sender, fmt.Sprintf("root/o%02d", i), round, round))
+		}
+		apply(t, c, rs...)
+	}
+	if st := c.Stats(); st.Refreshes != 4*64 || st.Stale != 0 {
+		t.Fatalf("refreshes=%d stale=%d, want every copy applied", st.Refreshes, st.Stale)
+	}
+	for _, sender := range []string{"relay-a", "relay-b"} {
+		if got := c.takeAcks(sender); got != nil {
+			t.Errorf("relayed applies owe %s %d acks, want none", sender, len(got))
+		}
+	}
+	c.mu.RLock()
+	owed := len(c.store.owed)
+	c.mu.RUnlock()
+	if owed != 0 {
+		t.Errorf("the store keeps %d ack sets after applies alone, want 0", owed)
 	}
 }

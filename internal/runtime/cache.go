@@ -342,13 +342,13 @@ type store struct {
 	index idIndex // object id → slab index, confirmed against slot.id
 	slab  []*[slabChunk]slot
 	n     int32 // slots in use
-	// owed holds the pending held-version acknowledgements per sender — for
-	// entries applied from relayed refreshes, or held on to while dropping a
-	// sender's stale re-send. The dispatcher's surplus-feedback pass drains
-	// them onto outgoing wire.Feedback.Held (bounded per message), so senders
-	// learn what this cache already holds and skip the rest. A cache hears
-	// from few senders and a batch comes from one, so the list is scanned,
-	// most recent sender first (lastOwed).
+	// owed holds the pending held-version acknowledgements per sender: the
+	// entries held on to while dropping that sender's stale copies. The
+	// dispatcher's surplus-feedback pass drains them onto outgoing
+	// wire.Feedback.Held (bounded per message), so senders learn what this
+	// cache already holds and skip the rest. A cache hears from few senders
+	// and a batch comes from one, so the list is scanned, most recent sender
+	// first (lastOwed).
 	owed     []ackSet
 	lastOwed int
 	// routes remembers the most recently resolved routes, so an object that
@@ -881,24 +881,18 @@ func (c *Cache) applyLocked(r *wire.Refresh, h, w uint64, now int64) bool {
 		c.stats.Divergence += d
 	}
 	// A copy whose origin is its sender is stored as direct: no origin, and
-	// the sender's own (epoch, version) is the origin axis.
-	relayed := r.Origin != "" && r.Origin != r.SourceID
+	// the sender's own (epoch, version) is the origin axis. An applied copy
+	// is not acked: the ack would tell the sender only what it has just
+	// sent, and its re-sends after a restart or a redial (which forgets
+	// acks) land in the stale branches above, which ack.
 	origin, originEpoch, originVersion := "", int64(0), uint64(0)
-	if relayed {
+	if r.Origin != "" && r.Origin != r.SourceID {
 		origin, originEpoch, originVersion = r.Origin, r.OriginEpoch, r.OriginVersion
+		c.stats.PeerServed++
 	}
 	cur.value, cur.version, cur.epoch, cur.originVersion = r.Value, r.Version, r.Epoch, originVersion
 	cur.refreshed = now
 	cur.rt = st.routeFor(cur.rt, r.SourceID, origin, originEpoch, r.Hops, r.Via)
-	if relayed {
-		c.stats.PeerServed++
-		// Applied relayed copies are acknowledged too: the ack lets the
-		// relay skip re-sending them after ITS restart (direct senders
-		// need no apply-path ack — their re-sends fall into the stale
-		// branches above, which ack on the spot — so the single-tier hot
-		// path records nothing).
-		c.recordAckLocked(r.SourceID, i)
-	}
 	c.stats.Refreshes++
 	return true
 }

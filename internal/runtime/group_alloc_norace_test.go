@@ -623,3 +623,72 @@ func TestSpliceAtAxisAcksAllocateNothing(t *testing.T) {
 		t.Errorf("fallbacks=%d spliced batches=%d, want 0 and 52", st.Group.Fallbacks, st.Group.SplicedBatches)
 	}
 }
+
+// TestRelayHeldColumnStaysNil: in a steady origin → relay → leaf tree over
+// TCP the leaf applies every copy and drops none, so it acks nothing, and the
+// relay's per-member held column — 16 B per object per child once allocated —
+// is never allocated. An ack on the apply path brings it back.
+func TestRelayHeldColumnStaysNil(t *testing.T) {
+	const objects, rounds = 2048, 3
+	leafEp, leafAddr := serveTCP(t)
+	defer leafEp.Close()
+	leaf := NewCache(CacheConfig{ID: "leaf", Bandwidth: 1e5, Tick: 5 * time.Millisecond}, leafEp)
+	defer leaf.Close()
+	upEp, upAddr := serveTCP(t)
+	defer upEp.Close()
+	relay, err := NewNode(NodeConfig{
+		ID:            "relay",
+		Intake:        CacheConfig{Bandwidth: 1e5, Tick: 5 * time.Millisecond},
+		PeerBandwidth: 1e5,
+		Metric:        metric.ValueDeviation,
+		Params:        pinnedParams(1e-6),
+		Tick:          5 * time.Millisecond,
+	}, upEp, []Destination{{CacheID: "leaf", Conn: dialTCP(t, leafAddr, "relay")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	origin, err := NewFanoutSource(SourceConfig{
+		ID: "root", Metric: metric.ValueDeviation, Bandwidth: 1e5, Tick: 5 * time.Millisecond,
+		Params: pinnedParams(1e-6),
+	}, []Destination{{CacheID: "relay", Conn: dialTCP(t, upAddr, "root")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+
+	ids := make([]string, objects)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("root/o%05d", i)
+	}
+	for round := 1; round <= rounds; round++ {
+		for i, id := range ids {
+			origin.Update(id, float64(round*objects+i))
+		}
+		waitFor(t, 10*time.Second, func() bool {
+			for i, id := range ids {
+				if e, ok := leaf.Get(id); !ok || e.Value != float64(round*objects+i) {
+					return false
+				}
+			}
+			return true
+		}, fmt.Sprintf("leaf at round %d", round))
+	}
+	// Feedback keeps flowing: a few more rounds of it reach the relay.
+	fb := relay.Stats().Peers.Sessions[0].Feedbacks
+	waitFor(t, 5*time.Second, func() bool { return relay.Stats().Peers.Sessions[0].Feedbacks >= fb+3 },
+		"feedback from the leaf")
+
+	if st := leaf.Stats(); st.Stale != 0 {
+		t.Fatalf("the leaf dropped %d copies in a steady tree, want none", st.Stale)
+	}
+	src := relay.Source()
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for _, ss := range src.sessions {
+		if ss.held != nil || len(ss.heldPending) != 0 {
+			t.Errorf("relay session %s holds a %d B held column and %d parked acks, want none",
+				ss.dest.CacheID, cap(ss.held)*int(unsafe.Sizeof(heldAxis{})), len(ss.heldPending))
+		}
+	}
+}

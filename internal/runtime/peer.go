@@ -470,9 +470,9 @@ func (n *Node) reexport(applied []wire.Refresh) {
 // Snapshot-age protection: a re-export carries this incarnation's sender
 // epoch but preserves the ORIGIN's version axis, so a peer holding a newer
 // value drops the stale re-export at intake and acknowledges its held
-// version on feedback (wire.Feedback.Held), which cancels the remaining
-// queued re-sends for objects the peer is already at-or-ahead of
-// (SessionStats.HeldSkips). The peer never regresses.
+// version on feedback (wire.Feedback.Held) — a peer acks only stale drops,
+// never an applied copy — which cancels later sends it is at-or-ahead of,
+// such as the re-sync (SessionStats.HeldSkips). The peer never regresses.
 //
 // The store is walked one slab chunk at a time, each chunk re-exported under
 // the cache's read lock: a live apply of the same object is thereby ordered

@@ -286,8 +286,13 @@ func TestCacheSlotRoundTrip(t *testing.T) {
 	}
 
 	// A direct sender's stale re-send is acked with the slot's own axis; a
-	// relayed apply with the route's origin epoch and the slot's version.
-	apply(t, c, wire.Refresh{SourceID: "s1", ObjectID: "s1/a", Value: 1.5, Version: 3, Epoch: 10})
+	// relayed one with the route's origin epoch and the slot's version.
+	apply(t, c,
+		wire.Refresh{SourceID: "s1", ObjectID: "s1/a", Value: 1.5, Version: 3, Epoch: 10},
+		relayed("relay", "root/b", 4, 7),
+		relayed("relay", "root/e", 1, 1),
+		relayed("relay", "root/f", 1, 1),
+	)
 	acks := map[string]wire.HeldVersion{}
 	for _, sender := range []string{"s1", "relay"} {
 		for _, h := range c.takeAcks(sender) {
