@@ -25,17 +25,10 @@
 // re-estimation epoch; -poll-rate supplies ideal mode's assumed per-object
 // update rate (ideal without it falls back to CGM1's estimates).
 //
-// -mode hybrid runs both halves at once: cooperating sources push their hot
-// objects and mark them in each poll reply's Pushed set, and the cache polls
-// only the cold remainder with CGM1-estimated frequencies. The Pushed set is
-// honored only from sources whose Hello advertised the cooperative
-// capability, so a legacy source can never switch this cache's polling off.
-// Relay mode accepts push or hybrid upstream.
-//
 // # Relay mode (cache→cache hierarchy)
 //
 // With -children the daemon becomes a middle tier: it still serves -addr as
-// a cache toward its upstream, but every refresh it applies is re-exported
+// a push cache (-mode push) toward its upstream, but every refresh it applies is re-exported
 // as an update toward the listed child caches, with its own send budget
 // (-child-bandwidth) divided across them by share weight — edge tiers that
 // re-export refreshes. Re-exported refreshes keep the originating source id
@@ -57,9 +50,8 @@
 //
 // -peers lists LATERAL neighbors instead of (or alongside) downstream
 // children: the node pushes the refreshes it applies to each peer exactly
-// like a relay re-exports to a child, and — with -child-mode hybrid — also
-// answers the peers' polls from its own store, stamping full provenance so
-// the peers' own re-exports keep the loop guards intact. Children and peers
+// like a relay re-exports to a child, stamping full provenance so the peers'
+// own re-exports keep the loop guards intact. Children and peers
 // are the same symmetric peer face (internal/runtime Node); the two flags
 // only differ in vocabulary, so rings, meshes and random graphs are just
 // -peers wiring: each node lists its neighbors, split horizon and the
@@ -74,7 +66,7 @@
 //	cachesyncd -addr :7400 -bandwidth 100
 //	cachesyncd -addr :7400 -children edge-a:7500,edge-b:7500=2 -child-bandwidth 60
 //	cachesyncd -addr :7400 -children edge-a:7500 -total-bandwidth 120 -rebalance 2s -http :7401
-//	cachesyncd -addr :7400 -peers node-b:7400,node-c:7400 -child-mode hybrid
+//	cachesyncd -addr :7400 -peers node-b:7400,node-c:7400
 //	cachesyncd -addr :7400 -mode cgm1 -bandwidth 100 -resolve-every 20s
 package main
 
@@ -101,8 +93,7 @@ func main() {
 	id := flag.String("id", "", "cache identifier stamped on feedback (default: the listen address)")
 	httpAddr := flag.String("http", "", "optional HTTP status address (e.g. :7401)")
 	bw := flag.Float64("bandwidth", 100, "refresh-processing budget (messages/second)")
-	mode := flag.String("mode", "push", "sync policy: push (source-cooperative), hybrid (push hot head, poll cold tail) or poll|ideal|cgm1|cgm2 (cache-driven CGM baseline)")
-	childMode := flag.String("child-mode", "push", "relay mode: sync policy on the downstream (child) face: push or hybrid")
+	mode := flag.String("mode", "push", "sync policy: push (source-cooperative) or poll|ideal|cgm1|cgm2 (cache-driven CGM baseline)")
 	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "poll modes: re-estimation/re-allocation epoch")
 	pollRate := flag.Float64("poll-rate", 0, "ideal mode: assumed per-object update rate (updates/s); 0 = fall back to CGM1 estimates")
 	children := flag.String("children", "", "comma-separated downstream cache addresses host:port[=weight] (relay mode: re-export applied refreshes)")
@@ -123,25 +114,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("cachesyncd: -mode: %v", err)
 	}
-	childPolicy, err := runtime.ParsePolicy(*childMode)
-	if err != nil {
-		log.Fatalf("cachesyncd: -child-mode: %v", err)
-	}
-	var caps uint64
-	if childPolicy == runtime.PolicyHybrid {
-		// The relay's child face pushes its hot set; advertising the
-		// cooperative capability lets hybrid children trust the Pushed sets
-		// in its poll replies.
-		caps |= wire.CapCooperative
-	}
 	if *children != "" || *peers != "" {
 		// A node with a peer face understands peer-capable frames (poll
 		// provenance, known-version hints); advertising CapPeer lets the
 		// node on the other end attach Known hints to the polls it sends
 		// back over this connection.
-		caps |= wire.CapPeer
+		transport.SetDialCapabilities(wire.CapPeer)
 	}
-	transport.SetDialCapabilities(caps)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("cachesyncd: %v", err)
@@ -159,7 +138,7 @@ func main() {
 	)
 	if *children != "" || *peers != "" {
 		if policy.CacheDriven() {
-			log.Fatalf("cachesyncd: relay/mesh mode requires -mode push or hybrid (got %v)", policy)
+			log.Fatalf("cachesyncd: relay/mesh mode requires -mode push (got %v)", policy)
 		}
 		var addrs []string
 		var weights []float64
@@ -200,19 +179,14 @@ func main() {
 				childBand = 0
 			}
 		}
-		upCfg := runtime.CacheConfig{Bandwidth: cacheBW, Policy: policy}
-		if policy.Polls() {
-			upCfg.Poll = runtime.PollConfig{ReSolveEvery: *resolveEvery}
-		}
 		node, err = runtime.NewNode(runtime.NodeConfig{
 			ID:             *id,
-			Intake:         upCfg,
+			Intake:         runtime.CacheConfig{Bandwidth: cacheBW},
 			PeerBandwidth:  childBand,
 			TotalBandwidth: *totalBW,
 			Rebalance:      *rebalance,
 			Metric:         metric.ValueDeviation,
 			MaxHops:        *maxHops,
-			PeerPolicy:     childPolicy,
 			Group:          runtime.GroupConfig{Enabled: *group},
 			SpliceForward:  *group && *splice,
 		}, ep, dests)
@@ -313,28 +287,19 @@ func main() {
 			return
 		case <-ticker.C:
 			st := cache.Stats()
-			switch {
-			case policy == runtime.PolicyHybrid:
-				fmt.Printf("objects=%d sources=%d refreshes=%d feedback=%d polls=%d replies=%d resolves=%d stale=%d rate=%.1f/s\n",
-					cache.Len(), st.Sources, st.Refreshes, st.Feedbacks, st.Polls, st.PollReplies, st.Resolves, st.Stale, cache.ApplyRate())
-			case policy.CacheDriven():
+			if policy.CacheDriven() {
 				fmt.Printf("objects=%d sources=%d refreshes=%d polls=%d replies=%d resolves=%d stale=%d rate=%.1f/s\n",
 					cache.Len(), st.Sources, st.Refreshes, st.Polls, st.PollReplies, st.Resolves, st.Stale, cache.ApplyRate())
 				continue
-			default:
-				fmt.Printf("objects=%d sources=%d refreshes=%d feedback=%d stale=%d rate=%.1f/s\n",
-					cache.Len(), st.Sources, st.Refreshes, st.Feedbacks, st.Stale, cache.ApplyRate())
 			}
+			fmt.Printf("objects=%d sources=%d refreshes=%d feedback=%d stale=%d rate=%.1f/s\n",
+				cache.Len(), st.Sources, st.Refreshes, st.Feedbacks, st.Stale, cache.ApplyRate())
 			if node != nil {
 				nst := node.Stats()
 				fmt.Printf("  node forwarded=%d looped=%d hop_limited=%d peer_served=%d out_refreshes=%d up=%.3g/s down=%.3g/s rebalances=%d\n",
 					nst.Forwarded, nst.Looped, nst.HopLimited,
 					nst.Intake.PeerServed, nst.Peers.Refreshes,
 					nst.IntakeBandwidth, nst.PeerBandwidth, nst.FaceRebalances)
-				if h := nst.Peers.Hybrid; h != nil {
-					fmt.Printf("  hybrid push_objects=%d poll_objects=%d promotions=%d demotions=%d polls_answered=%d polled_items=%d\n",
-						h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, nst.Peers.PollsAnswered, h.PolledItems)
-				}
 				if g := nst.Peers.Group; g != nil {
 					fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d lags=%d caught_up=%d overruns=%d share=%.3g/s\n",
 						g.Members, g.Batches, g.Delivered, g.Fallbacks, g.Detaches, g.Rejoins, g.QueueOverruns, g.MemberShare)

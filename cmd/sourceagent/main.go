@@ -35,13 +35,6 @@
 // thresholds, no pushes — the cache decides what to ask and when, and the
 // agent's replies are paced by the same per-destination share of -bandwidth.
 //
-// With -mode hybrid the agent runs both halves under ONE token bucket: a
-// per-destination migration controller pushes the objects whose divergence per
-// message beats their estimated poll value and leaves the cold tail to
-// cache-driven polls, stamping each reply's Pushed set so the cache stops
-// polling pushed objects. The agent advertises the cooperative capability
-// in its Hello; pair with cachesyncd -mode hybrid.
-//
 // Examples:
 //
 //	sourceagent -addr localhost:7400 -id sensor-7 -objects 50 -rate 2 -bandwidth 10
@@ -76,7 +69,7 @@ func main() {
 	objects := flag.Int("objects", 20, "number of local objects")
 	rate := flag.Float64("rate", 1, "total updates per second across all objects")
 	bw := flag.Float64("bandwidth", 10, "source-side send budget (messages/second), shared across all caches")
-	mode := flag.String("mode", "push", "sync policy: push (source-initiated refreshes), hybrid (push hot head, answer polls for the cold tail) or poll|ideal|cgm1|cgm2 (answer cache-driven polls; pair with cachesyncd -mode)")
+	mode := flag.String("mode", "push", "sync policy: push (source-initiated refreshes) or poll|ideal|cgm1|cgm2 (answer cache-driven polls; pair with cachesyncd -mode)")
 	rebalance := flag.Duration("rebalance", 0, "periodic share re-allocation interval from observed feedback/divergence (0 = static shares)")
 	group := flag.Bool("group", false, "session-group fan-out: default-weight push destinations share one scheduling pass and one encode per batch (encode-once delivery)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -http mux")
@@ -91,14 +84,8 @@ func main() {
 	}
 	// Advertise the peer-serving capability unconditionally: this build's
 	// answer path understands known-version hints (wire.Poll.Known), so
-	// caches may attach them and save redundant reply items. Hybrid mode
-	// additionally advertises cooperation so hybrid caches trust the Pushed
-	// sets in this agent's poll replies and stop polling pushed objects.
-	agentCaps := wire.CapPeer
-	if policy == runtime.PolicyHybrid {
-		agentCaps |= wire.CapCooperative
-	}
-	transport.SetDialCapabilities(agentCaps)
+	// caches may attach them and save redundant reply items.
+	transport.SetDialCapabilities(wire.CapPeer)
 	addrs := []string{*addr}
 	weights := []float64{0}
 	if *caches != "" {
@@ -197,10 +184,6 @@ func main() {
 			}
 			fmt.Printf("updates=%d refreshes=%d feedback=%d errors=%d pending=%d rebalances=%d threshold=%.4g\n",
 				st.Updates, st.Refreshes, st.Feedbacks, st.SendErrors, st.Pending, st.Rebalances, st.Threshold)
-			if h := st.Hybrid; h != nil {
-				fmt.Printf("  hybrid push_objects=%d poll_objects=%d promotions=%d demotions=%d polls_answered=%d polled_items=%d\n",
-					h.PushObjects, h.PollObjects, h.Promotions, h.Demotions, st.PollsAnswered, h.PolledItems)
-			}
 			if g := st.Group; g != nil {
 				fmt.Printf("  group members=%d batches=%d delivered=%d fallbacks=%d lags=%d caught_up=%d overruns=%d share=%.3g/s early=%d\n",
 					g.Members, g.Batches, g.Delivered, g.Fallbacks, g.Detaches, g.Rejoins, g.QueueOverruns, g.MemberShare, g.EarlyBatches)

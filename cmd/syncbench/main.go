@@ -34,12 +34,10 @@
 //
 // With -policy syncbench runs the live analogue of Figure 6 (§6.3): one
 // source and one cache synchronize the same workload under each sync
-// policy — source-cooperative push, ideal cache-based polling, CGM1, CGM2
-// and the hybrid split (push the hot head, poll the cold tail) — at equal
-// message budget over both transports, reporting installed refreshes, total
-// messages and final mean divergence per policy. -zipf adds skewed-workload
-// sweep points (comma-separated Zipf exponents), where the hybrid policy's
-// migration controller concentrates the push budget on the hot objects. The
+// policy — source-cooperative push, ideal cache-based polling, CGM1 and
+// CGM2 — at equal message budget over both transports, reporting installed
+// refreshes, total messages and final mean divergence per policy. -zipf adds
+// skewed-workload sweep points (comma-separated Zipf exponents). The
 // -objects, -rate, -bandwidth, -duration, -resolve-every and -zipf flags
 // tune it. Results are also written to BENCH_policy.json.
 //
@@ -126,7 +124,7 @@ func main() {
 	bandwidth := flag.Float64("bandwidth", 200, "policy/topology mode: total send budget (messages/second)")
 	topology := flag.Bool("topology", false, "benchmark the peer-face topology shapes (direct tree vs ring vs mesh at equal total budget) instead of experiments")
 	topoNodes := flag.Int("nodes", 6, "topology mode: cache node count per shape")
-	policy := flag.Bool("policy", false, "benchmark the sync policies (push vs hybrid vs ideal/CGM1/CGM2 cache-driven polling) at equal message budget instead of experiments")
+	policy := flag.Bool("policy", false, "benchmark the sync policies (push vs ideal/CGM1/CGM2 cache-driven polling) at equal message budget instead of experiments")
 	resolveEvery := flag.Duration("resolve-every", 500*time.Millisecond, "policy mode: poll re-estimation/re-allocation epoch")
 	zipfFlag := flag.String("zipf", "", "policy mode: comma-separated Zipf exponents (each > 1) adding skewed-workload sweep points (empty = uniform workload only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected mode to this file")

@@ -8,15 +8,13 @@ import (
 
 	"bestsync/internal/metric"
 	"bestsync/internal/runtime"
-	"bestsync/internal/transport"
-	"bestsync/internal/wire"
 )
 
 // policyResult is one measured (policy, transport, workload) cell of the
 // live push-vs-poll comparison — the wall-clock analogue of Figure 6 (§6.3).
 type policyResult struct {
 	Scenario       string  `json:"scenario"` // <policy>-<transport>[-z<s>]
-	Policy         string  `json:"policy"`   // push | ideal | cgm1 | cgm2 | hybrid
+	Policy         string  `json:"policy"`   // push | ideal | cgm1 | cgm2
 	Transport      string  `json:"transport"`
 	Objects        int     `json:"objects"`
 	DurationS      float64 `json:"duration_s"`
@@ -29,31 +27,21 @@ type policyResult struct {
 	// Refreshes counts values actually installed at the cache.
 	Refreshes int `json:"refreshes"`
 	// Messages counts everything on the wire: refreshes + feedback for
-	// push; poll requests + reply items for the cache-driven modes; all
-	// four flows for hybrid.
+	// push; poll requests + reply items for the cache-driven modes.
 	Messages int     `json:"messages"`
 	MsgsPerS float64 `json:"msgs_per_s"`
 	// Poll-mode extras (zero for push).
 	Polls    int `json:"polls,omitempty"`
 	Resolves int `json:"resolves,omitempty"`
-	// Hybrid-mode extras: final push/poll set split, migration counts and
-	// the values the poll half delivered (the rest of Refreshes is pushes).
-	PushObjects int `json:"push_objects,omitempty"`
-	PollObjects int `json:"poll_objects,omitempty"`
-	Promotions  int `json:"promotions,omitempty"`
-	Demotions   int `json:"demotions,omitempty"`
-	PolledItems int `json:"polled_items,omitempty"`
 	// MeanDivergence is the time-averaged mean |cache − canonical| over the
 	// steady-state portion of the run (~100ms samples after a warm-up
 	// third, plus the settled end state) — the paper's objective.
 	MeanDivergence float64 `json:"mean_divergence"`
 }
 
-// policySweep is the policy order of the sweep (and of Figure 6's curves),
-// plus the hybrid policy that splits each object between the two regimes.
+// policySweep is the policy order of the sweep (and of Figure 6's curves).
 var policySweep = []runtime.Policy{
 	runtime.PolicyPush, runtime.PolicyIdeal, runtime.PolicyCGM1, runtime.PolicyCGM2,
-	runtime.PolicyHybrid,
 }
 
 // runPolicyMode runs the live §6.3 comparison: one source, one cache, the
@@ -62,9 +50,8 @@ var policySweep = []runtime.Policy{
 // source-cooperative push should end no more diverged than the CGM polling
 // baselines at equal budget (polls pay a 2-message round trip and estimate
 // rates; push pays 1 message and KNOWS what changed). Each zipf exponent
-// adds a skewed-workload sweep point on top of the uniform one; there the
-// hybrid policy gets to show its split — push the hot head, poll the cold
-// tail. Results go to stdout and BENCH_policy.json.
+// adds a skewed-workload sweep point on top of the uniform one. Results go
+// to stdout and BENCH_policy.json.
 func runPolicyMode(objects int, rate, bandwidth float64, duration, resolveEvery time.Duration, zipf []float64) {
 	fmt.Printf("# sync policies: 1 source -> 1 cache, %d objects, %.0f updates/s, %.0f msgs/s budget, %s per scenario, re-solve %s\n\n",
 		objects, rate, bandwidth, duration, resolveEvery)
@@ -96,14 +83,6 @@ func runPolicyMode(objects int, rate, bandwidth float64, duration, resolveEvery 
 					verdict = "ORDERING VIOLATED"
 				}
 				fmt.Printf("# %s: push %.4f vs %s %.4f — %s\n", suffix[1:], push, cgm, poll, verdict)
-			}
-			hybrid := divergence["hybrid"+suffix]
-			bestPoll := min(divergence["cgm1"+suffix], divergence["cgm2"+suffix])
-			switch {
-			case hybrid < push && hybrid < bestPoll:
-				fmt.Printf("# %s: hybrid %.4f beats push %.4f AND best poll %.4f\n", suffix[1:], hybrid, push, bestPoll)
-			default:
-				fmt.Printf("# %s: hybrid %.4f vs push %.4f / best poll %.4f\n", suffix[1:], hybrid, push, bestPoll)
 			}
 		}
 	}
@@ -200,9 +179,8 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 			TrueRate:     trueRate,
 		},
 	})
-	// The source-side budget: B for push and hybrid (the source is the
-	// sender, and in hybrid the ONE bucket covers pushes and poll answers
-	// alike), effectively unconstrained for the cache-driven modes — the
+	// The source-side budget: B for push (the source is the sender),
+	// effectively unconstrained for the cache-driven modes — the
 	// CGM model assumes no source-side limit, only cache-side capacity
 	// (internal/cgm.Config), and the cache's charged polls already bound
 	// the message total.
@@ -210,33 +188,12 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 	if policy.CacheDriven() {
 		srcBW = bandwidth * 10
 	}
-	if policy == runtime.PolicyHybrid {
-		// Advertise cooperation on the dials below so the cache honors the
-		// Pushed sets in this source's replies; reset on the way out so the
-		// other sweep cells keep legacy handshakes.
-		transport.SetDialCapabilities(wire.CapCooperative)
-		defer transport.SetDialCapabilities(0)
-	}
 	src := runtime.NewSource(runtime.SourceConfig{
 		ID:        "bench-policy",
 		Metric:    metric.ValueDeviation,
 		Bandwidth: srcBW,
 		Tick:      10 * time.Millisecond,
 		Policy:    policy,
-		// Migration windows sized to the bench: several controller passes
-		// inside even a sub-second CI smoke window. The band is set low and
-		// wide, with a slow EWMA gain: the push set covers every object pure
-		// push would serve, the poll set is left with the genuinely cold
-		// tail, and a mid-rank object whose 0-or-1 updates per window make
-		// the raw score oscillate stays put instead of flapping between
-		// regimes (each flap parks a diverged object outside the push queue
-		// waiting on a rare poll).
-		Hybrid: runtime.HybridConfig{
-			Promote:      0.4,
-			Demote:       0.03,
-			Gain:         0.15,
-			MigrateEvery: resolveEvery,
-		},
 	}, node.dial("bench-policy"))
 
 	pick := func(step int) int { return step % objects }
@@ -266,33 +223,14 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 	st := src.Stats()
 	res.Updates = st.Updates
 	res.Refreshes = cs.Refreshes
-	switch {
-	case policy == runtime.PolicyHybrid:
-		res.Polls = cs.Polls
-		res.Resolves = cs.Resolves
-		// Everything on the wire, both regimes: pushes + feedback from the
-		// push half, requests + reply traffic from the poll half. The
-		// source's Refreshes counts pushes AND answered reply items, and
-		// the cache's PollReplies counts those same items again (plus the
-		// discovery listings) — subtract the poll-half deliveries once so
-		// each value transfer is billed a single message.
-		res.Messages = st.Refreshes + cs.Feedbacks + cs.Polls + cs.PollReplies
-		if h := st.Hybrid; h != nil {
-			res.Messages -= h.PolledItems
-			res.PushObjects = h.PushObjects
-			res.PollObjects = h.PollObjects
-			res.Promotions = h.Promotions
-			res.Demotions = h.Demotions
-			res.PolledItems = h.PolledItems
-		}
-	case policy.CacheDriven():
+	if policy.CacheDriven() {
 		res.Polls = cs.Polls
 		res.Resolves = cs.Resolves
 		// Replies always count; requests count only for the practical
 		// modes — §6.3's ideal assumes free requests, and the budget
 		// charged them that way.
 		res.Messages = cs.PollReplies + int(policy.MessageCost()-1)*cs.Polls
-	default:
+	} else {
 		res.Messages = st.Refreshes + cs.Feedbacks
 	}
 	res.MsgsPerS = float64(res.Messages) / elapsed

@@ -37,7 +37,7 @@ func feedPoissonPolls(seed int64, lambda float64, checkpoints []int,
 }
 
 // TestEstimatorsConvergeWithinBoundedWindow pins the convergence CONTRACT the
-// hybrid migration controller and the CGM poll scheduler lean on: both
+// CGM poll scheduler leans on: both
 // estimators must be within 25% of a known synthetic rate after a bounded
 // number of observations — not merely in the infinite-poll limit — and must
 // then STAY inside the band at every later checkpoint (no late divergence).

@@ -101,14 +101,11 @@ type CacheConfig struct {
 	// sources and polls each object at its cgm.OptimalAllocation frequency
 	// under the same Bandwidth, counted in messages (surplus feedback is
 	// disabled — the CGM baseline has none, and unaccounted feedback would
-	// skew equal-budget comparisons). PolicyHybrid runs both halves: the
-	// cache consumes pushed refreshes AND polls the cold tail — the poll
-	// scheduler skips objects a cooperating source advertises as push-set
-	// (wire.PollReply.Pushed) — and keeps the push policy's feedback and
-	// held-version acks, which the source's push half depends on. Polling
-	// policies (including hybrid) require the endpoint to implement
-	// transport.PollEndpoint (both provided transports do); NewCache
-	// panics otherwise.
+	// skew equal-budget comparisons). A polling cache applies any pushed
+	// batch it is sent through the same path as its poll replies.
+	// Polling policies require the endpoint to implement
+	// transport.PollEndpoint (both provided transports do); NewCache panics
+	// otherwise.
 	Policy Policy
 	// Poll tunes the cache-driven policies; ignored under PolicyPush.
 	Poll PollConfig
@@ -497,7 +494,7 @@ func NewCache(cfg CacheConfig, ep transport.CacheEndpoint) *Cache {
 	}
 	c.lastMerge.at = cfg.Now()
 	c.bw.Store(math.Float64bits(cfg.Bandwidth))
-	if cfg.Policy.Polls() {
+	if cfg.Policy.CacheDriven() {
 		pe, ok := ep.(transport.PollEndpoint)
 		if !ok {
 			panic("runtime: a polling policy requires a transport.PollEndpoint (both provided transports implement it)")

@@ -16,7 +16,7 @@ import (
 // encode per batch and fans the pre-encoded frame to its members through
 // sender workers. With Enabled, the default-weight destinations share one
 // group: origin cost per batch drops from O(members × schedule+encode) to one
-// schedule+encode plus O(members) queue hand-offs. Every other push or hybrid
+// schedule+encode plus O(members) queue hand-offs. Every other push
 // destination is a group of its own, with a sender worker of its own, so a
 // slow or stalled cache never holds back another.
 type GroupConfig struct {
@@ -270,8 +270,7 @@ type SessionGroup struct {
 	// rate by accrueLocked and spent one token per scheduled refresh by both
 	// the flusher (broadcastOnce) and the splice fast path
 	// (Source.forwardSpliced) — one bucket, so splicing never overspends the
-	// share the rebalancer granted the group. A hybrid group of one's poll
-	// answers spend it too (syncSession.loop).
+	// share the rebalancer granted the group.
 	budget     tokenBucket
 	lastAccrue float64 // protocol time of the last budget accrual
 	// splicedBatches/splicedRefreshes count forwardSpliced broadcasts.
@@ -504,12 +503,9 @@ func (g *SessionGroup) accrueLocked(now float64) {
 // queue overrun marks the batch's objects, a failed send's redial marks them
 // all) and is caught up from its dirty set. Caller holds src.mu.
 func (g *SessionGroup) scheduleLocked(o *objState, now float64) {
-	g.commit(o, o.value, o.version, now, now)
+	g.commit(o, now)
 	g.eng.OnRefreshSent(now)
 	g.eng.ClampThreshold()
-	if g.hyb != nil {
-		g.hyb.charge(int(o.key), 1)
-	}
 	g.scheduled++
 	g.budget.tokens--
 }
@@ -551,7 +547,7 @@ func (g *SessionGroup) excludedLocked(o *objState, p *Provenance, now float64) b
 		g.unschedule(key, now)
 		return true
 	}
-	g.commit(o, o.value, o.version, now, now)
+	g.commit(o, now)
 	for _, m := range g.members {
 		if _, h := m.excludesLocked(key, p, m.remoteID != ""); h && !m.redialing {
 			m.heldSkips++
@@ -728,7 +724,7 @@ func (g *SessionGroup) fanoutLocked(fs *fanScratch, b *groupBatch, keys []int, p
 // locally produced object. A relayed one's committed origin axis is not kept:
 // it is sent while its value is the committed one, and otherwise stays dirty
 // until it is again. An excluded object (split horizon, an ack at or ahead of
-// the axis) and a hybrid poll-set object leave the set at no cost.
+// the axis) leaves the set at no cost.
 func (g *SessionGroup) catchUp() {
 	s := g.src
 	s.mu.Lock()
@@ -751,9 +747,8 @@ func (g *SessionGroup) catchUp() {
 					g.caughtUp++
 				}
 				// Skipped: never sent to the cohort (its first broadcast is
-				// queued), a hybrid poll-set object (the cache's polls own its
-				// freshness), or excluded.
-				if so.sentVer == 0 || g.hyb != nil && !g.hyb.pushed(k) {
+				// queued), or excluded.
+				if so.sentVer == 0 {
 					continue
 				}
 				ref := g.refresh(o, &prov, m.remoteID, epoch, sentUnix)

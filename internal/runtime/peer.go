@@ -69,14 +69,10 @@ type NodeConfig struct {
 	MaxHops int
 	// PeerPolicy selects the synchronization policy of the peer face
 	// (SourceConfig.Policy): push re-exports applied refreshes
-	// source-initiated; PolicyHybrid pushes each peer's hot head and
-	// answers polls for its cold tail; pure cache-driven policies only
-	// answer polls. Peer destinations must be poll-capable connections for
-	// any polling PeerPolicy.
+	// source-initiated; cache-driven policies only answer polls. Peer
+	// destinations must be poll-capable connections for any polling
+	// PeerPolicy.
 	PeerPolicy Policy
-	// Hybrid tunes the peer-face migration controller when PeerPolicy is
-	// PolicyHybrid.
-	Hybrid HybridConfig
 	// Group configures session-group fan-out on the peer face
 	// (SourceConfig.Group).
 	Group GroupConfig
@@ -204,12 +200,9 @@ func NewNode(cfg NodeConfig, intake transport.CacheEndpoint, peers []Destination
 		return nil, fmt.Errorf("runtime: NodeConfig.Intake.{ID,OnApply,Reject,Now} are owned by the node; configure NodeConfig.ID/Now instead")
 	}
 	if cfg.Intake.Policy.CacheDriven() {
-		// The node's re-export hook rides the apply path, which pushed AND
-		// hybrid-polled refreshes both take — but a PURE cache-driven intake
-		// face has no feedback channel for the held-version acks the
-		// re-export machinery leans on, so only push and hybrid are
-		// supported on the intake face.
-		return nil, fmt.Errorf("runtime: node intake faces support the push and hybrid policies (got %v)", cfg.Intake.Policy)
+		// A cache-driven intake face has no feedback channel for the
+		// held-version acks the re-export machinery leans on.
+		return nil, fmt.Errorf("runtime: node intake faces support the push policy only (got %v)", cfg.Intake.Policy)
 	}
 	if cfg.TotalBandwidth > 0 {
 		// Shared face budget: unset faces default to half the total each;
@@ -253,7 +246,6 @@ func NewNode(cfg NodeConfig, intake transport.CacheEndpoint, peers []Destination
 		Tick:       cfg.Tick,
 		Params:     cfg.Params,
 		Policy:     cfg.PeerPolicy,
-		Hybrid:     cfg.Hybrid,
 		Rebalance:  cfg.Rebalance,
 		Group:      cfg.Group,
 		Now:        cfg.Now,

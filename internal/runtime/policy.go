@@ -22,13 +22,10 @@ import (
 //     message per refresh — the response); CGM1/CGM2 estimate rates live
 //     (last-modified / binary change bit) and pay the round trip (two
 //     messages per refresh).
-//   - PolicyHybrid: per-OBJECT policy selection. Each destination classifies
-//     its objects into a push set (hot head: source-initiated refreshes
-//     through the §5 threshold machinery) and a poll set (cold tail:
-//     cache-driven CGM polling), migrating objects between the regimes from
-//     live estimator signals (see HybridConfig). Both regimes charge the
-//     same per-destination token bucket, so the equal-budget comparison with
-//     the pure policies stays honest.
+//
+// There is no per-object mix of the two: at equal budget push beat a hybrid
+// that pushed the hot head and polled the cold tail at every measured point
+// (spec §9), so a pairing runs one regime for all its objects.
 //
 // Sources and caches must agree on the policy: a push source never polls
 // and a polling cache sends no feedback, so a mismatched pairing simply
@@ -49,9 +46,6 @@ const (
 	// PolicyCGM2 is cache-driven polling with the binary change-bit
 	// estimator (2 msgs/refresh).
 	PolicyCGM2
-	// PolicyHybrid pushes the hot head and polls the cold tail, per object,
-	// with a migration controller moving objects between the regimes.
-	PolicyHybrid
 )
 
 // String names the policy as in Figure 6 (flag-friendly forms).
@@ -65,8 +59,6 @@ func (p Policy) String() string {
 		return "cgm1"
 	case PolicyCGM2:
 		return "cgm2"
-	case PolicyHybrid:
-		return "hybrid"
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
@@ -84,37 +76,26 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyCGM1, nil
 	case "cgm2":
 		return PolicyCGM2, nil
-	case "hybrid":
-		return PolicyHybrid, nil
 	default:
-		return PolicyPush, fmt.Errorf("runtime: unknown sync policy %q (want push, poll/ideal, cgm1, cgm2 or hybrid)", s)
+		return PolicyPush, fmt.Errorf("runtime: unknown sync policy %q (want push, poll/ideal, cgm1 or cgm2)", s)
 	}
 }
 
-// CacheDriven reports whether the cache ALONE initiates synchronization
-// (the pure polling policies). Hybrid is neither pure regime: use Polls /
-// Pushes for capability checks.
-func (p Policy) CacheDriven() bool { return p != PolicyPush && p != PolicyHybrid }
+// CacheDriven reports whether the cache initiates synchronization (the
+// polling policies). Nodes running one need a poll endpoint/connection.
+func (p Policy) CacheDriven() bool { return p != PolicyPush }
 
-// Polls reports whether the policy involves cache-driven polling at all —
-// every policy except pure push. Nodes running a polling policy need a poll
-// endpoint/connection.
-func (p Policy) Polls() bool { return p != PolicyPush }
-
-// Pushes reports whether the policy involves source-initiated refreshes —
-// pure push and the hybrid's hot head.
-func (p Policy) Pushes() bool { return p == PolicyPush || p == PolicyHybrid }
+// Pushes reports whether the source initiates refreshes (PolicyPush).
+func (p Policy) Pushes() bool { return p == PolicyPush }
 
 // MessageCost is the number of wire messages one refreshed object costs
 // under this policy: 1 for push (the refresh) and ideal polling (free
 // requests, per §6.3), 2 for the practical polling modes (request +
-// response). Hybrid reports its poll regime's round-trip cost (2); its push
-// regime charges 1 internally, so 2 is the conservative per-refresh bound an
-// equal-budget comparison should assume. Equal-budget comparisons divide the
-// message budget by this cost to get the refresh budget.
+// response). Equal-budget comparisons divide the message budget by this cost
+// to get the refresh budget.
 func (p Policy) MessageCost() float64 {
 	switch p {
-	case PolicyCGM1, PolicyCGM2, PolicyHybrid:
+	case PolicyCGM1, PolicyCGM2:
 		return 2
 	default:
 		return 1

@@ -34,14 +34,10 @@ type PollConfig struct {
 // last poll — the change detector; the origin axis, not the answerer's own,
 // so a peer relaying another node's value and the origin itself count as
 // the same version and a cache polling both never sees a phantom change —
-// and the live CGM estimators its polls feed. pushed marks an object a
-// cooperating hybrid source advertises as push-set (wire.PollReply.Pushed):
-// the scheduler stops polling it — the source's refreshes own its freshness
-// — until the source demotes it again.
+// and the live CGM estimators its polls feed.
 type pollObj struct {
 	id       string
 	sourceID string
-	pushed   bool
 	epoch    int64
 	version  uint64
 	lastPoll float64 // protocol seconds of the last processed observation
@@ -149,27 +145,10 @@ type pollScheduler struct {
 	index   idIndex // object id → objects index, confirmed against objects[i].id
 	known   map[string]bool
 	queue   pollQueue
-	// coop reports which connected peers advertised the cooperation
-	// capability in their Hello (nil when the transport cannot say, in
-	// which case Pushed advertisements are ignored — a non-cooperating or
-	// legacy source must not be able to turn the cache's polling off).
-	coop cooperationReporter
-	// pushedBy is the last applied push set per cooperating source, the
-	// diff base for marking and unmarking pollObjs as replies arrive.
-	pushedBy map[string]map[string]bool
 	// peers reports which connected sources advertised the peer-serving
 	// capability (wire.CapPeer); known-version hints are only attached to
 	// polls toward those (nil when the transport cannot say).
 	peers peerReporter
-
-	// Hybrid shared-budget accounting: the poll bucket must
-	// leave room for the push half, so each tick deducts the refreshes the
-	// push regime landed since the last one. installs counts this
-	// scheduler's own polled installs (charged at poll-send time already)
-	// so they are not deducted twice; lastPushed is the watermark of
-	// observed push applies.
-	installs   int
-	lastPushed int
 
 	// batch is sendDue's per-source id lists, reused from tick to tick:
 	// SendPoll copies what it keeps. install is processReply's, the
@@ -194,22 +173,10 @@ func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *poll
 		start:     c.cfg.Now(),
 		nextSolve: cfg.ReSolveEvery.Seconds(),
 		known:     map[string]bool{},
-		pushedBy:  map[string]map[string]bool{},
 		batch:     map[string][]string{},
-	}
-	if c.cfg.Policy == PolicyHybrid {
-		ps.coop, _ = pe.(cooperationReporter)
 	}
 	ps.peers, _ = pe.(peerReporter)
 	return ps
-}
-
-// cooperationReporter is the optional transport capability a hybrid cache
-// consults before honoring a source's Pushed advertisements: whether the
-// peer's Hello carried wire.CapCooperative. Both provided transports
-// implement it.
-type cooperationReporter interface {
-	PeerCooperates(sourceID string) bool
 }
 
 // peerReporter is the optional transport capability the scheduler consults
@@ -249,19 +216,6 @@ func (ps *pollScheduler) tick() {
 	c := ps.c
 	cost := c.cfg.Policy.MessageCost()
 	ps.budget.accrue(c.Bandwidth(), c.cfg.Tick.Seconds(), c.cfg.Tick)
-	if c.cfg.Policy == PolicyHybrid {
-		// One cache-side budget across both regimes: refreshes the push half
-		// landed since the last tick (total applies minus this scheduler's
-		// own installs, which poll sends already paid for) come out of the
-		// poll bucket, so the cache polls only with budget the pushes are not
-		// using — the mirror of the source's shared push/answer token bucket.
-		// The dispatcher is the counter's one writer, so it reads it unlocked.
-		pushed := c.stats.Refreshes - ps.installs
-		if d := pushed - ps.lastPushed; d > 0 {
-			ps.budget.tokens -= float64(d)
-		}
-		ps.lastPushed = pushed
-	}
 	t := ps.now()
 	ps.budget.tokens -= ps.discoverNew(cost)
 	ps.budget.tokens -= ps.sendDue(t, cost, ps.budget.tokens)
@@ -334,9 +288,6 @@ func (ps *pollScheduler) sendDue(t, cost, budget float64) float64 {
 		if math.IsInf(o.period, 1) {
 			continue // de-scheduled by a solve after this entry was pushed
 		}
-		if o.pushed {
-			continue // the source pushes this one; stop paying to ask
-		}
 		batch[o.sourceID] = append(batch[o.sourceID], o.id)
 		spent += cost
 		ps.queue.Push(t+o.period, i)
@@ -400,7 +351,6 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 		if created > 0 {
 			ps.scheduleNew(t, created)
 		}
-		ps.applyPushed(r, t)
 		ps.count(0, 1, 0) // the listing reply is one (metadata) message
 		return 1
 	}
@@ -460,62 +410,12 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 	if created > 0 {
 		ps.scheduleNew(t, created)
 	}
-	ps.applyPushed(r, t)
 	ps.install = install
 	if len(install) > 0 {
-		ps.installs += len(install)
 		ps.c.installPolled(install)
 	}
 	ps.count(0, len(r.Items), 0)
 	return 0 // targeted polls were charged in full at send time
-}
-
-// applyPushed folds a cooperating hybrid source's push-set advertisement
-// (wire.PollReply.Pushed) into the schedule: newly pushed objects stop
-// being polled — their queue entries are dropped as they surface — and
-// objects that left the push set resume immediately on their last solved
-// period (or the provisional uniform slice) instead of waiting out the
-// re-solve epoch, during which a demoted object's updates would go
-// unwatched by both regimes. The advertisement is authoritative per reply:
-// a cooperating source with an empty push set clears every prior mark. A
-// source that never advertised wire.CapCooperative in its Hello is ignored
-// entirely — Pushed is advisory, and only the capability handshake makes
-// it trustworthy enough to turn polling off.
-func (ps *pollScheduler) applyPushed(r wire.PollReply, t float64) {
-	if ps.coop == nil || !ps.coop.PeerCooperates(r.SourceID) {
-		return
-	}
-	prev := ps.pushedBy[r.SourceID]
-	if len(r.Pushed) == 0 && len(prev) == 0 {
-		return
-	}
-	next := make(map[string]bool, len(r.Pushed))
-	for _, id := range r.Pushed {
-		next[id] = true
-		if i, _ := ps.find(id); i >= 0 {
-			ps.objects[i].pushed = true
-		}
-	}
-	for id := range prev {
-		if next[id] {
-			continue
-		}
-		i, _ := ps.find(id)
-		if i < 0 {
-			continue
-		}
-		o := ps.objects[i]
-		o.pushed = false
-		if math.IsInf(o.period, 1) {
-			budget := ps.pollBudget()
-			if budget <= 0 {
-				continue
-			}
-			o.period = float64(len(ps.objects)) / budget
-		}
-		ps.queue.Push(t+ps.rng.Float64()*o.period, i)
-	}
-	ps.pushedBy[r.SourceID] = next
 }
 
 // knownFor builds the known-version hints for a targeted poll from the
@@ -591,10 +491,7 @@ func (ps *pollScheduler) solve(t float64) {
 		}
 		lambdas := make([]float64, n)
 		for i, o := range ps.objects {
-			// Push-set objects carry a zero rate, which the allocator maps
-			// to frequency 0: their poll budget flows to the cold tail the
-			// cache still owns (mirrors the disconnected-source rule).
-			if connected[o.sourceID] && !o.pushed {
+			if connected[o.sourceID] {
 				lambdas[i] = ps.lambdaFor(o)
 			}
 		}
@@ -612,15 +509,8 @@ func (ps *pollScheduler) solve(t float64) {
 	ps.count(0, 0, 1)
 	// Re-discover: objects created at the sources since the last epoch are
 	// invisible to targeted polls. The known set is reset so next tick's
-	// discoverNew re-polls every connected source's full store. Under the
-	// hybrid policy the push stream registers new objects in the cache
-	// store as they appear, so the (budget-charged) re-discovery is
-	// skipped while the store holds nothing this scheduler has not
-	// registered — an object created in the push set and demoted later
-	// shows up as a store surplus and triggers the listing again.
-	if ps.c.cfg.Policy != PolicyHybrid || ps.c.Len() > len(ps.objects) {
-		ps.known = map[string]bool{}
-	}
+	// discoverNew re-polls every connected source's full store.
+	ps.known = map[string]bool{}
 }
 
 // lambdaFor picks the update-rate estimate the configured policy allows.
@@ -641,13 +531,6 @@ func (ps *pollScheduler) lambdaFor(o *pollObj) float64 {
 			return l
 		}
 		return o.est2.FloorRate()
-	case PolicyHybrid:
-		// The hybrid's poll regime runs CGM1: poll replies carry
-		// last-modified metadata, so the stronger estimator is available.
-		if l := o.est1.Estimate(); l > 0 {
-			return l
-		}
-		return o.est1.FloorRate()
 	default:
 		return 0
 	}

@@ -149,6 +149,78 @@ func TestPollModeTCP(t *testing.T) {
 	testPollPolicy(t, true, PolicyCGM1)
 }
 
+// pollCounter is a Local endpoint that counts the polls the cache sends
+// through it: discovery polls, and the objects named by targeted ones.
+type pollCounter struct {
+	*transport.Local
+	discoveries, targeted atomic.Int64
+}
+
+func (e *pollCounter) SendPoll(sourceID string, p wire.Poll) error {
+	if err := e.Local.SendPoll(sourceID, p); err != nil {
+		return err
+	}
+	if len(p.ObjectIDs) == 0 {
+		e.discoveries.Add(1)
+	} else {
+		e.targeted.Add(int64(len(p.ObjectIDs)))
+	}
+	return nil
+}
+
+// TestPollBudgetConservation: a polling cache keeps its message budget. With
+// a tight cache Bandwidth and a source that could answer far more, the polls
+// the cache sends, charged as spec §9 charges them — two messages per
+// targeted object, the request plus its listing per discovery — stay within
+// Bandwidth × elapsed plus one bucket's burst.
+func TestPollBudgetConservation(t *testing.T) {
+	for _, policy := range []Policy{PolicyCGM1, PolicyCGM2} {
+		t.Run(policy.String(), func(t *testing.T) {
+			const (
+				budget  = 40.0
+				objects = 32
+				tick    = 10 * time.Millisecond
+			)
+			ep := &pollCounter{Local: transport.NewLocal(64)}
+			defer ep.Close()
+			start := time.Now()
+			cache := NewCache(CacheConfig{
+				ID: "budget-cache", Bandwidth: budget, Tick: tick, Policy: policy,
+				Poll: PollConfig{ReSolveEvery: 300 * time.Millisecond, Seed: 1},
+			}, ep)
+			conn, err := ep.Dial("budget-src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := NewSource(SourceConfig{
+				ID: "budget-src", Metric: metric.ValueDeviation,
+				Bandwidth: 4000, Tick: tick, Policy: policy,
+			}, conn)
+			defer src.Close()
+
+			for step := 0; time.Since(start) < 1500*time.Millisecond; step++ {
+				src.Update(fmt.Sprintf("budget-src/obj-%d", step%objects), float64(step))
+				time.Sleep(2 * time.Millisecond)
+			}
+			cache.Close()
+			elapsed := time.Since(start).Seconds()
+
+			targeted, discoveries := ep.targeted.Load(), ep.discoveries.Load()
+			if targeted == 0 || discoveries == 0 {
+				t.Fatalf("cache never polled: %d targeted, %d discoveries", targeted, discoveries)
+			}
+			spend := 2*float64(targeted) + 2*float64(discoveries)
+			// The 10% margin absorbs timer jitter between this clock and
+			// the dispatcher's ticks.
+			limit := budget*elapsed*1.10 + tokenBurst(budget, tick)
+			if spend > limit {
+				t.Errorf("cache spent %.0f msgs, budget allows %.0f (%d targeted, %d discoveries over %.2fs)",
+					spend, limit, targeted, discoveries, elapsed)
+			}
+		})
+	}
+}
+
 // TestPollPolicyRequiresPollConn pins the construction-time validation: a
 // cache-driven source must reject connections that cannot carry polls.
 func TestPollPolicyRequiresPollConn(t *testing.T) {
@@ -192,7 +264,7 @@ type pollStub struct {
 func (pollStub) SendPoll(string, wire.Poll) error { return nil }
 func (e pollStub) Replies() <-chan wire.PollReply { return e.replies }
 
-// TestApplyHooksRunOneAtATime: a hybrid cache fed pushed batches and poll
+// TestApplyHooksRunOneAtATime: a polling cache fed pushed batches and poll
 // replies at once runs its OnApply hook one call at a time, and reports each
 // object's origin-axis versions in apply order — never backwards — however
 // the two streams interleave.
@@ -203,7 +275,7 @@ func TestApplyHooksRunOneAtATime(t *testing.T) {
 	last := map[string]uint64{}
 	ep := pollStub{stubEndpoint{batches: make(chan transport.InboundBatch)}, make(chan wire.PollReply)}
 	c := NewCache(CacheConfig{
-		ID: "leaf", Bandwidth: 1e9, Tick: time.Millisecond, Policy: PolicyHybrid,
+		ID: "leaf", Bandwidth: 1e9, Tick: time.Millisecond, Policy: PolicyCGM1,
 		OnApply: func(rs []wire.Refresh) {
 			if inside.Add(1) != 1 {
 				t.Error("OnApply entered while another call was running")

@@ -78,18 +78,10 @@ type sched struct {
 	// outstanding-divergence signal, maintained incrementally so a
 	// rebalance pass never walks the objects.
 	demand float64
-	// hyb is the per-object migration controller under PolicyHybrid (nil
-	// otherwise): it decides which objects this scheduler pushes and which
-	// it leaves to the cache's poll schedule.
-	hyb *hybridController
 }
 
 func newSched(cfg *SourceConfig) sched {
-	sc := sched{scfg: cfg, eng: core.NewSource(0, cfg.Params, core.PositiveFeedback)}
-	if cfg.Policy == PolicyHybrid {
-		sc.hyb = newHybridController(cfg.Hybrid)
-	}
-	return sc
+	return sched{scfg: cfg, eng: core.NewSource(0, cfg.Params, core.PositiveFeedback)}
 }
 
 // observe folds a canonical-state change for object o into the cohort's
@@ -104,26 +96,15 @@ func (sc *sched) observe(o *objState, now float64) {
 		// propagated to register the object.
 		d = 1
 	}
-	if sc.hyb != nil {
-		sc.hyb.observe(int(o.key), d-so.tracker.Current(), now)
-	}
 	sc.demand += d - so.tracker.Current()
 	so.tracker.Update(now, d)
 	sc.requeue(o, now)
 }
 
 // requeue recomputes object o's refresh priority and syncs the engine
-// queue. Under the hybrid policy only push-set objects are queued: a
-// poll-set object stays fully tracked — divergence and demand keep
-// accumulating, which is what a later promotion ranks it by — but the
-// cache's poll schedule owns its freshness, so queueing it here would
-// double-spend the shared budget.
+// queue.
 func (sc *sched) requeue(o *objState, now float64) {
 	key := int(o.key)
-	if sc.hyb != nil && !sc.hyb.pushed(key) {
-		sc.eng.Queue.Remove(key)
-		return
-	}
 	w := 1.0
 	if sc.scfg.Weight != nil {
 		w = sc.scfg.Weight(o.id)
@@ -149,37 +130,18 @@ func (sc *sched) requeue(o *objState, now float64) {
 	}
 }
 
-// commit records that the cohort holds (value, version) of object o: a
-// refresh built at builtAt and committed at now, a poll answer, or an ack
-// proving the cache already has it. A refresh is a snapshot taken when it
-// was built, so the tracker restarts there with divergence zero, and
-// whatever landed since is re-observed at now against the new sent-state —
-// a priority a racing Update computed against the OLD one must not linger in
-// the heap, where it would overstate the residual and bypass the threshold
-// filter. The residual keeps the area it accrued, (now−builtAt)·D > 0, so it
-// is queued: after any commit, D > 0 ⇒ queued (or, under hybrid, in the poll
-// set), which is what makes the source converge once updates stop and
-// feedback has lowered the threshold. With nothing newer the area restarts at
-// zero and the object leaves the queue until the next update re-ranks it (the
-// §8.2 event-driven discipline).
-//
-// A pushed refresh is committed at schedule time, under the same lock hold
-// that built it, where builtAt == now and no residual can exist; a poll
-// answer once its reply went out, built at builtAt.
-func (sc *sched) commit(o *objState, value float64, version uint64, builtAt, now float64) {
+// commit records that the cohort holds object o's current value and version:
+// a refresh committed at schedule time, under the same lock hold that built
+// it, or an ack proving the cache already has it. Nothing can have landed
+// since, so the tracker restarts at now with divergence zero and the object
+// leaves the queue until the next update re-ranks it (the §8.2 event-driven
+// discipline).
+func (sc *sched) commit(o *objState, now float64) {
 	so := sc.objs.at(int(o.key))
 	sc.demand -= so.tracker.Current()
-	so.sentVal, so.sentVer = value, version
-	so.tracker.Reset(builtAt, 0)
-	if o.version == version {
-		sc.eng.Queue.Remove(int(o.key))
-		return
-	}
-	d := metric.Divergence(sc.scfg.Metric, sc.scfg.Delta,
-		int(o.version-version), o.value, value)
-	sc.demand += d
-	so.tracker.Update(now, d)
-	sc.requeue(o, now)
+	so.sentVal, so.sentVer = o.value, o.version
+	so.tracker.Reset(now, 0)
+	sc.eng.Queue.Remove(int(o.key))
 }
 
 // unschedule takes the object with queue key key out of the schedule without

@@ -54,15 +54,12 @@ type SessionStats struct {
 	// PollOmits counts poll items withheld from this session's replies:
 	// split horizon (the poller produced or already relayed the value) or
 	// a known-version hint proving the poller already at-or-ahead on the
-	// same origin axis (cache-driven and hybrid policies).
+	// same origin axis (cache-driven policies).
 	PollOmits int
 	// Grouped reports a member of the source's shared group: Threshold
 	// mirrors the group's, and Pending counts only the objects it lags on —
 	// the group's queue is reported once in SourceStats.Group.
 	Grouped bool
-	// Hybrid carries the migration controller's regime split and migration
-	// counters under PolicyHybrid; nil under every other policy.
-	Hybrid *HybridStats
 }
 
 // heldAxis is an acknowledged origin-axis version; the zero value (epoch 0)
@@ -171,7 +168,7 @@ func (ss *syncSession) statsLocked() SessionStats {
 			pending += g.eng.Queue.Len()
 		}
 	}
-	st := SessionStats{
+	return SessionStats{
 		CacheID:       ss.dest.CacheID,
 		RemoteID:      ss.remoteID,
 		Share:         ss.rate,
@@ -189,11 +186,6 @@ func (ss *syncSession) statsLocked() SessionStats {
 		PollOmits:     ss.pollOmits,
 		HeldSkips:     ss.heldSkips,
 	}
-	if g != nil && g.hyb != nil {
-		hs := g.hyb.statsLocked()
-		st.Hybrid = &hs
-	}
-	return st
 }
 
 // onFeedback applies one feedback message from this session's cache. It
@@ -270,24 +262,18 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 }
 
 // loop is the session's one goroutine: it folds in its cache's feedback,
-// answers its polls, closes the hybrid controller's scoring windows and
-// redials, so one blocked connection stalls only its own session. What it
-// does is a matter of which select cases are live — a nil channel never
-// fires:
+// answers its polls and redials, so one blocked connection stalls only its
+// own session. What it does is a matter of which select cases are live — a
+// nil channel never fires:
 //
-//   - Polls are read under every polling policy and only while the bucket
-//     covers an answer, so an answer the source cannot afford stays in the
-//     channel, where transport back-pressure drops the cache's best-effort
-//     polls until it can (the cache re-polls on its period). Under the
-//     hybrid policy replies spend the group's bucket, the one its pushes
-//     spend: the equal-budget invariant the policy comparison rests on, with
-//     intake gated and charged at the poll round trip, the conservative bound
-//     Policy.MessageCost reports. The pure polling policies count the reply
-//     alone, against a bucket of the session's own.
+//   - Polls are read under every polling policy and only while the session's
+//     bucket covers an answer, so an answer the source cannot afford stays in
+//     the channel, where transport back-pressure drops the cache's best-effort
+//     polls until it can (the cache re-polls on its period). The reply alone
+//     is counted: the request is the cache's to pay.
 //   - The tick runs only under a polling policy: it accrues the session's
 //     bucket at the allocated rate, re-read every tick because shares move
 //     at runtime, and wakes the loop to look at the bucket again.
-//   - The migration tick closes the hybrid controller's scoring window.
 //
 // The feedback channel closing is the one disconnect signal under every
 // policy. Redial (when configured) re-establishes the connection under the
@@ -298,20 +284,11 @@ func (ss *syncSession) recordHeldLocked(h *wire.HeldVersion, now float64) {
 func (ss *syncSession) loop() {
 	defer close(ss.done)
 	s := ss.src
-	var tick, migrate <-chan time.Time
-	if s.cfg.Policy.Polls() {
+	var tick <-chan time.Time
+	if s.cfg.Policy.CacheDriven() {
 		t := time.NewTicker(s.cfg.Tick)
 		defer t.Stop()
 		tick = t.C
-	}
-	s.mu.Lock()
-	g := ss.group // a hybrid destination's group of its own; nil for a poll-only one
-	s.mu.Unlock()
-	pollCost := 1.0
-	if s.cfg.Policy == PolicyHybrid {
-		t := time.NewTicker(s.cfg.Hybrid.withDefaults().MigrateEvery)
-		defer t.Stop()
-		migrate, pollCost = t.C, pollRoundTrip
 	}
 	var (
 		budget tokenBucket
@@ -319,25 +296,13 @@ func (ss *syncSession) loop() {
 		pc     transport.PollConn
 		polls  <-chan wire.Poll
 	)
-	// afford reports whether the reply bucket covers an answer: the
-	// session's own, or its group's under the hybrid policy (answerPoll
-	// spends that one).
-	afford := func() bool {
-		if g == nil {
-			return budget.tokens >= pollCost
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		g.accrueLocked(s.now())
-		return g.budget.tokens >= pollCost
-	}
 	// link re-reads what the loop selects on: at start and after a redial.
 	link := func() bool {
 		s.mu.Lock()
 		conn := ss.dest.Conn
 		s.mu.Unlock()
 		fb = conn.Feedback()
-		if s.cfg.Policy.Polls() {
+		if s.cfg.Policy.CacheDriven() {
 			var ok bool
 			if pc, ok = conn.(transport.PollConn); !ok {
 				// Construction and AddDestination validate this; a redial
@@ -356,7 +321,7 @@ func (ss *syncSession) loop() {
 	}
 	for {
 		in := polls
-		if in != nil && !afford() {
+		if budget.tokens < 1 {
 			in = nil
 		}
 		select {
@@ -386,47 +351,18 @@ func (ss *syncSession) loop() {
 				polls = nil // the feedback close drives the redial
 				continue
 			}
-			if n := ss.answerPoll(pc, p); g == nil {
-				budget.tokens -= pollCost * float64(n)
-			}
+			budget.tokens -= float64(ss.answerPoll(pc, p))
 		case <-tick:
-			if g == nil {
-				s.mu.Lock()
-				rate := ss.rate
-				s.mu.Unlock()
-				budget.accrue(rate, s.cfg.Tick.Seconds(), s.cfg.Tick)
-			}
-		case <-migrate:
-			ss.migrateOnce()
+			s.mu.Lock()
+			rate := ss.rate
+			s.mu.Unlock()
+			budget.accrue(rate, s.cfg.Tick.Seconds(), s.cfg.Tick)
 		}
 	}
 }
 
-// migrateOnce runs one migration pass: the controller re-scores every
-// object and the group applies the regime moves to its priority queue.
-func (ss *syncSession) migrateOnce() {
-	s := ss.src
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := ss.group
-	if g == nil {
-		return // ended or removed
-	}
-	now := s.now()
-	promoted, demoted := g.hyb.migrate(now)
-	for _, key := range promoted {
-		// The tracker kept accumulating while the object was polled, so
-		// the promotion ranks it by its real outstanding divergence.
-		g.requeue(s.order.at(key), now)
-	}
-	for _, key := range demoted {
-		g.eng.Queue.Remove(key)
-	}
-}
-
 // answerPoll builds and sends the reply to one poll from the canonical
-// store, returning the budget it spent — from its group's bucket itself under
-// the hybrid policy, at the poll round trip: one unit per targeted item, and a
+// store, returning the budget it spent: one unit per targeted item, and a
 // flat one unit for a discovery reply — the full-store listing is universe
 // METADATA (the cache registers ids from it, never values), so charging it
 // per item would bill a control-plane message at data-plane rates and
@@ -434,14 +370,6 @@ func (ss *syncSession) migrateOnce() {
 // list is the discovery poll: the whole store is returned with All set.
 // Counters commit only after a successful send; Refreshes counts targeted
 // items only (the value transfers).
-//
-// Under the hybrid policy the reply additionally advertises the group's
-// current push set (wire.PollReply.Pushed) so a cooperation-aware cache
-// stops polling objects the source is already pushing, and each answered
-// targeted item is charged to the migration controller at the poll
-// round-trip cost and committed as delivered — the cache installs exactly
-// the replied value, so the group's sent-state advances as if the value
-// had been pushed.
 func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	s := ss.src
 	s.mu.Lock()
@@ -456,8 +384,7 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		}
 	}
 	epoch := s.started.UnixNano()
-	builtAt, sentUnix := s.clock()
-	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: sentUnix}
+	reply := wire.PollReply{SourceID: s.cfg.ID, SentUnix: s.cfg.Now().UnixNano()}
 	if len(p.ObjectIDs) == 0 {
 		reply.All = true
 		reply.Items = make([]wire.PollItem, 0, s.order.n)
@@ -479,9 +406,6 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		}
 		ss.items = reply.Items
 	}
-	if g := ss.group; g != nil && g.hyb != nil {
-		reply.Pushed = g.hyb.pushSet(&s.order)
-	}
 	s.mu.Unlock()
 
 	// Send outside the lock: cache-side back-pressure stalls only this
@@ -492,44 +416,14 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 		s.mu.Unlock()
 		return 0
 	}
-	cost := len(reply.Items)
-	if reply.All {
-		cost = 1 // metadata listing, not value transfers
-	}
 	s.mu.Lock()
-	now := s.now()
+	defer s.mu.Unlock()
 	ss.pollsAnswered++
-	if !reply.All {
-		ss.refreshes += len(reply.Items)
+	if reply.All {
+		return 1 // metadata listing, not value transfers
 	}
-	if g := ss.group; g != nil { // a hybrid destination's
-		g.budget.tokens -= pollRoundTrip * float64(cost)
-		if !reply.All {
-			g.hyb.polled += len(reply.Items)
-			for _, it := range reply.Items {
-				g.commitPolledLocked(it, builtAt, now)
-			}
-		}
-	}
-	s.mu.Unlock()
-	return cost
-}
-
-// commitPolledLocked records one answered targeted poll item with the
-// hybrid migration controller and advances the group's sent-state to the
-// replied value — the same commit a pushed refresh gets, built when the reply
-// was (builtAt), with updates that landed since left as its residual. Caller
-// holds src.mu.
-func (g *SessionGroup) commitPolledLocked(it wire.PollItem, builtAt, now float64) {
-	o, _ := g.src.objLocked(it.ObjectID)
-	if o == nil {
-		return
-	}
-	g.hyb.charge(int(o.key), pollRoundTrip)
-	if !it.Exists || it.Version <= g.objs.at(int(o.key)).sentVer {
-		return // nothing replied, or a push already delivered something at-or-ahead
-	}
-	g.commit(o, it.Value, it.Version, builtAt, now)
+	ss.refreshes += len(reply.Items)
+	return len(reply.Items)
 }
 
 // answerLocked returns object o's answer to this session's poller, or false

@@ -52,17 +52,8 @@ type SourceConfig struct {
 	// destination's share of Bandwidth so message accounting stays
 	// comparable. Cache-driven policies require every destination
 	// connection to implement transport.PollConn (both provided transports
-	// and the Batcher do). PolicyHybrid runs both regimes per destination,
-	// each a group of its own — push-set objects flow through the §5
-	// machinery, poll-set objects are answered like a cache-driven policy —
-	// against the group's one token bucket, with the Hybrid migration
-	// controller moving objects between the sets; it needs poll-capable
-	// connections too.
+	// and the Batcher do).
 	Policy Policy
-	// Hybrid tunes the per-object migration controller under PolicyHybrid
-	// (zero fields mean the documented defaults); ignored under every
-	// other policy.
-	Hybrid HybridConfig
 	// Params tunes the threshold algorithm; zero means paper defaults.
 	// All groups share the same parameters; each applies them to its own
 	// independent threshold.
@@ -73,7 +64,7 @@ type SourceConfig struct {
 	// Group configures push delivery (see GroupConfig): with Group.Enabled
 	// on a PolicyPush source the default-weight destinations share one
 	// SessionGroup, one scheduling pass and one encode per batch; every other
-	// push or hybrid destination is a group of its own.
+	// push destination is a group of its own.
 	Group GroupConfig
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
@@ -115,10 +106,6 @@ type SourceStats struct {
 	// Group carries the shared group's breakdown when group delivery is
 	// enabled and it has members; nil otherwise.
 	Group *GroupStats
-	// Hybrid aggregates the per-destination migration controllers under
-	// PolicyHybrid (set sizes summed across destinations, cumulative
-	// promotions/demotions); nil under every other policy.
-	Hybrid *HybridStats
 }
 
 // objState is the canonical (destination-independent) state of one locally
@@ -400,7 +387,7 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 		if dests[i].Conn == nil {
 			return nil, fmt.Errorf("runtime: destination %d has a nil connection", i)
 		}
-		if cfg.Policy.Polls() {
+		if cfg.Policy.CacheDriven() {
 			if _, ok := dests[i].Conn.(transport.PollConn); !ok {
 				return nil, fmt.Errorf("runtime: policy %v needs poll-capable connections; destination %d is not a transport.PollConn", cfg.Policy, i)
 			}
@@ -426,9 +413,7 @@ func NewFanoutSource(cfg SourceConfig, dests []Destination) (*Source, error) {
 		s.wake, s.flushed = make(chan struct{}, 1), make(chan struct{})
 	}
 	s.mu.Lock()
-	// The shared group is pure-push machinery: a hybrid destination's poll
-	// set and migration state are inherently its own.
-	if cfg.Group.Enabled && cfg.Policy == PolicyPush {
+	if cfg.Group.Enabled && cfg.Policy.Pushes() {
 		s.group = newSessionGroup(s)
 		s.groups = append(s.groups, s.group)
 		s.workers = make([]*groupWorker, cfg.Group.withDefaults().Workers)
@@ -466,7 +451,7 @@ func (s *Source) AddDestination(d Destination) error {
 	if d.Conn == nil {
 		return fmt.Errorf("runtime: destination has a nil connection")
 	}
-	if s.cfg.Policy.Polls() {
+	if s.cfg.Policy.CacheDriven() {
 		if _, ok := d.Conn.(transport.PollConn); !ok {
 			return fmt.Errorf("runtime: policy %v needs poll-capable connections", s.cfg.Policy)
 		}
@@ -886,16 +871,6 @@ func (s *Source) Stats() SourceStats {
 		st.SendErrors += sess.SendErrors
 		st.PollsAnswered += sess.PollsAnswered
 		st.PollOmits += sess.PollOmits
-		if sess.Hybrid != nil {
-			if st.Hybrid == nil {
-				st.Hybrid = &HybridStats{}
-			}
-			st.Hybrid.PushObjects += sess.Hybrid.PushObjects
-			st.Hybrid.PollObjects += sess.Hybrid.PollObjects
-			st.Hybrid.Promotions += sess.Hybrid.Promotions
-			st.Hybrid.Demotions += sess.Hybrid.Demotions
-			st.Hybrid.PolledItems += sess.Hybrid.PolledItems
-		}
 		if !sess.Ended {
 			// An ended session has left its group: nothing it still owes
 			// will drain (historical counters above still aggregate — those

@@ -7,42 +7,41 @@ import (
 	"bestsync/internal/wire"
 )
 
-// cooperationReporter is the capability view the runtime's hybrid poll
-// scheduler type-asserts on its endpoint; both server implementations must
-// provide it.
-type cooperationReporter interface {
-	PeerCooperates(sourceID string) bool
+// peerReporter is the capability view the runtime's poll scheduler
+// type-asserts on its endpoint; both server implementations must provide it.
+type peerReporter interface {
+	PeerServesPeers(sourceID string) bool
 }
 
-func waitCooperates(t *testing.T, rep cooperationReporter, id string, want bool) {
+func waitServesPeers(t *testing.T, rep peerReporter, id string, want bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if rep.PeerCooperates(id) == want {
+		if rep.PeerServesPeers(id) == want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("PeerCooperates(%q) never became %v", id, want)
+	t.Fatalf("PeerServesPeers(%q) never became %v", id, want)
 }
 
-// TestCapabilityNegotiationPerCodec: a hybrid-capable client's Hello carries
-// wire.CapCooperative through the binary codec, the one TCP encoding, and the
-// server reports it via PeerCooperates; a client with no capabilities set
-// reads as non-cooperative (the gate defaults closed).
+// TestCapabilityNegotiationPerCodec: a peer-serving client's Hello carries
+// wire.CapPeer through the binary codec, the one TCP encoding, and the server
+// reports it via PeerServesPeers; a client with no capabilities set reads as
+// not serving peers (the gate defaults closed). Capabilities are
+// per-connection state: they die with the conn.
 func TestCapabilityNegotiationPerCodec(t *testing.T) {
 	srv, addr := serveTCP(t)
-	rep := srv.(cooperationReporter)
+	rep := srv.(peerReporter)
 
 	t.Run("binary", func(t *testing.T) {
-		SetDialCapabilities(wire.CapCooperative)
+		SetDialCapabilities(wire.CapPeer)
 		defer SetDialCapabilities(0)
-		conn, err := Dial(addr, "coop")
+		conn, err := Dial(addr, "peer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		waitCooperates(t, rep, "coop", true)
+		waitServesPeers(t, rep, "peer", true)
 
 		SetDialCapabilities(0)
 		plain, err := Dial(addr, "plain")
@@ -50,7 +49,10 @@ func TestCapabilityNegotiationPerCodec(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer plain.Close()
-		waitCooperates(t, rep, "plain", false)
+		waitServesPeers(t, rep, "plain", false)
+
+		conn.Close()
+		waitServesPeers(t, rep, "peer", false)
 	})
 }
 
@@ -60,28 +62,29 @@ func TestCapabilityLocalTransport(t *testing.T) {
 	local := NewLocal(8)
 	defer local.Close()
 
-	SetDialCapabilities(wire.CapCooperative)
-	coop, err := local.Dial("coop")
+	SetDialCapabilities(wire.CapPeer)
+	peer, err := local.Dial("peer")
 	SetDialCapabilities(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coop.Close()
+	defer peer.Close()
 	plain, err := local.Dial("plain")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer plain.Close()
 
-	if !local.PeerCooperates("coop") {
-		t.Error("cooperative local dial not reported")
+	if !local.PeerServesPeers("peer") {
+		t.Error("peer-serving local dial not reported")
 	}
-	if local.PeerCooperates("plain") {
-		t.Error("plain local dial reported cooperative")
+	if local.PeerServesPeers("plain") {
+		t.Error("plain local dial reported as serving peers")
 	}
 	// Capabilities are per-connection state: they die with the conn, so a
 	// restarted peer must re-advertise rather than inherit.
-	plain.Close()
-	if local.PeerCooperates("plain") {
+	peer.Close()
+	if local.PeerServesPeers("peer") {
 		t.Error("capability survived the connection")
 	}
 }

@@ -31,9 +31,8 @@ func DialCodec(addr, sourceID string, _ Codec) (SourceConn, error) { return Dial
 var dialCaps atomic.Uint64
 
 // SetDialCapabilities sets the capability bits Dial advertises in its Hello.
-// A hybrid-policy source calls it once at boot with wire.CapCooperative so
-// caches know its push promises are trustworthy; everything else leaves the
-// default zero mask.
+// A peer-serving daemon calls it once at boot with wire.CapPeer so pollers
+// attach known-version hints; everything else leaves the default zero mask.
 func SetDialCapabilities(caps uint64) { dialCaps.Store(caps) }
 
 // DialCapabilities reports the current process-wide capability mask.

@@ -289,17 +289,6 @@ func (s *tcpServer) SendPoll(sourceID string, p wire.Poll) error {
 	return s.sendDown(sourceID, wire.SourceBound{Poll: &p})
 }
 
-// PeerCooperates reports whether the named source's current connection
-// advertised wire.CapCooperative in its Hello. A hybrid cache consults this
-// before trusting a reply's Pushed set; legacy sources advertise nothing and
-// therefore cannot switch a cache's polling off.
-func (s *tcpServer) PeerCooperates(sourceID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc, ok := s.conns[sourceID]
-	return ok && sc.caps&wire.CapCooperative != 0
-}
-
 // PeerServesPeers reports whether the named source's current connection
 // advertised wire.CapPeer in its Hello. A poll scheduler consults this
 // before attaching known-version hints (wire.Poll.Known) to targeted

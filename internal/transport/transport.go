@@ -232,17 +232,6 @@ func (l *Local) SendFeedback(sourceID string, fb wire.Feedback) error {
 	return nil
 }
 
-// PeerCooperates reports whether the named source advertised
-// wire.CapCooperative when it dialed (the in-process analogue of the TCP
-// Hello capability bit). A hybrid cache consults this before trusting a
-// reply's Pushed set.
-func (l *Local) PeerCooperates(sourceID string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c, ok := l.conns[sourceID]
-	return ok && c.caps&wire.CapCooperative != 0
-}
-
 // PeerServesPeers reports whether the named source advertised wire.CapPeer
 // when it dialed. A poll scheduler consults this before attaching
 // known-version hints (wire.Poll.Known), which a pre-peer decoder would

@@ -45,10 +45,9 @@ import "fmt"
 // understand a bit ignores it; absence of a bit only ever costs optimization,
 // never correctness.
 const (
-	// CapCooperative advertises that the sender is a source willing to push
-	// refreshes for objects it classifies as hot (the hybrid policy). A
-	// polling cache that sees it may stop polling objects the source's
-	// replies list in PollReply.Pushed — the poll→push promotion handshake.
+	// CapCooperative advertised a source that pushed the objects its replies
+	// list in PollReply.Pushed. No runtime sets or reads it any more; the bit
+	// stays reserved in the wire format until the next codec version.
 	CapCooperative uint64 = 1 << 0
 
 	// CapPeer advertises that the sender is a peer-capable node
@@ -333,12 +332,10 @@ func (it PollItem) OriginAxis() (epoch int64, version uint64) {
 // poll's worth of items; items are applied individually, in order). All
 // answers a discovery poll — the items are the source's full store.
 //
-// Pushed is the hybrid-policy promotion signal: the object ids the answering
-// source currently PUSHES to this cache (its hot push set), piggybacked so a
-// cooperating cache can stop spending poll budget on them. Only meaningful
-// when the source advertised CapCooperative in its Hello; empty/nil on every
-// legacy frame and under the pure poll policies. Advisory: ignoring it is
-// always safe (polling a pushed object just wastes messages).
+// Pushed is the object ids the answering source says it pushes to this
+// cache, meaningful only with CapCooperative. No runtime fills or reads it
+// any more: it is empty on every frame this build writes and stays in the
+// wire format until the next codec version. Ignoring it is always safe.
 type PollReply struct {
 	SourceID string
 	All      bool
