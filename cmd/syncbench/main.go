@@ -13,7 +13,8 @@
 //
 //	-full      run the paper-scale grids (minutes–hours) instead of the
 //	           reduced quick grids (seconds each)
-//	-seed N    base random seed (default 1)
+//	-seed N    base random seed (default 1); in -policy mode it draws
+//	           the Zipf picks and the poll phases
 //	-csv DIR   also write each table as CSV files under DIR
 //	-list      list experiment ids and exit
 //
@@ -38,8 +39,8 @@
 // CGM2 — at equal message budget over both transports, reporting installed
 // refreshes, total messages and final mean divergence per policy. -zipf adds
 // skewed-workload sweep points (comma-separated Zipf exponents). The
-// -objects, -rate, -bandwidth, -duration, -resolve-every and -zipf flags
-// tune it. Results are also written to BENCH_policy.json.
+// -objects, -rate, -bandwidth, -duration, -resolve-every, -zipf and -seed
+// flags tune it. Results are also written to BENCH_policy.json.
 //
 // Pipeline performance (throughput, fan-out, relay forwarding cost) is the
 // repo benchmark's job: bash benchmark/run.sh.
@@ -144,7 +145,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "syncbench: -zipf: %v\n", err)
 			os.Exit(2)
 		}
-		runPolicyMode(*objects, *rate, *bandwidth, *duration, *resolveEvery, zipf)
+		runPolicyMode(*objects, *rate, *bandwidth, *duration, *resolveEvery, zipf, *seed)
 		return
 	}
 	if *topology {

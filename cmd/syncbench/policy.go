@@ -51,8 +51,9 @@ var policySweep = []runtime.Policy{
 // baselines at equal budget (polls pay a 2-message round trip and estimate
 // rates; push pays 1 message and KNOWS what changed). Each zipf exponent
 // adds a skewed-workload sweep point on top of the uniform one. Results go
-// to stdout and BENCH_policy.json.
-func runPolicyMode(objects int, rate, bandwidth float64, duration, resolveEvery time.Duration, zipf []float64) {
+// to stdout and BENCH_policy.json. seed draws the Zipf picks and the poll
+// phases.
+func runPolicyMode(objects int, rate, bandwidth float64, duration, resolveEvery time.Duration, zipf []float64, seed int64) {
 	fmt.Printf("# sync policies: 1 source -> 1 cache, %d objects, %.0f updates/s, %.0f msgs/s budget, %s per scenario, re-solve %s\n\n",
 		objects, rate, bandwidth, duration, resolveEvery)
 	fmt.Printf("%-18s %6s %10s %12s %10s %10s %16s\n",
@@ -63,7 +64,7 @@ func runPolicyMode(objects int, rate, bandwidth float64, duration, resolveEvery 
 	for _, zipfS := range sweep {
 		for _, tcp := range []bool{false, true} {
 			for _, policy := range policySweep {
-				r := measurePolicy(tcp, policy, objects, rate, bandwidth, duration, resolveEvery, zipfS)
+				r := measurePolicy(tcp, policy, objects, rate, bandwidth, duration, resolveEvery, zipfS, seed)
 				results = append(results, r)
 				divergence[r.Scenario] = r.MeanDivergence
 				fmt.Printf("%-18s %6.0f %10d %12d %10d %10.1f %16.4f\n",
@@ -139,7 +140,7 @@ func pacedPickWalk(src *runtime.Source, prefix string, objects int, rate float64
 
 // measurePolicy runs one (policy, transport, workload) cell and audits the
 // cache against the canonical values.
-func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth float64, duration, resolveEvery time.Duration, zipfS float64) policyResult {
+func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth float64, duration, resolveEvery time.Duration, zipfS float64, seed int64) policyResult {
 	transportName := "local"
 	if tcp {
 		transportName = "tcp"
@@ -175,7 +176,7 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 		Policy:    policy,
 		Poll: runtime.PollConfig{
 			ReSolveEvery: resolveEvery,
-			Seed:         1,
+			Seed:         seed,
 			TrueRate:     trueRate,
 		},
 	})
@@ -196,12 +197,7 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 		Policy:    policy,
 	}, node.dial("bench-policy"))
 
-	pick := func(step int) int { return step % objects }
-	if zipfS > 0 {
-		rng := rand.New(rand.NewSource(1))
-		z := rand.NewZipf(rng, zipfS, 1, uint64(objects-1))
-		pick = func(int) int { return int(z.Uint64()) }
-	}
+	pick := policyPick(objects, zipfS, seed)
 	// Time-averaged divergence, the paper's objective: sample the cache
 	// against the live canonical values through the run, discarding the
 	// bootstrap third (discovery, estimator warm-up, threshold settling)
@@ -240,6 +236,16 @@ func measurePolicy(tcp bool, policy runtime.Policy, objects int, rate, bandwidth
 	src.Close()
 	node.cleanup()
 	return res
+}
+
+// policyPick returns the workload's object for each step: a round-robin walk,
+// or Zipf(zipfS) picks over the object ranks drawn from seed.
+func policyPick(objects int, zipfS float64, seed int64) func(step int) int {
+	if zipfS <= 0 {
+		return func(step int) int { return step % objects }
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), zipfS, 1, uint64(objects-1))
+	return func(int) int { return int(z.Uint64()) }
 }
 
 // zipfProbs returns the Zipf(s) pmf over n ranks, matching rand.NewZipf's

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func TestPolicyBenchSchema(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 
-	runPolicyMode(24, 400, 120, 900*time.Millisecond, 300*time.Millisecond, []float64{1.3})
+	runPolicyMode(24, 400, 120, 900*time.Millisecond, 300*time.Millisecond, []float64{1.3}, 1)
 
 	data, err := os.ReadFile(filepath.Join(dir, "BENCH_policy.json"))
 	if err != nil {
@@ -89,5 +90,28 @@ func TestPolicyBenchSchema(t *testing.T) {
 	}
 	for missing := range want {
 		t.Errorf("scenario %q missing from BENCH_policy.json", missing)
+	}
+}
+
+// TestPolicyPickSeed: -seed reaches the Zipf picks of -policy mode. The
+// default seed 1 draws the stream the mode always drew, and seed 2 another.
+func TestPolicyPickSeed(t *testing.T) {
+	draw := func(seed int64) []int {
+		pick := policyPick(128, 1.3, seed)
+		out := make([]int, 10)
+		for i := range out {
+			out[i] = pick(i)
+		}
+		return out
+	}
+	one := draw(1)
+	if want := []int{1, 0, 1, 3, 3, 0, 57, 24, 41, 8}; !slices.Equal(one, want) {
+		t.Errorf("seed 1 picks %v, want the stream of earlier builds %v", one, want)
+	}
+	if two := draw(2); slices.Equal(one, two) {
+		t.Errorf("seeds 1 and 2 draw the same picks %v", one)
+	}
+	if rr := policyPick(128, 0, 2); rr(130) != 2 {
+		t.Errorf("the uniform workload is not the round-robin walk: step 130 picks %d", rr(130))
 	}
 }

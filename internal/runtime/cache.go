@@ -698,6 +698,7 @@ func (c *Cache) loop() {
 				continue
 			}
 			c.ps.budget.tokens -= c.ps.processReply(r, c.ps.now())
+			codec.ReleaseReply(&r)
 		case b, ok := <-in:
 			if !ok {
 				batches = nil // endpoint closed; keep serving reads

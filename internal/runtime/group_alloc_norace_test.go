@@ -486,6 +486,35 @@ func TestCacheIntakeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPollRoundTripSteadyStateAllocs: once warm, a CGM1 cache polling a
+// Source over loopback TCP allocates next to nothing per round trip — the
+// hinted poll and its reply are decoded into pooled slices that the source's
+// session and the cache's dispatcher release, and neither side's scheduler
+// builds a map or a slice per poll. The count covers the whole process: both
+// loops, both read loops and the test's own updates and reads.
+func TestPollRoundTripSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rt := newPollRoundTrip(t, 64)
+	for i := 0; i < 10; i++ {
+		rt.next(t) // discovery, inserts, then warm pools, maps and buffers
+	}
+	var before, after stdruntime.MemStats
+	trips := rt.answered()
+	stdruntime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		rt.next(t)
+	}
+	stdruntime.ReadMemStats(&after)
+	trips = rt.answered() - trips
+	perTrip := float64(after.Mallocs-before.Mallocs) / float64(trips)
+	t.Logf("%d round trips, %d allocations: %.3f per round trip", trips, after.Mallocs-before.Mallocs, perTrip)
+	// A poll longer than any before it still grows a reused buffer or map
+	// once, so the bound is not 0; releasing nothing costs about 12.
+	if perTrip > 0.5 {
+		t.Errorf("%.2f allocations per poll round trip, want about 0", perTrip)
+	}
+}
+
 // dispatchAll pushes batches through the dispatcher path, which applies them.
 func dispatchAll(c *Cache, batches [][]wire.Refresh) {
 	for _, rs := range batches {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bestsync/internal/cgm"
@@ -150,11 +151,15 @@ type pollScheduler struct {
 	// polls toward those (nil when the transport cannot say).
 	peers peerReporter
 
-	// batch is sendDue's per-source id lists, reused from tick to tick:
-	// SendPoll copies what it keeps. install is processReply's, the
-	// refreshes a reply installs.
-	batch   map[string][]string
-	install []wire.Refresh
+	// batch is sendDue's per-source id lists and hints its known-version
+	// hints, reused from tick to tick: SendPoll encodes or copies what it
+	// keeps. install is processReply's, the refreshes a reply installs.
+	// connected and lambdas are solve's, reused from epoch to epoch.
+	batch     map[string][]string
+	hints     []wire.KnownVersion
+	install   []wire.Refresh
+	connected map[string]bool
+	lambdas   []float64
 }
 
 func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *pollScheduler {
@@ -174,6 +179,7 @@ func newPollScheduler(c *Cache, pe transport.PollEndpoint, cfg PollConfig) *poll
 		nextSolve: cfg.ReSolveEvery.Seconds(),
 		known:     map[string]bool{},
 		batch:     map[string][]string{},
+		connected: map[string]bool{},
 	}
 	ps.peers, _ = pe.(peerReporter)
 	return ps
@@ -421,8 +427,9 @@ func (ps *pollScheduler) processReply(r wire.PollReply, t float64) float64 {
 // knownFor builds the known-version hints for a targeted poll from the
 // cache store: the origin identity and origin-axis version of each held
 // copy. Objects not in the store yield no hint (the answerer must reply).
+// The hints are in the scheduler's buffer, valid until the next call.
 func (ps *pollScheduler) knownFor(ids []string) []wire.KnownVersion {
-	var known []wire.KnownVersion
+	known := ps.hints[:0]
 	for _, id := range ids {
 		if e, ok := ps.c.Get(id); ok {
 			oe, ov := e.OriginAxis()
@@ -431,6 +438,7 @@ func (ps *pollScheduler) knownFor(ids []string) []wire.KnownVersion {
 			})
 		}
 	}
+	ps.hints = known
 	return known
 }
 
@@ -485,16 +493,19 @@ func (ps *pollScheduler) scheduleNew(t float64, n int) {
 func (ps *pollScheduler) solve(t float64) {
 	n := len(ps.objects)
 	if n > 0 {
-		connected := map[string]bool{}
+		connected := ps.connected
+		clear(connected)
 		for _, id := range ps.pe.Sources() {
 			connected[id] = true
 		}
-		lambdas := make([]float64, n)
+		lambdas := slices.Grow(ps.lambdas[:0], n)[:n]
 		for i, o := range ps.objects {
+			lambdas[i] = 0
 			if connected[o.sourceID] {
 				lambdas[i] = ps.lambdaFor(o)
 			}
 		}
+		ps.lambdas = lambdas
 		freqs := cgm.OptimalAllocation(lambdas, ps.pollBudget())
 		ps.queue.Reset()
 		for i, f := range freqs {
@@ -510,7 +521,7 @@ func (ps *pollScheduler) solve(t float64) {
 	// Re-discover: objects created at the sources since the last epoch are
 	// invisible to targeted polls. The known set is reset so next tick's
 	// discoverNew re-polls every connected source's full store.
-	ps.known = map[string]bool{}
+	clear(ps.known)
 }
 
 // lambdaFor picks the update-rate estimate the configured policy allows.

@@ -149,6 +149,107 @@ func TestPollModeTCP(t *testing.T) {
 	testPollPolicy(t, true, PolicyCGM1)
 }
 
+// pollRoundTrip is a CGM1 cache polling one Source over loopback TCP. The
+// source dials advertising wire.CapPeer, so the cache's targeted polls carry
+// known-version hints, and the source omits the objects they prove current:
+// a round trip exercises every control-frame decode and release of the poll
+// path — the discovery listing, hinted polls, and replies.
+type pollRoundTrip struct {
+	cache *Cache
+	src   *Source
+	ids   []string
+	round int
+}
+
+func newPollRoundTrip(t *testing.T, objects int) *pollRoundTrip {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := transport.Serve(ln, 64)
+	transport.SetDialCapabilities(wire.CapPeer)
+	conn, err := transport.Dial(ln.Addr().String(), "rt-src")
+	transport.SetDialCapabilities(0)
+	if err != nil {
+		ep.Close()
+		t.Fatal(err)
+	}
+	rt := &pollRoundTrip{src: NewSource(SourceConfig{
+		ID: "rt-src", Metric: metric.ValueDeviation, Bandwidth: 1e6,
+		Tick: 10 * time.Millisecond, Policy: PolicyCGM1,
+	}, conn)}
+	for i := 0; i < objects; i++ {
+		rt.ids = append(rt.ids, fmt.Sprintf("rt-src/obj-%02d", i))
+		rt.src.Update(rt.ids[i], 0)
+	}
+	// The source holds every object before the cache's first tick sends the
+	// discovery poll, and no re-solve (which re-discovers) runs after it.
+	rt.cache = NewCache(CacheConfig{
+		ID: "rt-cache", Bandwidth: 4000, Tick: 10 * time.Millisecond, Policy: PolicyCGM1,
+		Poll: PollConfig{ReSolveEvery: time.Hour, Seed: 1},
+	}, ep)
+	t.Cleanup(func() {
+		rt.src.Close()
+		rt.cache.Close()
+		ep.Close()
+	})
+	return rt
+}
+
+// next updates every object at the source and waits until the cache holds
+// the new values.
+func (rt *pollRoundTrip) next(t *testing.T) {
+	rt.round++
+	want := float64(rt.round)
+	for _, id := range rt.ids {
+		rt.src.Update(id, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range rt.ids {
+		for {
+			if e, ok := rt.cache.Get(id); ok && e.Value == want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %s never reached the cache", rt.round, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// answered reports how many polls the source has answered.
+func (rt *pollRoundTrip) answered() int {
+	rt.src.mu.Lock()
+	defer rt.src.mu.Unlock()
+	return rt.src.sessions[0].pollsAnswered
+}
+
+// TestPollRoundTripTCP: rounds of updates reach a polling cache over TCP
+// through hinted polls and their replies, each control frame released by its
+// consumer. Under -race a slice released twice reaches two decoders at once
+// and shows as a race.
+func TestPollRoundTripTCP(t *testing.T) {
+	rt := newPollRoundTrip(t, 32)
+	for i := 0; i < 5; i++ {
+		rt.next(t)
+	}
+	// Unchanged objects polled again are omitted on the strength of the
+	// hints.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		rt.src.mu.Lock()
+		omits := rt.src.sessions[0].pollOmits
+		rt.src.mu.Unlock()
+		if omits > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the source omitted no item: the polls carried no known-version hints")
+		}
+	}
+}
+
 // pollCounter is a Local endpoint that counts the polls the cache sends
 // through it: discovery polls, and the objects named by targeted ones.
 type pollCounter struct {

@@ -6,6 +6,7 @@ import (
 
 	"bestsync/internal/transport"
 	"bestsync/internal/wire"
+	"bestsync/internal/wire/codec"
 )
 
 // SessionStats is one sync session's slice of SourceStats: the protocol
@@ -130,8 +131,10 @@ type syncSession struct {
 	heldPending map[string]wire.HeldVersion
 	// items is answerPoll's reply buffer for targeted polls, reused from poll
 	// to poll: SendReply copies what it keeps. A discovery listing, as long
-	// as the whole store, is allocated afresh rather than pinned here.
+	// as the whole store, is allocated afresh rather than pinned here. known
+	// is its index of a hinted poll's Known entries, cleared for each poll.
 	items []wire.PollItem
+	known map[string]wire.KnownVersion
 
 	// Group-delivery state, guarded by src.mu; the atomics are shared with
 	// the sender workers. worker is the one its sends queue on: a pool
@@ -334,6 +337,7 @@ func (ss *syncSession) loop() {
 				// The CGM baseline has no feedback, but a cache may still
 				// identify itself; onFeedback records that under every policy.
 				ss.onFeedback(f)
+				codec.ReleaseFeedback(&f)
 				continue
 			}
 			if ss.dest.Redial == nil {
@@ -352,6 +356,7 @@ func (ss *syncSession) loop() {
 				continue
 			}
 			budget.tokens -= float64(ss.answerPoll(pc, p))
+			codec.ReleasePoll(&p)
 		case <-tick:
 			s.mu.Lock()
 			rate := ss.rate
@@ -378,7 +383,11 @@ func (ss *syncSession) answerPoll(pc transport.PollConn, p wire.Poll) int {
 	}
 	var known map[string]wire.KnownVersion
 	if len(p.Known) > 0 {
-		known = make(map[string]wire.KnownVersion, len(p.Known))
+		if ss.known == nil {
+			ss.known = make(map[string]wire.KnownVersion, len(p.Known))
+		}
+		known = ss.known
+		clear(known)
 		for _, k := range p.Known {
 			known[k.ObjectID] = k
 		}
@@ -487,7 +496,7 @@ func (ss *syncSession) end() {
 	s.leaveLocked(ss)
 	ss.ended = true
 	ss.held, ss.lag = nil, keySet{}
-	ss.heldPending, ss.items = nil, nil
+	ss.heldPending, ss.items, ss.known = nil, nil, nil
 	s.reallocateLocked()
 	s.mu.Unlock()
 }

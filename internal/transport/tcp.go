@@ -42,7 +42,7 @@ type tcpServerConn struct {
 	caps uint64 // Hello capability bits
 	mu   sync.Mutex
 	benc codec.Encoder
-	wbuf []byte // reusable frame buffer, guarded by mu
+	wbuf []byte // reusable frame buffer, guarded by mu; see codec.KeepBuffer
 }
 
 // sendEnv writes one cache→source envelope. An encode error (malformed
@@ -54,7 +54,7 @@ func (sc *tcpServerConn) sendEnv(env wire.SourceBound) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	buf, err := sc.benc.AppendSourceBound(sc.wbuf[:0], env)
-	sc.wbuf = buf
+	sc.wbuf = codec.KeepBuffer(sc.wbuf, buf)
 	if err != nil {
 		return err
 	}
@@ -236,6 +236,8 @@ func (s *tcpServer) handle(conn net.Conn) {
 			}
 			s.batches <- InboundBatch{RefreshBatch: b, Frame: frame, decoded: env.Batch}
 		case env.Reply != nil:
+			// The decoder reuses its container on the next read, so the
+			// reply is copied out; its Items are the receiver's to release.
 			rp := *env.Reply
 			rp.SourceID = hello.SourceID // stream identity is authoritative
 			valid := rp.Items[:0]
@@ -333,7 +335,7 @@ type tcpClient struct {
 	conn net.Conn
 	br   *bufio.Reader
 	benc codec.Encoder
-	wbuf []byte // reusable frame buffer, guarded by mu
+	wbuf []byte // reusable frame buffer, guarded by mu; see codec.KeepBuffer
 	// run holds a frame run's byte slices and wv the copy WriteTo consumes,
 	// both reused and guarded by mu: a field, not a local, so that handing
 	// it to the connection's writev does not allocate.
@@ -441,11 +443,15 @@ func (c *tcpClient) readLoop() {
 		if err != nil {
 			break // terminal: close below
 		}
+		// The decoder reuses its containers on the next read, so the values
+		// are copied into the channels; their slices are the receiver's to
+		// release.
 		switch {
 		case env.Feedback != nil:
 			select {
 			case c.fb <- *env.Feedback:
 			default:
+				codec.ReleaseFeedback(env.Feedback)
 			}
 		case env.Poll != nil:
 			select {
@@ -454,6 +460,7 @@ func (c *tcpClient) readLoop() {
 				// A source that has not drained its pending polls gains
 				// nothing from a deeper backlog; the cache re-polls on its
 				// period.
+				codec.ReleasePoll(env.Poll)
 			}
 		}
 	}
@@ -489,8 +496,9 @@ func (c *tcpClient) SendBatch(rs []wire.Refresh) error {
 	b := wire.RefreshBatch{Refreshes: rs, SentUnix: time.Now().UnixNano()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = c.benc.AppendBatch(c.wbuf[:0], b)
-	return c.writeFrame(c.wbuf)
+	buf := c.benc.AppendBatch(c.wbuf[:0], b)
+	c.wbuf = codec.KeepBuffer(c.wbuf, buf)
+	return c.writeFrame(buf)
 }
 
 // SendFrame implements FrameSender: the pre-encoded bytes go to the socket
@@ -525,8 +533,9 @@ func (c *tcpClient) SendFrames(fs []*codec.Frame) error {
 func (c *tcpClient) SendReply(r wire.PollReply) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = c.benc.AppendReply(c.wbuf[:0], r)
-	return c.writeFrame(c.wbuf)
+	buf := c.benc.AppendReply(c.wbuf[:0], r)
+	c.wbuf = codec.KeepBuffer(c.wbuf, buf)
+	return c.writeFrame(buf)
 }
 
 // Feedback implements SourceConn.

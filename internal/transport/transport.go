@@ -92,7 +92,10 @@ type SourceConn interface {
 	// contract as SendRefresh. Empty batches are a no-op.
 	SendBatch([]wire.Refresh) error
 	// Feedback delivers positive-feedback messages from the cache. The
-	// channel is closed when the connection closes.
+	// channel is closed when the connection closes. The one receiver of a
+	// value owns its Held slice and may hand it back with
+	// codec.ReleaseFeedback once done with it; a receiver that does not
+	// loses only the reuse.
 	Feedback() <-chan wire.Feedback
 	// Close releases the connection.
 	Close() error
@@ -108,7 +111,9 @@ type SourceConn interface {
 type PollConn interface {
 	SourceConn
 	// Polls delivers poll requests from the cache. The channel is closed
-	// when the connection closes.
+	// when the connection closes. The one receiver of a poll owns its
+	// ObjectIDs and Known slices and may hand them back with
+	// codec.ReleasePoll once it has answered.
 	Polls() <-chan wire.Poll
 	// SendReply transmits one poll reply (the batched answers to one poll).
 	// It may block under the same back-pressure contract as SendRefresh.
@@ -126,7 +131,10 @@ type PollEndpoint interface {
 	// previous one may be dropped (polling is best-effort; the scheduler
 	// re-polls on its period).
 	SendPoll(sourceID string, p wire.Poll) error
-	// Replies delivers incoming poll replies from every source.
+	// Replies delivers incoming poll replies from every source. The one
+	// receiver of a reply owns its Items slice and may hand it back with
+	// codec.ReleaseReply once done with it. A wrapper that reads a reply and
+	// passes it on hands that right on with it.
 	Replies() <-chan wire.PollReply
 }
 

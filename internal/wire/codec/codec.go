@@ -37,7 +37,9 @@
 // bounded by a configurable cap (ErrFrameTooLarge before any allocation),
 // string lengths and element counts are checked against the bytes remaining
 // in the already-read payload, and slices grow by append as elements decode
-// rather than trusting the declared count. Every error is one of ErrBadFrame,
+// rather than trusting the declared count. Nor does a large frame stay
+// pinned after it: between frames the codec's buffers keep at most 64 KiB
+// (KeepBuffer). Every error is one of ErrBadFrame,
 // ErrFrameTooLarge or an underlying read error; a transport must treat any of
 // them as fatal for the stream (framing is lost) and close the connection.
 //
@@ -98,6 +100,26 @@ const (
 // any legitimate frame (a 256-refresh batch is a few tens of KiB) yet small
 // enough that a hostile length prefix cannot drive an allocation bomb.
 const DefaultMaxFrame = 16 << 20
+
+// maxRetainedBuffer bounds the capacity a connection's codec buffers keep
+// between frames (KeepBuffer). 64 KiB is a TCP server's socket read buffer,
+// and well above a full relayed batch frame (64 refreshes, about 7 KiB), so
+// routine frames reuse one buffer.
+const maxRetainedBuffer = 64 << 10
+
+// KeepBuffer returns the buffer to keep for the next frame once a frame has
+// been built or read in buf, which started as prev: buf, unless the frame
+// grew it past 64 KiB; then prev, and the large buffer goes with its frame.
+// A Decoder's payload buffer and an Encoder's scratch follow it, and so do
+// the TCP transport's frame buffers, so that no connection pins the largest
+// frame it ever carried — a discovery listing, or a hostile frame up to the
+// size cap.
+func KeepBuffer(prev, buf []byte) []byte {
+	if cap(buf) > maxRetainedBuffer {
+		return prev
+	}
+	return buf
+}
 
 // maxUvarintLen is the longest accepted uvarint encoding (10 bytes carries
 // the full uint64 range).

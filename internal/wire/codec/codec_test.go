@@ -623,6 +623,164 @@ func TestReleasedBatchCapBounded(t *testing.T) {
 	}
 }
 
+// TestControlDecodeReleaseSteadyStateZeroAlloc: a reader that releases every
+// control frame it is handed decodes frame after frame without allocating —
+// feedback with and without held acks, a targeted poll with known-version
+// hints, and a targeted reply with provenance.
+func TestControlDecodeReleaseSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-detector instrumentation")
+	}
+	var enc Encoder
+	plain := sampleFeedback()
+	plain.Held = nil
+	reply := samplePeerReply()
+	reply.All = false
+	const runs = 100
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		read  func(*Decoder) error
+	}{
+		{"feedback", enc.AppendFeedback(nil, plain), readSourceRelease},
+		{"feedback+held", enc.AppendFeedback(nil, sampleFeedback()), readSourceRelease},
+		{"poll", enc.AppendPoll(nil, samplePeerPoll()), readSourceRelease},
+		{"reply", enc.AppendReply(nil, reply), func(d *Decoder) error {
+			env, err := d.ReadCacheBound()
+			if err != nil {
+				return err
+			}
+			r := *env.Reply
+			ReleaseReply(&r)
+			return nil
+		}},
+	} {
+		dec := NewDecoder(bytes.NewReader(bytes.Repeat(tc.frame, runs+2)))
+		read := func() {
+			if err := tc.read(dec); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		read() // warm the intern table and the pools
+		if allocs := testing.AllocsPerRun(runs, read); allocs > 0 {
+			t.Errorf("%s: decode + release allocated %.1f times per frame, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// readSourceRelease reads one source-bound frame the way the TCP client
+// does — the value copied out of the decoder's container — and releases it.
+func readSourceRelease(d *Decoder) error {
+	env, err := d.ReadSourceBound()
+	if err != nil {
+		return err
+	}
+	if env.Feedback != nil {
+		fb := *env.Feedback
+		ReleaseFeedback(&fb)
+	} else {
+		p := *env.Poll
+		ReleasePoll(&p)
+	}
+	return nil
+}
+
+// TestReleasedControlCapBounded: a listing-sized reply or a feedback carrying
+// more acks than any routine one is not pooled on release, so no later
+// routine decode holds on to its backing array.
+func TestReleasedControlCapBounded(t *testing.T) {
+	var enc Encoder
+	listing := wire.PollReply{SourceID: "s", All: true}
+	fb := wire.Feedback{CacheID: "c"}
+	for i := 0; i < 4*maxPooledControl; i++ {
+		id := fmt.Sprintf("o%d", i)
+		listing.Items = append(listing.Items, wire.PollItem{ObjectID: id, Exists: true})
+		fb.Held = append(fb.Held, wire.HeldVersion{ObjectID: id, Epoch: 1, Version: 2})
+	}
+	env, err := NewDecoder(bytes.NewReader(enc.AppendReply(nil, listing))).ReadCacheBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := *env.Reply
+	items := &big.Items[0]
+	ReleaseReply(&big)
+	senv, err := NewDecoder(bytes.NewReader(enc.AppendFeedback(nil, fb))).ReadSourceBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigFb := *senv.Feedback
+	held := &bigFb.Held[0]
+	ReleaseFeedback(&bigFb)
+
+	listing.All, listing.Items = false, listing.Items[:8]
+	fb.Held = fb.Held[:8]
+	small := enc.AppendReply(nil, listing)
+	smallFb := enc.AppendFeedback(nil, fb)
+	for i := 0; i < 2*maxFreeControl; i++ {
+		env, err := NewDecoder(bytes.NewReader(small)).ReadCacheBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := *env.Reply
+		if &r.Items[0] == items || cap(r.Items) > maxPooledControl {
+			t.Fatalf("a routine reply decode got the listing's items back (cap %d)", cap(r.Items))
+		}
+		senv, err := NewDecoder(bytes.NewReader(smallFb)).ReadSourceBound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := *senv.Feedback
+		if &f.Held[0] == held || cap(f.Held) > maxPooledControl {
+			t.Fatalf("a routine feedback decode got the large feedback's acks back (cap %d)", cap(f.Held))
+		}
+		// Held back until the loop ends: every decode takes another slice.
+		defer ReleaseReply(&r)
+		defer ReleaseFeedback(&f)
+	}
+}
+
+// TestDecoderBufferBounded: a 1 MiB listing is decoded through a buffer of
+// its own — neither the decoder that read it nor the encoder that wrote it
+// keeps more than maxRetainedBuffer — and encoded through one payload buffer,
+// not a chain of growing ones, while routine frames go on reusing theirs.
+func TestDecoderBufferBounded(t *testing.T) {
+	var enc Encoder
+	listing := wire.PollReply{SourceID: "s", All: true}
+	for i := 0; i < 40000; i++ {
+		listing.Items = append(listing.Items, wire.PollItem{
+			ObjectID: fmt.Sprintf("object-%08d", i), Exists: true, Version: 1 << 20,
+		})
+	}
+	big := enc.AppendReply(nil, listing)
+	if len(big) < 1<<20 {
+		t.Fatalf("the listing is %d bytes, want at least 1 MiB", len(big))
+	}
+	if cap(enc.scratch) > maxRetainedBuffer {
+		t.Errorf("encoder kept a %d-byte scratch after the listing, want at most %d", cap(enc.scratch), maxRetainedBuffer)
+	}
+	if !raceEnabled {
+		dst := big
+		if allocs := testing.AllocsPerRun(3, func() { dst = enc.AppendReply(dst[:0], listing) }); allocs > 1 {
+			t.Errorf("encoding the listing allocated %.0f times, want one payload buffer", allocs)
+		}
+	}
+	small := enc.AppendReply(nil, sampleReply())
+	dec := NewDecoder(bytes.NewReader(append(append(small, big...), small...)))
+	for i := 0; i < 3; i++ {
+		env, err := dec.ReadCacheBound()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		ReleaseReply(env.Reply)
+		if cap(dec.buf) > maxRetainedBuffer {
+			t.Fatalf("after frame %d the decoder keeps a %d-byte buffer, want at most %d", i, cap(dec.buf), maxRetainedBuffer)
+		}
+	}
+	if cap(dec.buf) == 0 {
+		t.Error("the decoder kept no buffer for its routine frames")
+	}
+}
+
 // TestFrameRefcount: a pre-encoded frame survives until its last holder
 // releases it, and the pooled buffer is reused afterwards.
 func TestFrameRefcount(t *testing.T) {

@@ -17,11 +17,22 @@ import (
 // tiny frame CLAIMING a huge payload or element count is rejected before any
 // allocation sized by the claim. All decode errors are terminal: the caller
 // must close the connection, because the next frame boundary is unknowable.
+//
+// The control envelopes it returns — a Feedback, Poll or PollReply — are the
+// decoder's own containers, overwritten by the next read: a caller copies
+// the value out (the TCP read loops do, into their channels) before reading
+// again. Their slices are not overwritten: each read takes fresh ones from
+// bounded pools, and the holder of the value hands them back with
+// ReleaseFeedback, ReleasePoll or ReleaseReply.
 type Decoder struct {
 	r      *bufio.Reader
 	max    uint64
-	buf    []byte // reusable payload buffer, capacity ≤ max
+	buf    []byte // reusable payload buffer, kept by KeepBuffer
 	intern internTable
+
+	fb    wire.Feedback
+	poll  wire.Poll
+	reply wire.PollReply
 }
 
 // NewDecoder wraps r for frame reading with the DefaultMaxFrame size cap.
@@ -60,17 +71,19 @@ func (d *Decoder) readFrame() (byte, payload, error) {
 	if length > d.max {
 		return 0, payload{}, ErrFrameTooLarge
 	}
-	if uint64(cap(d.buf)) < length {
-		d.buf = make([]byte, length)
+	buf := d.buf
+	if uint64(cap(buf)) < length {
+		buf = make([]byte, length)
+		d.buf = KeepBuffer(d.buf, buf)
 	}
-	d.buf = d.buf[:length]
-	if _, err := io.ReadFull(d.r, d.buf); err != nil {
+	buf = buf[:length]
+	if _, err := io.ReadFull(d.r, buf); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, payload{}, badFrame("stream ended inside a %d-byte payload", length)
 		}
 		return 0, payload{}, err
 	}
-	return kind, payload{b: d.buf, in: &d.intern}, nil
+	return kind, payload{b: buf, in: &d.intern}, nil
 }
 
 // readUvarint is binary.ReadUvarint with the over-length encoding mapped to
@@ -119,7 +132,8 @@ func (d *Decoder) ReadHello() (wire.Hello, error) {
 }
 
 // ReadCacheBound reads the next source→cache envelope (a RefreshBatch or
-// PollReply frame).
+// PollReply frame). A reply is the decoder's container, valid until the
+// next read; its Items go back with ReleaseReply.
 func (d *Decoder) ReadCacheBound() (wire.CacheBound, error) {
 	kind, p, err := d.readFrame()
 	if err != nil {
@@ -133,11 +147,10 @@ func (d *Decoder) ReadCacheBound() (wire.CacheBound, error) {
 		}
 		return wire.CacheBound{Batch: b}, p.done()
 	case KindReply:
-		r, err := decodeReply(&p)
-		if err != nil {
+		if err := decodeReply(&p, &d.reply); err != nil {
 			return wire.CacheBound{}, err
 		}
-		return wire.CacheBound{Reply: r}, p.done()
+		return wire.CacheBound{Reply: &d.reply}, p.done()
 	}
 	return wire.CacheBound{}, badFrame("unexpected cache-bound frame kind 0x%02x", kind)
 }
@@ -164,11 +177,10 @@ func (d *Decoder) ReadCacheBoundRetained() (wire.CacheBound, *Frame, error) {
 		}
 		return wire.CacheBound{Batch: b}, newRetainedBatchFrame(p.b), nil
 	case KindReply:
-		r, err := decodeReply(&p)
-		if err != nil {
+		if err := decodeReply(&p, &d.reply); err != nil {
 			return wire.CacheBound{}, nil, err
 		}
-		return wire.CacheBound{Reply: r}, nil, p.done()
+		return wire.CacheBound{Reply: &d.reply}, nil, p.done()
 	}
 	return wire.CacheBound{}, nil, badFrame("unexpected cache-bound frame kind 0x%02x", kind)
 }
@@ -186,7 +198,8 @@ func newRetainedBatchFrame(payload []byte) *Frame {
 }
 
 // ReadSourceBound reads the next cache→source envelope (a Feedback or Poll
-// frame).
+// frame) into the decoder's container for its kind, valid until the next
+// read; its slices go back with ReleaseFeedback or ReleasePoll.
 func (d *Decoder) ReadSourceBound() (wire.SourceBound, error) {
 	kind, p, err := d.readFrame()
 	if err != nil {
@@ -194,17 +207,15 @@ func (d *Decoder) ReadSourceBound() (wire.SourceBound, error) {
 	}
 	switch kind {
 	case KindFeedback:
-		fb, err := decodeFeedback(&p)
-		if err != nil {
+		if err := decodeFeedback(&p, &d.fb); err != nil {
 			return wire.SourceBound{}, err
 		}
-		return wire.SourceBound{Feedback: fb}, p.done()
+		return wire.SourceBound{Feedback: &d.fb}, p.done()
 	case KindPoll:
-		pl, err := decodePoll(&p)
-		if err != nil {
+		if err := decodePoll(&p, &d.poll); err != nil {
 			return wire.SourceBound{}, err
 		}
-		return wire.SourceBound{Poll: pl}, p.done()
+		return wire.SourceBound{Poll: &d.poll}, p.done()
 	}
 	return wire.SourceBound{}, badFrame("unexpected source-bound frame kind 0x%02x", kind)
 }
@@ -253,6 +264,95 @@ func ReleaseBatch(b *wire.RefreshBatch) {
 	}
 	b.Refreshes = b.Refreshes[:0]
 	batchPool.Put(b)
+}
+
+// maxPooledControl is the longest Held, ObjectIDs, Known or Items slice the
+// control Release functions keep: room for a feedback's full held-ack
+// piggyback (256 acks) and for a routine targeted poll or reply. A longer
+// slice — a discovery listing, or whatever a frame grew by append — is left
+// to the GC, as ReleaseBatch leaves one past maxPooledBatch.
+const maxPooledControl = 256
+
+// maxFreeControl bounds how many released slices each control pool keeps:
+// more than a steady stream has in flight, and at most about 1 MiB a pool,
+// whatever the traffic was.
+const maxFreeControl = 16
+
+// controlPool is a bounded free list of the slices of decoded control frames.
+// A free list and not a sync.Pool: a bare slice put into a sync.Pool boxes
+// its header, and a pool whose puts and gets run on different Ps allocates
+// chain links, either way about one allocation per frame.
+type controlPool[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+var (
+	heldPool  controlPool[wire.HeldVersion]
+	idPool    controlPool[string]
+	knownPool controlPool[wire.KnownVersion]
+	itemPool  controlPool[wire.PollItem]
+)
+
+// get returns an empty slice for n elements: nil for none, a pooled one when
+// n is routine, and otherwise one that starts at clamp and grows by append as
+// elements decode, so memory tracks the bytes received.
+func (cp *controlPool[T]) get(n, clamp int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > maxPooledControl {
+		return make([]T, 0, sliceCap(n, clamp))
+	}
+	var s []T
+	cp.mu.Lock()
+	if k := len(cp.free); k > 0 {
+		s, cp.free[k-1] = cp.free[k-1], nil
+		cp.free = cp.free[:k-1]
+	}
+	cp.mu.Unlock()
+	if cap(s) < n {
+		s = make([]T, 0, max(n, min(2*cap(s), maxPooledControl)))
+	}
+	return s
+}
+
+// put keeps s for a later get, cleared so that it pins no decoded string.
+func (cp *controlPool[T]) put(s []T) {
+	if cap(s) == 0 || cap(s) > maxPooledControl {
+		return
+	}
+	clear(s[:cap(s)])
+	cp.mu.Lock()
+	if len(cp.free) < maxFreeControl {
+		cp.free = append(cp.free, s[:0])
+	}
+	cp.mu.Unlock()
+}
+
+// ReleaseFeedback hands fb.Held back for reuse by a later decode and clears
+// it. Like ReleaseBatch it is for the one holder of a decoded value: no copy
+// of the slice may be touched afterwards, and a slice is released at most
+// once. Strings read out of it stay valid. Releasing a slice the caller
+// built itself is fine; a holder that never releases loses only the reuse.
+func ReleaseFeedback(fb *wire.Feedback) {
+	heldPool.put(fb.Held)
+	fb.Held = nil
+}
+
+// ReleasePoll hands p.ObjectIDs and p.Known back for reuse, under
+// ReleaseFeedback's rule.
+func ReleasePoll(p *wire.Poll) {
+	idPool.put(p.ObjectIDs)
+	knownPool.put(p.Known)
+	p.ObjectIDs, p.Known = nil, nil
+}
+
+// ReleaseReply hands r.Items back for reuse, under ReleaseFeedback's rule.
+// Via paths read out of the items stay valid: they are never reused.
+func ReleaseReply(r *wire.PollReply) {
+	itemPool.put(r.Items)
+	r.Items = nil
 }
 
 func decodeBatch(p *payload) (*wire.RefreshBatch, error) {
@@ -328,46 +428,46 @@ func decodeRefresh(p *payload, r *wire.Refresh) error {
 // (1), value (8), version (1), epoch (1), last-modified (1).
 const minItemEnc = 1 + 1 + 8 + 1 + 1 + 1
 
-func decodeReply(p *payload) (*wire.PollReply, error) {
-	var r wire.PollReply
+// decodeReply decodes a PollReply into r, overwriting every field; its
+// Items come from itemPool.
+func decodeReply(p *payload, r *wire.PollReply) error {
+	*r = wire.PollReply{}
 	var err error
 	if r.SourceID, err = p.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.All, err = p.bool(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := p.count(minItemEnc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
-		r.Items = make([]wire.PollItem, 0, sliceCap(n, 1024))
-	}
+	r.Items = itemPool.get(n, 1024)
 	for i := 0; i < n; i++ {
 		var it wire.PollItem
 		if it.ObjectID, err = p.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if it.Exists, err = p.bool(); err != nil {
-			return nil, err
+			return err
 		}
 		if it.Value, err = p.f64(); err != nil {
-			return nil, err
+			return err
 		}
 		if it.Version, err = p.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		if it.Epoch, err = p.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		if it.LastModifiedUnix, err = p.varint(); err != nil {
-			return nil, err
+			return err
 		}
 		r.Items = append(r.Items, it)
 	}
 	if r.SentUnix, err = p.varint(); err != nil {
-		return nil, err
+		return err
 	}
 	// Optional trailing pushed-set segment (hybrid policy; absent on legacy
 	// frames and on every reply with an empty push set — unless the
@@ -376,14 +476,14 @@ func decodeReply(p *payload) (*wire.PollReply, error) {
 	if p.remaining() > 0 {
 		np, err := p.count(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if np > 0 {
 			r.Pushed = make([]string, 0, sliceCap(np, 4096))
 			for i := 0; i < np; i++ {
 				id, err := p.str()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				r.Pushed = append(r.Pushed, id)
 			}
@@ -394,40 +494,40 @@ func decodeReply(p *payload) (*wire.PollReply, error) {
 	if p.remaining() > 0 {
 		np, err := p.count(minItemProvEnc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		last := -1
 		for i := 0; i < np; i++ {
 			idx64, err := p.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			idx := int(idx64)
 			if idx64 >= uint64(len(r.Items)) || idx <= last {
-				return nil, badFrame("poll-reply provenance index %d out of order or range (items %d)", idx64, len(r.Items))
+				return badFrame("poll-reply provenance index %d out of order or range (items %d)", idx64, len(r.Items))
 			}
 			last = idx
 			it := &r.Items[idx]
 			if it.Origin, err = p.strSlot(&p.in.origin); err != nil {
-				return nil, err
+				return err
 			}
 			hops, err := p.varint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			it.Hops = int(hops)
 			if it.Via, err = p.via(); err != nil {
-				return nil, err
+				return err
 			}
 			if it.OriginEpoch, err = p.varint(); err != nil {
-				return nil, err
+				return err
 			}
 			if it.OriginVersion, err = p.uvarint(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return &r, nil
+	return nil
 }
 
 // minItemProvEnc is the smallest encoded per-item provenance entry: item
@@ -439,89 +539,85 @@ const minItemProvEnc = 6
 // epoch (1), version (1).
 const minHeldEnc = 3
 
-func decodeFeedback(p *payload) (*wire.Feedback, error) {
-	var fb wire.Feedback
+// decodeFeedback decodes a Feedback into fb, overwriting every field; its
+// Held comes from heldPool.
+func decodeFeedback(p *payload, fb *wire.Feedback) error {
+	*fb = wire.Feedback{}
 	var err error
 	if fb.CacheID, err = p.str(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := p.count(minHeldEnc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
-		fb.Held = make([]wire.HeldVersion, 0, sliceCap(n, 512))
-		for i := 0; i < n; i++ {
-			var h wire.HeldVersion
-			if h.ObjectID, err = p.str(); err != nil {
-				return nil, err
-			}
-			if h.Epoch, err = p.varint(); err != nil {
-				return nil, err
-			}
-			if h.Version, err = p.uvarint(); err != nil {
-				return nil, err
-			}
-			fb.Held = append(fb.Held, h)
+	fb.Held = heldPool.get(n, 512)
+	for i := 0; i < n; i++ {
+		var h wire.HeldVersion
+		if h.ObjectID, err = p.str(); err != nil {
+			return err
 		}
+		if h.Epoch, err = p.varint(); err != nil {
+			return err
+		}
+		if h.Version, err = p.uvarint(); err != nil {
+			return err
+		}
+		fb.Held = append(fb.Held, h)
 	}
-	if fb.SentUnix, err = p.varint(); err != nil {
-		return nil, err
-	}
-	return &fb, nil
+	fb.SentUnix, err = p.varint()
+	return err
 }
 
-func decodePoll(p *payload) (*wire.Poll, error) {
-	var pl wire.Poll
+// decodePoll decodes a Poll into pl, overwriting every field; its ObjectIDs
+// and Known come from idPool and knownPool.
+func decodePoll(p *payload, pl *wire.Poll) error {
+	*pl = wire.Poll{}
 	var err error
 	if pl.CacheID, err = p.str(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := p.count(1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
-		pl.ObjectIDs = make([]string, 0, sliceCap(n, 4096))
-		for i := 0; i < n; i++ {
-			id, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			pl.ObjectIDs = append(pl.ObjectIDs, id)
+	pl.ObjectIDs = idPool.get(n, 4096)
+	for i := 0; i < n; i++ {
+		id, err := p.str()
+		if err != nil {
+			return err
 		}
+		pl.ObjectIDs = append(pl.ObjectIDs, id)
 	}
 	if pl.SentUnix, err = p.varint(); err != nil {
-		return nil, err
+		return err
 	}
 	// Optional trailing known-version segment (peer-capable answerers only;
 	// absent on legacy frames and on every hint-less poll).
 	if p.remaining() > 0 {
 		n, err := p.count(minKnownEnc)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if n > 0 {
-			pl.Known = make([]wire.KnownVersion, 0, sliceCap(n, 4096))
-			for i := 0; i < n; i++ {
-				var k wire.KnownVersion
-				if k.ObjectID, err = p.str(); err != nil {
-					return nil, err
-				}
-				if k.Origin, err = p.strSlot(&p.in.origin); err != nil {
-					return nil, err
-				}
-				if k.Epoch, err = p.varint(); err != nil {
-					return nil, err
-				}
-				if k.Version, err = p.uvarint(); err != nil {
-					return nil, err
-				}
-				pl.Known = append(pl.Known, k)
+		pl.Known = knownPool.get(n, 4096)
+		for i := 0; i < n; i++ {
+			var k wire.KnownVersion
+			if k.ObjectID, err = p.str(); err != nil {
+				return err
 			}
+			if k.Origin, err = p.strSlot(&p.in.origin); err != nil {
+				return err
+			}
+			if k.Epoch, err = p.varint(); err != nil {
+				return err
+			}
+			if k.Version, err = p.uvarint(); err != nil {
+				return err
+			}
+			pl.Known = append(pl.Known, k)
 		}
 	}
-	return &pl, nil
+	return nil
 }
 
 // minKnownEnc is the smallest encoded KnownVersion: empty object id (1),

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,17 +14,23 @@ import (
 // before its header), which is why it is not safe for concurrent use — give
 // each connection (or goroutine) its own; the transports keep one per
 // connection under the connection's write lock, so steady-state encoding
-// performs zero allocations.
+// performs zero allocations. The scratch is kept by KeepBuffer.
 type Encoder struct {
 	scratch []byte
 }
 
-// appendFrame frames the encoder's scratch (holding one message payload)
-// into dst: kind, payload length, payload bytes.
-func (e *Encoder) appendFrame(dst []byte, kind byte) []byte {
+// appendFrame frames one message payload, encoded by appending to the
+// encoder's scratch, into dst: kind, payload length, payload bytes. A dst
+// that must grow past what KeepBuffer keeps grows to the frame's size at
+// once, not by doubling.
+func (e *Encoder) appendFrame(dst []byte, kind byte, payload []byte) []byte {
+	e.scratch = KeepBuffer(e.scratch, payload)
+	if n := 1 + maxUvarintLen + len(payload); cap(dst)-len(dst) < n && len(dst)+n > maxRetainedBuffer {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, kind)
-	dst = appendUvarint(dst, uint64(len(e.scratch)))
-	return append(dst, e.scratch...)
+	dst = appendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...)
 }
 
 // AppendHello appends a Hello frame to dst and returns the extended buffer.
@@ -32,11 +39,11 @@ func (e *Encoder) appendFrame(dst []byte, kind byte) []byte {
 // a capability-less hello stays byte-identical to the pre-capability format
 // (old decoders would reject the extra bytes as trailing garbage).
 func (e *Encoder) AppendHello(dst []byte, h wire.Hello) []byte {
-	e.scratch = appendString(e.scratch[:0], h.SourceID)
+	s := appendString(e.scratch[:0], h.SourceID)
 	if h.Capabilities != 0 {
-		e.scratch = appendUvarint(e.scratch, h.Capabilities)
+		s = appendUvarint(s, h.Capabilities)
 	}
-	return e.appendFrame(dst, KindHello)
+	return e.appendFrame(dst, KindHello, s)
 }
 
 // AppendBatch appends a RefreshBatch frame to dst.
@@ -45,13 +52,18 @@ func (e *Encoder) AppendBatch(dst []byte, b wire.RefreshBatch) []byte {
 	for i := range b.Refreshes {
 		s = appendRefresh(s, &b.Refreshes[i])
 	}
-	e.scratch = appendVarint(s, b.SentUnix)
-	return e.appendFrame(dst, KindBatch)
+	return e.appendFrame(dst, KindBatch, appendVarint(s, b.SentUnix))
 }
 
-// AppendReply appends a PollReply frame to dst.
+// AppendReply appends a PollReply frame to dst. The payload's room is
+// reserved up front from a bound on the items' size, so a discovery listing
+// is encoded into one buffer rather than a chain of growing ones.
 func (e *Encoder) AppendReply(dst []byte, r wire.PollReply) []byte {
-	s := appendString(e.scratch[:0], r.SourceID)
+	n := 3*maxUvarintLen + 1 + len(r.SourceID) // source id, All, item count, sent time
+	for i := range r.Items {
+		n += maxItemEnc + len(r.Items[i].ObjectID)
+	}
+	s := appendString(slices.Grow(e.scratch[:0], n), r.SourceID)
 	s = appendBool(s, r.All)
 	s = appendUvarint(s, uint64(len(r.Items)))
 	for i := range r.Items {
@@ -100,9 +112,13 @@ func (e *Encoder) AppendReply(dst []byte, r wire.PollReply) []byte {
 			s = appendUvarint(s, it.OriginVersion)
 		}
 	}
-	e.scratch = s
-	return e.appendFrame(dst, KindReply)
+	return e.appendFrame(dst, KindReply, s)
 }
+
+// maxItemEnc bounds a PollItem's encoding but for its id bytes and its
+// provenance: the id's length prefix, the bool, the float64 and three
+// varints.
+const maxItemEnc = maxUvarintLen + 1 + 8 + 3*maxUvarintLen
 
 // itemHasProv reports whether a poll item carries relay provenance that the
 // reply must encode in the trailing provenance segment.
@@ -121,8 +137,7 @@ func (e *Encoder) AppendFeedback(dst []byte, fb wire.Feedback) []byte {
 		s = appendVarint(s, h.Epoch)
 		s = appendUvarint(s, h.Version)
 	}
-	e.scratch = appendVarint(s, fb.SentUnix)
-	return e.appendFrame(dst, KindFeedback)
+	return e.appendFrame(dst, KindFeedback, appendVarint(s, fb.SentUnix))
 }
 
 // AppendPoll appends a Poll frame to dst.
@@ -145,8 +160,7 @@ func (e *Encoder) AppendPoll(dst []byte, p wire.Poll) []byte {
 			s = appendUvarint(s, k.Version)
 		}
 	}
-	e.scratch = s
-	return e.appendFrame(dst, KindPoll)
+	return e.appendFrame(dst, KindPoll, s)
 }
 
 // AppendCacheBound appends the envelope's one payload as a frame — the
